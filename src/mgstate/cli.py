@@ -9,10 +9,13 @@ counterexample candidate, reported loudly).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
 from fractions import Fraction
+from itertools import chain, starmap
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -86,6 +89,29 @@ def _coeff_str(exp: int) -> str:
     return {0: "+1", 1: "+i", 2: "-1", 3: "-i"}[exp % 4]
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_list_of(x, kind: type) -> bool:
+    return isinstance(x, list) and all(isinstance(item, kind) for item in x)
+
+
+def _has_int_fields(x, *keys: str) -> bool:
+    return isinstance(x, dict) and all(_is_int(x.get(k)) for k in keys)
+
+
+# The shape each fixture expectation must have for ``_verify_graph`` to read it.
+_EXPECT_TYPES = {
+    **{key: _is_int for key in ("n", "e", "t", "gamma_rank", "chi", "subgroup_count")},
+    "subgroups": lambda x: _is_list_of(x, list) and all(_is_list_of(s, str) for s in x),
+    "signfree": lambda x: _has_int_fields(x, "ev_count", "ambiguous"),
+    "children_e1": lambda x: _has_int_fields(x, "count", "classes")
+    and _is_list_of(x.get("rho_json", []), dict),
+    "stabilizer": lambda x: _is_list_of(x, str),
+}
+
+
 def _read_graph(path: str) -> tuple[MixedGraph, str, Optional[Dict]]:
     """Returns (graph, digest, fixture-expectations or None)."""
     try:
@@ -102,13 +128,80 @@ def _read_graph(path: str) -> tuple[MixedGraph, str, Optional[Dict]]:
             raise GraphParseError(0, f"bad fixture JSON: {err}") from err
         if doc.get("schema") != FIXTURE_SCHEMA:
             raise GraphParseError(0, "fixture is missing the expected schema tag")
-        return parse_graph(doc["graph"]), digest, doc.get("expect", {})
+        if not isinstance(doc.get("graph"), str):
+            raise GraphParseError(0, "fixture has no graph text under 'graph'")
+        expect = doc.get("expect", {})
+        if not isinstance(expect, dict):
+            raise GraphParseError(0, "fixture 'expect' is not a JSON object")
+        for key, well_typed in _EXPECT_TYPES.items():
+            if key in expect and not well_typed(expect[key]):
+                raise GraphParseError(0, f"fixture expect entry {key!r} is malformed")
+        return parse_graph(doc["graph"]), digest, expect
     return parse_graph(text), digest, None
+
+
+def _json_scalar(o) -> str:
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None or isinstance(o, (bool, float)):
+        return json.dumps(o)
+    if isinstance(o, int):
+        return int.__repr__(o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _int_rows_width(items: Sequence) -> int:
+    """k when every item is a list of k plain ints (k >= 1), else 0."""
+    if set(map(type, items)) != {list}:
+        return 0
+    widths = set(map(len, items))
+    if len(widths) != 1 or set(map(type, chain.from_iterable(items))) != {int}:
+        return 0
+    return widths.pop()
+
+
+def _json_chunks(o, level: int, out: List[str], prefix: str = "") -> None:
+    """Append the text of ``json.dumps(o, indent=2, sort_keys=True)`` at nesting
+    ``level`` to ``out``, led by ``prefix``.  Dense matrix rows (lists of
+    equal-length int lists) are formatted by one template per row instead of
+    one call per entry."""
+    inner = "\n" + "  " * (level + 1)
+    close = "\n" + "  " * level
+    if isinstance(o, dict):
+        if not o:
+            out.append(prefix + "{}")
+            return
+        sep = prefix + "{"
+        for key, value in sorted(o.items()):
+            key = encode_basestring_ascii(key if isinstance(key, str) else _json_scalar(key))
+            _json_chunks(value, level + 1, out, f"{sep}{inner}{key}: ")
+            sep = ","
+        out.append(close + "}")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append(prefix + "[]")
+            return
+        width = _int_rows_width(o)
+        if width:
+            deeper = "\n" + "  " * (level + 2)
+            row = "[" + deeper + f",{deeper}".join(["{}"] * width) + inner + "]"
+            out.append(f"{prefix}[{inner}" + f",{inner}".join(starmap(row.format, o)) + close + "]")
+            return
+        sep = prefix + "["
+        for value in o:
+            _json_chunks(value, level + 1, out, sep + inner)
+            sep = ","
+        out.append(close + "]")
+    else:
+        out.append(prefix + _json_scalar(o))
 
 
 def _emit(report: Dict, text_lines: List[str], as_json: bool) -> None:
     if as_json:
-        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        out: List[str] = []
+        _json_chunks(report, 0, out)
+        out.append("\n")
+        sys.stdout.write("".join(out))
     else:
         sys.stdout.write("\n".join(text_lines) + "\n")
 
@@ -364,6 +457,11 @@ def _verify_graph(g: MixedGraph, expect: Optional[Dict], bound: int) -> List[str
             raise InvariantViolation(name, reproducer)
         checked.append(name)
 
+    @functools.lru_cache(maxsize=None)
+    def family_e1():
+        family = extend_e1(g)
+        return (family, *children_family_e1(duals, family))
+
     gamma = g.gamma()
     e, t = mixed_rank(g)
     check("gamma-rank-even", rank(gamma) % 2 == 0, f"rank = {rank(gamma)}")
@@ -424,8 +522,7 @@ def _verify_graph(g: MixedGraph, expect: Optional[Dict], bound: int) -> List[str
             )
             parents.append(p)
         if e == 1:
-            family = extend_e1(g)
-            children, classes = children_family_e1(duals, family)
+            family, children, classes = family_e1()
             check("family-size", len(children) <= 6, f"{len(children)} children")
             check("family-classes", len(classes) <= 3, f"{len(classes)} classes")
             parents.extend(family)
@@ -476,8 +573,7 @@ def _verify_graph(g: MixedGraph, expect: Optional[Dict], bound: int) -> List[str
                 f"|E(V)| = {len(fam)}",
             )
         if "children_e1" in expect:
-            family = extend_e1(g)
-            children, classes = children_family_e1(duals, family)
+            _, children, classes = family_e1()
             check(
                 "expect-children-count",
                 len(children) == expect["children_e1"]["count"],

@@ -12,7 +12,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 
 def popcount(x: int) -> int:
-    return bin(x).count("1")
+    return x.bit_count()
 
 
 def parity(x: int) -> int:

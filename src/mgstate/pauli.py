@@ -366,10 +366,7 @@ class GaussianMatrix:
         return GaussianMatrix(self.re[np.ix_(perm, perm)] * m, self.im[np.ix_(perm, perm)] * m, self.denom_log2)
 
     def to_entry_lists(self) -> List[List[List[int]]]:
-        return [
-            [[int(self.re[r, c]), int(self.im[r, c])] for c in range(self.dim)]
-            for r in range(self.dim)
-        ]
+        return np.stack((self.re, self.im), axis=-1).tolist()
 
     def to_json_dict(self) -> Dict:
         return {
@@ -390,12 +387,10 @@ class GaussianMatrix:
 
     def to_text_grid(self) -> str:
         """Aligned grid of exact entries with the denominator up front."""
-        cells = []
-        for r in range(self.dim):
-            row = []
-            for c in range(self.dim):
-                row.append(_format_gaussian(int(self.re[r, c]), int(self.im[r, c])))
-            cells.append(row)
+        cells = [
+            list(map(_format_gaussian, re_row, im_row))
+            for re_row, im_row in zip(self.re.tolist(), self.im.tolist())
+        ]
         width = max((len(s) for row in cells for s in row), default=1)
         body = "\n".join(" ".join(s.rjust(width) for s in row) for row in cells)
         if self.denom_log2:

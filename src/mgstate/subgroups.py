@@ -2,8 +2,15 @@
 
 Index subsets of dual rows are identified with vectors in F2^n; two products
 commute iff ``v Gamma v'^T = 0``.  A maximal commutative subgroup of the dual
-corresponds to an e-dimensional totally isotropic subspace of the reduced
-full-rank form, lifted back through the kernel of Gamma.
+corresponds to an e-dimensional totally isotropic subspace (a Lagrangian) of
+the reduced full-rank form gamma_tilde, lifted back through the kernel of
+Gamma.
+
+The Lagrangians are enumerated pair by pair in a symplectic basis of
+gamma_tilde: every Lagrangian of the span of the last k - 1 hyperbolic pairs
+extends in exactly 1 + 2^k ways to one of the last k pairs, so the chi(e)
+subspaces come out once each, with no search over F2^{2e} and no
+deduplication (see ``enumerate_max_isotropic``).
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .f2 import (
     BinMatrix,
     bits_of,
+    in_rowspan,
     kernel,
     parity,
     rank,
@@ -97,9 +105,7 @@ class IsotropicSubspace:
         return span(self.lifted_basis, self.reduction.n)
 
     def contains(self, v: int) -> bool:
-        base = list(self.lifted_basis)
-        aug, _ = rref(base + [v], self.reduction.n)
-        return len(aug) == len(base)
+        return in_rowspan(v, self.lifted_basis, self.reduction.n)
 
 
 def chi(e: int) -> int:
@@ -117,31 +123,60 @@ def enumerate_max_isotropic(
 ) -> List[IsotropicSubspace]:
     """All maximal totally isotropic subspaces of gamma_tilde, canonical order.
 
-    Subspaces are deduplicated by RREF canonical form; every maximal one has
-    dimension e, so the enumeration proceeds level by level up to e.
+    Each subspace is built exactly once, in the hyperbolic pairs
+    (a_1, b_1), ..., (a_e, b_e) of ``symplectic_basis(gamma_tilde)``, adding
+    one pair (a, b) at a time in front of the span W of the pairs already
+    used (k pairs in all).  A Lagrangian of span(a, b) + W either contains
+    a, and is span(a) + L for a Lagrangian L of W, or it does not.  Then L
+    is the projection onto W of its vectors without a b component, and it is
+
+        span(b + alpha a + w) + {u + omega(w, u) a : u in L}
+
+    for exactly one alpha in F2 and one w from a fixed set of
+    representatives of the 2^(k-1) cosets of L in W.  So each Lagrangian of
+    W yields 1 + 2^k distinct ones, and the count is
+    prod_{j=1}^{e} (2^j + 1) = chi(e) by construction, with no search over
+    F2^{2e} and no deduplication.  The representatives are the sums of the
+    unit vectors at the non-pivot columns of L's RREF, in pair coordinates.
+    Results are mapped to gamma_tilde coordinates once, reduced to RREF,
+    sorted, and lifted through the kernel of Gamma.
     """
     m = red.n - red.t
     if m > bound:
         raise BoundExceeded(f"enumeration bound exceeded: 2e = {m} > {bound}")
-    gt = red.gamma_tilde
-    e = red.e
-    gt_images = [gt.mul_vec(v) for v in range(1 << m)]
+    pairs, _ = symplectic_basis(red.gamma_tilde)
+    # pair coordinates: bit 2i is a_i, bit 2i + 1 is b_i
+    evens = sum(1 << (2 * i) for i in range(len(pairs)))
 
-    level: set = {()}
-    for _ in range(e):
-        nxt: set = set()
-        for basis in level:
-            sp = span(list(basis), m)
-            spset = set(sp)
-            ortho_ok = [v for v in range(1, 1 << m) if v not in spset]
-            for v in ortho_ok:
-                if any(parity(gt_images[v] & u) for u in basis):
-                    continue
-                reduced, _ = rref(list(basis) + [v], m)
-                nxt.add(tuple(reduced))
-        level = nxt
+    def omega(x: int, y: int) -> int:
+        return parity((((x & evens) << 1) | ((x >> 1) & evens)) & y)
+
+    lagrangians: List[List[int]] = [[]]
+    for i in reversed(range(len(pairs))):
+        a, b = 1 << (2 * i), 1 << (2 * i + 1)
+        grown: List[List[int]] = []
+        for lag in lagrangians:
+            grown.append([a] + lag)
+            _, pivots = rref(lag, m)
+            free = [1 << j for j in range(2 * i + 2, m) if j not in pivots]
+            for w in span(free, m):
+                tail = [u ^ (a if omega(w, u) else 0) for u in lag]
+                grown.append([b ^ w] + tail)
+                grown.append([b ^ a ^ w] + tail)
+        lagrangians = grown
+
+    images = [pair[k] for pair in pairs for k in (0, 1)]
+    bases = []
+    for lag in lagrangians:
+        rows = []
+        for x in lag:
+            v = 0
+            for j in bits_of(x):
+                v ^= images[j]
+            rows.append(v)
+        bases.append(tuple(rref(rows, m)[0]))
     out = []
-    for basis in sorted(level):
+    for basis in sorted(bases):
         lifted = [red.lift(b) for b in basis] + list(red.kernel_basis)
         lifted_r, _ = rref(lifted, red.n)
         out.append(IsotropicSubspace(red, basis, tuple(lifted_r)))

@@ -9,7 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from mgstate.cli import main
+from mgstate.cli import _emit, main
 from paper_data import RHO0_NUM, RHO1_NUM, RHO2_NUM, TRIANGLE
 
 FIXTURES = Path(__file__).parent.parent / "src" / "mgstate" / "fixtures"
@@ -213,6 +213,49 @@ def test_verify_corrupted_fixture_fails(idx, tmp_path):
     assert ":" in out  # names the invariant and a reproducer
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"schema": "mgstate-fixture-v1", "expect": {}},
+        {"schema": "mgstate-fixture-v1", "graph": 3},
+        ["not", "an", "object"],
+        {"schema": "mgstate-fixture-v1", "graph": TRIANGLE, "expect": []},
+    ],
+    ids=["no-graph", "graph-not-text", "not-an-object", "expect-not-an-object"],
+)
+def test_malformed_fixture_document_exit_2(doc, tmp_path):
+    path = tmp_path / "bad.fixture.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli("verify", str(path))
+    assert code == 2
+    assert err.startswith("input error:")
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("subgroups", 5),
+        ("subgroups", ["110"]),
+        ("chi", "x"),
+        ("e", True),
+        ("subgroup_count", 1.5),
+        ("stabilizer", "+XZ"),
+        ("signfree", {"ev_count": 8}),
+        ("children_e1", {"count": 6, "classes": "3"}),
+        ("children_e1", {"count": 6, "classes": 3, "rho_json": 0}),
+    ],
+)
+def test_malformed_expect_entry_exit_2(key, value, tmp_path):
+    doc = json.loads((FIXTURES / "triangle.fixture.json").read_text())
+    doc["expect"][key] = value
+    path = tmp_path / "bad.fixture.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli("verify", str(path))
+    assert code == 2
+    assert repr(key) in err
+    assert not out.startswith("FAIL")
+
+
 def test_json_outputs_validate_against_schema(tmp_path):
     validator = jsonschema.Draft202012Validator(SCHEMA)
     path = str(FIXTURES / "triangle.graph")
@@ -249,6 +292,52 @@ def test_outputs_deterministic():
         _, first, _ = run_cli(*argv)
         _, second, _ = run_cli(*argv)
         assert first == second
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["children", "fivenode.graph", "--all", "--json"],
+        ["verify", "triangle.fixture.json", "--json"],
+        ["subgroups", "appendix_a.graph", "--json"],
+    ],
+)
+def test_json_report_matches_stdlib_encoding(argv):
+    argv = [str(FIXTURES / a) if a.endswith((".graph", ".json")) else a for a in argv]
+    _, out, _ = run_cli(*argv)
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {},
+        [],
+        [[]],
+        [[1, -2], [3, 4]],
+        [[1, True], [3, 4]],
+        [[1], [2, 3]],
+        [(1, 2), (3, 4)],
+        [[0.5, 1]],
+        {"b": [1, {"a": None}], "a": "é\n\"x", "c": (1, 2), "d": {}},
+        {1: "x", 2.5: "y"},
+        {True: "z"},
+        {None: "w"},
+        [float("nan"), float("inf"), -0.0, 10**30, False],
+        [[[0, 1], [2, -3]], [[4, 5], [6, 7]]],
+    ],
+)
+def test_emit_matches_stdlib_encoding(value, capsys):
+    _emit(value, [], as_json=True)
+    assert capsys.readouterr().out == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def test_emit_rejects_what_stdlib_rejects():
+    for value in ({"x": {1}}, {(1, 2): 3}, [object()]):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            _emit(value, [], as_json=True)
 
 
 def test_children_fivenode_worked_subgroup():

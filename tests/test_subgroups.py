@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,7 @@ from mgstate.f2 import BinMatrix, bits_of, parity, rank, rref, span
 from mgstate.graphs import dual_stabilizer, mixed_rank, parse_graph
 from mgstate.pauli import ordered_product
 from mgstate.subgroups import (
+    IsotropicSubspace,
     apply_row_map,
     chi,
     commutes_via_gamma,
@@ -31,6 +33,42 @@ from paper_data import (
     TRIANGLE_TO_STAR_MAP,
 )
 from test_graphs import random_mixed_graph
+
+FIXTURES = Path(__file__).parent.parent / "src" / "mgstate" / "fixtures"
+
+
+def directed_clique(n):
+    return "nodes %d\n" % n + "".join(
+        f"edge {j} -> {k}\n" for j in range(n) for k in range(j + 1, n)
+    )
+
+
+def enumerate_level_by_level(red):
+    """Reference enumerator: grow isotropic subspaces one vector at a time.
+
+    Every level scans all 2^{2e} vectors against every partial basis and
+    deduplicates by RREF, so it is exponential in 2e; used here for e <= 3.
+    """
+    m = red.n - red.t
+    gt = red.gamma_tilde
+    gt_images = [gt.mul_vec(v) for v in range(1 << m)]
+    level = {()}
+    for _ in range(red.e):
+        nxt = set()
+        for basis in level:
+            spset = set(span(list(basis), m))
+            for v in range(1, 1 << m):
+                if v in spset or any(parity(gt_images[v] & u) for u in basis):
+                    continue
+                reduced, _ = rref(list(basis) + [v], m)
+                nxt.add(tuple(reduced))
+        level = nxt
+    out = []
+    for basis in sorted(level):
+        lifted = [red.lift(b) for b in basis] + list(red.kernel_basis)
+        lifted_r, _ = rref(lifted, red.n)
+        out.append(IsotropicSubspace(red, basis, tuple(lifted_r)))
+    return out
 
 
 def bitstr_to_mask(s: str) -> int:
@@ -120,6 +158,37 @@ def test_enumerate_bound():
     g = parse_graph(CLIQUE6)
     with pytest.raises(BoundExceeded):
         enumerate_max_isotropic(reduce_gamma(g.gamma()), bound=4)
+
+
+def assert_matches_oracle(g):
+    red = reduce_gamma(g.gamma())
+    got = enumerate_max_isotropic(red)
+    want = enumerate_level_by_level(red)
+    assert [s.basis for s in got] == [s.basis for s in want]
+    assert [s.lifted_basis for s in got] == [s.lifted_basis for s in want]
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.graph")), ids=lambda p: p.stem)
+def test_enumerate_matches_oracle_on_fixtures(path):
+    assert_matches_oracle(parse_graph(path.read_text()))
+
+
+def test_enumerate_matches_oracle_on_random_graphs(rng):
+    for _ in range(40):  # n <= 7, so e <= 3
+        assert_matches_oracle(random_mixed_graph(rng, rng.randrange(1, 8)))
+
+
+def test_enumerate_e5_each_lagrangian_once():
+    red = reduce_gamma(parse_graph(directed_clique(10)).gamma())
+    assert red.e == 5
+    subs = enumerate_max_isotropic(red)
+    assert len(subs) == chi(5) == 75_735
+    assert len({s.basis for s in subs}) == len(subs)
+    gt = red.gamma_tilde
+    for s in subs:
+        assert len(s.basis) == 5
+        images = [gt.mul_vec(u) for u in s.basis]
+        assert not any(parity(img & v) for img in images for v in s.basis)
 
 
 def test_subspace_sizes_and_isotropy(rng):
