@@ -25,12 +25,7 @@ from .pauli import (
     DimensionError,
     GaussianMatrix,
     PauliWord,
-    commutes,
-    conjugate_single,
-    is_hermitian,
-    mul,
     ordered_product,
-    to_dense,
 )
 from .subgroups import (
     GammaReduction,

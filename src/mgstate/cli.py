@@ -13,14 +13,12 @@ import functools
 import hashlib
 import json
 import sys
-from fractions import Fraction
 from itertools import chain, starmap
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from .extension import (
-    ExtensionError,
     ParentExtension,
     extend_e1,
     extend_for_subgroup,
@@ -28,7 +26,7 @@ from .extension import (
     j_members,
     verify_full_commutation,
 )
-from .f2 import BinMatrix, bits_of, rank, span
+from .f2 import bits_of, rank
 from .graphs import (
     GraphParseError,
     MixedGraph,
@@ -39,7 +37,6 @@ from .graphs import (
     maximal_independent_sets,
     mixed_rank,
     parse_graph,
-    serialize_graph,
     stabilizer_matrix,
 )
 from .pauli import BoundExceeded, PauliWord, dense_bound, ordered_product
@@ -51,13 +48,14 @@ from .signfree import (
     family_to_lists,
 )
 from .states import (
+    ChildResult,
     PhaseFunction,
     child_from_partial_trace,
     child_from_pauli_sum,
     children_family_e1,
     stabilized_by,
 )
-from .subgroups import chi, enumerate_max_isotropic, reduce_gamma
+from .subgroups import DEFAULT_ENUM_BOUND, chi, enumerate_max_isotropic, reduce_gamma
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -79,6 +77,24 @@ class InvariantViolation(RuntimeError):
 
 class SearchFailure(RuntimeError):
     pass
+
+
+def _require(name: str, ok: bool, reproducer: str) -> None:
+    if not ok:
+        raise InvariantViolation(name, reproducer)
+
+
+def _check_child(
+    child: ChildResult,
+    rows: Sequence[PauliWord],
+    check: Callable[[str, bool, str], None] = _require,
+) -> None:
+    """The child's two cross-checks: the Pauli sum equals the partial trace
+    of the parent, and the mixed graph's stabilizer rows fix it."""
+    p = child.parent
+    reproducer = f"parent {p.ae.row_strings()} offsets {sorted(p.lab_offsets)}"
+    check("pauli-sum-vs-partial-trace", child.rho == child_from_partial_trace(p), reproducer)
+    check("child-stabilized", stabilized_by(child.rho, rows), reproducer)
 
 
 def _bitstring(v: int, n: int) -> str:
@@ -317,19 +333,10 @@ def cmd_subgroups(args) -> int:
 # ---------------------------------------------------------------- children
 
 
-def _parent_payload(
-    g: MixedGraph, p: ParentExtension, duals: Sequence[PauliWord]
-) -> Dict:
+def _parent_payload(rows: Sequence[PauliWord], child: ChildResult) -> Dict:
+    _check_child(child, rows)
+    p = child.parent
     l_sets, gmat, h = indicator(p)
-    child = child_from_pauli_sum(p, duals)
-    verified = child.rho == child_from_partial_trace(p)
-    if not verified:
-        raise InvariantViolation(
-            "pauli-sum-vs-partial-trace",
-            f"parent {p.ae.row_strings()} offsets {sorted(p.lab_offsets)}",
-        )
-    if not stabilized_by(child.rho, stabilizer_matrix(g)):
-        raise InvariantViolation("child-stabilized", "child not fixed by the stabilizer rows")
     phase = PhaseFunction.from_parent(p)
     return {
         "parent_rows": [r.letters() for r in p.rows()],
@@ -345,7 +352,7 @@ def _parent_payload(
         },
         "rho": child.rho.to_json_dict(),
         "rho_text": child.rho.to_text_grid(),
-        "oracle_verified": verified,
+        "oracle_verified": True,
     }
 
 
@@ -355,13 +362,12 @@ def cmd_children(args) -> int:
     if g.n + e > dense_bound():
         raise BoundExceeded(f"n + e = {g.n + e} exceeds the dense bound {dense_bound()}")
     duals = dual_stabilizer(g)
+    rows = stabilizer_matrix(g)
     result: Dict = {"e": e, "t": t}
     reports: List[Dict] = []
     if args.subgroup is None and not args.all and e == 1:
-        parents = extend_e1(g)
-        children, classes = children_family_e1(duals, parents)
-        for p, c in zip(parents, children):
-            reports.append(_parent_payload(g, p, duals))
+        children, classes = children_family_e1(duals, extend_e1(g))
+        reports = [_parent_payload(rows, c) for c in children]
         result["mode"] = "family"
         result["classes"] = classes
     else:
@@ -383,7 +389,7 @@ def cmd_children(args) -> int:
                     f"extension search failed for subgroup {idx}: "
                     "CONJECTURE COUNTEREXAMPLE CANDIDATE - please report this graph"
                 )
-            payload = _parent_payload(g, p, duals)
+            payload = _parent_payload(rows, child_from_pauli_sum(p, duals))
             payload["subgroup_index"] = idx
             reports.append(payload)
     result["children"] = reports
@@ -453,18 +459,17 @@ def _verify_graph(g: MixedGraph, expect: Optional[Dict], bound: int) -> List[str
     checked: List[str] = []
 
     def check(name: str, ok: bool, reproducer: str) -> None:
-        if not ok:
-            raise InvariantViolation(name, reproducer)
+        _require(name, ok, reproducer)
         checked.append(name)
 
     @functools.lru_cache(maxsize=None)
     def family_e1():
-        family = extend_e1(g)
-        return (family, *children_family_e1(duals, family))
+        return children_family_e1(duals, extend_e1(g))
 
     gamma = g.gamma()
+    gamma_rank = rank(gamma)
     e, t = mixed_rank(g)
-    check("gamma-rank-even", rank(gamma) % 2 == 0, f"rank = {rank(gamma)}")
+    check("gamma-rank-even", gamma_rank % 2 == 0, f"rank = {gamma_rank}")
 
     rows = stabilizer_matrix(g)
     duals = dual_stabilizer(g)
@@ -505,8 +510,8 @@ def _verify_graph(g: MixedGraph, expect: Optional[Dict], bound: int) -> List[str
         "set families disagree",
     )
 
-    parents: List[ParentExtension] = []
     if g.n + e <= dense_bound():
+        parents: List[ParentExtension] = []
         for idx, sub in enumerate(subs):
             p = extend_for_subgroup(g, sub)
             check("extension-found", p is not None, f"subgroup {idx}")
@@ -521,37 +526,24 @@ def _verify_graph(g: MixedGraph, expect: Optional[Dict], bound: int) -> List[str
                 f"subgroup {idx}",
             )
             parents.append(p)
+        family_children: List[ChildResult] = []
         if e == 1:
-            family, children, classes = family_e1()
-            check("family-size", len(children) <= 6, f"{len(children)} children")
+            family_children, classes = family_e1()
+            check("family-size", len(family_children) <= 6, f"{len(family_children)} children")
             check("family-classes", len(classes) <= 3, f"{len(classes)} classes")
-            parents.extend(family)
-        for p in parents:
-            child = child_from_pauli_sum(p, duals)
-            check(
-                "pauli-sum-vs-partial-trace",
-                child.rho == child_from_partial_trace(p),
-                f"parent {p.ae.row_strings()}",
-            )
-            check(
-                "child-stabilized",
-                stabilized_by(child.rho, rows),
-                f"parent {p.ae.row_strings()}",
-            )
+        # one dense child alive at a time: there are chi(e) of them
+        for child in chain((child_from_pauli_sum(p, duals) for p in parents), family_children):
+            _check_child(child, rows, check)
             check("child-trace-one", child.rho.trace_is_one(), "trace != 1")
             check("child-hermitian", child.rho.is_hermitian(), "rho not Hermitian")
             if e >= 1:
                 check("child-mixed", not child.rho.is_pure(), "rho unexpectedly pure")
 
     if expect:
-        analysis = _analysis(g)
-        for key in ("n", "e", "t", "gamma_rank"):
+        found = {"n": g.n, "e": e, "t": t, "gamma_rank": gamma_rank}
+        for key, value in found.items():
             if key in expect:
-                check(
-                    f"expect-{key}",
-                    analysis[key] == expect[key],
-                    f"{analysis[key]} != {expect[key]}",
-                )
+                check(f"expect-{key}", value == expect[key], f"{value} != {expect[key]}")
         if "chi" in expect:
             check("expect-chi", chi(e) == expect["chi"], f"chi({e}) != {expect['chi']}")
         if "subgroup_count" in expect:
@@ -573,7 +565,7 @@ def _verify_graph(g: MixedGraph, expect: Optional[Dict], bound: int) -> List[str
                 f"|E(V)| = {len(fam)}",
             )
         if "children_e1" in expect:
-            _, children, classes = family_e1()
+            children, classes = family_e1()
             check(
                 "expect-children-count",
                 len(children) == expect["children_e1"]["count"],
@@ -635,7 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--bound",
             type=int,
-            default=16,
+            default=DEFAULT_ENUM_BOUND,
             help="reduced-dimension bound for subgroup enumeration",
         )
 

@@ -12,14 +12,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
-from .f2 import BinMatrix, bits_of, kernel, mask_of, parity, rank, rref, solve, span
+from .f2 import BinMatrix, bits_of, kernel, mask_of, rank, solve, span
 from .graphs import MixedGraph, complete_multipartite_parts, mixed_rank, stabilizer_matrix
-from .pauli import PauliWord
+from .pauli import _LETTER_ADJUST, _LETTER_XZ, _XZ_LETTER, PauliWord
 from .subgroups import IsotropicSubspace
-
-_TAG_XZ = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 
 
 class ExtensionError(RuntimeError):
@@ -233,13 +231,13 @@ def _extended_rows(
     for j, base in enumerate(stabilizer_matrix(g)):
         x, z, ph = base.x, base.z, base.phase
         for m, col in enumerate(columns):
-            xb, zb = _TAG_XZ[col[j]]
+            xb, zb = _LETTER_XZ[col[j]]
             x |= xb << (n + m)
             z |= zb << (n + m)
-            ph += 1 if col[j] == "Y" else 0
+            ph += _LETTER_ADJUST[col[j]]
         rows.append(PauliWord(total, x, z, ph))
     for m, col in enumerate(columns):
-        lmask = mask_of(j for j in range(n) if col[j] in ("Z", "Y"))
+        lmask = mask_of(j for j in range(n) if _LETTER_XZ[col[j]][1])
         rows.append(PauliWord(total, 1 << (n + m), lmask, 0))
     return rows
 
@@ -361,6 +359,16 @@ def extend_for_subgroup(
     row of the subgroup; the X/I pattern is found greedily and, failing
     that, by solving the full linear system.  Returns None only when that
     system is infeasible, which would contradict the extension conjecture.
+
+    The greedy pass stays because no canonical choice from the exact solve
+    reproduces the columns it reports.  The solutions of X H + (X H)^T =
+    Gamma are X_0 + {H^T S : S symmetric}; greedy always zeroes X at each
+    row's pivot, but its off-diagonal choice follows the data.  Zeroing X
+    at the pivots of the H rows at or above (upper rule) or at or below
+    (lower rule) each column's own fixes S, yet on ``appendix_a`` the two
+    rules give today's columns for only 6 and 8 of the 15 subgroups, and on
+    ``clique6`` the lower rule for none of 135, so dropping greedy would
+    change the reported ``ext_columns``.
     """
     e, _ = mixed_rank(g)
     gamma = g.gamma()
@@ -373,22 +381,12 @@ def extend_for_subgroup(
         parent = symmetrize(stabilizer_matrix(g), g.n, 0)
         return _with_assign(parent, ())
 
-    assignment = None
-    xcols_greedy = _greedy_columns(gamma, h)
-    if xcols_greedy is not None:
-        assignment = [
-            [_xz_tag(xcols_greedy[m][j], h.get(m, j)) for j in range(g.n)]
-            for m in range(e)
-        ]
-    else:
-        solved = _solve_columns(gamma, h)
-        if solved is not None:
-            assignment = [
-                [_xz_tag(solved[m][j], h.get(m, j)) for j in range(g.n)]
-                for m in range(e)
-            ]
-    if assignment is None:
+    xcols = _greedy_columns(gamma, h) or _solve_columns(gamma, h)
+    if xcols is None:
         return None
+    assignment = [
+        [_XZ_LETTER[(xcols[m][j], h.get(m, j))] for j in range(g.n)] for m in range(e)
+    ]
     rows = _extended_rows(g, assignment)
     if not verify_full_commutation(rows):
         return None
@@ -399,7 +397,3 @@ def extend_for_subgroup(
     got = set(span(gmat.rows, g.n))
     assert got == want, "indicator subgroup must match the requested subgroup"
     return parent
-
-
-def _xz_tag(x: int, z: int) -> str:
-    return {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}[(x, z)]

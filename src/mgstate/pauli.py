@@ -7,6 +7,12 @@ to the phase exponent, since ``Y = iXZ``.
 
 Tensor convention, fixed once for the whole package: qubit 0 is the
 leftmost tensor factor and the most significant bit of a state index.
+
+This module is the one owner of three jobs the rest of the package shares:
+the letter table (``_LETTER_XZ``, ``_LETTER_ADJUST``, ``_XZ_LETTER``), the
+qubit-to-index map (``_bits_to_index``) and dense conjugation by a word
+(``dense_conjugation``, used by ``GaussianMatrix.conjugate_by_word`` and
+``states.RationalMatrix.conjugated_by``).
 """
 
 from __future__ import annotations
@@ -205,20 +211,18 @@ def _parity_array(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def mul(p: PauliWord, q: PauliWord) -> PauliWord:
-    return p.mul(q)
+def dense_conjugation(w: PauliWord, dim: int) -> Tuple[Tuple, np.ndarray]:
+    """(index, signs) with (w M w^dag)[a, b] = signs[a, b] * M[index][a, b].
 
-
-def commutes(p: PauliWord, q: PauliWord) -> bool:
-    return p.commutes(q)
-
-
-def is_hermitian(p: PauliWord) -> bool:
-    return p.is_hermitian()
-
-
-def conjugate_single(p: PauliWord, j: int, tag: str) -> PauliWord:
-    return p.conjugate_single(j, tag)
+    With x and z as state-index masks, w|c> = i^phase (-1)^{z.c} |c ^ x>, so
+    ``index`` permutes rows and columns by a -> a ^ x, row a carries the
+    sign (-1)^{z.(a^x)}, and the phase cancels against w^dag.
+    """
+    if dim != (1 << w.n):
+        raise DimensionError("word size does not match matrix")
+    perm = np.arange(dim, dtype=np.int64) ^ _bits_to_index(w.x, w.n)
+    flip = 1 - 2 * _parity_array(perm & _bits_to_index(w.z, w.n))
+    return np.ix_(perm, perm), np.outer(flip, flip)
 
 
 def ordered_product(rows: Sequence[PauliWord], indices: Iterable[int]) -> PauliWord:
@@ -237,10 +241,6 @@ def ordered_product(rows: Sequence[PauliWord], indices: Iterable[int]) -> PauliW
             raise IndexError(f"row index {h} out of range")
         acc = acc.mul(rows[h])
     return acc
-
-
-def to_dense(p: PauliWord) -> "GaussianMatrix":
-    return p.to_dense()
 
 
 class GaussianMatrix:
@@ -353,17 +353,8 @@ class GaussianMatrix:
 
     def conjugate_by_word(self, w: PauliWord) -> "GaussianMatrix":
         """Exact w @ self @ w^dag via index permutation and sign masks."""
-        dim = self.dim
-        if dim != (1 << w.n):
-            raise DimensionError("word size does not match matrix")
-        xi = _bits_to_index(w.x, w.n)
-        zi = _bits_to_index(w.z, w.n)
-        idx = np.arange(dim, dtype=np.int64)
-        perm = idx ^ xi
-        # (w rho w+)[a,b] = (-1)^{z.(a^x)} (-1)^{z.(b^x)} rho[a^x, b^x]
-        flip = 1 - 2 * _parity_array(perm & zi)
-        m = np.outer(flip, flip)
-        return GaussianMatrix(self.re[np.ix_(perm, perm)] * m, self.im[np.ix_(perm, perm)] * m, self.denom_log2)
+        index, signs = dense_conjugation(w, self.dim)
+        return GaussianMatrix(self.re[index] * signs, self.im[index] * signs, self.denom_log2)
 
     def to_entry_lists(self) -> List[List[List[int]]]:
         return np.stack((self.re, self.im), axis=-1).tolist()

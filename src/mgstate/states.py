@@ -26,7 +26,9 @@ from .pauli import (
     DimensionError,
     GaussianMatrix,
     PauliWord,
+    _bits_to_index,
     dense_bound,
+    dense_conjugation,
     ordered_product,
 )
 
@@ -132,8 +134,8 @@ def stabilizes(w: PauliWord, psi: ExactStateVector) -> bool:
         raise DimensionError("word size does not match state")
     n = w.n
     dim = 1 << n
-    xi = _index_mask(w.x, n)
-    zi = _index_mask(w.z, n)
+    xi = _bits_to_index(w.x, n)
+    zi = _bits_to_index(w.z, n)
     for d in range(dim):
         src = d ^ xi
         if not psi.mask[src]:
@@ -146,14 +148,6 @@ def stabilizes(w: PauliWord, psi: ExactStateVector) -> bool:
         if ph != psi.phases[d]:
             return False
     return True
-
-
-def _index_mask(qubit_mask: int, n: int) -> int:
-    out = 0
-    for j in range(n):
-        if (qubit_mask >> j) & 1:
-            out |= 1 << (n - 1 - j)
-    return out
 
 
 @dataclass(frozen=True)
@@ -229,6 +223,22 @@ class ChildResult:
         return 1j ** self.terms[j]
 
 
+_I_EXPONENT = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}
+
+
+def _pauli_terms(
+    p: ParentExtension, duals: Sequence[PauliWord], members: Sequence[int]
+) -> Dict[int, Tuple[PauliWord, int]]:
+    """J member -> (s_j, i-exponent of b_j), one ordered product per member."""
+    p_lab = PhaseFunction.from_parent(p).restrict_to_zero(range(p.n))
+    out: Dict[int, Tuple[PauliWord, int]] = {}
+    for j in members:
+        word = ordered_product(duals, bits_of(j))
+        entry_exp = _I_EXPONENT[word.entry(0, word.support_column())]
+        out[j] = (word, (-p_lab.evaluate(j) - entry_exp) % 4)
+    return out
+
+
 def sign_coefficients(p: ParentExtension, duals: Sequence[PauliWord]) -> Dict[int, int]:
     """i-exponents of the Pauli-sum coefficients b_j, keyed by J member.
 
@@ -239,16 +249,7 @@ def sign_coefficients(p: ParentExtension, duals: Sequence[PauliWord]) -> Dict[in
     by which factor carries Y versus Z, and binary offsets flip every term
     containing the offset row.
     """
-    n = p.n
-    p_lab = PhaseFunction.from_parent(p).restrict_to_zero(range(n))
-    out: Dict[int, int] = {}
-    for j in j_members(p):
-        word = ordered_product(duals, bits_of(j))
-        col = word.support_column()
-        re, im = word.entry(0, col)
-        entry_exp = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}[(re, im)]
-        out[j] = (-p_lab.evaluate(j) - entry_exp) % 4
-    return out
+    return {j: k for j, (_, k) in _pauli_terms(p, duals, j_members(p)).items()}
 
 
 def child_from_pauli_sum(
@@ -262,17 +263,16 @@ def child_from_pauli_sum(
         for b in members:
             if (a ^ b) not in member_set:
                 raise AssertionError("J is not closed under addition")
-    words = {j: ordered_product(duals, bits_of(j)) for j in members}
-    for a in members:
-        for b in members:
-            if not words[a].commutes(words[b]):
+    terms = _pauli_terms(p, duals, members)
+    for a, _ in terms.values():
+        for b, _ in terms.values():
+            if not a.commutes(b):
                 raise AssertionError("J members must commute pairwise")
-    coeffs = sign_coefficients(p, duals)
     acc = GaussianMatrix.zeros(1 << n)
-    for j in members:
-        acc = acc.add(words[j].to_dense().scale_i_power(coeffs[j]))
+    for word, k in terms.values():
+        acc = acc.add(word.to_dense().scale_i_power(k))
     rho = DensityMatrix(n, acc.divided_by_pow2(n).normalized())
-    return ChildResult(p, rho, coeffs)
+    return ChildResult(p, rho, {j: k for j, (_, k) in terms.items()})
 
 
 def child_from_partial_trace(p: ParentExtension) -> DensityMatrix:
@@ -332,18 +332,8 @@ class RationalMatrix:
     denom: int
 
     def conjugated_by(self, w: PauliWord) -> "RationalMatrix":
-        dim = self.re.shape[0]
-        if dim != (1 << w.n):
-            raise DimensionError("word size does not match matrix")
-        xi = _index_mask(w.x, w.n)
-        zi = _index_mask(w.z, w.n)
-        idx = np.arange(dim)
-        perm = idx ^ xi
-        flip = np.array([1 - 2 * parity(int(p) & zi) for p in perm], dtype=object)
-        m = np.outer(flip, flip)
-        return RationalMatrix(
-            self.re[np.ix_(perm, perm)] * m, self.im[np.ix_(perm, perm)] * m, self.denom
-        )
+        index, signs = dense_conjugation(w, self.re.shape[0])
+        return RationalMatrix(self.re[index] * signs, self.im[index] * signs, self.denom)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalMatrix):

@@ -15,7 +15,6 @@ deduplication (see ``enumerate_max_isotropic``).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -24,9 +23,11 @@ from .f2 import (
     bits_of,
     in_rowspan,
     kernel,
+    mask_of,
     parity,
     rank,
     rref,
+    solve,
     span,
     symplectic_basis,
 )
@@ -209,38 +210,65 @@ def gamma_order(gt: BinMatrix) -> int:
     return u
 
 
-def gram_factor_search(
-    gt: BinMatrix, seed: int = 0, random_trials: int = 200_000
-) -> Optional[BinMatrix]:
-    """Search for Omega with Omega Omega^T = gt.
+def gram_factor_search(gt: BinMatrix) -> Optional[BinMatrix]:
+    """Square Omega with Omega Omega^T = gt, or None when none exists.
 
-    Exhaustive for dimension <= 4 (2^16 candidates), randomized beyond.  For
-    a valid gamma_tilde no factorization exists; the identity matrix is a
-    useful positive control.
+    A symmetric M over F2 is Omega Omega^T for an Omega of rank(M) columns,
+    or rank(M) + 1 when M is alternating (A. Lempel, SIAM J. Comput. 4
+    (1975)), so only an invertible alternating M lacks a square factor:
+    every row of Omega would have even weight, so Omega 1 = 0 and Omega
+    Omega^T would be singular.  A valid gamma_tilde is exactly such an M.
+
+    The factor comes from congruence diagonalisation: a basis P whose Gram
+    matrix D = P M P^T is a sum of [1] blocks, hyperbolic [[0, 1], [1, 0]]
+    blocks and zeros, rows F over unit columns with F F^T = D, and then
+    Omega = P^-1 F.
     """
     n = gt.cols
     if n != gt.nrows:
         raise ValueError("square matrix required")
-
-    def check(rows: Tuple[int, ...]) -> bool:
-        for i in range(n):
-            for j in range(n):
-                if parity(rows[i] & rows[j]) != gt.get(i, j):
-                    return False
-        return True
-
-    if n <= 4:
-        for code in range(1 << (n * n)):
-            rows = tuple((code >> (n * i)) & ((1 << n) - 1) for i in range(n))
-            if check(rows):
-                return BinMatrix(rows, n)
+    if not gt.is_symmetric() or (n and gt.is_zero_diagonal() and rank(gt) == n):
         return None
-    rng = random.Random(seed)
-    for _ in range(random_trials):
-        rows = tuple(rng.randrange(1 << n) for _ in range(n))
-        if check(rows):
-            return BinMatrix(rows, n)
-    return None
+
+    def form(u: int, v: int) -> int:
+        return parity(u & gt.mul_vec(v))
+
+    units, rest = [], [1 << j for j in range(n)]
+    while (u := next((v for v in rest if form(v, v)), None)) is not None:
+        rest.remove(u)
+        rest = [v ^ u if form(u, v) else v for v in rest]
+        units.append(u)
+    # the form is alternating on the rest; split it in rest coordinates
+    gram = BinMatrix(
+        tuple(mask_of(k for k, w in enumerate(rest) if form(v, w)) for v in rest), len(rest)
+    )
+    pairs, radical = symplectic_basis(gram)
+
+    def combine(vectors: List[int], coords: int) -> int:
+        out = 0
+        for k in bits_of(coords):
+            out ^= vectors[k]
+        return out
+
+    # F: a hyperbolic pair takes spare + x, spare + y for fresh unit columns
+    # x, y, and spare + x + y, still orthogonal to both, becomes the spare
+    # that the first [1] block takes; the radical gets zero rows
+    column = iter(1 << c for c in range(n))
+    spare = next(column) if pairs else 0
+    basis: List[int] = []
+    rows: List[int] = []
+    for a, b in pairs:
+        x, y = next(column), next(column)
+        basis += [combine(rest, a), combine(rest, b)]
+        rows += [spare ^ x, spare ^ y]
+        spare ^= x ^ y
+    for k, u in enumerate(units):
+        basis.append(u)
+        rows.append(spare if pairs and k == 0 else next(column))
+    basis += [combine(rest, r) for r in radical]
+    rows += [0] * len(radical)
+    to_basis = BinMatrix(tuple(basis), n).transpose()
+    return BinMatrix(tuple(combine(rows, solve(to_basis, 1 << j)) for j in range(n)), n)
 
 
 def subgroup_isomorphism(
@@ -264,8 +292,6 @@ def subgroup_isomorphism(
     # f(e_j) = coordinates of e_j in basis_g applied to basis_h
     bg = BinMatrix(tuple(basis_g), n).transpose()
     mapping: Dict[int, Tuple[int, ...]] = {}
-    from .f2 import solve
-
     for j in range(n):
         coords = solve(bg, 1 << j)
         assert coords is not None, "basis must span F2^n"

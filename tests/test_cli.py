@@ -9,7 +9,11 @@ import jsonschema
 import numpy as np
 import pytest
 
+import mgstate.cli
+import mgstate.states
 from mgstate.cli import _emit, main
+from mgstate.pauli import ordered_product
+from mgstate.states import DensityMatrix, child_from_partial_trace
 from paper_data import RHO0_NUM, RHO1_NUM, RHO2_NUM, TRIANGLE
 
 FIXTURES = Path(__file__).parent.parent / "src" / "mgstate" / "fixtures"
@@ -110,6 +114,38 @@ def test_children_family_includes_paper_matrices():
         assert any(np.array_equal(m, target) for m in mats)
     for c in children:
         assert c["oracle_verified"] is True
+
+
+def test_each_child_built_once(monkeypatch):
+    # triangle: n = 3, e = 1, so every child sums |J| = 4 dual products
+    calls = []
+
+    def counted(rows, indices):
+        calls.append(indices)
+        return ordered_product(rows, indices)
+
+    for module in (mgstate.states, mgstate.cli):
+        monkeypatch.setattr(module, "ordered_product", counted)
+    code, _, _ = run_cli("children", str(FIXTURES / "triangle.graph"))
+    assert code == 0
+    assert len(calls) == 6 * 4  # the six family children
+    calls.clear()
+    code, _, _ = run_cli("verify", str(FIXTURES / "triangle.graph"))
+    assert code == 0
+    assert len(calls) == (3 + 6) * 4  # one child per subgroup, then the family
+
+
+@pytest.mark.parametrize("command", ["children", "verify"])
+def test_child_check_reproducer_names_parent(monkeypatch, command):
+    def wrong_trace(p):
+        rho = child_from_partial_trace(p)
+        return DensityMatrix(rho.n, rho.mat.scale_int(2))
+
+    monkeypatch.setattr(mgstate.cli, "child_from_partial_trace", wrong_trace)
+    code, out, _ = run_cli(command, str(FIXTURES / "triangle.graph"))
+    assert code == 1
+    assert out.startswith("FAIL pauli-sum-vs-partial-trace: parent [")
+    assert " offsets [" in out
 
 
 def test_children_subgroup_index(tmp_path):

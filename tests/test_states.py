@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import kron_letters, rho_to_complex, word_to_complex
+import mgstate.states
+from conftest import kron_letters, random_word, rho_to_complex, word_to_complex
 from mgstate.extension import (
     ParentExtension,
     extend_e1,
@@ -16,10 +17,11 @@ from mgstate.extension import (
 )
 from mgstate.f2 import BinMatrix, bits_of, span
 from mgstate.graphs import dual_stabilizer, mixed_rank, parse_graph, stabilizer_matrix
-from mgstate.pauli import BoundExceeded, PauliWord, ordered_product
+from mgstate.pauli import BoundExceeded, DimensionError, GaussianMatrix, PauliWord, ordered_product
 from mgstate.states import (
     DensityMatrix,
     PhaseFunction,
+    RationalMatrix,
     child_from_partial_trace,
     child_from_pauli_sum,
     children_family_e1,
@@ -532,3 +534,60 @@ def test_maximally_mixed_stabilized_by_anything():
     ident = PauliWord.identity(2).to_dense().divided_by_pow2(2)
     rho = DensityMatrix(2, ident)
     assert stabilized_by(rho, [PauliWord.from_letters("XY"), PauliWord.from_letters("ZI")])
+
+
+def test_rational_conjugation_matches_gaussian_and_dense(rng):
+    for n in range(1, 5):
+        dim = 1 << n
+        for _ in range(6):
+            w = random_word(rng, n)
+            re = np.array([[rng.randrange(-3, 4) for _ in range(dim)] for _ in range(dim)])
+            im = np.array([[rng.randrange(-3, 4) for _ in range(dim)] for _ in range(dim)])
+            got = RationalMatrix(re.astype(object), im.astype(object), 3).conjugated_by(w)
+            gauss = GaussianMatrix(re, im).conjugate_by_word(w)
+            assert got.denom == 3
+            assert got.re.tolist() == gauss.re.tolist()
+            assert got.im.tolist() == gauss.im.tolist()
+            dense = word_to_complex(w)
+            want = dense @ ((re + 1j * im) / 3) @ dense.conj().T
+            assert np.allclose((got.re + 1j * got.im).astype(complex) / 3, want)
+    with pytest.raises(DimensionError):
+        RationalMatrix(re, im, 3).conjugated_by(PauliWord.identity(3))
+    with pytest.raises(DimensionError):
+        GaussianMatrix(re, im).conjugate_by_word(PauliWord.identity(3))
+
+
+def test_rational_conjugation_stays_exact():
+    big = np.array([[(1 << 70) + 3 * j + k for k in range(4)] for j in range(4)], dtype=object)
+    m = RationalMatrix(big, -big, 1 << 71)
+    w = PauliWord.from_letters("YZ")
+    once = m.conjugated_by(w)
+    assert all(type(v) is int for v in once.re.flat)
+    # Y on qubit 0 (the most significant index bit) maps index a to a ^ 2
+    assert abs(once.re).tolist() == abs(big[np.ix_([2, 3, 0, 1], [2, 3, 0, 1])]).tolist()
+    assert once.conjugated_by(w) == m
+
+
+# ---- each child is built from one ordered product per J member ----
+
+
+def test_child_from_pauli_sum_one_product_per_member(monkeypatch):
+    calls = []
+
+    def counted(rows, indices):
+        calls.append(indices)
+        return ordered_product(rows, indices)
+
+    monkeypatch.setattr(mgstate.states, "ordered_product", counted)
+    for text in (TRIANGLE, FOURNODE, FIVENODE):
+        g = parse_graph(text)
+        e, _ = mixed_rank(g)
+        duals = dual_stabilizer(g)
+        for sub in enumerate_max_isotropic(reduce_gamma(g.gamma())):
+            p = extend_for_subgroup(g, sub)
+            calls.clear()
+            child = child_from_pauli_sum(p, duals)
+            assert len(calls) == len(child.terms) == 1 << (g.n - e)
+            calls.clear()
+            assert sign_coefficients(p, duals) == child.terms
+            assert len(calls) == 1 << (g.n - e)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mgstate.f2 import BinMatrix, bits_of, parity, rank, rref, span
@@ -329,24 +330,39 @@ def test_gram_factor_identity_control():
     assert got == BinMatrix.identity(3).to_lists()
 
 
+def gram_codes(n):
+    """Oracle: every Omega Omega^T over the 2^(n*n) square n x n Omega,
+    each Gram matrix encoded with bit (i*n + j) for entry (i, j)."""
+    codes = np.arange(1 << (n * n), dtype=np.int64)
+    omegas = ((codes[:, None] >> np.arange(n * n)) & 1).reshape(-1, n, n)
+    grams = np.einsum("aik,ajk->aij", omegas, omegas) & 1
+    return set((grams.reshape(len(codes), -1) << np.arange(n * n)).sum(axis=1).tolist())
+
+
 def test_gram_factor_absent_all_valid_4x4():
-    # exhaustive over all symmetric zero-diagonal full-rank 4x4 forms
-    checked = 0
-    for bits in range(1 << 6):
-        rows = [0] * 4
-        idx = 0
-        for j in range(4):
-            for k in range(j + 1, 4):
+    # every symmetric 2x2 to 4x4 matrix against the exhaustive oracle; the
+    # symmetric zero-diagonal full-rank ones (valid gamma_tilde) have none
+    valid = 0
+    for n in (2, 3, 4):
+        achievable = gram_codes(n)
+        entries = list(itertools.combinations_with_replacement(range(n), 2))
+        for bits in range(1 << len(entries)):
+            rows = [0] * n
+            for idx, (j, k) in enumerate(entries):
                 if (bits >> idx) & 1:
                     rows[j] |= 1 << k
                     rows[k] |= 1 << j
-                idx += 1
-        m = BinMatrix(tuple(rows), 4)
-        if rank(m) != 4:
-            continue
-        checked += 1
-        assert gram_factor_search(m) is None
-    assert checked > 0
+            m = BinMatrix(tuple(rows), n)
+            omega = gram_factor_search(m)
+            code = sum(m.get(i, j) << (i * n + j) for i in range(n) for j in range(n))
+            assert (omega is not None) == (code in achievable)
+            if m.is_zero_diagonal() and rank(m) == n:
+                valid += 1
+                assert omega is None
+            if omega is not None:
+                got = [[parity(omega.rows[i] & omega.rows[j]) for j in range(n)] for i in range(n)]
+                assert got == m.to_lists()
+    assert valid == 1 + 0 + 28  # invertible alternating forms for n = 2, 3, 4
 
 
 def form_preserved(g, h, mapping):
