@@ -13,6 +13,7 @@ import functools
 import hashlib
 import json
 import sys
+from fractions import Fraction
 from itertools import chain, starmap
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -383,7 +384,7 @@ def cmd_children(args) -> int:
             chosen = list(enumerate(subs))
         result["mode"] = "subgroups"
         for idx, sub in chosen:
-            p = extend_for_subgroup(g, sub)
+            p = extend_for_subgroup(g, sub, rows)
             if p is None:
                 raise SearchFailure(
                     f"extension search failed for subgroup {idx}: "
@@ -513,7 +514,7 @@ def _verify_graph(g: MixedGraph, expect: Optional[Dict], bound: int) -> List[str
     if g.n + e <= dense_bound():
         parents: List[ParentExtension] = []
         for idx, sub in enumerate(subs):
-            p = extend_for_subgroup(g, sub)
+            p = extend_for_subgroup(g, sub, rows)
             check("extension-found", p is not None, f"subgroup {idx}")
             check(
                 "extension-commutes",
@@ -537,7 +538,9 @@ def _verify_graph(g: MixedGraph, expect: Optional[Dict], bound: int) -> List[str
             check("child-trace-one", child.rho.trace_is_one(), "trace != 1")
             check("child-hermitian", child.rho.is_hermitian(), "rho not Hermitian")
             if e >= 1:
-                check("child-mixed", not child.rho.is_pure(), "rho unexpectedly pure")
+                purity = child.rho.purity()
+                want = Fraction(1, 1 << e)
+                check("child-mixed", purity == want, f"purity {purity} != {want}")
 
     if expect:
         found = {"n": g.n, "e": e, "t": t, "gamma_rank": gamma_rank}

@@ -217,18 +217,19 @@ def symmetrize(rows: Sequence[PauliWord], n: int, e: int) -> ParentExtension:
 
 
 def _extended_rows(
-    g: MixedGraph, columns: Sequence[Sequence[str]]
+    stabilizer: Sequence[PauliWord], columns: Sequence[Sequence[str]]
 ) -> List[PauliWord]:
-    """Lab rows with extension tags plus the forced environment rows.
+    """Lab rows (the graph's stabilizer rows) with extension tags plus the
+    forced environment rows.
 
     Environment row m is Z over L_m with X at its own position: the unique
     choice (up to sign and products) with I/Z on the lab block.
     """
-    n = g.n
+    n = len(stabilizer)
     e = len(columns)
     total = n + e
     rows = []
-    for j, base in enumerate(stabilizer_matrix(g)):
+    for j, base in enumerate(stabilizer):
         x, z, ph = base.x, base.z, base.phase
         for m, col in enumerate(columns):
             xb, zb = _LETTER_XZ[col[j]]
@@ -251,13 +252,14 @@ def extend_e1(g: MixedGraph) -> List[ParentExtension]:
     parts_iso = complete_multipartite_parts(g.gamma())
     assert parts_iso is not None, "mixed rank 1 forces a complete multipartite skeleton"
     parts, _ = parts_iso
+    stabilizer = stabilizer_matrix(g)
     out = []
     for perm in itertools.permutations(("X", "Z", "Y"), len(parts)):
         col = ["I"] * g.n
         for part, tag in zip(parts, perm):
             for v in part:
                 col[v] = tag
-        rows = _extended_rows(g, [col])
+        rows = _extended_rows(stabilizer, [col])
         assert verify_full_commutation(rows)
         parent = symmetrize(rows, g.n, 1)
         out.append(_with_assign(parent, (tuple(col),)))
@@ -351,9 +353,15 @@ def _solve_columns(gamma: BinMatrix, h: BinMatrix) -> Optional[List[List[int]]]:
 
 
 def extend_for_subgroup(
-    g: MixedGraph, m_sub: IsotropicSubspace
+    g: MixedGraph,
+    m_sub: IsotropicSubspace,
+    stabilizer: Sequence[PauliWord],
 ) -> Optional[ParentExtension]:
     """Parent whose child commutative subgroup equals the requested one.
+
+    ``stabilizer`` is ``stabilizer_matrix(g)``, and e and Gamma come from the
+    subgroup's reduction, which must be that of g's Gamma: a caller that
+    extends every subgroup computes the graph-level values once.
 
     The Z/Y support of extension column m is forced to the m-th parity-check
     row of the subgroup; the X/I pattern is found greedily and, failing
@@ -370,15 +378,17 @@ def extend_for_subgroup(
     ``clique6`` the lower rule for none of 135, so dropping greedy would
     change the reported ``ext_columns``.
     """
-    e, _ = mixed_rank(g)
-    gamma = g.gamma()
+    gamma = m_sub.reduction.gamma
+    if gamma != g.gamma():
+        raise ExtensionError("subgroup does not come from the graph's Gamma")
+    e = m_sub.reduction.e
     h = parity_basis(m_sub)
     if h.nrows != e:
         raise ExtensionError(
             f"subgroup parity matrix has {h.nrows} rows, expected e = {e}"
         )
     if e == 0:
-        parent = symmetrize(stabilizer_matrix(g), g.n, 0)
+        parent = symmetrize(stabilizer, g.n, 0)
         return _with_assign(parent, ())
 
     xcols = _greedy_columns(gamma, h) or _solve_columns(gamma, h)
@@ -387,7 +397,7 @@ def extend_for_subgroup(
     assignment = [
         [_XZ_LETTER[(xcols[m][j], h.get(m, j))] for j in range(g.n)] for m in range(e)
     ]
-    rows = _extended_rows(g, assignment)
+    rows = _extended_rows(stabilizer, assignment)
     if not verify_full_commutation(rows):
         return None
     parent = symmetrize(rows, g.n, e)

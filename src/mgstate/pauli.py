@@ -8,11 +8,12 @@ to the phase exponent, since ``Y = iXZ``.
 Tensor convention, fixed once for the whole package: qubit 0 is the
 leftmost tensor factor and the most significant bit of a state index.
 
-This module is the one owner of three jobs the rest of the package shares:
+This module is the one owner of four jobs the rest of the package shares:
 the letter table (``_LETTER_XZ``, ``_LETTER_ADJUST``, ``_XZ_LETTER``), the
-qubit-to-index map (``_bits_to_index``) and dense conjugation by a word
+qubit-to-index map (``_bits_to_index``), dense conjugation by a word
 (``dense_conjugation``, used by ``GaussianMatrix.conjugate_by_word`` and
-``states.RationalMatrix.conjugated_by``).
+``states.RationalMatrix.conjugated_by``) and dense rendering of words and
+their sums (``pauli_sum``; ``PauliWord.to_dense`` is its one-term case).
 """
 
 from __future__ import annotations
@@ -170,27 +171,7 @@ class PauliWord:
         return [(1, 0), (0, 1), (-1, 0), (0, -1)][k]
 
     def to_dense(self) -> "GaussianMatrix":
-        if self.n > dense_bound():
-            raise BoundExceeded(
-                f"dense rendering of {self.n} qubits exceeds bound {dense_bound()}"
-            )
-        dim = 1 << self.n
-        cols = np.arange(dim, dtype=np.int64)
-        rows = cols ^ _bits_to_index(self.x, self.n)
-        zi = _bits_to_index(self.z, self.n)
-        signs = 1 - 2 * _parity_array(cols & zi)
-        re = np.zeros((dim, dim), dtype=np.int64)
-        im = np.zeros((dim, dim), dtype=np.int64)
-        k = self.phase % 4
-        if k == 0:
-            re[rows, cols] = signs
-        elif k == 1:
-            im[rows, cols] = signs
-        elif k == 2:
-            re[rows, cols] = -signs
-        else:
-            im[rows, cols] = -signs
-        return GaussianMatrix(re, im, 0)
+        return pauli_sum(self.n, [(self, 0)])
 
 
 def _bits_to_index(mask: int, n: int) -> int:
@@ -202,27 +183,61 @@ def _bits_to_index(mask: int, n: int) -> int:
     return idx
 
 
+_BYTE_PARITY = np.array([popcount(b) & 1 for b in range(256)], dtype=np.int64)
+
+
 def _parity_array(values: np.ndarray) -> np.ndarray:
-    v = values.copy()
-    out = np.zeros_like(v)
+    """Bit parity of each non-negative entry, one table lookup per byte."""
+    out = _BYTE_PARITY[values & 255]
+    v = values >> 8
     while v.any():
-        out ^= v & 1
-        v >>= 1
+        out ^= _BYTE_PARITY[v & 255]
+        v >>= 8
     return out
 
 
-def dense_conjugation(w: PauliWord, dim: int) -> Tuple[Tuple, np.ndarray]:
-    """(index, signs) with (w M w^dag)[a, b] = signs[a, b] * M[index][a, b].
+def dense_conjugation(w: PauliWord, dim: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(perm, signs) with (w M w^dag)[a, b] = signs[a, b] * M[perm[a], perm[b]].
 
     With x and z as state-index masks, w|c> = i^phase (-1)^{z.c} |c ^ x>, so
-    ``index`` permutes rows and columns by a -> a ^ x, row a carries the
-    sign (-1)^{z.(a^x)}, and the phase cancels against w^dag.
+    ``perm`` maps a -> a ^ x on rows and columns, row a carries the sign
+    (-1)^{z.(a^x)}, and the phase cancels against w^dag.  Apply it with two
+    1-D takes, ``M.take(perm, 0).take(perm, 1) * signs``.
     """
     if dim != (1 << w.n):
         raise DimensionError("word size does not match matrix")
     perm = np.arange(dim, dtype=np.int64) ^ _bits_to_index(w.x, w.n)
     flip = 1 - 2 * _parity_array(perm & _bits_to_index(w.z, w.n))
-    return np.ix_(perm, perm), np.outer(flip, flip)
+    return perm, np.outer(flip, flip)
+
+
+# real and imaginary part of i^k, indexed by k mod 4
+_I_POWER_RE = np.array([1, 0, -1, 0], dtype=np.int64)
+_I_POWER_IM = np.array([0, 1, 0, -1], dtype=np.int64)
+
+
+def pauli_sum(n: int, terms: Sequence[Tuple[PauliWord, int]]) -> "GaussianMatrix":
+    """Exact dense sum over (w, k) of i^k w, scattered in one pass.
+
+    w|c> = i^phase (-1)^{z.c} |c ^ x>, so a word's only nonzero entries sit
+    at (c ^ x, c) and equal i^(phase + k + 2 z.c): each term writes 2^n
+    entries, never a 4^n matrix of its own.
+    """
+    if n > dense_bound():
+        raise BoundExceeded(f"dense rendering of {n} qubits exceeds bound {dense_bound()}")
+    dim = 1 << n
+    cols = np.arange(dim, dtype=np.int64)
+    xs = np.array([_bits_to_index(w.x, n) for w, _ in terms], dtype=np.int64)
+    zs = np.array([_bits_to_index(w.z, n) for w, _ in terms], dtype=np.int64)
+    ks = np.array([w.phase + k for w, k in terms], dtype=np.int64)
+    rows = xs[:, None] ^ cols
+    exps = (ks[:, None] + 2 * _parity_array(zs[:, None] & cols)) % 4
+    flat = (rows * dim + cols).ravel()
+    re = np.zeros(dim * dim, dtype=np.int64)
+    im = np.zeros(dim * dim, dtype=np.int64)
+    np.add.at(re, flat, _I_POWER_RE[exps].ravel())
+    np.add.at(im, flat, _I_POWER_IM[exps].ravel())
+    return GaussianMatrix(re.reshape(dim, dim), im.reshape(dim, dim), 0)
 
 
 def ordered_product(rows: Sequence[PauliWord], indices: Iterable[int]) -> PauliWord:
@@ -289,6 +304,8 @@ class GaussianMatrix:
             return NotImplemented
         if self.dim != other.dim:
             return False
+        if self.denom_log2 == other.denom_log2:  # same denominator: compare numerators
+            return np.array_equal(self.re, other.re) and np.array_equal(self.im, other.im)
         a, b = self.normalized(), other.normalized()
         return (
             a.denom_log2 == b.denom_log2
@@ -353,8 +370,12 @@ class GaussianMatrix:
 
     def conjugate_by_word(self, w: PauliWord) -> "GaussianMatrix":
         """Exact w @ self @ w^dag via index permutation and sign masks."""
-        index, signs = dense_conjugation(w, self.dim)
-        return GaussianMatrix(self.re[index] * signs, self.im[index] * signs, self.denom_log2)
+        perm, signs = dense_conjugation(w, self.dim)
+        return GaussianMatrix(
+            self.re.take(perm, 0).take(perm, 1) * signs,
+            self.im.take(perm, 0).take(perm, 1) * signs,
+            self.denom_log2,
+        )
 
     def to_entry_lists(self) -> List[List[List[int]]]:
         return np.stack((self.re, self.im), axis=-1).tolist()

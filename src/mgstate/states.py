@@ -30,6 +30,7 @@ from .pauli import (
     dense_bound,
     dense_conjugation,
     ordered_product,
+    pauli_sum,
 )
 
 STATE_BOUND = 12
@@ -125,7 +126,7 @@ def state_from_phase(p: PhaseFunction, bound: Optional[int] = None) -> ExactStat
         ph += bit[j]
     for j in p.binary_linear:
         ph += 2 * bit[j]
-    return ExactStateVector(n, tuple(int(v) % 4 for v in ph), (True,) * dim, n)
+    return ExactStateVector(n, tuple((ph % 4).tolist()), (True,) * dim, n)
 
 
 def stabilizes(w: PauliWord, psi: ExactStateVector) -> bool:
@@ -184,6 +185,23 @@ class DensityMatrix:
     def is_pure(self) -> bool:
         sq = self.mat.matmul(self.mat)
         return sq == self.mat
+
+    def purity(self) -> Fraction:
+        """Exact tr(rho rho^dag) = sum_ab |rho_ab|^2, which is tr rho^2 for a
+        Hermitian rho, in O(4^n) integer arithmetic.
+
+        A child with e environment qubits is 2^{-n} times the sum of an
+        abelian signed group S of order 2^{n-e} without -I, so rho^2 =
+        2^{-e} rho and tr rho^2 = 2^{-e}.  With tr rho = 1 that is stronger
+        than ``not is_pure()``: purity 2^{-e} < 1 rules out rho^2 = rho, while
+        I/2^n is not pure either yet has purity 2^{-n}.
+        """
+        re, im = self.mat.re, self.mat.im
+        top = max(abs(int(v)) for v in (re.max(), re.min(), im.max(), im.min()))
+        if 2 * re.size * top * top >= 1 << 63:  # int64 could overflow: use Python ints
+            re, im = re.astype(object), im.astype(object)
+        total = int((re * re).sum()) + int((im * im).sum())
+        return Fraction(total, 1 << (2 * self.mat.denom_log2))
 
     def to_json_dict(self) -> Dict:
         m = self.mat.normalized()
@@ -268,9 +286,7 @@ def child_from_pauli_sum(
         for b, _ in terms.values():
             if not a.commutes(b):
                 raise AssertionError("J members must commute pairwise")
-    acc = GaussianMatrix.zeros(1 << n)
-    for word, k in terms.values():
-        acc = acc.add(word.to_dense().scale_i_power(k))
+    acc = pauli_sum(n, list(terms.values()))
     rho = DensityMatrix(n, acc.divided_by_pow2(n).normalized())
     return ChildResult(p, rho, {j: k for j, (_, k) in terms.items()})
 
@@ -332,8 +348,12 @@ class RationalMatrix:
     denom: int
 
     def conjugated_by(self, w: PauliWord) -> "RationalMatrix":
-        index, signs = dense_conjugation(w, self.re.shape[0])
-        return RationalMatrix(self.re[index] * signs, self.im[index] * signs, self.denom)
+        perm, signs = dense_conjugation(w, self.re.shape[0])
+        return RationalMatrix(
+            self.re.take(perm, 0).take(perm, 1) * signs,
+            self.im.take(perm, 0).take(perm, 1) * signs,
+            self.denom,
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalMatrix):

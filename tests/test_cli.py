@@ -10,10 +10,13 @@ import numpy as np
 import pytest
 
 import mgstate.cli
+import mgstate.extension
+import mgstate.graphs
 import mgstate.states
+import mgstate.subgroups
 from mgstate.cli import _emit, main
-from mgstate.pauli import ordered_product
-from mgstate.states import DensityMatrix, child_from_partial_trace
+from mgstate.pauli import GaussianMatrix, ordered_product
+from mgstate.states import ChildResult, DensityMatrix, child_from_partial_trace
 from paper_data import RHO0_NUM, RHO1_NUM, RHO2_NUM, TRIANGLE
 
 FIXTURES = Path(__file__).parent.parent / "src" / "mgstate" / "fixtures"
@@ -133,6 +136,40 @@ def test_each_child_built_once(monkeypatch):
     code, _, _ = run_cli("verify", str(FIXTURES / "triangle.graph"))
     assert code == 0
     assert len(calls) == (3 + 6) * 4  # one child per subgroup, then the family
+
+
+def test_child_mixed_rejects_maximally_mixed_child(monkeypatch):
+    # I/2^n agrees on both routes, is fixed by every stabilizer row, has
+    # trace one and is not pure, but its purity is 2^-n, not 2^-e
+    def maximally_mixed(p):
+        return DensityMatrix(p.n, GaussianMatrix.identity(1 << p.n).divided_by_pow2(p.n))
+
+    def pauli_sum_route(p, duals):
+        return ChildResult(p, maximally_mixed(p), {})
+
+    monkeypatch.setattr(mgstate.cli, "child_from_pauli_sum", pauli_sum_route)
+    monkeypatch.setattr(mgstate.cli, "child_from_partial_trace", maximally_mixed)
+    code, out, _ = run_cli("verify", str(FIXTURES / "triangle.graph"))
+    assert code == 1
+    assert out == "FAIL child-mixed: purity 1/8 != 1/2\n"
+
+
+def test_graph_values_computed_once_per_graph(monkeypatch):
+    # clique6 has chi(3) = 135 subgroups, each extended to a parent
+    calls = {"mixed_rank": 0, "stabilizer_matrix": 0}
+    for name in calls:
+        original = getattr(mgstate.graphs, name)
+
+        def counted(g, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(g)
+
+        for module in (mgstate.graphs, mgstate.subgroups, mgstate.extension, mgstate.cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    code, _, _ = run_cli("verify", str(FIXTURES / "clique6.graph"))
+    assert code == 0
+    assert calls == {"mixed_rank": 1, "stabilizer_matrix": 2}  # rows and dual rows
 
 
 @pytest.mark.parametrize("command", ["children", "verify"])

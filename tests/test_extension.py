@@ -210,7 +210,7 @@ def test_symmetrize_preserves_group(rng):
             if p.conjugations:
                 continue
             total = p.total
-            base = _extended_rows(g, [list(p.ext_assign[0])])
+            base = _extended_rows(stabilizer_matrix(g), [list(p.ext_assign[0])])
 
             def sympl(rows_):
                 return [w.x | (w.z << total) for w in rows_]
@@ -245,7 +245,7 @@ def test_fivenode_worked_extension():
     sub = subgroup_for_generators(g, FIVENODE_SUBGROUP_GENS)
     h = parity_basis(sub)
     assert h.row_strings() == ["01001", "00101"]  # conditions {1,4}, {2,4}
-    p = extend_for_subgroup(g, sub)
+    p = extend_for_subgroup(g, sub, stabilizer_matrix(g))
     assert p is not None
     assert p.ext_assign == FIVENODE_EXT_COLUMNS
     assert verify_full_commutation(p.rows())
@@ -255,7 +255,7 @@ def test_fivenode_worked_extension():
 def test_clique6_worked_extension():
     g = parse_graph(CLIQUE6)
     sub = subgroup_for_generators(g, CLIQUE6_SUBGROUP_GENS)
-    p = extend_for_subgroup(g, sub)
+    p = extend_for_subgroup(g, sub, stabilizer_matrix(g))
     assert p is not None
     assert p.ext_assign == CLIQUE6_EXT_COLUMNS
     assert verify_full_commutation(p.rows())
@@ -265,17 +265,27 @@ def test_clique6_worked_extension():
 def test_displayed_extensions_commute():
     # the two worked extensions, entered verbatim, pass the commutation gate
     g5 = parse_graph(FIVENODE)
-    rows5 = _extended_rows(g5, [list(c) for c in FIVENODE_EXT_COLUMNS])
+    rows5 = _extended_rows(stabilizer_matrix(g5), [list(c) for c in FIVENODE_EXT_COLUMNS])
     assert verify_full_commutation(rows5)
     g6 = parse_graph(CLIQUE6)
-    rows6 = _extended_rows(g6, [list(c) for c in CLIQUE6_EXT_COLUMNS])
+    rows6 = _extended_rows(stabilizer_matrix(g6), [list(c) for c in CLIQUE6_EXT_COLUMNS])
     assert verify_full_commutation(rows6)
+
+
+def test_extend_for_subgroup_rejects_foreign_subgroup():
+    # a subgroup of another 5-node graph with e = 2, so only Gamma differs
+    g = parse_graph(FIVENODE)
+    other = parse_graph("nodes 5\nedge 0 -> 1\nedge 2 -> 3\n")
+    assert mixed_rank(other)[0] == mixed_rank(g)[0] == 2
+    sub = enumerate_max_isotropic(reduce_gamma(other.gamma()))[0]
+    with pytest.raises(ExtensionError):
+        extend_for_subgroup(g, sub, stabilizer_matrix(g))
 
 
 def test_extend_for_subgroup_e0():
     g = parse_graph("nodes 2\nedge 0 -- 1\n")
     sub = enumerate_max_isotropic(reduce_gamma(g.gamma()))[0]
-    p = extend_for_subgroup(g, sub)
+    p = extend_for_subgroup(g, sub, stabilizer_matrix(g))
     assert p is not None and p.e == 0
     assert [r.letters() for r in p.rows()] == ["XZ", "ZX"]
 
@@ -286,7 +296,7 @@ def test_extend_for_subgroup_all_subgroups_random(rng):
         g = random_mixed_graph(rng, rng.randrange(2, 6))
         subs = enumerate_max_isotropic(reduce_gamma(g.gamma()))
         for sub in subs:
-            p = extend_for_subgroup(g, sub)
+            p = extend_for_subgroup(g, sub, stabilizer_matrix(g))
             if p is None:
                 failures += 1
                 continue
@@ -304,5 +314,5 @@ def test_extend_minimum_e_only(rng):
         e, _ = mixed_rank(g)
         subs = enumerate_max_isotropic(reduce_gamma(g.gamma()))
         made += 1
-        p = extend_for_subgroup(g, subs[0])
+        p = extend_for_subgroup(g, subs[0], stabilizer_matrix(g))
         assert p.e == e

@@ -13,6 +13,7 @@ from mgstate.pauli import (
     GaussianMatrix,
     PauliWord,
     ordered_product,
+    pauli_sum,
 )
 from paper_data import TRIANGLE, TRIANGLE_S_WORDS
 
@@ -287,6 +288,42 @@ def test_to_dense_bound(monkeypatch):
         PauliWord.identity(3).to_dense()
     monkeypatch.setenv("MGSTATE_MAX_QUBITS", "3")
     PauliWord.identity(3).to_dense()
+
+
+def _random_terms(rng, n):
+    # x-parts come from a pool of two, so several words share their nonzero
+    # positions and entries accumulate (and sometimes cancel)
+    pool = [rng.randrange(1 << n) for _ in range(2)]
+    return [
+        (PauliWord(n, rng.choice(pool), rng.randrange(1 << n), rng.randrange(4)), rng.randrange(4))
+        for _ in range(rng.randrange(1, 9))
+    ]
+
+
+def test_pauli_sum_matches_term_by_term_accumulation(rng):
+    for n in range(1, 6):
+        for _ in range(20):
+            terms = _random_terms(rng, n)
+            terms.append((terms[0][0], terms[0][1] + 2))  # cancels one term
+            acc = GaussianMatrix.zeros(1 << n)
+            for w, k in terms:
+                acc = acc.add(w.to_dense().scale_i_power(k))
+            got = pauli_sum(n, terms)
+            assert got.denom_log2 == 0
+            assert np.array_equal(got.re, acc.re) and np.array_equal(got.im, acc.im)
+            oracle = sum(
+                1j**k * kron_letters(w.letters(), 1j ** w.letter_phase()) for w, k in terms
+            )
+            assert np.array_equal(gm_to_complex(got), oracle)
+
+
+def test_pauli_sum_empty_and_bound(monkeypatch):
+    assert pauli_sum(2, []) == GaussianMatrix.zeros(4)
+    monkeypatch.setenv("MGSTATE_MAX_QUBITS", "2")
+    with pytest.raises(BoundExceeded):
+        pauli_sum(3, [(PauliWord.identity(3), 0)])
+    monkeypatch.setenv("MGSTATE_MAX_QUBITS", "3")
+    assert pauli_sum(3, [(PauliWord.identity(3), 1)]) == GaussianMatrix.identity(8).scale_i_power(1)
 
 
 def test_entry_matches_dense(rng):

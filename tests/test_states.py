@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -240,7 +242,7 @@ def test_child_equals_partial_trace_all_paper_graphs():
         if e == 1:
             parents += extend_e1(g)
         for sub in subs:
-            p = extend_for_subgroup(g, sub)
+            p = extend_for_subgroup(g, sub, stabilizer_matrix(g))
             assert p is not None
             parents.append(p)
         for p in parents:
@@ -258,7 +260,7 @@ def test_child_trace_hermitian_mixed(rng):
         made += 1
         duals = dual_stabilizer(g)
         sub = enumerate_max_isotropic(reduce_gamma(g.gamma()))[0]
-        p = extend_for_subgroup(g, sub)
+        p = extend_for_subgroup(g, sub, stabilizer_matrix(g))
         child = child_from_pauli_sum(p, duals)
         assert child.rho.trace_is_one()
         assert child.rho.is_hermitian()
@@ -434,7 +436,7 @@ def test_clique6_displayed_parent_graph_form():
     from paper_data import CLIQUE6_SEC5_INTERMEDIATE_COLUMNS
 
     g = parse_graph(CLIQUE6)
-    rows = _extended_rows(g, [list(c) for c in CLIQUE6_SEC5_INTERMEDIATE_COLUMNS])
+    rows = _extended_rows(stabilizer_matrix(g), [list(c) for c in CLIQUE6_SEC5_INTERMEDIATE_COLUMNS])
     p = symmetrize(rows, 6, 3)
     assert [r.letters() for r in p.rows()] == CLIQUE6_PARENT_AE_ROWS
     assert sorted(p.lab_offsets) == CLIQUE6_PARENT_BINARY
@@ -471,7 +473,7 @@ def test_clique6_displayed_eight_term_child():
         for s in enumerate_max_isotropic(reduce_gamma(g.gamma()))
         if set(s.span_lifted()) == target
     )
-    p = extend_for_subgroup(g, sub)
+    p = extend_for_subgroup(g, sub, stabilizer_matrix(g))
     child = child_from_pauli_sum(p, duals)
     expect = np.zeros((64, 64), dtype=complex)
     for sign, letters in CLIQUE6_CHILD_TERMS:
@@ -487,7 +489,7 @@ def test_clique6_worked_subgroup_child_matches_trace():
     subs = enumerate_max_isotropic(reduce_gamma(g.gamma()))
     target = set(span(list(FIVENODE_SUBGROUP_GENS), 5))
     sub = next(s for s in subs if set(s.span_lifted()) == target)
-    p = extend_for_subgroup(g, sub)
+    p = extend_for_subgroup(g, sub, stabilizer_matrix(g))
     child = child_from_pauli_sum(p, duals)
     assert child.rho == child_from_partial_trace(p)
     assert set(child.terms) == target
@@ -534,6 +536,60 @@ def test_maximally_mixed_stabilized_by_anything():
     ident = PauliWord.identity(2).to_dense().divided_by_pow2(2)
     rho = DensityMatrix(2, ident)
     assert stabilized_by(rho, [PauliWord.from_letters("XY"), PauliWord.from_letters("ZI")])
+
+
+# ---- purity: tr rho^2 = 2^-e, with rho^2 = 2^-e rho as the matmul oracle ----
+
+
+FIXTURES = Path(__file__).parent.parent / "src" / "mgstate" / "fixtures"
+
+
+def _every_child(g):
+    duals = dual_stabilizer(g)
+    rows = stabilizer_matrix(g)
+    e, _ = mixed_rank(g)
+    subs = enumerate_max_isotropic(reduce_gamma(g.gamma()))
+    parents = [extend_for_subgroup(g, s, rows) for s in subs]
+    if e == 1:
+        parents += extend_e1(g)
+    return e, [child_from_pauli_sum(p, duals) for p in parents]
+
+
+def _purity_graphs():
+    graphs = [parse_graph(p.read_text()) for p in sorted(FIXTURES.glob("*.graph"))]
+    rng = random.Random(4407)
+    graphs += [random_mixed_graph(rng, rng.randrange(2, 7)) for _ in range(30)]
+    return graphs
+
+
+def test_child_purity_is_two_to_minus_e():
+    seen_e = set()
+    for g in _purity_graphs():
+        e, children = _every_child(g)
+        seen_e.add(e)
+        for child in children:
+            rho = child.rho
+            assert rho.purity() == Fraction(1, 1 << e)
+            # the full identity through the O(8^n) product
+            assert rho.mat.matmul(rho.mat) == rho.mat.divided_by_pow2(e)
+    assert seen_e >= {0, 1, 2, 3}
+
+
+def test_purity_examples():
+    for n in range(1, 5):
+        mixed = DensityMatrix(n, GaussianMatrix.identity(1 << n).divided_by_pow2(n))
+        assert not mixed.is_pure()  # the old check passes it for any e >= 1 ...
+        assert mixed.purity() == Fraction(1, 1 << n)  # ... purity tells it apart
+    g = parse_graph("nodes 3\nedge 0 -- 1\nedge 1 -- 2\n")
+    p = symmetrize(stabilizer_matrix(g), 3, 0)
+    assert child_from_pauli_sum(p, dual_stabilizer(g)).rho.purity() == 1
+
+
+def test_purity_exact_beyond_int64():
+    # 2 * 4 * (2^31)^2 = 2^65 would overflow int64 squares summed
+    big = 1 << 31
+    m = GaussianMatrix(np.full((2, 2), big, np.int64), np.full((2, 2), -big, np.int64), 40)
+    assert DensityMatrix(1, m).purity() == Fraction(8 * big * big, 1 << 80)
 
 
 def test_rational_conjugation_matches_gaussian_and_dense(rng):
@@ -584,7 +640,7 @@ def test_child_from_pauli_sum_one_product_per_member(monkeypatch):
         e, _ = mixed_rank(g)
         duals = dual_stabilizer(g)
         for sub in enumerate_max_isotropic(reduce_gamma(g.gamma())):
-            p = extend_for_subgroup(g, sub)
+            p = extend_for_subgroup(g, sub, stabilizer_matrix(g))
             calls.clear()
             child = child_from_pauli_sum(p, duals)
             assert len(calls) == len(child.terms) == 1 << (g.n - e)
