@@ -2,8 +2,10 @@
 
 Subcommands read a graph file and emit deterministic reports, as text or as
 JSON (``--json``).  Exit codes: 0 success, 1 invariant violation, 2 input
-error, 3 qubit bound exceeded, 4 extension search failure (a conjecture
-counterexample candidate, reported loudly).
+error, 3 qubit or enumeration bound exceeded, 4 extension search failure:
+a conjecture counterexample candidate, reported loudly, or an
+``ExtensionError`` from the parent construction, both as ``search failure:
+<message>`` on stderr.
 """
 
 from __future__ import annotations
@@ -20,11 +22,11 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
 from .extension import (
+    ExtensionError,
     ParentExtension,
     extend_e1,
     extend_for_subgroup,
     indicator,
-    j_members,
     verify_full_commutation,
 )
 from .f2 import bits_of, rank
@@ -496,12 +498,8 @@ def _verify_graph(g: MixedGraph, expect: Optional[Dict], bound: int) -> List[str
     subs = enumerate_max_isotropic(red, bound=bound)
     check("subgroup-count-chi", len(subs) == chi(e), f"{len(subs)} != chi({e})")
     for s in subs:
-        members = s.span_lifted()
-        check(
-            "subgroup-size",
-            len(members) == 1 << (g.n - e),
-            f"size {len(members)} != 2^(n-e)",
-        )
+        size = 1 << len(s.lifted_basis)  # an RREF basis has independent rows
+        check("subgroup-size", size == 1 << (g.n - e), f"size {size} != 2^(n-e)")
 
     v = canonical_family(maximal_independent_sets(gamma))
     fam = e_direct(v)
@@ -523,7 +521,7 @@ def _verify_graph(g: MixedGraph, expect: Optional[Dict], bound: int) -> List[str
             )
             check(
                 "indicator-matches-subgroup",
-                set(j_members(p)) == set(sub.span_lifted()),
+                indicator(p)[1].rows == sub.lifted_basis,  # both RREF bases
                 f"subgroup {idx}",
             )
             parents.append(p)
@@ -669,7 +667,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BoundExceeded as err:
         sys.stderr.write(f"bound exceeded: {err}\n")
         return EXIT_BOUND
-    except SearchFailure as err:
+    except (SearchFailure, ExtensionError) as err:
         sys.stderr.write(f"search failure: {err}\n")
         return EXIT_SEARCH
     except InvariantViolation as err:

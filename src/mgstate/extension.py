@@ -259,9 +259,7 @@ def extend_e1(g: MixedGraph) -> List[ParentExtension]:
         for part, tag in zip(parts, perm):
             for v in part:
                 col[v] = tag
-        rows = _extended_rows(stabilizer, [col])
-        assert verify_full_commutation(rows)
-        parent = symmetrize(rows, g.n, 1)
+        parent = symmetrize(_extended_rows(stabilizer, [col]), g.n, 1)
         out.append(_with_assign(parent, (tuple(col),)))
     return out
 
@@ -367,6 +365,8 @@ def extend_for_subgroup(
     row of the subgroup; the X/I pattern is found greedily and, failing
     that, by solving the full linear system.  Returns None only when that
     system is infeasible, which would contradict the extension conjecture.
+    Raises ``ExtensionError`` when the extended rows do not commute (checked
+    by ``symmetrize``) or the parent's J is not the requested subgroup.
 
     The greedy pass stays because no canonical choice from the exact solve
     reproduces the columns it reports.  The solutions of X H + (X H)^T =
@@ -397,13 +397,8 @@ def extend_for_subgroup(
     assignment = [
         [_XZ_LETTER[(xcols[m][j], h.get(m, j))] for j in range(g.n)] for m in range(e)
     ]
-    rows = _extended_rows(stabilizer, assignment)
-    if not verify_full_commutation(rows):
-        return None
-    parent = symmetrize(rows, g.n, e)
-    parent = _with_assign(parent, tuple(tuple(col) for col in assignment))
-    _, gmat, _ = indicator(parent)
-    want = set(m_sub.span_lifted())
-    got = set(span(gmat.rows, g.n))
-    assert got == want, "indicator subgroup must match the requested subgroup"
-    return parent
+    parent = symmetrize(_extended_rows(stabilizer, assignment), g.n, e)
+    # both are RREF bases over F2^n, so they are equal iff their spans are
+    if indicator(parent)[1].rows != m_sub.lifted_basis:
+        raise ExtensionError("indicator subgroup does not match the requested subgroup")
+    return _with_assign(parent, tuple(tuple(col) for col in assignment))

@@ -19,8 +19,8 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .extension import ParentExtension, j_members
-from .f2 import bits_of, parity
+from .extension import ParentExtension, indicator, j_members, verify_full_commutation
+from .f2 import bits_of, parity, span
 from .pauli import (
     BoundExceeded,
     DimensionError,
@@ -71,17 +71,6 @@ class PhaseFunction:
             v += 2 * ((x_mask >> j) & 1)
         return v % 4
 
-    def restrict_to_zero(self, keep: Sequence[int]) -> "PhaseFunction":
-        """Restriction setting every variable outside ``keep`` to zero."""
-        keep_set = set(keep)
-        pos = {j: i for i, j in enumerate(sorted(keep_set))}
-        quad = frozenset(
-            (pos[j], pos[k]) for j, k in self.quadratic if j in keep_set and k in keep_set
-        )
-        z4 = frozenset(pos[j] for j in self.z4_linear if j in keep_set)
-        binary = frozenset(pos[j] for j in self.binary_linear if j in keep_set)
-        return PhaseFunction(len(keep_set), quad, z4, binary)
-
     def describe(self) -> str:
         terms = []
         quad = sorted(self.quadratic)
@@ -96,18 +85,16 @@ class PhaseFunction:
 
 @dataclass(frozen=True)
 class ExactStateVector:
-    """Amplitudes ``i^{phases[idx]} * 2^{-norm_log2sqrt/2}`` on the mask."""
+    """Amplitudes ``i^{phases[idx]} * 2^{-norm_log2sqrt/2}``."""
 
     n_total: int
     phases: Tuple[int, ...]
-    mask: Tuple[bool, ...]
     norm_log2sqrt: int
 
     def amplitude_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         ph = np.array(self.phases, dtype=np.int64) % 4
-        on = np.array(self.mask, dtype=np.int64)
-        re = np.where(ph == 0, 1, np.where(ph == 2, -1, 0)) * on
-        im = np.where(ph == 1, 1, np.where(ph == 3, -1, 0)) * on
+        re = np.where(ph == 0, 1, np.where(ph == 2, -1, 0))
+        im = np.where(ph == 1, 1, np.where(ph == 3, -1, 0))
         return re.astype(np.int64), im.astype(np.int64)
 
 
@@ -126,7 +113,7 @@ def state_from_phase(p: PhaseFunction, bound: Optional[int] = None) -> ExactStat
         ph += bit[j]
     for j in p.binary_linear:
         ph += 2 * bit[j]
-    return ExactStateVector(n, tuple((ph % 4).tolist()), (True,) * dim, n)
+    return ExactStateVector(n, tuple((ph % 4).tolist()), n)
 
 
 def stabilizes(w: PauliWord, psi: ExactStateVector) -> bool:
@@ -139,12 +126,6 @@ def stabilizes(w: PauliWord, psi: ExactStateVector) -> bool:
     zi = _bits_to_index(w.z, n)
     for d in range(dim):
         src = d ^ xi
-        if not psi.mask[src]:
-            if psi.mask[d]:
-                return False
-            continue
-        if not psi.mask[d]:
-            return False
         ph = (w.phase + 2 * parity(zi & src) + psi.phases[src]) % 4
         if ph != psi.phases[d]:
             return False
@@ -247,13 +228,17 @@ _I_EXPONENT = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}
 def _pauli_terms(
     p: ParentExtension, duals: Sequence[PauliWord], members: Sequence[int]
 ) -> Dict[int, Tuple[PauliWord, int]]:
-    """J member -> (s_j, i-exponent of b_j), one ordered product per member."""
-    p_lab = PhaseFunction.from_parent(p).restrict_to_zero(range(p.n))
+    """J member -> (s_j, i-exponent of b_j), one ordered product per member.
+
+    A member of J sets no environment bit, so the parent's phase function at
+    j is its lab restriction p_lab(j).
+    """
+    phase = PhaseFunction.from_parent(p)
     out: Dict[int, Tuple[PauliWord, int]] = {}
     for j in members:
         word = ordered_product(duals, bits_of(j))
         entry_exp = _I_EXPONENT[word.entry(0, word.support_column())]
-        out[j] = (word, (-p_lab.evaluate(j) - entry_exp) % 4)
+        out[j] = (word, (-phase.evaluate(j) - entry_exp) % 4)
     return out
 
 
@@ -273,19 +258,17 @@ def sign_coefficients(p: ParentExtension, duals: Sequence[PauliWord]) -> Dict[in
 def child_from_pauli_sum(
     p: ParentExtension, duals: Sequence[PauliWord]
 ) -> ChildResult:
-    """rho = 2^{-n} sum_{j in J} b_j s_j, with closure and commutation asserted."""
+    """rho = 2^{-n} sum_{j in J} b_j s_j, with commutation asserted.
+
+    J = span(G) is closed by construction, and the x/z parts of s_j are
+    linear in j, so the s_j commute pairwise iff the n - e generator words
+    do.
+    """
     n = p.n
-    members = j_members(p)
-    member_set = set(members)
-    for a in members:
-        for b in members:
-            if (a ^ b) not in member_set:
-                raise AssertionError("J is not closed under addition")
-    terms = _pauli_terms(p, duals, members)
-    for a, _ in terms.values():
-        for b, _ in terms.values():
-            if not a.commutes(b):
-                raise AssertionError("J members must commute pairwise")
+    _, gmat, _ = indicator(p)
+    terms = _pauli_terms(p, duals, span(gmat.rows, n))
+    if not verify_full_commutation([terms[g][0] for g in gmat.rows]):
+        raise AssertionError("J members must commute pairwise")
     acc = pauli_sum(n, list(terms.values()))
     rho = DensityMatrix(n, acc.divided_by_pow2(n).normalized())
     return ChildResult(p, rho, {j: k for j, (_, k) in terms.items()})

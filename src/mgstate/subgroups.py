@@ -34,7 +34,9 @@ from .f2 import (
 from .graphs import MixedGraph, mixed_rank
 from .pauli import BoundExceeded
 
-DEFAULT_ENUM_BOUND = 16
+# the whole sorted list is held at once: 2e <= 10 admits chi(5) = 75,735
+# subgroups, where 2e = 12 would need chi(6) = 4,922,775
+DEFAULT_ENUM_BOUND = 10
 
 
 @dataclass(frozen=True)
@@ -144,7 +146,9 @@ def enumerate_max_isotropic(
     """
     m = red.n - red.t
     if m > bound:
-        raise BoundExceeded(f"enumeration bound exceeded: 2e = {m} > {bound}")
+        raise BoundExceeded(
+            f"enumeration bound exceeded: 2e = {m} > {bound} (chi({m // 2}) = {chi(m // 2)})"
+        )
     pairs, _ = symplectic_basis(red.gamma_tilde)
     # pair coordinates: bit 2i is a_i, bit 2i + 1 is b_i
     evens = sum(1 << (2 * i) for i in range(len(pairs)))

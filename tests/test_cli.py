@@ -11,6 +11,7 @@ import pytest
 
 import mgstate.cli
 import mgstate.extension
+import mgstate.f2
 import mgstate.graphs
 import mgstate.states
 import mgstate.subgroups
@@ -170,6 +171,51 @@ def test_graph_values_computed_once_per_graph(monkeypatch):
     code, _, _ = run_cli("verify", str(FIXTURES / "clique6.graph"))
     assert code == 0
     assert calls == {"mixed_rank": 1, "stabilizer_matrix": 2}  # rows and dual rows
+
+
+def test_span_listed_once_per_child(monkeypatch):
+    # one listing of J per child (135) and the enumerator's coset
+    # representatives (1 + 3 + 15); no check re-lists J or a subgroup
+    calls = []
+    original = mgstate.f2.span
+
+    def counted(rows, cols):
+        calls.append(cols)
+        return original(rows, cols)
+
+    for module in (mgstate.f2, mgstate.subgroups, mgstate.extension, mgstate.states, mgstate.cli):
+        if hasattr(module, "span"):
+            monkeypatch.setattr(module, "span", counted)
+    code, _, _ = run_cli("verify", str(FIXTURES / "clique6.graph"))
+    assert code == 0
+    assert len(calls) == 154
+
+
+@pytest.mark.parametrize("argv", [["children", "--all"], ["verify"]])
+def test_extension_error_exit_4(monkeypatch, argv):
+    def failing(rows, n, e):
+        raise mgstate.extension.ExtensionError("rows do not pairwise commute")
+
+    monkeypatch.setattr(mgstate.extension, "symmetrize", failing)
+    code, out, err = run_cli(argv[0], str(FIXTURES / "fournode.graph"), *argv[1:])
+    assert code == 4
+    assert err == "search failure: rows do not pairwise commute\n"
+    assert "Traceback" not in out + err
+
+
+def test_subgroups_enumeration_bound_exit_3_at_once(tmp_path, monkeypatch):
+    # a 12-node directed clique has e = 6 and chi(6) = 4,922,775 subgroups
+    def started(*args):
+        raise AssertionError("enumeration started past the bound")
+
+    monkeypatch.setattr(mgstate.subgroups, "symplectic_basis", started)
+    text = "nodes 12\n" + "".join(
+        f"edge {j} -> {k}\n" for j in range(12) for k in range(j + 1, 12)
+    )
+    code, out, err = run_cli("subgroups", write_graph(tmp_path, text))
+    assert code == 3
+    assert out == ""
+    assert "2e = 12 > 10" in err and "chi(6) = 4922775" in err
 
 
 @pytest.mark.parametrize("command", ["children", "verify"])

@@ -647,3 +647,13 @@ def test_child_from_pauli_sum_one_product_per_member(monkeypatch):
             calls.clear()
             assert sign_coefficients(p, duals) == child.terms
             assert len(calls) == 1 << (g.n - e)
+
+
+def test_child_from_pauli_sum_rejects_anticommuting_generators():
+    # J of a triangle parent is spanned by 100 and 011; over the dual rows of
+    # the one-arc graph 0 -> 1 those index XII and ZXX, which anticommute
+    p = extend_e1(parse_graph(TRIANGLE))[0]
+    other = dual_stabilizer(parse_graph("nodes 3\nedge 0 -> 1\n"))
+    with pytest.raises(AssertionError, match="J members must commute pairwise"):
+        child_from_pauli_sum(p, other)
+    child_from_pauli_sum(p, dual_stabilizer(parse_graph(TRIANGLE)))
