@@ -2,10 +2,10 @@
 
 Subcommands read a graph file and emit deterministic reports, as text or as
 JSON (``--json``).  Exit codes: 0 success, 1 invariant violation, 2 input
-error, 3 qubit or enumeration bound exceeded, 4 extension search failure:
-a conjecture counterexample candidate, reported loudly, or an
-``ExtensionError`` from the parent construction, both as ``search failure:
-<message>`` on stderr.
+error, 3 qubit or enumeration bound exceeded, 4 an ``ExtensionError`` from
+the parent construction, as ``search failure: <message>`` on stderr.  The
+column step itself cannot fail (see ``mgstate.extension``), so exit 4 means
+a precondition or a consistency check of the construction broke.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .extension import (
     extend_e1,
     extend_for_subgroup,
     indicator,
-    verify_full_commutation,
+    meets_extension_condition,
 )
 from .f2 import bits_of, rank
 from .graphs import (
@@ -76,10 +76,6 @@ class InvariantViolation(RuntimeError):
         super().__init__(f"invariant failed: {name} ({reproducer})")
         self.name = name
         self.reproducer = reproducer
-
-
-class SearchFailure(RuntimeError):
-    pass
 
 
 def _require(name: str, ok: bool, reproducer: str) -> None:
@@ -285,11 +281,11 @@ def _subgroup_listing(g: MixedGraph, bound: int) -> Dict:
     duals = dual_stabilizer(g)
     listing = []
     for idx, s in enumerate(subs):
-        members = s.span_lifted()
+        size = 1 << len(s.lifted_basis)  # an RREF basis has independent rows
         elements = None
-        if len(members) <= 64:
+        if size <= 64:
             elements = []
-            for v in members:
+            for v in s.span_lifted():
                 word = ordered_product(duals, bits_of(v))
                 elements.append({"index_set": _bitstring(v, g.n), "word": str(word)})
         listing.append(
@@ -297,7 +293,7 @@ def _subgroup_listing(g: MixedGraph, bound: int) -> Dict:
                 "index": idx,
                 "b_reduced": [_bitstring(b, red.n - red.t) for b in s.basis],
                 "lifted_generators": [_bitstring(b, g.n) for b in s.lifted_basis],
-                "size": len(members),
+                "size": size,
                 "elements": elements,
             }
         )
@@ -387,11 +383,6 @@ def cmd_children(args) -> int:
         result["mode"] = "subgroups"
         for idx, sub in chosen:
             p = extend_for_subgroup(g, sub, rows)
-            if p is None:
-                raise SearchFailure(
-                    f"extension search failed for subgroup {idx}: "
-                    "CONJECTURE COUNTEREXAMPLE CANDIDATE - please report this graph"
-                )
             payload = _parent_payload(rows, child_from_pauli_sum(p, duals))
             payload["subgroup_index"] = idx
             reports.append(payload)
@@ -513,12 +504,13 @@ def _verify_graph(g: MixedGraph, expect: Optional[Dict], bound: int) -> List[str
         parents: List[ParentExtension] = []
         for idx, sub in enumerate(subs):
             p = extend_for_subgroup(g, sub, rows)
-            check("extension-found", p is not None, f"subgroup {idx}")
             check(
-                "extension-commutes",
-                verify_full_commutation(p.rows()),
+                "extension-found",
+                meets_extension_condition(gamma, p.ext_assign),
                 f"subgroup {idx}",
             )
+            # graph-form rows X_i Z^{A_i} commute iff A is symmetric
+            check("extension-commutes", p.ae.is_symmetric(), f"subgroup {idx}")
             check(
                 "indicator-matches-subgroup",
                 indicator(p)[1].rows == sub.lifted_basis,  # both RREF bases
@@ -667,7 +659,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BoundExceeded as err:
         sys.stderr.write(f"bound exceeded: {err}\n")
         return EXIT_BOUND
-    except (SearchFailure, ExtensionError) as err:
+    except ExtensionError as err:
         sys.stderr.write(f"search failure: {err}\n")
         return EXIT_SEARCH
     except InvariantViolation as err:

@@ -6,6 +6,14 @@ column tags for the lab rows (exact 3-colouring for e = 1, parity-check
 driven assignment for general e), append the forced environment rows, then
 reduce the commuting set to graph form by row multiplications and
 environment-column conjugations only.
+
+For general e the tags solve the paper's extension condition
+X H + (X H)^T = Gamma, with H the parity-check matrix of the subgroup J.
+With p_m the pivot of H row m, X[:, m] = Gamma[:, p_m] +
+sum_{k<m} Gamma[p_k, p_m] H[k, :]^T is a solution, because Gamma vanishes
+on J x J.  The homogeneous solutions are {H^T S : S symmetric}, so the
+reachable forms have dimension ne - e(e+1)/2 = C(n,2) - C(n-e,2), that of
+all alternating forms vanishing on J x J: every subgroup has a parent.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
-from .f2 import BinMatrix, bits_of, kernel, mask_of, rank, solve, span
+from .f2 import BinMatrix, bits_of, kernel, mask_of, rank, span
 from .graphs import MixedGraph, complete_multipartite_parts, mixed_rank, stabilizer_matrix
 from .pauli import _LETTER_ADJUST, _LETTER_XZ, _XZ_LETTER, PauliWord
 from .subgroups import IsotropicSubspace
@@ -323,60 +331,89 @@ def _greedy_columns(gamma: BinMatrix, h: BinMatrix) -> Optional[List[List[int]]]
     return xcols
 
 
-def _solve_columns(gamma: BinMatrix, h: BinMatrix) -> Optional[List[List[int]]]:
-    """Exact linear solve for the x-bits: X H + (X H)^T = Gamma.
+def _closed_form_columns(gamma: BinMatrix, h: BinMatrix) -> List[List[int]]:
+    """The x-bits that an F2 solve of X H + (X H)^T = Gamma returns.
 
-    One equation per node pair, n*e unknowns; solvability is independent of
-    the parity basis chosen for the subgroup, so a failure here is a genuine
-    counterexample candidate for the extension conjecture.
+    With p_m the pivot (lowest set bit) of H row m, column m is
+    Gamma[:, p_m] + sum_{k<m} Gamma[p_k, p_m] H[k, :]^T.  Every solution
+    differs from it by H^T S for a symmetric S.  Variable j*e + m is
+    X[j, m]; reducing X against the basis of {H^T S} RREF'd from the
+    highest variable down zeroes the free variables of the system, so the
+    result is the solution with all free variables zero, as ``f2.solve``
+    picks it.
     """
+    n, e = gamma.cols, h.nrows
+    pivots = [(r & -r).bit_length() - 1 for r in h.rows]
+    cols = []
+    for m, pm in enumerate(pivots):
+        col = gamma.rows[pm]
+        for k in range(m):
+            if gamma.get(pivots[k], pm):
+                col ^= h.rows[k]
+        cols.append(col)
+
+    def flat(columns: Sequence[int]) -> int:
+        return sum(1 << (j * e + m) for m, col in enumerate(columns) for j in bits_of(col))
+
+    # S = E_ab + E_ba puts H row b in column a and H row a in column b
+    basis: List[Tuple[int, int]] = []  # (highest bit, vector), fully reduced
+    for a, b in itertools.combinations_with_replacement(range(e), 2):
+        v = flat([h.rows[b] if m == a else h.rows[a] if m == b else 0 for m in range(e)])
+        for top, w in basis:
+            if (v >> top) & 1:
+                v ^= w
+        top = v.bit_length() - 1
+        basis = [(t, w ^ v if (w >> top) & 1 else w) for t, w in basis]
+        basis.append((top, v))
+    x = flat(cols)
+    for top, w in basis:
+        if (x >> top) & 1:
+            x ^= w
+    return [[(x >> (j * e + m)) & 1 for j in range(n)] for m in range(e)]
+
+
+def meets_extension_condition(gamma: BinMatrix, columns: Sequence[Sequence[str]]) -> bool:
+    """X H + (X H)^T = Gamma for extension columns given as letters: X holds
+    their X/Y positions and H their Z/Y positions."""
     n = gamma.cols
-    e = h.nrows
-    pairs = list(itertools.combinations(range(n), 2))
-    rows = []
-    rhs = 0
-    for idx, (j, k) in enumerate(pairs):
-        row = 0
-        for m in range(e):
-            if h.get(m, k):
-                row |= 1 << (j * e + m)
-            if h.get(m, j):
-                row ^= 1 << (k * e + m)
-        rows.append(row)
-        rhs |= gamma.get(j, k) << idx
-    sol = solve(BinMatrix(tuple(rows), n * e), rhs)
-    if sol is None:
-        return None
-    return [[(sol >> (j * e + m)) & 1 for j in range(n)] for m in range(e)]
+    form = [0] * n
+    for col in columns:
+        x = mask_of(j for j in range(n) if _LETTER_XZ[col[j]][0])
+        z = mask_of(j for j in range(n) if _LETTER_XZ[col[j]][1])
+        for j in range(n):  # row j of X H, then of (X H)^T
+            if (x >> j) & 1:
+                form[j] ^= z
+            if (z >> j) & 1:
+                form[j] ^= x
+    return tuple(form) == gamma.rows
 
 
 def extend_for_subgroup(
     g: MixedGraph,
     m_sub: IsotropicSubspace,
     stabilizer: Sequence[PauliWord],
-) -> Optional[ParentExtension]:
+) -> ParentExtension:
     """Parent whose child commutative subgroup equals the requested one.
 
     ``stabilizer`` is ``stabilizer_matrix(g)``, and e and Gamma come from the
     subgroup's reduction, which must be that of g's Gamma: a caller that
     extends every subgroup computes the graph-level values once.
 
-    The Z/Y support of extension column m is forced to the m-th parity-check
-    row of the subgroup; the X/I pattern is found greedily and, failing
-    that, by solving the full linear system.  Returns None only when that
-    system is infeasible, which would contradict the extension conjecture.
+    The Z/Y support of extension column m is forced to the m-th row of the
+    subgroup's parity-check matrix H, and the X/I pattern solves
+    X H + (X H)^T = Gamma.  A solution always exists, and
+    ``_closed_form_columns`` writes it down: the homogeneous solutions are
+    {H^T S : S symmetric}, so the reachable forms have dimension
+    ne - e(e+1)/2 = C(n,2) - C(n-e,2), that of all alternating forms
+    vanishing on J x J for J = ker H, and Gamma is one of them.
+
+    The greedy pass runs first because it fixes the reported ``ext_columns``
+    wherever it succeeds.  Its S follows the data: zeroing X at the H pivots
+    at or above (or at or below) each column gives its columns on only 6 (or
+    8) of the 15 ``appendix_a`` subgroups.
+
     Raises ``ExtensionError`` when the extended rows do not commute (checked
     by ``symmetrize``) or the parent's J is not the requested subgroup.
-
-    The greedy pass stays because no canonical choice from the exact solve
-    reproduces the columns it reports.  The solutions of X H + (X H)^T =
-    Gamma are X_0 + {H^T S : S symmetric}; greedy always zeroes X at each
-    row's pivot, but its off-diagonal choice follows the data.  Zeroing X
-    at the pivots of the H rows at or above (upper rule) or at or below
-    (lower rule) each column's own fixes S, yet on ``appendix_a`` the two
-    rules give today's columns for only 6 and 8 of the 15 subgroups, and on
-    ``clique6`` the lower rule for none of 135, so dropping greedy would
-    change the reported ``ext_columns``.
     """
     gamma = m_sub.reduction.gamma
     if gamma != g.gamma():
@@ -391,9 +428,7 @@ def extend_for_subgroup(
         parent = symmetrize(stabilizer, g.n, 0)
         return _with_assign(parent, ())
 
-    xcols = _greedy_columns(gamma, h) or _solve_columns(gamma, h)
-    if xcols is None:
-        return None
+    xcols = _greedy_columns(gamma, h) or _closed_form_columns(gamma, h)
     assignment = [
         [_XZ_LETTER[(xcols[m][j], h.get(m, j))] for j in range(g.n)] for m in range(e)
     ]

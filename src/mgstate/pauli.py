@@ -110,9 +110,6 @@ class PauliWord:
         pre = {0: "+", 1: "+i", 2: "-", 3: "-i"}[self.letter_phase()]
         return pre + self.letters()
 
-    def is_identity_up_to_phase(self) -> bool:
-        return self.x == 0 and self.z == 0
-
     def mul(self, other: "PauliWord") -> "PauliWord":
         """Matrix product self * other (self acts on the left)."""
         if self.n != other.n:
@@ -127,13 +124,6 @@ class PauliWord:
 
     def is_hermitian(self) -> bool:
         return (self.phase & 1) == parity(self.x & self.z)
-
-    def dagger(self) -> "PauliWord":
-        ph = (-self.phase + 2 * parity(self.x & self.z)) % 4
-        return PauliWord(self.n, self.x, self.z, ph)
-
-    def negate(self) -> "PauliWord":
-        return PauliWord(self.n, self.x, self.z, self.phase + 2)
 
     def conjugate_single(self, j: int, tag: str) -> "PauliWord":
         """Conjugate qubit j by a tag from {I, H, N, N2, NH, HN}."""
@@ -323,9 +313,6 @@ class GaussianMatrix:
         sb = 1 << (d - other.denom_log2)
         return GaussianMatrix(self.re * sa + other.re * sb, self.im * sa + other.im * sb, d)
 
-    def sub(self, other: "GaussianMatrix") -> "GaussianMatrix":
-        return self.add(other.scale_int(-1))
-
     def scale_int(self, k: int) -> "GaussianMatrix":
         return GaussianMatrix(self.re * k, self.im * k, self.denom_log2)
 
@@ -339,10 +326,6 @@ class GaussianMatrix:
             return GaussianMatrix(-self.re, -self.im, self.denom_log2)
         return GaussianMatrix(self.im, -self.re, self.denom_log2)
 
-    def shift_denom(self, extra: int) -> "GaussianMatrix":
-        """Same value with denominator multiplied by 2**extra."""
-        return GaussianMatrix(self.re << extra, self.im << extra, self.denom_log2 + extra)
-
     def divided_by_pow2(self, extra: int) -> "GaussianMatrix":
         """Value divided by 2**extra."""
         return GaussianMatrix(self.re, self.im, self.denom_log2 + extra)
@@ -353,9 +336,6 @@ class GaussianMatrix:
         re = self.re @ other.re - self.im @ other.im
         im = self.re @ other.im + self.im @ other.re
         return GaussianMatrix(re, im, self.denom_log2 + other.denom_log2)
-
-    def conj_transpose(self) -> "GaussianMatrix":
-        return GaussianMatrix(self.re.T.copy(), -self.im.T.copy(), self.denom_log2)
 
     def is_hermitian(self) -> bool:
         return np.array_equal(self.re, self.re.T) and np.array_equal(self.im, -self.im.T)

@@ -143,9 +143,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return 1 << self.n
 
-    def normalized(self) -> "DensityMatrix":
-        return DensityMatrix(self.n, self.mat.normalized())
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DensityMatrix):
             return NotImplemented
@@ -217,9 +214,6 @@ class ChildResult:
     parent: ParentExtension
     rho: DensityMatrix
     terms: Dict[int, int]  # J member bitset -> i-exponent of b_j
-
-    def coefficient(self, j: int) -> complex:
-        return 1j ** self.terms[j]
 
 
 _I_EXPONENT = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}

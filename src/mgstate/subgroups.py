@@ -97,13 +97,6 @@ class IsotropicSubspace:
     basis: Tuple[int, ...]          # e rows over F2^{n-t}, RREF
     lifted_basis: Tuple[int, ...]   # e + t rows over F2^n, RREF
 
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def span_reduced(self) -> List[int]:
-        return span(self.basis, self.reduction.n - self.reduction.t)
-
     def span_lifted(self) -> List[int]:
         return span(self.lifted_basis, self.reduction.n)
 

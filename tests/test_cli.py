@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
 from pathlib import Path
@@ -16,9 +17,12 @@ import mgstate.graphs
 import mgstate.states
 import mgstate.subgroups
 from mgstate.cli import _emit, main
-from mgstate.pauli import GaussianMatrix, ordered_product
+from mgstate.extension import extend_for_subgroup
+from mgstate.pauli import GaussianMatrix, PauliWord, ordered_product
 from mgstate.states import ChildResult, DensityMatrix, child_from_partial_trace
+from mgstate.subgroups import IsotropicSubspace
 from paper_data import RHO0_NUM, RHO1_NUM, RHO2_NUM, TRIANGLE
+from test_extension import SPARSE128
 
 FIXTURES = Path(__file__).parent.parent / "src" / "mgstate" / "fixtures"
 SCHEMA = json.loads((FIXTURES / "report.schema.json").read_text())
@@ -189,6 +193,59 @@ def test_span_listed_once_per_child(monkeypatch):
     code, _, _ = run_cli("verify", str(FIXTURES / "clique6.graph"))
     assert code == 0
     assert len(calls) == 154
+
+
+def test_extension_commutes_by_symmetry(monkeypatch):
+    # clique6: 135 parents on 9 qubits, each checked pairwise once by
+    # symmetrize (36 pairs) and on its child's 3 generators (3 pairs), plus
+    # the 6 x 6 dual-against-stabilizer check and the 6 x 6 signfree table;
+    # graph-form rows are not checked again, since they commute iff the
+    # adjacency is symmetric
+    calls = []
+    original = PauliWord.commutes
+
+    def counted(self, other):
+        calls.append(self.n)
+        return original(self, other)
+
+    monkeypatch.setattr(PauliWord, "commutes", counted)
+    code, _, _ = run_cli("verify", str(FIXTURES / "clique6.graph"))
+    assert code == 0
+    assert len(calls) == 135 * (36 + 3) + 36 + 36
+
+
+def test_extension_found_rejects_flipped_letter(monkeypatch):
+    # one X bit flipped at node 0 of the first extension column: the
+    # reported columns no longer satisfy X H + (X H)^T = Gamma
+    x_flip = {"I": "X", "X": "I", "Z": "Y", "Y": "Z"}
+
+    def flipped(g, sub, rows):
+        p = extend_for_subgroup(g, sub, rows)
+        first = p.ext_assign[0]
+        column = (x_flip[first[0]],) + first[1:]
+        return dataclasses.replace(p, ext_assign=(column,) + p.ext_assign[1:])
+
+    monkeypatch.setattr(mgstate.cli, "extend_for_subgroup", flipped)
+    code, out, _ = run_cli("verify", str(FIXTURES / "fournode.graph"))
+    assert code == 1
+    assert out == "FAIL extension-found: subgroup 0\n"
+
+
+def test_subgroups_n128_size_without_listing(tmp_path, monkeypatch):
+    # each subgroup has 2^126 members, so listing one must never start
+    original = IsotropicSubspace.span_lifted
+
+    def guarded(self):
+        if len(self.lifted_basis) > 6:
+            raise AssertionError(f"listing 2^{len(self.lifted_basis)} members")
+        return original(self)
+
+    monkeypatch.setattr(IsotropicSubspace, "span_lifted", guarded)
+    code, out, _ = run_cli("subgroups", "--json", write_graph(tmp_path, SPARSE128))
+    assert code == 0
+    listing = json.loads(out)["result"]["subgroups"]
+    assert len(listing) == 15
+    assert all(s["size"] == 1 << 126 and s["elements"] is None for s in listing)
 
 
 @pytest.mark.parametrize("argv", [["children", "--all"], ["verify"]])

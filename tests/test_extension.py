@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -8,16 +9,18 @@ import mgstate.extension
 from mgstate.extension import (
     ExtensionError,
     ParentExtension,
+    _closed_form_columns,
     _extended_rows,
     extend_e1,
     extend_for_subgroup,
     indicator,
     j_members,
+    meets_extension_condition,
     parity_basis,
     symmetrize,
     verify_full_commutation,
 )
-from mgstate.f2 import BinMatrix, mask_of, rank, span
+from mgstate.f2 import BinMatrix, mask_of, rank, solve, span
 from mgstate.graphs import dual_stabilizer, mixed_rank, parse_graph, stabilizer_matrix
 from mgstate.pauli import PauliWord
 from mgstate.subgroups import chi, enumerate_max_isotropic, reduce_gamma
@@ -35,6 +38,16 @@ from paper_data import (
     TRIANGLE,
 )
 from test_graphs import random_mixed_graph
+
+FIXTURES = Path(__file__).parent.parent / "src" / "mgstate" / "fixtures"
+
+# a 128-node path with two directed edges: e = 2, chi(2) = 15 subgroups of
+# 2^126 members each
+SPARSE128 = (
+    "nodes 128\n"
+    + "".join(f"edge {j} -- {j + 1}\n" for j in range(127))
+    + "edge 0 -> 5\nedge 40 -> 90\n"
+)
 
 
 def subgroup_for_generators(g, gens):
@@ -329,3 +342,79 @@ def test_extend_minimum_e_only(rng):
         made += 1
         p = extend_for_subgroup(g, subs[0], stabilizer_matrix(g))
         assert p.e == e
+
+
+def _solve_columns(gamma, h):
+    """Oracle for the closed form: an exact F2 solve of X H + (X H)^T = Gamma.
+
+    One equation per node pair and n*e unknowns, unknown j*e + m being
+    X[j, m]; ``solve`` sets every free unknown to zero.
+    """
+    n = gamma.cols
+    e = h.nrows
+    pairs = list(itertools.combinations(range(n), 2))
+    rows = []
+    rhs = 0
+    for idx, (j, k) in enumerate(pairs):
+        row = 0
+        for m in range(e):
+            if h.get(m, k):
+                row |= 1 << (j * e + m)
+            if h.get(m, j):
+                row ^= 1 << (k * e + m)
+        rows.append(row)
+        rhs |= gamma.get(j, k) << idx
+    sol = solve(BinMatrix(tuple(rows), n * e), rhs)
+    assert sol is not None, "X H + (X H)^T = Gamma has no solution"
+    return [[(sol >> (j * e + m)) & 1 for j in range(n)] for m in range(e)]
+
+
+def assert_closed_form_matches_solve(g):
+    gamma = g.gamma()
+    for sub in enumerate_max_isotropic(reduce_gamma(gamma)):
+        h = parity_basis(sub)
+        xcols = _closed_form_columns(gamma, h)
+        assert xcols == _solve_columns(gamma, h)
+        x = BinMatrix.from_lists([[col[j] for col in xcols] for j in range(g.n)], h.nrows)
+        xh = x.matmul(h)
+        assert xh.add(xh.transpose()) == gamma
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.graph")), ids=lambda p: p.stem)
+def test_closed_form_matches_solve_on_fixtures(path):
+    assert_closed_form_matches_solve(parse_graph(path.read_text()))
+
+
+def test_closed_form_matches_solve_random(rng):
+    for _ in range(40):
+        assert_closed_form_matches_solve(random_mixed_graph(rng, rng.randrange(2, 8)))
+
+
+def test_extend_for_subgroup_n128(monkeypatch):
+    # greedy falls back to the closed form on 6 of the 15 subgroups
+    fallbacks = []
+
+    def counted(gamma, h):
+        fallbacks.append(h)
+        return _closed_form_columns(gamma, h)
+
+    monkeypatch.setattr(mgstate.extension, "_closed_form_columns", counted)
+    g = parse_graph(SPARSE128)
+    rows = stabilizer_matrix(g)
+    subs = enumerate_max_isotropic(reduce_gamma(g.gamma()))
+    assert mixed_rank(g)[0] == 2 and len(subs) == chi(2) == 15
+    for sub in subs:
+        p = extend_for_subgroup(g, sub, rows)
+        assert indicator(p)[1].rows == sub.lifted_basis
+        assert meets_extension_condition(g.gamma(), p.ext_assign)
+    assert len(fallbacks) == 6
+
+
+def test_extension_condition_worked_columns():
+    for text, columns in ((FIVENODE, FIVENODE_EXT_COLUMNS), (CLIQUE6, CLIQUE6_EXT_COLUMNS)):
+        gamma = parse_graph(text).gamma()
+        assert meets_extension_condition(gamma, columns)
+        # I instead of the displayed X at node 0 of column 0
+        assert columns[0][0] == "X"
+        flipped = (("I",) + columns[0][1:],) + columns[1:]
+        assert not meets_extension_condition(gamma, flipped)
