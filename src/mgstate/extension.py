@@ -3,9 +3,13 @@
 A parent is a symmetric graph-form stabilizer on n + e qubits whose first n
 qubits carry the child.  Construction runs in two stages: choose extension
 column tags for the lab rows (exact 3-colouring for e = 1, parity-check
-driven assignment for general e), append the forced environment rows, then
-reduce the commuting set to graph form by row multiplications and
-environment-column conjugations only.
+driven assignment for general e), then write the graph form of the
+extended rows down (``symmetrize``).  Environment row m is X_{n+m} Z^{L_m}
+with L_m the Z/Y support of column m; multiplying it into every lab row
+with X/Y in column m clears the environment X block, so no qubit is ever
+conjugated and the child is untouched.  That is the F2 quadratic form of
+the parent state (Dehaene & De Moor, quant-ph/0304125), read off the
+columns.
 
 For general e the tags solve the paper's extension condition
 X H + (X H)^T = Gamma, with H the parity-check matrix of the subgroup J.
@@ -24,7 +28,7 @@ from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from .f2 import BinMatrix, bits_of, kernel, mask_of, rank, span
 from .graphs import MixedGraph, complete_multipartite_parts, mixed_rank, stabilizer_matrix
-from .pauli import _LETTER_ADJUST, _LETTER_XZ, _XZ_LETTER, PauliWord
+from .pauli import _LETTER_XZ, _XZ_LETTER, PauliWord
 from .subgroups import IsotropicSubspace
 
 
@@ -46,8 +50,10 @@ class ParentExtension:
     diagonal colour bits (1 = red/Y).  ``lab_offsets`` are lab rows whose
     actual stabilizer carries a -1 sign, i.e. binary linear terms of the
     parent phase function; ``env_offsets`` are the same for environment rows
-    (these never change the child).  ``ext_assign`` records the extension
-    column tags before symmetrization, one tuple of length n per column.
+    (these never change the child).  ``symmetrize`` leaves ``env_offsets``
+    empty, so only a hand-built parent sets it.  ``ext_assign`` records the
+    extension column tags the graph form was written from, one tuple of
+    length n per column.
     """
 
     n: int
@@ -56,7 +62,6 @@ class ParentExtension:
     lab_offsets: FrozenSet[int] = frozenset()
     env_offsets: FrozenSet[int] = frozenset()
     ext_assign: Optional[Tuple[Tuple[str, ...], ...]] = None
-    conjugations: Tuple[Tuple[int, str], ...] = ()
 
     def __post_init__(self) -> None:
         total = self.n + self.e
@@ -105,7 +110,6 @@ class ParentExtension:
             frozenset(set(self.lab_offsets) ^ set(extra)),
             self.env_offsets,
             self.ext_assign,
-            self.conjugations,
         )
 
 
@@ -129,126 +133,56 @@ def j_members(p: ParentExtension) -> List[int]:
     return span(g.rows, p.n)
 
 
-def symmetrize(rows: Sequence[PauliWord], n: int, e: int) -> ParentExtension:
-    """Reduce a fully commuting extension to symmetric graph form.
-
-    Only row multiplications and single-qubit conjugations on environment
-    columns are used, so the child density matrix is untouched.  Lab rows
-    must carry X or Y at their own lab position and I/Z elsewhere on the lab
-    block.
-    """
-    total = n + e
-    work = list(rows)
-    if len(work) != total:
-        raise ExtensionError(f"need {total} rows, got {len(work)}")
-    if not verify_full_commutation(work):
-        raise ExtensionError("rows do not pairwise commute")
-    lab_mask = (1 << n) - 1
-    for j in range(n):
-        if (work[j].x & lab_mask) != (1 << j):
-            raise ExtensionError(f"lab row {j} does not have X/Y exactly at position {j}")
-    conjs: List[Tuple[int, str]] = []
-
-    def conjugate_all(col: int, tag: str) -> None:
-        for i in range(total):
-            work[i] = work[i].conjugate_single(col, tag)
-        conjs.append((col, tag))
-
-    # environment rows: clear lab x-bits by multiplying with lab rows
-    for m in range(n, total):
-        for j in range(n):
-            if (work[m].x >> j) & 1:
-                work[m] = work[j].mul(work[m])
-
-    # make the env-x block of the env rows invertible, conjugating a column
-    # by H whenever a dependent (pure-Z) combination blocks progress
-    for _ in range(4 * max(e, 1)):
-        env_block = BinMatrix(
-            tuple((work[m].x >> n) for m in range(n, total)), e
-        )
-        if rank(env_block) == e:
-            break
-        ker = kernel(env_block.transpose())
-        combo = ker.rows[0]
-        word = PauliWord.identity(total)
-        for m in bits_of(combo):
-            word = word.mul(work[n + m])
-        assert word.x == 0, "combination must be a pure-Z word"
-        env_z = word.z >> n
-        assert env_z, "a stabilizer cannot be Z-only on the lab block"
-        conjugate_all(n + bits_of(env_z)[0], "H")
-    else:
-        raise ExtensionError("could not normalize environment block")
-
-    # row-reduce env rows to X exactly at their own environment position
-    for m in range(e):
-        col = n + m
-        pivot = next(
-            i for i in range(m, e) if (work[n + i].x >> col) & 1
-        )
-        work[n + m], work[n + pivot] = work[n + pivot], work[n + m]
-        for i in range(e):
-            if i != m and ((work[n + i].x >> col) & 1):
-                work[n + i] = work[n + m].mul(work[n + i])
-
-    # lab rows: clear environment x-bits
-    for j in range(n):
-        for m in range(e):
-            if (work[j].x >> (n + m)) & 1:
-                work[j] = work[n + m].mul(work[j])
-
-    # environment diagonal: conjugate Y down to X (HN fixes I/Z off-diagonal)
-    for m in range(e):
-        col = n + m
-        if (work[n + m].z >> col) & 1:
-            conjugate_all(col, "HN")
-
-    for i in range(total):
-        if work[i].x != (1 << i):
-            raise ExtensionError("graph-form reduction failed on x block")
-
-    ae = BinMatrix(tuple(w.z for w in work), total)
-    if not ae.is_symmetric():
-        raise ExtensionError("graph-form adjacency is not symmetric")
-
-    lab_off = set()
-    env_off = set()
-    for i, w in enumerate(work):
-        diag = ae.get(i, i)
-        delta = (w.phase - diag) % 4
-        assert delta in (0, 2), "graph-form rows must be +-Hermitian"
-        if delta == 2:
-            (lab_off if i < n else env_off).add(i)
-    return ParentExtension(
-        n, e, ae, frozenset(lab_off), frozenset(env_off), None, tuple(conjs)
-    )
-
-
-def _extended_rows(
+def symmetrize(
     stabilizer: Sequence[PauliWord], columns: Sequence[Sequence[str]]
-) -> List[PauliWord]:
-    """Lab rows (the graph's stabilizer rows) with extension tags plus the
-    forced environment rows.
+) -> ParentExtension:
+    """Graph form of the lab rows ``stabilizer`` extended by ``columns``.
 
-    Environment row m is Z over L_m with X at its own position: the unique
-    choice (up to sign and products) with I/Z on the lab block.
+    Lab row j must carry X or Y at its own position and I/Z elsewhere.  Let
+    L_m be the Z/Y support of column m; environment row m is X_{n+m}
+    Z^{L_m}, the unique choice (up to sign and products) with I/Z on the lab
+    block.  Multiplying environment row m into each lab row j with X/Y in
+    column m clears the environment X block, which writes the adjacency
+    down:
+
+    - lab row j is A_j + sum of L_m over the m with X/Y at j, plus bit
+      n + m for each m with j in L_m;
+    - environment row m is L_m;
+    - lab row j carries a -1 sign when its stabilizer phase, plus 3 for
+      each Y in its columns (Y = iXZ, and a product picks up -1 when j is
+      in L_m), minus its new diagonal bit, is 2 mod 4.  Environment rows
+      never do.
+
+    Row products keep the stabilizer group, and graph-form rows commute iff
+    their adjacency is symmetric, so the extended rows pairwise commute iff
+    ``ae`` is symmetric: ``ExtensionError`` otherwise.
     """
     n = len(stabilizer)
     e = len(columns)
-    total = n + e
-    rows = []
+    l_sets = tuple(mask_of(j for j in range(n) if _LETTER_XZ[col[j]][1]) for col in columns)
+    lab_rows = []
+    lab_off = set()
     for j, base in enumerate(stabilizer):
-        x, z, ph = base.x, base.z, base.phase
+        if base.x != 1 << j:
+            raise ExtensionError(f"lab row {j} does not have X/Y exactly at position {j}")
+        z, phase = base.z, base.phase
         for m, col in enumerate(columns):
             xb, zb = _LETTER_XZ[col[j]]
-            x |= xb << (n + m)
+            if xb:
+                z ^= l_sets[m]
             z |= zb << (n + m)
-            ph += _LETTER_ADJUST[col[j]]
-        rows.append(PauliWord(total, x, z, ph))
-    for m, col in enumerate(columns):
-        lmask = mask_of(j for j in range(n) if _LETTER_XZ[col[j]][1])
-        rows.append(PauliWord(total, 1 << (n + m), lmask, 0))
-    return rows
+            phase += 3 * (xb & zb)
+        delta = (phase - ((z >> j) & 1)) % 4
+        assert delta in (0, 2), "graph-form rows must be +-Hermitian"
+        if delta == 2:
+            lab_off.add(j)
+        lab_rows.append(z)
+    ae = BinMatrix(tuple(lab_rows) + l_sets, n + e)
+    if not ae.is_symmetric():
+        raise ExtensionError("rows do not pairwise commute")
+    return ParentExtension(
+        n, e, ae, frozenset(lab_off), ext_assign=tuple(tuple(col) for col in columns)
+    )
 
 
 def extend_e1(g: MixedGraph) -> List[ParentExtension]:
@@ -267,15 +201,8 @@ def extend_e1(g: MixedGraph) -> List[ParentExtension]:
         for part, tag in zip(parts, perm):
             for v in part:
                 col[v] = tag
-        parent = symmetrize(_extended_rows(stabilizer, [col]), g.n, 1)
-        out.append(_with_assign(parent, (tuple(col),)))
+        out.append(symmetrize(stabilizer, [col]))
     return out
-
-
-def _with_assign(p: ParentExtension, assign: Tuple[Tuple[str, ...], ...]) -> ParentExtension:
-    return ParentExtension(
-        p.n, p.e, p.ae, p.lab_offsets, p.env_offsets, assign, p.conjugations
-    )
 
 
 def parity_basis(m: IsotropicSubspace) -> BinMatrix:
@@ -425,15 +352,14 @@ def extend_for_subgroup(
             f"subgroup parity matrix has {h.nrows} rows, expected e = {e}"
         )
     if e == 0:
-        parent = symmetrize(stabilizer, g.n, 0)
-        return _with_assign(parent, ())
+        return symmetrize(stabilizer, ())
 
     xcols = _greedy_columns(gamma, h) or _closed_form_columns(gamma, h)
     assignment = [
         [_XZ_LETTER[(xcols[m][j], h.get(m, j))] for j in range(g.n)] for m in range(e)
     ]
-    parent = symmetrize(_extended_rows(stabilizer, assignment), g.n, e)
+    parent = symmetrize(stabilizer, assignment)
     # both are RREF bases over F2^n, so they are equal iff their spans are
     if indicator(parent)[1].rows != m_sub.lifted_basis:
         raise ExtensionError("indicator subgroup does not match the requested subgroup")
-    return _with_assign(parent, tuple(tuple(col) for col in assignment))
+    return parent

@@ -20,14 +20,12 @@ def parity(x: int) -> int:
 
 
 def bits_of(mask: int) -> List[int]:
-    """Sorted list of set bit positions."""
+    """Sorted list of set bit positions, one step per set bit."""
     out = []
-    j = 0
     while mask:
-        if mask & 1:
-            out.append(j)
-        mask >>= 1
-        j += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 
@@ -80,11 +78,12 @@ class BinMatrix:
         return ["".join(str((r >> j) & 1) for j in range(self.cols)) for r in self.rows]
 
     def transpose(self) -> "BinMatrix":
-        cols = tuple(
-            mask_of(i for i in range(self.nrows) if (self.rows[i] >> j) & 1)
-            for j in range(self.cols)
-        )
-        return BinMatrix(cols, self.nrows)
+        """Scatter each row's set bits into the columns: O(set bits)."""
+        cols = [0] * self.cols
+        for i, r in enumerate(self.rows):
+            for j in bits_of(r):
+                cols[j] |= 1 << i
+        return BinMatrix(tuple(cols), self.nrows)
 
     def mul_vec(self, v: int) -> int:
         """Matrix-vector product; v is a length-``cols`` bit vector."""

@@ -50,18 +50,6 @@ _LETTER_XZ = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 _LETTER_ADJUST = {"I": 0, "X": 0, "Z": 0, "Y": 1}
 _XZ_LETTER = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
 
-# Single-qubit Clifford conjugation table: tag -> {letter: (sign, letter')}
-# with U P U^dag = sign * P'.  H is the Hadamard, N the negaHadamard
-# (1/sqrt2)[[1, i], [1, -i]], and D = diag(1, i) appears only in tests.
-CONJUGATION_TABLE: Dict[str, Dict[str, Tuple[int, str]]] = {
-    "I": {"X": (1, "X"), "Z": (1, "Z"), "Y": (1, "Y")},
-    "H": {"X": (1, "Z"), "Z": (1, "X"), "Y": (-1, "Y")},
-    "N": {"X": (-1, "Y"), "Z": (1, "X"), "Y": (-1, "Z")},
-    "N2": {"X": (1, "Z"), "Z": (-1, "Y"), "Y": (-1, "X")},
-    "NH": {"X": (1, "X"), "Z": (-1, "Y"), "Y": (1, "Z")},
-    "HN": {"X": (1, "Y"), "Z": (1, "Z"), "Y": (-1, "X")},
-}
-
 
 @dataclass(frozen=True)
 class PauliWord:
@@ -124,28 +112,6 @@ class PauliWord:
 
     def is_hermitian(self) -> bool:
         return (self.phase & 1) == parity(self.x & self.z)
-
-    def conjugate_single(self, j: int, tag: str) -> "PauliWord":
-        """Conjugate qubit j by a tag from {I, H, N, N2, NH, HN}."""
-        if tag not in CONJUGATION_TABLE:
-            raise ValueError(f"unknown Clifford tag: {tag!r}")
-        if not 0 <= j < self.n:
-            raise DimensionError(f"qubit index {j} out of range")
-        xb, zb = (self.x >> j) & 1, (self.z >> j) & 1
-        letter = _XZ_LETTER[(xb, zb)]
-        if letter == "I":
-            return self
-        sign, new_letter = CONJUGATION_TABLE[tag][letter]
-        nx, nz = _LETTER_XZ[new_letter]
-        ph = (
-            self.phase
-            - _LETTER_ADJUST[letter]
-            + _LETTER_ADJUST[new_letter]
-            + (0 if sign == 1 else 2)
-        )
-        x = (self.x & ~(1 << j)) | (nx << j)
-        z = (self.z & ~(1 << j)) | (nz << j)
-        return PauliWord(self.n, x, z, ph)
 
     def support_column(self) -> int:
         """Column index of the unique nonzero entry in row 0 of the dense form."""

@@ -20,7 +20,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .extension import ParentExtension, indicator, j_members, verify_full_commutation
-from .f2 import bits_of, parity, span
+from .f2 import BinMatrix, bits_of, mask_of, parity, solve, span
 from .pauli import (
     BoundExceeded,
     DimensionError,
@@ -284,7 +284,7 @@ def children_family_e1(
 
     Two children pair when some Z over a lab subset conjugates one onto the
     other; with disjoint supports this reduces to comparing coefficient maps
-    under sign flips, searched over all 2^n patterns.
+    under sign flips, which one F2 solve per pair decides.
     """
     children = [child_from_pauli_sum(p, g_duals) for p in parents]
     n = parents[0].n if parents else 0
@@ -306,14 +306,17 @@ def children_family_e1(
 
 
 def _z_pattern_equivalent(a: ChildResult, b: ChildResult, n: int) -> Optional[int]:
+    """A lab Z pattern z with a_j + 2 parity(z & j) = b_j mod 4 for every j
+    in J, or None.  The condition is linear over F2, parity(z & j) =
+    (b_j - a_j) / 2, so one solve decides it; an odd difference has none.
+    """
     if set(a.terms) != set(b.terms):
         return None
-    for pattern in range(1 << n):
-        if all(
-            (a.terms[j] + 2 * parity(pattern & j)) % 4 == b.terms[j] for j in a.terms
-        ):
-            return pattern
-    return None
+    members = list(a.terms)
+    diffs = [(b.terms[j] - a.terms[j]) % 4 for j in members]
+    if any(d % 2 for d in diffs):
+        return None
+    return solve(BinMatrix(tuple(members), n), mask_of(i for i, d in enumerate(diffs) if d))
 
 
 @dataclass(frozen=True)

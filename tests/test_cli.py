@@ -196,11 +196,10 @@ def test_span_listed_once_per_child(monkeypatch):
 
 
 def test_extension_commutes_by_symmetry(monkeypatch):
-    # clique6: 135 parents on 9 qubits, each checked pairwise once by
-    # symmetrize (36 pairs) and on its child's 3 generators (3 pairs), plus
-    # the 6 x 6 dual-against-stabilizer check and the 6 x 6 signfree table;
-    # graph-form rows are not checked again, since they commute iff the
-    # adjacency is symmetric
+    # clique6: 135 parents, each checked on its child's 3 generators (3
+    # pairs), plus the 6 x 6 dual-against-stabilizer check and the 6 x 6
+    # signfree table; no parent's rows are checked pairwise, since they
+    # commute iff the adjacency symmetrize writes down is symmetric
     calls = []
     original = PauliWord.commutes
 
@@ -211,7 +210,7 @@ def test_extension_commutes_by_symmetry(monkeypatch):
     monkeypatch.setattr(PauliWord, "commutes", counted)
     code, _, _ = run_cli("verify", str(FIXTURES / "clique6.graph"))
     assert code == 0
-    assert len(calls) == 135 * (36 + 3) + 36 + 36
+    assert len(calls) == 135 * 3 + 36 + 36
 
 
 def test_extension_found_rejects_flipped_letter(monkeypatch):
@@ -250,7 +249,7 @@ def test_subgroups_n128_size_without_listing(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("argv", [["children", "--all"], ["verify"]])
 def test_extension_error_exit_4(monkeypatch, argv):
-    def failing(rows, n, e):
+    def failing(stabilizer, columns):
         raise mgstate.extension.ExtensionError("rows do not pairwise commute")
 
     monkeypatch.setattr(mgstate.extension, "symmetrize", failing)

@@ -10,7 +10,6 @@ from mgstate.extension import (
     ExtensionError,
     ParentExtension,
     _closed_form_columns,
-    _extended_rows,
     extend_e1,
     extend_for_subgroup,
     indicator,
@@ -20,9 +19,9 @@ from mgstate.extension import (
     symmetrize,
     verify_full_commutation,
 )
-from mgstate.f2 import BinMatrix, mask_of, rank, solve, span
+from mgstate.f2 import BinMatrix, mask_of, rank, rref, solve, span
 from mgstate.graphs import dual_stabilizer, mixed_rank, parse_graph, stabilizer_matrix
-from mgstate.pauli import PauliWord
+from mgstate.pauli import _LETTER_ADJUST, _LETTER_XZ, PauliWord
 from mgstate.subgroups import chi, enumerate_max_isotropic, reduce_gamma
 from paper_data import (
     CLIQUE6,
@@ -157,62 +156,143 @@ def test_extend_e1_children_cover_all_maximal_subgroups(rng):
         assert len(spans) == 3
 
 
+def _extended_rows(stabilizer, columns):
+    """Lab rows (the graph's stabilizer rows) with extension tags plus the
+    forced environment rows X_{n+m} Z^{L_m}, L_m the Z/Y support of column m.
+    """
+    n = len(stabilizer)
+    total = n + len(columns)
+    rows = []
+    for j, base in enumerate(stabilizer):
+        x, z, ph = base.x, base.z, base.phase
+        for m, col in enumerate(columns):
+            xb, zb = _LETTER_XZ[col[j]]
+            x |= xb << (n + m)
+            z |= zb << (n + m)
+            ph += _LETTER_ADJUST[col[j]]
+        rows.append(PauliWord(total, x, z, ph))
+    for m, col in enumerate(columns):
+        lmask = mask_of(j for j in range(n) if _LETTER_XZ[col[j]][1])
+        rows.append(PauliWord(total, 1 << (n + m), lmask, 0))
+    return rows
+
+
+def _graph_form_by_row_products(rows, n, e):
+    """Oracle for ``symmetrize``: the general reduction of commuting rows to
+    graph form by row multiplications, as (ae, lab offsets, env offsets).
+
+    Where the reduction would have to conjugate an environment column, the
+    oracle raises instead.
+    """
+    total = n + e
+    work = list(rows)
+    if not verify_full_commutation(work):
+        raise ExtensionError("rows do not pairwise commute")
+    assert all((work[j].x & ((1 << n) - 1)) == 1 << j for j in range(n))
+    # environment rows: clear lab x-bits by multiplying with lab rows
+    for m in range(n, total):
+        for j in range(n):
+            if (work[m].x >> j) & 1:
+                work[m] = work[j].mul(work[m])
+    if rank(BinMatrix(tuple(work[m].x >> n for m in range(n, total)), e)) != e:
+        raise AssertionError("reduction needs an H conjugation")
+    # row-reduce environment rows to X exactly at their own position
+    for m in range(e):
+        col = n + m
+        pivot = next(i for i in range(m, e) if (work[n + i].x >> col) & 1)
+        work[n + m], work[n + pivot] = work[n + pivot], work[n + m]
+        for i in range(e):
+            if i != m and ((work[n + i].x >> col) & 1):
+                work[n + i] = work[n + m].mul(work[n + i])
+    # lab rows: clear environment x-bits
+    for j in range(n):
+        for m in range(e):
+            if (work[j].x >> (n + m)) & 1:
+                work[j] = work[n + m].mul(work[j])
+    if any((work[n + m].z >> (n + m)) & 1 for m in range(e)):
+        raise AssertionError("reduction needs an HN conjugation")
+    assert all(w.x == 1 << i for i, w in enumerate(work))
+    ae = BinMatrix(tuple(w.z for w in work), total)
+    signed = set()
+    for i, w in enumerate(work):
+        delta = (w.phase - ae.get(i, i)) % 4
+        assert delta in (0, 2), "graph-form rows must be +-Hermitian"
+        if delta == 2:
+            signed.add(i)
+    return ae, frozenset(i for i in signed if i < n), frozenset(i for i in signed if i >= n)
+
+
+def assert_symmetrize_matches_row_products(stabilizer, columns):
+    n, e = len(stabilizer), len(columns)
+    try:
+        want = _graph_form_by_row_products(_extended_rows(stabilizer, columns), n, e)
+    except ExtensionError:
+        with pytest.raises(ExtensionError, match="rows do not pairwise commute"):
+            symmetrize(stabilizer, columns)
+        return
+    p = symmetrize(stabilizer, columns)
+    assert (p.ae, p.lab_offsets, p.env_offsets) == want
+    assert p.ext_assign == tuple(tuple(col) for col in columns)
+
+
+def assert_parents_match_row_products(g):
+    """Every production call: each subgroup's columns and, for e = 1, each
+    ``extend_e1`` column."""
+    stabilizer = stabilizer_matrix(g)
+    parents = [
+        extend_for_subgroup(g, sub, stabilizer)
+        for sub in enumerate_max_isotropic(reduce_gamma(g.gamma()))
+    ]
+    if mixed_rank(g)[0] == 1:
+        parents += extend_e1(g)
+    for p in parents:
+        assert_symmetrize_matches_row_products(stabilizer, p.ext_assign)
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.graph")), ids=lambda p: p.stem)
+def test_symmetrize_matches_row_products_on_fixtures(path):
+    assert_parents_match_row_products(parse_graph(path.read_text()))
+
+
+def test_symmetrize_matches_row_products_random(rng):
+    for _ in range(40):
+        g = random_mixed_graph(rng, rng.randrange(2, 8))
+        assert_parents_match_row_products(g)
+        # arbitrary columns: mostly non-commuting rows, which both reject
+        for e in (1, 2):
+            columns = [[rng.choice("IXZY") for _ in range(g.n)] for _ in range(e)]
+            assert_symmetrize_matches_row_products(stabilizer_matrix(g), columns)
+
+
 def test_symmetrize_sec2_appended_matrix():
     # the worked A' = (A | (Z X I)^T ; Z I I X) reduces to the displayed form
-    rows = [
-        PauliWord.from_letters("XZIZ"),
-        PauliWord.from_letters("IXZX"),
-        PauliWord.from_letters("IZXI"),
-        PauliWord.from_letters("ZIIX"),
-    ]
-    p = symmetrize(rows, 3, 1)
+    p = symmetrize(stabilizer_matrix(parse_graph(PATH_MIXED)), [("Z", "X", "I")])
     assert graph_form_letters(p) == SEC2_AE_ROWS
     assert p.lab_offsets == frozenset() and p.env_offsets == frozenset()
 
 
 def test_symmetrize_alt_extension():
-    rows = [
-        PauliWord.from_letters("XZIX"),
-        PauliWord.from_letters("IXZZ"),
-        PauliWord.from_letters("IZXI"),
-        PauliWord.from_letters("IZIX"),
-    ]
-    p = symmetrize(rows, 3, 1)
+    p = symmetrize(stabilizer_matrix(parse_graph(PATH_MIXED)), [("X", "Z", "I")])
     assert graph_form_letters(p) == SEC2_AE_ROWS_ALT
 
 
 def test_symmetrize_identity_on_graph_form():
     g = parse_graph("nodes 3\nedge 0 -- 1\nedge 1 -- 2\n")
     rows = stabilizer_matrix(g)
-    p = symmetrize(rows, 3, 0)
+    p = symmetrize(rows, ())
     assert [r.letters() for r in p.rows()] == ["XZI", "ZXZ", "IZX"]
     assert p.lab_offsets == frozenset()
 
 
 def test_symmetrize_rejects_noncommuting():
     g = parse_graph(TRIANGLE)
-    with pytest.raises(ExtensionError):
-        symmetrize(stabilizer_matrix(g), 3, 0)
-
-
-def test_symmetrize_handles_z_type_environment_row():
-    # env row Z on the environment qubit forces an H conjugation
-    rows = [
-        PauliWord.from_letters("XZ"),
-        PauliWord.from_letters("IZ", phase=0),
-    ]
-    # row 0 = X x Z, row 1 = I x Z: commuting, independent, lab row ok
-    p = symmetrize(rows, 1, 1)
-    assert verify_full_commutation(p.rows())
-    assert p.ae.is_symmetric()
-    assert ("environment", p.conjugations) and p.conjugations  # H applied
+    with pytest.raises(ExtensionError, match="rows do not pairwise commute"):
+        symmetrize(stabilizer_matrix(g), ())
 
 
 def test_symmetrize_preserves_group(rng):
-    # without conjugations, output rows span the same symplectic subspace
-    # as the input extension rows (same stabilizer group up to signs)
-    from mgstate.f2 import rref
-
+    # output rows span the same symplectic subspace as the input extension
+    # rows (same stabilizer group up to signs)
     made = 0
     while made < 20:
         g = random_mixed_graph(rng, rng.randrange(2, 6))
@@ -221,8 +301,6 @@ def test_symmetrize_preserves_group(rng):
             continue
         made += 1
         for p in extend_e1(g):
-            if p.conjugations:
-                continue
             total = p.total
             base = _extended_rows(stabilizer_matrix(g), [list(p.ext_assign[0])])
 
@@ -248,7 +326,7 @@ def test_indicator_triangle():
 
 def test_indicator_e0_full_group():
     g = parse_graph("nodes 3\nedge 0 -- 1\n")
-    p = symmetrize(stabilizer_matrix(g), 3, 0)
+    p = symmetrize(stabilizer_matrix(g), ())
     l_sets, gmat, h = indicator(p)
     assert l_sets == [] and h.nrows == 0
     assert sorted(j_members(p)) == list(range(8))

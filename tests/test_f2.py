@@ -122,6 +122,20 @@ def test_bits_helpers():
     assert mask_of([0, 1, 3]) == 0b1011
 
 
+@pytest.mark.parametrize("width", [0, 1, 64, 256])
+def test_bits_of_and_transpose_match_per_bit_reference(rng, width):
+    for nrows, density in ((0, 0.5), (9, 0.02), (9, 0.5), (width, 0.02)):
+        rows = tuple(
+            mask_of(j for j in range(width) if rng.random() < density) for _ in range(nrows)
+        )
+        for r in rows:
+            assert bits_of(r) == [j for j in range(width) if (r >> j) & 1]
+        cols = tuple(
+            mask_of(i for i in range(nrows) if (rows[i] >> j) & 1) for j in range(width)
+        )
+        assert BinMatrix(rows, width).transpose() == BinMatrix(cols, nrows)
+
+
 def test_binmatrix_validation():
     with pytest.raises(ValueError):
         BinMatrix((4,), 2)

@@ -7,7 +7,6 @@ import pytest
 
 from conftest import gm_to_complex, kron_letters, random_word, word_to_complex
 from mgstate.pauli import (
-    CONJUGATION_TABLE,
     BoundExceeded,
     DimensionError,
     GaussianMatrix,
@@ -194,66 +193,6 @@ def test_ordered_product_group_law(rng):
             assert delta in (0, 2)
             assert (product.x, product.z) == (combined.x, combined.z)
             assert delta == 2 * _reorder_sign(rows, left, right)
-
-
-def test_conjugation_table_closure():
-    # all 18 table entries against exact unitary conjugation
-    sqrt2_h = np.array([[1, 1], [1, -1]], dtype=complex)
-    sqrt2_n = np.array([[1, 1j], [1, -1j]], dtype=complex)
-    mats = {
-        "I": (np.eye(2, dtype=complex), 1),
-        "H": (sqrt2_h, 2),
-        "N": (sqrt2_n, 2),
-        "N2": (sqrt2_n @ sqrt2_n, 4),
-        "NH": (sqrt2_n @ sqrt2_h, 4),
-        "HN": (sqrt2_h @ sqrt2_n, 4),
-    }
-    for tag, (u, norm) in mats.items():
-        for letter in "XZY":
-            w = PauliWord.from_letters(letter)
-            got = w.conjugate_single(0, tag)
-            expect = u @ kron_letters(letter) @ u.conj().T / norm
-            assert np.allclose(word_to_complex(got), expect)
-            sign, new_letter = CONJUGATION_TABLE[tag][letter]
-            assert np.array_equal(
-                word_to_complex(got), sign * kron_letters(new_letter)
-            )
-
-
-def test_conjugation_examples():
-    z = PauliWord.from_letters("Z")
-    assert str(z.conjugate_single(0, "H")) == "+X"
-    y = PauliWord.from_letters("Y")
-    assert str(y.conjugate_single(0, "N")) == "-Z"
-    x = PauliWord.from_letters("X")
-    assert str(x.conjugate_single(0, "I")) == "+X"
-    with pytest.raises(ValueError):
-        x.conjugate_single(0, "Q")
-
-
-def test_conjugation_multi_qubit_leaves_other_qubits(rng):
-    for _ in range(200):
-        w = random_word(rng, 3)
-        j = rng.randrange(3)
-        tag = rng.choice(["H", "N", "N2", "NH", "HN"])
-        got = w.conjugate_single(j, tag)
-        u = {
-            "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
-            "N": np.array([[1, 1j], [1, -1j]], dtype=complex) / np.sqrt(2),
-        }
-        full = {
-            "H": u["H"],
-            "N": u["N"],
-            "N2": u["N"] @ u["N"],
-            "NH": u["N"] @ u["H"],
-            "HN": u["H"] @ u["N"],
-        }[tag]
-        op = np.array([[1]], dtype=complex)
-        for q in range(3):
-            op = np.kron(op, full if q == j else np.eye(2))
-        assert np.allclose(
-            word_to_complex(got), op @ word_to_complex(w) @ op.conj().T
-        )
 
 
 def test_is_hermitian_examples():

@@ -4,6 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,13 +18,14 @@ from mgstate.extension import (
     j_members,
     symmetrize,
 )
-from mgstate.f2 import BinMatrix, bits_of, span
-from mgstate.graphs import dual_stabilizer, mixed_rank, parse_graph, stabilizer_matrix
+from mgstate.f2 import BinMatrix, bits_of, parity, span
+from mgstate.graphs import MixedGraph, dual_stabilizer, mixed_rank, parse_graph, stabilizer_matrix
 from mgstate.pauli import BoundExceeded, DimensionError, GaussianMatrix, PauliWord, ordered_product
 from mgstate.states import (
     DensityMatrix,
     PhaseFunction,
     RationalMatrix,
+    _z_pattern_equivalent,
     child_from_partial_trace,
     child_from_pauli_sum,
     children_family_e1,
@@ -284,7 +286,7 @@ def test_child_subgroup_is_maximal(rng):
 
 def test_e0_child_is_pure_projector():
     g = parse_graph("nodes 3\nedge 0 -- 1\nedge 1 -- 2\n")
-    p = symmetrize(stabilizer_matrix(g), 3, 0)
+    p = symmetrize(stabilizer_matrix(g), ())
     child = child_from_pauli_sum(p, dual_stabilizer(g))
     assert len(child.terms) == 8  # sum over the whole stabilizer group
     psi = state_from_phase(PhaseFunction.from_parent(p))
@@ -386,6 +388,58 @@ def test_children_family_all_trace_one_and_stabilized():
         assert stabilized_by(c.rho, gens)
 
 
+def _z_pattern_search(a, b, n):
+    """Oracle for ``_z_pattern_equivalent``: the first of all 2^n lab Z
+    patterns that carries a's coefficient signs onto b's."""
+    if set(a.terms) != set(b.terms):
+        return None
+    for pattern in range(1 << n):
+        if all((a.terms[j] + 2 * parity(pattern & j)) % 4 == b.terms[j] for j in a.terms):
+            return pattern
+    return None
+
+
+def assert_z_patterns_match_search(children, n):
+    for a, b in itertools.combinations(children, 2):
+        got = _z_pattern_equivalent(a, b, n)
+        assert (got is None) == (_z_pattern_search(a, b, n) is None)
+        if got is not None:
+            assert all((a.terms[j] + 2 * parity(got & j)) % 4 == b.terms[j] for j in a.terms)
+
+
+def random_e1_graph(rng, n):
+    """Directed edges only between parts 1-3 of a random labelling, all of
+    them, so the skeleton is complete multipartite; undirected edges elsewhere."""
+    part = [rng.randrange(4) for _ in range(n)]  # 0: outside the skeleton
+    edges = []
+    for j, k in itertools.combinations(range(n), 2):
+        if part[j] and part[k] and part[j] != part[k]:
+            edges.append((j, k, "->") if rng.random() < 0.5 else (k, j, "->"))
+        elif rng.random() < 0.5:
+            edges.append((j, k, "--"))
+    return MixedGraph.build(n, edges, [j for j in range(n) if rng.random() < 0.25])
+
+
+def test_z_pattern_solve_matches_search(rng):
+    fixtures = [parse_graph(p.read_text()) for p in sorted(FIXTURES.glob("*.graph"))]
+    graphs = [g for g in fixtures if mixed_rank(g)[0] == 1]
+    while len(graphs) < 32:
+        g = random_e1_graph(rng, rng.randrange(3, 9))
+        if mixed_rank(g)[0] == 1:
+            graphs.append(g)
+    for g in graphs:
+        duals = dual_stabilizer(g)
+        assert_z_patterns_match_search([child_from_pauli_sum(p, duals) for p in extend_e1(g)], g.n)
+    # an odd difference (b_1 - a_1 = 3) and a J where a sign flip is forced
+    # on 0b11 but not on either of its factors
+    odd = [SimpleNamespace(terms={0: 0, 1: 0}), SimpleNamespace(terms={0: 0, 1: 3})]
+    forced = [SimpleNamespace(terms={0: 0, 1: 0, 2: 0, 3: 0}),
+              SimpleNamespace(terms={0: 0, 1: 0, 2: 0, 3: 2})]
+    assert_z_patterns_match_search(odd, 1)
+    assert_z_patterns_match_search(forced, 2)
+    assert _z_pattern_equivalent(*odd, 1) is None and _z_pattern_equivalent(*forced, 2) is None
+
+
 def test_sign_table_row_for_row():
     # 16 parent phase functions -> 4 distinct children, as displayed
     duals = triangle_duals()
@@ -432,12 +486,11 @@ def test_linear_term_rule_via_z_conjugation(rng):
 def test_clique6_displayed_parent_graph_form():
     # the displayed intermediate extension of the clique symmetrizes to the
     # displayed graph form, binary offsets {1, 3, 4, 5} included
-    from mgstate.extension import _extended_rows, indicator, symmetrize
+    from mgstate.extension import indicator, symmetrize
     from paper_data import CLIQUE6_SEC5_INTERMEDIATE_COLUMNS
 
     g = parse_graph(CLIQUE6)
-    rows = _extended_rows(stabilizer_matrix(g), [list(c) for c in CLIQUE6_SEC5_INTERMEDIATE_COLUMNS])
-    p = symmetrize(rows, 6, 3)
+    p = symmetrize(stabilizer_matrix(g), CLIQUE6_SEC5_INTERMEDIATE_COLUMNS)
     assert [r.letters() for r in p.rows()] == CLIQUE6_PARENT_AE_ROWS
     assert sorted(p.lab_offsets) == CLIQUE6_PARENT_BINARY
     assert p.env_offsets == frozenset()
@@ -581,7 +634,7 @@ def test_purity_examples():
         assert not mixed.is_pure()  # the old check passes it for any e >= 1 ...
         assert mixed.purity() == Fraction(1, 1 << n)  # ... purity tells it apart
     g = parse_graph("nodes 3\nedge 0 -- 1\nedge 1 -- 2\n")
-    p = symmetrize(stabilizer_matrix(g), 3, 0)
+    p = symmetrize(stabilizer_matrix(g), ())
     assert child_from_pauli_sum(p, dual_stabilizer(g)).rho.purity() == 1
 
 
