@@ -51,17 +51,12 @@ from .extension import (
 from .states import (
     ChildResult,
     DensityMatrix,
-    ExactStateVector,
-    PhaseFunction,
     child_from_partial_trace,
     child_from_pauli_sum,
     children_family_e1,
     convex_combine,
-    partial_trace_env,
     sign_coefficients,
     stabilized_by,
-    stabilizes,
-    state_from_phase,
 )
 from .signfree import commuting_subsets_oracle, e_direct, e_recursive
 

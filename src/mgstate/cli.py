@@ -52,7 +52,6 @@ from .signfree import (
 )
 from .states import (
     ChildResult,
-    PhaseFunction,
     child_from_partial_trace,
     child_from_pauli_sum,
     children_family_e1,
@@ -332,17 +331,25 @@ def cmd_subgroups(args) -> int:
 # ---------------------------------------------------------------- children
 
 
+def _phase_text(p: ParentExtension) -> str:
+    """p(x) = x A x^T + 2 o.x as text: 2*(edges) + 2*(offsets) + red nodes."""
+    edges = [f"x{j}*x{k}" for j in range(p.total) for k in bits_of(p.ae.rows[j]) if k > j]
+    terms = [f"2*({' + '.join(edges)})"] if edges else []
+    terms += [f"2*x{j}" for j in sorted(p.lab_offsets | p.env_offsets)]
+    terms += [f"x{j}" for j in range(p.total) if p.ae.get(j, j)]
+    return " + ".join(terms) or "0"
+
+
 def _parent_payload(rows: Sequence[PauliWord], child: ChildResult) -> Dict:
     _check_child(child, rows)
     p = child.parent
     l_sets, gmat, h = indicator(p)
-    phase = PhaseFunction.from_parent(p)
     return {
         "parent_rows": [r.letters() for r in p.rows()],
         "ext_columns": [list(c) for c in p.ext_assign] if p.ext_assign else None,
         "lab_offsets": sorted(p.lab_offsets),
         "env_offsets": sorted(p.env_offsets),
-        "phase_function": phase.describe(),
+        "phase_function": _phase_text(p),
         "l_sets": [list(L) for L in l_sets],
         "parity_h": h.row_strings(),
         "generators_g": gmat.row_strings(),
@@ -617,6 +624,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("path", help="graph file (or fixture JSON for verify)")
         p.add_argument("--json", action="store_true", help="emit a JSON report")
+
+    def add_bound(p):  # only the commands that enumerate subgroups read it
         p.add_argument(
             "--bound",
             type=int,
@@ -630,10 +639,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("subgroups", help="maximal commutative subgroups of the dual")
     add_common(p)
+    add_bound(p)
     p.set_defaults(func=cmd_subgroups)
 
     p = sub.add_parser("children", help="parent extensions and child density matrices")
     add_common(p)
+    add_bound(p)
     p.add_argument("--subgroup", type=int, default=None, help="subgroup index")
     p.add_argument("--all", action="store_true", help="one child per subgroup")
     p.set_defaults(func=cmd_children)
@@ -644,6 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the invariant suite on a graph or fixture")
     add_common(p)
+    add_bound(p)
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -7,9 +7,12 @@ driven assignment for general e), then write the graph form of the
 extended rows down (``symmetrize``).  Environment row m is X_{n+m} Z^{L_m}
 with L_m the Z/Y support of column m; multiplying it into every lab row
 with X/Y in column m clears the environment X block, so no qubit is ever
-conjugated and the child is untouched.  That is the F2 quadratic form of
-the parent state (Dehaene & De Moor, quant-ph/0304125), read off the
-columns.
+conjugated and the child is untouched.
+
+The graph form is the parent state itself: with A the symmetric adjacency
+``ae`` (diagonal bit 1 = red) and o the offset rows, the parent is
+2^{-(n+e)/2} i^{p(x)} with p(x) = x A x^T + 2 o.x mod 4, an F2 quadratic
+form (Dehaene & De Moor, quant-ph/0304125) read off the columns.
 
 For general e the tags solve the paper's extension condition
 X H + (X H)^T = Gamma, with H the parity-check matrix of the subgroup J.
@@ -26,7 +29,7 @@ import itertools
 from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
-from .f2 import BinMatrix, bits_of, kernel, mask_of, rank, span
+from .f2 import BinMatrix, bits_of, kernel, mask_of, popcount, rank, span
 from .graphs import MixedGraph, complete_multipartite_parts, mixed_rank, stabilizer_matrix
 from .pauli import _LETTER_XZ, _XZ_LETTER, PauliWord
 from .subgroups import IsotropicSubspace
@@ -48,8 +51,8 @@ class ParentExtension:
 
     ``ae`` holds the symmetric adjacency of the parent graph including the
     diagonal colour bits (1 = red/Y).  ``lab_offsets`` are lab rows whose
-    actual stabilizer carries a -1 sign, i.e. binary linear terms of the
-    parent phase function; ``env_offsets`` are the same for environment rows
+    actual stabilizer carries a -1 sign, i.e. the o of the 2 o.x term of
+    ``phase``; ``env_offsets`` are the same for environment rows
     (these never change the child).  ``symmetrize`` leaves ``env_offsets``
     empty, so only a hand-built parent sets it.  ``ext_assign`` records the
     extension column tags the graph form was written from, one tuple of
@@ -74,19 +77,11 @@ class ParentExtension:
     def total(self) -> int:
         return self.n + self.e
 
-    def red_nodes(self) -> Tuple[int, ...]:
-        return tuple(j for j in range(self.total) if self.ae.get(j, j))
-
-    def quadratic_pairs(self) -> Tuple[Tuple[int, int], ...]:
-        out = []
-        for j in range(self.total):
-            for k in range(j + 1, self.total):
-                if self.ae.get(j, k):
-                    out.append((j, k))
-        return tuple(out)
-
-    def binary_offsets(self) -> Tuple[int, ...]:
-        return tuple(sorted(self.lab_offsets | self.env_offsets))
+    def phase(self, x: int) -> int:
+        """p(x) = x A x^T + 2 o.x mod 4 for a bitset x over all n + e qubits:
+        each red node in x counts once, each edge inside x twice."""
+        quad = sum(popcount(self.ae.rows[k] & x) for k in bits_of(x))
+        return (quad + 2 * popcount(mask_of(self.lab_offsets | self.env_offsets) & x)) % 4
 
     def row(self, j: int) -> PauliWord:
         sign = 2 if (j in self.lab_offsets or j in self.env_offsets) else 0
@@ -95,22 +90,10 @@ class ParentExtension:
     def rows(self) -> List[PauliWord]:
         return [self.row(j) for j in range(self.total)]
 
-    def env_indices(self) -> Tuple[int, ...]:
-        return tuple(range(self.n, self.total))
-
-    def l_set(self, m: int) -> Tuple[int, ...]:
-        col = self.n + m
-        return tuple(j for j in range(self.n) if self.ae.get(j, col))
-
-    def with_extra_lab_offsets(self, extra: Sequence[int]) -> "ParentExtension":
-        return ParentExtension(
-            self.n,
-            self.e,
-            self.ae,
-            frozenset(set(self.lab_offsets) ^ set(extra)),
-            self.env_offsets,
-            self.ext_assign,
-        )
+    def parity_matrix(self) -> BinMatrix:
+        """H: the environment rows of ``ae`` on the lab bits, row m = L_m."""
+        lab = (1 << self.n) - 1
+        return BinMatrix(tuple(r & lab for r in self.ae.rows[self.n:]), self.n)
 
 
 def indicator(p: ParentExtension) -> Tuple[List[Tuple[int, ...]], BinMatrix, BinMatrix]:
@@ -119,12 +102,10 @@ def indicator(p: ParentExtension) -> Tuple[List[Tuple[int, ...]], BinMatrix, Bin
     H row m is the characteristic vector of L_m; J = ker(H) has exactly
     2^{n-e} members for a minimal extension.
     """
-    l_sets = [p.l_set(m) for m in range(p.e)]
-    h = BinMatrix(tuple(mask_of(L) for L in l_sets), p.n)
+    h = p.parity_matrix()
     if rank(h) != p.e:
         raise ExtensionError("parity matrix is rank deficient; extension not minimal")
-    g = kernel(h)
-    return l_sets, g, h
+    return [tuple(bits_of(r)) for r in h.rows], kernel(h), h
 
 
 def j_members(p: ParentExtension) -> List[int]:
@@ -359,7 +340,9 @@ def extend_for_subgroup(
         [_XZ_LETTER[(xcols[m][j], h.get(m, j))] for j in range(g.n)] for m in range(e)
     ]
     parent = symmetrize(stabilizer, assignment)
-    # both are RREF bases over F2^n, so they are equal iff their spans are
-    if indicator(parent)[1].rows != m_sub.lifted_basis:
+    # ker H_p has dimension n - e iff rank H_p = e, and the requested
+    # subgroup's n - e basis rows are independent: containment is equality
+    h_p = parent.parity_matrix()
+    if rank(h_p) != e or any(h_p.mul_vec(v) for v in m_sub.lifted_basis):
         raise ExtensionError("indicator subgroup does not match the requested subgroup")
     return parent

@@ -113,10 +113,6 @@ class PauliWord:
     def is_hermitian(self) -> bool:
         return (self.phase & 1) == parity(self.x & self.z)
 
-    def support_column(self) -> int:
-        """Column index of the unique nonzero entry in row 0 of the dense form."""
-        return _bits_to_index(self.x, self.n)
-
     def entry(self, row: int, col: int) -> Tuple[int, int]:
         """Exact dense entry as (re, im), without building the matrix."""
         xi = _bits_to_index(self.x, self.n)

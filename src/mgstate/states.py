@@ -1,12 +1,14 @@
-"""Exact states and child density matrices.
+"""Exact child density matrices of parent graph states.
 
-State vectors come from generalized Boolean phase functions p: F2^n -> Z4 as
-``2^{-n/2} i^p``; children of parents arise twice over, by exact partial
-trace and by the dual-group Pauli sum with sign coefficients, and the two
-constructions must agree entry for entry.
+A parent on n + e qubits is the graph state 2^{-(n+e)/2} i^{p(x)} with
+p(x) = x A x^T + 2 o.x mod 4, A its symmetric adjacency (diagonal bit 1 =
+red) and o its offset rows (``ParentExtension.phase``).  Its child arises
+twice over, by exact partial trace of the e environment qubits and by the
+dual-group Pauli sum with sign coefficients, and the two constructions must
+agree entry for entry.
 
 All arithmetic is exact: amplitudes are fourth roots of unity over a global
-``2^{-s/2}`` factor, matrices are Gaussian integers over a power-of-two
+``2^{-(n+e)/2}`` factor, matrices are Gaussian integers over a power-of-two
 denominator.
 """
 
@@ -15,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,110 +28,11 @@ from .pauli import (
     DimensionError,
     GaussianMatrix,
     PauliWord,
-    _bits_to_index,
     dense_bound,
     dense_conjugation,
     ordered_product,
     pauli_sum,
 )
-
-STATE_BOUND = 12
-
-
-@dataclass(frozen=True)
-class PhaseFunction:
-    """p(x) = sum 2 x_j x_k (quadratic) + sum x_j (Z4) + sum 2 x_j (binary)."""
-
-    n_total: int
-    quadratic: FrozenSet[Tuple[int, int]] = frozenset()
-    z4_linear: FrozenSet[int] = frozenset()
-    binary_linear: FrozenSet[int] = frozenset()
-
-    def __post_init__(self) -> None:
-        for j, k in self.quadratic:
-            if j >= k:
-                raise ValueError("quadratic pairs must be stored as (min, max)")
-            if not (0 <= j < self.n_total and 0 <= k < self.n_total):
-                raise ValueError("quadratic pair out of range")
-
-    @classmethod
-    def from_parent(cls, p: ParentExtension) -> "PhaseFunction":
-        return cls(
-            p.total,
-            frozenset(p.quadratic_pairs()),
-            frozenset(p.red_nodes()),
-            frozenset(p.binary_offsets()),
-        )
-
-    def evaluate(self, x_mask: int) -> int:
-        v = 0
-        for j, k in self.quadratic:
-            v += 2 * ((x_mask >> j) & (x_mask >> k) & 1)
-        for j in self.z4_linear:
-            v += (x_mask >> j) & 1
-        for j in self.binary_linear:
-            v += 2 * ((x_mask >> j) & 1)
-        return v % 4
-
-    def describe(self) -> str:
-        terms = []
-        quad = sorted(self.quadratic)
-        if quad:
-            terms.append("2*(" + " + ".join(f"x{j}*x{k}" for j, k in quad) + ")")
-        for j in sorted(self.binary_linear):
-            terms.append(f"2*x{j}")
-        for j in sorted(self.z4_linear):
-            terms.append(f"x{j}")
-        return " + ".join(terms) if terms else "0"
-
-
-@dataclass(frozen=True)
-class ExactStateVector:
-    """Amplitudes ``i^{phases[idx]} * 2^{-norm_log2sqrt/2}``."""
-
-    n_total: int
-    phases: Tuple[int, ...]
-    norm_log2sqrt: int
-
-    def amplitude_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        ph = np.array(self.phases, dtype=np.int64) % 4
-        re = np.where(ph == 0, 1, np.where(ph == 2, -1, 0))
-        im = np.where(ph == 1, 1, np.where(ph == 3, -1, 0))
-        return re.astype(np.int64), im.astype(np.int64)
-
-
-def state_from_phase(p: PhaseFunction, bound: Optional[int] = None) -> ExactStateVector:
-    """Graph state 2^{-n/2} i^p; index bit of qubit 0 is the most significant."""
-    n = p.n_total
-    if n > (bound if bound is not None else min(STATE_BOUND, dense_bound())):
-        raise BoundExceeded(f"state on {n} qubits exceeds the configured bound")
-    dim = 1 << n
-    idx = np.arange(dim, dtype=np.int64)
-    bit = [(idx >> (n - 1 - j)) & 1 for j in range(n)]
-    ph = np.zeros(dim, dtype=np.int64)
-    for j, k in p.quadratic:
-        ph += 2 * bit[j] * bit[k]
-    for j in p.z4_linear:
-        ph += bit[j]
-    for j in p.binary_linear:
-        ph += 2 * bit[j]
-    return ExactStateVector(n, tuple((ph % 4).tolist()), n)
-
-
-def stabilizes(w: PauliWord, psi: ExactStateVector) -> bool:
-    """Exact check of w |psi> = |psi>."""
-    if w.n != psi.n_total:
-        raise DimensionError("word size does not match state")
-    n = w.n
-    dim = 1 << n
-    xi = _bits_to_index(w.x, n)
-    zi = _bits_to_index(w.z, n)
-    for d in range(dim):
-        src = d ^ xi
-        ph = (w.phase + 2 * parity(zi & src) + psi.phases[src]) % 4
-        if ph != psi.phases[d]:
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -189,24 +92,6 @@ class DensityMatrix:
         return self.mat.normalized().to_text_grid()
 
 
-def partial_trace_env(psi: ExactStateVector, env: Sequence[int]) -> DensityMatrix:
-    """Trace the environment qubits out of |psi><psi|, exactly."""
-    n_total = psi.n_total
-    env_sorted = sorted(set(env))
-    if any(not 0 <= j < n_total for j in env_sorted):
-        raise DimensionError("environment index out of range")
-    lab = [j for j in range(n_total) if j not in env_sorted]
-    n = len(lab)
-    re, im = psi.amplitude_arrays()
-    shape = (2,) * n_total
-    order = lab + env_sorted
-    re = re.reshape(shape).transpose(order).reshape(1 << n, 1 << len(env_sorted))
-    im = im.reshape(shape).transpose(order).reshape(1 << n, 1 << len(env_sorted))
-    rho_re = re @ re.T + im @ im.T
-    rho_im = im @ re.T - re @ im.T
-    return DensityMatrix(n, GaussianMatrix(rho_re, rho_im, psi.norm_log2sqrt).normalized())
-
-
 @dataclass(frozen=True)
 class ChildResult:
     """Child density matrix with its Pauli-sum decomposition."""
@@ -216,23 +101,20 @@ class ChildResult:
     terms: Dict[int, int]  # J member bitset -> i-exponent of b_j
 
 
-_I_EXPONENT = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}
-
-
 def _pauli_terms(
     p: ParentExtension, duals: Sequence[PauliWord], members: Sequence[int]
 ) -> Dict[int, Tuple[PauliWord, int]]:
     """J member -> (s_j, i-exponent of b_j), one ordered product per member.
 
-    A member of J sets no environment bit, so the parent's phase function at
-    j is its lab restriction p_lab(j).
+    A member of J sets no environment bit, so the parent's phase at j is
+    its lab restriction p_lab(j).  Row 0 of s_j = i^phase X^x Z^z has its
+    one entry at the column indexed by x, i^(phase + 2 parity(x & z)).
     """
-    phase = PhaseFunction.from_parent(p)
     out: Dict[int, Tuple[PauliWord, int]] = {}
     for j in members:
         word = ordered_product(duals, bits_of(j))
-        entry_exp = _I_EXPONENT[word.entry(0, word.support_column())]
-        out[j] = (word, (-phase.evaluate(j) - entry_exp) % 4)
+        entry_exp = word.phase + 2 * parity(word.x & word.z)
+        out[j] = (word, (-p.phase(j) - entry_exp) % 4)
     return out
 
 
@@ -268,9 +150,39 @@ def child_from_pauli_sum(
     return ChildResult(p, rho, {j: k for j, (_, k) in terms.items()})
 
 
+def parent_phases(p: ParentExtension) -> np.ndarray:
+    """p(x) for every basis index of the n + e parent qubits.
+
+    Qubit 0 is the most significant index bit, so the e environment qubits
+    are the least significant ones.  x_j^2 = x_j puts 2 o.x on the diagonal,
+    so with x the (2^{n+e}, n+e) bit table p = rowsum((x (A + 2 diag o)) * x).
+    """
+    total = p.total
+    if total > dense_bound():
+        raise BoundExceeded(f"parent state on {total} qubits exceeds bound {dense_bound()}")
+    x = (np.arange(1 << total)[:, None] >> np.arange(total - 1, -1, -1)) & 1
+    a = np.array(p.ae.to_lists(), dtype=np.int64)
+    offsets = sorted(p.lab_offsets | p.env_offsets)
+    a[offsets, offsets] += 2
+    return ((x @ a) * x).sum(axis=1) % 4
+
+
+_RE = np.array([1, 0, -1, 0], dtype=np.int64)  # real and imaginary parts of i^k
+_IM = np.array([0, 1, 0, -1], dtype=np.int64)
+
+
 def child_from_partial_trace(p: ParentExtension) -> DensityMatrix:
-    psi = state_from_phase(PhaseFunction.from_parent(p))
-    return partial_trace_env(psi, list(p.env_indices()))
+    """Trace the e environment qubits out of the parent |psi><psi|, exactly.
+
+    The environment is the low e index bits, so the amplitudes i^{p(x)}
+    reshape to (2^n, 2^e) and rho = psi psi^dag over the second axis, over
+    the 2^{n+e} of psi's normalisation.
+    """
+    ph = parent_phases(p).reshape(1 << p.n, 1 << p.e)
+    re, im = _RE[ph], _IM[ph]
+    rho_re = re @ re.T + im @ im.T
+    rho_im = im @ re.T - re @ im.T
+    return DensityMatrix(p.n, GaussianMatrix(rho_re, rho_im, p.total).normalized())
 
 
 def stabilized_by(rho: DensityMatrix, gens: Sequence[PauliWord]) -> bool:

@@ -71,18 +71,16 @@ class GammaReduction:
 
 
 def reduce_gamma(gamma: BinMatrix) -> GammaReduction:
-    """Deterministic reduction: keep each row iff it increases the rank."""
+    """Deterministic reduction: keep each row iff it increases the rank.
+
+    Gamma is symmetric, so column j is row j, and the pivot columns of one
+    RREF of Gamma are exactly the rows outside the span of those before.
+    """
     if not gamma.is_symmetric() or not gamma.is_zero_diagonal():
         raise ValueError("gamma must be symmetric with zero diagonal")
     n = gamma.cols
-    kept: List[int] = []
-    current: List[int] = []
-    for j in range(n):
-        trial = current + [gamma.rows[j]]
-        if len(rref(trial, n)[0]) > len(rref(current, n)[0]):
-            kept.append(j)
-            current = trial
-    removed = tuple(j for j in range(n) if j not in kept)
+    kept = rref(gamma.rows, n)[1]
+    removed = tuple(sorted(set(range(n)) - set(kept)))
     gt = gamma.submatrix(kept, kept)
     assert rank(gt) == len(kept)
     ker = kernel(gamma)

@@ -85,6 +85,20 @@ def test_bound_exceeded_exit_3(tmp_path, monkeypatch):
     assert "bound" in err
 
 
+def test_bound_flag_only_on_enumerating_commands(capsys):
+    graph = str(FIXTURES / "triangle.graph")
+    for command in ("analyze", "signfree"):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--bound", "3", graph])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --bound" in capsys.readouterr().err
+    for command in ("subgroups", "children", "verify"):
+        code, _, _ = run_cli(command, "--bound", "3", graph)
+        assert code == 0
+    code, _, err = run_cli("subgroups", "--bound", "1", graph)  # 2e = 2 > 1
+    assert code == 3 and "2e = 2 > 1" in err
+
+
 def test_subgroups_counts(tmp_path):
     code, out, _ = run_cli("subgroups", str(FIXTURES / "fournode.graph"))
     assert code == 0

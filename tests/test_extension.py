@@ -97,8 +97,9 @@ def test_extend_e1_triangle_xzy_graph_form():
     g = parse_graph(TRIANGLE)
     p = extend_e1(g)[0]
     assert p.ext_assign == (("X", "Z", "Y"),)
-    assert set(p.quadratic_pairs()) == {(0, 2), (1, 2), (1, 3), (2, 3)}
-    assert p.red_nodes() == (2,)
+    edges = {(j, k) for j, k in itertools.combinations(range(p.total), 2) if p.ae.get(j, k)}
+    assert edges == {(0, 2), (1, 2), (1, 3), (2, 3)}
+    assert [j for j in range(p.total) if p.ae.get(j, j)] == [2]
     assert sorted(p.lab_offsets) == [2]
     assert sorted(p.env_offsets) == []
 

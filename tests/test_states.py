@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -23,18 +24,15 @@ from mgstate.graphs import MixedGraph, dual_stabilizer, mixed_rank, parse_graph,
 from mgstate.pauli import BoundExceeded, DimensionError, GaussianMatrix, PauliWord, ordered_product
 from mgstate.states import (
     DensityMatrix,
-    PhaseFunction,
     RationalMatrix,
     _z_pattern_equivalent,
     child_from_partial_trace,
     child_from_pauli_sum,
     children_family_e1,
     convex_combine,
-    partial_trace_env,
+    parent_phases,
     sign_coefficients,
     stabilized_by,
-    stabilizes,
-    state_from_phase,
 )
 from mgstate.subgroups import enumerate_max_isotropic, reduce_gamma
 from paper_data import (
@@ -66,15 +64,6 @@ from paper_data import (
 from test_graphs import random_mixed_graph
 
 
-def pf(quad, z4, binary, n):
-    return PhaseFunction(
-        n,
-        frozenset((min(a, b), max(a, b)) for a, b in quad),
-        frozenset(z4),
-        frozenset(binary),
-    )
-
-
 def paper_matrix(num, denom):
     return np.array(num, dtype=complex) / denom
 
@@ -93,35 +82,49 @@ def parent_from_paper(quad, z4, binary, n, e):
     return ParentExtension(n, e, BinMatrix(tuple(rows), total), lab_off, env_off)
 
 
-# ---- state_from_phase ----
+def psi_of(p):
+    """Unnormalised parent amplitudes i^{p(x)} as a complex vector."""
+    return np.array([1, 1j, -1, -1j])[parent_phases(p)]
+
+
+def fixes(w, psi):
+    """w |psi> = |psi>, through the dense word of the test oracle."""
+    return np.array_equal(word_to_complex(w) @ psi, psi)
+
+
+# ---- the parent state i^{p(x)} ----
 
 
 def test_state_sec2_vector_matches_display():
-    p = pf(*SEC2_PARENT, 4)
-    psi = state_from_phase(p)
+    ph = parent_phases(parent_from_paper(*SEC2_PARENT, 3, 1))
     # the displayed 16-vector indexes with x0 as the least significant bit
     got = []
     for disp_idx in range(16):
         msb_idx = int(format(disp_idx, "04b")[::-1], 2)
-        ph = psi.phases[msb_idx]
-        got.append({0: 1, 2: -1}[ph])
+        got.append({0: 1, 2: -1}[int(ph[msb_idx])])
     assert got == SEC2_STATE_LSB
 
 
 def test_state_trivial_plus():
-    psi = state_from_phase(pf([], [], [], 1))
-    assert psi.phases == (0, 0) and psi.norm_log2sqrt == 1
+    p = parent_from_paper([], [], [], 1, 0)
+    assert parent_phases(p).tolist() == [0, 0]
+    # normalised by 2^{-1/2} per amplitude: |+><+|
+    assert np.array_equal(rho_to_complex(child_from_partial_trace(p)), np.full((2, 2), 0.5))
 
 
-def test_state_bound():
+def test_state_bound(monkeypatch):
+    monkeypatch.delenv("MGSTATE_MAX_QUBITS", raising=False)
+    p = parent_from_paper([], [], [], 12, 1)
     with pytest.raises(BoundExceeded):
-        state_from_phase(pf([], [], [], 13))
+        parent_phases(p)
+    with pytest.raises(BoundExceeded):
+        child_from_partial_trace(p)
 
 
 def test_stabilizes_plus_state():
-    psi = state_from_phase(pf([], [], [], 1))
-    assert stabilizes(PauliWord.from_letters("X"), psi)
-    assert not stabilizes(PauliWord.from_letters("Z"), psi)
+    psi = psi_of(parent_from_paper([], [], [], 1, 0))
+    assert fixes(PauliWord.from_letters("X"), psi)
+    assert not fixes(PauliWord.from_letters("Z"), psi)
 
 
 def test_parent_rows_stabilize_parent_state(rng):
@@ -132,37 +135,36 @@ def test_parent_rows_stabilize_parent_state(rng):
             continue
         made += 1
         for p in extend_e1(g):
-            psi = state_from_phase(PhaseFunction.from_parent(p))
+            psi = psi_of(p)
             for row in p.rows():
-                assert stabilizes(row, psi)
+                assert fixes(row, psi)
 
 
 def test_triangle_parent_stabilized_by_ae_rows():
     p = parent_from_paper(*RHO0_PARENT, 3, 1)
-    psi = state_from_phase(PhaseFunction.from_parent(p))
+    psi = psi_of(p)
     for row in p.rows():
-        assert stabilizes(row, psi)
+        assert fixes(row, psi)
 
 
 # ---- partial trace ----
 
 
 def test_rho0_from_partial_trace():
-    p = pf(*RHO0_PARENT, 4)
-    rho = partial_trace_env(state_from_phase(p), [3])
+    rho = child_from_partial_trace(parent_from_paper(*RHO0_PARENT, 3, 1))
     assert np.array_equal(rho_to_complex(rho), paper_matrix(RHO0_NUM, 8))
 
 
 def test_rho1_rho2_from_partial_trace():
     for parent, num in ((RHO1_PARENT, RHO1_NUM), (RHO2_PARENT, RHO2_NUM)):
-        rho = partial_trace_env(state_from_phase(pf(*parent, 4)), [3])
+        rho = child_from_partial_trace(parent_from_paper(*parent, 3, 1))
         assert np.array_equal(rho_to_complex(rho), paper_matrix(num, 8))
 
 
 def test_sec2_traced_display():
     # the displayed matrix is twice the partial trace, indexed with x0 as
     # the least significant bit
-    rho = partial_trace_env(state_from_phase(pf(*SEC2_PARENT, 4)), [3])
+    rho = child_from_partial_trace(parent_from_paper(*SEC2_PARENT, 3, 1))
     mine = rho_to_complex(rho)
     rev = [int(format(a, "03b")[::-1], 2) for a in range(8)]
     reindexed = mine[np.ix_(rev, rev)]
@@ -172,8 +174,7 @@ def test_sec2_traced_display():
 
 def test_partial_trace_product_state_is_pure():
     # lab state (x0 x1 quadratic) tensored with an unentangled environment
-    p = pf([(0, 1)], [], [], 3)
-    rho = partial_trace_env(state_from_phase(p), [2])
+    rho = child_from_partial_trace(parent_from_paper([(0, 1)], [], [], 2, 1))
     assert rho.is_pure()
     assert rho.trace_is_one()
 
@@ -210,7 +211,7 @@ def test_sign_coefficients_binary_flip_rule():
     duals = triangle_duals()
     p = extend_e1(g)[0]
     base = sign_coefficients(p, duals)
-    flipped = sign_coefficients(p.with_extra_lab_offsets([0]), duals)
+    flipped = sign_coefficients(dataclasses.replace(p, lab_offsets=p.lab_offsets ^ {0}), duals)
     for j, v in base.items():
         expect = (v + 2) % 4 if (j & 1) else v  # terms containing row 0
         assert flipped[j] == expect
@@ -289,9 +290,7 @@ def test_e0_child_is_pure_projector():
     p = symmetrize(stabilizer_matrix(g), ())
     child = child_from_pauli_sum(p, dual_stabilizer(g))
     assert len(child.terms) == 8  # sum over the whole stabilizer group
-    psi = state_from_phase(PhaseFunction.from_parent(p))
-    outer = partial_trace_env(psi, [])
-    assert child.rho == outer
+    assert child.rho == child_from_partial_trace(p)
     assert child.rho.is_pure()
 
 
@@ -454,11 +453,10 @@ def test_sign_table_row_for_row():
     for (a, b), parents in SIGN_TABLE.items():
         expect = child_matrix(a, b)
         for quad, z4, binary in parents:
-            psi = state_from_phase(pf(quad, z4, binary, 4))
-            rho = partial_trace_env(psi, [3])
+            p = parent_from_paper(quad, z4, binary, 3, 1)
+            rho = child_from_partial_trace(p)
             assert np.array_equal(rho_to_complex(rho), expect), (a, b, binary)
             # and through the Pauli-sum route
-            p = parent_from_paper(quad, z4, binary, 3, 1)
             child = child_from_pauli_sum(p, duals)
             assert child.rho == rho
 
@@ -475,7 +473,8 @@ def test_linear_term_rule_via_z_conjugation(rng):
         for p in extend_e1(g)[:2]:
             base = child_from_pauli_sum(p, duals).rho
             for k in range(g.n):
-                flipped = child_from_pauli_sum(p.with_extra_lab_offsets([k]), duals).rho
+                flipped = dataclasses.replace(p, lab_offsets=p.lab_offsets ^ {k})
+                flipped = child_from_pauli_sum(flipped, duals).rho
                 zk = PauliWord(g.n, 0, 1 << k, 0)
                 assert flipped == base.conjugated_by(zk)
 
@@ -597,14 +596,19 @@ def test_maximally_mixed_stabilized_by_anything():
 FIXTURES = Path(__file__).parent.parent / "src" / "mgstate" / "fixtures"
 
 
-def _every_child(g):
-    duals = dual_stabilizer(g)
+def _every_parent(g):
     rows = stabilizer_matrix(g)
     e, _ = mixed_rank(g)
     subs = enumerate_max_isotropic(reduce_gamma(g.gamma()))
     parents = [extend_for_subgroup(g, s, rows) for s in subs]
     if e == 1:
         parents += extend_e1(g)
+    return e, parents
+
+
+def _every_child(g):
+    duals = dual_stabilizer(g)
+    e, parents = _every_parent(g)
     return e, [child_from_pauli_sum(p, duals) for p in parents]
 
 
@@ -710,3 +714,86 @@ def test_child_from_pauli_sum_rejects_anticommuting_generators():
     with pytest.raises(AssertionError, match="J members must commute pairwise"):
         child_from_pauli_sum(p, other)
     child_from_pauli_sum(p, dual_stabilizer(parse_graph(TRIANGLE)))
+
+
+# ---- the partial-trace route against term-by-term and einsum oracles ----
+
+
+def phase_oracle(p):
+    """p(x) summed term by term: 2 per edge inside x, 1 per red node in x
+    and 2 per offset row in x, for x a bitset over all n + e qubits."""
+    pairs = [(j, k) for j, k in itertools.combinations(range(p.total), 2) if p.ae.get(j, k)]
+    red = [j for j in range(p.total) if p.ae.get(j, j)]
+    offsets = sorted(p.lab_offsets | p.env_offsets)
+
+    def evaluate(x):
+        v = sum(2 * ((x >> j) & (x >> k) & 1) for j, k in pairs)
+        v += sum((x >> j) & 1 for j in red)
+        v += sum(2 * ((x >> j) & 1) for j in offsets)
+        return v % 4
+
+    return evaluate
+
+
+def traced_oracle(p):
+    """The child as a numpy complex |psi><psi| traced over the environment
+    axes by einsum, with psi built from ``phase_oracle``."""
+    n, total = p.n, p.total
+    evaluate = phase_oracle(p)
+    units = [1, 1j, -1, -1j]
+    # index bit total - 1 - j is qubit j
+    psi = np.array([
+        units[evaluate(sum(((idx >> (total - 1 - j)) & 1) << j for j in range(total)))]
+        for idx in range(1 << total)
+    ]).reshape((2,) * total)
+    lab, lab2, env = list(range(n)), list(range(total, total + n)), list(range(n, total))
+    rho = np.einsum(psi, lab + env, psi.conj(), lab2 + env, lab + lab2)
+    return rho.reshape(1 << n, 1 << n) / (1 << total)
+
+
+def hand_built_parents(rng, count):
+    """Random symmetric parents with what ``symmetrize`` never writes: red
+    environment nodes, environment-environment edges and environment
+    offsets."""
+    out = []
+    for _ in range(count):
+        n, e = rng.randrange(1, 5), rng.randrange(0, 4)
+        total = n + e
+        rows = [0] * total
+        for j in range(total):
+            for k in range(j, total):
+                if rng.random() < 0.5:
+                    rows[j] |= 1 << k
+                    rows[k] |= 1 << j
+        offsets = [j for j in range(total) if rng.random() < 0.4]
+        out.append(ParentExtension(
+            n, e, BinMatrix(tuple(rows), total),
+            frozenset(j for j in offsets if j < n), frozenset(j for j in offsets if j >= n),
+        ))
+    return out
+
+
+def _oracle_parents():
+    parents = []
+    for path in sorted(FIXTURES.glob("*.graph")):
+        parents += _every_parent(parse_graph(path.read_text()))[1]
+    hand = hand_built_parents(random.Random(9310), 60)
+    env = [(p.ae.rows[j] >> p.n, 1 << (j - p.n)) for p in hand for j in range(p.n, p.total)]
+    assert any(p.env_offsets for p in hand)
+    assert any(row & own for row, own in env)  # a red environment node
+    assert any(row & ~own for row, own in env)  # an environment-environment edge
+    return parents + hand
+
+
+def test_phase_matches_term_by_term_oracle():
+    for p in _oracle_parents():
+        evaluate = phase_oracle(p)
+        table = parent_phases(p).tolist()
+        for idx in range(1 << p.total):
+            x = sum(((idx >> (p.total - 1 - j)) & 1) << j for j in range(p.total))
+            assert p.phase(x) == table[idx] == evaluate(x), (p, x)
+
+
+def test_partial_trace_matches_einsum_oracle():
+    for p in _oracle_parents():
+        assert np.array_equal(rho_to_complex(child_from_partial_trace(p)), traced_oracle(p)), p

@@ -6,10 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mgstate.f2 import BinMatrix, bits_of, parity, rank, rref, span
+from mgstate.f2 import BinMatrix, bits_of, kernel, parity, rank, rref, span
 from mgstate.graphs import dual_stabilizer, mixed_rank, parse_graph
 from mgstate.pauli import ordered_product
 from mgstate.subgroups import (
+    GammaReduction,
     IsotropicSubspace,
     apply_row_map,
     chi,
@@ -72,6 +73,31 @@ def enumerate_level_by_level(red):
     return out
 
 
+def reduce_gamma_incremental(gamma):
+    """Reference reduction: keep each row iff it increases the rank of the
+    rows kept so far, at two RREFs per row."""
+    n = gamma.cols
+    kept, current = [], []
+    for j in range(n):
+        trial = current + [gamma.rows[j]]
+        if len(rref(trial, n)[0]) > len(rref(current, n)[0]):
+            kept.append(j)
+            current = trial
+    removed = tuple(j for j in range(n) if j not in kept)
+    gt = gamma.submatrix(kept, kept)
+    return GammaReduction(gamma, gt, tuple(kept), removed, tuple(kernel(gamma).rows))
+
+
+def random_alternating(rng, n, density):
+    """A random symmetric zero-diagonal matrix over F2."""
+    rows = [0] * n
+    for j, k in itertools.combinations(range(n), 2):
+        if rng.random() < density:
+            rows[j] |= 1 << k
+            rows[k] |= 1 << j
+    return BinMatrix(tuple(rows), n)
+
+
 def bitstr_to_mask(s: str) -> int:
     # strings are written with index 0 leftmost
     return sum(1 << j for j, c in enumerate(s) if c == "1")
@@ -114,6 +140,16 @@ def test_reduce_gamma_properties(rng):
         for v in red.kernel_basis:
             assert g.gamma().mul_vec(v) == 0
         assert len(red.kernel_basis) == red.t
+
+
+def test_reduce_gamma_matches_incremental_oracle(rng):
+    gammas = [parse_graph(p.read_text()).gamma() for p in sorted(FIXTURES.glob("*.graph"))]
+    gammas += [random_alternating(rng, rng.randrange(1, 40), rng.choice((0.05, 0.2, 0.5)))
+               for _ in range(80)]
+    gammas.append(random_alternating(rng, 96, 0.02))
+    assert any(rank(g) < g.cols for g in gammas) and any(rank(g) == g.cols for g in gammas)
+    for gamma in gammas:
+        assert reduce_gamma(gamma) == reduce_gamma_incremental(gamma)
 
 
 def test_enumerate_triangle_lifted_generators():
