@@ -29,7 +29,7 @@ from .extension import (
     indicator,
     meets_extension_condition,
 )
-from .f2 import bits_of, rank
+from .f2 import bits_of, bitstring
 from .graphs import (
     GraphParseError,
     MixedGraph,
@@ -38,7 +38,6 @@ from .graphs import (
     f4_matrix,
     f4_row_strings,
     maximal_independent_sets,
-    mixed_rank,
     parse_graph,
     stabilizer_matrix,
 )
@@ -93,10 +92,6 @@ def _check_child(
     reproducer = f"parent {p.ae.row_strings()} offsets {sorted(p.lab_offsets)}"
     check("pauli-sum-vs-partial-trace", child.rho == child_from_partial_trace(p), reproducer)
     check("child-stabilized", stabilized_by(child.rho, rows), reproducer)
-
-
-def _bitstring(v: int, n: int) -> str:
-    return "".join("1" if (v >> j) & 1 else "0" for j in range(n))
 
 
 def _coeff_str(exp: int) -> str:
@@ -226,7 +221,6 @@ def _emit(report: Dict, text_lines: List[str], as_json: bool) -> None:
 def _analysis(g: MixedGraph) -> Dict:
     a = g.adjacency()
     gamma = g.gamma()
-    e, t = mixed_rank(g)
     red = reduce_gamma(gamma)
     return {
         "n": g.n,
@@ -234,10 +228,10 @@ def _analysis(g: MixedGraph) -> Dict:
         "edges": [[j, k, kind] for j, k, kind in g.canonical_edges()],
         "adjacency": a.row_strings(),
         "gamma": gamma.row_strings(),
-        "gamma_rank": rank(gamma),
-        "e": e,
-        "t": t,
-        "kernel_basis": [_bitstring(v, g.n) for v in red.kernel_basis],
+        "gamma_rank": len(red.kept),
+        "e": red.e,
+        "t": red.t,
+        "kernel_basis": [bitstring(v, g.n) for v in red.kernel_basis],
         "stabilizer": [str(r) for r in stabilizer_matrix(g)],
         "dual_stabilizer": [str(r) for r in dual_stabilizer(g)],
         "f4_matrix": f4_row_strings(f4_matrix(g)),
@@ -270,8 +264,8 @@ def cmd_analyze(args) -> int:
 
 
 def _subgroup_listing(g: MixedGraph, bound: int) -> Dict:
-    e, t = mixed_rank(g)
     red = reduce_gamma(g.gamma())
+    e, t = red.e, red.t
     subs = enumerate_max_isotropic(red, bound=bound)
     if len(subs) != chi(e):
         raise InvariantViolation(
@@ -286,12 +280,12 @@ def _subgroup_listing(g: MixedGraph, bound: int) -> Dict:
             elements = []
             for v in s.span_lifted():
                 word = ordered_product(duals, bits_of(v))
-                elements.append({"index_set": _bitstring(v, g.n), "word": str(word)})
+                elements.append({"index_set": bitstring(v, g.n), "word": str(word)})
         listing.append(
             {
                 "index": idx,
-                "b_reduced": [_bitstring(b, red.n - red.t) for b in s.basis],
-                "lifted_generators": [_bitstring(b, g.n) for b in s.lifted_basis],
+                "b_reduced": [bitstring(b, red.n - red.t) for b in s.basis],
+                "lifted_generators": [bitstring(b, g.n) for b in s.lifted_basis],
                 "size": size,
                 "elements": elements,
             }
@@ -354,7 +348,7 @@ def _parent_payload(rows: Sequence[PauliWord], child: ChildResult) -> Dict:
         "parity_h": h.row_strings(),
         "generators_g": gmat.row_strings(),
         "coefficients": {
-            _bitstring(j, p.n): _coeff_str(k) for j, k in sorted(child.terms.items())
+            bitstring(j, p.n): _coeff_str(k) for j, k in sorted(child.terms.items())
         },
         "rho": child.rho.to_json_dict(),
         "rho_text": child.rho.to_text_grid(),
@@ -364,7 +358,8 @@ def _parent_payload(rows: Sequence[PauliWord], child: ChildResult) -> Dict:
 
 def cmd_children(args) -> int:
     g, digest, _ = _read_graph(args.path)
-    e, t = mixed_rank(g)
+    red = reduce_gamma(g.gamma())
+    e, t = red.e, red.t
     if g.n + e > dense_bound():
         raise BoundExceeded(f"n + e = {g.n + e} exceeds the dense bound {dense_bound()}")
     duals = dual_stabilizer(g)
@@ -377,7 +372,6 @@ def cmd_children(args) -> int:
         result["mode"] = "family"
         result["classes"] = classes
     else:
-        red = reduce_gamma(g.gamma())
         subs = enumerate_max_isotropic(red, bound=args.bound)
         if args.subgroup is not None:
             if not 0 <= args.subgroup < len(subs):
@@ -468,8 +462,8 @@ def _verify_graph(g: MixedGraph, expect: Optional[Dict], bound: int) -> List[str
         return children_family_e1(duals, extend_e1(g))
 
     gamma = g.gamma()
-    gamma_rank = rank(gamma)
-    e, t = mixed_rank(g)
+    red = reduce_gamma(gamma)
+    gamma_rank, e, t = len(red.kept), red.e, red.t
     check("gamma-rank-even", gamma_rank % 2 == 0, f"rank = {gamma_rank}")
 
     rows = stabilizer_matrix(g)
@@ -492,7 +486,6 @@ def _verify_graph(g: MixedGraph, expect: Optional[Dict], bound: int) -> List[str
         f"e = {e}, parts present = {parts is not None}",
     )
 
-    red = reduce_gamma(gamma)
     subs = enumerate_max_isotropic(red, bound=bound)
     check("subgroup-count-chi", len(subs) == chi(e), f"{len(subs)} != chi({e})")
     for s in subs:
@@ -507,23 +500,26 @@ def _verify_graph(g: MixedGraph, expect: Optional[Dict], bound: int) -> List[str
         "set families disagree",
     )
 
-    if g.n + e <= dense_bound():
-        parents: List[ParentExtension] = []
-        for idx, sub in enumerate(subs):
-            p = extend_for_subgroup(g, sub, rows)
-            check(
-                "extension-found",
-                meets_extension_condition(gamma, p.ext_assign),
-                f"subgroup {idx}",
-            )
-            # graph-form rows X_i Z^{A_i} commute iff A is symmetric
-            check("extension-commutes", p.ae.is_symmetric(), f"subgroup {idx}")
-            check(
-                "indicator-matches-subgroup",
-                indicator(p)[1].rows == sub.lifted_basis,  # both RREF bases
-                f"subgroup {idx}",
-            )
+    # parent checks need no dense matrix; keep parents only for dense children
+    dense = g.n + e <= dense_bound()
+    parents: List[ParentExtension] = []
+    for idx, sub in enumerate(subs):
+        p = extend_for_subgroup(g, sub, rows)
+        check(
+            "extension-found",
+            meets_extension_condition(gamma, p.ext_assign),
+            f"subgroup {idx}",
+        )
+        # graph-form rows X_i Z^{A_i} commute iff A is symmetric
+        check("extension-commutes", p.ae.is_symmetric(), f"subgroup {idx}")
+        check(
+            "indicator-matches-subgroup",
+            indicator(p)[1].rows == sub.lifted_basis,  # both RREF bases
+            f"subgroup {idx}",
+        )
+        if dense:
             parents.append(p)
+    if dense:
         family_children: List[ChildResult] = []
         if e == 1:
             family_children, classes = family_e1()
@@ -554,7 +550,7 @@ def _verify_graph(g: MixedGraph, expect: Optional[Dict], bound: int) -> List[str
             )
         if "subgroups" in expect:
             got = [
-                [_bitstring(b, g.n) for b in s.lifted_basis] for s in subs
+                [bitstring(b, g.n) for b in s.lifted_basis] for s in subs
             ]
             check("expect-subgroups", got == expect["subgroups"], "lifted generators differ")
         if "signfree" in expect:

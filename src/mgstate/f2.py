@@ -8,7 +8,7 @@ as dictionary keys for deduplication.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 
 def popcount(x: int) -> int:
@@ -36,6 +36,19 @@ def mask_of(indices: Iterable[int]) -> int:
     return m
 
 
+def combine(vectors: Sequence[int], coords: int) -> int:
+    """Sum of the vectors picked by the set bits of ``coords``."""
+    out = 0
+    for k in bits_of(coords):
+        out ^= vectors[k]
+    return out
+
+
+def bitstring(v: int, n: int) -> str:
+    """Bits 0..n-1 of v as text, bit j as character j."""
+    return format(v, f"0{n}b")[::-1][:n]
+
+
 @dataclass(frozen=True)
 class BinMatrix:
     """Immutable matrix over F2; ``rows[i]`` holds row i as a bitset."""
@@ -57,10 +70,6 @@ class BinMatrix:
         return cls(packed, cols)
 
     @classmethod
-    def zeros(cls, nrows: int, cols: int) -> "BinMatrix":
-        return cls((0,) * nrows, cols)
-
-    @classmethod
     def identity(cls, n: int) -> "BinMatrix":
         return cls(tuple(1 << j for j in range(n)), n)
 
@@ -75,7 +84,7 @@ class BinMatrix:
         return [[(r >> j) & 1 for j in range(self.cols)] for r in self.rows]
 
     def row_strings(self) -> List[str]:
-        return ["".join(str((r >> j) & 1) for j in range(self.cols)) for r in self.rows]
+        return [bitstring(r, self.cols) for r in self.rows]
 
     def transpose(self) -> "BinMatrix":
         """Scatter each row's set bits into the columns: O(set bits)."""
@@ -156,24 +165,21 @@ def rank(m: BinMatrix) -> int:
     return len(rref(m.rows, m.cols)[0])
 
 
-def row_reduce(m: BinMatrix) -> BinMatrix:
-    reduced, _ = rref(m.rows, m.cols)
-    return BinMatrix(tuple(reduced), m.cols)
-
-
 def kernel(m: BinMatrix) -> BinMatrix:
     """Basis of the right null space {v : m @ v = 0}, in RREF."""
-    reduced, pivots = rref(m.rows, m.cols)
-    free = [j for j in range(m.cols) if j not in pivots]
+    return BinMatrix(tuple(rref_kernel(*rref(m.rows, m.cols), m.cols)), m.cols)
+
+
+def rref_kernel(reduced: Sequence[int], pivots: Sequence[int], cols: int) -> List[int]:
+    """RREF null-space basis of a matrix from its ``rref`` (reduced, pivots)."""
     basis = []
-    for f in free:
+    for f in sorted(set(range(cols)) - set(pivots)):
         v = 1 << f
         for row, p in zip(reduced, pivots):
             if (row >> f) & 1:
                 v |= 1 << p
         basis.append(v)
-    reduced_basis, _ = rref(basis, m.cols)
-    return BinMatrix(tuple(reduced_basis), m.cols)
+    return rref(basis, cols)[0]
 
 
 def in_rowspan(v: int, rows: Sequence[int], cols: int) -> bool:
@@ -202,14 +208,6 @@ def solve(a: BinMatrix, b: int) -> Optional[int]:
         if (row >> a.cols) & 1:
             x |= 1 << p
     return x
-
-
-def solve_affine(a: BinMatrix, b: int) -> Optional[Tuple[int, BinMatrix]]:
-    """Full solution set of a @ x = b as (particular, kernel basis)."""
-    x0 = solve(a, b)
-    if x0 is None:
-        return None
-    return x0, kernel(a)
 
 
 def symplectic_basis(gamma: BinMatrix) -> Tuple[List[Tuple[int, int]], List[int]]:

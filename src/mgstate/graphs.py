@@ -165,15 +165,6 @@ def _parse_node(token: str, n: int, lineno: int) -> int:
     return j
 
 
-def serialize_graph(g: MixedGraph) -> str:
-    lines = [f"nodes {g.n}"]
-    for j in sorted(g.red):
-        lines.append(f"color {j} red")
-    for j, k, kind in g.canonical_edges():
-        lines.append(f"edge {j} {kind} {k}")
-    return "\n".join(lines) + "\n"
-
-
 def stabilizer_matrix(g: MixedGraph) -> List[PauliWord]:
     """Row j: X (white) or Y (red) at j, Z at each k with A[j][k] = 1."""
     a = g.adjacency()

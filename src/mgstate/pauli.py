@@ -113,15 +113,6 @@ class PauliWord:
     def is_hermitian(self) -> bool:
         return (self.phase & 1) == parity(self.x & self.z)
 
-    def entry(self, row: int, col: int) -> Tuple[int, int]:
-        """Exact dense entry as (re, im), without building the matrix."""
-        xi = _bits_to_index(self.x, self.n)
-        if row != col ^ xi:
-            return (0, 0)
-        zi = _bits_to_index(self.z, self.n)
-        k = (self.phase + 2 * parity(zi & col)) % 4
-        return [(1, 0), (0, 1), (-1, 0), (0, -1)][k]
-
     def to_dense(self) -> "GaussianMatrix":
         return pauli_sum(self.n, [(self, 0)])
 
@@ -233,17 +224,6 @@ class GaussianMatrix:
     def dim(self) -> int:
         return self.re.shape[0]
 
-    @classmethod
-    def zeros(cls, dim: int) -> "GaussianMatrix":
-        return cls(np.zeros((dim, dim), np.int64), np.zeros((dim, dim), np.int64), 0)
-
-    @classmethod
-    def identity(cls, dim: int) -> "GaussianMatrix":
-        return cls(np.eye(dim, dtype=np.int64), np.zeros((dim, dim), np.int64), 0)
-
-    def copy(self) -> "GaussianMatrix":
-        return GaussianMatrix(self.re.copy(), self.im.copy(), self.denom_log2)
-
     def normalized(self) -> "GaussianMatrix":
         """Equivalent matrix with the smallest possible denominator."""
         re, im, d = self.re, self.im, self.denom_log2
@@ -264,29 +244,6 @@ class GaussianMatrix:
             and np.array_equal(a.re, b.re)
             and np.array_equal(a.im, b.im)
         )
-
-    def __hash__(self):
-        a = self.normalized()
-        return hash((a.denom_log2, a.re.tobytes(), a.im.tobytes()))
-
-    def add(self, other: "GaussianMatrix") -> "GaussianMatrix":
-        d = max(self.denom_log2, other.denom_log2)
-        sa = 1 << (d - self.denom_log2)
-        sb = 1 << (d - other.denom_log2)
-        return GaussianMatrix(self.re * sa + other.re * sb, self.im * sa + other.im * sb, d)
-
-    def scale_int(self, k: int) -> "GaussianMatrix":
-        return GaussianMatrix(self.re * k, self.im * k, self.denom_log2)
-
-    def scale_i_power(self, k: int) -> "GaussianMatrix":
-        k %= 4
-        if k == 0:
-            return self.copy()
-        if k == 1:
-            return GaussianMatrix(-self.im, self.re, self.denom_log2)
-        if k == 2:
-            return GaussianMatrix(-self.re, -self.im, self.denom_log2)
-        return GaussianMatrix(self.im, -self.re, self.denom_log2)
 
     def divided_by_pow2(self, extra: int) -> "GaussianMatrix":
         """Value divided by 2**extra."""
@@ -328,16 +285,6 @@ class GaussianMatrix:
             "denom_log2": self.denom_log2,
             "entries": self.to_entry_lists(),
         }
-
-    @classmethod
-    def from_json_dict(cls, d: Dict) -> "GaussianMatrix":
-        dim = d["dim"]
-        re = np.zeros((dim, dim), np.int64)
-        im = np.zeros((dim, dim), np.int64)
-        for r in range(dim):
-            for c in range(dim):
-                re[r, c], im[r, c] = d["entries"][r][c]
-        return cls(re, im, d["denom_log2"])
 
     def to_text_grid(self) -> str:
         """Aligned grid of exact entries with the denominator up front."""

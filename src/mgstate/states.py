@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .extension import ParentExtension, indicator, j_members, verify_full_commutation
+from .extension import ParentExtension, indicator, verify_full_commutation
 from .f2 import BinMatrix, bits_of, mask_of, parity, solve, span
 from .pauli import (
     BoundExceeded,
@@ -29,6 +29,8 @@ from .pauli import (
     GaussianMatrix,
     PauliWord,
     dense_bound,
+    _I_POWER_IM,
+    _I_POWER_RE,
     dense_conjugation,
     ordered_product,
     pauli_sum,
@@ -50,9 +52,6 @@ class DensityMatrix:
         if not isinstance(other, DensityMatrix):
             return NotImplemented
         return self.n == other.n and self.mat == other.mat
-
-    def __hash__(self):
-        return hash((self.n, self.mat))
 
     def trace_is_one(self) -> bool:
         return self.mat.trace_is_one()
@@ -118,19 +117,6 @@ def _pauli_terms(
     return out
 
 
-def sign_coefficients(p: ParentExtension, duals: Sequence[PauliWord]) -> Dict[int, int]:
-    """i-exponents of the Pauli-sum coefficients b_j, keyed by J member.
-
-    b_j is fixed by Hermiticity and the parent's lab-restricted phase
-    function: the only row-0 entry of s_j sits at the column indexed by j,
-    and 2^n rho[0, col] = i^{-p_lab(j)}, so b_j = i^{-p_lab(j)} / s_j[0, col].
-    Weight-1 members get +1, anticommuting pairs get +-i with the sign set
-    by which factor carries Y versus Z, and binary offsets flip every term
-    containing the offset row.
-    """
-    return {j: k for j, (_, k) in _pauli_terms(p, duals, j_members(p)).items()}
-
-
 def child_from_pauli_sum(
     p: ParentExtension, duals: Sequence[PauliWord]
 ) -> ChildResult:
@@ -138,7 +124,10 @@ def child_from_pauli_sum(
 
     J = span(G) is closed by construction, and the x/z parts of s_j are
     linear in j, so the s_j commute pairwise iff the n - e generator words
-    do.
+    do.  ``ChildResult.terms`` keeps the i-exponent of each b_j, which
+    follows the paper's sign rule: weight-1 members get +1, anticommuting
+    pairs get +-i with the sign set by which factor carries Y versus Z,
+    and offsets flip every term that contains them.
     """
     n = p.n
     _, gmat, _ = indicator(p)
@@ -167,10 +156,6 @@ def parent_phases(p: ParentExtension) -> np.ndarray:
     return ((x @ a) * x).sum(axis=1) % 4
 
 
-_RE = np.array([1, 0, -1, 0], dtype=np.int64)  # real and imaginary parts of i^k
-_IM = np.array([0, 1, 0, -1], dtype=np.int64)
-
-
 def child_from_partial_trace(p: ParentExtension) -> DensityMatrix:
     """Trace the e environment qubits out of the parent |psi><psi|, exactly.
 
@@ -179,7 +164,7 @@ def child_from_partial_trace(p: ParentExtension) -> DensityMatrix:
     the 2^{n+e} of psi's normalisation.
     """
     ph = parent_phases(p).reshape(1 << p.n, 1 << p.e)
-    re, im = _RE[ph], _IM[ph]
+    re, im = _I_POWER_RE[ph], _I_POWER_IM[ph]
     rho_re = re @ re.T + im @ im.T
     rho_im = im @ re.T - re @ im.T
     return DensityMatrix(p.n, GaussianMatrix(rho_re, rho_im, p.total).normalized())

@@ -21,12 +21,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .f2 import (
     BinMatrix,
     bits_of,
+    combine,
     in_rowspan,
-    kernel,
     mask_of,
     parity,
     rank,
     rref,
+    rref_kernel,
     solve,
     span,
     symplectic_basis,
@@ -75,16 +76,17 @@ def reduce_gamma(gamma: BinMatrix) -> GammaReduction:
 
     Gamma is symmetric, so column j is row j, and the pivot columns of one
     RREF of Gamma are exactly the rows outside the span of those before.
+    The same RREF gives the kernel basis, one vector per removed column.
     """
     if not gamma.is_symmetric() or not gamma.is_zero_diagonal():
         raise ValueError("gamma must be symmetric with zero diagonal")
     n = gamma.cols
-    kept = rref(gamma.rows, n)[1]
+    reduced, kept = rref(gamma.rows, n)
     removed = tuple(sorted(set(range(n)) - set(kept)))
     gt = gamma.submatrix(kept, kept)
     assert rank(gt) == len(kept)
-    ker = kernel(gamma)
-    return GammaReduction(gamma, gt, tuple(kept), removed, tuple(ker.rows))
+    ker = rref_kernel(reduced, kept, n)
+    return GammaReduction(gamma, gt, tuple(kept), removed, tuple(ker))
 
 
 @dataclass(frozen=True)
@@ -164,13 +166,7 @@ def enumerate_max_isotropic(
     images = [pair[k] for pair in pairs for k in (0, 1)]
     bases = []
     for lag in lagrangians:
-        rows = []
-        for x in lag:
-            v = 0
-            for j in bits_of(x):
-                v ^= images[j]
-            rows.append(v)
-        bases.append(tuple(rref(rows, m)[0]))
+        bases.append(tuple(rref([combine(images, x) for x in lag], m)[0]))
     out = []
     for basis in sorted(bases):
         lifted = [red.lift(b) for b in basis] + list(red.kernel_basis)
@@ -238,13 +234,6 @@ def gram_factor_search(gt: BinMatrix) -> Optional[BinMatrix]:
         tuple(mask_of(k for k, w in enumerate(rest) if form(v, w)) for v in rest), len(rest)
     )
     pairs, radical = symplectic_basis(gram)
-
-    def combine(vectors: List[int], coords: int) -> int:
-        out = 0
-        for k in bits_of(coords):
-            out ^= vectors[k]
-        return out
-
     # F: a hyperbolic pair takes spare + x, spare + y for fresh unit columns
     # x, y, and spare + x + y, still orthogonal to both, becomes the spare
     # that the first [1] block takes; the radical gets zero rows
@@ -290,10 +279,7 @@ def subgroup_isomorphism(
     for j in range(n):
         coords = solve(bg, 1 << j)
         assert coords is not None, "basis must span F2^n"
-        image = 0
-        for idx in bits_of(coords):
-            image ^= basis_h[idx]
-        mapping[j] = tuple(bits_of(image))
+        mapping[j] = tuple(bits_of(combine(basis_h, coords)))
     return mapping
 
 
@@ -309,8 +295,5 @@ def apply_row_map(mapping: Dict[int, Tuple[int, ...]], v: int) -> int:
     """Extend the row map linearly to an index vector."""
     out = 0
     for j in bits_of(v):
-        m = 0
-        for k in mapping[j]:
-            m |= 1 << k
-        out ^= m
+        out ^= mask_of(mapping[j])
     return out

@@ -161,7 +161,8 @@ def test_child_mixed_rejects_maximally_mixed_child(monkeypatch):
     # I/2^n agrees on both routes, is fixed by every stabilizer row, has
     # trace one and is not pure, but its purity is 2^-n, not 2^-e
     def maximally_mixed(p):
-        return DensityMatrix(p.n, GaussianMatrix.identity(1 << p.n).divided_by_pow2(p.n))
+        ident = np.eye(1 << p.n, dtype=np.int64)
+        return DensityMatrix(p.n, GaussianMatrix(ident, 0 * ident, p.n))
 
     def pauli_sum_route(p, duals):
         return ChildResult(p, maximally_mixed(p), {})
@@ -188,7 +189,8 @@ def test_graph_values_computed_once_per_graph(monkeypatch):
                 monkeypatch.setattr(module, name, counted)
     code, _, _ = run_cli("verify", str(FIXTURES / "clique6.graph"))
     assert code == 0
-    assert calls == {"mixed_rank": 1, "stabilizer_matrix": 2}  # rows and dual rows
+    # e and t come from the one Gamma reduction; stabilizer: rows and dual rows
+    assert calls == {"mixed_rank": 0, "stabilizer_matrix": 2}
 
 
 def test_span_listed_once_per_child(monkeypatch):
@@ -207,6 +209,39 @@ def test_span_listed_once_per_child(monkeypatch):
     code, _, _ = run_cli("verify", str(FIXTURES / "clique6.graph"))
     assert code == 0
     assert len(calls) == 154
+
+
+@pytest.mark.parametrize("fixture", GRAPH_FIXTURES, ids=lambda p: p.stem)
+def test_analyze_eliminates_gamma_once(fixture, monkeypatch):
+    # one RREF of Gamma gives rank, e, t and the kernel basis; the other two
+    # reduce that basis and check that gamma_tilde has full rank
+    calls = []
+    original = mgstate.f2.rref
+
+    def counted(rows, cols):
+        calls.append(cols)
+        return original(rows, cols)
+
+    for module in (mgstate.f2, mgstate.graphs, mgstate.subgroups, mgstate.cli):
+        if hasattr(module, "rref"):
+            monkeypatch.setattr(module, "rref", counted)
+    code, _, _ = run_cli("analyze", "--json", str(fixture))
+    assert code == 0
+    assert len(calls) == 3
+
+
+def test_verify_checks_parents_beyond_dense_bound(tmp_path):
+    # n + e = 13 exceeds the dense bound, so no child is built, but each of
+    # the chi(1) = 3 parents is still built and checked
+    path = write_graph(tmp_path, "nodes 12\nedge 0 -> 1\nedge 2 -- 3\nedge 4 -- 5\n")
+    code, out, _ = run_cli("verify", path)
+    assert code == 0
+    assert out.startswith("ok (18 checks)\n")
+    code, out, _ = run_cli("verify", "--json", path)
+    assert code == 0
+    checked = json.loads(out)["result"]["checked"]
+    assert {"extension-found", "extension-commutes", "indicator-matches-subgroup"} <= set(checked)
+    assert not any(name.startswith(("child-", "family-")) for name in checked)
 
 
 def test_extension_commutes_by_symmetry(monkeypatch):
@@ -292,7 +327,7 @@ def test_subgroups_enumeration_bound_exit_3_at_once(tmp_path, monkeypatch):
 def test_child_check_reproducer_names_parent(monkeypatch, command):
     def wrong_trace(p):
         rho = child_from_partial_trace(p)
-        return DensityMatrix(rho.n, rho.mat.scale_int(2))
+        return DensityMatrix(rho.n, GaussianMatrix(2 * rho.mat.re, 2 * rho.mat.im, rho.mat.denom_log2))
 
     monkeypatch.setattr(mgstate.cli, "child_from_partial_trace", wrong_trace)
     code, out, _ = run_cli(command, str(FIXTURES / "triangle.graph"))

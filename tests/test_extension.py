@@ -13,7 +13,6 @@ from mgstate.extension import (
     extend_e1,
     extend_for_subgroup,
     indicator,
-    j_members,
     meets_extension_condition,
     parity_basis,
     symmetrize,
@@ -152,7 +151,7 @@ def test_extend_e1_children_cover_all_maximal_subgroups(rng):
         spans = {tuple(sorted(s.span_lifted())) for s in subs}
         hit = set()
         for p in extend_e1(g):
-            hit.add(tuple(sorted(j_members(p))))
+            hit.add(tuple(span(indicator(p)[1].rows, p.n)))
         assert hit == spans  # all 3 maximal subgroups appear as children
         assert len(spans) == 3
 
@@ -319,9 +318,9 @@ def test_indicator_triangle():
     l_sets, gmat, h = indicator(p)
     assert l_sets == [(1, 2)]
     assert h.rows == (mask_of([1, 2]),)
-    assert sorted(j_members(p)) == sorted([0b000, 0b001, 0b110, 0b111])
+    assert span(indicator(p)[1].rows, p.n) == sorted([0b000, 0b001, 0b110, 0b111])
     # members as bitstrings j0j1j2: 000, 100, 011, 111
-    members = {format(v, "03b")[::-1] for v in j_members(p)}
+    members = {format(v, "03b")[::-1] for v in span(indicator(p)[1].rows, p.n)}
     assert members == {"000", "100", "011", "111"}
 
 
@@ -330,7 +329,7 @@ def test_indicator_e0_full_group():
     p = symmetrize(stabilizer_matrix(g), ())
     l_sets, gmat, h = indicator(p)
     assert l_sets == [] and h.nrows == 0
-    assert sorted(j_members(p)) == list(range(8))
+    assert span(indicator(p)[1].rows, p.n) == list(range(8))
 
 
 def test_fivenode_worked_extension():
@@ -342,7 +341,7 @@ def test_fivenode_worked_extension():
     assert p is not None
     assert p.ext_assign == FIVENODE_EXT_COLUMNS
     assert verify_full_commutation(p.rows())
-    assert set(j_members(p)) == set(sub.span_lifted())
+    assert set(span(indicator(p)[1].rows, p.n)) == set(sub.span_lifted())
 
 
 def test_clique6_worked_extension():
@@ -352,7 +351,7 @@ def test_clique6_worked_extension():
     assert p is not None
     assert p.ext_assign == CLIQUE6_EXT_COLUMNS
     assert verify_full_commutation(p.rows())
-    assert set(j_members(p)) == set(sub.span_lifted())
+    assert set(span(indicator(p)[1].rows, p.n)) == set(sub.span_lifted())
 
 
 def test_displayed_extensions_commute():
@@ -406,7 +405,7 @@ def test_extend_for_subgroup_all_subgroups_random(rng):
                 failures += 1
                 continue
             assert verify_full_commutation(p.rows())
-            assert set(j_members(p)) == set(sub.span_lifted())
+            assert set(span(indicator(p)[1].rows, p.n)) == set(sub.span_lifted())
             _, _, h = indicator(p)
             assert h.nrows == p.e
     assert failures == 0

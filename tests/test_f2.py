@@ -7,22 +7,30 @@ import pytest
 from mgstate.f2 import (
     BinMatrix,
     bits_of,
+    bitstring,
     in_rowspan,
     kernel,
     mask_of,
     parity,
     rank,
-    row_reduce,
     rref,
     solve,
-    solve_affine,
     span,
     symplectic_basis,
 )
 
 
+def test_bitstring_matches_per_bit_reference(rng):
+    for n in (0, 1, 64, 256):
+        for _ in range(200):
+            v = rng.randrange(1 << n) if rng.random() < 0.9 else rng.randrange(1 << (n + 8))
+            assert bitstring(v, n) == "".join(str((v >> j) & 1) for j in range(n))
+    assert bitstring(0, 0) == bitstring(5, 0) == ""
+    assert BinMatrix((0b011, 0b100), 3).row_strings() == ["110", "001"]
+
+
 def test_rank_zero_matrix():
-    assert rank(BinMatrix.zeros(3, 3)) == 0
+    assert rank(BinMatrix((0, 0, 0), 3)) == 0
 
 
 def test_rank_identity():
@@ -52,10 +60,10 @@ def test_kernel_times_matrix_is_zero(rng):
 
 def test_row_reduce_idempotent(rng):
     for _ in range(50):
-        m = BinMatrix(tuple(rng.randrange(16) for _ in range(4)), 4)
-        r = row_reduce(m)
-        assert row_reduce(r) == r
-        assert rank(r) == rank(m)
+        rows = [rng.randrange(16) for _ in range(4)]
+        reduced, pivots = rref(rows, 4)
+        assert rref(reduced, 4) == (reduced, pivots)
+        assert len(reduced) == rank(BinMatrix(tuple(rows), 4))
 
 
 def test_span_and_rowspan():
@@ -73,11 +81,8 @@ def test_solve_consistent_and_inconsistent():
     assert x is not None and a.mul_vec(x) == 0b11
     b = BinMatrix.from_lists([[1, 1, 0], [1, 1, 0]])
     assert solve(b, 0b01) is None
-    full = solve_affine(a, 0b11)
-    assert full is not None
-    x0, ker = full
-    for extra in span(ker.rows, 3):
-        assert a.mul_vec(x0 ^ extra) == 0b11
+    for extra in span(kernel(a).rows, 3):
+        assert a.mul_vec(x ^ extra) == 0b11
 
 
 def test_matmul_transpose_submatrix():

@@ -244,12 +244,13 @@ def test_pauli_sum_matches_term_by_term_accumulation(rng):
         for _ in range(20):
             terms = _random_terms(rng, n)
             terms.append((terms[0][0], terms[0][1] + 2))  # cancels one term
-            acc = GaussianMatrix.zeros(1 << n)
+            acc = np.zeros((1 << n, 1 << n), complex)
             for w, k in terms:
-                acc = acc.add(w.to_dense().scale_i_power(k))
+                dense = w.to_dense()
+                acc += 1j**k * (dense.re + 1j * dense.im)
             got = pauli_sum(n, terms)
             assert got.denom_log2 == 0
-            assert np.array_equal(got.re, acc.re) and np.array_equal(got.im, acc.im)
+            assert np.array_equal(got.re, acc.real) and np.array_equal(got.im, acc.imag)
             oracle = sum(
                 1j**k * kron_letters(w.letters(), 1j ** w.letter_phase()) for w, k in terms
             )
@@ -257,39 +258,31 @@ def test_pauli_sum_matches_term_by_term_accumulation(rng):
 
 
 def test_pauli_sum_empty_and_bound(monkeypatch):
-    assert pauli_sum(2, []) == GaussianMatrix.zeros(4)
+    zeros = np.zeros((4, 4), np.int64)
+    assert pauli_sum(2, []) == GaussianMatrix(zeros, zeros, 0)
     monkeypatch.setenv("MGSTATE_MAX_QUBITS", "2")
     with pytest.raises(BoundExceeded):
         pauli_sum(3, [(PauliWord.identity(3), 0)])
     monkeypatch.setenv("MGSTATE_MAX_QUBITS", "3")
-    assert pauli_sum(3, [(PauliWord.identity(3), 1)]) == GaussianMatrix.identity(8).scale_i_power(1)
-
-
-def test_entry_matches_dense(rng):
-    for _ in range(100):
-        w = random_word(rng, 3)
-        dense = w.to_dense()
-        for row in range(8):
-            for col in range(8):
-                re, im = w.entry(row, col)
-                assert (re, im) == (dense.re[row, col], dense.im[row, col])
+    i_times_identity = GaussianMatrix(np.zeros((8, 8), np.int64), np.eye(8, dtype=np.int64), 0)
+    assert pauli_sum(3, [(PauliWord.identity(3), 1)]) == i_times_identity
 
 
 def test_gaussian_matrix_arithmetic():
     a = GaussianMatrix(np.array([[2, 0], [0, 2]]), np.zeros((2, 2), int), 1)
     b = GaussianMatrix(np.eye(2, dtype=int), np.zeros((2, 2), int), 0)
     assert a == b
-    assert a.add(b) == b.scale_int(2)
     assert a.matmul(b) == b
-    assert b.scale_i_power(1).scale_i_power(3) == b
     assert a.trace_is_one() is False
-    assert GaussianMatrix.identity(2).divided_by_pow2(1).trace_is_one()
+    assert b.divided_by_pow2(1).trace_is_one()
 
 
 def test_gaussian_matrix_json_round_trip():
     m = PauliWord.from_letters("XY").to_dense().divided_by_pow2(2)
-    again = GaussianMatrix.from_json_dict(m.to_json_dict())
-    assert m == again
+    d = m.to_json_dict()
+    entries = np.array(d["entries"])
+    assert d["dim"] == 4 and entries.shape == (4, 4, 2)
+    assert m == GaussianMatrix(entries[..., 0], entries[..., 1], d["denom_log2"])
 
 
 def test_gaussian_text_grid():

@@ -149,7 +149,13 @@ def test_reduce_gamma_matches_incremental_oracle(rng):
     gammas.append(random_alternating(rng, 96, 0.02))
     assert any(rank(g) < g.cols for g in gammas) and any(rank(g) == g.cols for g in gammas)
     for gamma in gammas:
-        assert reduce_gamma(gamma) == reduce_gamma_incremental(gamma)
+        red = reduce_gamma(gamma)
+        assert red == reduce_gamma_incremental(gamma)
+        # the kernel basis comes from the same RREF as the kept rows
+        assert red.kernel_basis == kernel(gamma).rows
+        assert all(gamma.mul_vec(v) == 0 for v in red.kernel_basis)
+        assert list(red.kernel_basis) == rref(red.kernel_basis, gamma.cols)[0]
+        assert len(red.kernel_basis) == gamma.cols - rank(gamma)
 
 
 def test_enumerate_triangle_lifted_generators():
@@ -352,7 +358,7 @@ def test_gamma_order_even_property(rng):
 
 def test_gamma_order_singular_raises():
     with pytest.raises(ValueError):
-        gamma_order(BinMatrix.zeros(2, 2))
+        gamma_order(BinMatrix((0, 0), 2))
 
 
 def test_gram_factor_absent_for_2x2():
