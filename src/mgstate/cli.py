@@ -6,6 +6,11 @@ error, 3 qubit or enumeration bound exceeded, 4 an ``ExtensionError`` from
 the parent construction, as ``search failure: <message>`` on stderr.  The
 column step itself cannot fail (see ``mgstate.extension``), so exit 4 means
 a precondition or a consistency check of the construction broke.
+
+``subgroups`` and ``children`` stream their entries, so on a non-zero exit
+stdout is not a complete report: the entries written so far, their last line
+ended, then exit 1's ``FAIL <name>: <reproducer>`` line.  Bound and input
+errors come before the first byte.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import functools
 import hashlib
 import json
 import sys
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import chain, starmap
 from json.encoder import encode_basestring_ascii
@@ -173,7 +179,9 @@ def _json_chunks(o, level: int, out: List[str], prefix: str = "") -> None:
     """Append the text of ``json.dumps(o, indent=2, sort_keys=True)`` at nesting
     ``level`` to ``out``, led by ``prefix``.  Dense matrix rows (lists of
     equal-length int lists) are formatted by one template per row instead of
-    one call per entry."""
+    one call per entry.  An iterator is a list whose entries are written to
+    stdout, with all text before them, as soon as each is encoded; ``out``
+    then keeps one empty chunk, the mark of a report already begun."""
     inner = "\n" + "  " * (level + 1)
     close = "\n" + "  " * level
     if isinstance(o, dict):
@@ -186,11 +194,9 @@ def _json_chunks(o, level: int, out: List[str], prefix: str = "") -> None:
             _json_chunks(value, level + 1, out, f"{sep}{inner}{key}: ")
             sep = ","
         out.append(close + "}")
-    elif isinstance(o, (list, tuple)):
-        if not o:
-            out.append(prefix + "[]")
-            return
-        width = _int_rows_width(o)
+    elif isinstance(o, (list, tuple, Iterator)):
+        streamed = isinstance(o, Iterator)
+        width = 0 if streamed else _int_rows_width(o)
         if width:
             deeper = "\n" + "  " * (level + 2)
             row = "[" + deeper + f",{deeper}".join(["{}"] * width) + inner + "]"
@@ -200,19 +206,29 @@ def _json_chunks(o, level: int, out: List[str], prefix: str = "") -> None:
         for value in o:
             _json_chunks(value, level + 1, out, sep + inner)
             sep = ","
-        out.append(close + "]")
+            if streamed:
+                sys.stdout.write("".join(out))
+                out[:] = [""]
+        out.append(close + "]" if sep == "," else prefix + "[]")
     else:
         out.append(prefix + _json_scalar(o))
 
 
-def _emit(report: Dict, text_lines: List[str], as_json: bool) -> None:
-    if as_json:
-        out: List[str] = []
+def _emit(report: Dict, text_lines: Iterable[str], as_json: bool) -> None:
+    """Write the report or its text lines as they are built.  An exit 1 or 4
+    failure after JSON was written ends its line, so a ``FAIL`` line starts its own."""
+    if not as_json:
+        sys.stdout.writelines(line + "\n" for line in text_lines)
+        return
+    out: List[str] = []
+    try:
         _json_chunks(report, 0, out)
-        out.append("\n")
-        sys.stdout.write("".join(out))
-    else:
-        sys.stdout.write("\n".join(text_lines) + "\n")
+    except (InvariantViolation, ExtensionError):
+        if out[:1] == [""]:
+            sys.stdout.write("\n")
+        raise
+    out.append("\n")
+    sys.stdout.write("".join(out))
 
 
 # ---------------------------------------------------------------- analyze
@@ -272,8 +288,8 @@ def _subgroup_listing(g: MixedGraph, bound: int) -> Dict:
             "subgroup-count", f"found {len(subs)}, chi({e}) = {chi(e)}"
         )
     duals = dual_stabilizer(g)
-    listing = []
-    for idx, s in enumerate(subs):
+
+    def entry(idx: int, s) -> Dict:
         size = 1 << len(s.lifted_basis)  # an RREF basis has independent rows
         elements = None
         if size <= 64:
@@ -281,21 +297,20 @@ def _subgroup_listing(g: MixedGraph, bound: int) -> Dict:
             for v in s.span_lifted():
                 word = ordered_product(duals, bits_of(v))
                 elements.append({"index_set": bitstring(v, g.n), "word": str(word)})
-        listing.append(
-            {
-                "index": idx,
-                "b_reduced": [bitstring(b, red.n - red.t) for b in s.basis],
-                "lifted_generators": [bitstring(b, g.n) for b in s.lifted_basis],
-                "size": size,
-                "elements": elements,
-            }
-        )
+        return {
+            "index": idx,
+            "b_reduced": [bitstring(b, red.n - red.t) for b in s.basis],
+            "lifted_generators": [bitstring(b, g.n) for b in s.lifted_basis],
+            "size": size,
+            "elements": elements,
+        }
+
     return {
         "e": e,
         "t": t,
         "chi": chi(e),
         "count": len(subs),
-        "subgroups": listing,
+        "subgroups": starmap(entry, enumerate(subs)),  # built as the report is written
     }
 
 
@@ -303,21 +318,22 @@ def cmd_subgroups(args) -> int:
     g, digest, _ = _read_graph(args.path)
     data = _subgroup_listing(g, args.bound)
     report = {"command": "subgroups", "input_sha256": digest, "result": data}
-    lines = [
-        f"e = {data['e']}, t = {data['t']}",
-        f"maximal commutative subgroups: {data['count']} (chi = {data['chi']})",
-    ]
-    for s in data["subgroups"]:
-        lines.append(
+
+    def entry_lines(s: Dict) -> List[str]:
+        lines = [
             f"[{s['index']}] B = {', '.join(s['b_reduced']) or '(empty)'}"
             f" ; lifted = {', '.join(s['lifted_generators']) or '(empty)'}"
             f" ; size = {s['size']}"
-        )
+        ]
         if s["elements"] is not None:
-            lines.append(
-                "     elements: "
-                + "  ".join(el["word"] for el in s["elements"])
-            )
+            lines.append("     elements: " + "  ".join(el["word"] for el in s["elements"]))
+        return lines
+
+    header = [
+        f"e = {data['e']}, t = {data['t']}",
+        f"maximal commutative subgroups: {data['count']} (chi = {data['chi']})",
+    ]
+    lines = chain(header, chain.from_iterable(map(entry_lines, data["subgroups"])))
     _emit(report, lines, args.json)
     return EXIT_OK
 
@@ -365,33 +381,32 @@ def cmd_children(args) -> int:
     duals = dual_stabilizer(g)
     rows = stabilizer_matrix(g)
     result: Dict = {"e": e, "t": t}
-    reports: List[Dict] = []
     if args.subgroup is None and not args.all and e == 1:
         children, classes = children_family_e1(duals, extend_e1(g))
-        reports = [_parent_payload(rows, c) for c in children]
+        reports: Iterable[Dict] = [_parent_payload(rows, c) for c in children]
         result["mode"] = "family"
         result["classes"] = classes
     else:
         subs = enumerate_max_isotropic(red, bound=args.bound)
+        chosen: Iterable = enumerate(subs)
         if args.subgroup is not None:
             if not 0 <= args.subgroup < len(subs):
                 raise GraphParseError(
                     0, f"subgroup index {args.subgroup} out of range (0..{len(subs) - 1})"
                 )
             chosen = [(args.subgroup, subs[args.subgroup])]
-        else:
-            chosen = list(enumerate(subs))
         result["mode"] = "subgroups"
-        for idx, sub in chosen:
-            p = extend_for_subgroup(g, sub, rows)
-            payload = _parent_payload(rows, child_from_pauli_sum(p, duals))
-            payload["subgroup_index"] = idx
-            reports.append(payload)
-    result["children"] = reports
+
+        def payload(idx: int, sub) -> Dict:
+            child = child_from_pauli_sum(extend_for_subgroup(g, sub, rows), duals)
+            return {**_parent_payload(rows, child), "subgroup_index": idx}
+
+        reports = starmap(payload, chosen)
+    result["children"] = reports  # a starmap builds each child as the report is written
     report = {"command": "children", "input_sha256": digest, "result": result}
-    lines = [f"e = {result['e']}, t = {result['t']}", f"mode: {result['mode']}"]
-    for i, c in enumerate(reports):
-        lines.append(f"--- child {i} ---")
+
+    def child_lines(i: int, c: Dict) -> List[str]:
+        lines = [f"--- child {i} ---"]
         if c.get("subgroup_index") is not None:
             lines.append(f"subgroup index: {c['subgroup_index']}")
         if c["ext_columns"]:
@@ -407,8 +422,15 @@ def cmd_children(args) -> int:
         )
         lines.append("rho = " + c["rho_text"].replace("\n", "\n      "))
         lines.append(f"oracle verified: {c['oracle_verified']}")
-    if "classes" in result:
-        lines.append(f"equivalence classes under lab Z-conjugation: {result['classes']}")
+        return lines
+
+    lines = chain(
+        [f"e = {result['e']}, t = {result['t']}", f"mode: {result['mode']}"],
+        chain.from_iterable(starmap(child_lines, enumerate(reports))),
+        [f"equivalence classes under lab Z-conjugation: {result['classes']}"]
+        if "classes" in result
+        else [],
+    )
     _emit(report, lines, args.json)
     return EXIT_OK
 

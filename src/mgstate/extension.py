@@ -320,7 +320,7 @@ def extend_for_subgroup(
     by ``symmetrize``) or the parent's J is not the requested subgroup.
     """
     gamma = m_sub.reduction.gamma
-    if gamma != g.gamma():
+    if not g.has_gamma(gamma):
         raise ExtensionError("subgroup does not come from the graph's Gamma")
     e = m_sub.reduction.e
     h = parity_basis(m_sub)

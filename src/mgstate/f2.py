@@ -124,7 +124,17 @@ class BinMatrix:
         return BinMatrix(tuple(a ^ b for a, b in zip(self.rows, other.rows)), self.cols)
 
     def is_symmetric(self) -> bool:
-        return self.nrows == self.cols and self == self.transpose()
+        """Each set bit (i, j) has its mirror (j, i): O(set bits), no transpose."""
+        if self.nrows != self.cols:
+            return False
+        rows = self.rows
+        for i, r in enumerate(rows):
+            while r:
+                low = r & -r
+                if not (rows[low.bit_length() - 1] >> i) & 1:
+                    return False
+                r ^= low
+        return True
 
     def is_zero_diagonal(self) -> bool:
         return all(((r >> i) & 1) == 0 for i, r in enumerate(self.rows))

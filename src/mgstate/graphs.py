@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .f2 import BinMatrix, bits_of, mask_of, rank
+from .f2 import BinMatrix, bits_of, mask_of, popcount, rank
 from .pauli import BoundExceeded, PauliWord
 
 UNDIRECTED = "--"
@@ -92,6 +92,14 @@ class MixedGraph:
     def gamma(self) -> BinMatrix:
         a = self.adjacency()
         return a.add(a.transpose())
+
+    def has_gamma(self, gamma: BinMatrix) -> bool:
+        """``gamma == self.gamma()``: both bits of each directed edge, no others."""
+        return (
+            gamma.nrows == gamma.cols == self.n
+            and sum(map(popcount, gamma.rows)) == 2 * len(self.directed)
+            and all((gamma.rows[j] >> k) & (gamma.rows[k] >> j) & 1 for j, k in self.directed)
+        )
 
     def reverse(self) -> "MixedGraph":
         return MixedGraph(

@@ -4,6 +4,8 @@ import contextlib
 import dataclasses
 import io
 import json
+import tracemalloc
+from collections.abc import Iterator
 from pathlib import Path
 
 import jsonschema
@@ -43,6 +45,12 @@ def write_graph(tmp_path, text, name="g.graph"):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+def directed_clique(n):
+    return f"nodes {n}\n" + "".join(
+        f"edge {j} -> {k}\n" for j in range(n) for k in range(j + 1, n)
+    )
 
 
 def test_analyze_triangle(tmp_path):
@@ -193,6 +201,22 @@ def test_graph_values_computed_once_per_graph(monkeypatch):
     assert calls == {"mixed_rank": 0, "stabilizer_matrix": 2}
 
 
+def test_verify_builds_gamma_once(monkeypatch):
+    # each of clique6's 135 parents checks its subgroup's Gamma against the
+    # graph's directed edges instead of building Gamma again
+    calls = []
+    original = mgstate.graphs.MixedGraph.gamma
+
+    def counted(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(mgstate.graphs.MixedGraph, "gamma", counted)
+    code, _, _ = run_cli("verify", str(FIXTURES / "clique6.graph"))
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_span_listed_once_per_child(monkeypatch):
     # one listing of J per child (135) and the enumerator's coset
     # representatives (1 + 3 + 15); no check re-lists J or a subgroup
@@ -308,16 +332,130 @@ def test_extension_error_exit_4(monkeypatch, argv):
     assert "Traceback" not in out + err
 
 
+def _doubled_trace(p):
+    rho = child_from_partial_trace(p)
+    return DensityMatrix(rho.n, GaussianMatrix(2 * rho.mat.re, 2 * rho.mat.im, rho.mat.denom_log2))
+
+
+def test_children_invariant_failure_mid_stream(monkeypatch):
+    # only subgroup 3's partial trace is wrong: children 0-2 are already
+    # written, and the FAIL line ends stdout on a line of its own
+    argv = ["children", "--all", "--json", str(FIXTURES / "fournode.graph")]
+    _, full, _ = run_cli(*argv)
+    traced = []
+
+    def wrong_fourth(p):
+        traced.append(p)
+        return _doubled_trace(p) if len(traced) == 4 else child_from_partial_trace(p)
+
+    monkeypatch.setattr(mgstate.cli, "child_from_partial_trace", wrong_fourth)
+    code, out, err = run_cli(*argv)
+    assert code == 1 and err == ""
+    written, fail = out[:-1].rsplit("\n", 1)
+    assert out.endswith("\n") and out.count("FAIL") == 1
+    assert fail.startswith("FAIL pauli-sum-vs-partial-trace: parent [")
+    assert full.startswith(written) and written.count('"subgroup_index":') == 3
+
+
+def test_children_extension_error_mid_stream(monkeypatch):
+    # only subgroup 3's symmetrize raises: exit 4 with its message, and
+    # stdout holds children 0-2 with their last line ended
+    argv = ["children", "--all", "--json", str(FIXTURES / "fournode.graph")]
+    _, full, _ = run_cli(*argv)
+    original = mgstate.extension.symmetrize
+    calls = []
+
+    def failing_fourth(stabilizer, columns):
+        calls.append(columns)
+        if len(calls) == 4:
+            raise mgstate.extension.ExtensionError("rows do not pairwise commute")
+        return original(stabilizer, columns)
+
+    monkeypatch.setattr(mgstate.extension, "symmetrize", failing_fourth)
+    code, out, err = run_cli(*argv)
+    assert code == 4
+    assert err == "search failure: rows do not pairwise commute\n"
+    assert "Traceback" not in out + err
+    assert out.endswith("\n") and full.startswith(out[:-1])
+    assert out.count('"subgroup_index":') == 3
+
+
+def test_children_written_entry_by_entry(monkeypatch):
+    # child k is on stdout before the parent of child k + 1 is built
+    stdout = io.StringIO()
+    written = []
+
+    def recorded(g, sub, rows):
+        written.append(stdout.getvalue().count('"subgroup_index":'))
+        return extend_for_subgroup(g, sub, rows)
+
+    monkeypatch.setattr(mgstate.cli, "extend_for_subgroup", recorded)
+    with contextlib.redirect_stdout(stdout):
+        code = main(["children", "--all", "--json", str(FIXTURES / "fournode.graph")])
+    assert code == 0
+    assert written == list(range(15))
+
+
+def test_subgroups_written_entry_by_entry(monkeypatch):
+    # subgroup k is on stdout before the first word of subgroup k + 1 is built
+    stdout = io.StringIO()
+    written = []
+
+    def recorded(rows, indices):
+        written.append(stdout.getvalue().count('"index":'))
+        return ordered_product(rows, indices)
+
+    monkeypatch.setattr(mgstate.cli, "ordered_product", recorded)
+    with contextlib.redirect_stdout(stdout):
+        code = main(["subgroups", "--json", str(FIXTURES / "appendix_a.graph")])
+    assert code == 0
+    listing = json.loads(stdout.getvalue())["result"]["subgroups"]
+    assert written == [s["index"] for s in listing for _ in s["elements"]]
+    assert len(set(written)) == len(listing) > 1
+
+
+class _CountingSink(io.TextIOBase):
+    """A stdout that keeps only the number of characters written to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.size = 0
+
+    def write(self, text):
+        self.size += len(text)
+        return len(text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["children", "--all", "--json", str(FIXTURES / "appendix_a.graph")],
+        ["subgroups", "--json", "clique7.graph"],
+    ],
+)
+def test_streamed_report_peak_memory_below_half_its_size(argv, tmp_path):
+    # the whole report would take more than its size to hold
+    argv = [write_graph(tmp_path, directed_clique(7), a) if a == "clique7.graph" else a
+            for a in argv]
+    sink = _CountingSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < sink.size / 2
+
+
 def test_subgroups_enumeration_bound_exit_3_at_once(tmp_path, monkeypatch):
     # a 12-node directed clique has e = 6 and chi(6) = 4,922,775 subgroups
     def started(*args):
         raise AssertionError("enumeration started past the bound")
 
     monkeypatch.setattr(mgstate.subgroups, "symplectic_basis", started)
-    text = "nodes 12\n" + "".join(
-        f"edge {j} -> {k}\n" for j in range(12) for k in range(j + 1, 12)
-    )
-    code, out, err = run_cli("subgroups", write_graph(tmp_path, text))
+    code, out, err = run_cli("subgroups", write_graph(tmp_path, directed_clique(12)))
     assert code == 3
     assert out == ""
     assert "2e = 12 > 10" in err and "chi(6) = 4922775" in err
@@ -325,11 +463,7 @@ def test_subgroups_enumeration_bound_exit_3_at_once(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command", ["children", "verify"])
 def test_child_check_reproducer_names_parent(monkeypatch, command):
-    def wrong_trace(p):
-        rho = child_from_partial_trace(p)
-        return DensityMatrix(rho.n, GaussianMatrix(2 * rho.mat.re, 2 * rho.mat.im, rho.mat.denom_log2))
-
-    monkeypatch.setattr(mgstate.cli, "child_from_partial_trace", wrong_trace)
+    monkeypatch.setattr(mgstate.cli, "child_from_partial_trace", _doubled_trace)
     code, out, _ = run_cli(command, str(FIXTURES / "triangle.graph"))
     assert code == 1
     assert out.startswith("FAIL pauli-sum-vs-partial-trace: parent [")
@@ -549,11 +683,44 @@ def test_json_report_matches_stdlib_encoding(argv):
         {None: "w"},
         [float("nan"), float("inf"), -0.0, 10**30, False],
         [[[0, 1], [2, -3]], [[4, 5], [6, 7]]],
+        # makers of values holding iterators, which are streamed as lists
+        pytest.param(lambda: iter(()), id="empty-generator"),
+        pytest.param(lambda: ({"b": k, "a": [k, -k]} for k in range(3)), id="generator-of-dicts"),
+        pytest.param(
+            lambda: {"a": 1, "m": ([k] * k for k in range(3)), "z": None},
+            id="generator-between-sorted-keys",
+        ),
+        pytest.param(
+            lambda: ((j * k for k in range(j)) for j in range(3)), id="generator-of-generators"
+        ),
     ],
 )
 def test_emit_matches_stdlib_encoding(value, capsys):
-    _emit(value, [], as_json=True)
-    assert capsys.readouterr().out == json.dumps(value, indent=2, sort_keys=True) + "\n"
+    make = value if callable(value) else lambda: value
+    _emit(make(), [], as_json=True)
+    want = json.dumps(_listed(make()), indent=2, sort_keys=True) + "\n"
+    assert capsys.readouterr().out == want
+
+
+def _listed(o):
+    """``o`` with each iterator in it materialised as a list."""
+    if isinstance(o, dict):
+        return {key: _listed(value) for key, value in o.items()}
+    if isinstance(o, Iterator):
+        return [_listed(value) for value in o]
+    return o
+
+
+def test_emit_mid_stream_type_error_matches_stdlib(capsys):
+    entries = [{"a": 1}, [2], object()]
+    with pytest.raises(TypeError) as stdlib:
+        json.dumps({"k": entries}, indent=2, sort_keys=True)
+    with pytest.raises(TypeError) as streamed:
+        _emit({"k": iter(entries)}, [], as_json=True)
+    assert str(streamed.value) == str(stdlib.value)
+    # the two entries before it are already written
+    written = '{\n  "k": [\n    {\n      "a": 1\n    },\n    [\n      2\n    ]'
+    assert capsys.readouterr().out == written
 
 
 def test_emit_rejects_what_stdlib_rejects():

@@ -29,6 +29,21 @@ def test_bitstring_matches_per_bit_reference(rng):
     assert BinMatrix((0b011, 0b100), 3).row_strings() == ["110", "001"]
 
 
+def test_is_symmetric_matches_transpose(rng):
+    for n in (0, 1, 64, 256):
+        for nrows, cols in ((n, n), (n + 1, n), (n, n + 1)):
+            for _ in range(8):
+                m = BinMatrix(tuple(rng.randrange(1 << cols) for _ in range(nrows)), cols)
+                if nrows == cols and rng.random() < 0.6:  # A + A^T plus a diagonal
+                    diag = rng.randrange(1 << n)
+                    m = BinMatrix(tuple(r ^ (diag & 1 << i) for i, r in enumerate(
+                        m.add(m.transpose()).rows)), n)
+                    if n > 1 and rng.random() < 0.5:  # one mirror bit off
+                        i, j = rng.sample(range(n), 2)
+                        m = BinMatrix(m.rows[:i] + (m.rows[i] ^ 1 << j,) + m.rows[i + 1:], n)
+                assert m.is_symmetric() == (m == m.transpose())
+
+
 def test_rank_zero_matrix():
     assert rank(BinMatrix((0, 0, 0), 3)) == 0
 

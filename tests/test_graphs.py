@@ -184,6 +184,19 @@ def test_gamma_rank_even_sampled(rng):
         assert rank(gamma) % 2 == 0
 
 
+def test_has_gamma_matches_built_gamma(rng):
+    # each 3-node graph against every 3-node Gamma, plus 5-node samples
+    small = [(g, g.gamma()) for g in all_mixed_graphs(3)]
+    for g, gamma_g in small:
+        for _, gamma_h in small:
+            assert g.has_gamma(gamma_h) == (gamma_g == gamma_h)
+    for _ in range(200):
+        g, h = random_mixed_graph(rng, 5), random_mixed_graph(rng, 5)
+        assert g.has_gamma(g.gamma())
+        assert g.has_gamma(h.gamma()) == (g.gamma() == h.gamma())
+    assert not parse_graph(TRIANGLE).has_gamma(parse_graph(FOURNODE).gamma())
+
+
 def test_f4_matrix_display_example():
     g = parse_graph(
         "nodes 3\nedge 0 -- 1\nedge 0 -- 2\nedge 1 -- 2\ncolor 1 red\ncolor 2 red\n"
