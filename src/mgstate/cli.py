@@ -3,9 +3,15 @@
 Subcommands read a graph file and emit deterministic reports, as text or as
 JSON (``--json``).  Exit codes: 0 success, 1 invariant violation, 2 input
 error, 3 qubit or enumeration bound exceeded, 4 an ``ExtensionError`` from
-the parent construction, as ``search failure: <message>`` on stderr.  The
-column step itself cannot fail (see ``mgstate.extension``), so exit 4 means
-a precondition or a consistency check of the construction broke.
+the parent construction, as ``search failure: <message>`` on stderr, 5 stdout
+could not be written (a closed pipe or a full device), as one
+``output error: <message>`` line on stderr.  The column step itself cannot
+fail (see ``mgstate.extension``), so exit 4 means a precondition or a
+consistency check of the construction broke.
+
+Each builder runs the checks that vouch for its output, and ``verify`` calls
+every builder, so ``children`` runs ``verify``'s checks on each child it
+prints: its ``oracle_verified: true`` means that they passed.
 
 ``subgroups`` and ``children`` stream their entries, so on a non-zero exit
 stdout is not a complete report: the entries written so far, their last line
@@ -16,26 +22,28 @@ errors come before the first byte.
 from __future__ import annotations
 
 import argparse
-import functools
+import contextlib
 import hashlib
 import json
+import os
 import sys
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import chain, starmap
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .extension import (
     ExtensionError,
+    Indicator,
     ParentExtension,
     extend_e1,
     extend_for_subgroup,
     indicator,
     meets_extension_condition,
 )
-from .f2 import bits_of, bitstring
+from .f2 import BinMatrix, bits_of, bitstring
 from .graphs import (
     GraphParseError,
     MixedGraph,
@@ -62,13 +70,21 @@ from .states import (
     children_family_e1,
     stabilized_by,
 )
-from .subgroups import DEFAULT_ENUM_BOUND, chi, enumerate_max_isotropic, reduce_gamma
+from .subgroups import (
+    DEFAULT_ENUM_BOUND,
+    GammaReduction,
+    IsotropicSubspace,
+    chi,
+    enumerate_max_isotropic,
+    reduce_gamma,
+)
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
 EXIT_INPUT = 2
 EXIT_BOUND = 3
 EXIT_SEARCH = 4
+EXIT_OUTPUT = 5
 
 FIXTURE_SCHEMA = "mgstate-fixture-v1"
 
@@ -87,17 +103,58 @@ def _require(name: str, ok: bool, reproducer: str) -> None:
         raise InvariantViolation(name, reproducer)
 
 
-def _check_child(
-    child: ChildResult,
-    rows: Sequence[PauliWord],
-    check: Callable[[str, bool, str], None] = _require,
-) -> None:
-    """The child's two cross-checks: the Pauli sum equals the partial trace
-    of the parent, and the mixed graph's stabilizer rows fix it."""
+Check = Callable[[str, bool, str], None]
+
+
+def _check_child(child: ChildResult, rows: Sequence[PauliWord], check: Check = _require) -> None:
+    """The child's cross-checks: the Pauli sum equals the partial trace of
+    the parent, the mixed graph's stabilizer rows fix it, and it is a
+    density matrix of purity 2^-e."""
     p = child.parent
     reproducer = f"parent {p.ae.row_strings()} offsets {sorted(p.lab_offsets)}"
     check("pauli-sum-vs-partial-trace", child.rho == child_from_partial_trace(p), reproducer)
     check("child-stabilized", stabilized_by(child.rho, rows), reproducer)
+    check("child-trace-one", child.rho.trace_is_one(), "trace != 1")
+    check("child-hermitian", child.rho.is_hermitian(), "rho not Hermitian")
+    if p.e >= 1:
+        purity, want = child.rho.purity(), Fraction(1, 1 << p.e)
+        check("child-mixed", purity == want, f"purity {purity} != {want}")
+
+
+def _subgroups(red: GammaReduction, bound: int, check: Check = _require) -> List[IsotropicSubspace]:
+    """The chi(e) maximal commutative subgroups, each of 2^(n-e) members."""
+    subs, e = enumerate_max_isotropic(red, bound=bound), red.e
+    check("subgroup-count-chi", len(subs) == chi(e), f"{len(subs)} != chi({e})")
+    for s in subs:
+        size = 1 << len(s.lifted_basis)  # an RREF basis has independent rows
+        check("subgroup-size", size == 1 << (red.n - e), f"size {size} != 2^(n-e)")
+    return subs
+
+
+def _parent(
+    g: MixedGraph, idx: int, sub: IsotropicSubspace, rows: Sequence[PauliWord],
+    check: Check = _require,
+) -> Tuple[ParentExtension, Indicator]:
+    """The parent of subgroup ``idx`` and its indicator (L sets, G, H), with
+    the extension condition, commutation and J = subgroup checked."""
+    p = extend_for_subgroup(g, sub, rows)
+    where = f"subgroup {idx}"
+    check("extension-found", meets_extension_condition(sub.reduction.gamma, p.ext_assign), where)
+    # graph-form rows X_i Z^{A_i} commute iff A is symmetric
+    check("extension-commutes", p.ae.is_symmetric(), where)
+    ind = indicator(p)
+    check("indicator-matches-subgroup", ind[1].rows == sub.lifted_basis, where)  # both RREF
+    return p, ind
+
+
+def _family(
+    g: MixedGraph, duals: Sequence[PauliWord], check: Check = _require
+) -> Tuple[List[ChildResult], List[List[int]]]:
+    """The e = 1 children, one per ``extend_e1`` parent, and their classes."""
+    children, classes = children_family_e1(duals, extend_e1(g))
+    check("family-size", len(children) <= 6, f"{len(children)} children")
+    check("family-classes", len(classes) <= 3, f"{len(classes)} classes")
+    return children, classes
 
 
 def _coeff_str(exp: int) -> str:
@@ -282,11 +339,7 @@ def cmd_analyze(args) -> int:
 def _subgroup_listing(g: MixedGraph, bound: int) -> Dict:
     red = reduce_gamma(g.gamma())
     e, t = red.e, red.t
-    subs = enumerate_max_isotropic(red, bound=bound)
-    if len(subs) != chi(e):
-        raise InvariantViolation(
-            "subgroup-count", f"found {len(subs)}, chi({e}) = {chi(e)}"
-        )
+    subs = _subgroups(red, bound)
     duals = dual_stabilizer(g)
 
     def entry(idx: int, s) -> Dict:
@@ -350,10 +403,10 @@ def _phase_text(p: ParentExtension) -> str:
     return " + ".join(terms) or "0"
 
 
-def _parent_payload(rows: Sequence[PauliWord], child: ChildResult) -> Dict:
+def _parent_payload(rows: Sequence[PauliWord], child: ChildResult, ind: Indicator) -> Dict:
     _check_child(child, rows)
     p = child.parent
-    l_sets, gmat, h = indicator(p)
+    l_sets, gmat, h = ind
     return {
         "parent_rows": [r.letters() for r in p.rows()],
         "ext_columns": [list(c) for c in p.ext_assign] if p.ext_assign else None,
@@ -382,12 +435,12 @@ def cmd_children(args) -> int:
     rows = stabilizer_matrix(g)
     result: Dict = {"e": e, "t": t}
     if args.subgroup is None and not args.all and e == 1:
-        children, classes = children_family_e1(duals, extend_e1(g))
-        reports: Iterable[Dict] = [_parent_payload(rows, c) for c in children]
+        children, classes = _family(g, duals)
+        reports: Iterable[Dict] = [_parent_payload(rows, c, indicator(c.parent)) for c in children]
         result["mode"] = "family"
         result["classes"] = classes
     else:
-        subs = enumerate_max_isotropic(red, bound=args.bound)
+        subs = _subgroups(red, args.bound)
         chosen: Iterable = enumerate(subs)
         if args.subgroup is not None:
             if not 0 <= args.subgroup < len(subs):
@@ -397,9 +450,10 @@ def cmd_children(args) -> int:
             chosen = [(args.subgroup, subs[args.subgroup])]
         result["mode"] = "subgroups"
 
-        def payload(idx: int, sub) -> Dict:
-            child = child_from_pauli_sum(extend_for_subgroup(g, sub, rows), duals)
-            return {**_parent_payload(rows, child), "subgroup_index": idx}
+        def payload(idx: int, sub: IsotropicSubspace) -> Dict:
+            p, ind = _parent(g, idx, sub, rows)
+            child = child_from_pauli_sum(p, duals)
+            return {**_parent_payload(rows, child, ind), "subgroup_index": idx}
 
         reports = starmap(payload, chosen)
     result["children"] = reports  # a starmap builds each child as the report is written
@@ -438,26 +492,23 @@ def cmd_children(args) -> int:
 # ---------------------------------------------------------------- signfree
 
 
-def _signfree_data(g: MixedGraph) -> Dict:
-    v = canonical_family(maximal_independent_sets(g.gamma()))
+def _signfree_data(gamma: BinMatrix, duals: Sequence[PauliWord], check: Check = _require) -> Dict:
+    v = canonical_family(maximal_independent_sets(gamma))
     direct = e_direct(v)
-    recursive = e_recursive(v)
-    oracle = commuting_subsets_oracle(dual_stabilizer(g))
-    agree = direct == recursive == oracle
-    if not agree:
-        raise InvariantViolation("signfree-three-way", "families disagree")
+    agree = direct == e_recursive(v) == commuting_subsets_oracle(duals)
+    check("signfree-three-way", agree, "set families disagree")
     return {
         "v": family_to_lists(v),
         "ev_count": len(direct),
-        "ambiguous": (1 << g.n) - len(direct),
+        "ambiguous": (1 << gamma.cols) - len(direct),
         "family": family_to_lists(direct),
-        "three_way_agreement": agree,
+        "three_way_agreement": True,
     }
 
 
 def cmd_signfree(args) -> int:
     g, digest, _ = _read_graph(args.path)
-    data = _signfree_data(g)
+    data = _signfree_data(g.gamma(), dual_stabilizer(g))
     report = {"command": "signfree", "input_sha256": digest, "result": data}
     lines = [
         "maximal independent sets: " + "; ".join(str(m) for m in data["v"]),
@@ -479,10 +530,6 @@ def _verify_graph(g: MixedGraph, expect: Optional[Dict], bound: int) -> List[str
         _require(name, ok, reproducer)
         checked.append(name)
 
-    @functools.lru_cache(maxsize=None)
-    def family_e1():
-        return children_family_e1(duals, extend_e1(g))
-
     gamma = g.gamma()
     red = reduce_gamma(gamma)
     gamma_rank, e, t = len(red.kept), red.e, red.t
@@ -500,7 +547,6 @@ def _verify_graph(g: MixedGraph, expect: Optional[Dict], bound: int) -> List[str
         all(r.is_hermitian() for r in rows + duals),
         "a stabilizer row is not Hermitian",
     )
-
     parts = complete_multipartite_parts(gamma)
     check(
         "tripartite-iff-e1",
@@ -508,54 +554,18 @@ def _verify_graph(g: MixedGraph, expect: Optional[Dict], bound: int) -> List[str
         f"e = {e}, parts present = {parts is not None}",
     )
 
-    subs = enumerate_max_isotropic(red, bound=bound)
-    check("subgroup-count-chi", len(subs) == chi(e), f"{len(subs)} != chi({e})")
-    for s in subs:
-        size = 1 << len(s.lifted_basis)  # an RREF basis has independent rows
-        check("subgroup-size", size == 1 << (g.n - e), f"size {size} != 2^(n-e)")
+    subs = _subgroups(red, bound, check)
+    signfree = _signfree_data(gamma, duals, check)
 
-    v = canonical_family(maximal_independent_sets(gamma))
-    fam = e_direct(v)
-    check(
-        "signfree-three-way",
-        fam == e_recursive(v) == commuting_subsets_oracle(duals),
-        "set families disagree",
-    )
-
-    # parent checks need no dense matrix; keep parents only for dense children
+    # parent checks need no dense matrix; one dense child alive at a time
     dense = g.n + e <= dense_bound()
-    parents: List[ParentExtension] = []
     for idx, sub in enumerate(subs):
-        p = extend_for_subgroup(g, sub, rows)
-        check(
-            "extension-found",
-            meets_extension_condition(gamma, p.ext_assign),
-            f"subgroup {idx}",
-        )
-        # graph-form rows X_i Z^{A_i} commute iff A is symmetric
-        check("extension-commutes", p.ae.is_symmetric(), f"subgroup {idx}")
-        check(
-            "indicator-matches-subgroup",
-            indicator(p)[1].rows == sub.lifted_basis,  # both RREF bases
-            f"subgroup {idx}",
-        )
+        p, _ = _parent(g, idx, sub, rows, check)
         if dense:
-            parents.append(p)
-    if dense:
-        family_children: List[ChildResult] = []
-        if e == 1:
-            family_children, classes = family_e1()
-            check("family-size", len(family_children) <= 6, f"{len(family_children)} children")
-            check("family-classes", len(classes) <= 3, f"{len(classes)} classes")
-        # one dense child alive at a time: there are chi(e) of them
-        for child in chain((child_from_pauli_sum(p, duals) for p in parents), family_children):
-            _check_child(child, rows, check)
-            check("child-trace-one", child.rho.trace_is_one(), "trace != 1")
-            check("child-hermitian", child.rho.is_hermitian(), "rho not Hermitian")
-            if e >= 1:
-                purity = child.rho.purity()
-                want = Fraction(1, 1 << e)
-                check("child-mixed", purity == want, f"purity {purity} != {want}")
+            _check_child(child_from_pauli_sum(p, duals), rows, check)
+    family = _family(g, duals, check) if dense and e == 1 else None
+    for child in family[0] if family else ():
+        _check_child(child, rows, check)
 
     if expect:
         found = {"n": g.n, "e": e, "t": t, "gamma_rank": gamma_rank}
@@ -571,19 +581,17 @@ def _verify_graph(g: MixedGraph, expect: Optional[Dict], bound: int) -> List[str
                 f"{len(subs)} != {expect['subgroup_count']}",
             )
         if "subgroups" in expect:
-            got = [
-                [bitstring(b, g.n) for b in s.lifted_basis] for s in subs
-            ]
+            got = [[bitstring(b, g.n) for b in s.lifted_basis] for s in subs]
             check("expect-subgroups", got == expect["subgroups"], "lifted generators differ")
         if "signfree" in expect:
             check(
                 "expect-signfree",
-                len(fam) == expect["signfree"]["ev_count"]
-                and (1 << g.n) - len(fam) == expect["signfree"]["ambiguous"],
-                f"|E(V)| = {len(fam)}",
+                signfree["ev_count"] == expect["signfree"]["ev_count"]
+                and signfree["ambiguous"] == expect["signfree"]["ambiguous"],
+                f"|E(V)| = {signfree['ev_count']}",
             )
         if "children_e1" in expect:
-            children, classes = family_e1()
+            children, classes = family or _family(g, duals, check)
             check(
                 "expect-children-count",
                 len(children) == expect["children_e1"]["count"],
@@ -612,11 +620,7 @@ def _verify_graph(g: MixedGraph, expect: Optional[Dict], bound: int) -> List[str
 
 def cmd_verify(args) -> int:
     g, digest, expect = _read_graph(args.path)
-    try:
-        checked = _verify_graph(g, expect, args.bound)
-    except InvariantViolation as err:
-        sys.stdout.write(f"FAIL {err.name}: {err.reproducer}\n")
-        return EXIT_INVARIANT
+    checked = _verify_graph(g, expect, args.bound)
     report = {
         "command": "verify",
         "input_sha256": digest,
@@ -679,25 +683,36 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except GraphParseError as err:
-        sys.stderr.write(f"input error: {err}\n")
-        return EXIT_INPUT
-    except BoundExceeded as err:
-        sys.stderr.write(f"bound exceeded: {err}\n")
-        return EXIT_BOUND
-    except ExtensionError as err:
-        sys.stderr.write(f"search failure: {err}\n")
-        return EXIT_SEARCH
-    except InvariantViolation as err:
-        sys.stdout.write(f"FAIL {err.name}: {err.reproducer}\n")
-        return EXIT_INVARIANT
-    except ValueError as err:
-        sys.stderr.write(f"input error: {err}\n")
-        return EXIT_INPUT
+        try:
+            return args.func(args)
+        except GraphParseError as err:
+            sys.stderr.write(f"input error: {err}\n")
+            return EXIT_INPUT
+        except BoundExceeded as err:
+            sys.stderr.write(f"bound exceeded: {err}\n")
+            return EXIT_BOUND
+        except ExtensionError as err:
+            sys.stderr.write(f"search failure: {err}\n")
+            return EXIT_SEARCH
+        except InvariantViolation as err:
+            sys.stdout.write(f"FAIL {err.name}: {err.reproducer}\n")
+            return EXIT_INVARIANT
+        except ValueError as err:
+            sys.stderr.write(f"input error: {err}\n")
+            return EXIT_INPUT
+        finally:
+            sys.stdout.flush()  # an unwritable stdout fails here at the latest
+    except OSError as err:  # _read_graph makes an unreadable input exit 2: this is stdout
+        sys.stderr.write(f"output error: {err}\n")
+        # what stdout still buffers goes to os.devnull at exit, not to a traceback
+        with contextlib.suppress(OSError, ValueError):  # no descriptor: nothing to flush
+            fd = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        return EXIT_OUTPUT
 
 
 if __name__ == "__main__":

@@ -70,8 +70,9 @@ class ParentExtension:
         total = self.n + self.e
         if self.ae.cols != total or self.ae.nrows != total:
             raise ValueError("adjacency size must be n + e")
+        # graph-form rows X_j Z^{A_j} commute iff A is symmetric
         if not self.ae.is_symmetric():
-            raise ValueError("parent adjacency must be symmetric")
+            raise ExtensionError("rows do not pairwise commute")
 
     @property
     def total(self) -> int:
@@ -96,16 +97,20 @@ class ParentExtension:
         return BinMatrix(tuple(r & lab for r in self.ae.rows[self.n:]), self.n)
 
 
-def indicator(p: ParentExtension) -> Tuple[List[Tuple[int, ...]], BinMatrix, BinMatrix]:
+Indicator = Tuple[List[Tuple[int, ...]], BinMatrix, BinMatrix]
+
+
+def indicator(p: ParentExtension) -> Indicator:
     """(L sets, generator matrix G of J, parity matrix H) for a parent.
 
     H row m is the characteristic vector of L_m; J = ker(H) has exactly
     2^{n-e} members for a minimal extension.
     """
     h = p.parity_matrix()
-    if rank(h) != p.e:
+    gmat = kernel(h)
+    if gmat.nrows != p.n - p.e:  # rank(H) = n - dim ker(H)
         raise ExtensionError("parity matrix is rank deficient; extension not minimal")
-    return [tuple(bits_of(r)) for r in h.rows], kernel(h), h
+    return [tuple(bits_of(r)) for r in h.rows], gmat, h
 
 
 def symmetrize(
@@ -130,7 +135,8 @@ def symmetrize(
 
     Row products keep the stabilizer group, and graph-form rows commute iff
     their adjacency is symmetric, so the extended rows pairwise commute iff
-    ``ae`` is symmetric: ``ExtensionError`` otherwise.
+    ``ae`` is symmetric: ``ParentExtension`` raises ``ExtensionError``
+    otherwise.
     """
     n = len(stabilizer)
     e = len(columns)
@@ -153,8 +159,6 @@ def symmetrize(
             lab_off.add(j)
         lab_rows.append(z)
     ae = BinMatrix(tuple(lab_rows) + l_sets, n + e)
-    if not ae.is_symmetric():
-        raise ExtensionError("rows do not pairwise commute")
     return ParentExtension(
         n, e, ae, frozenset(lab_off), ext_assign=tuple(tuple(col) for col in columns)
     )
@@ -317,7 +321,7 @@ def extend_for_subgroup(
     (3,463 before the canonical shift), so no one rule replaces it.
 
     Raises ``ExtensionError`` when the extended rows do not commute (checked
-    by ``symmetrize``) or the parent's J is not the requested subgroup.
+    by ``ParentExtension``) or the parent's J is not the requested subgroup.
     """
     gamma = m_sub.reduction.gamma
     if not g.has_gamma(gamma):
@@ -328,9 +332,6 @@ def extend_for_subgroup(
         raise ExtensionError(
             f"subgroup parity matrix has {h.nrows} rows, expected e = {e}"
         )
-    if e == 0:
-        return symmetrize(stabilizer, ())
-
     xcols = _greedy_columns(gamma, h) or _closed_form_columns(gamma, h)
     assignment = [
         [_XZ_LETTER[(xcols[m][j], h.get(m, j))] for j in range(g.n)] for m in range(e)

@@ -10,7 +10,7 @@ keeps only the directed edges and governs all commutation structure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .f2 import BinMatrix, bits_of, mask_of, popcount, rank
 from .pauli import BoundExceeded, PauliWord
@@ -262,39 +262,17 @@ def complete_multipartite_parts(
     Returns (parts, isolated) or None.  None is also returned for edgeless
     skeletons (no parts to report), so presence is equivalent to mixed rank
     e = 1.  For a complete bipartite skeleton the third part is simply absent.
+    The parts are the active nodes grouped by their Gamma row, and the
+    skeleton is complete multipartite iff each group's row is exactly the
+    active nodes outside it.
     """
-    n = gamma.cols
-    isolated = [v for v in range(n) if gamma.rows[v] == 0]
-    active = [v for v in range(n) if gamma.rows[v] != 0]
-    if not active:
+    active = mask_of(v for v in range(gamma.cols) if gamma.rows[v])
+    groups: Dict[int, List[int]] = {}
+    for v in bits_of(active):
+        groups.setdefault(gamma.rows[v], []).append(v)
+    if not groups or len(groups) > 3:
         return None
-    # parts = connected components of the complement restricted to active
-    # nodes; each must be complete in the complement (i.e. independent and
-    # fully joined to every other part in the skeleton).
-    active_mask = mask_of(active)
-    comp = {v: (~gamma.rows[v]) & active_mask & ~(1 << v) for v in active}
-    unvisited = set(active)
-    parts: List[Tuple[int, ...]] = []
-    while unvisited:
-        start = min(unvisited)
-        stack = [start]
-        comp_nodes = set()
-        while stack:
-            v = stack.pop()
-            if v in comp_nodes:
-                continue
-            comp_nodes.add(v)
-            for w in bits_of(comp[v]):
-                if w not in comp_nodes:
-                    stack.append(w)
-        unvisited -= comp_nodes
-        parts.append(tuple(sorted(comp_nodes)))
-    if len(parts) > 3:
+    if any(row != active & ~mask_of(part) for row, part in groups.items()):
         return None
-    for part in parts:
-        pm = mask_of(part)
-        for v in part:
-            if comp[v] != pm & ~(1 << v):
-                return None
-    parts.sort()
-    return parts, tuple(isolated)
+    isolated = tuple(v for v in range(gamma.cols) if not gamma.rows[v])
+    return sorted(map(tuple, groups.values())), isolated

@@ -4,6 +4,9 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections.abc import Iterator
 from pathlib import Path
@@ -165,6 +168,10 @@ def test_each_child_built_once(monkeypatch):
     assert len(calls) == (3 + 6) * 4  # one child per subgroup, then the family
 
 
+# ``children`` runs the same checks as ``verify`` on every child it prints
+BATTERY_COMMANDS = [["verify"], ["children", "--all", "--json"]]
+
+
 def test_child_mixed_rejects_maximally_mixed_child(monkeypatch):
     # I/2^n agrees on both routes, is fixed by every stabilizer row, has
     # trace one and is not pure, but its purity is 2^-n, not 2^-e
@@ -177,9 +184,9 @@ def test_child_mixed_rejects_maximally_mixed_child(monkeypatch):
 
     monkeypatch.setattr(mgstate.cli, "child_from_pauli_sum", pauli_sum_route)
     monkeypatch.setattr(mgstate.cli, "child_from_partial_trace", maximally_mixed)
-    code, out, _ = run_cli("verify", str(FIXTURES / "triangle.graph"))
-    assert code == 1
-    assert out == "FAIL child-mixed: purity 1/8 != 1/2\n"
+    for argv in BATTERY_COMMANDS:
+        code, out, _ = run_cli(*argv, str(FIXTURES / "triangle.graph"))
+        assert (code, out) == (1, "FAIL child-mixed: purity 1/8 != 1/2\n"), argv
 
 
 def test_graph_values_computed_once_per_graph(monkeypatch):
@@ -298,9 +305,42 @@ def test_extension_found_rejects_flipped_letter(monkeypatch):
         return dataclasses.replace(p, ext_assign=(column,) + p.ext_assign[1:])
 
     monkeypatch.setattr(mgstate.cli, "extend_for_subgroup", flipped)
-    code, out, _ = run_cli("verify", str(FIXTURES / "fournode.graph"))
+    for argv in BATTERY_COMMANDS:
+        code, out, _ = run_cli(*argv, str(FIXTURES / "fournode.graph"))
+        assert (code, out) == (1, "FAIL extension-found: subgroup 0\n"), argv
+
+
+@pytest.mark.parametrize("argv", BATTERY_COMMANDS, ids=lambda a: a[0])
+def test_parent_eliminations_on_clique6(monkeypatch, argv):
+    # per parent: 8 RREFs (3 to build it, 2 for its indicator, 3 for its
+    # child) and 2 symmetry tests (ParentExtension and extension-commutes);
+    # reducing Gamma and enumerating take 312 RREFs and 2 symmetry tests
+    calls = {"rref": 0, "is_symmetric": 0}
+    original_rref = mgstate.f2.rref
+    original_symmetric = mgstate.f2.BinMatrix.is_symmetric
+
+    def rref(rows, cols):
+        calls["rref"] += 1
+        return original_rref(rows, cols)
+
+    def is_symmetric(m):
+        calls["is_symmetric"] += 1
+        return original_symmetric(m)
+
+    for module in (mgstate.f2, mgstate.graphs, mgstate.subgroups, mgstate.cli):
+        if hasattr(module, "rref"):
+            monkeypatch.setattr(module, "rref", rref)
+    monkeypatch.setattr(mgstate.f2.BinMatrix, "is_symmetric", is_symmetric)
+    code, _, _ = run_cli(*argv, str(FIXTURES / "clique6.graph"))
+    assert code == 0
+    assert calls == {"rref": 135 * 8 + 312, "is_symmetric": 135 * 2 + 2}
+
+
+def test_subgroups_count_check_name(monkeypatch):
+    monkeypatch.setattr(mgstate.cli, "chi", lambda e: 4)
+    code, out, _ = run_cli("subgroups", str(FIXTURES / "triangle.graph"))
     assert code == 1
-    assert out == "FAIL extension-found: subgroup 0\n"
+    assert out == "FAIL subgroup-count-chi: 3 != chi(1)\n"
 
 
 def test_subgroups_n128_size_without_listing(tmp_path, monkeypatch):
@@ -743,3 +783,53 @@ def test_children_fivenode_worked_subgroup():
         for c in report["result"]["children"]
     ]
     assert ("XZXIY", "IIZXZ") in cols
+
+
+def module_argv(*argv):
+    """``python -m mgstate`` in a fresh interpreter on this checkout's source,
+    and the environment that finds it."""
+    src = str(Path(mgstate.cli.__file__).resolve().parent.parent)
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    return [sys.executable, "-m", "mgstate", *argv], env
+
+
+def test_python_m_mgstate_runs_the_cli():
+    path = str(FIXTURES / "triangle.graph")
+    cmd, env = module_argv("analyze", "--json", path)
+    done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout == run_cli("analyze", "--json", path)[1]
+
+
+def test_closed_pipe_exit_5(tmp_path):
+    # the report is ~240 kB, far beyond a pipe's buffer, so a write fails
+    # once the reader has closed its end after 100 bytes
+    path = write_graph(tmp_path, directed_clique(7))
+    cmd, env = module_argv("subgroups", "--json", path)
+    proc = subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 5
+    assert head.startswith(b'{\n  "command": "subgroups"')
+    assert err == "output error: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full device")
+@pytest.mark.parametrize("argv", [["analyze"], ["verify"]], ids=lambda a: a[0])
+def test_full_device_exit_5(tmp_path, argv):
+    # analyze fails at the final flush; verify's FAIL line (a fixture that
+    # expects a wrong n) fails the same way, with exit 5 instead of 1
+    doc = json.loads((FIXTURES / "triangle.fixture.json").read_text())
+    doc["expect"]["n"] = 4
+    path = tmp_path / "wrong.fixture.json"
+    path.write_text(json.dumps(doc))
+    cmd, env = module_argv(*argv, str(path))
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            cmd, env=env, stdout=full, stderr=subprocess.PIPE, text=True, timeout=120
+        )
+    assert done.returncode == 5
+    assert done.stderr == "output error: [Errno 28] No space left on device\n"

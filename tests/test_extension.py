@@ -290,6 +290,12 @@ def test_symmetrize_rejects_noncommuting():
         symmetrize(stabilizer_matrix(g), ())
 
 
+def test_parent_extension_rejects_asymmetric_adjacency():
+    # graph-form rows X_j Z^{A_j} commute iff A is symmetric
+    with pytest.raises(ExtensionError, match="rows do not pairwise commute"):
+        ParentExtension(2, 0, BinMatrix((0b10, 0b00), 2))
+
+
 def test_symmetrize_preserves_group(rng):
     # output rows span the same symplectic subspace as the input extension
     # rows (same stabilizer group up to signs)

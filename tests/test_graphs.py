@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +20,8 @@ from mgstate.graphs import (
     stabilizer_matrix,
 )
 from paper_data import APPENDIX_A, CLIQUE6, FIVENODE, FOURNODE, PATH_MIXED, TRIANGLE
+
+FIXTURES = Path(__file__).parent.parent / "src" / "mgstate" / "fixtures"
 
 
 def all_mixed_graphs(n, with_colors=False):
@@ -313,3 +316,71 @@ def test_multipartite_iff_e1_sampled_n5():
         g = random_mixed_graph(rng, 5, allow_red=True)
         e, _ = mixed_rank(g)
         assert (complete_multipartite_parts(g.gamma()) is not None) == (e == 1)
+
+
+def multipartite_by_components(gamma):
+    """Oracle for ``complete_multipartite_parts``: the parts are the connected
+    components of the skeleton's complement on the active nodes, and each
+    must be complete in the complement (independent, and fully joined to
+    every other part in the skeleton)."""
+    n = gamma.cols
+    isolated = [v for v in range(n) if gamma.rows[v] == 0]
+    active = [v for v in range(n) if gamma.rows[v] != 0]
+    if not active:
+        return None
+    active_mask = sum(1 << v for v in active)
+    comp = {v: (~gamma.rows[v]) & active_mask & ~(1 << v) for v in active}
+    unvisited = set(active)
+    parts = []
+    while unvisited:
+        stack = [min(unvisited)]
+        comp_nodes = set()
+        while stack:
+            v = stack.pop()
+            if v in comp_nodes:
+                continue
+            comp_nodes.add(v)
+            stack.extend(w for w in range(n) if (comp[v] >> w) & 1 and w not in comp_nodes)
+        unvisited -= comp_nodes
+        parts.append(tuple(sorted(comp_nodes)))
+    if len(parts) > 3:
+        return None
+    for part in parts:
+        pm = sum(1 << v for v in part)
+        if any(comp[v] != pm & ~(1 << v) for v in part):
+            return None
+    return sorted(parts), tuple(isolated)
+
+
+def random_near_multipartite_gamma(rng, n):
+    """A skeleton with up to 4 labelled parts plus isolated nodes, joined
+    completely across parts, then with each pair flipped with chance 1/n^2."""
+    label = [rng.randrange(5) for _ in range(n)]  # label 4: isolated
+    rows = [0] * n
+    for j, k in itertools.combinations(range(n), 2):
+        joined = label[j] != label[k] and 4 not in (label[j], label[k])
+        if joined != (rng.random() < 1 / (n * n)):
+            rows[j] |= 1 << k
+            rows[k] |= 1 << j
+    return BinMatrix(tuple(rows), n)
+
+
+def test_multipartite_matches_component_oracle_random():
+    rng = random.Random(31415)
+    present = 0
+    for i in range(4_000):
+        n = rng.randrange(1, 8)
+        if i % 2:
+            gamma = random_near_multipartite_gamma(rng, n)
+        else:
+            gamma = random_mixed_graph(rng, n).gamma()
+        want = multipartite_by_components(gamma)
+        assert complete_multipartite_parts(gamma) == want
+        present += want is not None
+    assert 1_000 < present < 3_000  # both outcomes are well represented
+
+
+@pytest.mark.parametrize("fixture", sorted(FIXTURES.glob("*.graph")), ids=lambda p: p.stem)
+def test_multipartite_matches_component_oracle_fixtures(fixture):
+    gamma = parse_graph(fixture.read_text()).gamma()
+    assert complete_multipartite_parts(gamma) == multipartite_by_components(gamma)
