@@ -34,6 +34,8 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .extension import (
     ExtensionError,
     Indicator,
@@ -222,23 +224,30 @@ def _json_scalar(o) -> str:
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
-def _int_rows_width(items: Sequence) -> int:
-    """k when every item is a list of k plain ints (k >= 1), else 0."""
-    if set(map(type, items)) != {list}:
-        return 0
-    widths = set(map(len, items))
-    if len(widths) != 1 or set(map(type, chain.from_iterable(items))) != {int}:
-        return 0
-    return widths.pop()
+def _list_text(items: Iterable[str], level: int) -> str:
+    """An indented JSON list at nesting ``level`` of already encoded items."""
+    inner = "\n" + "  " * (level + 1)
+    return "[" + inner + f",{inner}".join(items) + "\n" + "  " * level + "]"
+
+
+def _grid_text(grid: np.ndarray, level: int) -> str:
+    """``json.dumps(grid.tolist(), indent=2)`` at nesting ``level`` for a
+    non-empty 2-D int array, encoding each distinct row once."""
+    rows = list(zip(*grid.T.tolist()))
+    texts = {row: _list_text(map(str, row), level + 1) for row in set(rows)}
+    return _list_text(map(texts.__getitem__, rows), level)
 
 
 def _json_chunks(o, level: int, out: List[str], prefix: str = "") -> None:
     """Append the text of ``json.dumps(o, indent=2, sort_keys=True)`` at nesting
-    ``level`` to ``out``, led by ``prefix``.  Dense matrix rows (lists of
-    equal-length int lists) are formatted by one template per row instead of
-    one call per entry.  An iterator is a list whose entries are written to
-    stdout, with all text before them, as soon as each is encoded; ``out``
-    then keeps one empty chunk, the mark of a report already begun."""
+    ``level`` to ``out``, led by ``prefix``.  An int array of two or more
+    dimensions is the list that its ``tolist`` gives, one chunk per 2-D slice
+    from ``_grid_text``: no call per entry, and no chunk so large that the
+    allocator returns its memory and faults fresh pages in for the next
+    report; the chunks go to ``writelines`` unjoined for the same reason.
+    An iterator is a list whose entries are written to stdout, with all
+    text before them, as soon as each is encoded; ``out`` then keeps one
+    empty chunk, the mark of a report already begun."""
     inner = "\n" + "  " * (level + 1)
     close = "\n" + "  " * level
     if isinstance(o, dict):
@@ -251,20 +260,16 @@ def _json_chunks(o, level: int, out: List[str], prefix: str = "") -> None:
             _json_chunks(value, level + 1, out, f"{sep}{inner}{key}: ")
             sep = ","
         out.append(close + "}")
-    elif isinstance(o, (list, tuple, Iterator)):
+    elif isinstance(o, np.ndarray) and o.ndim == 2 and o.size:
+        out.append(prefix + _grid_text(o, level))
+    elif isinstance(o, (list, tuple, Iterator, np.ndarray)):
         streamed = isinstance(o, Iterator)
-        width = 0 if streamed else _int_rows_width(o)
-        if width:
-            deeper = "\n" + "  " * (level + 2)
-            row = "[" + deeper + f",{deeper}".join(["{}"] * width) + inner + "]"
-            out.append(f"{prefix}[{inner}" + f",{inner}".join(starmap(row.format, o)) + close + "]")
-            return
         sep = prefix + "["
         for value in o:
             _json_chunks(value, level + 1, out, sep + inner)
             sep = ","
             if streamed:
-                sys.stdout.write("".join(out))
+                sys.stdout.writelines(out)
                 out[:] = [""]
         out.append(close + "]" if sep == "," else prefix + "[]")
     else:
@@ -285,7 +290,7 @@ def _emit(report: Dict, text_lines: Iterable[str], as_json: bool) -> None:
             sys.stdout.write("\n")
         raise
     out.append("\n")
-    sys.stdout.write("".join(out))
+    sys.stdout.writelines(out)
 
 
 # ---------------------------------------------------------------- analyze
@@ -604,6 +609,8 @@ def _verify_graph(g: MixedGraph, expect: Optional[Dict], bound: int) -> List[str
             )
             if "rho_json" in expect["children_e1"]:
                 got_rhos = [c.rho.to_json_dict() for c in children]
+                for rho in got_rhos:  # the lists that the report's JSON holds
+                    rho["entries"] = rho["entries"].tolist()
                 check(
                     "expect-children-rho",
                     got_rhos == expect["children_e1"]["rho_json"],

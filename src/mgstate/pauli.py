@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -276,39 +276,32 @@ class GaussianMatrix:
             self.denom_log2,
         )
 
-    def to_entry_lists(self) -> List[List[List[int]]]:
-        return np.stack((self.re, self.im), axis=-1).tolist()
-
     def to_json_dict(self) -> Dict:
+        """The fields of a JSON report; ``entries[a, b]`` is ``(re, im)``, an
+        int array that ``cli`` writes as the nested lists ``tolist`` gives."""
         return {
             "dim": self.dim,
             "denom_log2": self.denom_log2,
-            "entries": self.to_entry_lists(),
+            "entries": np.stack((self.re, self.im), axis=-1),
         }
 
     def to_text_grid(self) -> str:
-        """Aligned grid of exact entries with the denominator up front."""
-        cells = [
-            list(map(_format_gaussian, re_row, im_row))
-            for re_row, im_row in zip(self.re.tolist(), self.im.tolist())
-        ]
-        width = max((len(s) for row in cells for s in row), default=1)
-        body = "\n".join(" ".join(s.rjust(width) for s in row) for row in cells)
+        """Aligned grid of exact entries with the denominator up front.  Each
+        distinct entry is formatted once."""
+        pairs = list(zip(self.re.ravel().tolist(), self.im.ravel().tolist()))
+        texts = {pair: _format_gaussian(*pair) for pair in set(pairs)}
+        width = max(map(len, texts.values()), default=1)
+        padded = {pair: s.rjust(width) for pair, s in texts.items()}
+        cells = list(map(padded.__getitem__, pairs))
+        body = "\n".join(" ".join(cells[i:i + self.dim]) for i in range(0, len(cells), self.dim))
         if self.denom_log2:
             return f"1/{1 << self.denom_log2} *\n{body}"
         return body
 
 
 def _format_gaussian(re: int, im: int) -> str:
+    """re + im i as text, e.g. "3", "-i", "2i", "1+i", "-1-2i"."""
     if im == 0:
         return str(re)
-    if re == 0:
-        if im == 1:
-            return "i"
-        if im == -1:
-            return "-i"
-        return f"{im}i"
-    sign = "+" if im > 0 else "-"
-    mag = abs(im)
-    istr = "i" if mag == 1 else f"{mag}i"
-    return f"{re}{sign}{istr}"
+    imag = {1: "i", -1: "-i"}.get(im, f"{im}i")
+    return imag if re == 0 else f"{re}{'' if im < 0 else '+'}{imag}"

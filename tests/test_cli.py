@@ -743,12 +743,26 @@ def test_emit_matches_stdlib_encoding(value, capsys):
 
 
 def _listed(o):
-    """``o`` with each iterator in it materialised as a list."""
+    """``o`` with each iterator in it materialised as a list, and each array
+    as the lists its ``tolist`` gives."""
     if isinstance(o, dict):
         return {key: _listed(value) for key, value in o.items()}
-    if isinstance(o, Iterator):
+    if isinstance(o, (list, Iterator)):
         return [_listed(value) for value in o]
+    if isinstance(o, np.ndarray):
+        return o.tolist()
     return o
+
+
+@pytest.mark.parametrize(
+    "shape", [(1, 1), (3, 2), (4, 4, 2), (2, 3, 4), (3, 1, 1, 2), (2, 0), (0, 3), (2, 0, 3)]
+)
+def test_emit_int_array_matches_stdlib_encoding_of_its_lists(shape, capsys):
+    gen = np.random.default_rng(len(shape) * 10 + sum(shape))
+    a = gen.integers(-3, 4, size=shape) * 10 ** gen.integers(0, 18, size=shape)
+    value = {"b": [a, {"a": a}], "a": a}
+    _emit(value, [], as_json=True)
+    assert capsys.readouterr().out == json.dumps(_listed(value), indent=2, sort_keys=True) + "\n"
 
 
 def test_emit_mid_stream_type_error_matches_stdlib(capsys):

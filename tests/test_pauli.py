@@ -288,3 +288,28 @@ def test_gaussian_matrix_json_round_trip():
 def test_gaussian_text_grid():
     m = PauliWord.from_letters("Y").to_dense()
     assert m.to_text_grid() == " 0 -i\n i  0"
+
+
+def _gaussian_text_oracle(re: int, im: int) -> str:
+    """Reference for the grid's entry text, written case by case."""
+    if im == 0:
+        return str(re)
+    if re == 0:
+        return {1: "i", -1: "-i"}.get(im, f"{im}i")
+    mag = abs(im)
+    return f"{re}{'+' if im > 0 else '-'}{'i' if mag == 1 else f'{mag}i'}"
+
+
+def test_text_grid_matches_entry_by_entry_oracle(rng):
+    for n in (1, 2, 3):
+        dim = 1 << n
+        re = np.array([[rng.randint(-12, 12) for _ in range(dim)] for _ in range(dim)])
+        im = np.array([[rng.choice((0, 0, 1, -1, rng.randint(-12, 12))) for _ in range(dim)]
+                       for _ in range(dim)])
+        for d in (0, 3):
+            rows = zip(re.tolist(), im.tolist())
+            cells = [list(map(_gaussian_text_oracle, r, i)) for r, i in rows]
+            width = max(len(s) for row in cells for s in row)
+            body = "\n".join(" ".join(s.rjust(width) for s in row) for row in cells)
+            want = f"1/{1 << d} *\n{body}" if d else body
+            assert GaussianMatrix(re, im, d).to_text_grid() == want
