@@ -2,12 +2,13 @@
 
 Subcommands read a graph file and emit deterministic reports, as text or as
 JSON (``--json``).  Exit codes: 0 success, 1 invariant violation, 2 input
-error, 3 qubit or enumeration bound exceeded, 4 an ``ExtensionError`` from
-the parent construction, as ``search failure: <message>`` on stderr, 5 stdout
-could not be written (a closed pipe or a full device), as one
-``output error: <message>`` line on stderr.  The column step itself cannot
-fail (see ``mgstate.extension``), so exit 4 means a precondition or a
-consistency check of the construction broke.
+error, 3 qubit or enumeration bound exceeded, or memory exhausted (``bound
+exceeded: out of memory``), 4 an ``ExtensionError`` from the parent
+construction, as ``search failure: <message>`` on stderr, 5 stdout could not
+be written (a closed pipe or a full device), as one ``output error:
+<message>`` line on stderr.  The column step cannot fail (see
+``mgstate.extension``), so exit 4 means a precondition of the construction
+broke; a parent whose J is not its subgroup fails an exit 1 check.
 
 Each builder runs the checks that vouch for its output, and ``verify`` calls
 every builder, so ``children`` runs ``verify``'s checks on each child it
@@ -408,10 +409,10 @@ def _phase_text(p: ParentExtension) -> str:
     return " + ".join(terms) or "0"
 
 
-def _parent_payload(rows: Sequence[PauliWord], child: ChildResult, ind: Indicator) -> Dict:
+def _parent_payload(rows: Sequence[PauliWord], child: ChildResult) -> Dict:
     _check_child(child, rows)
     p = child.parent
-    l_sets, gmat, h = ind
+    l_sets, gmat, h = child.indicator
     return {
         "parent_rows": [r.letters() for r in p.rows()],
         "ext_columns": [list(c) for c in p.ext_assign] if p.ext_assign else None,
@@ -441,7 +442,7 @@ def cmd_children(args) -> int:
     result: Dict = {"e": e, "t": t}
     if args.subgroup is None and not args.all and e == 1:
         children, classes = _family(g, duals)
-        reports: Iterable[Dict] = [_parent_payload(rows, c, indicator(c.parent)) for c in children]
+        reports: Iterable[Dict] = [_parent_payload(rows, c) for c in children]
         result["mode"] = "family"
         result["classes"] = classes
     else:
@@ -457,8 +458,8 @@ def cmd_children(args) -> int:
 
         def payload(idx: int, sub: IsotropicSubspace) -> Dict:
             p, ind = _parent(g, idx, sub, rows)
-            child = child_from_pauli_sum(p, duals)
-            return {**_parent_payload(rows, child, ind), "subgroup_index": idx}
+            child = child_from_pauli_sum(p, duals, ind)
+            return {**_parent_payload(rows, child), "subgroup_index": idx}
 
         reports = starmap(payload, chosen)
     result["children"] = reports  # a starmap builds each child as the report is written
@@ -565,9 +566,9 @@ def _verify_graph(g: MixedGraph, expect: Optional[Dict], bound: int) -> List[str
     # parent checks need no dense matrix; one dense child alive at a time
     dense = g.n + e <= dense_bound()
     for idx, sub in enumerate(subs):
-        p, _ = _parent(g, idx, sub, rows, check)
+        p, ind = _parent(g, idx, sub, rows, check)
         if dense:
-            _check_child(child_from_pauli_sum(p, duals), rows, check)
+            _check_child(child_from_pauli_sum(p, duals, ind), rows, check)
     family = _family(g, duals, check) if dense and e == 1 else None
     for child in family[0] if family else ():
         _check_child(child, rows, check)
@@ -699,6 +700,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return EXIT_INPUT
         except BoundExceeded as err:
             sys.stderr.write(f"bound exceeded: {err}\n")
+            return EXIT_BOUND
+        except MemoryError:
+            sys.stderr.write("bound exceeded: out of memory\n")
             return EXIT_BOUND
         except ExtensionError as err:
             sys.stderr.write(f"search failure: {err}\n")

@@ -29,8 +29,8 @@ import itertools
 from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
-from .f2 import BinMatrix, bits_of, kernel, mask_of, popcount, rank
-from .graphs import MixedGraph, complete_multipartite_parts, mixed_rank, stabilizer_matrix
+from .f2 import BinMatrix, bits_of, kernel, mask_of, popcount
+from .graphs import MixedGraph, complete_multipartite_parts, stabilizer_matrix
 from .pauli import _LETTER_XZ, _XZ_LETTER, PauliWord
 from .subgroups import IsotropicSubspace
 
@@ -165,13 +165,11 @@ def symmetrize(
 
 
 def extend_e1(g: MixedGraph) -> List[ParentExtension]:
-    """All single-column extensions: one per assignment of distinct tags
-    from {X, Z, Y} to the multipartite parts of the skeleton."""
-    e, _ = mixed_rank(g)
-    if e != 1:
-        raise ExtensionError(f"extend_e1 requires mixed rank 1, got {e}")
+    """All single-column extensions: one per assignment of distinct tags from
+    {X, Z, Y} to the skeleton's multipartite parts, present iff e = 1."""
     parts_iso = complete_multipartite_parts(g.gamma())
-    assert parts_iso is not None, "mixed rank 1 forces a complete multipartite skeleton"
+    if parts_iso is None:
+        raise ExtensionError("extend_e1 requires mixed rank 1")
     parts, _ = parts_iso
     stabilizer = stabilizer_matrix(g)
     out = []
@@ -320,8 +318,10 @@ def extend_for_subgroup(
     510 of the 4,979 subgroups where greedy succeeds in a sweep of 42,030
     (3,463 before the canonical shift), so no one rule replaces it.
 
-    Raises ``ExtensionError`` when the extended rows do not commute (checked
-    by ``ParentExtension``) or the parent's J is not the requested subgroup.
+    ``symmetrize`` writes H as the parent's parity matrix, so its J is the
+    subgroup by construction: the CLI's ``indicator-matches-subgroup`` is the
+    one check of that.  Raises ``ExtensionError`` when the subgroup comes
+    from another Gamma or has the wrong dimension, or the rows do not commute.
     """
     gamma = m_sub.reduction.gamma
     if not g.has_gamma(gamma):
@@ -336,10 +336,4 @@ def extend_for_subgroup(
     assignment = [
         [_XZ_LETTER[(xcols[m][j], h.get(m, j))] for j in range(g.n)] for m in range(e)
     ]
-    parent = symmetrize(stabilizer, assignment)
-    # ker H_p has dimension n - e iff rank H_p = e, and the requested
-    # subgroup's n - e basis rows are independent: containment is equality
-    h_p = parent.parity_matrix()
-    if rank(h_p) != e or any(h_p.mul_vec(v) for v in m_sub.lifted_basis):
-        raise ExtensionError("indicator subgroup does not match the requested subgroup")
-    return parent
+    return symmetrize(stabilizer, assignment)

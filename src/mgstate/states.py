@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .extension import ParentExtension, indicator, verify_full_commutation
+from .extension import Indicator, ParentExtension, indicator, verify_full_commutation
 from .f2 import BinMatrix, bits_of, mask_of, parity, solve, span
 from .pauli import (
     BoundExceeded,
@@ -93,9 +93,10 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class ChildResult:
-    """Child density matrix with its Pauli-sum decomposition."""
+    """Child density matrix, its parent's indicator and its Pauli-sum terms."""
 
     parent: ParentExtension
+    indicator: Indicator
     rho: DensityMatrix
     terms: Dict[int, int]  # J member bitset -> i-exponent of b_j
 
@@ -118,25 +119,25 @@ def _pauli_terms(
 
 
 def child_from_pauli_sum(
-    p: ParentExtension, duals: Sequence[PauliWord]
+    p: ParentExtension, duals: Sequence[PauliWord], ind: Indicator
 ) -> ChildResult:
     """rho = 2^{-n} sum_{j in J} b_j s_j, with commutation asserted.
 
-    J = span(G) is closed by construction, and the x/z parts of s_j are
-    linear in j, so the s_j commute pairwise iff the n - e generator words
-    do.  ``ChildResult.terms`` keeps the i-exponent of each b_j, which
-    follows the paper's sign rule: weight-1 members get +1, anticommuting
-    pairs get +-i with the sign set by which factor carries Y versus Z,
-    and offsets flip every term that contains them.
+    ``ind`` is the caller's ``indicator(p)``, which the child keeps.  J =
+    span(G) is closed by construction, and the x/z parts of s_j are linear in
+    j, so the s_j commute pairwise iff the n - e generator words do.
+    ``ChildResult.terms`` keeps the i-exponent of each b_j, which follows the
+    paper's sign rule: weight-1 members get +1, anticommuting pairs get +-i
+    with the sign set by which factor carries Y versus Z, and offsets flip
+    every term that contains them.
     """
-    n = p.n
-    _, gmat, _ = indicator(p)
+    n, gmat = p.n, ind[1]
     terms = _pauli_terms(p, duals, span(gmat.rows, n))
     if not verify_full_commutation([terms[g][0] for g in gmat.rows]):
         raise AssertionError("J members must commute pairwise")
     acc = pauli_sum(n, list(terms.values()))
     rho = DensityMatrix(n, acc.divided_by_pow2(n).normalized())
-    return ChildResult(p, rho, {j: k for j, (_, k) in terms.items()})
+    return ChildResult(p, ind, rho, {j: k for j, (_, k) in terms.items()})
 
 
 def parent_phases(p: ParentExtension) -> np.ndarray:
@@ -183,7 +184,7 @@ def children_family_e1(
     other; with disjoint supports this reduces to comparing coefficient maps
     under sign flips, which one F2 solve per pair decides.
     """
-    children = [child_from_pauli_sum(p, g_duals) for p in parents]
+    children = [child_from_pauli_sum(p, g_duals, indicator(p)) for p in parents]
     n = parents[0].n if parents else 0
     classes: List[List[int]] = []
     assigned = [False] * len(children)

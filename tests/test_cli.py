@@ -179,8 +179,8 @@ def test_child_mixed_rejects_maximally_mixed_child(monkeypatch):
         ident = np.eye(1 << p.n, dtype=np.int64)
         return DensityMatrix(p.n, GaussianMatrix(ident, 0 * ident, p.n))
 
-    def pauli_sum_route(p, duals):
-        return ChildResult(p, maximally_mixed(p), {})
+    def pauli_sum_route(p, duals, ind):
+        return ChildResult(p, ind, maximally_mixed(p), {})
 
     monkeypatch.setattr(mgstate.cli, "child_from_pauli_sum", pauli_sum_route)
     monkeypatch.setattr(mgstate.cli, "child_from_partial_trace", maximally_mixed)
@@ -312,7 +312,7 @@ def test_extension_found_rejects_flipped_letter(monkeypatch):
 
 @pytest.mark.parametrize("argv", BATTERY_COMMANDS, ids=lambda a: a[0])
 def test_parent_eliminations_on_clique6(monkeypatch, argv):
-    # per parent: 8 RREFs (3 to build it, 2 for its indicator, 3 for its
+    # per parent: 5 RREFs (1 for its H, 1 for its indicator, 3 for its
     # child) and 2 symmetry tests (ParentExtension and extension-commutes);
     # reducing Gamma and enumerating take 312 RREFs and 2 symmetry tests
     calls = {"rref": 0, "is_symmetric": 0}
@@ -333,7 +333,66 @@ def test_parent_eliminations_on_clique6(monkeypatch, argv):
     monkeypatch.setattr(mgstate.f2.BinMatrix, "is_symmetric", is_symmetric)
     code, _, _ = run_cli(*argv, str(FIXTURES / "clique6.graph"))
     assert code == 0
-    assert calls == {"rref": 135 * 8 + 312, "is_symmetric": 135 * 2 + 2}
+    assert calls == {"rref": 135 * 5 + 312, "is_symmetric": 135 * 2 + 2}
+
+
+def test_indicator_computed_once_per_parent(monkeypatch):
+    # the child reuses the indicator that the J = subgroup check read
+    calls = []
+    original = mgstate.extension.indicator
+
+    def counted(p):
+        calls.append(p.n)
+        return original(p)
+
+    for module in (mgstate.extension, mgstate.states, mgstate.cli):
+        monkeypatch.setattr(module, "indicator", counted)
+    runs = [
+        (["verify", "clique6.graph"], 135),
+        (["children", "--all", "--json", "clique6.graph"], 135),
+        (["children", "triangle.graph"], 6),  # the e = 1 family
+        (["verify", "triangle.graph"], 3 + 6),  # one parent per subgroup, then the family
+    ]
+    for argv, parents in runs:
+        calls.clear()
+        code, _, _ = run_cli(*argv[:-1], str(FIXTURES / argv[-1]))
+        assert code == 0
+        assert len(calls) == parents, argv
+
+
+def test_family_reads_mixed_rank_off_the_skeleton(monkeypatch):
+    # extend_e1 needs e = 1, which a complete multipartite skeleton implies
+    calls = []
+    original = mgstate.graphs.mixed_rank
+
+    def counted(g):
+        calls.append(g)
+        return original(g)
+
+    for module in (mgstate.graphs, mgstate.subgroups, mgstate.extension, mgstate.cli):
+        if hasattr(module, "mixed_rank"):
+            monkeypatch.setattr(module, "mixed_rank", counted)
+    code, _, _ = run_cli("verify", str(FIXTURES / "triangle.graph"))
+    assert code == 0
+    assert calls == []
+
+
+def test_indicator_check_rejects_parent_of_another_subgroup(monkeypatch):
+    # subgroup 0 is extended with subgroup 1's parity matrix: the columns
+    # still solve the extension condition and commute, but the parent's
+    # J = ker(H) is subgroup 1
+    g = mgstate.graphs.parse_graph((FIXTURES / "fournode.graph").read_text())
+    red = mgstate.subgroups.reduce_gamma(g.gamma())
+    subs = mgstate.subgroups.enumerate_max_isotropic(red)
+    original = mgstate.extension.parity_basis
+
+    def swapped(m):
+        return original(subs[1] if m.lifted_basis == subs[0].lifted_basis else m)
+
+    monkeypatch.setattr(mgstate.extension, "parity_basis", swapped)
+    for argv in BATTERY_COMMANDS:
+        code, out, _ = run_cli(*argv, str(FIXTURES / "fournode.graph"))
+        assert (code, out) == (1, "FAIL indicator-matches-subgroup: subgroup 0\n"), argv
 
 
 def test_subgroups_count_check_name(monkeypatch):
@@ -358,6 +417,17 @@ def test_subgroups_n128_size_without_listing(tmp_path, monkeypatch):
     listing = json.loads(out)["result"]["subgroups"]
     assert len(listing) == 15
     assert all(s["size"] == 1 << 126 and s["elements"] is None for s in listing)
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_out_of_memory_exit_3(monkeypatch, tmp_path, command):
+    # a huge node count fails in the graph's first n-row matrix
+    def exhausted(g):
+        raise MemoryError
+
+    monkeypatch.setattr(mgstate.graphs.MixedGraph, "adjacency", exhausted)
+    code, out, err = run_cli(command, write_graph(tmp_path, "nodes 99999999999\n"))
+    assert (code, out, err) == (3, "", "bound exceeded: out of memory\n")
 
 
 @pytest.mark.parametrize("argv", [["children", "--all"], ["verify"]])

@@ -195,12 +195,12 @@ def test_sign_coefficients_worked_parents():
     parents = extend_e1(g)
     # column (X, Z, Y): rho = (s000 + s100 + i s011 + i s111)/8
     p_xzy = parents[0]
-    coeffs = child_from_pauli_sum(p_xzy, duals).terms
+    coeffs = child_from_pauli_sum(p_xzy, duals, indicator(p_xzy)).terms
     keyed = {format(k, "03b")[::-1]: v for k, v in coeffs.items()}
     assert keyed == {"000": 0, "100": 0, "011": 1, "111": 1}
     # column (X, Y, Z): rho = (s000 + s100 - i s011 - i s111)/8
     p_xyz = parents[1]
-    coeffs = child_from_pauli_sum(p_xyz, duals).terms
+    coeffs = child_from_pauli_sum(p_xyz, duals, indicator(p_xyz)).terms
     keyed = {format(k, "03b")[::-1]: v for k, v in coeffs.items()}
     assert keyed == {"000": 0, "100": 0, "011": 3, "111": 3}
 
@@ -209,10 +209,9 @@ def test_sign_coefficients_binary_flip_rule():
     g = parse_graph(TRIANGLE)
     duals = triangle_duals()
     p = extend_e1(g)[0]
-    base = child_from_pauli_sum(p, duals).terms
-    flipped = child_from_pauli_sum(
-        dataclasses.replace(p, lab_offsets=p.lab_offsets ^ {0}), duals
-    ).terms
+    base = child_from_pauli_sum(p, duals, indicator(p)).terms
+    p_flipped = dataclasses.replace(p, lab_offsets=p.lab_offsets ^ {0})
+    flipped = child_from_pauli_sum(p_flipped, duals, indicator(p_flipped)).terms
     for j, v in base.items():
         expect = (v + 2) % 4 if (j & 1) else v  # terms containing row 0
         assert flipped[j] == expect
@@ -227,7 +226,7 @@ def test_terms_are_hermitian(rng):
         made += 1
         duals = dual_stabilizer(g)
         for p in extend_e1(g):
-            coeffs = child_from_pauli_sum(p, duals).terms
+            coeffs = child_from_pauli_sum(p, duals, indicator(p)).terms
             for j, k in coeffs.items():
                 word = ordered_product(duals, bits_of(j))
                 scaled = PauliWord(word.n, word.x, word.z, word.phase + k)
@@ -250,7 +249,7 @@ def test_child_equals_partial_trace_all_paper_graphs():
             assert p is not None
             parents.append(p)
         for p in parents:
-            child = child_from_pauli_sum(p, duals)
+            child = child_from_pauli_sum(p, duals, indicator(p))
             assert child.rho == child_from_partial_trace(p)
 
 
@@ -265,7 +264,7 @@ def test_child_trace_hermitian_mixed(rng):
         duals = dual_stabilizer(g)
         sub = enumerate_max_isotropic(reduce_gamma(g.gamma()))[0]
         p = extend_for_subgroup(g, sub, stabilizer_matrix(g))
-        child = child_from_pauli_sum(p, duals)
+        child = child_from_pauli_sum(p, duals, indicator(p))
         assert child.rho.trace_is_one()
         assert child.rho.is_hermitian()
         assert not child.rho.is_pure()  # e >= 1 means properly mixed
@@ -289,7 +288,7 @@ def test_child_subgroup_is_maximal(rng):
 def test_e0_child_is_pure_projector():
     g = parse_graph("nodes 3\nedge 0 -- 1\nedge 1 -- 2\n")
     p = symmetrize(stabilizer_matrix(g), ())
-    child = child_from_pauli_sum(p, dual_stabilizer(g))
+    child = child_from_pauli_sum(p, dual_stabilizer(g), indicator(p))
     assert len(child.terms) == 8  # sum over the whole stabilizer group
     assert child.rho == child_from_partial_trace(p)
     assert child.rho.is_pure()
@@ -299,7 +298,7 @@ def test_rho0_is_a_pauli_sum_child():
     # rho0's stated parent, fed through the Pauli-sum route
     p = parent_from_paper(*RHO0_PARENT, 3, 1)
     duals = triangle_duals()
-    child = child_from_pauli_sum(p, duals)
+    child = child_from_pauli_sum(p, duals, indicator(p))
     assert np.array_equal(rho_to_complex(child.rho), paper_matrix(RHO0_NUM, 8))
     # and it matches the partial trace of the same parent
     assert child.rho == child_from_partial_trace(p)
@@ -429,7 +428,8 @@ def test_z_pattern_solve_matches_search(rng):
             graphs.append(g)
     for g in graphs:
         duals = dual_stabilizer(g)
-        assert_z_patterns_match_search([child_from_pauli_sum(p, duals) for p in extend_e1(g)], g.n)
+        children = [child_from_pauli_sum(p, duals, indicator(p)) for p in extend_e1(g)]
+        assert_z_patterns_match_search(children, g.n)
     # an odd difference (b_1 - a_1 = 3) and a J where a sign flip is forced
     # on 0b11 but not on either of its factors
     odd = [SimpleNamespace(terms={0: 0, 1: 0}), SimpleNamespace(terms={0: 0, 1: 3})]
@@ -458,7 +458,7 @@ def test_sign_table_row_for_row():
             rho = child_from_partial_trace(p)
             assert np.array_equal(rho_to_complex(rho), expect), (a, b, binary)
             # and through the Pauli-sum route
-            child = child_from_pauli_sum(p, duals)
+            child = child_from_pauli_sum(p, duals, indicator(p))
             assert child.rho == rho
 
 
@@ -472,10 +472,10 @@ def test_linear_term_rule_via_z_conjugation(rng):
         made += 1
         duals = dual_stabilizer(g)
         for p in extend_e1(g)[:2]:
-            base = child_from_pauli_sum(p, duals).rho
+            base = child_from_pauli_sum(p, duals, indicator(p)).rho
             for k in range(g.n):
                 flipped = dataclasses.replace(p, lab_offsets=p.lab_offsets ^ {k})
-                flipped = child_from_pauli_sum(flipped, duals).rho
+                flipped = child_from_pauli_sum(flipped, duals, indicator(flipped)).rho
                 zk = PauliWord(g.n, 0, 1 << k, 0)
                 assert flipped == base.conjugated_by(zk)
 
@@ -504,7 +504,7 @@ def test_clique6_displayed_parent_graph_form():
     assert gmat.row_strings() == CLIQUE6_G_ROWS
     # its child agrees across both routes and is stabilized by the clique
     duals = dual_stabilizer(g)
-    child = child_from_pauli_sum(p, duals)
+    child = child_from_pauli_sum(p, duals, indicator(p))
     assert child.rho == child_from_partial_trace(p)
     assert stabilized_by(child.rho, stabilizer_matrix(g))
 
@@ -527,7 +527,7 @@ def test_clique6_displayed_eight_term_child():
         if set(s.span_lifted()) == target
     )
     p = extend_for_subgroup(g, sub, stabilizer_matrix(g))
-    child = child_from_pauli_sum(p, duals)
+    child = child_from_pauli_sum(p, duals, indicator(p))
     expect = np.zeros((64, 64), dtype=complex)
     for sign, letters in CLIQUE6_CHILD_TERMS:
         expect = expect + sign * kron_letters(letters)
@@ -543,7 +543,7 @@ def test_clique6_worked_subgroup_child_matches_trace():
     target = set(span(list(FIVENODE_SUBGROUP_GENS), 5))
     sub = next(s for s in subs if set(s.span_lifted()) == target)
     p = extend_for_subgroup(g, sub, stabilizer_matrix(g))
-    child = child_from_pauli_sum(p, duals)
+    child = child_from_pauli_sum(p, duals, indicator(p))
     assert child.rho == child_from_partial_trace(p)
     assert set(child.terms) == target
 
@@ -610,7 +610,7 @@ def _every_parent(g):
 def _every_child(g):
     duals = dual_stabilizer(g)
     e, parents = _every_parent(g)
-    return e, [child_from_pauli_sum(p, duals) for p in parents]
+    return e, [child_from_pauli_sum(p, duals, indicator(p)) for p in parents]
 
 
 def _purity_graphs():
@@ -641,7 +641,7 @@ def test_purity_examples():
         assert mixed.purity() == Fraction(1, 1 << n)  # ... purity tells it apart
     g = parse_graph("nodes 3\nedge 0 -- 1\nedge 1 -- 2\n")
     p = symmetrize(stabilizer_matrix(g), ())
-    assert child_from_pauli_sum(p, dual_stabilizer(g)).rho.purity() == 1
+    assert child_from_pauli_sum(p, dual_stabilizer(g), indicator(p)).rho.purity() == 1
 
 
 def test_purity_exact_beyond_int64():
@@ -701,7 +701,7 @@ def test_child_from_pauli_sum_one_product_per_member(monkeypatch):
         for sub in enumerate_max_isotropic(reduce_gamma(g.gamma())):
             p = extend_for_subgroup(g, sub, stabilizer_matrix(g))
             calls.clear()
-            child = child_from_pauli_sum(p, duals)
+            child = child_from_pauli_sum(p, duals, indicator(p))
             assert len(calls) == len(child.terms) == 1 << (g.n - e)
 
 
@@ -711,8 +711,8 @@ def test_child_from_pauli_sum_rejects_anticommuting_generators():
     p = extend_e1(parse_graph(TRIANGLE))[0]
     other = dual_stabilizer(parse_graph("nodes 3\nedge 0 -> 1\n"))
     with pytest.raises(AssertionError, match="J members must commute pairwise"):
-        child_from_pauli_sum(p, other)
-    child_from_pauli_sum(p, dual_stabilizer(parse_graph(TRIANGLE)))
+        child_from_pauli_sum(p, other, indicator(p))
+    child_from_pauli_sum(p, dual_stabilizer(parse_graph(TRIANGLE)), indicator(p))
 
 
 # ---- the partial-trace route against term-by-term and einsum oracles ----
