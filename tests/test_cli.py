@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -23,6 +24,7 @@ import mgstate.states
 import mgstate.subgroups
 from mgstate.cli import _emit, main
 from mgstate.extension import extend_for_subgroup
+from mgstate.f2 import bits_of, bitstring, mask_of
 from mgstate.pauli import GaussianMatrix, PauliWord, ordered_product
 from mgstate.states import ChildResult, DensityMatrix, child_from_partial_trace
 from mgstate.subgroups import IsotropicSubspace
@@ -507,21 +509,89 @@ def test_children_written_entry_by_entry(monkeypatch):
 
 
 def test_subgroups_written_entry_by_entry(monkeypatch):
-    # subgroup k is on stdout before the first word of subgroup k + 1 is built
+    # subgroup k is on stdout before the members of subgroup k + 1 are listed
     stdout = io.StringIO()
     written = []
+    original = IsotropicSubspace.span_lifted
 
-    def recorded(rows, indices):
+    def recorded(self):
         written.append(stdout.getvalue().count('"index":'))
-        return ordered_product(rows, indices)
+        return original(self)
 
-    monkeypatch.setattr(mgstate.cli, "ordered_product", recorded)
+    monkeypatch.setattr(IsotropicSubspace, "span_lifted", recorded)
     with contextlib.redirect_stdout(stdout):
         code = main(["subgroups", "--json", str(FIXTURES / "appendix_a.graph")])
     assert code == 0
     listing = json.loads(stdout.getvalue())["result"]["subgroups"]
-    assert written == [s["index"] for s in listing for _ in s["elements"]]
-    assert len(set(written)) == len(listing) > 1
+    assert written == [s["index"] for s in listing]
+    assert len(listing) > 1
+
+
+def test_subgroups_one_product_per_listed_index_set(monkeypatch, tmp_path):
+    # clique8: 36,720 listed members, but only 2^8 distinct index sets
+    built = []
+
+    def counted(rows, indices):
+        built.append(mask_of(indices))
+        return ordered_product(rows, indices)
+
+    monkeypatch.setattr(mgstate.cli, "ordered_product", counted)
+    code, out, _ = run_cli("subgroups", "--json", write_graph(tmp_path, directed_clique(8)))
+    assert code == 0
+    listed = [el["index_set"] for s in json.loads(out)["result"]["subgroups"]
+              for el in s["elements"]]
+    assert len(listed) == 36720
+    assert len(built) == len(set(built)) == len(set(listed)) == 256
+
+
+SUBGROUP_GRAPHS = [(p.name, p.read_text()) for p in GRAPH_FIXTURES] + [
+    (f"clique{n}.graph", directed_clique(n)) for n in range(2, 9)
+]
+
+
+@pytest.mark.parametrize("name,text", SUBGROUP_GRAPHS, ids=[n for n, _ in SUBGROUP_GRAPHS])
+def test_listed_elements_match_fresh_products(name, text, tmp_path):
+    # each listed word is the ordered product over its index set, the index
+    # sets are the span of the lifted generators, and the bytes are stdlib's
+    code, out, _ = run_cli("subgroups", "--json", write_graph(tmp_path, text, name))
+    assert code == 0
+    stdlib = out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    assert stdlib, "report differs from json.dumps"  # a diff of megabytes would take minutes
+    g = mgstate.graphs.parse_graph(text)
+    duals = mgstate.graphs.dual_stabilizer(g)
+    words = {}
+    for s in json.loads(out)["result"]["subgroups"]:
+        index_sets = [el["index_set"] for el in s["elements"]]
+        generators = [mask_of(j for j, c in enumerate(b) if c == "1")
+                      for b in s["lifted_generators"]]
+        members = {0}
+        for b in generators:
+            members |= {v ^ b for v in members}
+        assert index_sets == [bitstring(v, g.n) for v in sorted(members)]
+        for el in s["elements"]:
+            v = mask_of(j for j, c in enumerate(el["index_set"]) if c == "1")
+            if v not in words:
+                words[v] = str(ordered_product(duals, bits_of(v)))
+            assert el["word"] == words[v]
+
+
+# sha256 of ``subgroups`` text reports before each member was built once per index set
+SUBGROUPS_TEXT_SHA256 = {
+    "appendix_a.graph": "7937ac4e33c87b8845ae21e455ecadf2c687e1a422c65852d7c2471c8ef999ad",
+    "clique6.graph": "885b4dd95b6e0d7646444070f6271a35f0cdedef24f7415e15896472518793bf",
+    "fivenode.graph": "53c982a6878e02485ebcd6d63ffed676243ce773feb12ca0f6ad5289d9fcd7b1",
+    "fournode.graph": "ac17ea9973ba8dbc3c7c39a81d28c343f765b2a048e6ccacc9669c0ed63e7caa",
+    "path_mixed.graph": "21bdb36bd2fb66e3cd6a081d3447d3b0109b85d5c3c4b064d6f800e4c381f9c2",
+    "triangle.graph": "7c91fe2b54480328ee1c62d1620f02ac753fd57ba3a95b032c4f248e297477fc",
+    "clique7.graph": "58952ff78913ff6444de526d38cc97406e150879dddb447f087b0211911e2ce8",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUBGROUPS_TEXT_SHA256))
+def test_subgroups_text_report_pinned(name, tmp_path):
+    code, out, _ = run_cli("subgroups", write_graph(tmp_path, dict(SUBGROUP_GRAPHS)[name], name))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SUBGROUPS_TEXT_SHA256[name]
 
 
 class _CountingSink(io.TextIOBase):
@@ -679,6 +749,20 @@ def test_verify_corrupted_fixture_fails(idx, tmp_path):
     assert code == 1
     assert out.startswith("FAIL")
     assert ":" in out  # names the invariant and a reproducer
+
+
+def test_verify_children_e1_expectation_on_e2_graph_fails(tmp_path):
+    # fournode has e = 2, so it has no e = 1 family to count
+    doc = {
+        "schema": "mgstate-fixture-v1",
+        "graph": (FIXTURES / "fournode.graph").read_text(),
+        "expect": {"children_e1": {"count": 6, "classes": 3}},
+    }
+    path = tmp_path / "fournode.fixture.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli("verify", str(path))
+    assert code == 1, err
+    assert out == "FAIL expect-children-count: 0 children\n"
 
 
 @pytest.mark.parametrize(
