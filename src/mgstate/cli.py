@@ -31,6 +31,7 @@ import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property, partial
 from itertools import chain, starmap
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -193,7 +194,7 @@ def _read_graph(path: str) -> tuple[MixedGraph, str, Optional[Dict]]:
     try:
         raw = Path(path).read_bytes()
     except OSError as err:
-        raise GraphParseError(0, f"cannot read {path}: {err}") from err
+        raise GraphParseError(None, f"cannot read {path}: {err}") from err
     digest = hashlib.sha256(raw).hexdigest()
     text = raw.decode("utf-8")
     stripped = text.lstrip()
@@ -201,28 +202,34 @@ def _read_graph(path: str) -> tuple[MixedGraph, str, Optional[Dict]]:
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as err:
-            raise GraphParseError(0, f"bad fixture JSON: {err}") from err
+            raise GraphParseError(None, f"bad fixture JSON: {err}") from err
         if doc.get("schema") != FIXTURE_SCHEMA:
-            raise GraphParseError(0, "fixture is missing the expected schema tag")
+            raise GraphParseError(None, "fixture is missing the expected schema tag")
         if not isinstance(doc.get("graph"), str):
-            raise GraphParseError(0, "fixture has no graph text under 'graph'")
+            raise GraphParseError(None, "fixture has no graph text under 'graph'")
         expect = doc.get("expect", {})
         if not isinstance(expect, dict):
-            raise GraphParseError(0, "fixture 'expect' is not a JSON object")
+            raise GraphParseError(None, "fixture 'expect' is not a JSON object")
         for key, well_typed in _EXPECT_TYPES.items():
             if key in expect and not well_typed(expect[key]):
-                raise GraphParseError(0, f"fixture expect entry {key!r} is malformed")
+                raise GraphParseError(None, f"fixture expect entry {key!r} is malformed")
         return parse_graph(doc["graph"]), digest, expect
     return parse_graph(text), digest, None
 
 
 @dataclass(frozen=True)
-class _Listed:
-    """A listed subgroup element: its word, and the text that
-    ``_json_chunks`` writes for its ``{index_set, word}`` object."""
+class _Encoded:
+    """A report value and the text that ``_json_chunks`` writes for it, as
+    one chunk at the value's fixed nesting level.  ``encode(value)`` builds
+    that text on first use, so a text report, which reads ``value`` only,
+    never builds it; later reads of ``text`` are a plain attribute lookup."""
 
-    word: str
-    text: str
+    value: object
+    encode: Callable[[object], str]
+
+    @cached_property
+    def text(self) -> str:
+        return self.encode(self.value)
 
 
 def _json_scalar(o) -> str:
@@ -232,7 +239,7 @@ def _json_scalar(o) -> str:
         return json.dumps(o)
     if isinstance(o, int):
         return int.__repr__(o)
-    if isinstance(o, _Listed):  # tested last: no other value pays for it
+    if isinstance(o, _Encoded):  # tested last: no other value pays for it
         return o.text
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
@@ -240,7 +247,8 @@ def _json_scalar(o) -> str:
 def _list_text(items: Iterable[str], level: int) -> str:
     """An indented JSON list at nesting ``level`` of already encoded items."""
     inner = "\n" + "  " * (level + 1)
-    return "[" + inner + f",{inner}".join(items) + "\n" + "  " * level + "]"
+    body = f",{inner}".join(items)  # an encoded item is never empty text
+    return "[" + inner + body + "\n" + "  " * level + "]" if body else "[]"
 
 
 def _grid_text(grid: np.ndarray, level: int) -> str:
@@ -258,7 +266,8 @@ def _json_chunks(o, level: int, out: List[str], prefix: str = "") -> None:
     from ``_grid_text``: no call per entry, and no chunk so large that the
     allocator returns its memory and faults fresh pages in for the next
     report; the chunks go to ``writelines`` unjoined for the same reason.
-    A ``_Listed`` element is its cached text, one chunk.
+    An ``_Encoded`` value is its text, one chunk: a ``subgroups`` entry,
+    whole, with its listed elements in it.
     An iterator is a list whose entries are written to stdout, with all
     text before them, as soon as each is encoded; ``out`` then keeps one
     empty chunk, the mark of a report already begun."""
@@ -355,42 +364,75 @@ def cmd_analyze(args) -> int:
 # --------------------------------------------------------------- subgroups
 
 
-_ELEMENT_LEVEL = 5  # report > result > subgroups > entry > elements > element
+_ENTRY_LEVEL = 3  # report > result > subgroups > entry
+_ELEMENT_LEVEL = 5  # entry > elements > element
+
+
+def _element_text(element: Dict) -> str:
+    """The text that ``_json_chunks`` writes for a listed element."""
+    out: List[str] = []
+    _json_chunks(element, _ELEMENT_LEVEL, out)
+    return "".join(out)
+
+
+def _entry_text(s: Dict) -> str:
+    """The text that ``_json_chunks`` would write for a ``subgroups`` entry,
+    in one pass over its fixed shape: five keys in sorted order, and
+    ``elements`` the join of its members' cached texts."""
+    level = _ENTRY_LEVEL + 1
+    inner = "\n" + "  " * level
+    elements = s["elements"]
+    return "".join((
+        "{", inner, '"b_reduced": ',
+        _list_text(map(encode_basestring_ascii, s["b_reduced"]), level),
+        ",", inner, '"elements": ',
+        "null" if elements is None else _list_text([el.text for el in elements], level),
+        ",", inner, '"index": ', int.__repr__(s["index"]),
+        ",", inner, '"lifted_generators": ',
+        _list_text(map(encode_basestring_ascii, s["lifted_generators"]), level),
+        ",", inner, '"size": ', int.__repr__(s["size"]),
+        "\n", "  " * _ENTRY_LEVEL, "}",
+    ))
 
 
 def _subgroup_listing(g: MixedGraph, bound: int) -> Dict:
-    """The ``subgroups`` result.  A subgroup of at most 64 members lists
-    them, so n - e <= 6; each member is a pure function of its index set
-    v, so ``listed`` builds it once per command, keyed by v, and every
-    subgroup holding v reuses it: at most 2^n <= 2^12 entries."""
+    """The ``subgroups`` result.  Each entry is a pure function of its
+    subgroup: an ``_Encoded`` of its fields, whose text ``_entry_text``
+    builds as ``_json_chunks`` reaches it, so entry k is written before
+    entry k + 1 is built.  A subgroup of at most 64 members lists them, so
+    n - e <= 6; each member is a pure function of its index set v, so
+    ``listed`` builds it once per command, keyed by v, and every subgroup
+    holding v reuses it and its text: at most 2^n <= 2^12 entries."""
     red = reduce_gamma(g.gamma())
     e, t = red.e, red.t
     subs = _subgroups(red, bound)
     duals = dual_stabilizer(g)
-    listed: Dict[int, _Listed] = {}
+    listed: Dict[int, _Encoded] = {}
+    # generator rows recur across subgroups: each row's text is made once
+    reduced_bits = cache(partial(bitstring, n=red.n - red.t))
+    lifted_bits = cache(partial(bitstring, n=g.n))
 
-    def element(v: int) -> _Listed:
+    def element(v: int) -> _Encoded:
         word = str(ordered_product(duals, bits_of(v)))
-        out: List[str] = []
-        _json_chunks({"index_set": bitstring(v, g.n), "word": word}, _ELEMENT_LEVEL, out)
-        return _Listed(word, "".join(out))
+        return _Encoded({"index_set": bitstring(v, g.n), "word": word}, _element_text)
 
-    def entry(idx: int, s) -> Dict:
+    def entry(idx: int, s: IsotropicSubspace) -> _Encoded:
         size = 1 << len(s.lifted_basis)  # an RREF basis has independent rows
         elements = None
         if size <= 64:
-            elements = []
-            for v in s.span_lifted():
+            members = s.span_lifted()
+            for v in members:
                 if v not in listed:
                     listed[v] = element(v)
-                elements.append(listed[v])
-        return {
+            elements = list(map(listed.__getitem__, members))
+        fields = {
             "index": idx,
-            "b_reduced": [bitstring(b, red.n - red.t) for b in s.basis],
-            "lifted_generators": [bitstring(b, g.n) for b in s.lifted_basis],
+            "b_reduced": list(map(reduced_bits, s.basis)),
+            "lifted_generators": list(map(lifted_bits, s.lifted_basis)),
             "size": size,
             "elements": elements,
         }
+        return _Encoded(fields, _entry_text)
 
     return {
         "e": e,
@@ -406,14 +448,15 @@ def cmd_subgroups(args) -> int:
     data = _subgroup_listing(g, args.bound)
     report = {"command": "subgroups", "input_sha256": digest, "result": data}
 
-    def entry_lines(s: Dict) -> List[str]:
+    def entry_lines(entry: _Encoded) -> List[str]:
+        s = entry.value
         lines = [
             f"[{s['index']}] B = {', '.join(s['b_reduced']) or '(empty)'}"
             f" ; lifted = {', '.join(s['lifted_generators']) or '(empty)'}"
             f" ; size = {s['size']}"
         ]
         if s["elements"] is not None:
-            lines.append("     elements: " + "  ".join(el.word for el in s["elements"]))
+            lines.append("     elements: " + "  ".join(el.value["word"] for el in s["elements"]))
         return lines
 
     header = [
@@ -479,7 +522,7 @@ def cmd_children(args) -> int:
         if args.subgroup is not None:
             if not 0 <= args.subgroup < len(subs):
                 raise GraphParseError(
-                    0, f"subgroup index {args.subgroup} out of range (0..{len(subs) - 1})"
+                    None, f"subgroup index {args.subgroup} out of range (0..{len(subs) - 1})"
                 )
             chosen = [(args.subgroup, subs[args.subgroup])]
         result["mode"] = "subgroups"
@@ -704,8 +747,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("children", help="parent extensions and child density matrices")
     add_common(p)
     add_bound(p)
-    p.add_argument("--subgroup", type=int, default=None, help="subgroup index")
-    p.add_argument("--all", action="store_true", help="one child per subgroup")
+    chosen = p.add_mutually_exclusive_group()
+    chosen.add_argument("--subgroup", type=int, default=None, help="subgroup index")
+    chosen.add_argument("--all", action="store_true", help="one child per subgroup")
     p.set_defaults(func=cmd_children)
 
     p = sub.add_parser("signfree", help="order-independent row subsets of the dual")

@@ -44,6 +44,12 @@ def combine(vectors: Sequence[int], coords: int) -> int:
     return out
 
 
+def combine_table(vectors: Sequence[int]) -> List[int]:
+    """``combine(vectors, x)`` for every x < 2^len(vectors), indexed by x: a
+    linear map as a lookup table, for a caller that applies it many times."""
+    return [combine(vectors, x) for x in range(1 << len(vectors))]
+
+
 def bitstring(v: int, n: int) -> str:
     """Bits 0..n-1 of v as text, bit j as character j."""
     return format(v, f"0{n}b")[::-1][:n]
@@ -201,6 +207,11 @@ def in_rowspan(v: int, rows: Sequence[int], cols: int) -> bool:
 def span(rows: Sequence[int], cols: int) -> List[int]:
     """All vectors in the row span, sorted ascending."""
     basis, _ = rref(rows, cols)
+    return span_of_basis(basis)
+
+
+def span_of_basis(basis: Sequence[int]) -> List[int]:
+    """All vectors in the span of independent rows, sorted ascending."""
     vecs = [0]
     for b in basis:
         vecs += [v ^ b for v in vecs]

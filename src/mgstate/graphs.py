@@ -22,10 +22,11 @@ F4_NAMES = {0: "0", 1: "1", 2: "w", 3: "w2"}
 
 
 class GraphParseError(ValueError):
-    """Malformed graph file; carries a 1-based line number."""
+    """Malformed input; carries a 1-based line number, or None for an error
+    tied to no line, such as an unreadable file or a malformed fixture."""
 
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, line: Optional[int], message: str):
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
 
 

@@ -16,12 +16,14 @@ deduplication (see ``enumerate_max_isotropic``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .f2 import (
     BinMatrix,
     bits_of,
     combine,
+    combine_table,
     in_rowspan,
     mask_of,
     parity,
@@ -30,6 +32,7 @@ from .f2 import (
     rref_kernel,
     solve,
     span,
+    span_of_basis,
     symplectic_basis,
 )
 from .graphs import MixedGraph, mixed_rank
@@ -62,13 +65,14 @@ class GammaReduction:
     def e(self) -> int:
         return (self.n - self.t) // 2
 
+    @cached_property
+    def _lift_table(self) -> List[int]:
+        # 2^(n-t) entries; only the enumeration lifts, within its bound
+        return combine_table([1 << j for j in self.kept])
+
     def lift(self, reduced_vec: int) -> int:
         """Embed a reduced-space vector, zeros at the removed positions."""
-        v = 0
-        for new_j, j in enumerate(self.kept):
-            if (reduced_vec >> new_j) & 1:
-                v |= 1 << j
-        return v
+        return self._lift_table[reduced_vec]
 
 
 def reduce_gamma(gamma: BinMatrix) -> GammaReduction:
@@ -98,7 +102,8 @@ class IsotropicSubspace:
     lifted_basis: Tuple[int, ...]   # e + t rows over F2^n, RREF
 
     def span_lifted(self) -> List[int]:
-        return span(self.lifted_basis, self.reduction.n)
+        """The 2^(e+t) members, sorted; ``lifted_basis`` is already RREF."""
+        return span_of_basis(self.lifted_basis)
 
     def contains(self, v: int) -> bool:
         return in_rowspan(v, self.lifted_basis, self.reduction.n)
@@ -134,8 +139,9 @@ def enumerate_max_isotropic(
     prod_{j=1}^{e} (2^j + 1) = chi(e) by construction, with no search over
     F2^{2e} and no deduplication.  The representatives are the sums of the
     unit vectors at the non-pivot columns of L's RREF, in pair coordinates.
-    Results are mapped to gamma_tilde coordinates once, reduced to RREF,
-    sorted, and lifted through the kernel of Gamma.
+    Results are mapped to gamma_tilde coordinates through one table of all
+    2^(2e) images, reduced to RREF, sorted, and lifted through the kernel of
+    Gamma.
     """
     m = red.n - red.t
     if m > bound:
@@ -163,15 +169,16 @@ def enumerate_max_isotropic(
                 grown.append([b ^ a ^ w] + tail)
         lagrangians = grown
 
-    images = [pair[k] for pair in pairs for k in (0, 1)]
-    bases = []
-    for lag in lagrangians:
-        bases.append(tuple(rref([combine(images, x) for x in lag], m)[0]))
+    # gamma_tilde coordinates of every pair-coordinate vector
+    image = combine_table([pair[k] for pair in pairs for k in (0, 1)])
+    bases = sorted(tuple(rref([image[x] for x in lag], m)[0]) for lag in lagrangians)
+    if not red.t:  # kept = range(n): the lift is the identity, and a basis is RREF
+        return [IsotropicSubspace(red, basis, basis) for basis in bases]
+    lift = red.lift
     out = []
-    for basis in sorted(bases):
-        lifted = [red.lift(b) for b in basis] + list(red.kernel_basis)
-        lifted_r, _ = rref(lifted, red.n)
-        out.append(IsotropicSubspace(red, basis, tuple(lifted_r)))
+    for basis in bases:
+        lifted = [lift(b) for b in basis] + list(red.kernel_basis)
+        out.append(IsotropicSubspace(red, basis, tuple(rref(lifted, red.n)[0])))
     return out
 
 

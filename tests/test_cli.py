@@ -316,7 +316,8 @@ def test_extension_found_rejects_flipped_letter(monkeypatch):
 def test_parent_eliminations_on_clique6(monkeypatch, argv):
     # per parent: 5 RREFs (1 for its H, 1 for its indicator, 3 for its
     # child) and 2 symmetry tests (ParentExtension and extension-commutes);
-    # reducing Gamma and enumerating take 312 RREFs and 2 symmetry tests
+    # reducing Gamma and enumerating take 177 RREFs and 2 symmetry tests:
+    # one RREF per subgroup, since t = 0 makes each reduced basis its own lift
     calls = {"rref": 0, "is_symmetric": 0}
     original_rref = mgstate.f2.rref
     original_symmetric = mgstate.f2.BinMatrix.is_symmetric
@@ -335,7 +336,7 @@ def test_parent_eliminations_on_clique6(monkeypatch, argv):
     monkeypatch.setattr(mgstate.f2.BinMatrix, "is_symmetric", is_symmetric)
     code, _, _ = run_cli(*argv, str(FIXTURES / "clique6.graph"))
     assert code == 0
-    assert calls == {"rref": 135 * 5 + 312, "is_symmetric": 135 * 2 + 2}
+    assert calls == {"rref": 135 * 5 + 177, "is_symmetric": 135 * 2 + 2}
 
 
 def test_indicator_computed_once_per_parent(monkeypatch):
@@ -546,6 +547,13 @@ def test_subgroups_one_product_per_listed_index_set(monkeypatch, tmp_path):
 
 SUBGROUP_GRAPHS = [(p.name, p.read_text()) for p in GRAPH_FIXTURES] + [
     (f"clique{n}.graph", directed_clique(n)) for n in range(2, 9)
+] + [
+    # e = 1 and n - e = 7: 128 members per subgroup, so "elements" is null
+    ("path8_directed.graph",
+     "nodes 8\nedge 0 -> 1\n" + "".join(f"edge {j} -- {j + 1}\n" for j in range(1, 7))),
+    # e = 0: one subgroup, whose reduced basis "b_reduced" is empty
+    ("nodes1.graph", "nodes 1\n"),
+    ("triangle_undirected.graph", "nodes 3\nedge 0 -- 1\nedge 1 -- 2\nedge 0 -- 2\n"),
 ]
 
 
@@ -561,6 +569,9 @@ def test_listed_elements_match_fresh_products(name, text, tmp_path):
     duals = mgstate.graphs.dual_stabilizer(g)
     words = {}
     for s in json.loads(out)["result"]["subgroups"]:
+        if s["elements"] is None:  # too many members to list
+            assert s["size"] > 64
+            continue
         index_sets = [el["index_set"] for el in s["elements"]]
         generators = [mask_of(j for j, c in enumerate(b) if c == "1")
                       for b in s["lifted_generators"]]
@@ -575,7 +586,8 @@ def test_listed_elements_match_fresh_products(name, text, tmp_path):
             assert el["word"] == words[v]
 
 
-# sha256 of ``subgroups`` text reports before each member was built once per index set
+# sha256 of ``subgroups`` text reports before each member was built once per
+# index set; the last three before each entry was encoded as one chunk
 SUBGROUPS_TEXT_SHA256 = {
     "appendix_a.graph": "7937ac4e33c87b8845ae21e455ecadf2c687e1a422c65852d7c2471c8ef999ad",
     "clique6.graph": "885b4dd95b6e0d7646444070f6271a35f0cdedef24f7415e15896472518793bf",
@@ -584,7 +596,35 @@ SUBGROUPS_TEXT_SHA256 = {
     "path_mixed.graph": "21bdb36bd2fb66e3cd6a081d3447d3b0109b85d5c3c4b064d6f800e4c381f9c2",
     "triangle.graph": "7c91fe2b54480328ee1c62d1620f02ac753fd57ba3a95b032c4f248e297477fc",
     "clique7.graph": "58952ff78913ff6444de526d38cc97406e150879dddb447f087b0211911e2ce8",
+    "path8_directed.graph": "471e183f3c71bc9521181185d0f2119e9aecd55bc35e0d86fb7a20e4368ad4a2",
+    "nodes1.graph": "89aee0b3dd2df971f018430f768f11fa9d57eb13c7f96b8f17081d494c993687",
+    "triangle_undirected.graph": "dd6cda7fbc57d5c1c0718eb83deba748f6647fdd39635ff05f9cc70f8a521356",
 }
+
+
+def test_subgroups_text_mode_encodes_no_json(monkeypatch, tmp_path):
+    # text mode reads each entry's fields; their JSON text is never built
+    def unused(value):
+        raise AssertionError("JSON text built for a text report")
+
+    monkeypatch.setattr(mgstate.cli, "_entry_text", unused)
+    monkeypatch.setattr(mgstate.cli, "_element_text", unused)
+    code, out, _ = run_cli("subgroups", write_graph(tmp_path, directed_clique(7), "clique7.graph"))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SUBGROUPS_TEXT_SHA256["clique7.graph"]
+
+
+def test_subgroup_graphs_cover_listing_edge_cases(tmp_path):
+    # a null "elements" list and an empty "b_reduced" list are both written
+    reports = {}
+    for name in ("path8_directed.graph", "nodes1.graph", "triangle_undirected.graph"):
+        code, out, _ = run_cli("subgroups", "--json",
+                               write_graph(tmp_path, dict(SUBGROUP_GRAPHS)[name], name))
+        assert code == 0
+        reports[name] = json.loads(out)["result"]["subgroups"]
+    assert [s["elements"] for s in reports["path8_directed.graph"]] == [None] * 3
+    for name in ("nodes1.graph", "triangle_undirected.graph"):
+        assert [s["b_reduced"] for s in reports[name]] == [[]]
 
 
 @pytest.mark.parametrize("name", sorted(SUBGROUPS_TEXT_SHA256))
@@ -667,6 +707,22 @@ def test_children_subgroup_out_of_range():
     )
     assert code == 2
     assert "out of range" in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--all", "--subgroup", "1"], ["--subgroup", "1", "--all"]],
+    ids=["all-first", "subgroup-first"],
+)
+def test_children_all_and_subgroup_exclusive(flags, capsys):
+    # one child, or one per subgroup: asking for both is a usage error
+    with pytest.raises(SystemExit) as stopped:
+        main(["children", *flags, str(FIXTURES / "fournode.graph")])
+    assert stopped.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: argument" in captured.err and "not allowed with argument" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_children_all_subgroups_fournode():
@@ -781,6 +837,39 @@ def test_malformed_fixture_document_exit_2(doc, tmp_path):
     code, out, err = run_cli("verify", str(path))
     assert code == 2
     assert err.startswith("input error:")
+
+
+def _json_error(text):
+    try:
+        json.loads(text)
+    except json.JSONDecodeError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize(
+    "text,argv,message",
+    [
+        (None, ["analyze"], "cannot read {path}: [Errno 2] No such file or directory: '{path}'"),
+        ("{not json", ["verify"], f"bad fixture JSON: {_json_error('{not json')}"),
+        ('{"graph": "nodes 1"}', ["verify"], "fixture is missing the expected schema tag"),
+        ('{"schema": "mgstate-fixture-v1"}', ["verify"], "fixture has no graph text under 'graph'"),
+        ('{"schema": "mgstate-fixture-v1", "graph": "nodes 1", "expect": 3}', ["verify"],
+         "fixture 'expect' is not a JSON object"),
+        ('{"schema": "mgstate-fixture-v1", "graph": "nodes 1", "expect": {"e": "0"}}',
+         ["verify"], "fixture expect entry 'e' is malformed"),
+        (TRIANGLE, ["children", "--subgroup", "3"], "subgroup index 3 out of range (0..2)"),
+    ],
+    ids=["unreadable", "fixture-json", "fixture-schema", "fixture-graph", "fixture-expect",
+         "fixture-expect-entry", "subgroup-range"],
+)
+def test_input_error_without_line_has_no_line_prefix(text, argv, message, tmp_path):
+    # an error tied to no line of the graph text names none
+    path = tmp_path / "input.fixture.json"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run_cli(*argv, str(path))
+    assert (code, out) == (2, "")
+    assert err == f"input error: {message.format(path=path)}\n"
 
 
 @pytest.mark.parametrize(

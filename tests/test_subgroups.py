@@ -1,13 +1,24 @@
 from __future__ import annotations
 
 import itertools
+import random
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mgstate.f2 import BinMatrix, bits_of, kernel, parity, rank, rref, span
-from mgstate.graphs import dual_stabilizer, mixed_rank, parse_graph
+from mgstate.f2 import (
+    BinMatrix,
+    bits_of,
+    combine_table,
+    kernel,
+    parity,
+    rank,
+    rref,
+    span,
+    symplectic_basis,
+)
+from mgstate.graphs import MixedGraph, dual_stabilizer, mixed_rank, parse_graph
 from mgstate.pauli import ordered_product
 from mgstate.subgroups import (
     GammaReduction,
@@ -45,6 +56,24 @@ def directed_clique(n):
     )
 
 
+def lift_by_bits(red, x):
+    """The lift as a bit loop: bit j of the reduced vector x goes to kept[j]."""
+    v = 0
+    for new_j, j in enumerate(red.kept):
+        if (x >> new_j) & 1:
+            v |= 1 << j
+    return v
+
+
+def combine_by_bits(vectors, x):
+    """The sum of the vectors picked by the set bits of x, bit by bit."""
+    out = 0
+    for k, vector in enumerate(vectors):
+        if (x >> k) & 1:
+            out ^= vector
+    return out
+
+
 def enumerate_level_by_level(red):
     """Reference enumerator: grow isotropic subspaces one vector at a time.
 
@@ -67,7 +96,7 @@ def enumerate_level_by_level(red):
         level = nxt
     out = []
     for basis in sorted(level):
-        lifted = [red.lift(b) for b in basis] + list(red.kernel_basis)
+        lifted = [lift_by_bits(red, b) for b in basis] + list(red.kernel_basis)
         lifted_r, _ = rref(lifted, red.n)
         out.append(IsotropicSubspace(red, basis, tuple(lifted_r)))
     return out
@@ -232,6 +261,41 @@ def test_enumerate_e5_each_lagrangian_once():
         assert len(s.basis) == 5
         images = [gt.mul_vec(u) for u in s.basis]
         assert not any(parity(img & v) for img in images for v in s.basis)
+
+
+def sparse_graph(seed, n, directed=3):
+    """A seeded graph with 2n edges on n nodes, ``directed`` of them directed."""
+    rng = random.Random(seed)
+    pairs = rng.sample(list(itertools.combinations(range(n), 2)), 2 * n)
+    edges = [(j, k, "->") for j, k in pairs[:directed]]
+    return MixedGraph.build(n, edges + [(j, k, "--") for j, k in pairs[directed:]], [])
+
+
+TABLE_GRAPHS = [(p.stem, parse_graph(p.read_text())) for p in sorted(FIXTURES.glob("*.graph"))] + [
+    ("clique9", parse_graph(directed_clique(9))),
+    ("sparse32", sparse_graph(32, 32)),
+]
+
+
+@pytest.mark.parametrize("g", [g for _, g in TABLE_GRAPHS], ids=[name for name, _ in TABLE_GRAPHS])
+def test_lift_and_combine_tables_match_bit_loops(g):
+    # each directed clique of the perfbench ladder has t = 0, where the lift
+    # is the identity; these reductions have t = 0, 1, 2 and 26
+    red = reduce_gamma(g.gamma())
+    xs = range(1 << (red.n - red.t))
+    assert [red.lift(x) for x in xs] == [lift_by_bits(red, x) for x in xs]
+    pairs, _ = symplectic_basis(red.gamma_tilde)
+    images = [pair[k] for pair in pairs for k in (0, 1)]
+    assert combine_table(images) == [combine_by_bits(images, x) for x in xs]
+    for s in enumerate_max_isotropic(red):
+        lifted = [lift_by_bits(red, b) for b in s.basis] + list(red.kernel_basis)
+        assert s.lifted_basis == tuple(rref(lifted, red.n)[0])
+
+
+def test_table_graphs_cover_each_gamma_rank_deficiency():
+    ts = {name: reduce_gamma(g.gamma()).t for name, g in TABLE_GRAPHS}
+    assert {0, 1, 2} <= set(ts.values())
+    assert ts["clique9"] == 1 and ts["sparse32"] == 26
 
 
 def test_subspace_sizes_and_isotropy(rng):
