@@ -11,7 +11,7 @@ leftmost tensor factor and the most significant bit of a state index.
 This module is the one owner of four jobs the rest of the package shares:
 the letter table (``_LETTER_XZ``, ``_LETTER_ADJUST``, ``_XZ_LETTER``), the
 qubit-to-index map (``_bits_to_index``), dense conjugation by a word
-(``dense_conjugation``, used by ``GaussianMatrix.conjugate_by_word`` and
+(``dense_conjugation``, used by ``states.stabilized_by`` and
 ``states.RationalMatrix.conjugated_by``) and dense rendering of words and
 their sums (``pauli_sum``; ``PauliWord.to_dense`` is its one-term case).
 """
@@ -118,14 +118,16 @@ class PauliWord:
 
 
 def _bits_to_index(mask: int, n: int) -> int:
-    """Qubit bitset -> state index (qubit 0 becomes the most significant bit)."""
+    """Qubit bitset -> state index (qubit 0 becomes the most significant bit):
+    the n-bit reversal of ``mask``, one table lookup per byte."""
     idx = 0
-    for j in range(n):
-        if (mask >> j) & 1:
-            idx |= 1 << (n - 1 - j)
-    return idx
+    for _ in range(0, n, 8):
+        idx = (idx << 8) | _BYTE_REVERSED[mask & 255]
+        mask >>= 8
+    return idx >> (-n % 8)
 
 
+_BYTE_REVERSED = [int(f"{b:08b}"[::-1], 2) for b in range(256)]
 _BYTE_PARITY = np.array([popcount(b) & 1 for b in range(256)], dtype=np.int64)
 
 
@@ -140,18 +142,17 @@ def _parity_array(values: np.ndarray) -> np.ndarray:
 
 
 def dense_conjugation(w: PauliWord, dim: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(perm, signs) with (w M w^dag)[a, b] = signs[a, b] * M[perm[a], perm[b]].
+    """(perm, flip) with (w M w^dag)[a, b] = flip[a] flip[b] M[perm[a], perm[b]].
 
     With x and z as state-index masks, w|c> = i^phase (-1)^{z.c} |c ^ x>, so
     ``perm`` maps a -> a ^ x on rows and columns, row a carries the sign
-    (-1)^{z.(a^x)}, and the phase cancels against w^dag.  Apply it with two
-    1-D takes, ``M.take(perm, 0).take(perm, 1) * signs``.
+    flip[a] = (-1)^{z.(a^x)}, and the phase cancels against w^dag.  Both are
+    vectors of ``dim`` entries; a caller reads them at the indices it needs.
     """
     if dim != (1 << w.n):
         raise DimensionError("word size does not match matrix")
     perm = np.arange(dim, dtype=np.int64) ^ _bits_to_index(w.x, w.n)
-    flip = 1 - 2 * _parity_array(perm & _bits_to_index(w.z, w.n))
-    return perm, np.outer(flip, flip)
+    return perm, 1 - 2 * _parity_array(perm & _bits_to_index(w.z, w.n))
 
 
 # real and imaginary part of i^k, indexed by k mod 4
@@ -225,11 +226,18 @@ class GaussianMatrix:
         return self.re.shape[0]
 
     def normalized(self) -> "GaussianMatrix":
-        """Equivalent matrix with the smallest possible denominator."""
-        re, im, d = self.re, self.im, self.denom_log2
-        while d > 0 and not ((re & 1).any() or (im & 1).any()):
-            re, im, d = re >> 1, im >> 1, d - 1
-        return GaussianMatrix(re, im, d)
+        """Equivalent matrix with the smallest possible denominator.  The OR
+        of all entries has the fewest trailing zeros of any entry (two's
+        complement keeps a negative entry's), so one pass finds the shift."""
+        d = self.denom_log2
+        if d == 0:
+            return self
+        bits = int(np.bitwise_or.reduce(self.re, axis=None))
+        bits |= int(np.bitwise_or.reduce(self.im, axis=None))
+        shift = min(d, (bits & -bits).bit_length() - 1) if bits else d
+        if shift == 0:
+            return self
+        return GaussianMatrix(self.re >> shift, self.im >> shift, d - shift)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GaussianMatrix):
@@ -266,15 +274,6 @@ class GaussianMatrix:
     def trace_is_one(self) -> bool:
         tr_re, tr_im, d = self.trace()
         return tr_im == 0 and tr_re == (1 << d)
-
-    def conjugate_by_word(self, w: PauliWord) -> "GaussianMatrix":
-        """Exact w @ self @ w^dag via index permutation and sign masks."""
-        perm, signs = dense_conjugation(w, self.dim)
-        return GaussianMatrix(
-            self.re.take(perm, 0).take(perm, 1) * signs,
-            self.im.take(perm, 0).take(perm, 1) * signs,
-            self.denom_log2,
-        )
 
     def to_json_dict(self) -> Dict:
         """The fields of a JSON report; ``entries[a, b]`` is ``(re, im)``, an

@@ -59,9 +59,6 @@ class DensityMatrix:
     def is_hermitian(self) -> bool:
         return self.mat.is_hermitian()
 
-    def conjugated_by(self, w: PauliWord) -> "DensityMatrix":
-        return DensityMatrix(self.n, self.mat.conjugate_by_word(w))
-
     def is_pure(self) -> bool:
         sq = self.mat.matmul(self.mat)
         return sq == self.mat
@@ -162,17 +159,39 @@ def child_from_partial_trace(p: ParentExtension) -> DensityMatrix:
 
     The environment is the low e index bits, so the amplitudes i^{p(x)}
     reshape to (2^n, 2^e) and rho = psi psi^dag over the second axis, over
-    the 2^{n+e} of psi's normalisation.
+    the 2^{n+e} of psi's normalisation.  The one complex128 product is
+    exact: each part of an entry sums 2^e values of 0 or +-1, far below
+    float64's 2^53.
     """
     ph = parent_phases(p).reshape(1 << p.n, 1 << p.e)
-    re, im = _I_POWER_RE[ph], _I_POWER_IM[ph]
-    rho_re = re @ re.T + im @ im.T
-    rho_im = im @ re.T - re @ im.T
-    return DensityMatrix(p.n, GaussianMatrix(rho_re, rho_im, p.total).normalized())
+    psi = (_I_POWER_RE + 1j * _I_POWER_IM)[ph]
+    rho = psi @ psi.conj().T
+    mat = GaussianMatrix(rho.real.astype(np.int64), rho.imag.astype(np.int64), p.total)
+    return DensityMatrix(p.n, mat.normalized())
 
 
 def stabilized_by(rho: DensityMatrix, gens: Sequence[PauliWord]) -> bool:
-    return all(rho.conjugated_by(g) == rho for g in gens)
+    """w rho w^dag = rho for every w in ``gens``, read on rho's nonzero entries.
+
+    ``dense_conjugation`` gives (w rho w^dag)[a, b] = flip[a] flip[b]
+    rho[perm[a], perm[b]], and (a, b) -> (perm[a], perm[b]) is an
+    involution.  So if every nonzero entry equals the sign times its image,
+    a zero entry cannot have a nonzero image either: that image's own image
+    is the zero entry, and it would have failed the test.  The denominator
+    is unchanged, so comparing numerators on the K nonzero entries decides
+    the identity exactly, one (K,) pass per generator.
+    """
+    re, im = rho.mat.re.ravel(), rho.mat.im.ravel()
+    flat = np.flatnonzero(re | im)
+    rows, cols = flat >> rho.n, flat & (rho.dim - 1)
+    vre, vim = re[flat], im[flat]
+    for w in gens:
+        perm, flip = dense_conjugation(w, rho.dim)
+        img = (perm[rows] << rho.n) | perm[cols]
+        sign = flip[rows] * flip[cols]
+        if not (np.array_equal(re[img] * sign, vre) and np.array_equal(im[img] * sign, vim)):
+            return False
+    return True
 
 
 def children_family_e1(
@@ -226,7 +245,8 @@ class RationalMatrix:
     denom: int
 
     def conjugated_by(self, w: PauliWord) -> "RationalMatrix":
-        perm, signs = dense_conjugation(w, self.re.shape[0])
+        perm, flip = dense_conjugation(w, self.re.shape[0])
+        signs = np.outer(flip, flip)
         return RationalMatrix(
             self.re.take(perm, 0).take(perm, 1) * signs,
             self.im.take(perm, 0).take(perm, 1) * signs,

@@ -8,7 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from mgstate.pauli import GaussianMatrix, PauliWord
+from mgstate.pauli import GaussianMatrix, PauliWord, dense_conjugation
 from mgstate.states import DensityMatrix
 
 K_I = np.eye(2, dtype=complex)
@@ -37,6 +37,22 @@ def gm_to_complex(m: GaussianMatrix) -> np.ndarray:
 
 def rho_to_complex(rho: DensityMatrix) -> np.ndarray:
     return gm_to_complex(rho.mat)
+
+
+def conjugate_dense(m: GaussianMatrix, w: PauliWord) -> GaussianMatrix:
+    """Dense oracle for w m w^dag: every row and column of m permuted by
+    ``dense_conjugation`` and multiplied by the full 4^n sign matrix."""
+    perm, flip = dense_conjugation(w, m.dim)
+    signs = np.outer(flip, flip)
+    return GaussianMatrix(
+        m.re.take(perm, 0).take(perm, 1) * signs,
+        m.im.take(perm, 0).take(perm, 1) * signs,
+        m.denom_log2,
+    )
+
+
+def conjugated(rho: DensityMatrix, w: PauliWord) -> DensityMatrix:
+    return DensityMatrix(rho.n, conjugate_dense(rho.mat, w))
 
 
 def random_word(rng, n: int) -> PauliWord:

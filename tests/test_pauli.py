@@ -11,6 +11,7 @@ from mgstate.pauli import (
     DimensionError,
     GaussianMatrix,
     PauliWord,
+    _bits_to_index,
     ordered_product,
     pauli_sum,
 )
@@ -255,6 +256,13 @@ def test_pauli_sum_matches_term_by_term_accumulation(rng):
                 1j**k * kron_letters(w.letters(), 1j ** w.letter_phase()) for w, k in terms
             )
             assert np.array_equal(gm_to_complex(got), oracle)
+    # every term on the diagonal: entries reach +-(number of terms)
+    n = 6
+    terms = [(PauliWord(n, 0, z, 0), 0) for z in range(1 << n)] * 3
+    got = pauli_sum(n, terms)
+    assert got.re.dtype == np.int64 and got.re[0, 0] == 3 << n
+    oracle = 3 * sum(kron_letters(w.letters()) for w, _ in terms[:1 << n])
+    assert np.array_equal(gm_to_complex(got), oracle)
 
 
 def test_pauli_sum_empty_and_bound(monkeypatch):
@@ -313,3 +321,58 @@ def test_text_grid_matches_entry_by_entry_oracle(rng):
             body = "\n".join(" ".join(s.rjust(width) for s in row) for row in cells)
             want = f"1/{1 << d} *\n{body}" if d else body
             assert GaussianMatrix(re, im, d).to_text_grid() == want
+
+
+# ---- the dense kernels against the loops they replaced ----
+
+
+def _bits_to_index_loop(mask, n):
+    idx = 0
+    for j in range(n):
+        if (mask >> j) & 1:
+            idx |= 1 << (n - 1 - j)
+    return idx
+
+
+def test_bits_to_index_matches_per_bit_loop():
+    for n in range(13):
+        for mask in range(1 << n):
+            assert _bits_to_index(mask, n) == _bits_to_index_loop(mask, n), (mask, n)
+    assert _bits_to_index(1, 12) == 1 << 11 and _bits_to_index(1 << 11, 12) == 1
+
+
+def _halving_normalized(m):
+    re, im, d = m.re, m.im, m.denom_log2
+    while d > 0 and not ((re & 1).any() or (im & 1).any()):
+        re, im, d = re >> 1, im >> 1, d - 1
+    return re, im, d
+
+
+def test_normalized_matches_halving_loop(rng):
+    zeros = np.zeros((4, 4), np.int64)
+    even = np.full((4, 4), 6, np.int64)
+    cases = [
+        GaussianMatrix(even, zeros, 0),  # denominator 0: nothing to halve
+        GaussianMatrix(zeros, zeros, 5),  # all zero: the whole denominator goes
+        GaussianMatrix(zeros, zeros, 0),
+        GaussianMatrix(np.array([[-8, 4], [0, -16]]), np.array([[0, -4], [4, 0]]), 3),
+        GaussianMatrix(np.array([[-8, 0], [0, -16]]), np.array([[0, -24], [8, 0]]), 2),
+        GaussianMatrix(np.array([[-(1 << 40), 0], [0, 0]]), np.zeros((2, 2), np.int64), 60),
+    ]
+    for _ in range(200):
+        dim = 1 << rng.randrange(0, 4)
+        k = rng.randrange(0, 6)
+        re = np.array([[rng.randrange(-9, 10) << k for _ in range(dim)] for _ in range(dim)])
+        im = np.array([[rng.choice((0, rng.randrange(-9, 10))) << rng.randrange(k, 7)
+                        for _ in range(dim)] for _ in range(dim)])
+        cases.append(GaussianMatrix(re, im, rng.randrange(0, 9)))
+    shifted = 0
+    for m in cases:
+        re, im, d = _halving_normalized(m)
+        got = m.normalized()
+        assert got.denom_log2 == d and np.array_equal(got.re, re) and np.array_equal(got.im, im)
+        assert got.re.dtype == np.int64 and got.im.dtype == np.int64
+        if d == m.denom_log2:
+            assert got is m
+        shifted += d < m.denom_log2
+    assert 20 < shifted < len(cases) - 20

@@ -47,7 +47,6 @@ KEPT_UNREACHED = {
     "f2.in_rowspan",
     "f2.BinMatrix.identity",
     "f2.BinMatrix.matmul",
-    "states.DensityMatrix.dim",
     # wrapped by the benchmark's span tracer, ``perfbench/spans.py``
     "pauli.PauliWord.to_dense",
     "pauli.GaussianMatrix.matmul",

@@ -11,7 +11,14 @@ import numpy as np
 import pytest
 
 import mgstate.states
-from conftest import kron_letters, random_word, rho_to_complex, word_to_complex
+from conftest import (
+    conjugate_dense,
+    conjugated,
+    kron_letters,
+    random_word,
+    rho_to_complex,
+    word_to_complex,
+)
 from mgstate.extension import (
     ParentExtension,
     extend_e1,
@@ -21,7 +28,16 @@ from mgstate.extension import (
 )
 from mgstate.f2 import BinMatrix, bits_of, parity, span
 from mgstate.graphs import MixedGraph, dual_stabilizer, mixed_rank, parse_graph, stabilizer_matrix
-from mgstate.pauli import BoundExceeded, DimensionError, GaussianMatrix, PauliWord, ordered_product
+from mgstate.pauli import (
+    BoundExceeded,
+    DimensionError,
+    GaussianMatrix,
+    PauliWord,
+    _I_POWER_IM,
+    _I_POWER_RE,
+    ordered_product,
+    pauli_sum,
+)
 from mgstate.states import (
     DensityMatrix,
     RationalMatrix,
@@ -477,7 +493,7 @@ def test_linear_term_rule_via_z_conjugation(rng):
                 flipped = dataclasses.replace(p, lab_offsets=p.lab_offsets ^ {k})
                 flipped = child_from_pauli_sum(flipped, duals, indicator(flipped)).rho
                 zk = PauliWord(g.n, 0, 1 << k, 0)
-                assert flipped == base.conjugated_by(zk)
+                assert flipped == conjugated(base, zk)
 
 
 # ---- six-clique worked child ----
@@ -659,7 +675,7 @@ def test_rational_conjugation_matches_gaussian_and_dense(rng):
             re = np.array([[rng.randrange(-3, 4) for _ in range(dim)] for _ in range(dim)])
             im = np.array([[rng.randrange(-3, 4) for _ in range(dim)] for _ in range(dim)])
             got = RationalMatrix(re.astype(object), im.astype(object), 3).conjugated_by(w)
-            gauss = GaussianMatrix(re, im).conjugate_by_word(w)
+            gauss = conjugate_dense(GaussianMatrix(re, im), w)
             assert got.denom == 3
             assert got.re.tolist() == gauss.re.tolist()
             assert got.im.tolist() == gauss.im.tolist()
@@ -669,7 +685,7 @@ def test_rational_conjugation_matches_gaussian_and_dense(rng):
     with pytest.raises(DimensionError):
         RationalMatrix(re, im, 3).conjugated_by(PauliWord.identity(3))
     with pytest.raises(DimensionError):
-        GaussianMatrix(re, im).conjugate_by_word(PauliWord.identity(3))
+        conjugate_dense(GaussianMatrix(re, im), PauliWord.identity(3))
 
 
 def test_rational_conjugation_stays_exact():
@@ -796,3 +812,109 @@ def test_phase_matches_term_by_term_oracle():
 def test_partial_trace_matches_einsum_oracle():
     for p in _oracle_parents():
         assert np.array_equal(rho_to_complex(child_from_partial_trace(p)), traced_oracle(p)), p
+
+
+# ---- stabilized_by on rho's nonzero entries, against the dense oracle ----
+
+
+def dense_stabilized_by(rho, gens):
+    return all(conjugated(rho, w) == rho for w in gens)
+
+
+def complex_stabilized_by(rho, gens):
+    dense = rho_to_complex(rho)
+    return all(
+        np.array_equal(word_to_complex(w) @ dense @ word_to_complex(w).conj().T, dense)
+        for w in gens
+    )
+
+
+def test_stabilized_by_matches_dense_oracle_on_every_child():
+    graphs = [parse_graph(p.read_text()) for p in sorted(FIXTURES.glob("*.graph"))]
+    rng = random.Random(8821)
+    graphs += [random_mixed_graph(rng, n) for n in (2, 3, 3, 4, 4, 5, 5, 6, 6, 7)]
+    verdicts = {True: 0, False: 0}
+    for g in graphs:
+        rows, duals = stabilizer_matrix(g), dual_stabilizer(g)
+        _, children = _every_child(g)
+        for child in children:
+            rho = child.rho
+            assert stabilized_by(rho, rows) and dense_stabilized_by(rho, rows)
+            for w in list(duals) + [random_word(rng, g.n)]:
+                got = stabilized_by(rho, [w])
+                assert got == dense_stabilized_by(rho, [w]), (g, child.parent, w)
+                verdicts[got] += 1
+            mixed = list(rows) + [duals[0]]
+            assert stabilized_by(rho, mixed) == dense_stabilized_by(rho, mixed)
+    assert min(verdicts.values()) > 300
+
+
+def _dm(n, terms, denom_log2):
+    return DensityMatrix(n, pauli_sum(n, terms).divided_by_pow2(denom_log2))
+
+
+def test_stabilized_by_hand_made_cases():
+    w = PauliWord.from_letters
+    zz = _dm(2, [(w("II"), 0), (w("ZZ"), 0)], 2)
+    plus_x = _dm(1, [(w("I"), 0), (w("X"), 0)], 1)
+    plus_y = _dm(1, [(w("I"), 0), (w("Y"), 0)], 1)
+    # diag(1, 1, 1, 0): (a, a) -> (a ^ x, a ^ x) leaves the nonzero pattern
+    open_pattern = DensityMatrix(2, GaussianMatrix(np.diag([1, 1, 1, 0]), np.zeros((4, 4)), 0))
+    zero = DensityMatrix(2, GaussianMatrix(np.zeros((4, 4)), np.zeros((4, 4)), 3))
+    skew = DensityMatrix(1, GaussianMatrix([[1, 2], [-3, 0]], [[0, 1], [5, 2]], 1))
+    cases = [
+        (zz, [w("XX")], True),
+        (zz, [w("ZI"), w("XX"), w("YY")], True),
+        (zz, [w("XI")], False),  # anticommutes with the ZZ term
+        (zz, [w("XX"), w("IY")], False),  # only the second fails
+        (open_pattern, [w("IX")], False),
+        (open_pattern, [w("XX")], False),
+        (open_pattern, [w("ZZ"), w("IZ")], True),
+        (plus_x, [w("Z")], False),  # every entry matches up to sign: real part
+        (plus_y, [w("Z")], False),  # ... and imaginary part
+        (plus_y, [w("Y")], True),
+        (skew, [], True),  # no generators
+        (zero, [w("XY"), w("ZI")], True),  # no nonzero entries
+        (zero, [], True),
+    ]
+    for rho, gens, want in cases:
+        assert stabilized_by(rho, gens) is want, (rho.mat.re, gens)
+        assert dense_stabilized_by(rho, gens) is want
+        assert complex_stabilized_by(rho, gens) is want
+    with pytest.raises(DimensionError):
+        stabilized_by(zz, [w("X")])
+    with pytest.raises(DimensionError):
+        dense_stabilized_by(zz, [w("X")])
+
+
+# ---- the float64 partial trace against the int64 product it replaced ----
+
+
+def _int64_partial_trace(p):
+    ph = parent_phases(p).reshape(1 << p.n, 1 << p.e)
+    re, im = _I_POWER_RE[ph], _I_POWER_IM[ph]
+    rho_re = re @ re.T + im @ im.T
+    rho_im = im @ re.T - re @ im.T
+    return GaussianMatrix(rho_re, rho_im, p.total).normalized()
+
+
+def test_partial_trace_matches_int64_product_at_dense_bound():
+    # the 8-node directed clique has e = 4, so its parents reach n + e = 12
+    edges = "".join(f"edge {j} -> {k}\n" for j, k in itertools.combinations(range(8), 2))
+    g = parse_graph("nodes 8\n" + edges)
+    sub = enumerate_max_isotropic(reduce_gamma(g.gamma()))[0]
+    parents = [extend_for_subgroup(g, sub, stabilizer_matrix(g))]
+    # an empty parent graph on 2 + 10 qubits: every entry of psi psi^dag is +-
+    # 2^10, the largest any n + e = 12 parent gives
+    empty = ParentExtension(2, 10, BinMatrix((0,) * 12, 12), frozenset({1}))
+    parents.append(empty)
+    for p in parents:
+        assert p.total == 12
+        want = _int64_partial_trace(p)
+        got = child_from_partial_trace(p).mat
+        assert got.denom_log2 == want.denom_log2
+        assert got.re.dtype == np.int64 and got.im.dtype == np.int64
+        assert np.array_equal(got.re, want.re) and np.array_equal(got.im, want.im)
+    ph = parent_phases(empty).reshape(4, 1 << 10)
+    re = _I_POWER_RE[ph]
+    assert abs(re @ re.T).max() == 1 << 10
