@@ -60,7 +60,7 @@ from .graphs import (
     parse_graph,
     stabilizer_matrix,
 )
-from .pauli import BoundExceeded, PauliWord, dense_bound, ordered_product
+from .pauli import BoundExceeded, PauliWord, dense_bound, distinct_entries, ordered_product
 from .signfree import (
     canonical_family,
     commuting_subsets_oracle,
@@ -251,21 +251,15 @@ def _list_text(items: Iterable[str], level: int) -> str:
     return "[" + inner + body + "\n" + "  " * level + "]" if body else "[]"
 
 
-def _grid_text(grid: np.ndarray, level: int) -> str:
-    """``json.dumps(grid.tolist(), indent=2)`` at nesting ``level`` for a
-    non-empty 2-D int array, encoding each distinct row once."""
-    rows = list(zip(*grid.T.tolist()))
-    texts = {row: _list_text(map(str, row), level + 1) for row in set(rows)}
-    return _list_text(map(texts.__getitem__, rows), level)
-
-
 def _json_chunks(o, level: int, out: List[str], prefix: str = "") -> None:
     """Append the text of ``json.dumps(o, indent=2, sort_keys=True)`` at nesting
-    ``level`` to ``out``, led by ``prefix``.  An int array of two or more
-    dimensions is the list that its ``tolist`` gives, one chunk per 2-D slice
-    from ``_grid_text``: no call per entry, and no chunk so large that the
-    allocator returns its memory and faults fresh pages in for the next
-    report; the chunks go to ``writelines`` unjoined for the same reason.
+    ``level`` to ``out``, led by ``prefix``.  A non-empty int array of two or
+    more dimensions is the list that its ``tolist`` gives: each distinct list
+    along its last axis is encoded once (``distinct_entries``), and each 2-D
+    slice is one chunk, one join of those texts looked up by code: no call
+    per entry, and no chunk so large that the allocator returns its memory
+    and faults fresh pages in for the next report; the chunks go to
+    ``writelines`` unjoined for the same reason.
     An ``_Encoded`` value is its text, one chunk: a ``subgroups`` entry,
     whole, with its listed elements in it.
     An iterator is a list whose entries are written to stdout, with all
@@ -283,8 +277,22 @@ def _json_chunks(o, level: int, out: List[str], prefix: str = "") -> None:
             _json_chunks(value, level + 1, out, f"{sep}{inner}{key}: ")
             sep = ","
         out.append(close + "}")
-    elif isinstance(o, np.ndarray) and o.ndim == 2 and o.size:
-        out.append(prefix + _grid_text(o, level))
+    elif isinstance(o, np.ndarray) and o.ndim >= 2 and o.size:
+        entries, codes = distinct_entries(o.reshape(-1, o.shape[-1]).T)
+        depth = level + o.ndim - 1  # the nesting level of a last-axis list
+        texts = np.array(["\n" + "  " * depth + _list_text(map(_json_scalar, e), depth)
+                          for e in entries], dtype=object)
+
+        def nest(sub: np.ndarray, lev: int, lead: str) -> None:  # one chunk per 2-D slice
+            close = "\n" + "  " * lev + "]"
+            if lev + 1 == depth:
+                out.append(lead + "[" + ",".join(texts[sub].tolist()) + close)
+                return
+            for i, part in enumerate(sub):
+                nest(part, lev + 1, (lead + "[" if i == 0 else ",") + "\n" + "  " * (lev + 1))
+            out.append(close)
+
+        nest(codes.reshape(o.shape[:-1]), level, prefix)
     elif isinstance(o, (list, tuple, Iterator, np.ndarray)):
         streamed = isinstance(o, Iterator)
         sep = prefix + "["
@@ -497,7 +505,7 @@ def _parent_payload(rows: Sequence[PauliWord], child: ChildResult) -> Dict:
             bitstring(j, p.n): _coeff_str(k) for j, k in sorted(child.terms.items())
         },
         "rho": child.rho.to_json_dict(),
-        "rho_text": child.rho.to_text_grid(),
+        "rho_text": child.rho.mat.to_text_grid(),
         "oracle_verified": True,
     }
 

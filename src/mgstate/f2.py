@@ -110,19 +110,7 @@ class BinMatrix:
     def matmul(self, other: "BinMatrix") -> "BinMatrix":
         if self.cols != other.nrows:
             raise ValueError("dimension mismatch in matmul")
-        ot = other
-        rows = []
-        for r in self.rows:
-            acc = 0
-            m = r
-            j = 0
-            while m:
-                if m & 1:
-                    acc ^= ot.rows[j]
-                m >>= 1
-                j += 1
-            rows.append(acc)
-        return BinMatrix(tuple(rows), other.cols)
+        return BinMatrix(tuple(combine(other.rows, r) for r in self.rows), other.cols)
 
     def add(self, other: "BinMatrix") -> "BinMatrix":
         if (self.nrows, self.cols) != (other.nrows, other.cols):
@@ -146,12 +134,7 @@ class BinMatrix:
         return all(((r >> i) & 1) == 0 for i, r in enumerate(self.rows))
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "BinMatrix":
-        rows = []
-        for i in row_idx:
-            r = 0
-            for new_j, j in enumerate(col_idx):
-                r |= self.get(i, j) << new_j
-            rows.append(r)
+        rows = (mask_of(k for k, j in enumerate(col_idx) if self.get(i, j)) for i in row_idx)
         return BinMatrix(tuple(rows), len(col_idx))
 
 

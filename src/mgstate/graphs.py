@@ -103,12 +103,8 @@ class MixedGraph:
         )
 
     def reverse(self) -> "MixedGraph":
-        return MixedGraph(
-            self.n,
-            self.red,
-            self.undirected,
-            frozenset((k, j) for j, k in self.directed),
-        )
+        directed = frozenset((k, j) for j, k in self.directed)
+        return MixedGraph(self.n, self.red, self.undirected, directed)
 
     def canonical_edges(self) -> List[Tuple[int, int, str]]:
         out = [(j, k, UNDIRECTED) for j, k in self.undirected]
@@ -176,14 +172,7 @@ def _parse_node(token: str, n: int, lineno: int) -> int:
 
 def stabilizer_matrix(g: MixedGraph) -> List[PauliWord]:
     """Row j: X (white) or Y (red) at j, Z at each k with A[j][k] = 1."""
-    a = g.adjacency()
-    rows = []
-    for j in range(g.n):
-        x = 1 << j
-        z = a.rows[j]
-        phase = (z >> j) & 1
-        rows.append(PauliWord(g.n, x, z, phase))
-    return rows
+    return [PauliWord(g.n, 1 << j, z, (z >> j) & 1) for j, z in enumerate(g.adjacency().rows)]
 
 
 def dual_stabilizer(g: MixedGraph) -> List[PauliWord]:
@@ -203,10 +192,8 @@ def f4_matrix(g: MixedGraph) -> List[List[int]]:
     Encoded additively as 2*x + z in {0, 1, 2, 3} = {0, 1, w, w^2}, which
     makes row multiplication in the stabilizer exactly F4 addition.
     """
-    out = []
-    for row in stabilizer_matrix(g):
-        out.append([2 * ((row.x >> j) & 1) + ((row.z >> j) & 1) for j in range(g.n)])
-    return out
+    return [[2 * ((row.x >> j) & 1) + ((row.z >> j) & 1) for j in range(g.n)]
+            for row in stabilizer_matrix(g)]
 
 
 def f4_row_strings(m: List[List[int]]) -> List[str]:

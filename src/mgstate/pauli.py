@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, Iterable, Sequence, Tuple
+from math import prod
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -286,16 +287,39 @@ class GaussianMatrix:
 
     def to_text_grid(self) -> str:
         """Aligned grid of exact entries with the denominator up front.  Each
-        distinct entry is formatted once."""
-        pairs = list(zip(self.re.ravel().tolist(), self.im.ravel().tolist()))
-        texts = {pair: _format_gaussian(*pair) for pair in set(pairs)}
-        width = max(map(len, texts.values()), default=1)
-        padded = {pair: s.rjust(width) for pair, s in texts.items()}
-        cells = list(map(padded.__getitem__, pairs))
-        body = "\n".join(" ".join(cells[i:i + self.dim]) for i in range(0, len(cells), self.dim))
+        distinct entry is formatted and padded once, and each row is one join
+        of those cells, looked up by the entries' codes."""
+        pairs, codes = distinct_entries((self.re.ravel(), self.im.ravel()))
+        texts = [_format_gaussian(*pair) for pair in pairs]
+        width = max(map(len, texts))
+        cells = np.array([s.rjust(width) for s in texts], dtype=object)
+        body = "\n".join(" ".join(cells[row].tolist()) for row in codes.reshape(self.re.shape))
         if self.denom_log2:
             return f"1/{1 << self.denom_log2} *\n{body}"
         return body
+
+
+def distinct_entries(cols: Sequence[np.ndarray]) -> Tuple[List[list], np.ndarray]:
+    """The distinct entries of the equal-length int columns ``cols`` and each
+    entry's code: entry i, the list of ``col[i]`` over ``cols``, is
+    ``entries[codes[i]]``.  When every entry with values between the least
+    and the greatest fits a table of at most four slots per entry, as a
+    density matrix's few small numerators do, one pass over it finds them
+    with no sort; otherwise ``np.unique`` sorts the entries, exact for any
+    int64 values."""
+    lo = min(int(c.min()) for c in cols)
+    dims = (max(int(c.max()) for c in cols) - lo + 1,) * len(cols)
+    if prod(dims) > 4 * len(cols[0]):
+        entries, codes = np.unique(np.stack(cols, axis=-1), axis=0, return_inverse=True)
+        return entries.tolist(), codes.reshape(-1)  # the inverse's shape varies across numpy 2.x
+    key = cols[0] - lo
+    for col in cols[1:]:
+        key *= dims[0]
+        key += col - lo
+    seen = np.zeros(prod(dims), dtype=bool)
+    seen[key] = True
+    entries = np.stack(np.unravel_index(np.flatnonzero(seen), dims), axis=-1) + lo
+    return entries.tolist(), (np.cumsum(seen) - 1)[key]
 
 
 def _format_gaussian(re: int, im: int) -> str:

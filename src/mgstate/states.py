@@ -39,19 +39,18 @@ from .pauli import (
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Exact density matrix on n lab qubits."""
+    """Exact density matrix on n lab qubits; ``mat`` is kept in lowest terms,
+    so its JSON entries and its text grid render one normalisation."""
 
     n: int
     mat: GaussianMatrix
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "mat", self.mat.normalized())
+
     @property
     def dim(self) -> int:
         return 1 << self.n
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DensityMatrix):
-            return NotImplemented
-        return self.n == other.n and self.mat == other.mat
 
     def trace_is_one(self) -> bool:
         return self.mat.trace_is_one()
@@ -81,11 +80,7 @@ class DensityMatrix:
         return Fraction(total, 1 << (2 * self.mat.denom_log2))
 
     def to_json_dict(self) -> Dict:
-        m = self.mat.normalized()
-        return {"n": self.n, **m.to_json_dict()}
-
-    def to_text_grid(self) -> str:
-        return self.mat.normalized().to_text_grid()
+        return {"n": self.n, **self.mat.to_json_dict()}
 
 
 @dataclass(frozen=True)
@@ -133,7 +128,7 @@ def child_from_pauli_sum(
     if not verify_full_commutation([terms[g][0] for g in gmat.rows]):
         raise AssertionError("J members must commute pairwise")
     acc = pauli_sum(n, list(terms.values()))
-    rho = DensityMatrix(n, acc.divided_by_pow2(n).normalized())
+    rho = DensityMatrix(n, acc.divided_by_pow2(n))
     return ChildResult(p, ind, rho, {j: k for j, (_, k) in terms.items()})
 
 
@@ -141,17 +136,21 @@ def parent_phases(p: ParentExtension) -> np.ndarray:
     """p(x) for every basis index of the n + e parent qubits.
 
     Qubit 0 is the most significant index bit, so the e environment qubits
-    are the least significant ones.  x_j^2 = x_j puts 2 o.x on the diagonal,
-    so with x the (2^{n+e}, n+e) bit table p = rowsum((x (A + 2 diag o)) * x).
+    are the least significant ones: x = (a, c) with a the lab bits and c the
+    environment bits.  A is symmetric and x_j^2 = x_j puts 2 o.x on its
+    diagonal, so p = p_L(a) + p_E(c) + 2 a.B.c mod 4 with B the lab-by-
+    environment block of A, from one bit table of 2^n rows and one of 2^e.
     """
-    total = p.total
+    n, total = p.n, p.total
     if total > dense_bound():
         raise BoundExceeded(f"parent state on {total} qubits exceeds bound {dense_bound()}")
-    x = (np.arange(1 << total)[:, None] >> np.arange(total - 1, -1, -1)) & 1
     a = np.array(p.ae.to_lists(), dtype=np.int64)
     offsets = sorted(p.lab_offsets | p.env_offsets)
     a[offsets, offsets] += 2
-    return ((x @ a) * x).sum(axis=1) % 4
+    lab, env = ((np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)) & 1 for k in (n, p.e))
+    p_lab = ((lab @ a[:n, :n]) * lab).sum(axis=1)
+    p_env = ((env @ a[n:, n:]) * env).sum(axis=1)
+    return (p_lab[:, None] + p_env + 2 * (lab @ a[:n, n:] @ env.T)).ravel() % 4
 
 
 def child_from_partial_trace(p: ParentExtension) -> DensityMatrix:
@@ -167,7 +166,7 @@ def child_from_partial_trace(p: ParentExtension) -> DensityMatrix:
     psi = (_I_POWER_RE + 1j * _I_POWER_IM)[ph]
     rho = psi @ psi.conj().T
     mat = GaussianMatrix(rho.real.astype(np.int64), rho.imag.astype(np.int64), p.total)
-    return DensityMatrix(p.n, mat.normalized())
+    return DensityMatrix(p.n, mat)
 
 
 def stabilized_by(rho: DensityMatrix, gens: Sequence[PauliWord]) -> bool:

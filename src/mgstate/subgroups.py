@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .f2 import (
@@ -113,10 +114,7 @@ def chi(e: int) -> int:
     """Number of maximal commutative subgroups: prod_{j=1}^{e} (2^j + 1)."""
     if e < 0:
         raise ValueError("e must be non-negative")
-    out = 1
-    for j in range(1, e + 1):
-        out *= (1 << j) + 1
-    return out
+    return prod((1 << j) + 1 for j in range(1, e + 1))
 
 
 def enumerate_max_isotropic(

@@ -650,12 +650,15 @@ class _CountingSink(io.TextIOBase):
     "argv",
     [
         ["children", "--all", "--json", str(FIXTURES / "appendix_a.graph")],
-        ["subgroups", "--json", "clique7.graph"],
+        # a 4.25 MB report: peak/size reads about 0.19 as a process's first
+        # call and 0.12-0.15 after others; the 7-node clique's 0.24 MB report
+        # read 0.5-1.3, so it passed or failed by test order
+        ["subgroups", "--json", "clique8.graph"],
     ],
 )
 def test_streamed_report_peak_memory_below_half_its_size(argv, tmp_path):
     # the whole report would take more than its size to hold
-    argv = [write_graph(tmp_path, directed_clique(7), a) if a == "clique7.graph" else a
+    argv = [write_graph(tmp_path, directed_clique(8), a) if a == "clique8.graph" else a
             for a in argv]
     sink = _CountingSink()
     tracemalloc.start()
@@ -1002,10 +1005,44 @@ def _listed(o):
 )
 def test_emit_int_array_matches_stdlib_encoding_of_its_lists(shape, capsys):
     gen = np.random.default_rng(len(shape) * 10 + sum(shape))
-    a = gen.integers(-3, 4, size=shape) * 10 ** gen.integers(0, 18, size=shape)
-    value = {"b": [a, {"a": a}], "a": a}
-    _emit(value, [], as_json=True)
-    assert capsys.readouterr().out == json.dumps(_listed(value), indent=2, sort_keys=True) + "\n"
+    size = int(np.prod(shape))
+    near = gen.integers(-3, 4, size=shape)
+    arrays = [
+        gen.integers(-3, 4, size=shape) * 10 ** gen.integers(0, 18, size=shape),
+        np.arange(size).reshape(shape) * 7 - 3 * size,  # every entry distinct
+        (1 << 62) + near,  # near 2^62, in a range of 7 values
+        np.where(gen.integers(0, 2, size=shape) == 1, 1 << 62, -(1 << 62)) + near,  # and -2^62
+        np.full(shape, np.iinfo(np.int64).min),
+    ]
+    for a in arrays:
+        value = {"b": [a, {"a": a}], "a": a}
+        _emit(value, [], as_json=True)
+        assert capsys.readouterr().out == json.dumps(_listed(value), indent=2, sort_keys=True) + "\n"
+
+
+def test_emit_entries_array_makes_calls_independent_of_its_size(monkeypatch, capsys):
+    # a child's (2^n, 2^n, 2) entries with its five values 0, +-1, +-i: the
+    # encoder calls itself and formats each distinct value a fixed number
+    # of times, however many entries the array has
+    calls = []
+    for name in ("_json_chunks", "_json_scalar"):
+        def counted(*args, _real=getattr(mgstate.cli, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(mgstate.cli, name, counted)
+    values = np.array([[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1]])
+    counts = []
+    for n in range(2, 7):
+        dim = 1 << n
+        entries = values[np.random.default_rng(n).integers(0, 5, size=(dim, dim))]
+        entries.reshape(-1, 2)[:5] = values
+        calls.clear()
+        _emit({"entries": entries}, [], as_json=True)
+        want = json.dumps({"entries": entries.tolist()}, indent=2, sort_keys=True) + "\n"
+        assert capsys.readouterr().out == want
+        counts.append(len(calls))
+    assert counts == [counts[0]] * len(counts), counts
 
 
 def test_emit_mid_stream_type_error_matches_stdlib(capsys):

@@ -314,7 +314,13 @@ def test_text_grid_matches_entry_by_entry_oracle(rng):
         re = np.array([[rng.randint(-12, 12) for _ in range(dim)] for _ in range(dim)])
         im = np.array([[rng.choice((0, 0, 1, -1, rng.randint(-12, 12))) for _ in range(dim)]
                        for _ in range(dim)])
-        for d in (0, 3):
+        distinct = np.arange(dim * dim).reshape(dim, dim) - dim  # every entry distinct
+        wide = np.array([[rng.choice((1, -1)) * rng.randint(0, 10 ** 15) for _ in range(dim)]
+                         for _ in range(dim)])
+        zero = np.zeros((dim, dim), dtype=np.int64)
+        cases = [(re, im), (distinct, distinct.T), (distinct, zero), (zero, -distinct),
+                 (wide, wide.T), (wide, zero), ((1 << 62) - re, im - (1 << 62)), (zero, zero)]
+        for (re, im), d in itertools.product(cases, (0, 3)):
             rows = zip(re.tolist(), im.tolist())
             cells = [list(map(_gaussian_text_oracle, r, i)) for r, i in rows]
             width = max(len(s) for row in cells for s in row)
