@@ -214,8 +214,8 @@ class GaussianMatrix:
     def __init__(self, re: np.ndarray, im: np.ndarray, denom_log2: int = 0):
         re = np.asarray(re, dtype=np.int64)
         im = np.asarray(im, dtype=np.int64)
-        if re.shape != im.shape or re.ndim != 2 or re.shape[0] != re.shape[1]:
-            raise ValueError("re/im must be equal square matrices")
+        if re.shape != im.shape or re.ndim != 2 or re.shape[0] != re.shape[1] or not re.size:
+            raise ValueError("re/im must be equal non-empty square matrices")
         if denom_log2 < 0:
             raise ValueError("denominator exponent must be non-negative")
         self.re = re

@@ -3,13 +3,12 @@
 A parent on n + e qubits is the graph state 2^{-(n+e)/2} i^{p(x)} with
 p(x) = x A x^T + 2 o.x mod 4, A its symmetric adjacency (diagonal bit 1 =
 red) and o its offset rows (``ParentExtension.phase``).  Its child arises
-twice over, by exact partial trace of the e environment qubits and by the
-dual-group Pauli sum with sign coefficients, and the two constructions must
-agree entry for entry.
-
-All arithmetic is exact: amplitudes are fourth roots of unity over a global
-``2^{-(n+e)/2}`` factor, matrices are Gaussian integers over a power-of-two
-denominator.
+twice over, by the dual-group Pauli sum with sign coefficients and by the
+partial trace of the environment, which for a graph state is the closed form
+rho(a, b) = 2^{-n} i^{p_L(a) - p_L(b)} [H a = H b] over lab basis states a, b,
+p_L the lab phase and H the parity matrix (Hein, Eisert & Briegel,
+quant-ph/0307130); the two must agree entry for entry.  All arithmetic is
+exact: Gaussian integers over a power-of-two denominator.
 """
 
 from __future__ import annotations
@@ -29,8 +28,6 @@ from .pauli import (
     GaussianMatrix,
     PauliWord,
     dense_bound,
-    _I_POWER_IM,
-    _I_POWER_RE,
     dense_conjugation,
     ordered_product,
     pauli_sum,
@@ -132,41 +129,42 @@ def child_from_pauli_sum(
     return ChildResult(p, ind, rho, {j: k for j, (_, k) in terms.items()})
 
 
-def parent_phases(p: ParentExtension) -> np.ndarray:
-    """p(x) for every basis index of the n + e parent qubits.
-
-    Qubit 0 is the most significant index bit, so the e environment qubits
-    are the least significant ones: x = (a, c) with a the lab bits and c the
-    environment bits.  A is symmetric and x_j^2 = x_j puts 2 o.x on its
-    diagonal, so p = p_L(a) + p_E(c) + 2 a.B.c mod 4 with B the lab-by-
-    environment block of A, from one bit table of 2^n rows and one of 2^e.
-    """
-    n, total = p.n, p.total
-    if total > dense_bound():
-        raise BoundExceeded(f"parent state on {total} qubits exceeds bound {dense_bound()}")
-    a = np.array(p.ae.to_lists(), dtype=np.int64)
-    offsets = sorted(p.lab_offsets | p.env_offsets)
-    a[offsets, offsets] += 2
-    lab, env = ((np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)) & 1 for k in (n, p.e))
-    p_lab = ((lab @ a[:n, :n]) * lab).sum(axis=1)
-    p_env = ((env @ a[n:, n:]) * env).sum(axis=1)
-    return (p_lab[:, None] + p_env + 2 * (lab @ a[:n, n:] @ env.T)).ravel() % 4
+# i^d for d in 1..7; np.take's clip mode sends every other d to the 0 at an end
+_TRACE_RE = np.array([0, 0, -1, 0, 1, 0, -1, 0, 0], dtype=np.int64)
+_TRACE_IM = np.array([0, 1, 0, -1, 0, 1, 0, -1, 0], dtype=np.int64)
 
 
 def child_from_partial_trace(p: ParentExtension) -> DensityMatrix:
-    """Trace the e environment qubits out of the parent |psi><psi|, exactly.
+    """rho(a, b) = 2^{-n} i^{p_L(a) - p_L(b)} [H a = H b], the exact partial
+    trace of the environment, with no 2^{n+e} amplitude built.
 
-    The environment is the low e index bits, so the amplitudes i^{p(x)}
-    reshape to (2^n, 2^e) and rho = psi psi^dag over the second axis, over
-    the 2^{n+e} of psi's normalisation.  The one complex128 product is
-    exact: each part of an entry sums 2^e values of 0 or +-1, far below
-    float64's 2^53.
+    With x = (a, c), a the lab and c the environment bits, p(a, c) = p_L(a) +
+    p_E(c) + 2 a.B.c mod 4 (A is symmetric and x_j^2 = x_j puts 2 o.x on its
+    diagonal): p_L and p_E are p on the lab and the environment block, B the
+    lab-by-environment block.  In rho(a, b) = 2^{-(n+e)} sum_c i^{p(a, c) -
+    p(b, c)} p_E cancels, and sum_c (-1)^{(a ^ b).B.c} = 2^e [B^T (a ^ b) = 0]
+    with B^T = H = ``p.parity_matrix()``.  This holds for every symmetric
+    parent, red environment nodes, environment edges and offsets included,
+    whatever rank H has.  The parent's n + e qubits still obey the dense bound.
     """
-    ph = parent_phases(p).reshape(1 << p.n, 1 << p.e)
-    psi = (_I_POWER_RE + 1j * _I_POWER_IM)[ph]
-    rho = psi @ psi.conj().T
-    mat = GaussianMatrix(rho.real.astype(np.int64), rho.imag.astype(np.int64), p.total)
-    return DensityMatrix(p.n, mat)
+    n = p.n
+    if p.total > dense_bound():
+        raise BoundExceeded(f"parent state on {p.total} qubits exceeds bound {dense_bound()}")
+    lab = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1  # column j: qubit j
+    a = np.array(p.ae.to_lists(), dtype=np.int64).reshape(p.total, p.total)[:n, :n]
+    offsets = sorted(p.lab_offsets)
+    a[offsets, offsets] += 2
+    p_lab = ((lab @ a) * lab).sum(axis=1)
+    # H a: the XOR of the environment bits r >> n of a's lab rows, doubled
+    # qubit by qubit into index order (qubit 0 the most significant bit)
+    syndromes = [0]
+    for r in p.ae.rows[:n]:
+        syndromes = [s ^ env for s in syndromes for env in (0, r >> n)]
+    cosets: Dict[int, int] = {}  # one small code per syndrome: e bits may not fit int64
+    q = (p_lab & 3) + 8 * np.array([cosets.setdefault(s, len(cosets)) for s in syndromes])
+    d = (q + 4)[:, None] - q  # in 1..7 iff H a = H b, where it is p_L(a) - p_L(b) + 4
+    mat = GaussianMatrix(_TRACE_RE.take(d, mode="clip"), _TRACE_IM.take(d, mode="clip"), n)
+    return DensityMatrix(n, mat)
 
 
 def stabilized_by(rho: DensityMatrix, gens: Sequence[PauliWord]) -> bool:

@@ -283,6 +283,10 @@ def test_gaussian_matrix_arithmetic():
     assert a.matmul(b) == b
     assert a.trace_is_one() is False
     assert b.divided_by_pow2(1).trace_is_one()
+    # unequal, not square, and empty: every matrix of the package is 2^n x 2^n
+    for re_shape, im_shape in (((2, 2), (4, 4)), ((2, 3), (2, 3)), ((0, 0), (0, 0))):
+        with pytest.raises(ValueError):
+            GaussianMatrix(np.zeros(re_shape), np.zeros(im_shape))
 
 
 def test_gaussian_matrix_json_round_trip():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -33,8 +34,6 @@ from mgstate.pauli import (
     DimensionError,
     GaussianMatrix,
     PauliWord,
-    _I_POWER_IM,
-    _I_POWER_RE,
     ordered_product,
     pauli_sum,
 )
@@ -46,7 +45,6 @@ from mgstate.states import (
     child_from_pauli_sum,
     children_family_e1,
     convex_combine,
-    parent_phases,
     stabilized_by,
 )
 from mgstate.subgroups import enumerate_max_isotropic, reduce_gamma
@@ -99,7 +97,7 @@ def parent_from_paper(quad, z4, binary, n, e):
 
 def psi_of(p):
     """Unnormalised parent amplitudes i^{p(x)} as a complex vector."""
-    return np.array([1, 1j, -1, -1j])[parent_phases(p)]
+    return np.array([1, 1j, -1, -1j])[oracle_phases(p)]
 
 
 def fixes(w, psi):
@@ -111,7 +109,7 @@ def fixes(w, psi):
 
 
 def test_state_sec2_vector_matches_display():
-    ph = parent_phases(parent_from_paper(*SEC2_PARENT, 3, 1))
+    ph = oracle_phases(parent_from_paper(*SEC2_PARENT, 3, 1))
     # the displayed 16-vector indexes with x0 as the least significant bit
     got = []
     for disp_idx in range(16):
@@ -122,7 +120,7 @@ def test_state_sec2_vector_matches_display():
 
 def test_state_trivial_plus():
     p = parent_from_paper([], [], [], 1, 0)
-    assert parent_phases(p).tolist() == [0, 0]
+    assert oracle_phases(p) == [0, 0]
     # normalised by 2^{-1/2} per amplitude: |+><+|
     assert np.array_equal(rho_to_complex(child_from_partial_trace(p)), np.full((2, 2), 0.5))
 
@@ -130,8 +128,6 @@ def test_state_trivial_plus():
 def test_state_bound(monkeypatch):
     monkeypatch.delenv("MGSTATE_MAX_QUBITS", raising=False)
     p = parent_from_paper([], [], [], 12, 1)
-    with pytest.raises(BoundExceeded):
-        parent_phases(p)
     with pytest.raises(BoundExceeded):
         child_from_partial_trace(p)
 
@@ -750,17 +746,21 @@ def phase_oracle(p):
     return evaluate
 
 
+def oracle_phases(p):
+    """``phase_oracle`` at every basis index of the n + e parent qubits."""
+    evaluate = phase_oracle(p)
+    # index bit total - 1 - j is qubit j
+    return [
+        evaluate(sum(((idx >> (p.total - 1 - j)) & 1) << j for j in range(p.total)))
+        for idx in range(1 << p.total)
+    ]
+
+
 def traced_oracle(p):
     """The child as a numpy complex |psi><psi| traced over the environment
     axes by einsum, with psi built from ``phase_oracle``."""
     n, total = p.n, p.total
-    evaluate = phase_oracle(p)
-    units = [1, 1j, -1, -1j]
-    # index bit total - 1 - j is qubit j
-    psi = np.array([
-        units[evaluate(sum(((idx >> (total - 1 - j)) & 1) << j for j in range(total)))]
-        for idx in range(1 << total)
-    ]).reshape((2,) * total)
+    psi = psi_of(p).reshape((2,) * total)
     lab, lab2, env = list(range(n)), list(range(total, total + n)), list(range(n, total))
     rho = np.einsum(psi, lab + env, psi.conj(), lab2 + env, lab + lab2)
     return rho.reshape(1 << n, 1 << n) / (1 << total)
@@ -803,15 +803,41 @@ def _oracle_parents():
 def test_phase_matches_term_by_term_oracle():
     for p in _oracle_parents():
         evaluate = phase_oracle(p)
-        table = parent_phases(p).tolist()
-        for idx in range(1 << p.total):
-            x = sum(((idx >> (p.total - 1 - j)) & 1) << j for j in range(p.total))
-            assert p.phase(x) == table[idx] == evaluate(x), (p, x)
+        for x in range(1 << p.total):
+            assert p.phase(x) == evaluate(x), (p, x)
+
+
+def _dense_bound_parents():
+    """Two parents at n + e = 12: the first subgroup's parent of the 8-node
+    directed clique (e = 4), and an empty 2 + 10 parent with offset {1}, whose
+    child sums 2^10 equal terms per entry, the most any n + e = 12 parent
+    has."""
+    edges = "".join(f"edge {j} -> {k}\n" for j, k in itertools.combinations(range(8), 2))
+    g = parse_graph("nodes 8\n" + edges)
+    sub = enumerate_max_isotropic(reduce_gamma(g.gamma()))[0]
+    empty = ParentExtension(2, 10, BinMatrix((0,) * 12, 12), frozenset({1}))
+    return [extend_for_subgroup(g, sub, stabilizer_matrix(g)), empty]
 
 
 def test_partial_trace_matches_einsum_oracle():
-    for p in _oracle_parents():
+    for p in _oracle_parents() + _dense_bound_parents():
         assert np.array_equal(rho_to_complex(child_from_partial_trace(p)), traced_oracle(p)), p
+
+
+def test_partial_trace_memory_does_not_grow_with_environment(monkeypatch):
+    # labs 0 and 1 joined to environment nodes 2 and 3, an offset on lab 0 and
+    # 14 more isolated environment nodes: 2^18 parent amplitudes, a 4 x 4 child
+    monkeypatch.setenv("MGSTATE_MAX_QUBITS", "18")
+    rows = [1 << 2, 1 << 3, 1 << 0, 1 << 1] + [0] * 14
+    p = ParentExtension(2, 16, BinMatrix(tuple(rows), 18), frozenset({0}))
+    tracemalloc.start()
+    try:
+        rho = child_from_partial_trace(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(rho_to_complex(rho), np.eye(4) / 4)
+    assert peak < 1 << 20
 
 
 # ---- stabilized_by on rho's nonzero entries, against the dense oracle ----
@@ -885,36 +911,3 @@ def test_stabilized_by_hand_made_cases():
         stabilized_by(zz, [w("X")])
     with pytest.raises(DimensionError):
         dense_stabilized_by(zz, [w("X")])
-
-
-# ---- the float64 partial trace against the int64 product it replaced ----
-
-
-def _int64_partial_trace(p):
-    ph = parent_phases(p).reshape(1 << p.n, 1 << p.e)
-    re, im = _I_POWER_RE[ph], _I_POWER_IM[ph]
-    rho_re = re @ re.T + im @ im.T
-    rho_im = im @ re.T - re @ im.T
-    return GaussianMatrix(rho_re, rho_im, p.total).normalized()
-
-
-def test_partial_trace_matches_int64_product_at_dense_bound():
-    # the 8-node directed clique has e = 4, so its parents reach n + e = 12
-    edges = "".join(f"edge {j} -> {k}\n" for j, k in itertools.combinations(range(8), 2))
-    g = parse_graph("nodes 8\n" + edges)
-    sub = enumerate_max_isotropic(reduce_gamma(g.gamma()))[0]
-    parents = [extend_for_subgroup(g, sub, stabilizer_matrix(g))]
-    # an empty parent graph on 2 + 10 qubits: every entry of psi psi^dag is +-
-    # 2^10, the largest any n + e = 12 parent gives
-    empty = ParentExtension(2, 10, BinMatrix((0,) * 12, 12), frozenset({1}))
-    parents.append(empty)
-    for p in parents:
-        assert p.total == 12
-        want = _int64_partial_trace(p)
-        got = child_from_partial_trace(p).mat
-        assert got.denom_log2 == want.denom_log2
-        assert got.re.dtype == np.int64 and got.im.dtype == np.int64
-        assert np.array_equal(got.re, want.re) and np.array_equal(got.im, want.im)
-    ph = parent_phases(empty).reshape(4, 1 << 10)
-    re = _I_POWER_RE[ph]
-    assert abs(re @ re.T).max() == 1 << 10
