@@ -494,7 +494,9 @@ def _parent_payload(rows: Sequence[PauliWord], child: ChildResult) -> Dict:
     l_sets, gmat, h = child.indicator
     return {
         "parent_rows": [r.letters() for r in p.rows()],
-        "ext_columns": [list(c) for c in p.ext_assign] if p.ext_assign else None,
+        "ext_columns": [
+            list(PauliWord(p.n, x, z, 0).letters()) for x, z in p.ext_assign or ()
+        ] or None,
         "lab_offsets": sorted(p.lab_offsets),
         "env_offsets": sorted(p.env_offsets),
         "phase_function": _phase_text(p),

@@ -2,19 +2,21 @@
 
 A parent is a symmetric graph-form stabilizer on n + e qubits whose first n
 qubits carry the child.  Construction runs in two stages: choose extension
-column tags for the lab rows (exact 3-colouring for e = 1, parity-check
-driven assignment for general e), then write the graph form of the
-extended rows down (``symmetrize``).  Environment row m is X_{n+m} Z^{L_m}
-with L_m the Z/Y support of column m; multiplying it into every lab row
-with X/Y in column m clears the environment X block, so no qubit is ever
-conjugated and the child is untouched.
+columns for the lab rows (exact 3-colouring for e = 1, parity-check driven
+assignment for general e), then write the graph form of the extended rows
+down (``symmetrize``).  An extension column is a pair (x, z) of lab bit
+masks: x holds its X/Y positions and z its Z/Y positions, L_m for column m.
+Letters appear only in reports.  Environment row m is X_{n+m} Z^{L_m};
+multiplying it into every lab row with X/Y in column m clears the
+environment X block, so no qubit is ever conjugated and the child is
+untouched.
 
 The graph form is the parent state itself: with A the symmetric adjacency
 ``ae`` (diagonal bit 1 = red) and o the offset rows, the parent is
 2^{-(n+e)/2} i^{p(x)} with p(x) = x A x^T + 2 o.x mod 4, an F2 quadratic
 form (Dehaene & De Moor, quant-ph/0304125) read off the columns.
 
-For general e the tags solve the paper's extension condition
+For general e the columns solve the paper's extension condition
 X H + (X H)^T = Gamma, with H the parity-check matrix of the subgroup J.
 With p_m the pivot of H row m, X[:, m] = Gamma[:, p_m] +
 sum_{k<m} Gamma[p_k, p_m] H[k, :]^T is a solution, because Gamma vanishes
@@ -27,11 +29,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .f2 import BinMatrix, bits_of, kernel, mask_of, popcount
 from .graphs import MixedGraph, complete_multipartite_parts, stabilizer_matrix
-from .pauli import _LETTER_XZ, _XZ_LETTER, PauliWord
+from .pauli import PauliWord
 from .subgroups import IsotropicSubspace
 
 
@@ -55,8 +57,8 @@ class ParentExtension:
     ``phase``; ``env_offsets`` are the same for environment rows
     (these never change the child).  ``symmetrize`` leaves ``env_offsets``
     empty, so only a hand-built parent sets it.  ``ext_assign`` records the
-    extension column tags the graph form was written from, one tuple of
-    length n per column.
+    extension columns the graph form was written from, one (x, z) pair of
+    lab bit masks per column.
     """
 
     n: int
@@ -64,7 +66,7 @@ class ParentExtension:
     ae: BinMatrix
     lab_offsets: FrozenSet[int] = frozenset()
     env_offsets: FrozenSet[int] = frozenset()
-    ext_assign: Optional[Tuple[Tuple[str, ...], ...]] = None
+    ext_assign: Optional[Tuple[Tuple[int, int], ...]] = None
 
     def __post_init__(self) -> None:
         total = self.n + self.e
@@ -114,12 +116,13 @@ def indicator(p: ParentExtension) -> Indicator:
 
 
 def symmetrize(
-    stabilizer: Sequence[PauliWord], columns: Sequence[Sequence[str]]
+    stabilizer: Sequence[PauliWord], columns: Iterable[Tuple[int, int]]
 ) -> ParentExtension:
-    """Graph form of the lab rows ``stabilizer`` extended by ``columns``.
+    """Graph form of the lab rows ``stabilizer`` extended by ``columns``,
+    each an (x, z) pair of lab bit masks.
 
     Lab row j must carry X or Y at its own position and I/Z elsewhere.  Let
-    L_m be the Z/Y support of column m; environment row m is X_{n+m}
+    L_m be z of column m, its Z/Y support; environment row m is X_{n+m}
     Z^{L_m}, the unique choice (up to sign and products) with I/Z on the lab
     block.  Multiplying environment row m into each lab row j with X/Y in
     column m clears the environment X block, which writes the adjacency
@@ -138,19 +141,19 @@ def symmetrize(
     ``ae`` is symmetric: ``ParentExtension`` raises ``ExtensionError``
     otherwise.
     """
+    columns = tuple(columns)
     n = len(stabilizer)
     e = len(columns)
-    l_sets = tuple(mask_of(j for j in range(n) if _LETTER_XZ[col[j]][1]) for col in columns)
     lab_rows = []
     lab_off = set()
     for j, base in enumerate(stabilizer):
         if base.x != 1 << j:
             raise ExtensionError(f"lab row {j} does not have X/Y exactly at position {j}")
         z, phase = base.z, base.phase
-        for m, col in enumerate(columns):
-            xb, zb = _LETTER_XZ[col[j]]
+        for m, (xm, zm) in enumerate(columns):
+            xb, zb = (xm >> j) & 1, (zm >> j) & 1
             if xb:
-                z ^= l_sets[m]
+                z ^= zm
             z |= zb << (n + m)
             phase += 3 * (xb & zb)
         delta = (phase - ((z >> j) & 1)) % 4
@@ -158,10 +161,8 @@ def symmetrize(
         if delta == 2:
             lab_off.add(j)
         lab_rows.append(z)
-    ae = BinMatrix(tuple(lab_rows) + l_sets, n + e)
-    return ParentExtension(
-        n, e, ae, frozenset(lab_off), ext_assign=tuple(tuple(col) for col in columns)
-    )
+    ae = BinMatrix(tuple(lab_rows) + tuple(z for _, z in columns), n + e)
+    return ParentExtension(n, e, ae, frozenset(lab_off), ext_assign=columns)
 
 
 def extend_e1(g: MixedGraph) -> List[ParentExtension]:
@@ -172,13 +173,12 @@ def extend_e1(g: MixedGraph) -> List[ParentExtension]:
         raise ExtensionError("extend_e1 requires mixed rank 1")
     parts, _ = parts_iso
     stabilizer = stabilizer_matrix(g)
+    masks = [mask_of(part) for part in parts]
     out = []
-    for perm in itertools.permutations(("X", "Z", "Y"), len(parts)):
-        col = ["I"] * g.n
-        for part, tag in zip(parts, perm):
-            for v in part:
-                col[v] = tag
-        out.append(symmetrize(stabilizer, [col]))
+    for perm in itertools.permutations(((1, 0), (0, 1), (1, 1)), len(parts)):
+        x = sum(pm * xb for pm, (xb, _) in zip(masks, perm))
+        z = sum(pm * zb for pm, (_, zb) in zip(masks, perm))
+        out.append(symmetrize(stabilizer, [(x, z)]))
     return out
 
 
@@ -188,55 +188,39 @@ def parity_basis(m: IsotropicSubspace) -> BinMatrix:
     return kernel(gen)
 
 
-def _greedy_columns(gamma: BinMatrix, h: BinMatrix) -> Optional[List[List[int]]]:
+def _greedy_columns(gamma: BinMatrix, h: BinMatrix) -> Optional[List[int]]:
     """Column-by-column tag assignment mirroring the worked constructions.
 
-    Within column m the lowest member of L_m takes Z and the others take Z/Y
-    to fix their mutual commutation; rows outside L_m take X only when that
-    clears their anticommutation with all of L_m.  Returns the x-bit columns
-    or None when a column's internal constraints are inconsistent.
+    ``cur`` is the anticommutation still to clear, row j a mask; it starts
+    as Gamma and stays alternating (symmetric, zero diagonal).  Within
+    column m the lowest member of L_m takes Z and the others take Z/Y to fix
+    their mutual commutation; rows outside L_m take X only when that clears
+    their anticommutation with all of L_m, which a member of L_m never does.
+    Returns the x masks of the columns, or None when a column's internal
+    constraints are inconsistent.
     """
-    n = gamma.cols
     cur = list(gamma.rows)
-    xcols: List[List[int]] = []
-    for m in range(h.nrows):
-        lset = bits_of(h.rows[m])
-        if not lset:
+    xcols: List[int] = []
+    for lmask in h.rows:
+        if not lmask:
             return None
-        anchor = lset[0]
-        xcol = [0] * n
-        for j in lset[1:]:
-            xcol[j] = (cur[anchor] >> j) & 1
-        for a, b in itertools.combinations(lset, 2):
-            if (xcol[a] ^ xcol[b]) != ((cur[a] >> b) & 1):
-                return None
-        for j in range(n):
-            if j in lset:
-                continue
-            bits = [(cur[j] >> k) & 1 for k in lset]
-            xcol[j] = bits[0] if all(b == bits[0] for b in bits) else 0
-        zrow = h.rows[m]
-        xmask = mask_of(j for j in range(n) if xcol[j])
-        nxt = []
-        for j in range(n):
-            row = cur[j]
-            # anti'(j,k) = anti(j,k) ^ x_j z_k ^ z_j x_k
-            upd = row
-            if xcol[j]:
-                upd ^= zrow
-            if (zrow >> j) & 1:
-                upd ^= xmask
-            upd &= ~(1 << j)
-            nxt.append(upd)
-        cur = nxt
-        xcols.append(xcol)
-    if any(cur):
-        return None
-    return xcols
+        x = cur[(lmask & -lmask).bit_length() - 1] & lmask
+        # x_a ^ x_b = anti(a, b) for every pair a, b in L_m
+        if any((cur[a] ^ x ^ (lmask if (x >> a) & 1 else 0)) & lmask for a in bits_of(lmask)):
+            return None
+        x |= mask_of(j for j, row in enumerate(cur) if row & lmask == lmask)
+        # anti'(j, k) = anti(j, k) ^ x_j z_k ^ z_j x_k
+        cur = [
+            row ^ (lmask if (x >> j) & 1 else 0) ^ (x if (lmask >> j) & 1 else 0)
+            for j, row in enumerate(cur)
+        ]
+        xcols.append(x)
+    return None if any(cur) else xcols
 
 
-def _closed_form_columns(gamma: BinMatrix, h: BinMatrix) -> List[List[int]]:
-    """The x-bits that an F2 solve of X H + (X H)^T = Gamma returns.
+def _closed_form_columns(gamma: BinMatrix, h: BinMatrix) -> List[int]:
+    """The x masks of the columns that an F2 solve of X H + (X H)^T = Gamma
+    returns.
 
     With p_m the pivot (lowest set bit) of H row m, column m is
     Gamma[:, p_m] + sum_{k<m} Gamma[p_k, p_m] H[k, :]^T.  Every solution
@@ -273,22 +257,18 @@ def _closed_form_columns(gamma: BinMatrix, h: BinMatrix) -> List[List[int]]:
     for top, w in basis:
         if (x >> top) & 1:
             x ^= w
-    return [[(x >> (j * e + m)) & 1 for j in range(n)] for m in range(e)]
+    return [mask_of(j for j in range(n) if (x >> (j * e + m)) & 1) for m in range(e)]
 
 
-def meets_extension_condition(gamma: BinMatrix, columns: Sequence[Sequence[str]]) -> bool:
-    """X H + (X H)^T = Gamma for extension columns given as letters: X holds
-    their X/Y positions and H their Z/Y positions."""
-    n = gamma.cols
-    form = [0] * n
-    for col in columns:
-        x = mask_of(j for j in range(n) if _LETTER_XZ[col[j]][0])
-        z = mask_of(j for j in range(n) if _LETTER_XZ[col[j]][1])
-        for j in range(n):  # row j of X H, then of (X H)^T
-            if (x >> j) & 1:
-                form[j] ^= z
-            if (z >> j) & 1:
-                form[j] ^= x
+def meets_extension_condition(gamma: BinMatrix, columns: Iterable[Tuple[int, int]]) -> bool:
+    """X H + (X H)^T = Gamma for extension columns given as (x, z) masks: X
+    holds their X/Y positions and H their Z/Y positions."""
+    form = [0] * gamma.cols
+    for x, z in columns:  # the rows of X H, then of (X H)^T
+        for j in bits_of(x):
+            form[j] ^= z
+        for j in bits_of(z):
+            form[j] ^= x
     return tuple(form) == gamma.rows
 
 
@@ -333,7 +313,4 @@ def extend_for_subgroup(
             f"subgroup parity matrix has {h.nrows} rows, expected e = {e}"
         )
     xcols = _greedy_columns(gamma, h) or _closed_form_columns(gamma, h)
-    assignment = [
-        [_XZ_LETTER[(xcols[m][j], h.get(m, j))] for j in range(g.n)] for m in range(e)
-    ]
-    return symmetrize(stabilizer, assignment)
+    return symmetrize(stabilizer, zip(xcols, h.rows))

@@ -125,7 +125,7 @@ def parse_graph(text: str) -> MixedGraph:
         if parts[0] == "nodes":
             if n is not None:
                 raise GraphParseError(lineno, "duplicate nodes directive")
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not parts[1].isdecimal():
                 raise GraphParseError(lineno, "expected: nodes <n>")
             n = int(parts[1])
             if n <= 0:
@@ -162,7 +162,7 @@ def parse_graph(text: str) -> MixedGraph:
 
 
 def _parse_node(token: str, n: int, lineno: int) -> int:
-    if not token.isdigit():
+    if not token.isdecimal():
         raise GraphParseError(lineno, f"node index expected, got {token!r}")
     j = int(token)
     if j >= n:

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .extension import Indicator, ParentExtension, indicator, verify_full_commutation
-from .f2 import BinMatrix, bits_of, mask_of, parity, solve, span
+from .f2 import BinMatrix, bits_of, mask_of, parity, solve, span_of_basis
 from .pauli import (
     BoundExceeded,
     DimensionError,
@@ -112,16 +112,17 @@ def child_from_pauli_sum(
 ) -> ChildResult:
     """rho = 2^{-n} sum_{j in J} b_j s_j, with commutation asserted.
 
-    ``ind`` is the caller's ``indicator(p)``, which the child keeps.  J =
-    span(G) is closed by construction, and the x/z parts of s_j are linear in
-    j, so the s_j commute pairwise iff the n - e generator words do.
+    ``ind`` is the caller's ``indicator(p)``, which the child keeps.  Its G
+    is in RREF, so J = span(G) is listed with no further elimination.  J is
+    closed by construction, and the x/z parts of s_j are linear in j, so the
+    s_j commute pairwise iff the n - e generator words do.
     ``ChildResult.terms`` keeps the i-exponent of each b_j, which follows the
     paper's sign rule: weight-1 members get +1, anticommuting pairs get +-i
     with the sign set by which factor carries Y versus Z, and offsets flip
     every term that contains them.
     """
     n, gmat = p.n, ind[1]
-    terms = _pauli_terms(p, duals, span(gmat.rows, n))
+    terms = _pauli_terms(p, duals, span_of_basis(gmat.rows))
     if not verify_full_commutation([terms[g][0] for g in gmat.rows]):
         raise AssertionError("J members must commute pairwise")
     acc = pauli_sum(n, list(terms.values()))

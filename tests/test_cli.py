@@ -230,15 +230,15 @@ def test_span_listed_once_per_child(monkeypatch):
     # one listing of J per child (135) and the enumerator's coset
     # representatives (1 + 3 + 15); no check re-lists J or a subgroup
     calls = []
-    original = mgstate.f2.span
+    original = mgstate.f2.span_of_basis
 
-    def counted(rows, cols):
-        calls.append(cols)
-        return original(rows, cols)
+    def counted(basis):
+        calls.append(basis)
+        return original(basis)
 
     for module in (mgstate.f2, mgstate.subgroups, mgstate.extension, mgstate.states, mgstate.cli):
-        if hasattr(module, "span"):
-            monkeypatch.setattr(module, "span", counted)
+        if hasattr(module, "span_of_basis"):
+            monkeypatch.setattr(module, "span_of_basis", counted)
     code, _, _ = run_cli("verify", str(FIXTURES / "clique6.graph"))
     assert code == 0
     assert len(calls) == 154
@@ -298,13 +298,10 @@ def test_extension_commutes_by_symmetry(monkeypatch):
 def test_extension_found_rejects_flipped_letter(monkeypatch):
     # one X bit flipped at node 0 of the first extension column: the
     # reported columns no longer satisfy X H + (X H)^T = Gamma
-    x_flip = {"I": "X", "X": "I", "Z": "Y", "Y": "Z"}
-
     def flipped(g, sub, rows):
         p = extend_for_subgroup(g, sub, rows)
-        first = p.ext_assign[0]
-        column = (x_flip[first[0]],) + first[1:]
-        return dataclasses.replace(p, ext_assign=(column,) + p.ext_assign[1:])
+        x, z = p.ext_assign[0]
+        return dataclasses.replace(p, ext_assign=((x ^ 1, z),) + p.ext_assign[1:])
 
     monkeypatch.setattr(mgstate.cli, "extend_for_subgroup", flipped)
     for argv in BATTERY_COMMANDS:
@@ -314,8 +311,9 @@ def test_extension_found_rejects_flipped_letter(monkeypatch):
 
 @pytest.mark.parametrize("argv", BATTERY_COMMANDS, ids=lambda a: a[0])
 def test_parent_eliminations_on_clique6(monkeypatch, argv):
-    # per parent: 5 RREFs (1 for its H, 1 for its indicator, 3 for its
-    # child) and 2 symmetry tests (ParentExtension and extension-commutes);
+    # per parent: 4 RREFs (2 for its H and 2 for its indicator, each a
+    # kernel; the child lists J from G's RREF) and 2 symmetry tests
+    # (ParentExtension and extension-commutes);
     # reducing Gamma and enumerating take 177 RREFs and 2 symmetry tests:
     # one RREF per subgroup, since t = 0 makes each reduced basis its own lift
     calls = {"rref": 0, "is_symmetric": 0}
@@ -336,7 +334,7 @@ def test_parent_eliminations_on_clique6(monkeypatch, argv):
     monkeypatch.setattr(mgstate.f2.BinMatrix, "is_symmetric", is_symmetric)
     code, _, _ = run_cli(*argv, str(FIXTURES / "clique6.graph"))
     assert code == 0
-    assert calls == {"rref": 135 * 5 + 177, "is_symmetric": 135 * 2 + 2}
+    assert calls == {"rref": 135 * 4 + 177, "is_symmetric": 135 * 2 + 2}
 
 
 def test_indicator_computed_once_per_parent(monkeypatch):

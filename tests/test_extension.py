@@ -10,6 +10,7 @@ from mgstate.extension import (
     ExtensionError,
     ParentExtension,
     _closed_form_columns,
+    _greedy_columns,
     extend_e1,
     extend_for_subgroup,
     indicator,
@@ -18,9 +19,15 @@ from mgstate.extension import (
     symmetrize,
     verify_full_commutation,
 )
-from mgstate.f2 import BinMatrix, mask_of, rank, rref, solve, span
-from mgstate.graphs import dual_stabilizer, mixed_rank, parse_graph, stabilizer_matrix
-from mgstate.pauli import _LETTER_ADJUST, _LETTER_XZ, PauliWord
+from mgstate.f2 import BinMatrix, bits_of, mask_of, rank, rref, solve, span
+from mgstate.graphs import (
+    MixedGraph,
+    dual_stabilizer,
+    mixed_rank,
+    parse_graph,
+    stabilizer_matrix,
+)
+from mgstate.pauli import PauliWord
 from mgstate.subgroups import chi, enumerate_max_isotropic, reduce_gamma
 from paper_data import (
     CLIQUE6,
@@ -61,6 +68,12 @@ def graph_form_letters(p: ParentExtension):
     return [r.letters() for r in p.rows()]
 
 
+def mask_columns(columns):
+    """Extension columns written as letters, such as ("X", "Z", "I") or
+    "XZI", as the (x, z) lab bit masks that the extension code takes."""
+    return tuple((w.x, w.z) for w in (PauliWord.from_letters("".join(c)) for c in columns))
+
+
 def test_verify_full_commutation_triangle_rows():
     g = parse_graph(TRIANGLE)
     assert not verify_full_commutation(stabilizer_matrix(g))
@@ -76,14 +89,7 @@ def test_extend_e1_triangle_six_parents():
     parents = extend_e1(g)
     assert len(parents) == 6
     assigns = [p.ext_assign[0] for p in parents]
-    assert assigns == [
-        ("X", "Z", "Y"),
-        ("X", "Y", "Z"),
-        ("Z", "X", "Y"),
-        ("Z", "Y", "X"),
-        ("Y", "X", "Z"),
-        ("Y", "Z", "X"),
-    ]
+    assert assigns == list(mask_columns(["XZY", "XYZ", "ZXY", "ZYX", "YXZ", "YZX"]))
     for p in parents:
         assert verify_full_commutation(p.rows())
         assert p.ae.is_symmetric()
@@ -95,7 +101,7 @@ def test_extend_e1_triangle_xzy_graph_form():
     # the worked (X, Z, Y) parent: 2(x0x2+x1x2+x1x3+x2x3+x2)+x2
     g = parse_graph(TRIANGLE)
     p = extend_e1(g)[0]
-    assert p.ext_assign == (("X", "Z", "Y"),)
+    assert p.ext_assign == mask_columns(["XZY"])
     edges = {(j, k) for j, k in itertools.combinations(range(p.total), 2) if p.ae.get(j, k)}
     assert edges == {(0, 2), (1, 2), (1, 3), (2, 3)}
     assert [j for j in range(p.total) if p.ae.get(j, j)] == [2]
@@ -109,11 +115,11 @@ def test_extend_e1_sec2_worked_graph_forms():
     assert len(parents) == 6
     by_assign = {p.ext_assign[0]: p for p in parents}
     # column (Z, X, I) gives the displayed connected graph form
-    p = by_assign[("Z", "X", "I")]
+    p = by_assign[mask_columns(["ZXI"])[0]]
     assert graph_form_letters(p) == SEC2_AE_ROWS
     assert p.lab_offsets == frozenset() and p.env_offsets == frozenset()
     # column (X, Z, I) gives the displayed disconnected graph form
-    q = by_assign[("X", "Z", "I")]
+    q = by_assign[mask_columns(["XZI"])[0]]
     assert graph_form_letters(q) == SEC2_AE_ROWS_ALT
     assert q.lab_offsets == frozenset() and q.env_offsets == frozenset()
 
@@ -121,7 +127,8 @@ def test_extend_e1_sec2_worked_graph_forms():
 def test_extend_e1_undirected_only_node_gets_identity():
     g = parse_graph(PATH_MIXED)
     for p in extend_e1(g):
-        assert p.ext_assign[0][2] == "I"
+        x, z = p.ext_assign[0]
+        assert not ((x | z) >> 2) & 1
 
 
 def test_extend_e1_rows_commute_random(rng):
@@ -157,23 +164,23 @@ def test_extend_e1_children_cover_all_maximal_subgroups(rng):
 
 
 def _extended_rows(stabilizer, columns):
-    """Lab rows (the graph's stabilizer rows) with extension tags plus the
-    forced environment rows X_{n+m} Z^{L_m}, L_m the Z/Y support of column m.
+    """Lab rows (the graph's stabilizer rows) with the (x, z) extension
+    columns' tags plus the forced environment rows X_{n+m} Z^{L_m}, L_m the
+    Z/Y support of column m.
     """
     n = len(stabilizer)
     total = n + len(columns)
     rows = []
     for j, base in enumerate(stabilizer):
         x, z, ph = base.x, base.z, base.phase
-        for m, col in enumerate(columns):
-            xb, zb = _LETTER_XZ[col[j]]
+        for m, (xm, zm) in enumerate(columns):
+            xb, zb = (xm >> j) & 1, (zm >> j) & 1
             x |= xb << (n + m)
             z |= zb << (n + m)
-            ph += _LETTER_ADJUST[col[j]]
+            ph += xb & zb  # Y = i X Z
         rows.append(PauliWord(total, x, z, ph))
-    for m, col in enumerate(columns):
-        lmask = mask_of(j for j in range(n) if _LETTER_XZ[col[j]][1])
-        rows.append(PauliWord(total, 1 << (n + m), lmask, 0))
+    for m, (_, zm) in enumerate(columns):
+        rows.append(PauliWord(total, 1 << (n + m), zm, 0))
     return rows
 
 
@@ -232,7 +239,7 @@ def assert_symmetrize_matches_row_products(stabilizer, columns):
         return
     p = symmetrize(stabilizer, columns)
     assert (p.ae, p.lab_offsets, p.env_offsets) == want
-    assert p.ext_assign == tuple(tuple(col) for col in columns)
+    assert p.ext_assign == tuple(columns)
 
 
 def assert_parents_match_row_products(g):
@@ -260,19 +267,19 @@ def test_symmetrize_matches_row_products_random(rng):
         assert_parents_match_row_products(g)
         # arbitrary columns: mostly non-commuting rows, which both reject
         for e in (1, 2):
-            columns = [[rng.choice("IXZY") for _ in range(g.n)] for _ in range(e)]
+            columns = mask_columns([[rng.choice("IXZY") for _ in range(g.n)] for _ in range(e)])
             assert_symmetrize_matches_row_products(stabilizer_matrix(g), columns)
 
 
 def test_symmetrize_sec2_appended_matrix():
     # the worked A' = (A | (Z X I)^T ; Z I I X) reduces to the displayed form
-    p = symmetrize(stabilizer_matrix(parse_graph(PATH_MIXED)), [("Z", "X", "I")])
+    p = symmetrize(stabilizer_matrix(parse_graph(PATH_MIXED)), mask_columns(["ZXI"]))
     assert graph_form_letters(p) == SEC2_AE_ROWS
     assert p.lab_offsets == frozenset() and p.env_offsets == frozenset()
 
 
 def test_symmetrize_alt_extension():
-    p = symmetrize(stabilizer_matrix(parse_graph(PATH_MIXED)), [("X", "Z", "I")])
+    p = symmetrize(stabilizer_matrix(parse_graph(PATH_MIXED)), mask_columns(["XZI"]))
     assert graph_form_letters(p) == SEC2_AE_ROWS_ALT
 
 
@@ -308,7 +315,7 @@ def test_symmetrize_preserves_group(rng):
         made += 1
         for p in extend_e1(g):
             total = p.total
-            base = _extended_rows(stabilizer_matrix(g), [list(p.ext_assign[0])])
+            base = _extended_rows(stabilizer_matrix(g), [p.ext_assign[0]])
 
             def sympl(rows_):
                 return [w.x | (w.z << total) for w in rows_]
@@ -345,7 +352,7 @@ def test_fivenode_worked_extension():
     assert h.row_strings() == ["01001", "00101"]  # conditions {1,4}, {2,4}
     p = extend_for_subgroup(g, sub, stabilizer_matrix(g))
     assert p is not None
-    assert p.ext_assign == FIVENODE_EXT_COLUMNS
+    assert p.ext_assign == mask_columns(FIVENODE_EXT_COLUMNS)
     assert verify_full_commutation(p.rows())
     assert set(span(indicator(p)[1].rows, p.n)) == set(sub.span_lifted())
 
@@ -355,7 +362,7 @@ def test_clique6_worked_extension():
     sub = subgroup_for_generators(g, CLIQUE6_SUBGROUP_GENS)
     p = extend_for_subgroup(g, sub, stabilizer_matrix(g))
     assert p is not None
-    assert p.ext_assign == CLIQUE6_EXT_COLUMNS
+    assert p.ext_assign == mask_columns(CLIQUE6_EXT_COLUMNS)
     assert verify_full_commutation(p.rows())
     assert set(span(indicator(p)[1].rows, p.n)) == set(sub.span_lifted())
 
@@ -363,10 +370,10 @@ def test_clique6_worked_extension():
 def test_displayed_extensions_commute():
     # the two worked extensions, entered verbatim, pass the commutation gate
     g5 = parse_graph(FIVENODE)
-    rows5 = _extended_rows(stabilizer_matrix(g5), [list(c) for c in FIVENODE_EXT_COLUMNS])
+    rows5 = _extended_rows(stabilizer_matrix(g5), mask_columns(FIVENODE_EXT_COLUMNS))
     assert verify_full_commutation(rows5)
     g6 = parse_graph(CLIQUE6)
-    rows6 = _extended_rows(stabilizer_matrix(g6), [list(c) for c in CLIQUE6_EXT_COLUMNS])
+    rows6 = _extended_rows(stabilizer_matrix(g6), mask_columns(CLIQUE6_EXT_COLUMNS))
     assert verify_full_commutation(rows6)
 
 
@@ -416,6 +423,71 @@ def test_extend_minimum_e_only(rng):
         assert p.e == e
 
 
+def _greedy_columns_per_qubit(gamma, h):
+    """Reference for ``_greedy_columns``: the same anchor rule on per-qubit
+    0/1 lists, checked one pair of L_m at a time.  Returns the x masks, or
+    None."""
+    n = gamma.cols
+    cur = list(gamma.rows)
+    xcols = []
+    for m in range(h.nrows):
+        lset = bits_of(h.rows[m])
+        if not lset:
+            return None
+        anchor = lset[0]
+        xcol = [0] * n
+        for j in lset[1:]:
+            xcol[j] = (cur[anchor] >> j) & 1
+        for a, b in itertools.combinations(lset, 2):
+            if (xcol[a] ^ xcol[b]) != ((cur[a] >> b) & 1):
+                return None
+        for j in range(n):
+            if j in lset:
+                continue
+            bits = [(cur[j] >> k) & 1 for k in lset]
+            xcol[j] = bits[0] if all(b == bits[0] for b in bits) else 0
+        zrow = h.rows[m]
+        xmask = mask_of(j for j in range(n) if xcol[j])
+        nxt = []
+        for j in range(n):
+            # anti'(j,k) = anti(j,k) ^ x_j z_k ^ z_j x_k
+            upd = cur[j]
+            if xcol[j]:
+                upd ^= zrow
+            if (zrow >> j) & 1:
+                upd ^= xmask
+            nxt.append(upd & ~(1 << j))
+        cur = nxt
+        xcols.append(xmask)
+    if any(cur):
+        return None
+    return xcols
+
+
+def assert_greedy_matches_per_qubit(g, outcomes):
+    gamma = g.gamma()
+    for sub in enumerate_max_isotropic(reduce_gamma(gamma)):
+        h = parity_basis(sub)
+        want = _greedy_columns_per_qubit(gamma, h)
+        assert _greedy_columns(gamma, h) == want
+        outcomes.add(want is None)
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.graph")), ids=lambda p: p.stem)
+def test_greedy_columns_match_per_qubit_on_fixtures(path):
+    assert_greedy_matches_per_qubit(parse_graph(path.read_text()), set())
+
+
+def test_greedy_columns_match_per_qubit_on_cliques_and_random(rng):
+    outcomes = set()
+    for n in range(2, 9):
+        edges = [(j, k, "->") for j, k in itertools.combinations(range(n), 2)]
+        assert_greedy_matches_per_qubit(MixedGraph.build(n, edges), outcomes)
+    for _ in range(40):
+        assert_greedy_matches_per_qubit(random_mixed_graph(rng, rng.randrange(2, 8)), outcomes)
+    assert outcomes == {True, False}  # both columns and None were compared
+
+
 def _solve_columns(gamma, h):
     """Oracle for the closed form: an exact F2 solve of X H + (X H)^T = Gamma.
 
@@ -438,7 +510,7 @@ def _solve_columns(gamma, h):
         rhs |= gamma.get(j, k) << idx
     sol = solve(BinMatrix(tuple(rows), n * e), rhs)
     assert sol is not None, "X H + (X H)^T = Gamma has no solution"
-    return [[(sol >> (j * e + m)) & 1 for j in range(n)] for m in range(e)]
+    return [mask_of(j for j in range(n) if (sol >> (j * e + m)) & 1) for m in range(e)]
 
 
 def assert_closed_form_matches_solve(g):
@@ -447,7 +519,7 @@ def assert_closed_form_matches_solve(g):
         h = parity_basis(sub)
         xcols = _closed_form_columns(gamma, h)
         assert xcols == _solve_columns(gamma, h)
-        x = BinMatrix.from_lists([[col[j] for col in xcols] for j in range(g.n)], h.nrows)
+        x = BinMatrix.from_lists([[(col >> j) & 1 for col in xcols] for j in range(g.n)], h.nrows)
         xh = x.matmul(h)
         assert xh.add(xh.transpose()) == gamma
 
@@ -483,10 +555,11 @@ def test_extend_for_subgroup_n128(monkeypatch):
 
 
 def test_extension_condition_worked_columns():
-    for text, columns in ((FIVENODE, FIVENODE_EXT_COLUMNS), (CLIQUE6, CLIQUE6_EXT_COLUMNS)):
+    for text, displayed in ((FIVENODE, FIVENODE_EXT_COLUMNS), (CLIQUE6, CLIQUE6_EXT_COLUMNS)):
         gamma = parse_graph(text).gamma()
+        columns = mask_columns(displayed)
         assert meets_extension_condition(gamma, columns)
         # I instead of the displayed X at node 0 of column 0
-        assert columns[0][0] == "X"
-        flipped = (("I",) + columns[0][1:],) + columns[1:]
+        assert displayed[0][0] == "X"
+        flipped = ((columns[0][0] ^ 1, columns[0][1]),) + columns[1:]
         assert not meets_extension_condition(gamma, flipped)

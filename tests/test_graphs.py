@@ -85,6 +85,9 @@ def test_parse_errors_carry_line_numbers():
         ("nodes 2\nfrob 1\n", 2),            # unknown directive
         ("nodes 2\nnodes 2\n", 2),           # duplicate nodes
         ("nodes 0\n", 1),                    # empty graph
+        ("nodes \u00b2\n", 1),               # digits int() cannot read
+        ("nodes 2\nedge 0 -> \u00b2\n", 2),
+        ("nodes 2\ncolor \u00b9 red\n", 2),
     ]
     for text, line in cases:
         with pytest.raises(GraphParseError) as err:

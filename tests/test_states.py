@@ -500,9 +500,10 @@ def test_clique6_displayed_parent_graph_form():
     # displayed graph form, binary offsets {1, 3, 4, 5} included
     from mgstate.extension import indicator, symmetrize
     from paper_data import CLIQUE6_SEC5_INTERMEDIATE_COLUMNS
+    from test_extension import mask_columns
 
     g = parse_graph(CLIQUE6)
-    p = symmetrize(stabilizer_matrix(g), CLIQUE6_SEC5_INTERMEDIATE_COLUMNS)
+    p = symmetrize(stabilizer_matrix(g), mask_columns(CLIQUE6_SEC5_INTERMEDIATE_COLUMNS))
     assert [r.letters() for r in p.rows()] == CLIQUE6_PARENT_AE_ROWS
     assert sorted(p.lab_offsets) == CLIQUE6_PARENT_BINARY
     assert p.env_offsets == frozenset()
