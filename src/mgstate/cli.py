@@ -156,7 +156,10 @@ def _family(
     g: MixedGraph, duals: Sequence[PauliWord], check: Check = _require
 ) -> Tuple[List[ChildResult], List[List[int]]]:
     """The e = 1 children, one per ``extend_e1`` parent, and their classes."""
-    children, classes = children_family_e1(duals, extend_e1(g))
+    parents = extend_e1(g)
+    for k, p in enumerate(parents):  # _require: the report's check count predates this test
+        _require("extension-commutes", p.ae.is_symmetric(), f"e = 1 parent {k}")
+    children, classes = children_family_e1(duals, parents)
     check("family-size", len(children) <= 6, f"{len(children)} children")
     check("family-classes", len(classes) <= 3, f"{len(classes)} classes")
     return children, classes

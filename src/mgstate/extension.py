@@ -31,7 +31,9 @@ import itertools
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from .f2 import BinMatrix, bits_of, kernel, mask_of, popcount
+import numpy as np
+
+from .f2 import BinMatrix, bits_of, kernel, mask_of
 from .graphs import MixedGraph, complete_multipartite_parts, stabilizer_matrix
 from .pauli import PauliWord
 from .subgroups import IsotropicSubspace
@@ -54,11 +56,12 @@ class ParentExtension:
     ``ae`` holds the symmetric adjacency of the parent graph including the
     diagonal colour bits (1 = red/Y).  ``lab_offsets`` are lab rows whose
     actual stabilizer carries a -1 sign, i.e. the o of the 2 o.x term of
-    ``phase``; ``env_offsets`` are the same for environment rows
+    ``phases``; ``env_offsets`` are the same for environment rows
     (these never change the child).  ``symmetrize`` leaves ``env_offsets``
     empty, so only a hand-built parent sets it.  ``ext_assign`` records the
     extension columns the graph form was written from, one (x, z) pair of
-    lab bit masks per column.
+    lab bit masks per column.  Its rows X_j Z^{A_j} commute iff ``ae`` is
+    symmetric, which the CLI's ``extension-commutes`` check tests.
     """
 
     n: int
@@ -72,19 +75,20 @@ class ParentExtension:
         total = self.n + self.e
         if self.ae.cols != total or self.ae.nrows != total:
             raise ValueError("adjacency size must be n + e")
-        # graph-form rows X_j Z^{A_j} commute iff A is symmetric
-        if not self.ae.is_symmetric():
-            raise ExtensionError("rows do not pairwise commute")
 
     @property
     def total(self) -> int:
         return self.n + self.e
 
-    def phase(self, x: int) -> int:
-        """p(x) = x A x^T + 2 o.x mod 4 for a bitset x over all n + e qubits:
-        each red node in x counts once, each edge inside x twice."""
-        quad = sum(popcount(self.ae.rows[k] & x) for k in bits_of(x))
-        return (quad + 2 * popcount(mask_of(self.lab_offsets | self.env_offsets) & x)) % 4
+    def phases(self, x: np.ndarray) -> np.ndarray:
+        """p(x) = x A x^T + 2 o.x mod 4 at each row of the 0/1 array ``x``,
+        whose column j is qubit j: each red node in x counts once, each edge
+        inside x twice.  A row of k < n + e columns sets no later qubit."""
+        k = x.shape[1]
+        rows = list(self.ae.rows[:k]) + [mask_of(self.lab_offsets | self.env_offsets)]
+        low = (1 << k) - 1  # a row over k qubits: bits past k may not fit int64
+        a = (np.array([r & low for r in rows], dtype=np.int64)[:, None] >> np.arange(k)) & 1
+        return (((x @ a[:k]) * x).sum(axis=1) + 2 * (x @ a[k])) & 3
 
     def row(self, j: int) -> PauliWord:
         sign = 2 if (j in self.lab_offsets or j in self.env_offsets) else 0
@@ -138,8 +142,7 @@ def symmetrize(
 
     Row products keep the stabilizer group, and graph-form rows commute iff
     their adjacency is symmetric, so the extended rows pairwise commute iff
-    ``ae`` is symmetric: ``ParentExtension`` raises ``ExtensionError``
-    otherwise.
+    ``ae`` is symmetric.
     """
     columns = tuple(columns)
     n = len(stabilizer)
@@ -301,7 +304,7 @@ def extend_for_subgroup(
     ``symmetrize`` writes H as the parent's parity matrix, so its J is the
     subgroup by construction: the CLI's ``indicator-matches-subgroup`` is the
     one check of that.  Raises ``ExtensionError`` when the subgroup comes
-    from another Gamma or has the wrong dimension, or the rows do not commute.
+    from another Gamma or has the wrong dimension.
     """
     gamma = m_sub.reduction.gamma
     if not g.has_gamma(gamma):

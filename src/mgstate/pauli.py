@@ -12,8 +12,9 @@ This module is the one owner of four jobs the rest of the package shares:
 the letter table (``_LETTER_XZ``, ``_LETTER_ADJUST``, ``_XZ_LETTER``), the
 qubit-to-index map (``_bits_to_index``), dense conjugation by a word
 (``dense_conjugation``, used by ``states.stabilized_by`` and
-``states.RationalMatrix.conjugated_by``) and dense rendering of words and
-their sums (``pauli_sum``; ``PauliWord.to_dense`` is its one-term case).
+``states.RationalMatrix.conjugated_by``) and the entries of words in the
+XOR-offset layout (``word_rows``, rendered dense by
+``GaussianMatrix.from_offsets``; ``PauliWord.to_dense`` is the one-word case).
 """
 
 from __future__ import annotations
@@ -115,7 +116,10 @@ class PauliWord:
         return (self.phase & 1) == parity(self.x & self.z)
 
     def to_dense(self) -> "GaussianMatrix":
-        return pauli_sum(self.n, [(self, 0)])
+        if self.n > dense_bound():
+            raise BoundExceeded(f"dense rendering of {self.n} qubits exceeds bound {dense_bound()}")
+        x, z = (np.array([_bits_to_index(m, self.n)]) for m in (self.x, self.z))
+        return GaussianMatrix.from_offsets(x, word_rows(self.n, z, [self.phase]), 0)
 
 
 def _bits_to_index(mask: int, n: int) -> int:
@@ -156,33 +160,21 @@ def dense_conjugation(w: PauliWord, dim: int) -> Tuple[np.ndarray, np.ndarray]:
     return perm, 1 - 2 * _parity_array(perm & _bits_to_index(w.z, w.n))
 
 
-# real and imaginary part of i^k, indexed by k mod 4
-_I_POWER_RE = np.array([1, 0, -1, 0], dtype=np.int64)
-_I_POWER_IM = np.array([0, 1, 0, -1], dtype=np.int64)
+# real (row 0) and imaginary (row 1) part of i^k by k mod 4; int8 for units
+_I_POWER = np.array([[1, 0, -1, 0], [0, 1, 0, -1]], dtype=np.int8)
 
 
-def pauli_sum(n: int, terms: Sequence[Tuple[PauliWord, int]]) -> "GaussianMatrix":
-    """Exact dense sum over (w, k) of i^k w, scattered in one pass.
+def i_power(k: np.ndarray) -> np.ndarray:
+    """Real and imaginary parts of i^k, entry by entry, stacked on a new first axis."""
+    return _I_POWER.take(k & 3, axis=1)
 
-    w|c> = i^phase (-1)^{z.c} |c ^ x>, so a word's only nonzero entries sit
-    at (c ^ x, c) and equal i^(phase + k + 2 z.c): each term writes 2^n
-    entries, never a 4^n matrix of its own.
-    """
-    if n > dense_bound():
-        raise BoundExceeded(f"dense rendering of {n} qubits exceeds bound {dense_bound()}")
-    dim = 1 << n
-    cols = np.arange(dim, dtype=np.int64)
-    xs = np.array([_bits_to_index(w.x, n) for w, _ in terms], dtype=np.int64)
-    zs = np.array([_bits_to_index(w.z, n) for w, _ in terms], dtype=np.int64)
-    ks = np.array([w.phase + k for w, k in terms], dtype=np.int64)
-    rows = xs[:, None] ^ cols
-    exps = (ks[:, None] + 2 * _parity_array(zs[:, None] & cols)) % 4
-    flat = (rows * dim + cols).ravel()
-    re = np.zeros(dim * dim, dtype=np.int64)
-    im = np.zeros(dim * dim, dtype=np.int64)
-    np.add.at(re, flat, _I_POWER_RE[exps].ravel())
-    np.add.at(im, flat, _I_POWER_IM[exps].ravel())
-    return GaussianMatrix(re.reshape(dim, dim), im.reshape(dim, dim), 0)
+
+def word_rows(n: int, zs: np.ndarray, ks: Sequence[int]) -> np.ndarray:
+    """Row r: i^(ks[r] + 2 zs[r].c) over the columns c, zs index masks, as
+    ``i_power`` stacks it.  w = i^k X^x Z^z sends |c> to i^k (-1)^{z.c} |c ^
+    x>, so that row is w[c ^ x, c], the XOR-offset row x of w."""
+    cols = np.arange(1 << n, dtype=np.int64)
+    return i_power(np.asarray(ks, dtype=np.int64)[:, None] + 2 * _parity_array(zs[:, None] & cols))
 
 
 def ordered_product(rows: Sequence[PauliWord], indices: Iterable[int]) -> PauliWord:
@@ -212,51 +204,40 @@ class GaussianMatrix:
     __slots__ = ("re", "im", "denom_log2")
 
     def __init__(self, re: np.ndarray, im: np.ndarray, denom_log2: int = 0):
-        re = np.asarray(re, dtype=np.int64)
-        im = np.asarray(im, dtype=np.int64)
+        re, im = np.asarray(re, dtype=np.int64), np.asarray(im, dtype=np.int64)
         if re.shape != im.shape or re.ndim != 2 or re.shape[0] != re.shape[1] or not re.size:
             raise ValueError("re/im must be equal non-empty square matrices")
         if denom_log2 < 0:
             raise ValueError("denominator exponent must be non-negative")
-        self.re = re
-        self.im = im
-        self.denom_log2 = denom_log2
+        self.re, self.im, self.denom_log2 = re, im, denom_log2
 
     @property
     def dim(self) -> int:
         return self.re.shape[0]
 
+    @classmethod
+    def from_offsets(cls, offsets: np.ndarray, num: np.ndarray, denom_log2: int) -> GaussianMatrix:
+        """M with M[c ^ offsets[k], c] = (num[0] + i num[1])[k, c] / 2^denom_log2
+        and zero elsewhere, written by one assignment."""
+        cols = np.arange(num.shape[2], dtype=np.int64)
+        dense = np.zeros((2, len(cols), len(cols)), dtype=np.int64)
+        dense[:, offsets[:, None] ^ cols, cols] = num
+        return cls(dense[0], dense[1], denom_log2)
+
     def normalized(self) -> "GaussianMatrix":
         """Equivalent matrix with the smallest possible denominator.  The OR
         of all entries has the fewest trailing zeros of any entry (two's
         complement keeps a negative entry's), so one pass finds the shift."""
-        d = self.denom_log2
-        if d == 0:
-            return self
-        bits = int(np.bitwise_or.reduce(self.re, axis=None))
-        bits |= int(np.bitwise_or.reduce(self.im, axis=None))
-        shift = min(d, (bits & -bits).bit_length() - 1) if bits else d
-        if shift == 0:
-            return self
-        return GaussianMatrix(self.re >> shift, self.im >> shift, d - shift)
+        d, bits = self.denom_log2, int(np.bitwise_or.reduce(self.re | self.im, axis=None))
+        s = min(d, (bits & -bits).bit_length() - 1) if bits else d
+        return GaussianMatrix(self.re >> s, self.im >> s, d - s) if s else self
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GaussianMatrix):
             return NotImplemented
-        if self.dim != other.dim:
-            return False
-        if self.denom_log2 == other.denom_log2:  # same denominator: compare numerators
-            return np.array_equal(self.re, other.re) and np.array_equal(self.im, other.im)
         a, b = self.normalized(), other.normalized()
-        return (
-            a.denom_log2 == b.denom_log2
-            and np.array_equal(a.re, b.re)
-            and np.array_equal(a.im, b.im)
-        )
-
-    def divided_by_pow2(self, extra: int) -> "GaussianMatrix":
-        """Value divided by 2**extra."""
-        return GaussianMatrix(self.re, self.im, self.denom_log2 + extra)
+        same = a.denom_log2 == b.denom_log2
+        return same and np.array_equal(a.re, b.re) and np.array_equal(a.im, b.im)
 
     def matmul(self, other: "GaussianMatrix") -> "GaussianMatrix":
         if self.dim != other.dim:
@@ -264,17 +245,6 @@ class GaussianMatrix:
         re = self.re @ other.re - self.im @ other.im
         im = self.re @ other.im + self.im @ other.re
         return GaussianMatrix(re, im, self.denom_log2 + other.denom_log2)
-
-    def is_hermitian(self) -> bool:
-        return np.array_equal(self.re, self.re.T) and np.array_equal(self.im, -self.im.T)
-
-    def trace(self) -> Tuple[int, int, int]:
-        """Exact trace as (re, im, denom_log2)."""
-        return int(self.re.trace()), int(self.im.trace()), self.denom_log2
-
-    def trace_is_one(self) -> bool:
-        tr_re, tr_im, d = self.trace()
-        return tr_im == 0 and tr_re == (1 << d)
 
     def to_json_dict(self) -> Dict:
         """The fields of a JSON report; ``entries[a, b]`` is ``(re, im)``, an

@@ -2,66 +2,105 @@
 
 A parent on n + e qubits is the graph state 2^{-(n+e)/2} i^{p(x)} with
 p(x) = x A x^T + 2 o.x mod 4, A its symmetric adjacency (diagonal bit 1 =
-red) and o its offset rows (``ParentExtension.phase``).  Its child arises
+red) and o its offset rows (``ParentExtension.phases``).  Its child arises
 twice over, by the dual-group Pauli sum with sign coefficients and by the
 partial trace of the environment, which for a graph state is the closed form
 rho(a, b) = 2^{-n} i^{p_L(a) - p_L(b)} [H a = H b] over lab basis states a, b,
 p_L the lab phase and H the parity matrix (Hein, Eisert & Briegel,
 quant-ph/0307130); the two must agree entry for entry.  All arithmetic is
 exact: Gaussian integers over a power-of-two denominator.
+
+A child is stored in the XOR-offset layout: D, the sorted offsets d = a ^ b
+where rho[a, b] can be nonzero, and V[d, c] = rho[c ^ d, c].  Both routes
+give D = J, so a child holds 2^(2n-e) entries, and each check is an exact
+identity on D and V: conjugation by w = i^k X^x Z^z keeps D, since (a ^ x)
+^ (b ^ x) = a ^ b; its sign on row d is (-1)^{z.d}; and the Hermitian
+partner of entry (d, c) is (d, c ^ d).  Only a report renders rho dense.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .extension import Indicator, ParentExtension, indicator, verify_full_commutation
-from .f2 import BinMatrix, bits_of, mask_of, parity, solve, span_of_basis
+from .f2 import BinMatrix, combine, mask_of, solve, span_of_basis
 from .pauli import (
     BoundExceeded,
     DimensionError,
     GaussianMatrix,
     PauliWord,
+    _bits_to_index,
     dense_bound,
     dense_conjugation,
-    ordered_product,
-    pauli_sum,
+    i_power,
+    word_rows,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Exact density matrix on n lab qubits; ``mat`` is kept in lowest terms,
-    so its JSON entries and its text grid render one normalisation."""
+    """Exact density matrix on n lab qubits in the XOR-offset layout: rho[c ^
+    offsets[k], c] = (num[0] + i num[1])[k, c] / 2^denom_log2, and zero off
+    the ascending ``offsets``.  Both routes write unit numerators over 2^n,
+    lowest terms as built, so equality compares the fields exactly."""
 
     n: int
-    mat: GaussianMatrix
+    offsets: np.ndarray
+    num: np.ndarray
+    denom_log2: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mat", self.mat.normalized())
+        offsets, num = np.asarray(self.offsets, np.int64), np.asarray(self.num)
+        # int8 holds the routes' unit numerators; without -128 it negates exactly
+        if num.dtype != np.int8 or num.min(initial=0) == -128:
+            num = num.astype(np.int64)
+        if num.shape != (2, len(offsets), self.dim):
+            raise ValueError("one row of 2^n numerator pairs per offset required")
+        outside = len(offsets) > 0 and (offsets[0] < 0 or offsets[-1] >= self.dim)
+        if outside or (offsets[1:] <= offsets[:-1]).any():
+            raise ValueError("offsets must be distinct, ascending and below 2^n")
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "num", num)
 
     @property
     def dim(self) -> int:
         return 1 << self.n
 
+    @cached_property
+    def mat(self) -> GaussianMatrix:
+        """The dense matrix, built on first use: only a report renders it."""
+        return GaussianMatrix.from_offsets(self.offsets, self.num, self.denom_log2)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DensityMatrix):
+            return NotImplemented
+        return (self.n, self.denom_log2) == (other.n, other.denom_log2) and np.array_equal(
+            self.offsets, other.offsets) and np.array_equal(self.num, other.num)
+
     def trace_is_one(self) -> bool:
-        return self.mat.trace_is_one()
+        """The diagonal is the offset-0 row."""
+        has_diagonal = len(self.offsets) > 0 and int(self.offsets[0]) == 0
+        return has_diagonal and self.num[:, 0].sum(axis=1).tolist() == [1 << self.denom_log2, 0]
 
     def is_hermitian(self) -> bool:
-        return self.mat.is_hermitian()
+        """rho[c ^ d, c] = conj rho[c, c ^ d], the layout's entry (d, c ^ d)."""
+        pair = self.offsets[:, None] ^ np.arange(self.dim)
+        conj = self.num * np.array([[[1]], [[-1]]], dtype=self.num.dtype)
+        return np.array_equal(np.take_along_axis(self.num, pair[None], 2), conj)
 
     def is_pure(self) -> bool:
-        sq = self.mat.matmul(self.mat)
-        return sq == self.mat
+        return self.mat.matmul(self.mat) == self.mat
 
     def purity(self) -> Fraction:
         """Exact tr(rho rho^dag) = sum_ab |rho_ab|^2, which is tr rho^2 for a
-        Hermitian rho, in O(4^n) integer arithmetic.
+        Hermitian rho: the squares summed over the layout, the only entries
+        that can be nonzero.
 
         A child with e environment qubits is 2^{-n} times the sum of an
         abelian signed group S of order 2^{n-e} without -I, so rho^2 =
@@ -69,12 +108,11 @@ class DensityMatrix:
         than ``not is_pure()``: purity 2^{-e} < 1 rules out rho^2 = rho, while
         I/2^n is not pure either yet has purity 2^{-n}.
         """
-        re, im = self.mat.re, self.mat.im
-        top = max(abs(int(v)) for v in (re.max(), re.min(), im.max(), im.min()))
-        if 2 * re.size * top * top >= 1 << 63:  # int64 could overflow: use Python ints
-            re, im = re.astype(object), im.astype(object)
-        total = int((re * re).sum()) + int((im * im).sum())
-        return Fraction(total, 1 << (2 * self.mat.denom_log2))
+        num = self.num.astype(np.int64)
+        top = max(abs(int(num.max())), abs(int(num.min()))) if num.size else 0
+        if num.size * top * top >= 1 << 63:  # int64 could overflow: use Python ints
+            num = num.astype(object)
+        return Fraction(int((num * num).sum()), 1 << (2 * self.denom_log2))
 
     def to_json_dict(self) -> Dict:
         return {"n": self.n, **self.mat.to_json_dict()}
@@ -91,20 +129,29 @@ class ChildResult:
 
 
 def _pauli_terms(
-    p: ParentExtension, duals: Sequence[PauliWord], members: Sequence[int]
-) -> Dict[int, Tuple[PauliWord, int]]:
-    """J member -> (s_j, i-exponent of b_j), one ordered product per member.
+    p: ParentExtension, duals: Sequence[PauliWord], basis: Sequence[int]
+) -> Tuple[List[int], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The members j of J = span(``basis``), x(s_j) and z(s_j) as state index
+    masks with x ascending, phase(s_j) and the i-exponent of b_j.
 
-    A member of J sets no environment bit, so the parent's phase at j is
-    its lab restriction p_lab(j).  Row 0 of s_j = i^phase X^x Z^z has its
-    one entry at the column indexed by x, i^(phase + 2 parity(x & z)).
+    Dual row h is i^{ph_h} X_h Z^{z_h}, so x(s_j) = j and z(s_j) is the XOR
+    of the z_h over h in j.  Multiplying the rows lowest h first adds 2 z(s_j
+    so far)[h] at each h, so phase(s_j) = sum_{h in j} ph_h + 2 sum_{a < h in
+    j} z_a[h]: a quadratic form in the bits of j, one matrix product for all
+    members.  A member sets no environment bit, so the parent's phase at j is
+    p_lab(j).  Row 0 of s_j has its one entry at column x, i^(phase + 2
+    parity(x & z)), and b_j times it is i^{-p_lab(j)}.
     """
-    out: Dict[int, Tuple[PauliWord, int]] = {}
-    for j in members:
-        word = ordered_product(duals, bits_of(j))
-        entry_exp = word.phase + 2 * parity(word.x & word.z)
-        out[j] = (word, (-p.phase(j) - entry_exp) % 4)
-    return out
+    qubits = np.arange(p.n)
+    shift = p.n - 1 - qubits  # qubit q is index bit n - 1 - q
+    x = np.array(span_of_basis([_bits_to_index(g, p.n) for g in basis]), dtype=np.int64)
+    bits = (x[:, None] >> shift) & 1
+    zrows = (np.array([w.z for w in duals], dtype=np.int64)[:, None] >> qubits) & 1
+    z = (bits @ zrows) & 1
+    upper = zrows * (qubits[:, None] < qubits)  # z_a[h] for a < h
+    phase = (bits @ [w.phase for w in duals] + 2 * ((bits @ upper) * bits).sum(1)) & 3
+    b = (-p.phases(bits) - phase - 2 * (bits * z).sum(1)) & 3
+    return (bits @ (1 << qubits)).tolist(), x, z @ (1 << shift), phase, b
 
 
 def child_from_pauli_sum(
@@ -115,24 +162,21 @@ def child_from_pauli_sum(
     ``ind`` is the caller's ``indicator(p)``, which the child keeps.  Its G
     is in RREF, so J = span(G) is listed with no further elimination.  J is
     closed by construction, and the x/z parts of s_j are linear in j, so the
-    s_j commute pairwise iff the n - e generator words do.
+    s_j commute pairwise iff the n - e generator words do.  Since x(s_j) = j,
+    each term is the layout's row at offset j.
     ``ChildResult.terms`` keeps the i-exponent of each b_j, which follows the
     paper's sign rule: weight-1 members get +1, anticommuting pairs get +-i
     with the sign set by which factor carries Y versus Z, and offsets flip
     every term that contains them.
     """
     n, gmat = p.n, ind[1]
-    terms = _pauli_terms(p, duals, span_of_basis(gmat.rows))
-    if not verify_full_commutation([terms[g][0] for g in gmat.rows]):
+    members, x, z, phase, b = _pauli_terms(p, duals, gmat.rows)
+    dual_z = [w.z for w in duals]
+    gens = [PauliWord(n, g, combine(dual_z, g), int(phase[members.index(g)])) for g in gmat.rows]
+    if not verify_full_commutation(gens):
         raise AssertionError("J members must commute pairwise")
-    acc = pauli_sum(n, list(terms.values()))
-    rho = DensityMatrix(n, acc.divided_by_pow2(n))
-    return ChildResult(p, ind, rho, {j: k for j, (_, k) in terms.items()})
-
-
-# i^d for d in 1..7; np.take's clip mode sends every other d to the 0 at an end
-_TRACE_RE = np.array([0, 0, -1, 0, 1, 0, -1, 0, 0], dtype=np.int64)
-_TRACE_IM = np.array([0, 1, 0, -1, 0, 1, 0, -1, 0], dtype=np.int64)
+    rho = DensityMatrix(n, x, word_rows(n, z, phase + b), n)
+    return ChildResult(p, ind, rho, dict(zip(members, b.tolist())))
 
 
 def child_from_partial_trace(p: ParentExtension) -> DensityMatrix:
@@ -146,48 +190,34 @@ def child_from_partial_trace(p: ParentExtension) -> DensityMatrix:
     p(b, c)} p_E cancels, and sum_c (-1)^{(a ^ b).B.c} = 2^e [B^T (a ^ b) = 0]
     with B^T = H = ``p.parity_matrix()``.  This holds for every symmetric
     parent, red environment nodes, environment edges and offsets included,
-    whatever rank H has.  The parent's n + e qubits still obey the dense bound.
+    whatever rank H has.  So D holds the d with H d = 0, and V[d, c] =
+    i^{p_L(c ^ d) - p_L(c)}.  The parent's n + e qubits obey the dense bound.
     """
     n = p.n
     if p.total > dense_bound():
         raise BoundExceeded(f"parent state on {p.total} qubits exceeds bound {dense_bound()}")
-    lab = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1  # column j: qubit j
-    a = np.array(p.ae.to_lists(), dtype=np.int64).reshape(p.total, p.total)[:n, :n]
-    offsets = sorted(p.lab_offsets)
-    a[offsets, offsets] += 2
-    p_lab = ((lab @ a) * lab).sum(axis=1)
+    p_lab = p.phases((np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1)
     # H a: the XOR of the environment bits r >> n of a's lab rows, doubled
     # qubit by qubit into index order (qubit 0 the most significant bit)
     syndromes = [0]
     for r in p.ae.rows[:n]:
         syndromes = [s ^ env for s in syndromes for env in (0, r >> n)]
-    cosets: Dict[int, int] = {}  # one small code per syndrome: e bits may not fit int64
-    q = (p_lab & 3) + 8 * np.array([cosets.setdefault(s, len(cosets)) for s in syndromes])
-    d = (q + 4)[:, None] - q  # in 1..7 iff H a = H b, where it is p_L(a) - p_L(b) + 4
-    mat = GaussianMatrix(_TRACE_RE.take(d, mode="clip"), _TRACE_IM.take(d, mode="clip"), n)
-    return DensityMatrix(n, mat)
+    d = np.array([d for d, s in enumerate(syndromes) if not s], dtype=np.int64)
+    return DensityMatrix(n, d, i_power(p_lab[d[:, None] ^ np.arange(1 << n)] - p_lab), n)
 
 
 def stabilized_by(rho: DensityMatrix, gens: Sequence[PauliWord]) -> bool:
-    """w rho w^dag = rho for every w in ``gens``, read on rho's nonzero entries.
+    """w rho w^dag = rho for every w in ``gens``, on the layout.
 
     ``dense_conjugation`` gives (w rho w^dag)[a, b] = flip[a] flip[b]
-    rho[perm[a], perm[b]], and (a, b) -> (perm[a], perm[b]) is an
-    involution.  So if every nonzero entry equals the sign times its image,
-    a zero entry cannot have a nonzero image either: that image's own image
-    is the zero entry, and it would have failed the test.  The denominator
-    is unchanged, so comparing numerators on the K nonzero entries decides
-    the identity exactly, one (K,) pass per generator.
+    rho[perm[a], perm[b]], at (c ^ d, c) flip[c ^ d] flip[c] V[d, perm[c]],
+    and flip[c ^ d] flip[c] = (-1)^{z.d} = flip[d] flip[0].  So the identity
+    is one (|D|, 2^n) pass per generator.
     """
-    re, im = rho.mat.re.ravel(), rho.mat.im.ravel()
-    flat = np.flatnonzero(re | im)
-    rows, cols = flat >> rho.n, flat & (rho.dim - 1)
-    vre, vim = re[flat], im[flat]
     for w in gens:
         perm, flip = dense_conjugation(w, rho.dim)
-        img = (perm[rows] << rho.n) | perm[cols]
-        sign = flip[rows] * flip[cols]
-        if not (np.array_equal(re[img] * sign, vre) and np.array_equal(im[img] * sign, vim)):
+        sign = (flip[rho.offsets] * flip[0]).astype(rho.num.dtype)[:, None]
+        if not np.array_equal(rho.num.take(perm, axis=2) * sign, rho.num):
             return False
     return True
 
@@ -204,19 +234,13 @@ def children_family_e1(
     children = [child_from_pauli_sum(p, g_duals, indicator(p)) for p in parents]
     n = parents[0].n if parents else 0
     classes: List[List[int]] = []
-    assigned = [False] * len(children)
-    for a in range(len(children)):
-        if assigned[a]:
-            continue
-        group = [a]
-        assigned[a] = True
-        for b in range(a + 1, len(children)):
-            if assigned[b]:
-                continue
-            if _z_pattern_equivalent(children[a], children[b], n) is not None:
-                group.append(b)
-                assigned[b] = True
-        classes.append(group)
+    for b, child in enumerate(children):  # b joins the first class whose first child pairs with it
+        paired = (c for c in classes if _z_pattern_equivalent(children[c[0]], child, n) is not None)
+        group = next(paired, None)
+        if group is None:
+            classes.append([b])
+        else:
+            group.append(b)
     return children, classes
 
 

@@ -8,7 +8,16 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from mgstate.pauli import GaussianMatrix, PauliWord, dense_conjugation
+from mgstate.pauli import (
+    BoundExceeded,
+    GaussianMatrix,
+    PauliWord,
+    _bits_to_index,
+    _parity_array,
+    dense_bound,
+    dense_conjugation,
+    i_power,
+)
 from mgstate.states import DensityMatrix
 
 K_I = np.eye(2, dtype=complex)
@@ -39,6 +48,40 @@ def rho_to_complex(rho: DensityMatrix) -> np.ndarray:
     return gm_to_complex(rho.mat)
 
 
+def pauli_sum(n: int, terms) -> GaussianMatrix:
+    """Dense oracle for the sum over (w, k) of i^k w, scattered with
+    ``np.add.at``: w's nonzero entries sit at (c ^ x, c) and equal
+    i^(phase + k + 2 z.c), and terms that share an x add up."""
+    if n > dense_bound():
+        raise BoundExceeded(f"dense rendering of {n} qubits exceeds bound {dense_bound()}")
+    dim = 1 << n
+    cols = np.arange(dim, dtype=np.int64)
+    xs = np.array([_bits_to_index(w.x, n) for w, _ in terms], dtype=np.int64)
+    zs = np.array([_bits_to_index(w.z, n) for w, _ in terms], dtype=np.int64)
+    ks = np.array([w.phase + k for w, k in terms], dtype=np.int64)
+    flat = ((xs[:, None] ^ cols) * dim + cols).ravel()
+    re_part, im_part = i_power(ks[:, None] + 2 * _parity_array(zs[:, None] & cols))
+    re = np.zeros(dim * dim, dtype=np.int64)
+    im = np.zeros(dim * dim, dtype=np.int64)
+    np.add.at(re, flat, re_part.ravel())
+    np.add.at(im, flat, im_part.ravel())
+    return GaussianMatrix(re.reshape(dim, dim), im.reshape(dim, dim), 0)
+
+
+def divided_by_pow2(m: GaussianMatrix, extra: int) -> GaussianMatrix:
+    return GaussianMatrix(m.re, m.im, m.denom_log2 + extra)
+
+
+def layout_of(m: GaussianMatrix) -> DensityMatrix:
+    """m in the XOR-offset layout, on the offsets where it has a nonzero entry."""
+    dim = m.dim
+    cols = np.arange(dim)
+    rows = cols[:, None] ^ cols  # rows[d, c] = c ^ d
+    num = np.stack((m.re[rows, cols], m.im[rows, cols]))
+    keep = np.flatnonzero(num.any(axis=(0, 2)))
+    return DensityMatrix(dim.bit_length() - 1, keep, num[:, keep], m.denom_log2)
+
+
 def conjugate_dense(m: GaussianMatrix, w: PauliWord) -> GaussianMatrix:
     """Dense oracle for w m w^dag: every row and column of m permuted by
     ``dense_conjugation`` and multiplied by the full 4^n sign matrix."""
@@ -52,7 +95,7 @@ def conjugate_dense(m: GaussianMatrix, w: PauliWord) -> GaussianMatrix:
 
 
 def conjugated(rho: DensityMatrix, w: PauliWord) -> DensityMatrix:
-    return DensityMatrix(rho.n, conjugate_dense(rho.mat, w))
+    return layout_of(conjugate_dense(rho.mat, w))
 
 
 def random_word(rng, n: int) -> PauliWord:

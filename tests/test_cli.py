@@ -22,11 +22,12 @@ import mgstate.f2
 import mgstate.graphs
 import mgstate.states
 import mgstate.subgroups
+from conftest import layout_of
 from mgstate.cli import _emit, main
-from mgstate.extension import extend_for_subgroup
+from mgstate.extension import extend_e1, extend_for_subgroup
 from mgstate.f2 import bits_of, bitstring, mask_of
 from mgstate.pauli import GaussianMatrix, PauliWord, ordered_product
-from mgstate.states import ChildResult, DensityMatrix, child_from_partial_trace
+from mgstate.states import ChildResult, child_from_partial_trace
 from mgstate.subgroups import IsotropicSubspace
 from paper_data import RHO0_NUM, RHO1_NUM, RHO2_NUM, TRIANGLE
 from test_extension import SPARSE128
@@ -152,22 +153,31 @@ def test_children_family_includes_paper_matrices():
 
 
 def test_each_child_built_once(monkeypatch):
-    # triangle: n = 3, e = 1, so every child sums |J| = 4 dual products
-    calls = []
+    # triangle: n = 3, e = 1, so every child sums |J| = 4 dual products,
+    # whose x, z and phase the Pauli sum reads off the dual rows' quadratic
+    # form for all members at once, with no ordered product
+    products, members = [], []
+    original_terms = mgstate.states._pauli_terms
 
     def counted(rows, indices):
-        calls.append(indices)
+        products.append(indices)
         return ordered_product(rows, indices)
 
-    for module in (mgstate.states, mgstate.cli):
-        monkeypatch.setattr(module, "ordered_product", counted)
+    def terms(p, duals, basis):
+        out = original_terms(p, duals, basis)
+        members.append(len(out[0]))
+        return out
+
+    monkeypatch.setattr(mgstate.cli, "ordered_product", counted)
+    monkeypatch.setattr(mgstate.pauli, "ordered_product", counted)
+    monkeypatch.setattr(mgstate.states, "_pauli_terms", terms)
     code, _, _ = run_cli("children", str(FIXTURES / "triangle.graph"))
     assert code == 0
-    assert len(calls) == 6 * 4  # the six family children
-    calls.clear()
+    assert (products, members) == ([], [4] * 6)  # the six family children
+    members.clear()
     code, _, _ = run_cli("verify", str(FIXTURES / "triangle.graph"))
     assert code == 0
-    assert len(calls) == (3 + 6) * 4  # one child per subgroup, then the family
+    assert (products, members) == ([], [4] * (3 + 6))  # one child per subgroup, then the family
 
 
 # ``children`` runs the same checks as ``verify`` on every child it prints
@@ -179,7 +189,7 @@ def test_child_mixed_rejects_maximally_mixed_child(monkeypatch):
     # trace one and is not pure, but its purity is 2^-n, not 2^-e
     def maximally_mixed(p):
         ident = np.eye(1 << p.n, dtype=np.int64)
-        return DensityMatrix(p.n, GaussianMatrix(ident, 0 * ident, p.n))
+        return layout_of(GaussianMatrix(ident, 0 * ident, p.n))
 
     def pauli_sum_route(p, duals, ind):
         return ChildResult(p, ind, maximally_mixed(p), {})
@@ -309,11 +319,67 @@ def test_extension_found_rejects_flipped_letter(monkeypatch):
         assert (code, out) == (1, "FAIL extension-found: subgroup 0\n"), argv
 
 
+@pytest.mark.parametrize("fixture", JSON_FIXTURES, ids=lambda p: p.name.split(".")[0])
+def test_dense_matrix_built_only_to_render(monkeypatch, fixture):
+    # verify checks every child on its XOR-offset layout and renders none,
+    # except the e = 1 children a fixture pins as JSON, which it renders to
+    # compare; children --all --json renders each child it prints once
+    shapes = []
+    original = GaussianMatrix.__init__
+
+    def counted(self, re, im, denom_log2=0):
+        original(self, re, im, denom_log2)
+        shapes.append(self.re.shape)
+
+    monkeypatch.setattr(GaussianMatrix, "__init__", counted)
+    code, _, _ = run_cli("verify", str(fixture))
+    expect = json.loads(fixture.read_text())["expect"]
+    assert code == 0
+    assert len(shapes) == len(expect.get("children_e1", {}).get("rho_json", []))
+    shapes.clear()
+    graph = fixture.with_suffix("").with_suffix(".graph")
+    code, out, _ = run_cli("children", "--all", "--json", str(graph))
+    children = json.loads(out)["result"]["children"]
+    assert code == 0 and len(children) == expect["chi"]
+    assert shapes == [(1 << expect["n"],) * 2] * len(children)
+
+
+def test_extension_commutes_rejects_asymmetric_adjacency(monkeypatch):
+    # one bit of the first parent's adjacency mirrored away: its columns still
+    # meet the extension condition, but its graph-form rows X_j Z^{A_j} no
+    # longer commute, and nothing before the check rejects the parent
+    def asymmetric(g, sub, rows):
+        p = extend_for_subgroup(g, sub, rows)
+        j, k = next((j, k) for j, r in enumerate(p.ae.rows) for k in bits_of(r) if k != j)
+        ae = dataclasses.replace(p.ae, rows=tuple(
+            r ^ (1 << k) if i == j else r for i, r in enumerate(p.ae.rows)))
+        return dataclasses.replace(p, ae=ae)
+
+    monkeypatch.setattr(mgstate.cli, "extend_for_subgroup", asymmetric)
+    for argv in BATTERY_COMMANDS:
+        code, out, _ = run_cli(*argv, str(FIXTURES / "fournode.graph"))
+        assert (code, out) == (1, "FAIL extension-commutes: subgroup 0\n"), argv
+
+
+def test_extension_commutes_rejects_asymmetric_e1_parent(monkeypatch):
+    # the e = 1 family's parents pass the same check, without adding to the
+    # report's check count
+    def asymmetric(g):
+        p = extend_e1(g)[0]
+        ae = dataclasses.replace(p.ae, rows=(p.ae.rows[0] ^ 2,) + p.ae.rows[1:])
+        return [dataclasses.replace(p, ae=ae)]
+
+    monkeypatch.setattr(mgstate.cli, "extend_e1", asymmetric)
+    for argv in (["verify"], ["children"]):
+        code, out, _ = run_cli(*argv, str(FIXTURES / "triangle.graph"))
+        assert (code, out) == (1, "FAIL extension-commutes: e = 1 parent 0\n"), argv
+
+
 @pytest.mark.parametrize("argv", BATTERY_COMMANDS, ids=lambda a: a[0])
 def test_parent_eliminations_on_clique6(monkeypatch, argv):
     # per parent: 4 RREFs (2 for its H and 2 for its indicator, each a
-    # kernel; the child lists J from G's RREF) and 2 symmetry tests
-    # (ParentExtension and extension-commutes);
+    # kernel; the child lists J from G's RREF) and 1 symmetry test, the
+    # extension-commutes check's;
     # reducing Gamma and enumerating take 177 RREFs and 2 symmetry tests:
     # one RREF per subgroup, since t = 0 makes each reduced basis its own lift
     calls = {"rref": 0, "is_symmetric": 0}
@@ -334,7 +400,7 @@ def test_parent_eliminations_on_clique6(monkeypatch, argv):
     monkeypatch.setattr(mgstate.f2.BinMatrix, "is_symmetric", is_symmetric)
     code, _, _ = run_cli(*argv, str(FIXTURES / "clique6.graph"))
     assert code == 0
-    assert calls == {"rref": 135 * 4 + 177, "is_symmetric": 135 * 2 + 2}
+    assert calls == {"rref": 135 * 4 + 177, "is_symmetric": 135 + 2}
 
 
 def test_indicator_computed_once_per_parent(monkeypatch):
@@ -445,7 +511,7 @@ def test_extension_error_exit_4(monkeypatch, argv):
 
 def _doubled_trace(p):
     rho = child_from_partial_trace(p)
-    return DensityMatrix(rho.n, GaussianMatrix(2 * rho.mat.re, 2 * rho.mat.im, rho.mat.denom_log2))
+    return dataclasses.replace(rho, num=2 * rho.num)
 
 
 def test_children_invariant_failure_mid_stream(monkeypatch):

@@ -233,9 +233,8 @@ def assert_symmetrize_matches_row_products(stabilizer, columns):
     n, e = len(stabilizer), len(columns)
     try:
         want = _graph_form_by_row_products(_extended_rows(stabilizer, columns), n, e)
-    except ExtensionError:
-        with pytest.raises(ExtensionError, match="rows do not pairwise commute"):
-            symmetrize(stabilizer, columns)
+    except ExtensionError:  # the rows do not commute: the adjacency comes out asymmetric
+        assert not symmetrize(stabilizer, columns).ae.is_symmetric()
         return
     p = symmetrize(stabilizer, columns)
     assert (p.ae, p.lab_offsets, p.env_offsets) == want
@@ -265,7 +264,8 @@ def test_symmetrize_matches_row_products_random(rng):
     for _ in range(40):
         g = random_mixed_graph(rng, rng.randrange(2, 8))
         assert_parents_match_row_products(g)
-        # arbitrary columns: mostly non-commuting rows, which both reject
+        # arbitrary columns: mostly non-commuting rows, which the oracle
+        # rejects and symmetrize writes as an asymmetric adjacency
         for e in (1, 2):
             columns = mask_columns([[rng.choice("IXZY") for _ in range(g.n)] for _ in range(e)])
             assert_symmetrize_matches_row_products(stabilizer_matrix(g), columns)
@@ -292,15 +292,10 @@ def test_symmetrize_identity_on_graph_form():
 
 
 def test_symmetrize_rejects_noncommuting():
+    # the triangle's lab rows do not commute, so the graph form symmetrize
+    # writes is asymmetric: the CLI's extension-commutes check rejects it
     g = parse_graph(TRIANGLE)
-    with pytest.raises(ExtensionError, match="rows do not pairwise commute"):
-        symmetrize(stabilizer_matrix(g), ())
-
-
-def test_parent_extension_rejects_asymmetric_adjacency():
-    # graph-form rows X_j Z^{A_j} commute iff A is symmetric
-    with pytest.raises(ExtensionError, match="rows do not pairwise commute"):
-        ParentExtension(2, 0, BinMatrix((0b10, 0b00), 2))
+    assert not symmetrize(stabilizer_matrix(g), ()).ae.is_symmetric()
 
 
 def test_symmetrize_preserves_group(rng):

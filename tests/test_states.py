@@ -15,7 +15,10 @@ import mgstate.states
 from conftest import (
     conjugate_dense,
     conjugated,
+    divided_by_pow2,
     kron_letters,
+    layout_of,
+    pauli_sum,
     random_word,
     rho_to_complex,
     word_to_complex,
@@ -34,8 +37,8 @@ from mgstate.pauli import (
     DimensionError,
     GaussianMatrix,
     PauliWord,
+    _bits_to_index,
     ordered_product,
-    pauli_sum,
 )
 from mgstate.states import (
     DensityMatrix,
@@ -243,8 +246,8 @@ def test_terms_are_hermitian(rng):
                 word = ordered_product(duals, bits_of(j))
                 scaled = PauliWord(word.n, word.x, word.z, word.phase + k)
                 assert scaled.is_hermitian()
-                dense = scaled.to_dense()
-                assert dense.is_hermitian()
+                dense = word_to_complex(scaled)
+                assert np.array_equal(dense, dense.conj().T)
 
 
 def test_child_equals_partial_trace_all_paper_graphs():
@@ -599,8 +602,8 @@ def test_convex_combine_validation():
 
 
 def test_maximally_mixed_stabilized_by_anything():
-    ident = PauliWord.identity(2).to_dense().divided_by_pow2(2)
-    rho = DensityMatrix(2, ident)
+    ident = divided_by_pow2(PauliWord.identity(2).to_dense(), 2)
+    rho = layout_of(ident)
     assert stabilized_by(rho, [PauliWord.from_letters("XY"), PauliWord.from_letters("ZI")])
 
 
@@ -642,14 +645,14 @@ def test_child_purity_is_two_to_minus_e():
             rho = child.rho
             assert rho.purity() == Fraction(1, 1 << e)
             # the full identity through the O(8^n) product
-            assert rho.mat.matmul(rho.mat) == rho.mat.divided_by_pow2(e)
+            assert rho.mat.matmul(rho.mat) == divided_by_pow2(rho.mat, e)
     assert seen_e >= {0, 1, 2, 3}
 
 
 def test_purity_examples():
     for n in range(1, 5):
         ident = np.eye(1 << n, dtype=np.int64)
-        mixed = DensityMatrix(n, GaussianMatrix(ident, 0 * ident, n))
+        mixed = layout_of(GaussianMatrix(ident, 0 * ident, n))
         assert not mixed.is_pure()  # the old check passes it for any e >= 1 ...
         assert mixed.purity() == Fraction(1, 1 << n)  # ... purity tells it apart
     g = parse_graph("nodes 3\nedge 0 -- 1\nedge 1 -- 2\n")
@@ -661,7 +664,7 @@ def test_purity_exact_beyond_int64():
     # 2 * 4 * (2^31)^2 = 2^65 would overflow int64 squares summed
     big = 1 << 31
     m = GaussianMatrix(np.full((2, 2), big, np.int64), np.full((2, 2), -big, np.int64), 40)
-    assert DensityMatrix(1, m).purity() == Fraction(8 * big * big, 1 << 80)
+    assert layout_of(m).purity() == Fraction(8 * big * big, 1 << 80)
 
 
 def test_rational_conjugation_matches_gaussian_and_dense(rng):
@@ -696,26 +699,74 @@ def test_rational_conjugation_stays_exact():
     assert once.conjugated_by(w) == m
 
 
-# ---- each child is built from one ordered product per J member ----
+# ---- each child reads its J members off the dual rows' quadratic form ----
 
 
-def test_child_from_pauli_sum_one_product_per_member(monkeypatch):
-    calls = []
+def test_child_from_pauli_sum_no_product_per_member(monkeypatch):
+    # no ordered product and no word product per member: one call of the
+    # parent's phase for all members, and one word per generator for the
+    # commutation test
+    calls = {"ordered_product": 0, "mul": 0, "phases": 0, "PauliWord": 0}
+    originals = {
+        "ordered_product": mgstate.pauli.ordered_product,
+        "mul": PauliWord.mul,
+        "phases": ParentExtension.phases,
+        "PauliWord": PauliWord.__init__,
+    }
 
-    def counted(rows, indices):
-        calls.append(indices)
-        return ordered_product(rows, indices)
+    def counting(name):
+        def counted(*args):
+            calls[name] += 1
+            return originals[name](*args)
+        return counted
 
-    monkeypatch.setattr(mgstate.states, "ordered_product", counted)
+    monkeypatch.setattr(mgstate.pauli, "ordered_product", counting("ordered_product"))
+    monkeypatch.setattr(PauliWord, "mul", counting("mul"))
+    monkeypatch.setattr(ParentExtension, "phases", counting("phases"))
     for text in (TRIANGLE, FOURNODE, FIVENODE):
         g = parse_graph(text)
         e, _ = mixed_rank(g)
         duals = dual_stabilizer(g)
         for sub in enumerate_max_isotropic(reduce_gamma(g.gamma())):
             p = extend_for_subgroup(g, sub, stabilizer_matrix(g))
-            calls.clear()
-            child = child_from_pauli_sum(p, duals, indicator(p))
-            assert len(calls) == len(child.terms) == 1 << (g.n - e)
+            ind = indicator(p)
+            for name in calls:
+                calls[name] = 0
+            monkeypatch.setattr(PauliWord, "__init__", counting("PauliWord"))
+            child = child_from_pauli_sum(p, duals, ind)
+            monkeypatch.setattr(PauliWord, "__init__", originals["PauliWord"])
+            assert len(child.terms) == 1 << (g.n - e)
+            assert calls == {"ordered_product": 0, "mul": 0, "phases": 1, "PauliWord": g.n - e}
+
+
+def _term_graphs():
+    graphs = [parse_graph(p.read_text()) for p in sorted(FIXTURES.glob("*.graph"))]
+    for n in range(2, 8):
+        edges = "".join(f"edge {j} -> {k}\n" for j, k in itertools.combinations(range(n), 2))
+        graphs.append(parse_graph(f"nodes {n}\n" + edges))
+    rng = random.Random(5120)
+    return graphs + [random_mixed_graph(rng, rng.randrange(2, 8)) for _ in range(40)]
+
+
+def test_pauli_terms_match_ordered_products():
+    # the oracle: one ordered product of the dual rows per J member, and the
+    # term-by-term parent phase, give the same x, z, phase and b_j as the
+    # quadratic forms
+    members_seen = 0
+    for g in _term_graphs():
+        duals = dual_stabilizer(g)
+        for p in _every_parent(g)[1]:
+            gmat, parent_phase = indicator(p)[1], phase_oracle(p)
+            members, x, z, phase, b = mgstate.states._pauli_terms(p, duals, gmat.rows)
+            assert sorted(members) == span(gmat.rows, g.n) and list(x) == sorted(x)
+            for k, j in enumerate(members):
+                word = ordered_product(duals, bits_of(j))
+                want_b = (-parent_phase(j) - word.phase - 2 * parity(word.x & word.z)) % 4
+                index = [_bits_to_index(m, g.n) for m in (word.x, word.z)]
+                assert (x[k], z[k], phase[k], b[k]) == (*index, word.phase, want_b), (g, p, j)
+            assert child_from_pauli_sum(p, duals, indicator(p)).terms == dict(zip(members, b))
+            members_seen += len(members)
+    assert members_seen > 5000
 
 
 def test_child_from_pauli_sum_rejects_anticommuting_generators():
@@ -804,8 +855,11 @@ def _oracle_parents():
 def test_phase_matches_term_by_term_oracle():
     for p in _oracle_parents():
         evaluate = phase_oracle(p)
-        for x in range(1 << p.total):
-            assert p.phase(x) == evaluate(x), (p, x)
+        xs = range(1 << p.total)
+        bits = (np.array(xs)[:, None] >> np.arange(p.total)) & 1
+        assert p.phases(bits).tolist() == [evaluate(x) for x in xs], p
+        for k in range(p.total):  # rows over the first k qubits: x sets no later one
+            assert p.phases(bits[: 1 << k, :k]).tolist() == [evaluate(x) for x in range(1 << k)]
 
 
 def _dense_bound_parents():
@@ -845,7 +899,7 @@ def test_partial_trace_memory_does_not_grow_with_environment(monkeypatch):
 
 
 def dense_stabilized_by(rho, gens):
-    return all(conjugated(rho, w) == rho for w in gens)
+    return all(conjugate_dense(rho.mat, w) == rho.mat for w in gens)
 
 
 def complex_stabilized_by(rho, gens):
@@ -877,7 +931,7 @@ def test_stabilized_by_matches_dense_oracle_on_every_child():
 
 
 def _dm(n, terms, denom_log2):
-    return DensityMatrix(n, pauli_sum(n, terms).divided_by_pow2(denom_log2))
+    return layout_of(divided_by_pow2(pauli_sum(n, terms), denom_log2))
 
 
 def test_stabilized_by_hand_made_cases():
@@ -886,9 +940,9 @@ def test_stabilized_by_hand_made_cases():
     plus_x = _dm(1, [(w("I"), 0), (w("X"), 0)], 1)
     plus_y = _dm(1, [(w("I"), 0), (w("Y"), 0)], 1)
     # diag(1, 1, 1, 0): (a, a) -> (a ^ x, a ^ x) leaves the nonzero pattern
-    open_pattern = DensityMatrix(2, GaussianMatrix(np.diag([1, 1, 1, 0]), np.zeros((4, 4)), 0))
-    zero = DensityMatrix(2, GaussianMatrix(np.zeros((4, 4)), np.zeros((4, 4)), 3))
-    skew = DensityMatrix(1, GaussianMatrix([[1, 2], [-3, 0]], [[0, 1], [5, 2]], 1))
+    open_pattern = layout_of(GaussianMatrix(np.diag([1, 1, 1, 0]), np.zeros((4, 4)), 0))
+    zero = layout_of(GaussianMatrix(np.zeros((4, 4)), np.zeros((4, 4)), 3))
+    skew = layout_of(GaussianMatrix([[1, 2], [-3, 0]], [[0, 1], [5, 2]], 1))
     cases = [
         (zz, [w("XX")], True),
         (zz, [w("ZI"), w("XX"), w("YY")], True),
@@ -912,3 +966,115 @@ def test_stabilized_by_hand_made_cases():
         stabilized_by(zz, [w("X")])
     with pytest.raises(DimensionError):
         dense_stabilized_by(zz, [w("X")])
+
+
+# ---- the XOR-offset layout against dense oracles ----
+
+
+def test_layout_renders_both_oracles():
+    # both routes' dense renderings equal the Pauli-sum oracle, the np.add.at
+    # scatter of one ordered product per member, on every fixture parent, and
+    # the einsum partial trace too on seeded random graphs with n <= 8, the
+    # first 8 subgroups of each; the einsum test above covers the fixture
+    # parents, and the hand-built ones, which have no dual rows
+    rng = random.Random(6637)
+    graphs = [(parse_graph(p.read_text()), None) for p in sorted(FIXTURES.glob("*.graph"))]
+    graphs += [(random_mixed_graph(rng, n), 8) for n in (2, 3, 4, 5, 6, 7, 8, 6, 7, 8)]
+    traced = 0
+    for g, first in graphs:
+        duals, rows = dual_stabilizer(g), stabilizer_matrix(g)
+        subs = enumerate_max_isotropic(reduce_gamma(g.gamma()))[:first]
+        parents = [extend_for_subgroup(g, s, rows) for s in subs]
+        parents += extend_e1(g) if mixed_rank(g)[0] == 1 and first is None else []
+        for p in parents:
+            child = child_from_pauli_sum(p, duals, indicator(p))
+            terms = [(ordered_product(duals, bits_of(j)), k) for j, k in child.terms.items()]
+            oracle = divided_by_pow2(pauli_sum(g.n, terms), g.n)
+            assert child.rho.mat == oracle and child_from_partial_trace(p).mat == oracle
+            assert layout_of(oracle) == child.rho
+            if first:
+                assert np.array_equal(rho_to_complex(child.rho), traced_oracle(p)), p
+                traced += 1
+    for p in hand_built_parents(random.Random(9310), 60):
+        rho = child_from_partial_trace(p)
+        assert layout_of(rho.mat) == rho
+    assert traced > 40
+
+
+def _dense_purity(m):
+    return Fraction(int((m.re.astype(object) ** 2).sum() + (m.im.astype(object) ** 2).sum()),
+                    1 << (2 * m.denom_log2))
+
+
+def test_layout_checks_match_dense_oracles():
+    w = PauliWord.from_letters
+    g = parse_graph(TRIANGLE)
+    rows = stabilizer_matrix(g)
+    child = child_from_pauli_sum(extend_e1(g)[0], dual_stabilizer(g), indicator(extend_e1(g)[0]))
+    words = [w("".join(letters)) for letters in itertools.product("IXYZ", repeat=3)]
+    mover = next(v for v in words if not stabilized_by(child.rho, [v]))
+    moved = conjugated(child.rho, mover)
+    cases = [
+        child.rho,
+        dataclasses.replace(child.rho, num=2 * child.rho.num),  # doubled
+        moved,  # a child conjugated by a word that does not fix it
+        layout_of(GaussianMatrix(np.diag([1, 1, 1, 0]), np.zeros((4, 4)), 0)),  # open_pattern
+        layout_of(GaussianMatrix(np.zeros((4, 4)), np.zeros((4, 4)), 3)),  # zero
+        layout_of(GaussianMatrix([[1, 2], [-3, 0]], [[0, 1], [5, 2]], 1)),  # skew
+        layout_of(GaussianMatrix([[0, 1], [1, 0]], np.zeros((2, 2)), 1)),  # no diagonal row
+    ]
+    for rho in cases:
+        dense = rho_to_complex(rho)
+        assert rho.trace_is_one() == (np.trace(dense) == 1)
+        assert rho.is_hermitian() == np.array_equal(dense, dense.conj().T)
+        assert rho.purity() == _dense_purity(rho.mat)
+        same_n = rho.n == g.n
+        for gens in [rows, [mover], words] if same_n else [[w("X" * rho.n), w("Z" * rho.n)]]:
+            assert stabilized_by(rho, gens) == dense_stabilized_by(rho, gens)
+        for other in cases:
+            assert (rho == other) == (rho.n == other.n and rho.mat == other.mat)
+    assert [rho.trace_is_one() for rho in cases] == [True, False, True, False, False, False, False]
+    assert [rho.is_hermitian() for rho in cases] == [True, True, True, True, True, False, True]
+    assert not dense_stabilized_by(child.rho, [mover]) and moved != child.rho
+
+
+def test_layout_rejects_duplicate_or_missing_offset():
+    rho = child_from_partial_trace(extend_e1(parse_graph(TRIANGLE))[0])
+    d, num = rho.offsets, rho.num
+    assert list(d) == sorted(set(d.tolist())) and len(d) == 4
+    with pytest.raises(ValueError, match="distinct"):  # a duplicate offset
+        DensityMatrix(3, np.array([d[0], d[1], d[1], d[3]]), num, 3)
+    with pytest.raises(ValueError, match="distinct"):  # out of order
+        DensityMatrix(3, d[::-1].copy(), num, 3)
+    with pytest.raises(ValueError, match="distinct"):  # past 2^n
+        DensityMatrix(3, np.array([0, 1, 2, 8]), num, 3)
+    with pytest.raises(ValueError, match="one row"):  # a row with no offset
+        DensityMatrix(3, d[:3], num, 3)
+    with pytest.raises(ValueError, match="one row"):
+        DensityMatrix(3, d, num[:, :, :4], 3)
+    with pytest.raises(ValueError, match="one row"):  # the imaginary part missing
+        DensityMatrix(3, d, num[:1], 3)
+    # a layout missing one offset of the child's support differs from it,
+    # and so does one that holds an extra zero row
+    assert DensityMatrix(3, d[:3], num[:, :3], 3) != rho
+    extra = np.setdiff1d(np.arange(8), d)[:1]
+    padded = DensityMatrix(3, np.sort(np.concatenate((d, extra))),
+                           np.insert(num, np.searchsorted(d, extra[0]), 0, axis=1), 3)
+    assert padded.mat == rho.mat and padded != rho
+
+
+def test_layout_keeps_int8_numerators_only_without_their_minimum():
+    # the routes write int8 units; -(-128) wraps to -128 in int8, so a layout
+    # holding -128 is widened, and its sign and conjugation checks stay exact
+    g = parse_graph(TRIANGLE)
+    p = extend_e1(g)[0]
+    child = child_from_pauli_sum(p, dual_stabilizer(g), indicator(p))
+    assert child.rho.num.dtype == child_from_partial_trace(p).num.dtype == np.int8
+    w = PauliWord.from_letters
+    real = DensityMatrix(1, np.array([1]), np.array([[[-128, -128]], [[0, 0]]], np.int8), 0)
+    imaginary = DensityMatrix(1, np.array([1]), np.array([[[0, 0]], [[-128, -128]]], np.int8), 0)
+    assert real.num.dtype == imaginary.num.dtype == np.int64
+    assert not stabilized_by(real, [w("Z")]) and not dense_stabilized_by(real, [w("Z")])
+    assert real.is_hermitian() and not imaginary.is_hermitian()
+    dense = rho_to_complex(imaginary)
+    assert not np.array_equal(dense, dense.conj().T)
