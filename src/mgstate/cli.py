@@ -2,11 +2,11 @@
 
 Subcommands read a graph file and emit deterministic reports, as text or as
 JSON (``--json``).  Exit codes: 0 success, 1 invariant violation, 2 input
-error, 3 qubit or enumeration bound exceeded, or memory exhausted (``bound
-exceeded: out of memory``), 4 an ``ExtensionError`` from the parent
-construction, as ``search failure: <message>`` on stderr, 5 stdout could not
-be written (a closed pipe or a full device), as one ``output error:
-<message>`` line on stderr.  The column step cannot fail (see
+error, 3 a bound exceeded: dense bytes past ``pauli.DENSE_BYTES``, a size
+bound, or memory (``bound exceeded: out of memory``), 4 an ``ExtensionError``
+from the parent construction, as ``search failure: <message>`` on stderr, 5
+stdout could not be written (a closed pipe or a full device), as one ``output
+error: <message>`` line on stderr.  The column step cannot fail (see
 ``mgstate.extension``), so exit 4 means a precondition of the construction
 broke; a parent whose J is not its subgroup fails an exit 1 check.
 
@@ -60,7 +60,7 @@ from .graphs import (
     parse_graph,
     stabilizer_matrix,
 )
-from .pauli import BoundExceeded, PauliWord, dense_bound, distinct_entries, ordered_product
+from .pauli import BoundExceeded, PauliWord, check_dense, distinct_entries, ordered_product
 from .signfree import (
     canonical_family,
     commuting_subsets_oracle,
@@ -519,8 +519,7 @@ def cmd_children(args) -> int:
     g, digest, _ = _read_graph(args.path)
     red = reduce_gamma(g.gamma())
     e, t = red.e, red.t
-    if g.n + e > dense_bound():
-        raise BoundExceeded(f"n + e = {g.n + e} exceeds the dense bound {dense_bound()}")
+    check_dense(16 << 2 * g.n, f"a dense rendering of {g.n} qubits")  # each printed rho
     duals = dual_stabilizer(g)
     rows = stabilizer_matrix(g)
     result: Dict = {"e": e, "t": t}
@@ -647,8 +646,8 @@ def _verify_graph(g: MixedGraph, expect: Optional[Dict], bound: int) -> List[str
     subs = _subgroups(red, bound, check)
     signfree = _signfree_data(gamma, duals, check)
 
-    # parent checks need no dense matrix; one dense child alive at a time
-    dense = g.n + e <= dense_bound()
+    # parent checks need no child; past the cap the children go unchecked, not refused
+    dense = _children_fit(g.n, e)
     for idx, sub in enumerate(subs):
         p, ind = _parent(g, idx, sub, rows, check)
         if dense:
@@ -709,6 +708,15 @@ def _verify_graph(g: MixedGraph, expect: Optional[Dict], bound: int) -> List[str
                 "stabilizer rows differ",
             )
     return checked
+
+
+def _children_fit(n: int, e: int) -> bool:
+    """Whether the layouts ``verify`` builds, chi(e) plus the e = 1 family's 6, fit."""
+    try:
+        check_dense((chi(e) + 6 * (e == 1)) * (8 << 2 * n - e), "verify's children")
+    except BoundExceeded:
+        return False
+    return True
 
 
 def cmd_verify(args) -> int:

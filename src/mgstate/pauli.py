@@ -19,7 +19,6 @@ XOR-offset layout (``word_rows``, rendered dense by
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from math import prod
 from typing import Dict, Iterable, List, Sequence, Tuple
@@ -28,7 +27,7 @@ import numpy as np
 
 from .f2 import parity, popcount
 
-DEFAULT_DENSE_BOUND = 12
+DENSE_BYTES = 3 << 27  # 384 MiB: renders 12 qubits (16 4^n bytes, 256 MiB), not 13 (1 GiB)
 
 
 class DimensionError(ValueError):
@@ -36,15 +35,13 @@ class DimensionError(ValueError):
 
 
 class BoundExceeded(RuntimeError):
-    """A dense rendering would exceed the configured qubit bound."""
+    """Dense storage past ``DENSE_BYTES``, or an enumeration or oracle past its size bound."""
 
 
-def dense_bound() -> int:
-    """Dense-rendering qubit bound; MGSTATE_MAX_QUBITS overrides."""
-    env = os.environ.get("MGSTATE_MAX_QUBITS")
-    if env is not None:
-        return int(env)
-    return DEFAULT_DENSE_BOUND
+def check_dense(nbytes: int, what: str) -> None:
+    """Raise ``BoundExceeded`` before ``what`` allocates more than ``DENSE_BYTES``."""
+    if nbytes > DENSE_BYTES:
+        raise BoundExceeded(f"{what} takes {nbytes} bytes, over the cap of {DENSE_BYTES} bytes")
 
 
 _LETTER_XZ = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
@@ -116,8 +113,6 @@ class PauliWord:
         return (self.phase & 1) == parity(self.x & self.z)
 
     def to_dense(self) -> "GaussianMatrix":
-        if self.n > dense_bound():
-            raise BoundExceeded(f"dense rendering of {self.n} qubits exceeds bound {dense_bound()}")
         x, z = (np.array([_bits_to_index(m, self.n)]) for m in (self.x, self.z))
         return GaussianMatrix.from_offsets(x, word_rows(self.n, z, [self.phase]), 0)
 
@@ -220,7 +215,8 @@ class GaussianMatrix:
         """M with M[c ^ offsets[k], c] = (num[0] + i num[1])[k, c] / 2^denom_log2
         and zero elsewhere, written by one assignment."""
         cols = np.arange(num.shape[2], dtype=np.int64)
-        dense = np.zeros((2, len(cols), len(cols)), dtype=np.int64)
+        check_dense(16 * cols.size**2, f"a dense rendering of {cols.size.bit_length() - 1} qubits")
+        dense = np.zeros((2, cols.size, cols.size), dtype=np.int64)
         dense[:, offsets[:, None] ^ cols, cols] = num
         return cls(dense[0], dense[1], denom_log2)
 

@@ -31,12 +31,11 @@ import numpy as np
 from .extension import Indicator, ParentExtension, indicator, verify_full_commutation
 from .f2 import BinMatrix, combine, mask_of, solve, span_of_basis
 from .pauli import (
-    BoundExceeded,
     DimensionError,
     GaussianMatrix,
     PauliWord,
     _bits_to_index,
-    dense_bound,
+    check_dense,
     dense_conjugation,
     i_power,
     word_rows,
@@ -191,18 +190,14 @@ def child_from_partial_trace(p: ParentExtension) -> DensityMatrix:
     with B^T = H = ``p.parity_matrix()``.  This holds for every symmetric
     parent, red environment nodes, environment edges and offsets included,
     whatever rank H has.  So D holds the d with H d = 0, and V[d, c] =
-    i^{p_L(c ^ d) - p_L(c)}.  The parent's n + e qubits obey the dense bound.
+    i^{p_L(c ^ d) - p_L(c)}.  The dense cap counts these |D| 2^n entries.
     """
     n = p.n
-    if p.total > dense_bound():
-        raise BoundExceeded(f"parent state on {p.total} qubits exceeds bound {dense_bound()}")
-    p_lab = p.phases((np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1)
-    # H a: the XOR of the environment bits r >> n of a's lab rows, doubled
-    # qubit by qubit into index order (qubit 0 the most significant bit)
-    syndromes = [0]
-    for r in p.ae.rows[:n]:
-        syndromes = [s ^ env for s in syndromes for env in (0, r >> n)]
-    d = np.array([d for d, s in enumerate(syndromes) if not s], dtype=np.int64)
+    lab = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1  # column q: qubit q
+    h_t = (np.array(p.parity_matrix().rows, np.int64) >> np.arange(n)[:, None]) & 1
+    d = np.flatnonzero(~((lab @ h_t) & 1).any(axis=1))  # H d = 0, one product for all d
+    check_dense(8 * len(d) << n, f"a child layout of {len(d)} x {1 << n} entries")
+    p_lab = p.phases(lab)
     return DensityMatrix(n, d, i_power(p_lab[d[:, None] ^ np.arange(1 << n)] - p_lab), n)
 
 

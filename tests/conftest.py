@@ -9,12 +9,11 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from mgstate.pauli import (
-    BoundExceeded,
     GaussianMatrix,
     PauliWord,
     _bits_to_index,
     _parity_array,
-    dense_bound,
+    check_dense,
     dense_conjugation,
     i_power,
 )
@@ -52,8 +51,7 @@ def pauli_sum(n: int, terms) -> GaussianMatrix:
     """Dense oracle for the sum over (w, k) of i^k w, scattered with
     ``np.add.at``: w's nonzero entries sit at (c ^ x, c) and equal
     i^(phase + k + 2 z.c), and terms that share an x add up."""
-    if n > dense_bound():
-        raise BoundExceeded(f"dense rendering of {n} qubits exceeds bound {dense_bound()}")
+    check_dense(16 << 2 * n, f"a dense rendering of {n} qubits")
     dim = 1 << n
     cols = np.arange(dim, dtype=np.int64)
     xs = np.array([_bits_to_index(w.x, n) for w, _ in terms], dtype=np.int64)

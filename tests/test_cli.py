@@ -91,12 +91,51 @@ def test_missing_file_exit_2(tmp_path):
     assert code == 2
 
 
-def test_bound_exceeded_exit_3(tmp_path, monkeypatch):
-    monkeypatch.setenv("MGSTATE_MAX_QUBITS", "3")
-    path = write_graph(tmp_path, TRIANGLE)  # n + e = 4 > 3
-    code, _, err = run_cli("children", path)
-    assert code == 3
-    assert "bound" in err
+def test_bound_exceeded_exit_3(tmp_path):
+    # each printed rho of 13 qubits renders to 16 4^13 bytes = 1 GiB, past the
+    # 384 MiB cap: refused before the first byte, whatever the mode
+    path = write_graph(tmp_path, "nodes 13\nedge 0 -> 1\n")
+    for argv in ([], ["--json"], ["--all"], ["--subgroup", "0"]):
+        code, out, err = run_cli("children", *argv, path)
+        assert (code, out) == (3, "")
+        assert err == (
+            "bound exceeded: a dense rendering of 13 qubits takes 1073741824 bytes,"
+            " over the cap of 402653184 bytes\n"
+        )
+
+
+def test_children_subgroup_of_clique9_renders_within_cap(tmp_path):
+    # n + e = 13 was past the old qubit bound; its rho renders to 4 MiB
+    path = write_graph(tmp_path, directed_clique(9))
+    code, out, _ = run_cli("children", "--subgroup", "0", path)
+    assert code == 0
+    assert out.startswith("e = 4, t = 1\nmode: subgroups\n--- child 0 ---\n")
+    assert out.endswith("oracle verified: True\n")
+
+
+def test_verify_checks_children_whose_layouts_fit_the_cap(monkeypatch):
+    # (n, e): whether the bytes of every layout verify builds, (chi(e) + 6 [e =
+    # 1]) 8 2^(2n - e), fit the 384 MiB cap
+    table = {
+        (12, 0): True,  # 128 MiB
+        (11, 2): True,  # 120 MiB
+        (10, 3): True,  # 135 MiB
+        (9, 4): True,  # 287 MiB
+        (12, 1): False,  # 576 MiB
+        (12, 2): False,  # 480 MiB
+        (10, 5): False,  # 18.5 GiB
+    }
+    assert {ne: mgstate.cli._children_fit(*ne) for ne in table} == table
+    # every (n, e) that the old qubit bound n + e <= 12 admitted still fits
+    old = [(n, e) for n in range(1, 13) for e in range(n // 2 + 1) if n + e <= 12]
+    assert all(mgstate.cli._children_fit(n, e) for n, e in old)
+    # verify follows the rule: told the triangle's children do not fit, it builds none
+    monkeypatch.setattr(mgstate.cli, "_children_fit", lambda n, e: False)
+    code, out, _ = run_cli("verify", "--json", str(FIXTURES / "triangle.graph"))
+    assert code == 0
+    checked = json.loads(out)["result"]["checked"]
+    assert "indicator-matches-subgroup" in checked
+    assert not any(name.startswith(("child-", "family-")) for name in checked)
 
 
 def test_bound_flag_only_on_enumerating_commands(capsys):
@@ -274,8 +313,9 @@ def test_analyze_eliminates_gamma_once(fixture, monkeypatch):
 
 
 def test_verify_checks_parents_beyond_dense_bound(tmp_path):
-    # n + e = 13 exceeds the dense bound, so no child is built, but each of
-    # the chi(1) = 3 parents is still built and checked
+    # n = 12, e = 1: the 3 + 6 child layouts take 9 * 8 * 2^23 bytes = 576 MiB,
+    # past the dense cap, so no child is built, but each of the chi(1) = 3
+    # parents is still built and checked
     path = write_graph(tmp_path, "nodes 12\nedge 0 -> 1\nedge 2 -- 3\nedge 4 -- 5\n")
     code, out, _ = run_cli("verify", path)
     assert code == 0

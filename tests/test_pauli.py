@@ -15,6 +15,7 @@ from conftest import (
     word_to_complex,
 )
 from mgstate.pauli import (
+    DENSE_BYTES,
     BoundExceeded,
     DimensionError,
     GaussianMatrix,
@@ -229,12 +230,11 @@ def test_to_dense_examples():
     assert np.array_equal(word_to_complex(w), -kron_letters("YXZ"))
 
 
-def test_to_dense_bound(monkeypatch):
-    monkeypatch.setenv("MGSTATE_MAX_QUBITS", "2")
-    with pytest.raises(BoundExceeded):
-        PauliWord.identity(3).to_dense()
-    monkeypatch.setenv("MGSTATE_MAX_QUBITS", "3")
-    PauliWord.identity(3).to_dense()
+def test_to_dense_bound():
+    # 13 qubits render to 16 4^13 bytes = 1 GiB, past the cap; refused before allocating
+    with pytest.raises(BoundExceeded, match="1073741824 bytes, over the cap of 402653184 bytes"):
+        PauliWord.identity(13).to_dense()
+    assert 16 << 2 * 12 <= DENSE_BYTES < 16 << 2 * 13
 
 
 def _random_terms(rng, n):
@@ -272,13 +272,11 @@ def test_pauli_sum_matches_term_by_term_accumulation(rng):
     assert np.array_equal(gm_to_complex(got), oracle)
 
 
-def test_pauli_sum_empty_and_bound(monkeypatch):
+def test_pauli_sum_empty_and_bound():
     zeros = np.zeros((4, 4), np.int64)
     assert pauli_sum(2, []) == GaussianMatrix(zeros, zeros, 0)
-    monkeypatch.setenv("MGSTATE_MAX_QUBITS", "2")
-    with pytest.raises(BoundExceeded):
-        pauli_sum(3, [(PauliWord.identity(3), 0)])
-    monkeypatch.setenv("MGSTATE_MAX_QUBITS", "3")
+    with pytest.raises(BoundExceeded, match="1073741824 bytes"):
+        pauli_sum(13, [(PauliWord.identity(13), 0)])
     i_times_identity = GaussianMatrix(np.zeros((8, 8), np.int64), np.eye(8, dtype=np.int64), 0)
     assert pauli_sum(3, [(PauliWord.identity(3), 1)]) == i_times_identity
 

@@ -128,10 +128,10 @@ def test_state_trivial_plus():
     assert np.array_equal(rho_to_complex(child_from_partial_trace(p)), np.full((2, 2), 0.5))
 
 
-def test_state_bound(monkeypatch):
-    monkeypatch.delenv("MGSTATE_MAX_QUBITS", raising=False)
-    p = parent_from_paper([], [], [], 12, 1)
-    with pytest.raises(BoundExceeded):
+def test_state_bound():
+    # no lab-environment edge: D is all 2^13 offsets, a layout of 8 4^13 bytes
+    p = parent_from_paper([], [], [], 13, 1)
+    with pytest.raises(BoundExceeded, match="8192 x 8192 entries takes 536870912 bytes"):
         child_from_partial_trace(p)
 
 
@@ -862,7 +862,7 @@ def test_phase_matches_term_by_term_oracle():
             assert p.phases(bits[: 1 << k, :k]).tolist() == [evaluate(x) for x in range(1 << k)]
 
 
-def _dense_bound_parents():
+def _n_plus_e_12_parents():
     """Two parents at n + e = 12: the first subgroup's parent of the 8-node
     directed clique (e = 4), and an empty 2 + 10 parent with offset {1}, whose
     child sums 2^10 equal terms per entry, the most any n + e = 12 parent
@@ -875,14 +875,13 @@ def _dense_bound_parents():
 
 
 def test_partial_trace_matches_einsum_oracle():
-    for p in _oracle_parents() + _dense_bound_parents():
+    for p in _oracle_parents() + _n_plus_e_12_parents():
         assert np.array_equal(rho_to_complex(child_from_partial_trace(p)), traced_oracle(p)), p
 
 
-def test_partial_trace_memory_does_not_grow_with_environment(monkeypatch):
+def test_partial_trace_memory_does_not_grow_with_environment():
     # labs 0 and 1 joined to environment nodes 2 and 3, an offset on lab 0 and
     # 14 more isolated environment nodes: 2^18 parent amplitudes, a 4 x 4 child
-    monkeypatch.setenv("MGSTATE_MAX_QUBITS", "18")
     rows = [1 << 2, 1 << 3, 1 << 0, 1 << 1] + [0] * 14
     p = ParentExtension(2, 16, BinMatrix(tuple(rows), 18), frozenset({0}))
     tracemalloc.start()
