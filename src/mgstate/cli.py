@@ -646,7 +646,8 @@ def _verify_graph(g: MixedGraph, expect: Optional[Dict], bound: int) -> List[str
     subs = _subgroups(red, bound, check)
     signfree = _signfree_data(gamma, duals, check)
 
-    # parent checks need no child; past the cap the children go unchecked, not refused
+    # a work guard in bytes: parent checks need no child; past the cap on all
+    # the child layouts this run builds, the children go unchecked, not refused
     dense = _children_fit(g.n, e)
     for idx, sub in enumerate(subs):
         p, ind = _parent(g, idx, sub, rows, check)
@@ -711,7 +712,8 @@ def _verify_graph(g: MixedGraph, expect: Optional[Dict], bound: int) -> List[str
 
 
 def _children_fit(n: int, e: int) -> bool:
-    """Whether the layouts ``verify`` builds, chi(e) plus the e = 1 family's 6, fit."""
+    """Whether the total bytes of the child layouts one ``verify`` run builds, chi(e) plus the
+    e = 1 family's 6, fit the cap: a work guard, as ``verify`` holds one layout, or six, at once."""
     try:
         check_dense((chi(e) + 6 * (e == 1)) * (8 << 2 * n - e), "verify's children")
     except BoundExceeded:

@@ -7,14 +7,14 @@ to the phase exponent, since ``Y = iXZ``.
 
 Tensor convention, fixed once for the whole package: qubit 0 is the
 leftmost tensor factor and the most significant bit of a state index.
+Only a dense matrix is indexed so: words, the XOR-offset layout's offsets
+and columns (``word_rows``) and every child index basis states by qubit
+masks, bit j = qubit j.  ``state_index``, a bit reversal and so linear over
+XOR, is the one map between the two: ``GaussianMatrix.from_offsets``
+applies it, and ``dense_conjugation``, for ``RationalMatrix``, reads it.
 
-This module is the one owner of four jobs the rest of the package shares:
-the letter table (``_LETTER_XZ``, ``_LETTER_ADJUST``, ``_XZ_LETTER``), the
-qubit-to-index map (``_bits_to_index``), dense conjugation by a word
-(``dense_conjugation``, used by ``states.stabilized_by`` and
-``states.RationalMatrix.conjugated_by``) and the entries of words in the
-XOR-offset layout (``word_rows``, rendered dense by
-``GaussianMatrix.from_offsets``; ``PauliWord.to_dense`` is the one-word case).
+This module also owns the letter table (``_LETTER_XZ``, ``_LETTER_ADJUST``,
+``_XZ_LETTER``); ``PauliWord.to_dense`` renders one word as a one-row layout.
 """
 
 from __future__ import annotations
@@ -113,21 +113,19 @@ class PauliWord:
         return (self.phase & 1) == parity(self.x & self.z)
 
     def to_dense(self) -> "GaussianMatrix":
-        x, z = (np.array([_bits_to_index(m, self.n)]) for m in (self.x, self.z))
-        return GaussianMatrix.from_offsets(x, word_rows(self.n, z, [self.phase]), 0)
+        rows = word_rows(self.n, np.array([self.z]), [self.phase])
+        return GaussianMatrix.from_offsets(np.array([self.x]), rows, 0)
 
 
-def _bits_to_index(mask: int, n: int) -> int:
-    """Qubit bitset -> state index (qubit 0 becomes the most significant bit):
-    the n-bit reversal of ``mask``, one table lookup per byte."""
-    idx = 0
-    for _ in range(0, n, 8):
-        idx = (idx << 8) | _BYTE_REVERSED[mask & 255]
-        mask >>= 8
-    return idx >> (-n % 8)
+def state_index(n: int) -> np.ndarray:
+    """Entry m: the state index of the n-qubit mask m, its n-bit reversal.  A
+    new highest qubit shifts every index up one place and sets index bit 0."""
+    index = np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        index = np.concatenate((2 * index, 2 * index + 1))
+    return index
 
 
-_BYTE_REVERSED = [int(f"{b:08b}"[::-1], 2) for b in range(256)]
 _BYTE_PARITY = np.array([popcount(b) & 1 for b in range(256)], dtype=np.int64)
 
 
@@ -144,15 +142,16 @@ def _parity_array(values: np.ndarray) -> np.ndarray:
 def dense_conjugation(w: PauliWord, dim: int) -> Tuple[np.ndarray, np.ndarray]:
     """(perm, flip) with (w M w^dag)[a, b] = flip[a] flip[b] M[perm[a], perm[b]].
 
-    With x and z as state-index masks, w|c> = i^phase (-1)^{z.c} |c ^ x>, so
+    With x, z and c as state indices, w|c> = i^phase (-1)^{z.c} |c ^ x>, so
     ``perm`` maps a -> a ^ x on rows and columns, row a carries the sign
     flip[a] = (-1)^{z.(a^x)}, and the phase cancels against w^dag.  Both are
-    vectors of ``dim`` entries; a caller reads them at the indices it needs.
+    vectors of ``dim`` entries over the dense matrix's state indices.
     """
     if dim != (1 << w.n):
         raise DimensionError("word size does not match matrix")
-    perm = np.arange(dim, dtype=np.int64) ^ _bits_to_index(w.x, w.n)
-    return perm, 1 - 2 * _parity_array(perm & _bits_to_index(w.z, w.n))
+    index = state_index(w.n)
+    perm = np.arange(dim, dtype=np.int64) ^ index[w.x]
+    return perm, 1 - 2 * _parity_array(perm & index[w.z])
 
 
 # real (row 0) and imaginary (row 1) part of i^k by k mod 4; int8 for units
@@ -165,9 +164,9 @@ def i_power(k: np.ndarray) -> np.ndarray:
 
 
 def word_rows(n: int, zs: np.ndarray, ks: Sequence[int]) -> np.ndarray:
-    """Row r: i^(ks[r] + 2 zs[r].c) over the columns c, zs index masks, as
-    ``i_power`` stacks it.  w = i^k X^x Z^z sends |c> to i^k (-1)^{z.c} |c ^
-    x>, so that row is w[c ^ x, c], the XOR-offset row x of w."""
+    """Row r: i^(ks[r] + 2 zs[r].c) over the column masks c, zs qubit masks,
+    as ``i_power`` stacks it.  w = i^k X^x Z^z sends |c> to i^k (-1)^{z.c}
+    |c ^ x>, so that row is w[c ^ x, c], the XOR-offset row x of w."""
     cols = np.arange(1 << n, dtype=np.int64)
     return i_power(np.asarray(ks, dtype=np.int64)[:, None] + 2 * _parity_array(zs[:, None] & cols))
 
@@ -212,12 +211,13 @@ class GaussianMatrix:
 
     @classmethod
     def from_offsets(cls, offsets: np.ndarray, num: np.ndarray, denom_log2: int) -> GaussianMatrix:
-        """M with M[c ^ offsets[k], c] = (num[0] + i num[1])[k, c] / 2^denom_log2
-        and zero elsewhere, written by one assignment."""
-        cols = np.arange(num.shape[2], dtype=np.int64)
-        check_dense(16 * cols.size**2, f"a dense rendering of {cols.size.bit_length() - 1} qubits")
-        dense = np.zeros((2, cols.size, cols.size), dtype=np.int64)
-        dense[:, offsets[:, None] ^ cols, cols] = num
+        """M[c ^ offsets[k], c] = (num[0] + i num[1])[k, c] / 2^denom_log2 over
+        masks, zero elsewhere: one assignment at the masks' ``state_index``."""
+        n = num.shape[2].bit_length() - 1
+        check_dense(16 << 2 * n, f"a dense rendering of {n} qubits")
+        index = state_index(n)
+        dense = np.zeros((2, index.size, index.size), dtype=np.int64)
+        dense[:, index[offsets][:, None] ^ index, index] = num
         return cls(dense[0], dense[1], denom_log2)
 
     def normalized(self) -> "GaussianMatrix":
@@ -263,6 +263,39 @@ class GaussianMatrix:
         if self.denom_log2:
             return f"1/{1 << self.denom_log2} *\n{body}"
         return body
+
+
+@dataclass(frozen=True)
+class RationalMatrix:
+    """Dense Gaussian-rational matrix for convex mixtures: (re + i im) / denom."""
+
+    re: np.ndarray
+    im: np.ndarray
+    denom: int
+
+    def conjugated_by(self, w: PauliWord) -> "RationalMatrix":
+        perm, flip = dense_conjugation(w, self.re.shape[0])
+        signs = np.outer(flip, flip)
+        return RationalMatrix(
+            self.re.take(perm, 0).take(perm, 1) * signs,
+            self.im.take(perm, 0).take(perm, 1) * signs,
+            self.denom,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RationalMatrix):
+            return NotImplemented
+        return bool(
+            np.array_equal(self.re * other.denom, other.re * self.denom)
+            and np.array_equal(self.im * other.denom, other.im * self.denom)
+        )
+
+    def trace(self) -> Tuple[int, int, int]:
+        return int(self.re.trace()), int(self.im.trace()), self.denom
+
+    def trace_is_one(self) -> bool:
+        tr_re, tr_im, d = self.trace()
+        return tr_im == 0 and tr_re == d
 
 
 def distinct_entries(cols: Sequence[np.ndarray]) -> Tuple[List[list], np.ndarray]:

@@ -10,12 +10,12 @@ p_L the lab phase and H the parity matrix (Hein, Eisert & Briegel,
 quant-ph/0307130); the two must agree entry for entry.  All arithmetic is
 exact: Gaussian integers over a power-of-two denominator.
 
-A child is stored in the XOR-offset layout: D, the sorted offsets d = a ^ b
-where rho[a, b] can be nonzero, and V[d, c] = rho[c ^ d, c].  Both routes
-give D = J, so a child holds 2^(2n-e) entries, and each check is an exact
-identity on D and V: conjugation by w = i^k X^x Z^z keeps D, since (a ^ x)
-^ (b ^ x) = a ^ b; its sign on row d is (-1)^{z.d}; and the Hermitian
-partner of entry (d, c) is (d, c ^ d).  Only a report renders rho dense.
+A child is stored in the XOR-offset layout over qubit masks, as J is: D,
+the sorted offsets d = a ^ b where rho[a, b] can be nonzero, and V[d, c] =
+rho[c ^ d, c].  Both routes give D = J, so a child holds 2^(2n-e) entries,
+and each check is an exact identity on D and V: w = i^k X^x Z^z conjugates
+V[d, c] to (-1)^{z.d} V[d, c ^ x], keeping D; the Hermitian partner of (d,
+c) is (d, c ^ d).  Only a report renders rho dense, and only it puts qubit 0 first.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ from .pauli import (
     DimensionError,
     GaussianMatrix,
     PauliWord,
-    _bits_to_index,
+    RationalMatrix,
+    _parity_array,
     check_dense,
-    dense_conjugation,
     i_power,
     word_rows,
 )
@@ -44,10 +44,10 @@ from .pauli import (
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Exact density matrix on n lab qubits in the XOR-offset layout: rho[c ^
-    offsets[k], c] = (num[0] + i num[1])[k, c] / 2^denom_log2, and zero off
-    the ascending ``offsets``.  Both routes write unit numerators over 2^n,
-    lowest terms as built, so equality compares the fields exactly."""
+    """Exact density matrix on n lab qubits in the XOR-offset layout over qubit
+    masks: rho[c ^ offsets[k], c] = (num[0] + i num[1])[k, c] / 2^denom_log2,
+    zero off the ascending ``offsets``.  Both routes write unit numerators
+    over 2^n, lowest terms as built, so equality compares the fields exactly."""
 
     n: int
     offsets: np.ndarray
@@ -129,9 +129,9 @@ class ChildResult:
 
 def _pauli_terms(
     p: ParentExtension, duals: Sequence[PauliWord], basis: Sequence[int]
-) -> Tuple[List[int], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The members j of J = span(``basis``), x(s_j) and z(s_j) as state index
-    masks with x ascending, phase(s_j) and the i-exponent of b_j.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """x(s_j) = j ascending over the members j of J = span(``basis``), z(s_j),
+    both qubit masks, phase(s_j) and the i-exponent of b_j.
 
     Dual row h is i^{ph_h} X_h Z^{z_h}, so x(s_j) = j and z(s_j) is the XOR
     of the z_h over h in j.  Multiplying the rows lowest h first adds 2 z(s_j
@@ -142,15 +142,14 @@ def _pauli_terms(
     parity(x & z)), and b_j times it is i^{-p_lab(j)}.
     """
     qubits = np.arange(p.n)
-    shift = p.n - 1 - qubits  # qubit q is index bit n - 1 - q
-    x = np.array(span_of_basis([_bits_to_index(g, p.n) for g in basis]), dtype=np.int64)
-    bits = (x[:, None] >> shift) & 1
+    x = np.array(span_of_basis(basis), dtype=np.int64)
+    bits = (x[:, None] >> qubits) & 1
     zrows = (np.array([w.z for w in duals], dtype=np.int64)[:, None] >> qubits) & 1
     z = (bits @ zrows) & 1
     upper = zrows * (qubits[:, None] < qubits)  # z_a[h] for a < h
     phase = (bits @ [w.phase for w in duals] + 2 * ((bits @ upper) * bits).sum(1)) & 3
     b = (-p.phases(bits) - phase - 2 * (bits * z).sum(1)) & 3
-    return (bits @ (1 << qubits)).tolist(), x, z @ (1 << shift), phase, b
+    return x, z @ (1 << qubits), phase, b
 
 
 def child_from_pauli_sum(
@@ -161,21 +160,20 @@ def child_from_pauli_sum(
     ``ind`` is the caller's ``indicator(p)``, which the child keeps.  Its G
     is in RREF, so J = span(G) is listed with no further elimination.  J is
     closed by construction, and the x/z parts of s_j are linear in j, so the
-    s_j commute pairwise iff the n - e generator words do.  Since x(s_j) = j,
-    each term is the layout's row at offset j.
+    s_j commute pairwise iff the n - e generator words do, phases aside.
+    Since x(s_j) = j, each term is the layout's row at offset j.
     ``ChildResult.terms`` keeps the i-exponent of each b_j, which follows the
     paper's sign rule: weight-1 members get +1, anticommuting pairs get +-i
     with the sign set by which factor carries Y versus Z, and offsets flip
     every term that contains them.
     """
     n, gmat = p.n, ind[1]
-    members, x, z, phase, b = _pauli_terms(p, duals, gmat.rows)
+    x, z, phase, b = _pauli_terms(p, duals, gmat.rows)
     dual_z = [w.z for w in duals]
-    gens = [PauliWord(n, g, combine(dual_z, g), int(phase[members.index(g)])) for g in gmat.rows]
-    if not verify_full_commutation(gens):
+    if not verify_full_commutation([PauliWord(n, g, combine(dual_z, g), 0) for g in gmat.rows]):
         raise AssertionError("J members must commute pairwise")
     rho = DensityMatrix(n, x, word_rows(n, z, phase + b), n)
-    return ChildResult(p, ind, rho, dict(zip(members, b.tolist())))
+    return ChildResult(p, ind, rho, dict(zip(x.tolist(), b.tolist())))
 
 
 def child_from_partial_trace(p: ParentExtension) -> DensityMatrix:
@@ -193,7 +191,7 @@ def child_from_partial_trace(p: ParentExtension) -> DensityMatrix:
     i^{p_L(c ^ d) - p_L(c)}.  The dense cap counts these |D| 2^n entries.
     """
     n = p.n
-    lab = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1  # column q: qubit q
+    lab = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1  # row: a lab mask, column q: qubit q
     h_t = (np.array(p.parity_matrix().rows, np.int64) >> np.arange(n)[:, None]) & 1
     d = np.flatnonzero(~((lab @ h_t) & 1).any(axis=1))  # H d = 0, one product for all d
     check_dense(8 * len(d) << n, f"a child layout of {len(d)} x {1 << n} entries")
@@ -202,17 +200,14 @@ def child_from_partial_trace(p: ParentExtension) -> DensityMatrix:
 
 
 def stabilized_by(rho: DensityMatrix, gens: Sequence[PauliWord]) -> bool:
-    """w rho w^dag = rho for every w in ``gens``, on the layout.
-
-    ``dense_conjugation`` gives (w rho w^dag)[a, b] = flip[a] flip[b]
-    rho[perm[a], perm[b]], at (c ^ d, c) flip[c ^ d] flip[c] V[d, perm[c]],
-    and flip[c ^ d] flip[c] = (-1)^{z.d} = flip[d] flip[0].  So the identity
-    is one (|D|, 2^n) pass per generator.
-    """
+    """w rho w^dag = rho for every w in ``gens``, on the layout: w = i^k X^x Z^z
+    sends |c> to i^k (-1)^{z.c} |c ^ x>, so V'[d, c] = (-1)^{z.d} V[d, c ^ x],
+    one parity over D and one (|D|, 2^n) pass per generator."""
     for w in gens:
-        perm, flip = dense_conjugation(w, rho.dim)
-        sign = (flip[rho.offsets] * flip[0]).astype(rho.num.dtype)[:, None]
-        if not np.array_equal(rho.num.take(perm, axis=2) * sign, rho.num):
+        if w.n != rho.n:
+            raise DimensionError(f"qubit counts differ: {w.n} != {rho.n}")
+        sign = (1 - 2 * _parity_array(rho.offsets & w.z)).astype(rho.num.dtype)[:, None]
+        if not np.array_equal(rho.num.take(np.arange(rho.dim) ^ w.x, axis=2) * sign, rho.num):
             return False
     return True
 
@@ -251,39 +246,6 @@ def _z_pattern_equivalent(a: ChildResult, b: ChildResult, n: int) -> Optional[in
     if any(d % 2 for d in diffs):
         return None
     return solve(BinMatrix(tuple(members), n), mask_of(i for i, d in enumerate(diffs) if d))
-
-
-@dataclass(frozen=True)
-class RationalMatrix:
-    """Gaussian-rational matrix for convex mixtures: (re + i im) / denom."""
-
-    re: np.ndarray
-    im: np.ndarray
-    denom: int
-
-    def conjugated_by(self, w: PauliWord) -> "RationalMatrix":
-        perm, flip = dense_conjugation(w, self.re.shape[0])
-        signs = np.outer(flip, flip)
-        return RationalMatrix(
-            self.re.take(perm, 0).take(perm, 1) * signs,
-            self.im.take(perm, 0).take(perm, 1) * signs,
-            self.denom,
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RationalMatrix):
-            return NotImplemented
-        return bool(
-            np.array_equal(self.re * other.denom, other.re * self.denom)
-            and np.array_equal(self.im * other.denom, other.im * self.denom)
-        )
-
-    def trace(self) -> Tuple[int, int, int]:
-        return int(self.re.trace()), int(self.im.trace()), self.denom
-
-    def trace_is_one(self) -> bool:
-        tr_re, tr_im, d = self.trace()
-        return tr_im == 0 and tr_re == d
 
 
 def convex_combine(

@@ -11,11 +11,11 @@ sys.path.insert(0, str(Path(__file__).parent))
 from mgstate.pauli import (
     GaussianMatrix,
     PauliWord,
-    _bits_to_index,
     _parity_array,
     check_dense,
     dense_conjugation,
     i_power,
+    state_index,
 )
 from mgstate.states import DensityMatrix
 
@@ -49,15 +49,16 @@ def rho_to_complex(rho: DensityMatrix) -> np.ndarray:
 
 def pauli_sum(n: int, terms) -> GaussianMatrix:
     """Dense oracle for the sum over (w, k) of i^k w, scattered with
-    ``np.add.at``: w's nonzero entries sit at (c ^ x, c) and equal
-    i^(phase + k + 2 z.c), and terms that share an x add up."""
+    ``np.add.at``: w's nonzero entries sit at the qubit masks (c ^ x, c),
+    state indices (index[c ^ x], index[c]), and equal i^(phase + k + 2
+    z.c), and terms that share an x add up."""
     check_dense(16 << 2 * n, f"a dense rendering of {n} qubits")
-    dim = 1 << n
+    dim, index = 1 << n, state_index(n)
     cols = np.arange(dim, dtype=np.int64)
-    xs = np.array([_bits_to_index(w.x, n) for w, _ in terms], dtype=np.int64)
-    zs = np.array([_bits_to_index(w.z, n) for w, _ in terms], dtype=np.int64)
+    xs = np.array([w.x for w, _ in terms], dtype=np.int64)
+    zs = np.array([w.z for w, _ in terms], dtype=np.int64)
     ks = np.array([w.phase + k for w, k in terms], dtype=np.int64)
-    flat = ((xs[:, None] ^ cols) * dim + cols).ravel()
+    flat = (index[xs[:, None] ^ cols] * dim + index).ravel()
     re_part, im_part = i_power(ks[:, None] + 2 * _parity_array(zs[:, None] & cols))
     re = np.zeros(dim * dim, dtype=np.int64)
     im = np.zeros(dim * dim, dtype=np.int64)
@@ -71,11 +72,13 @@ def divided_by_pow2(m: GaussianMatrix, extra: int) -> GaussianMatrix:
 
 
 def layout_of(m: GaussianMatrix) -> DensityMatrix:
-    """m in the XOR-offset layout, on the offsets where it has a nonzero entry."""
+    """m in the XOR-offset layout, on the offsets where it has a nonzero
+    entry: V[d, c] = m[index[c ^ d], index[c]] over qubit masks d and c."""
     dim = m.dim
+    index = state_index(dim.bit_length() - 1)
     cols = np.arange(dim)
     rows = cols[:, None] ^ cols  # rows[d, c] = c ^ d
-    num = np.stack((m.re[rows, cols], m.im[rows, cols]))
+    num = np.stack((m.re[index[rows], index], m.im[index[rows], index]))
     keep = np.flatnonzero(num.any(axis=(0, 2)))
     return DensityMatrix(dim.bit_length() - 1, keep, num[:, keep], m.denom_log2)
 

@@ -20,8 +20,8 @@ from mgstate.pauli import (
     DimensionError,
     GaussianMatrix,
     PauliWord,
-    _bits_to_index,
     ordered_product,
+    state_index,
 )
 from paper_data import TRIANGLE, TRIANGLE_S_WORDS
 
@@ -341,7 +341,7 @@ def test_text_grid_matches_entry_by_entry_oracle(rng):
 # ---- the dense kernels against the loops they replaced ----
 
 
-def _bits_to_index_loop(mask, n):
+def _state_index_loop(mask, n):
     idx = 0
     for j in range(n):
         if (mask >> j) & 1:
@@ -349,11 +349,13 @@ def _bits_to_index_loop(mask, n):
     return idx
 
 
-def test_bits_to_index_matches_per_bit_loop():
+def test_state_index_matches_per_bit_loop():
     for n in range(13):
+        index = state_index(n)
+        assert index.dtype == np.int64 and len(index) == 1 << n
         for mask in range(1 << n):
-            assert _bits_to_index(mask, n) == _bits_to_index_loop(mask, n), (mask, n)
-    assert _bits_to_index(1, 12) == 1 << 11 and _bits_to_index(1 << 11, 12) == 1
+            assert index[mask] == _state_index_loop(mask, n), (mask, n)
+    assert state_index(12)[1] == 1 << 11 and state_index(12)[1 << 11] == 1
 
 
 def _halving_normalized(m):

@@ -36,10 +36,10 @@ KEPT_UNREACHED = {
     "subgroups.membership_count",
     "subgroups.commutes_via_gamma",
     "states.convex_combine",
-    "states.RationalMatrix.conjugated_by",
-    "states.RationalMatrix.__eq__",
-    "states.RationalMatrix.trace",
-    "states.RationalMatrix.trace_is_one",
+    "pauli.RationalMatrix.conjugated_by",
+    "pauli.RationalMatrix.__eq__",
+    "pauli.RationalMatrix.trace",
+    "pauli.RationalMatrix.trace_is_one",
     # helpers that only those propositions reach; the CLI reads e off its
     # one Gamma reduction, and ``extend_e1`` off the skeleton's parts
     "graphs.mixed_rank",
@@ -47,6 +47,7 @@ KEPT_UNREACHED = {
     "f2.in_rowspan",
     "f2.BinMatrix.identity",
     "f2.BinMatrix.matmul",
+    "pauli.dense_conjugation",
     # exact value semantics of a dense rendering: the tests compare
     # renderings with their dense oracles, and no command compares them
     "pauli.GaussianMatrix.__eq__",

@@ -30,14 +30,13 @@ from mgstate.extension import (
     indicator,
     symmetrize,
 )
-from mgstate.f2 import BinMatrix, bits_of, parity, span
+from mgstate.f2 import BinMatrix, bits_of, parity, span, span_of_basis
 from mgstate.graphs import MixedGraph, dual_stabilizer, mixed_rank, parse_graph, stabilizer_matrix
 from mgstate.pauli import (
     BoundExceeded,
     DimensionError,
     GaussianMatrix,
     PauliWord,
-    _bits_to_index,
     ordered_product,
 )
 from mgstate.states import (
@@ -757,16 +756,34 @@ def test_pauli_terms_match_ordered_products():
         duals = dual_stabilizer(g)
         for p in _every_parent(g)[1]:
             gmat, parent_phase = indicator(p)[1], phase_oracle(p)
-            members, x, z, phase, b = mgstate.states._pauli_terms(p, duals, gmat.rows)
-            assert sorted(members) == span(gmat.rows, g.n) and list(x) == sorted(x)
+            x, z, phase, b = mgstate.states._pauli_terms(p, duals, gmat.rows)
+            members = x.tolist()
+            assert members == span(gmat.rows, g.n)  # ascending
             for k, j in enumerate(members):
                 word = ordered_product(duals, bits_of(j))
                 want_b = (-parent_phase(j) - word.phase - 2 * parity(word.x & word.z)) % 4
-                index = [_bits_to_index(m, g.n) for m in (word.x, word.z)]
-                assert (x[k], z[k], phase[k], b[k]) == (*index, word.phase, want_b), (g, p, j)
+                want = (word.x, word.z, word.phase, want_b)
+                assert (x[k], z[k], phase[k], b[k]) == want, (g, p, j)
             assert child_from_pauli_sum(p, duals, indicator(p)).terms == dict(zip(members, b))
             members_seen += len(members)
     assert members_seen > 5000
+
+
+def test_offsets_are_j_as_the_report_masks():
+    # D = J as the masks the report prints under generators_g and
+    # coefficients, bit j = qubit j, on both routes, and the terms' keys
+    parents = 0
+    for g in _term_graphs():
+        duals = dual_stabilizer(g)
+        for p in _every_parent(g)[1]:
+            ind = indicator(p)
+            members = span_of_basis(ind[1].rows)
+            child = child_from_pauli_sum(p, duals, ind)
+            assert child.rho.offsets.tolist() == members, (g, p)
+            assert child_from_partial_trace(p).offsets.tolist() == members, (g, p)
+            assert sorted(child.terms) == members, (g, p)
+            parents += 1
+    assert parents > 500
 
 
 def test_child_from_pauli_sum_rejects_anticommuting_generators():
