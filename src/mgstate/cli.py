@@ -54,7 +54,6 @@ from .graphs import (
     MixedGraph,
     complete_multipartite_parts,
     dual_stabilizer,
-    f4_matrix,
     f4_row_strings,
     maximal_independent_sets,
     parse_graph,
@@ -264,7 +263,7 @@ def _json_chunks(o, level: int, out: List[str], prefix: str = "") -> None:
     and faults fresh pages in for the next report; the chunks go to
     ``writelines`` unjoined for the same reason.
     An ``_Encoded`` value is its text, one chunk: a ``subgroups`` entry,
-    whole, with its listed elements in it.
+    whole, with its listed elements in it.  So is a list of only str and int.
     An iterator is a list whose entries are written to stdout, with all
     text before them, as soon as each is encoded; ``out`` then keeps one
     empty chunk, the mark of a report already begun."""
@@ -296,6 +295,8 @@ def _json_chunks(o, level: int, out: List[str], prefix: str = "") -> None:
             out.append(close)
 
         nest(codes.reshape(o.shape[:-1]), level, prefix)
+    elif isinstance(o, (list, tuple)) and set(map(type, o)) <= {str, int}:
+        out.append(prefix + _list_text(map(_json_scalar, o), level))
     elif isinstance(o, (list, tuple, Iterator, np.ndarray)):
         streamed = isinstance(o, Iterator)
         sep = prefix + "["
@@ -334,6 +335,7 @@ def _analysis(g: MixedGraph) -> Dict:
     a = g.adjacency()
     gamma = g.gamma()
     red = reduce_gamma(gamma)
+    rows = stabilizer_matrix(g)
     return {
         "n": g.n,
         "red_nodes": sorted(g.red),
@@ -344,9 +346,9 @@ def _analysis(g: MixedGraph) -> Dict:
         "e": red.e,
         "t": red.t,
         "kernel_basis": [bitstring(v, g.n) for v in red.kernel_basis],
-        "stabilizer": [str(r) for r in stabilizer_matrix(g)],
+        "stabilizer": [str(r) for r in rows],
         "dual_stabilizer": [str(r) for r in dual_stabilizer(g)],
-        "f4_matrix": f4_row_strings(f4_matrix(g)),
+        "f4_matrix": f4_row_strings(rows),
     }
 
 

@@ -2,7 +2,8 @@
 
 Rows are Python ints; bit ``j`` of a row is column ``j``.  All routines are
 pure and deterministic, so canonical forms (reduced row echelon) can be used
-as dictionary keys for deduplication.
+as dictionary keys for deduplication.  Cost model: ``rref`` makes one XOR for
+each pivot bit that a row meets, plus its back substitution; no column scan.
 """
 
 from __future__ import annotations
@@ -139,25 +140,27 @@ class BinMatrix:
 
 
 def rref(rows: Sequence[int], cols: int) -> Tuple[List[int], List[int]]:
-    """Reduced row echelon form. Returns (nonzero rows, pivot columns)."""
-    work = list(rows)
-    pivots: List[int] = []
-    rank_sofar = 0
-    for col in range(cols):
-        pivot = None
-        for r in range(rank_sofar, len(work)):
-            if (work[r] >> col) & 1:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        work[rank_sofar], work[pivot] = work[pivot], work[rank_sofar]
-        for r in range(len(work)):
-            if r != rank_sofar and ((work[r] >> col) & 1):
-                work[r] ^= work[rank_sofar]
-        pivots.append(col)
-        rank_sofar += 1
-    return work[:rank_sofar], pivots
+    """Reduced row echelon form: (nonzero rows, pivot columns), by pivot.  Rows
+    must lie in [0, 2^cols).  Each is reduced on its lowest set bits, and one
+    back substitution, from the highest pivot down, clears the rest."""
+    lead = {}  # lowest set bit (a power of two) -> the stored row it leads
+    for r in rows:
+        if not 0 <= r < 1 << cols:
+            raise ValueError(f"row {r} out of range for {cols} columns")
+        low = r & -r
+        while low in lead:
+            r ^= lead[low]  # adds only bits above low
+            low = r & -r
+        if r:
+            lead[low] = r
+    lows = sorted(lead)
+    pivot_mask = sum(lows)
+    for low in reversed(lows):  # the rows of higher pivots are already reduced
+        above = lead[low] & pivot_mask ^ low
+        while above:
+            lead[low] ^= lead[above & -above]
+            above &= above - 1
+    return [lead[low] for low in lows], [low.bit_length() - 1 for low in lows]
 
 
 def rank(m: BinMatrix) -> int:
@@ -170,21 +173,19 @@ def kernel(m: BinMatrix) -> BinMatrix:
 
 
 def rref_kernel(reduced: Sequence[int], pivots: Sequence[int], cols: int) -> List[int]:
-    """RREF null-space basis of a matrix from its ``rref`` (reduced, pivots)."""
-    basis = []
-    for f in sorted(set(range(cols)) - set(pivots)):
-        v = 1 << f
-        for row, p in zip(reduced, pivots):
-            if (row >> f) & 1:
-                v |= 1 << p
-        basis.append(v)
-    return rref(basis, cols)[0]
+    """RREF null-space basis of a matrix from its ``rref`` (reduced, pivots):
+    free column f with the pivots of the reduced rows that hold bit f."""
+    vectors = {f: 1 << f for f in bits_of((1 << cols) - 1 - sum(1 << p for p in pivots))}
+    for row, p in zip(reduced, pivots):
+        for f in bits_of(row ^ 1 << p):
+            vectors[f] |= 1 << p
+    return rref(list(vectors.values()), cols)[0]
 
 
 def in_rowspan(v: int, rows: Sequence[int], cols: int) -> bool:
-    base, _ = rref(rows, cols)
-    aug, _ = rref(list(base) + [v], cols)
-    return len(aug) == len(base)
+    for row, p in zip(*rref(rows, cols)):  # a reduced row holds no other pivot bit
+        v ^= row if (v >> p) & 1 else 0
+    return v == 0
 
 
 def span(rows: Sequence[int], cols: int) -> List[int]:

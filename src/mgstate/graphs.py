@@ -13,12 +13,13 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .f2 import BinMatrix, bits_of, mask_of, popcount, rank
-from .pauli import BoundExceeded, PauliWord
+from .pauli import BoundExceeded, PauliWord, xz_digits
 
 UNDIRECTED = "--"
 DIRECTED = "->"
 
 F4_NAMES = {0: "0", 1: "1", 2: "w", 3: "w2"}
+_F4_TEXT = str.maketrans({str(v): name for v, name in F4_NAMES.items()})  # xz_digits' digit to its name
 
 
 class GraphParseError(ValueError):
@@ -192,12 +193,11 @@ def f4_matrix(g: MixedGraph) -> List[List[int]]:
     Encoded additively as 2*x + z in {0, 1, 2, 3} = {0, 1, w, w^2}, which
     makes row multiplication in the stabilizer exactly F4 addition.
     """
-    return [[2 * ((row.x >> j) & 1) + ((row.z >> j) & 1) for j in range(g.n)]
-            for row in stabilizer_matrix(g)]
+    return [list(map(int, xz_digits(row.x, row.z, row.n))) for row in stabilizer_matrix(g)]
 
 
-def f4_row_strings(m: List[List[int]]) -> List[str]:
-    return [" ".join(F4_NAMES[v] for v in row) for row in m]
+def f4_row_strings(rows: Sequence[PauliWord]) -> List[str]:
+    return [" ".join(xz_digits(r.x, r.z, r.n)).translate(_F4_TEXT) for r in rows]
 
 
 DEFAULT_MIS_BOUND = 16

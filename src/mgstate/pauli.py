@@ -13,8 +13,9 @@ masks, bit j = qubit j.  ``state_index``, a bit reversal and so linear over
 XOR, is the one map between the two: ``GaussianMatrix.from_offsets``
 applies it, and ``dense_conjugation``, for ``RationalMatrix``, reads it.
 
-This module also owns the letter table (``_LETTER_XZ``, ``_LETTER_ADJUST``,
-``_XZ_LETTER``); ``PauliWord.to_dense`` renders one word as a one-row layout.
+This module also owns the letter tables (``_LETTER_XZ``, ``_LETTER_ADJUST``)
+and ``xz_digits``, the one source of a word's letters and of its F4 row text;
+``PauliWord.to_dense`` renders one word as a one-row layout.
 """
 
 from __future__ import annotations
@@ -47,7 +48,13 @@ def check_dense(nbytes: int, what: str) -> None:
 _LETTER_XZ = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 # phase exponent added when writing the letter in canonical X^x Z^z form
 _LETTER_ADJUST = {"I": 0, "X": 0, "Z": 0, "Y": 1}
-_XZ_LETTER = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
+_DIGIT_LETTER = str.maketrans("0123", "IZXY")  # xz_digits' 2x + z to a letter
+
+
+def xz_digits(x: int, z: int, n: int) -> str:
+    """Character j is 2 x_j + z_j: a mask's binary text read as hex has digit j = bit j."""
+    digits = 2 * int(format(x, "b"), 16) + int(format(z, "b"), 16)
+    return format(digits, f"0{n}x")[::-1][:n]
 
 
 @dataclass(frozen=True)
@@ -82,9 +89,7 @@ class PauliWord:
         return cls(len(letters), x, z, ph)
 
     def letters(self) -> str:
-        return "".join(
-            _XZ_LETTER[((self.x >> j) & 1, (self.z >> j) & 1)] for j in range(self.n)
-        )
+        return xz_digits(self.x, self.z, self.n).translate(_DIGIT_LETTER)
 
     def letter_phase(self) -> int:
         """Phase exponent relative to the plain tensor of letters.

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -1056,12 +1057,37 @@ def test_json_report_matches_stdlib_encoding(argv):
     assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
 
+def sparse_graph_text(n, seed):
+    """2n undirected edges, 3 directed ones and about n/4 red nodes, seeded."""
+    rng = random.Random(seed)
+    pairs = set()
+    while len(pairs) < 2 * n + 3:
+        j, k = sorted(rng.sample(range(n), 2))
+        pairs.add((j, k))
+    kinds = ["->"] * 3 + ["--"] * 2 * n
+    lines = [f"nodes {n}"] + [f"color {j} red" for j in range(n) if rng.random() < 0.25]
+    return "\n".join(lines + [f"edge {j} {kind} {k}" for (j, k), kind in zip(sorted(pairs), kinds)])
+
+
+@pytest.mark.parametrize("text", [sparse_graph_text(256, 3), "nodes 4\nedge 0 -> 1\nedge 2 -> 3\n"],
+                         ids=["n256", "t0"])
+def test_analyze_report_matches_stdlib_encoding(text, tmp_path):
+    # row lists of text are written as one join each; an empty kernel basis as []
+    code, out, _ = run_cli("analyze", "--json", write_graph(tmp_path, text))
+    result = json.loads(out)["result"]
+    assert code == 0 and len(result["kernel_basis"]) == result["t"] == result["n"] - 2 * result["e"]
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
 @pytest.mark.parametrize(
     "value",
     [
         {},
         [],
         [[]],
+        ["a", "\u00e9\n"],
+        ["a", 1, "b"],
+        {"s": ["x", None], "t": [["y"], "z", ["", 2]], "u": ("v", "")},
         [[1, -2], [3, 4]],
         [[1, True], [3, 4]],
         [[1], [2, 3]],

@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mgstate.f2 import (
     BinMatrix,
@@ -42,6 +44,90 @@ def test_is_symmetric_matches_transpose(rng):
                         i, j = rng.sample(range(n), 2)
                         m = BinMatrix(m.rows[:i] + (m.rows[i] ^ 1 << j,) + m.rows[i + 1:], n)
                 assert m.is_symmetric() == (m == m.transpose())
+
+
+def rref_column_scan(rows, cols):
+    """The oracle: for each column in turn, take the first unused row with a
+    1 there as its pivot row, move it up, and clear the column in every other
+    row.  O(cols x rows) column tests whatever the rank."""
+    work = list(rows)
+    pivots = []
+    for col in range(cols):
+        found = next((r for r in range(len(pivots), len(work)) if (work[r] >> col) & 1), None)
+        if found is None:
+            continue
+        top = len(pivots)
+        work[top], work[found] = work[found], work[top]
+        for r in range(len(work)):
+            if r != top and (work[r] >> col) & 1:
+                work[r] ^= work[top]
+        pivots.append(col)
+    return work[:len(pivots)], pivots
+
+
+def check_elimination(rows, cols):
+    """``rref`` against the oracle, and what ``kernel`` and ``in_rowspan``
+    derive from it against their definitions."""
+    reduced, pivots = rref(rows, cols)
+    assert (reduced, pivots) == rref_column_scan(rows, cols)
+    m = BinMatrix(tuple(rows), cols)
+    ker = kernel(m).rows
+    assert len(ker) == cols - len(pivots)
+    assert all(m.mul_vec(v) == 0 for v in ker)
+    for v in list(rows[:3]) + [rows[0] ^ 1 << (cols - 1) if rows and cols else 0]:
+        assert in_rowspan(v, rows, cols) == (len(rref(list(rows) + [v], cols)[0]) == len(reduced))
+
+
+def mixed_rows(rng, cols, count):
+    """Random rows with zero, unit, duplicate and dependent (sum) rows mixed in."""
+    rows = []
+    for _ in range(count):
+        kind = rng.randrange(5)
+        if kind == 0:
+            rows.append(0)
+        elif kind == 1 and cols:
+            rows.append(1 << rng.randrange(cols))
+        elif kind == 2 and rows:
+            rows.append(rng.choice(rows))
+        elif kind == 3 and rows:
+            rows.append(rng.choice(rows) ^ rng.choice(rows))
+        else:
+            rows.append(rng.randrange(1 << cols))
+    return rows
+
+
+def test_rref_matches_column_scan_seeded(rng):
+    for cols in range(301):
+        check_elimination(mixed_rows(rng, cols, rng.randrange(13)), cols)
+    for _ in range(100):  # wide and low rank, like Gamma: few rows, many sums of them
+        cols = rng.randrange(1, 301)
+        base = mixed_rows(rng, cols, rng.randrange(1, 5))
+        sums = [rng.choice(base) ^ rng.choice(base) for _ in range(rng.randrange(20))]
+        check_elimination(base + sums, cols)
+
+
+@st.composite
+def row_lists(draw):
+    cols = draw(st.integers(0, 300))
+    unit = st.integers(0, cols - 1).map(lambda j: 1 << j) if cols else st.just(0)
+    rows = draw(st.lists(st.one_of(st.integers(0, (1 << cols) - 1), unit), max_size=10))
+    for i, j in draw(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=6)):
+        if rows:  # a duplicate when i == j, else a sum of two rows
+            rows.append(rows[i % len(rows)] ^ (rows[j % len(rows)] if i != j else 0))
+    return rows, cols
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(row_lists())
+def test_rref_matches_column_scan(rows_cols):
+    check_elimination(*rows_cols)
+
+
+def test_rref_rejects_rows_out_of_range():
+    for rows, cols in (([1], 0), ([8], 3), ([0, 1 << 300], 300), ([-1], 3), ([3, 1 << 40], 40)):
+        with pytest.raises(ValueError, match="out of range"):
+            rref(rows, cols)
+    assert rref([7], 3) == ([7], [0])
 
 
 def test_rank_zero_matrix():

@@ -8,6 +8,7 @@ import pytest
 
 from mgstate.f2 import BinMatrix, rank
 from mgstate.graphs import (
+    F4_NAMES,
     GraphParseError,
     MixedGraph,
     complete_multipartite_parts,
@@ -19,6 +20,7 @@ from mgstate.graphs import (
     parse_graph,
     stabilizer_matrix,
 )
+from mgstate.pauli import PauliWord
 from paper_data import APPENDIX_A, CLIQUE6, FIVENODE, FOURNODE, PATH_MIXED, TRIANGLE
 
 FIXTURES = Path(__file__).parent.parent / "src" / "mgstate" / "fixtures"
@@ -207,18 +209,17 @@ def test_f4_matrix_display_example():
     g = parse_graph(
         "nodes 3\nedge 0 -- 1\nedge 0 -- 2\nedge 1 -- 2\ncolor 1 red\ncolor 2 red\n"
     )
-    m = f4_matrix(g)
-    assert f4_row_strings(m) == ["w 1 1", "1 w2 1", "1 1 w2"]
+    assert f4_row_strings(stabilizer_matrix(g)) == ["w 1 1", "1 w2 1", "1 1 w2"]
 
 
 def test_f4_matrix_edgeless_is_omega_identity():
     g = parse_graph("nodes 3\n")
-    assert f4_row_strings(f4_matrix(g)) == ["w 0 0", "0 w 0", "0 0 w"]
+    assert f4_row_strings(stabilizer_matrix(g)) == ["w 0 0", "0 w 0", "0 0 w"]
 
 
 def test_f4_matrix_triangle():
     g = parse_graph(TRIANGLE)
-    assert f4_row_strings(f4_matrix(g)) == ["w 1 0", "0 w 1", "1 0 w"]
+    assert f4_row_strings(stabilizer_matrix(g)) == ["w 1 0", "0 w 1", "1 0 w"]
 
 
 def test_f4_addition_matches_row_products(rng):
@@ -231,6 +232,22 @@ def test_f4_addition_matches_row_products(rng):
         added = [a ^ b for a, b in zip(m[0], m[2])]
         got = [2 * ((prod.x >> j) & 1) + ((prod.z >> j) & 1) for j in range(4)]
         assert got == added
+
+
+def test_f4_rows_match_per_entry_oracle(rng):
+    # f4_matrix and f4_row_strings against one F4_NAMES lookup per entry
+    def oracle(w):
+        return [2 * ((w.x >> j) & 1) + ((w.z >> j) & 1) for j in range(w.n)]
+
+    for n in (1, 2, 5, 64, 300):
+        pairs = {tuple(rng.sample(range(n), 2)) for _ in range(2 * n)} if n > 1 else set()
+        edges = {(min(p), max(p)): (*p, rng.choice(("--", "->"))) for p in pairs}
+        g = MixedGraph.build(n, edges.values(), [j for j in range(n) if rng.random() < 0.25])
+        rows = stabilizer_matrix(g)
+        assert f4_matrix(g) == [oracle(w) for w in rows]
+        assert f4_row_strings(rows) == [" ".join(F4_NAMES[v] for v in oracle(w)) for w in rows]
+    words = [PauliWord(n, rng.randrange(1 << n), rng.randrange(1 << n), 0) for n in range(301)]
+    assert f4_row_strings(words) == [" ".join(F4_NAMES[v] for v in oracle(w)) for w in words]
 
 
 def test_maximal_independent_sets_appendix():

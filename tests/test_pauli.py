@@ -22,6 +22,7 @@ from mgstate.pauli import (
     PauliWord,
     ordered_product,
     state_index,
+    xz_digits,
 )
 from paper_data import TRIANGLE, TRIANGLE_S_WORDS
 
@@ -44,6 +45,23 @@ def test_letter_round_trip():
         w = PauliWord.from_letters("".join(letters))
         assert w.letters() == "".join(letters)
         assert w.letter_phase() == 0
+
+
+# the per-qubit letter loop that ``xz_digits`` replaced, kept as the oracle
+XZ_LETTER = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
+
+
+def test_xz_digits_and_letters_match_per_qubit_loop(rng):
+    assert xz_digits(0, 0, 0) == ""  # format gives "0": the slice drops it
+    assert xz_digits(0b01, 0b11, 2) == "31"
+    for n in range(301):
+        x, z = rng.randrange(1 << n), rng.randrange(1 << n)
+        w = PauliWord(n, x, z, rng.randrange(4))
+        bits = [((x >> j) & 1, (z >> j) & 1) for j in range(n)]
+        assert xz_digits(x, z, n) == "".join(str(2 * a + b) for a, b in bits)
+        assert w.letters() == "".join(XZ_LETTER[b] for b in bits)
+        back = PauliWord.from_letters(w.letters())
+        assert (back.n, back.x, back.z) == (n, x, z)
 
 
 def test_single_qubit_dense_values():
