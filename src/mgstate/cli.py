@@ -14,6 +14,16 @@ Each builder runs the checks that vouch for its output, and ``verify`` calls
 every builder, so ``children`` runs ``verify``'s checks on each child it
 prints: its ``oracle_verified: true`` means that they passed.
 
+``verify`` builds and checks a graph's children a chunk at a time.  A chunk
+of k children shares n and |D| = 2^(n-e) and holds offsets (k, |D|) and
+numerators (k, 2, |D|, 2^n); ``states.chunk_len`` sizes it to the module
+constant ``states.CHUNK_ENTRIES`` = 2^14 layout entries, 8 children at (n,
+e) = (7, 3) and 32 at (6, 3).  Each route and each check is one array pass
+over a chunk; ``children`` passes a chunk of one per streamed entry.  The
+first failure is still reported in (subgroup, check) order: a chunk's
+parents are built before its children, so a parent's failure waits until
+the children of the subgroups before it are checked.
+
 ``subgroups`` and ``children`` stream their entries, so on a non-zero exit
 stdout is not a complete report: the entries written so far, their last line
 ended, then exit 1's ``FAIL <name>: <reproducer>`` line.  Bound and input
@@ -59,7 +69,14 @@ from .graphs import (
     parse_graph,
     stabilizer_matrix,
 )
-from .pauli import BoundExceeded, PauliWord, check_dense, distinct_entries, ordered_product
+from .pauli import (
+    BoundExceeded,
+    PauliWord,
+    check_dense,
+    distinct_entries,
+    ordered_product,
+    state_index,
+)
 from .signfree import (
     canonical_family,
     commuting_subsets_oracle,
@@ -69,9 +86,11 @@ from .signfree import (
 )
 from .states import (
     ChildResult,
+    DensityMatrix,
     child_from_partial_trace,
     child_from_pauli_sum,
     children_family_e1,
+    chunk_len,
     stabilized_by,
 )
 from .subgroups import (
@@ -110,19 +129,36 @@ def _require(name: str, ok: bool, reproducer: str) -> None:
 Check = Callable[[str, bool, str], None]
 
 
-def _check_child(child: ChildResult, rows: Sequence[PauliWord], check: Check = _require) -> None:
-    """The child's cross-checks: the Pauli sum equals the partial trace of
-    the parent, the mixed graph's stabilizer rows fix it, and it is a
-    density matrix of purity 2^-e."""
-    p = child.parent
-    reproducer = f"parent {p.ae.row_strings()} offsets {sorted(p.lab_offsets)}"
-    check("pauli-sum-vs-partial-trace", child.rho == child_from_partial_trace(p), reproducer)
-    check("child-stabilized", stabilized_by(child.rho, rows), reproducer)
-    check("child-trace-one", child.rho.trace_is_one(), "trace != 1")
-    check("child-hermitian", child.rho.is_hermitian(), "rho not Hermitian")
-    if p.e >= 1:
-        purity, want = child.rho.purity(), Fraction(1, 1 << p.e)
-        check("child-mixed", purity == want, f"purity {purity} != {want}")
+def _check_children(children: ChildResult, rows: Sequence[PauliWord], check: Check = _require) -> None:
+    """The children's cross-checks: each Pauli sum equals the partial trace
+    of its parent, the mixed graph's stabilizer rows fix it, and it is a
+    density matrix of purity 2^-e.  Each check is one array pass over a
+    chunk of ``chunk_len`` children, and ``check`` then reads the verdicts
+    in (child, check) order, so the first failure named is the one that
+    checking one child at a time meets first."""
+    n, e = children.rho.n, children.parents[0].e
+    size = chunk_len(n, e)
+    for start in range(0, len(children), size):
+        chunk = children[start:start + size]
+        rho, parents = chunk.rho, chunk.parents
+
+        def where(i: int) -> str:
+            p = parents[i]
+            return f"parent {p.ae.row_strings()} offsets {sorted(p.lab_offsets)}"
+
+        verdicts: List[Tuple[str, Sequence, Callable[[int], str]]] = [
+            ("pauli-sum-vs-partial-trace", rho.agrees_with(child_from_partial_trace(parents)), where),
+            ("child-stabilized", stabilized_by(rho, rows), where),
+            ("child-trace-one", rho.trace_is_one(), lambda i: "trace != 1"),
+            ("child-hermitian", rho.is_hermitian(), lambda i: "rho not Hermitian"),
+        ]
+        if e >= 1:
+            purity, want = rho.purity(), Fraction(1, 1 << e)
+            mixed = [value == want for value in purity]
+            verdicts.append(("child-mixed", mixed, lambda i: f"purity {purity[i]} != {want}"))
+        for i in range(len(chunk)):
+            for name, ok, reproducer in verdicts:
+                check(name, bool(ok[i]), "" if ok[i] else reproducer(i))
 
 
 def _subgroups(red: GammaReduction, bound: int, check: Check = _require) -> List[IsotropicSubspace]:
@@ -153,8 +189,8 @@ def _parent(
 
 def _family(
     g: MixedGraph, duals: Sequence[PauliWord], check: Check = _require
-) -> Tuple[List[ChildResult], List[List[int]]]:
-    """The e = 1 children, one per ``extend_e1`` parent, and their classes."""
+) -> Tuple[ChildResult, List[List[int]]]:
+    """The e = 1 children, one per ``extend_e1`` parent, as one chunk, and their classes."""
     parents = extend_e1(g)
     for k, p in enumerate(parents):  # _require: the report's check count predates this test
         _require("extension-commutes", p.ae.is_symmetric(), f"e = 1 parent {k}")
@@ -494,9 +530,9 @@ def _phase_text(p: ParentExtension) -> str:
 
 
 def _parent_payload(rows: Sequence[PauliWord], child: ChildResult) -> Dict:
-    _check_child(child, rows)
-    p = child.parent
-    l_sets, gmat, h = child.indicator
+    """The report of one child, a chunk of one, once its checks pass."""
+    _check_children(child, rows)
+    p, (l_sets, gmat, h) = child.parents[0], child.indicators[0]
     return {
         "parent_rows": [r.letters() for r in p.rows()],
         "ext_columns": [
@@ -509,7 +545,7 @@ def _parent_payload(rows: Sequence[PauliWord], child: ChildResult) -> Dict:
         "parity_h": h.row_strings(),
         "generators_g": gmat.row_strings(),
         "coefficients": {
-            bitstring(j, p.n): _coeff_str(k) for j, k in sorted(child.terms.items())
+            bitstring(j, p.n): _coeff_str(k) for j, k in child.terms(0).items()
         },
         "rho": child.rho.to_json_dict(),
         "rho_text": child.rho.mat.to_text_grid(),
@@ -527,7 +563,7 @@ def cmd_children(args) -> int:
     result: Dict = {"e": e, "t": t}
     if args.subgroup is None and not args.all and e == 1:
         children, classes = _family(g, duals)
-        reports: Iterable[Dict] = [_parent_payload(rows, c) for c in children]
+        reports: Iterable[Dict] = [_parent_payload(rows, c) for c in children]  # chunks of one
         result["mode"] = "family"
         result["classes"] = classes
     else:
@@ -541,9 +577,9 @@ def cmd_children(args) -> int:
             chosen = [(args.subgroup, subs[args.subgroup])]
         result["mode"] = "subgroups"
 
-        def payload(idx: int, sub: IsotropicSubspace) -> Dict:
+        def payload(idx: int, sub: IsotropicSubspace) -> Dict:  # a chunk of one child
             p, ind = _parent(g, idx, sub, rows)
-            child = child_from_pauli_sum(p, duals, ind)
+            child = child_from_pauli_sum([p], duals, [ind])
             return {**_parent_payload(rows, child), "subgroup_index": idx}
 
         reports = starmap(payload, chosen)
@@ -614,7 +650,8 @@ def cmd_signfree(args) -> int:
 
 
 def _verify_graph(g: MixedGraph, expect: Optional[Dict], bound: int) -> List[str]:
-    """Full invariant battery; raises InvariantViolation on the first failure."""
+    """Full invariant battery; raises InvariantViolation on the first failure
+    in (subgroup, check) order.  Returns every check passed, repeats included."""
     checked: List[str] = []
 
     def check(name: str, ok: bool, reproducer: str) -> None:
@@ -651,13 +688,23 @@ def _verify_graph(g: MixedGraph, expect: Optional[Dict], bound: int) -> List[str
     # a work guard in bytes: parent checks need no child; past the cap on all
     # the child layouts this run builds, the children go unchecked, not refused
     dense = _children_fit(g.n, e)
-    for idx, sub in enumerate(subs):
-        p, ind = _parent(g, idx, sub, rows, check)
-        if dense:
-            _check_child(child_from_pauli_sum(p, duals, ind), rows, check)
+    size = chunk_len(g.n, e)
+    for start in range(0, len(subs), size):
+        parents, inds, failed = [], [], None
+        try:
+            for idx in range(start, min(start + size, len(subs))):
+                p, ind = _parent(g, idx, subs[idx], rows, check)
+                parents.append(p)
+                inds.append(ind)
+        except (InvariantViolation, ExtensionError) as err:  # once the children before it pass
+            failed = err
+        if dense and parents:
+            _check_children(child_from_pauli_sum(parents, duals, inds), rows, check)
+        if failed is not None:
+            raise failed
     family = _family(g, duals, check) if dense and e == 1 else None
-    for child in family[0] if family else ():
-        _check_child(child, rows, check)
+    if family:
+        _check_children(family[0], rows, check)
 
     if expect:
         found = {"n": g.n, "e": e, "t": t, "gamma_rank": gamma_rank}
@@ -684,7 +731,7 @@ def _verify_graph(g: MixedGraph, expect: Optional[Dict], bound: int) -> List[str
             )
         if "children_e1" in expect:
             # a graph with e != 1 has no e = 1 family: it counts 0 children
-            children, classes = family or (_family(g, duals, check) if e == 1 else ([], []))
+            children, classes = family or (_family(g, duals, check) if e == 1 else ((), []))
             check(
                 "expect-children-count",
                 len(children) == expect["children_e1"]["count"],
@@ -696,12 +743,11 @@ def _verify_graph(g: MixedGraph, expect: Optional[Dict], bound: int) -> List[str
                 f"{len(classes)} classes",
             )
             if "rho_json" in expect["children_e1"]:
-                got_rhos = [c.rho.to_json_dict() for c in children]
-                for rho in got_rhos:  # the lists that the report's JSON holds
-                    rho["entries"] = rho["entries"].tolist()
+                stored = expect["children_e1"]["rho_json"]
                 check(
                     "expect-children-rho",
-                    got_rhos == expect["children_e1"]["rho_json"],
+                    len(stored) == len(children)
+                    and all(_is_stored_rho(c.rho, rho) for c, rho in zip(children, stored)),
                     "a child density matrix differs from the stored fixture",
                 )
         if "stabilizer" in expect:
@@ -713,9 +759,33 @@ def _verify_graph(g: MixedGraph, expect: Optional[Dict], bound: int) -> List[str
     return checked
 
 
+def _is_stored_rho(rho: DensityMatrix, stored: Dict) -> bool:
+    """Whether ``stored``, a fixture's ``rho_json`` entry, is the JSON report
+    of ``rho``, a chunk of one, without rendering it: the same n, dim and
+    denominator, ``entries[a, b]`` = (re, im) at each (c ^ d, c) of the
+    layout, read at the masks' state indices, and zero everywhere else.
+    Malformed entries compare unequal."""
+    if stored.keys() != {"n", "dim", "denom_log2", "entries"}:
+        return False
+    if [stored["n"], stored["dim"], stored["denom_log2"]] != [rho.n, rho.dim, rho.denom_log2]:
+        return False
+    try:
+        entries = np.array(stored["entries"])
+    except ValueError:  # ragged lists
+        return False
+    if entries.dtype.kind not in "biuf" or entries.shape != (rho.dim, rho.dim, 2):
+        return False
+    index = state_index(rho.n)
+    at = entries[index[rho.offsets[0][:, None] ^ np.arange(rho.dim)], index]
+    return np.array_equal(np.moveaxis(at, -1, 0), rho.num[0]) and np.count_nonzero(
+        entries) == np.count_nonzero(at)
+
+
 def _children_fit(n: int, e: int) -> bool:
-    """Whether the total bytes of the child layouts one ``verify`` run builds, chi(e) plus the
-    e = 1 family's 6, fit the cap: a work guard, as ``verify`` holds one layout, or six, at once."""
+    """Whether the total bytes of the child layouts one ``verify`` run builds,
+    chi(e) plus the e = 1 family's 6, fit the cap.  It is a work guard
+    counted in bytes, not a bound on memory: ``verify`` holds one chunk of
+    ``chunk_len`` children at a time, or the family's six."""
     try:
         check_dense((chi(e) + 6 * (e == 1)) * (8 << 2 * n - e), "verify's children")
     except BoundExceeded:

@@ -36,7 +36,7 @@ import numpy as np
 from .f2 import BinMatrix, bits_of, kernel, mask_of
 from .graphs import MixedGraph, complete_multipartite_parts, stabilizer_matrix
 from .pauli import PauliWord
-from .subgroups import IsotropicSubspace
+from .subgroups import GammaReduction, IsotropicSubspace
 
 
 class ExtensionError(RuntimeError):
@@ -80,16 +80,6 @@ class ParentExtension:
     def total(self) -> int:
         return self.n + self.e
 
-    def phases(self, x: np.ndarray) -> np.ndarray:
-        """p(x) = x A x^T + 2 o.x mod 4 at each row of the 0/1 array ``x``,
-        whose column j is qubit j: each red node in x counts once, each edge
-        inside x twice.  A row of k < n + e columns sets no later qubit."""
-        k = x.shape[1]
-        rows = list(self.ae.rows[:k]) + [mask_of(self.lab_offsets | self.env_offsets)]
-        low = (1 << k) - 1  # a row over k qubits: bits past k may not fit int64
-        a = (np.array([r & low for r in rows], dtype=np.int64)[:, None] >> np.arange(k)) & 1
-        return (((x @ a[:k]) * x).sum(axis=1) + 2 * (x @ a[k])) & 3
-
     def row(self, j: int) -> PauliWord:
         sign = 2 if (j in self.lab_offsets or j in self.env_offsets) else 0
         return PauliWord(self.total, 1 << j, self.ae.rows[j], self.ae.get(j, j) + sign)
@@ -101,6 +91,21 @@ class ParentExtension:
         """H: the environment rows of ``ae`` on the lab bits, row m = L_m."""
         lab = (1 << self.n) - 1
         return BinMatrix(tuple(r & lab for r in self.ae.rows[self.n:]), self.n)
+
+
+def phases(parents: Sequence[ParentExtension], x: np.ndarray) -> np.ndarray:
+    """p(x) = x A x^T + 2 o.x mod 4 of each parent at each row of the 0/1
+    array ``x``, whose column j is qubit j: entry [i, r] is parent i at row
+    r.  ``x`` is one (rows, k) block for all parents or one block per parent,
+    (parents, rows, k).  Each red node in x counts once, each edge inside x
+    twice.  A row of k < n + e columns sets no later qubit."""
+    k = x.shape[-1]
+    low = (1 << k) - 1  # a row over k qubits: bits past k may not fit int64
+    rows = [[r & low for r in p.ae.rows[:k]] + [mask_of(p.lab_offsets | p.env_offsets) & low]
+            for p in parents]
+    a = (np.array(rows, dtype=np.int64).reshape(len(rows), k + 1)[..., None] >> np.arange(k)) & 1
+    quadratic = (np.matmul(x, a[:, :k]) * x).sum(axis=-1)
+    return (quadratic + 2 * np.matmul(x, a[:, k, :, None])[..., 0]) & 3
 
 
 Indicator = Tuple[List[Tuple[int, ...]], BinMatrix, BinMatrix]
@@ -275,6 +280,22 @@ def meets_extension_condition(gamma: BinMatrix, columns: Iterable[Tuple[int, int
     return tuple(form) == gamma.rows
 
 
+# The graph and the reduction last found to share Gamma.  Every subgroup of one
+# enumeration shares its reduction; both are frozen, so a pair found equal stays
+# equal, and holding them keeps their identities from being reused.
+_SAME_GAMMA: List[object] = [None, None]
+
+
+def _check_gamma(g: MixedGraph, red: GammaReduction) -> None:
+    """Raise ``ExtensionError`` unless ``red`` reduces g's Gamma, testing
+    each (graph, enumeration) pair once."""
+    if _SAME_GAMMA[0] is g and _SAME_GAMMA[1] is red:
+        return
+    if not g.has_gamma(red.gamma):
+        raise ExtensionError("subgroup does not come from the graph's Gamma")
+    _SAME_GAMMA[:] = g, red
+
+
 def extend_for_subgroup(
     g: MixedGraph,
     m_sub: IsotropicSubspace,
@@ -304,11 +325,11 @@ def extend_for_subgroup(
     ``symmetrize`` writes H as the parent's parity matrix, so its J is the
     subgroup by construction: the CLI's ``indicator-matches-subgroup`` is the
     one check of that.  Raises ``ExtensionError`` when the subgroup comes
-    from another Gamma or has the wrong dimension.
+    from another Gamma, a test run once per graph and enumeration, or has
+    the wrong dimension.
     """
     gamma = m_sub.reduction.gamma
-    if not g.has_gamma(gamma):
-        raise ExtensionError("subgroup does not come from the graph's Gamma")
+    _check_gamma(g, m_sub.reduction)
     e = m_sub.reduction.e
     h = parity_basis(m_sub)
     if h.nrows != e:

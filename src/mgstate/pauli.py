@@ -122,12 +122,20 @@ class PauliWord:
         return GaussianMatrix.from_offsets(np.array([self.x]), rows, 0)
 
 
+_STATE_INDEX: Dict[int, np.ndarray] = {}  # state_index(n) by n, built once, read-only
+
+
 def state_index(n: int) -> np.ndarray:
     """Entry m: the state index of the n-qubit mask m, its n-bit reversal.  A
-    new highest qubit shifts every index up one place and sets index bit 0."""
-    index = np.zeros(1, dtype=np.int64)
-    for _ in range(n):
-        index = np.concatenate((2 * index, 2 * index + 1))
+    new highest qubit shifts every index up one place and sets index bit 0.
+    Each n's table is built once and then shared, so it is read-only."""
+    index = _STATE_INDEX.get(n)
+    if index is None:
+        index = np.zeros(1, dtype=np.int64)
+        for _ in range(n):
+            index = np.concatenate((2 * index, 2 * index + 1))
+        index.flags.writeable = False
+        _STATE_INDEX[n] = index
     return index
 
 
@@ -170,10 +178,12 @@ def i_power(k: np.ndarray) -> np.ndarray:
 
 def word_rows(n: int, zs: np.ndarray, ks: Sequence[int]) -> np.ndarray:
     """Row r: i^(ks[r] + 2 zs[r].c) over the column masks c, zs qubit masks,
-    as ``i_power`` stacks it.  w = i^k X^x Z^z sends |c> to i^k (-1)^{z.c}
-    |c ^ x>, so that row is w[c ^ x, c], the XOR-offset row x of w."""
+    as ``i_power`` stacks it; ``zs`` and ``ks`` may have any equal shape.
+    w = i^k X^x Z^z sends |c> to i^k (-1)^{z.c} |c ^ x>, so that row is
+    w[c ^ x, c], the XOR-offset row x of w."""
     cols = np.arange(1 << n, dtype=np.int64)
-    return i_power(np.asarray(ks, dtype=np.int64)[:, None] + 2 * _parity_array(zs[:, None] & cols))
+    ks = np.asarray(ks, dtype=np.int64)[..., None]
+    return i_power(ks + 2 * _parity_array(zs[..., None] & cols))
 
 
 def ordered_product(rows: Sequence[PauliWord], indices: Iterable[int]) -> PauliWord:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import sys
+from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +10,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from mgstate.extension import verify_full_commutation
+from mgstate.f2 import combine, mask_of, span_of_basis
 from mgstate.pauli import (
     GaussianMatrix,
     PauliWord,
@@ -16,6 +20,7 @@ from mgstate.pauli import (
     dense_conjugation,
     i_power,
     state_index,
+    word_rows,
 )
 from mgstate.states import DensityMatrix
 
@@ -72,15 +77,16 @@ def divided_by_pow2(m: GaussianMatrix, extra: int) -> GaussianMatrix:
 
 
 def layout_of(m: GaussianMatrix) -> DensityMatrix:
-    """m in the XOR-offset layout, on the offsets where it has a nonzero
-    entry: V[d, c] = m[index[c ^ d], index[c]] over qubit masks d and c."""
+    """m in the XOR-offset layout, a chunk of one, on the offsets where it
+    has a nonzero entry: V[d, c] = m[index[c ^ d], index[c]] over qubit
+    masks d and c."""
     dim = m.dim
     index = state_index(dim.bit_length() - 1)
     cols = np.arange(dim)
     rows = cols[:, None] ^ cols  # rows[d, c] = c ^ d
     num = np.stack((m.re[index[rows], index], m.im[index[rows], index]))
     keep = np.flatnonzero(num.any(axis=(0, 2)))
-    return DensityMatrix(dim.bit_length() - 1, keep, num[:, keep], m.denom_log2)
+    return DensityMatrix(dim.bit_length() - 1, keep[None], num[None, :, keep], m.denom_log2)
 
 
 def conjugate_dense(m: GaussianMatrix, w: PauliWord) -> GaussianMatrix:
@@ -108,3 +114,74 @@ def rng():
     import random
 
     return random.Random(20240811)
+
+
+# ---- the per-child routes and checks that the chunked ones replaced, kept as their oracle ----
+
+
+@dataclass(frozen=True, eq=False)
+class OneChild:
+    """One child in the XOR-offset layout, built and checked on its own:
+    rho[c ^ offsets[k], c] = (num[0] + i num[1])[k, c] / 2^denom_log2."""
+
+    n: int
+    offsets: np.ndarray
+    num: np.ndarray
+    denom_log2: int
+
+    def trace_is_one(self) -> bool:
+        has_diagonal = len(self.offsets) > 0 and int(self.offsets[0]) == 0
+        return has_diagonal and self.num[:, 0].sum(axis=1).tolist() == [1 << self.denom_log2, 0]
+
+    def is_hermitian(self) -> bool:
+        pair = self.offsets[:, None] ^ np.arange(1 << self.n)
+        conj = self.num * np.array([[[1]], [[-1]]], dtype=self.num.dtype)
+        return np.array_equal(np.take_along_axis(self.num, pair[None], 2), conj)
+
+    def purity(self) -> Fraction:
+        num = self.num.astype(np.int64)
+        return Fraction(int((num * num).sum()), 1 << (2 * self.denom_log2))
+
+    def stabilized_by(self, gens) -> bool:
+        for w in gens:
+            sign = (1 - 2 * _parity_array(self.offsets & w.z)).astype(self.num.dtype)[:, None]
+            moved = self.num.take(np.arange(1 << self.n) ^ w.x, axis=2) * sign
+            if not np.array_equal(moved, self.num):
+                return False
+        return True
+
+
+def one_phases(p, x):
+    """p(x) = x A x^T + 2 o.x mod 4 of one parent at each row of ``x``."""
+    k = x.shape[1]
+    rows = list(p.ae.rows[:k]) + [mask_of(p.lab_offsets | p.env_offsets)]
+    low = (1 << k) - 1
+    a = (np.array([r & low for r in rows], dtype=np.int64)[:, None] >> np.arange(k)) & 1
+    return (((x @ a[:k]) * x).sum(axis=1) + 2 * (x @ a[k])) & 3
+
+
+def one_pauli_sum(p, duals, ind):
+    """The Pauli-sum child of one parent and its terms, J member -> b_j."""
+    n, basis = p.n, ind[1].rows
+    qubits = np.arange(n)
+    x = np.array(span_of_basis(basis), dtype=np.int64)
+    bits = (x[:, None] >> qubits) & 1
+    zrows = (np.array([w.z for w in duals], dtype=np.int64)[:, None] >> qubits) & 1
+    z = (bits @ zrows) & 1
+    upper = zrows * (qubits[:, None] < qubits)
+    phase = (bits @ [w.phase for w in duals] + 2 * ((bits @ upper) * bits).sum(1)) & 3
+    b = (-one_phases(p, bits) - phase - 2 * (bits * z).sum(1)) & 3
+    dual_z = [w.z for w in duals]
+    assert verify_full_commutation([PauliWord(n, g, combine(dual_z, g), 0) for g in basis])
+    rho = OneChild(n, x, word_rows(n, z @ (1 << qubits), phase + b), n)
+    return rho, dict(zip(x.tolist(), b.tolist()))
+
+
+def one_partial_trace(p):
+    """The partial-trace child of one parent."""
+    n = p.n
+    lab = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    h_t = (np.array(p.parity_matrix().rows, np.int64) >> np.arange(n)[:, None]) & 1
+    d = np.flatnonzero(~((lab @ h_t) & 1).any(axis=1))
+    p_lab = one_phases(p, lab)
+    return OneChild(n, d, i_power(p_lab[d[:, None] ^ np.arange(1 << n)] - p_lab), n)

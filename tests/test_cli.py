@@ -28,7 +28,7 @@ from mgstate.cli import _emit, main
 from mgstate.extension import extend_e1, extend_for_subgroup
 from mgstate.f2 import bits_of, bitstring, mask_of
 from mgstate.pauli import GaussianMatrix, PauliWord, ordered_product
-from mgstate.states import ChildResult, child_from_partial_trace
+from mgstate.states import ChildResult, DensityMatrix, child_from_partial_trace
 from mgstate.subgroups import IsotropicSubspace
 from paper_data import RHO0_NUM, RHO1_NUM, RHO2_NUM, TRIANGLE
 from test_extension import SPARSE128
@@ -203,9 +203,9 @@ def test_each_child_built_once(monkeypatch):
         products.append(indices)
         return ordered_product(rows, indices)
 
-    def terms(p, duals, basis):
-        out = original_terms(p, duals, basis)
-        members.append(len(out[0]))
+    def terms(parents, duals, bases):  # members per child of the chunk
+        out = original_terms(parents, duals, bases)
+        members.extend([out[0].shape[1]] * len(parents))
         return out
 
     monkeypatch.setattr(mgstate.cli, "ordered_product", counted)
@@ -227,12 +227,14 @@ BATTERY_COMMANDS = [["verify"], ["children", "--all", "--json"]]
 def test_child_mixed_rejects_maximally_mixed_child(monkeypatch):
     # I/2^n agrees on both routes, is fixed by every stabilizer row, has
     # trace one and is not pure, but its purity is 2^-n, not 2^-e
-    def maximally_mixed(p):
-        ident = np.eye(1 << p.n, dtype=np.int64)
-        return layout_of(GaussianMatrix(ident, 0 * ident, p.n))
+    def maximally_mixed(parents):  # one I/2^n per parent of the chunk
+        n, k = parents[0].n, len(parents)
+        ident = layout_of(GaussianMatrix(np.eye(1 << n, dtype=np.int64), np.zeros((1 << n,) * 2), n))
+        return DensityMatrix(n, ident.offsets.repeat(k, 0), ident.num.repeat(k, 0), n)
 
-    def pauli_sum_route(p, duals, ind):
-        return ChildResult(p, ind, maximally_mixed(p), {})
+    def pauli_sum_route(parents, duals, inds):
+        rho = maximally_mixed(parents)
+        return ChildResult(tuple(parents), tuple(inds), rho, np.zeros(rho.offsets.shape, int))
 
     monkeypatch.setattr(mgstate.cli, "child_from_pauli_sum", pauli_sum_route)
     monkeypatch.setattr(mgstate.cli, "child_from_partial_trace", maximally_mixed)
@@ -329,10 +331,10 @@ def test_verify_checks_parents_beyond_dense_bound(tmp_path):
 
 
 def test_extension_commutes_by_symmetry(monkeypatch):
-    # clique6: 135 parents, each checked on its child's 3 generators (3
-    # pairs), plus the 6 x 6 dual-against-stabilizer check and the 6 x 6
-    # signfree table; no parent's rows are checked pairwise, since they
-    # commute iff the adjacency symmetrize writes down is symmetric
+    # clique6: the 6 x 6 dual-against-stabilizer check and the 6 x 6
+    # signfree table; the children's generators are checked in one array
+    # product per chunk, and no parent's rows are checked pairwise, since
+    # they commute iff the adjacency symmetrize writes down is symmetric
     calls = []
     original = PauliWord.commutes
 
@@ -343,7 +345,7 @@ def test_extension_commutes_by_symmetry(monkeypatch):
     monkeypatch.setattr(PauliWord, "commutes", counted)
     code, _, _ = run_cli("verify", str(FIXTURES / "clique6.graph"))
     assert code == 0
-    assert len(calls) == 135 * 3 + 36 + 36
+    assert len(calls) == 36 + 36
 
 
 def test_extension_found_rejects_flipped_letter(monkeypatch):
@@ -363,8 +365,9 @@ def test_extension_found_rejects_flipped_letter(monkeypatch):
 @pytest.mark.parametrize("fixture", JSON_FIXTURES, ids=lambda p: p.name.split(".")[0])
 def test_dense_matrix_built_only_to_render(monkeypatch, fixture):
     # verify checks every child on its XOR-offset layout and renders none,
-    # except the e = 1 children a fixture pins as JSON, which it renders to
-    # compare; children --all --json renders each child it prints once
+    # not even the e = 1 children a fixture pins as JSON, which it reads at
+    # the layout's offsets; children --all --json renders each child it
+    # prints once
     shapes = []
     original = GaussianMatrix.__init__
 
@@ -376,7 +379,7 @@ def test_dense_matrix_built_only_to_render(monkeypatch, fixture):
     code, _, _ = run_cli("verify", str(fixture))
     expect = json.loads(fixture.read_text())["expect"]
     assert code == 0
-    assert len(shapes) == len(expect.get("children_e1", {}).get("rho_json", []))
+    assert shapes == []
     shapes.clear()
     graph = fixture.with_suffix("").with_suffix(".graph")
     code, out, _ = run_cli("children", "--all", "--json", str(graph))
@@ -550,8 +553,8 @@ def test_extension_error_exit_4(monkeypatch, argv):
     assert "Traceback" not in out + err
 
 
-def _doubled_trace(p):
-    rho = child_from_partial_trace(p)
+def _doubled_trace(parents):
+    rho = child_from_partial_trace(parents)
     return dataclasses.replace(rho, num=2 * rho.num)
 
 
@@ -562,9 +565,9 @@ def test_children_invariant_failure_mid_stream(monkeypatch):
     _, full, _ = run_cli(*argv)
     traced = []
 
-    def wrong_fourth(p):
-        traced.append(p)
-        return _doubled_trace(p) if len(traced) == 4 else child_from_partial_trace(p)
+    def wrong_fourth(parents):  # children checks one child per chunk
+        traced.extend(parents)
+        return _doubled_trace(parents) if len(traced) == 4 else child_from_partial_trace(parents)
 
     monkeypatch.setattr(mgstate.cli, "child_from_partial_trace", wrong_fourth)
     code, out, err = run_cli(*argv)
@@ -1257,3 +1260,227 @@ def test_full_device_exit_5(tmp_path, argv):
         )
     assert done.returncode == 5
     assert done.stderr == "output error: [Errno 28] No space left on device\n"
+
+
+# ---- verify builds and checks the children a chunk at a time ----
+
+
+def _chunk_entries(n, e, children):
+    """A ``CHUNK_ENTRIES`` that puts ``children`` children of (n, e) in a chunk, or all of them."""
+    return 1 << 62 if children == "all" else children << (2 * n - e)
+
+
+@pytest.mark.parametrize("children", [1, 3, "all"])
+@pytest.mark.parametrize("fixture", GRAPH_FIXTURES, ids=lambda p: p.stem)
+def test_verify_report_independent_of_chunk_size(monkeypatch, fixture, children):
+    # chunk boundaries anywhere give the same report, whose count includes
+    # every check each child passed
+    want = run_cli("verify", str(fixture))
+    g = mgstate.graphs.parse_graph(fixture.read_text())
+    e = mgstate.subgroups.reduce_gamma(g.gamma()).e
+    monkeypatch.setattr(mgstate.states, "CHUNK_ENTRIES", _chunk_entries(g.n, e, children))
+    assert run_cli("verify", str(fixture)) == want
+    assert run_cli("verify", "--json", str(fixture))[0] == 0
+
+
+def test_verify_clique6_counts_repeated_checks():
+    code, out, _ = run_cli("verify", str(FIXTURES / "clique6.graph"))
+    assert code == 0
+    assert out.splitlines()[0] == "ok (1221 checks)"
+
+
+def test_verify_chunks_clique6_in_eights_and_thirty_twos(monkeypatch):
+    # chunks of about 2^14 layout entries: 32 children of (6, 3), so
+    # clique6's 135 children come in 5 chunks, the last of 7
+    sizes = []
+    original = mgstate.states.child_from_partial_trace
+
+    def traced(parents):
+        sizes.append(len(parents))
+        return original(parents)
+
+    monkeypatch.setattr(mgstate.cli, "child_from_partial_trace", traced)
+    assert run_cli("verify", str(FIXTURES / "clique6.graph"))[0] == 0
+    assert sizes == [32, 32, 32, 32, 7]
+    assert mgstate.states.chunk_len(7, 3) == 8 and mgstate.states.chunk_len(12, 0) == 1
+
+
+def _subgroup_parent(fixture, idx):
+    g = mgstate.graphs.parse_graph((FIXTURES / f"{fixture}.graph").read_text())
+    red = mgstate.subgroups.reduce_gamma(g.gamma())
+    sub = mgstate.subgroups.enumerate_max_isotropic(red)[idx]
+    return extend_for_subgroup(g, sub, mgstate.graphs.stabilizer_matrix(g))
+
+
+def _route_fail_line(fixture, idx):
+    p = _subgroup_parent(fixture, idx)
+    return (f"FAIL pauli-sum-vs-partial-trace: parent {p.ae.row_strings()}"
+            f" offsets {sorted(p.lab_offsets)}\n")
+
+
+def _mutate_child(monkeypatch, target, mutate):
+    """Route 1 with ``mutate(rho, i)`` applied to the chunk's child i when
+    it is the ``target``-th child built, counting from 0."""
+    original = mgstate.states.child_from_pauli_sum
+    seen = []
+
+    def mutated(parents, duals, inds):
+        children = original(parents, duals, inds)
+        i = target - len(seen)
+        seen.extend(parents)
+        if 0 <= i < len(parents):
+            num = children.rho.num.astype(np.int64)
+            mutate(children, num, i)
+            rho = dataclasses.replace(children.rho, num=num)
+            children = dataclasses.replace(children, rho=rho)
+        return children
+
+    monkeypatch.setattr(mgstate.cli, "child_from_pauli_sum", mutated)
+
+
+def _flip_sign(children, num, i):
+    num[i] = -num[i]
+
+
+def _drop_generator(children, num, i):
+    # the sum over J's span without its last generator: zero elsewhere
+    kept = mgstate.f2.span_of_basis(children.indicators[i][1].rows[:-1])
+    num[i][:, ~np.isin(children.rho.offsets[i], kept)] = 0
+
+
+@pytest.mark.parametrize("mutate", [_flip_sign, _drop_generator], ids=["sign", "generator"])
+@pytest.mark.parametrize("fixture,target", [("fournode", 6), ("clique6", 40), ("clique6", 0)])
+def test_mutated_child_inside_a_chunk_fails(monkeypatch, mutate, fixture, target):
+    # fournode's 15 children are one chunk and clique6's come 32 at a time:
+    # the one mutated child fails, and verify names it, not its chunk
+    for argv in BATTERY_COMMANDS:
+        _mutate_child(monkeypatch, target, mutate)
+        code, out, _ = run_cli(*argv, str(FIXTURES / f"{fixture}.graph"))
+        assert code == 1, argv
+        assert out.splitlines(keepends=True)[-1] == _route_fail_line(fixture, target), argv
+
+
+def test_first_failure_in_subgroup_order(monkeypatch):
+    # a child fault at subgroup 3 and a parent fault at subgroup 5 of one
+    # chunk: verify builds parents 0-5 before it checks children 0-4, yet
+    # names subgroup 3's child, as checking one subgroup at a time does
+    original_extend = mgstate.extension.extend_for_subgroup
+    extended = []
+
+    def flipped_sixth(g, sub, rows):  # one X bit outside the column's Z/Y support
+        p = original_extend(g, sub, rows)
+        extended.append(p)
+        if len(extended) != 6:
+            return p
+        x, z = p.ext_assign[0]
+        off_support = ~z & (z + 1)
+        return dataclasses.replace(p, ext_assign=((x ^ off_support, z),) + p.ext_assign[1:])
+
+    monkeypatch.setattr(mgstate.cli, "extend_for_subgroup", flipped_sixth)
+    code, out, _ = run_cli("verify", str(FIXTURES / "fournode.graph"))
+    assert (code, out) == (1, "FAIL extension-found: subgroup 5\n")  # the parent fault alone
+    extended.clear()
+    _mutate_child(monkeypatch, 3, _flip_sign)
+    code, out, _ = run_cli("verify", str(FIXTURES / "fournode.graph"))
+    assert (code, out) == (1, _route_fail_line("fournode", 3))
+    extended.clear()
+    _mutate_child(monkeypatch, 7, _flip_sign)  # a child fault after the parent fault
+    code, out, _ = run_cli("verify", str(FIXTURES / "fournode.graph"))
+    assert (code, out) == (1, "FAIL extension-found: subgroup 5\n")
+
+
+def test_child_fault_before_extension_error(monkeypatch):
+    # symmetrize raising at subgroup 5 is exit 4, but a failing child at
+    # subgroup 3 comes first
+    original = mgstate.extension.symmetrize
+    calls = []
+
+    def failing_sixth(stabilizer, columns):
+        calls.append(columns)
+        if len(calls) == 6:
+            raise mgstate.extension.ExtensionError("rows do not pairwise commute")
+        return original(stabilizer, columns)
+
+    monkeypatch.setattr(mgstate.extension, "symmetrize", failing_sixth)
+    code, _, err = run_cli("verify", str(FIXTURES / "fournode.graph"))
+    assert (code, err) == (4, "search failure: rows do not pairwise commute\n")
+    calls.clear()
+    _mutate_child(monkeypatch, 3, _drop_generator)
+    code, out, err = run_cli("verify", str(FIXTURES / "fournode.graph"))
+    assert (code, out, err) == (1, _route_fail_line("fournode", 3), "")
+
+
+def test_verify_checks_gamma_once(monkeypatch):
+    # every subgroup of one enumeration shares its reduction, so the graph's
+    # Gamma is tested against it once, not once per subgroup
+    calls = []
+    original = mgstate.graphs.MixedGraph.has_gamma
+
+    def counted(g, gamma):
+        calls.append(gamma)
+        return original(g, gamma)
+
+    monkeypatch.setattr(mgstate.graphs.MixedGraph, "has_gamma", counted)
+    assert run_cli("verify", str(FIXTURES / "clique6.graph"))[0] == 0
+    assert len(calls) == 1
+
+
+def _stored_rho_variants():
+    """Edits of the triangle fixture's first stored child: each one must
+    fail ``expect-children-rho`` without breaking ``verify``."""
+    def on_layout(rho):  # flip the sign of one nonzero entry
+        rho["entries"][0][0] = [-1, 0]
+
+    def off_layout(rho):  # a nonzero entry where the child is zero
+        assert rho["entries"][0][1] == [0, 0]
+        rho["entries"][0][1] = [0, 1]
+
+    def ragged(rho):
+        rho["entries"][0] = rho["entries"][0][:-1]
+
+    def text(rho):
+        rho["entries"][0][0] = ["1", "0"]
+
+    def wrong_shape(rho):
+        rho["entries"] = rho["entries"][:4]
+
+    def extra_key(rho):
+        rho["trace"] = 1
+
+    def missing_key(rho):
+        del rho["dim"]
+
+    def denominator(rho):
+        rho["denom_log2"] = 2
+
+    return [on_layout, off_layout, ragged, text, wrong_shape, extra_key, missing_key, denominator]
+
+
+@pytest.mark.parametrize("edit", _stored_rho_variants(), ids=lambda f: f.__name__)
+def test_expect_children_rho_reads_the_layout(edit, tmp_path, monkeypatch):
+    doc = json.loads((FIXTURES / "triangle.fixture.json").read_text())
+    edit(doc["expect"]["children_e1"]["rho_json"][0])
+    path = tmp_path / "edited.fixture.json"
+    path.write_text(json.dumps(doc))
+    built = []
+    original = GaussianMatrix.__init__
+
+    def counted(self, re, im, denom_log2=0):
+        original(self, re, im, denom_log2)
+        built.append(self.re.shape)
+
+    monkeypatch.setattr(GaussianMatrix, "__init__", counted)
+    code, out, err = run_cli("verify", str(path))
+    assert (code, err) == (1, "")
+    assert out == "FAIL expect-children-rho: a child density matrix differs from the stored fixture\n"
+    assert built == []
+
+
+def test_expect_children_rho_takes_equal_json_numbers(tmp_path):
+    # the stored entries compare as the JSON values they are: 1.0 equals 1
+    doc = json.loads((FIXTURES / "triangle.fixture.json").read_text())
+    entries = doc["expect"]["children_e1"]["rho_json"][0]["entries"]
+    entries[0][0] = [1.0, 0.0]
+    path = tmp_path / "floats.fixture.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("verify", str(path))[0] == 0

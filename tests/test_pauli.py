@@ -304,8 +304,8 @@ def test_gaussian_matrix_arithmetic():
     b = GaussianMatrix(np.eye(2, dtype=int), np.zeros((2, 2), int), 0)
     assert a == b
     assert a.matmul(b) == b
-    assert layout_of(a).trace_is_one() is False
-    assert layout_of(divided_by_pow2(b, 1)).trace_is_one()
+    assert layout_of(a).trace_is_one().tolist() == [False]
+    assert layout_of(divided_by_pow2(b, 1)).trace_is_one().tolist() == [True]
     # unequal, not square, and empty: every matrix of the package is 2^n x 2^n
     for re_shape, im_shape in (((2, 2), (4, 4)), ((2, 3), (2, 3)), ((0, 0), (0, 0))):
         with pytest.raises(ValueError):
@@ -374,6 +374,23 @@ def test_state_index_matches_per_bit_loop():
         for mask in range(1 << n):
             assert index[mask] == _state_index_loop(mask, n), (mask, n)
     assert state_index(12)[1] == 1 << 11 and state_index(12)[1 << 11] == 1
+
+
+def test_state_index_built_once_per_n(monkeypatch):
+    # each n's table is built on first use and then shared, read-only
+    state_index(9)
+    calls = []
+    original = np.concatenate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np, "concatenate", counted)
+    assert state_index(9) is state_index(9)
+    assert calls == []
+    with pytest.raises(ValueError):
+        state_index(9)[0] = 1
 
 
 def _halving_normalized(m):

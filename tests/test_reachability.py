@@ -52,7 +52,12 @@ KEPT_UNREACHED = {
     # renderings with their dense oracles, and no command compares them
     "pauli.GaussianMatrix.__eq__",
     "pauli.GaussianMatrix.normalized",
-    # wrapped by the benchmark's span tracer, ``perfbench/spans.py``
+    # equality of whole chunks of children: the tests compare the routes'
+    # chunks, and ``verify`` compares them child by child (``agrees_with``)
+    "states.DensityMatrix.__eq__",
+    # wrapped by the benchmark's span tracer, ``perfbench/spans.py``; the
+    # children test their generators' commutation in one array product
+    "extension.verify_full_commutation",
     "pauli.PauliWord.to_dense",
     "pauli.GaussianMatrix.matmul",
     "states.DensityMatrix.is_pure",
