@@ -14,15 +14,26 @@ Each builder runs the checks that vouch for its output, and ``verify`` calls
 every builder, so ``children`` runs ``verify``'s checks on each child it
 prints: its ``oracle_verified: true`` means that they passed.
 
-``verify`` builds and checks a graph's children a chunk at a time.  A chunk
-of k children shares n and |D| = 2^(n-e) and holds offsets (k, |D|) and
-numerators (k, 2, |D|, 2^n); ``states.chunk_len`` sizes it to the module
-constant ``states.CHUNK_ENTRIES`` = 2^14 layout entries, 8 children at (n,
-e) = (7, 3) and 32 at (6, 3).  Each route and each check is one array pass
-over a chunk; ``children`` passes a chunk of one per streamed entry.  The
-first failure is still reported in (subgroup, check) order: a chunk's
-parents are built before its children, so a parent's failure waits until
-the children of the subgroups before it are checked.
+``verify``, ``children --all`` and ``children --subgroup k`` build the
+parents with one batched builder, ``extension.extend_for_subgroup``, in
+batches of the module constant ``extension.PARENT_BATCH`` = 2^12 subgroups
+(a batch of one for ``--subgroup k``).  A batch holds one row of masks per
+subgroup (see ``mgstate.extension``) and gives each of the three parent
+checks as one verdict per subgroup, which ``check`` then reads subgroup by
+subgroup.  The children draw from the batch: ``verify`` builds and checks
+them a chunk at a time.  A chunk of k children shares n and |D| = 2^(n-e)
+and holds offsets (k, |D|) and numerators (k, 2, |D|, 2^n);
+``states.chunk_len`` sizes it to the module constant
+``states.CHUNK_ENTRIES`` = 2^14 layout entries, 8 children at (n, e) = (7,
+3) and 32 at (6, 3).  Each route and each check is one array pass over a
+chunk; ``children`` passes a chunk of one per streamed entry.  The first
+failure is still reported in (subgroup, check) order: a parent's failed
+verdict is raised in its subgroup's place, after the children of the
+subgroups before it are checked (and, for ``children``, written), and only
+those parents get children.  An ``ExtensionError`` from building a batch,
+whose causes (a foreign Gamma, a subgroup of the wrong dimension, a lab row
+not in graph form) hold for a whole batch, counts as a failure of its first
+subgroup: every batch before it is checked by then.
 
 ``subgroups`` and ``children`` stream their entries, so on a non-zero exit
 stdout is not a complete report: the entries written so far, their last line
@@ -50,8 +61,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .extension import (
+    PARENT_BATCH,
     ExtensionError,
-    Indicator,
+    ParentBatch,
     ParentExtension,
     extend_e1,
     extend_for_subgroup,
@@ -139,7 +151,7 @@ def _check_children(children: ChildResult, rows: Sequence[PauliWord], check: Che
     n, e = children.rho.n, children.parents[0].e
     size = chunk_len(n, e)
     for start in range(0, len(children), size):
-        chunk = children[start:start + size]
+        chunk = children[start:start + size] if len(children) > size else children
         rho, parents = chunk.rho, chunk.parents
 
         def where(i: int) -> str:
@@ -171,20 +183,31 @@ def _subgroups(red: GammaReduction, bound: int, check: Check = _require) -> List
     return subs
 
 
-def _parent(
-    g: MixedGraph, idx: int, sub: IsotropicSubspace, rows: Sequence[PauliWord],
-    check: Check = _require,
-) -> Tuple[ParentExtension, Indicator]:
-    """The parent of subgroup ``idx`` and its indicator (L sets, G, H), with
-    the extension condition, commutation and J = subgroup checked."""
-    p = extend_for_subgroup(g, sub, rows)
-    where = f"subgroup {idx}"
-    check("extension-found", meets_extension_condition(sub.reduction.gamma, p.ext_assign), where)
-    # graph-form rows X_i Z^{A_i} commute iff A is symmetric
-    check("extension-commutes", p.ae.is_symmetric(), where)
-    ind = indicator(p)
-    check("indicator-matches-subgroup", ind[1].rows == sub.lifted_basis, where)  # both RREF
-    return p, ind
+Verdicts = List[Tuple[str, np.ndarray]]
+
+
+def _parents(
+    g: MixedGraph, subs: Sequence[IsotropicSubspace], rows: Sequence[PauliWord]
+) -> Tuple[ParentBatch, Verdicts, int]:
+    """The parents of a batch of subgroups, their checks, one verdict per
+    subgroup (the extension condition, commutation and J = subgroup), and
+    how many parents come before the first that fails a check: only those
+    have children."""
+    batch = extend_for_subgroup(g, subs, rows)
+    verdicts = [
+        ("extension-found", meets_extension_condition(subs[0].reduction.gamma, batch)),
+        # graph-form rows X_i Z^{A_i} commute iff A is symmetric
+        ("extension-commutes", batch.is_symmetric()),
+        ("indicator-matches-subgroup", batch.has_kernel([s.lifted_basis for s in subs])),
+    ]
+    passed = np.logical_and.reduce([ok for _, ok in verdicts])
+    return batch, verdicts, len(subs) if passed.all() else int(passed.argmin())
+
+
+def _check_parent(verdicts: Verdicts, i: int, idx: int, check: Check = _require) -> None:
+    """Parent i of a batch's checks, in order, as those of subgroup ``idx``."""
+    for name, ok in verdicts:
+        check(name, bool(ok[i]), f"subgroup {idx}")
 
 
 def _family(
@@ -192,8 +215,9 @@ def _family(
 ) -> Tuple[ChildResult, List[List[int]]]:
     """The e = 1 children, one per ``extend_e1`` parent, as one chunk, and their classes."""
     parents = extend_e1(g)
-    for k, p in enumerate(parents):  # _require: the report's check count predates this test
-        _require("extension-commutes", p.ae.is_symmetric(), f"e = 1 parent {k}")
+    # _require: the report's check count predates this test
+    for k, ok in enumerate(parents.is_symmetric()):
+        _require("extension-commutes", bool(ok), f"e = 1 parent {k}")
     children, classes = children_family_e1(duals, parents)
     check("family-size", len(children) <= 6, f"{len(children)} children")
     check("family-classes", len(classes) <= 3, f"{len(classes)} classes")
@@ -553,6 +577,24 @@ def _parent_payload(rows: Sequence[PauliWord], child: ChildResult) -> Dict:
     }
 
 
+def _payloads(
+    g: MixedGraph, chosen: Sequence[Tuple[int, IsotropicSubspace]], rows: Sequence[PauliWord],
+    duals: Sequence[PauliWord],
+) -> Iterator[Dict]:
+    """The report of each chosen subgroup's child, a chunk of one, built as
+    it is written.  The parents come ``PARENT_BATCH`` at a time, with the
+    indicators of those before the batch's first failed parent; that parent
+    fails its check once the children before it are written."""
+    for start in range(0, len(chosen), PARENT_BATCH):
+        part = chosen[start:start + PARENT_BATCH]
+        batch, verdicts, passed = _parents(g, [sub for _, sub in part], rows)
+        inds = indicator(batch[:passed])
+        for i, (idx, _) in enumerate(part):
+            _check_parent(verdicts, i, idx)
+            child = child_from_pauli_sum(batch[i:i + 1], duals, inds[i:i + 1])
+            yield {**_parent_payload(rows, child), "subgroup_index": idx}
+
+
 def cmd_children(args) -> int:
     g, digest, _ = _read_graph(args.path)
     red = reduce_gamma(g.gamma())
@@ -576,14 +618,8 @@ def cmd_children(args) -> int:
                 )
             chosen = [(args.subgroup, subs[args.subgroup])]
         result["mode"] = "subgroups"
-
-        def payload(idx: int, sub: IsotropicSubspace) -> Dict:  # a chunk of one child
-            p, ind = _parent(g, idx, sub, rows)
-            child = child_from_pauli_sum([p], duals, [ind])
-            return {**_parent_payload(rows, child), "subgroup_index": idx}
-
-        reports = starmap(payload, chosen)
-    result["children"] = reports  # a starmap builds each child as the report is written
+        reports = _payloads(g, list(chosen), rows, duals)
+    result["children"] = reports  # an iterator builds each child as the report is written
     report = {"command": "children", "input_sha256": digest, "result": result}
 
     def child_lines(i: int, c: Dict) -> List[str]:
@@ -689,19 +725,22 @@ def _verify_graph(g: MixedGraph, expect: Optional[Dict], bound: int) -> List[str
     # the child layouts this run builds, the children go unchecked, not refused
     dense = _children_fit(g.n, e)
     size = chunk_len(g.n, e)
-    for start in range(0, len(subs), size):
-        parents, inds, failed = [], [], None
-        try:
-            for idx in range(start, min(start + size, len(subs))):
-                p, ind = _parent(g, idx, subs[idx], rows, check)
-                parents.append(p)
-                inds.append(ind)
-        except (InvariantViolation, ExtensionError) as err:  # once the children before it pass
-            failed = err
-        if dense and parents:
-            _check_children(child_from_pauli_sum(parents, duals, inds), rows, check)
-        if failed is not None:
-            raise failed
+    for first in range(0, len(subs), PARENT_BATCH):
+        batch, verdicts, passed = _parents(g, subs[first:first + PARENT_BATCH], rows)
+        inds = indicator(batch[:passed]) if dense else []
+        for start in range(0, len(batch), size):
+            stop, failed = min(start + size, len(batch)), None
+            for i in range(start, stop):
+                try:
+                    _check_parent(verdicts, i, first + i, check)
+                except InvariantViolation as err:  # raised once the children before it pass
+                    stop, failed = i, err
+                    break
+            if dense and stop > start:
+                children = child_from_pauli_sum(batch[start:stop], duals, inds[start:stop])
+                _check_children(children, rows, check)
+            if failed is not None:
+                raise failed
     family = _family(g, duals, check) if dense and e == 1 else None
     if family:
         _check_children(family[0], rows, check)

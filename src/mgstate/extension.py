@@ -23,20 +23,40 @@ sum_{k<m} Gamma[p_k, p_m] H[k, :]^T is a solution, because Gamma vanishes
 on J x J.  The homogeneous solutions are {H^T S : S symmetric}, so the
 reachable forms have dimension ne - e(e+1)/2 = C(n,2) - C(n-e,2), that of
 all alternating forms vanishing on J x J: every subgroup has a parent.
+
+Parents are built in batches.  A ``ParentBatch`` holds the parents of k
+subgroups of one graph, row i parent i, as arrays of bit masks: ``ae`` (k,
+n + e), the adjacency rows, lab rows first; ``offsets`` (k,), the rows with
+a -1 sign; ``xcols`` (k, e), the X/Y masks of the extension columns, whose
+Z/Y masks are the environment rows.  Every stage is a few array operations
+over the batch: H by one batched elimination of the kernel of the lifted
+bases, the greedy columns by e steps of mask operations with one failure
+flag per subgroup, the closed form for the flagged subgroups only, then
+``symmetrize``; so are the three checks of a parent
+(``meets_extension_condition``, ``ParentBatch.is_symmetric`` and
+``ParentBatch.has_kernel``), one verdict per parent, which a caller reads in
+subgroup order, so a failed parent keeps its (subgroup, check) place.  An
+``ExtensionError`` fails a whole batch: its causes hold for every subgroup
+of it.  A caller builds ``PARENT_BATCH`` subgroups at a time, which bounds
+what a batch holds whatever chi(e) is.  A mask is an int64 while its width
+fits 62 bits, and a Python int in an object array past that, so a wide
+graph stays exact.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .f2 import BinMatrix, bits_of, kernel, mask_of
+from .f2 import BinMatrix, bits_of, mask_of
 from .graphs import MixedGraph, complete_multipartite_parts, stabilizer_matrix
 from .pauli import PauliWord
-from .subgroups import GammaReduction, IsotropicSubspace
+from .subgroups import IsotropicSubspace
+
+PARENT_BATCH = 1 << 12  # subgroups per batch of parents: 19 batches for chi(5) = 75,735
 
 
 class ExtensionError(RuntimeError):
@@ -87,10 +107,133 @@ class ParentExtension:
     def rows(self) -> List[PauliWord]:
         return [self.row(j) for j in range(self.total)]
 
-    def parity_matrix(self) -> BinMatrix:
-        """H: the environment rows of ``ae`` on the lab bits, row m = L_m."""
-        lab = (1 << self.n) - 1
-        return BinMatrix(tuple(r & lab for r in self.ae.rows[self.n:]), self.n)
+
+def _word(width: int):
+    """The dtype of an array of masks over ``width`` bits: int64 up to 62
+    bits, Python ints past that."""
+    return np.int64 if width <= 62 else object
+
+
+def _units(width: int) -> np.ndarray:
+    """The masks 1 << j for j < ``width``."""
+    return np.array([1 << j for j in range(width)], dtype=_word(width))
+
+
+def _bits(masks: np.ndarray, width: int) -> np.ndarray:
+    """The bit table of an array of masks: (..., width) bools, entry j bit
+    j.  Python ints are unpacked from their bytes, not shifted bit by bit."""
+    if masks.dtype != object:
+        return ((masks[..., None] >> np.arange(width)) & 1).astype(bool)
+    size, low = (width + 7) // 8, (1 << width) - 1
+    raw = b"".join((m & low).to_bytes(size, "little") for m in masks.ravel().tolist())
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+    return bits.reshape(*masks.shape, 8 * size)[..., :width].astype(bool)
+
+
+def _rref(rows: np.ndarray, width: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``f2.rref`` of each row of masks of a batch, ``rows`` (k, r): the
+    reduced rows by ascending pivot (lowest set bit), then zero rows, and
+    the rank of each.  One sweep over the columns, each an array pass: the
+    first row not yet a pivot row that holds the column becomes one, clears
+    the column from every other row and moves up to its place."""
+    rows = rows.copy()
+    k, r = rows.shape
+    rank = np.zeros(k, dtype=np.int64)
+    batch, slot = np.arange(k), np.arange(r)
+    # a sum of rows holds only bits that some row holds: no other column can take a pivot
+    held = np.bitwise_or.reduce(rows.reshape(-1, 1), axis=0, initial=0)
+    for c in np.flatnonzero(_bits(held, width)[0]).tolist():
+        if (rank == r).all():  # no row left to take a pivot
+            break
+        holds = ((rows >> c) & 1).astype(bool)
+        free = holds & (slot >= rank[:, None])
+        found = free.any(axis=1)
+        first = free.argmax(axis=1)
+        pivot = rows[batch, first]
+        rows ^= np.where(holds & (slot != first[:, None]) & found[:, None], pivot[:, None], 0)
+        at, to, src = batch[found], rank[found], first[found]
+        rows[at, src] = rows[at, to]
+        rows[at, to] = pivot[found]
+        rank += found
+    return rows, rank
+
+
+def _kernel(reduced: np.ndarray, width: int) -> np.ndarray:
+    """``f2.kernel`` of each row of a batch of full-rank RREF rows,
+    ``reduced`` (k, r): the (k, width - r) RREF bases of their null spaces,
+    each built as ``f2.rref_kernel`` builds it, free column f with the
+    pivots of the rows that hold bit f."""
+    k, r = reduced.shape
+    low = reduced & -reduced
+    free = np.nonzero(~_bits(low.sum(axis=1), width))[1].reshape(k, width - r)
+    held = np.take_along_axis(_bits(reduced, width), free[:, None, :], axis=2)
+    return _rref(_units(width)[free] + (held * low[:, :, None]).sum(axis=1), width)[0]
+
+
+@dataclass(frozen=True, eq=False)
+class ParentBatch:
+    """The parents of a batch of subgroups of one graph, row i parent i, as
+    masks: ``ae`` (k, n + e), its adjacency rows, lab rows first;
+    ``offsets`` (k,), its rows with a -1 sign, bit j for row j; ``xcols``
+    (k, e), the X/Y masks of its extension columns, whose Z/Y masks are its
+    environment rows.  Item i is parent i as a ``ParentExtension``, and a
+    slice is a batch of its parents, so iterating gives each parent."""
+
+    n: int
+    e: int
+    ae: np.ndarray
+    offsets: np.ndarray
+    xcols: np.ndarray
+
+    @classmethod
+    def of(cls, parents: Sequence[ParentExtension]) -> ParentBatch:
+        """``parents`` as a batch, itself if it is one.  They must share n
+        and e; a hand-built parent without ``ext_assign`` gets X masks 0."""
+        if isinstance(parents, ParentBatch):
+            return parents
+        n, e = parents[0].n, parents[0].e
+        if any((p.n, p.e) != (n, e) for p in parents):
+            raise ValueError("the parents of a batch must share n and e")
+        word, k = _word(n + e), len(parents)
+        return cls(
+            n, e, np.array([p.ae.rows for p in parents], dtype=word).reshape(k, n + e),
+            np.array([mask_of(p.lab_offsets | p.env_offsets) for p in parents], dtype=word),
+            np.array([[x for x, _ in p.ext_assign or ((0, 0),) * e] for p in parents],
+                     dtype=word).reshape(k, e),
+        )
+
+    def __len__(self) -> int:
+        return len(self.ae)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return ParentBatch(self.n, self.e, self.ae[i], self.offsets[i], self.xcols[i])
+        n, rows = self.n, tuple(self.ae[i].tolist())
+        signed = bits_of(int(self.offsets[i]))
+        return ParentExtension(
+            n, self.e, BinMatrix(rows, n + self.e),
+            frozenset(j for j in signed if j < n), frozenset(j for j in signed if j >= n),
+            tuple(zip(self.xcols[i].tolist(), rows[n:])),
+        )
+
+    def parity_rows(self) -> np.ndarray:
+        """H of each parent, (k, e): the environment rows on the lab bits,
+        row m = L_m."""
+        return self.ae[:, self.n:] & ((1 << self.n) - 1)
+
+    def is_symmetric(self) -> np.ndarray:
+        """Parent by parent, whether ``ae`` is symmetric, so that its
+        graph-form rows X_j Z^{A_j} commute."""
+        a = _bits(self.ae, self.n + self.e)
+        return (a == a.transpose(0, 2, 1)).all(axis=(1, 2))
+
+    def has_kernel(self, lifted: Sequence[Sequence[int]]) -> np.ndarray:
+        """Parent by parent, whether J = ker H is the span of its row of
+        ``lifted``, n - e independent masks: H J^T = 0 and rank H = e."""
+        h = self.parity_rows()
+        j = np.array(lifted, dtype=h.dtype).reshape(len(self), -1)
+        product = _bits(h, self.n).astype(np.int64) @ _bits(j, self.n).transpose(0, 2, 1)
+        return ~(product & 1).any(axis=(1, 2)) & (_rref(h, self.n)[1] == self.e)
 
 
 def phases(parents: Sequence[ParentExtension], x: np.ndarray) -> np.ndarray:
@@ -100,10 +243,8 @@ def phases(parents: Sequence[ParentExtension], x: np.ndarray) -> np.ndarray:
     (parents, rows, k).  Each red node in x counts once, each edge inside x
     twice.  A row of k < n + e columns sets no later qubit."""
     k = x.shape[-1]
-    low = (1 << k) - 1  # a row over k qubits: bits past k may not fit int64
-    rows = [[r & low for r in p.ae.rows[:k]] + [mask_of(p.lab_offsets | p.env_offsets) & low]
-            for p in parents]
-    a = (np.array(rows, dtype=np.int64).reshape(len(rows), k + 1)[..., None] >> np.arange(k)) & 1
+    batch = ParentBatch.of(parents)
+    a = _bits(np.concatenate([batch.ae[:, :k], batch.offsets[:, None]], axis=1), k).astype(np.int64)
     quadratic = (np.matmul(x, a[:, :k]) * x).sum(axis=-1)
     return (quadratic + 2 * np.matmul(x, a[:, k, :, None])[..., 0]) & 3
 
@@ -111,24 +252,27 @@ def phases(parents: Sequence[ParentExtension], x: np.ndarray) -> np.ndarray:
 Indicator = Tuple[List[Tuple[int, ...]], BinMatrix, BinMatrix]
 
 
-def indicator(p: ParentExtension) -> Indicator:
-    """(L sets, generator matrix G of J, parity matrix H) for a parent.
+def indicator(parents: ParentBatch) -> List[Indicator]:
+    """(L sets, generator matrix G of J, parity matrix H) for each parent of
+    a batch.
 
     H row m is the characteristic vector of L_m; J = ker(H) has exactly
-    2^{n-e} members for a minimal extension.
+    2^{n-e} members for a minimal extension.  Every G comes from one
+    batched elimination of the H rows and one of their kernels.
     """
-    h = p.parity_matrix()
-    gmat = kernel(h)
-    if gmat.nrows != p.n - p.e:  # rank(H) = n - dim ker(H)
+    n, h = parents.n, parents.parity_rows()
+    reduced, rank = _rref(h, n)
+    if (rank != parents.e).any():  # rank(H) = n - dim ker(H)
         raise ExtensionError("parity matrix is rank deficient; extension not minimal")
-    return [tuple(bits_of(r)) for r in h.rows], gmat, h
+    return [([tuple(bits_of(r)) for r in h_rows], BinMatrix(tuple(g_rows), n),
+             BinMatrix(tuple(h_rows), n))
+            for h_rows, g_rows in zip(h.tolist(), _kernel(reduced, n).tolist())]
 
 
-def symmetrize(
-    stabilizer: Sequence[PauliWord], columns: Iterable[Tuple[int, int]]
-) -> ParentExtension:
-    """Graph form of the lab rows ``stabilizer`` extended by ``columns``,
-    each an (x, z) pair of lab bit masks.
+def symmetrize(stabilizer: Sequence[PauliWord], columns) -> ParentBatch:
+    """Graph forms of the lab rows ``stabilizer`` extended by each column set
+    of a batch: ``columns`` (k, e, 2) holds parent i's column m as an (x, z)
+    pair of lab bit masks.
 
     Lab row j must carry X or Y at its own position and I/Z elsewhere.  Let
     L_m be z of column m, its Z/Y support; environment row m is X_{n+m}
@@ -147,88 +291,84 @@ def symmetrize(
 
     Row products keep the stabilizer group, and graph-form rows commute iff
     their adjacency is symmetric, so the extended rows pairwise commute iff
-    ``ae`` is symmetric.
+    ``ae`` is symmetric.  Each column is one array pass over the batch.
     """
-    columns = tuple(columns)
     n = len(stabilizer)
-    e = len(columns)
-    lab_rows = []
-    lab_off = set()
     for j, base in enumerate(stabilizer):
         if base.x != 1 << j:
             raise ExtensionError(f"lab row {j} does not have X/Y exactly at position {j}")
-        z, phase = base.z, base.phase
-        for m, (xm, zm) in enumerate(columns):
-            xb, zb = (xm >> j) & 1, (zm >> j) & 1
-            if xb:
-                z ^= zm
-            z |= zb << (n + m)
-            phase += 3 * (xb & zb)
-        delta = (phase - ((z >> j) & 1)) % 4
-        assert delta in (0, 2), "graph-form rows must be +-Hermitian"
-        if delta == 2:
-            lab_off.add(j)
-        lab_rows.append(z)
-    ae = BinMatrix(tuple(lab_rows) + tuple(z for _, z in columns), n + e)
-    return ParentExtension(n, e, ae, frozenset(lab_off), ext_assign=columns)
+    cols = np.asarray(columns).reshape(len(columns), -1, 2)
+    e = cols.shape[1]
+    word = _word(n + e)
+    x, z = cols[..., 0].astype(word), cols[..., 1].astype(word)
+    x_at, z_at = _bits(x, n), _bits(z, n)
+    env = _units(n + e)
+    lab = np.repeat(np.array([[base.z for base in stabilizer]], dtype=word), len(cols), axis=0)
+    for m in range(e):
+        lab ^= np.where(x_at[:, m], z[:, m, None], 0)
+        lab |= np.where(z_at[:, m], env[n + m, None], 0)
+    phase = np.array([base.phase for base in stabilizer]) + 3 * (x_at & z_at).sum(axis=1)
+    delta = (phase - ((lab >> np.arange(n)) & 1).astype(np.int64)) & 3
+    assert not (delta & 1).any(), "graph-form rows must be +-Hermitian"
+    offsets = ((delta == 2) * env[:n]).sum(axis=1)
+    return ParentBatch(n, e, np.concatenate([lab, z], axis=1), offsets, x)
 
 
-def extend_e1(g: MixedGraph) -> List[ParentExtension]:
+def extend_e1(g: MixedGraph) -> ParentBatch:
     """All single-column extensions: one per assignment of distinct tags from
     {X, Z, Y} to the skeleton's multipartite parts, present iff e = 1."""
     parts_iso = complete_multipartite_parts(g.gamma())
     if parts_iso is None:
         raise ExtensionError("extend_e1 requires mixed rank 1")
     parts, _ = parts_iso
-    stabilizer = stabilizer_matrix(g)
     masks = [mask_of(part) for part in parts]
-    out = []
-    for perm in itertools.permutations(((1, 0), (0, 1), (1, 1)), len(parts)):
-        x = sum(pm * xb for pm, (xb, _) in zip(masks, perm))
-        z = sum(pm * zb for pm, (_, zb) in zip(masks, perm))
-        out.append(symmetrize(stabilizer, [(x, z)]))
-    return out
+    columns = [
+        [(sum(pm * xb for pm, (xb, _) in zip(masks, perm)),
+          sum(pm * zb for pm, (_, zb) in zip(masks, perm)))]
+        for perm in itertools.permutations(((1, 0), (0, 1), (1, 1)), len(parts))
+    ]
+    return symmetrize(stabilizer_matrix(g), columns)
 
 
-def parity_basis(m: IsotropicSubspace) -> BinMatrix:
-    """Canonical (RREF) parity-check matrix whose kernel is the lifted span."""
-    gen = BinMatrix(m.lifted_basis, m.reduction.n)
-    return kernel(gen)
-
-
-def _greedy_columns(gamma: BinMatrix, h: BinMatrix) -> Optional[List[int]]:
-    """Column-by-column tag assignment mirroring the worked constructions.
+def _greedy_columns(gamma: np.ndarray, h: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Column-by-column tag assignment mirroring the worked constructions,
+    for each parity matrix ``h`` (k, e) of a batch in RREF, against the
+    Gamma rows ``gamma``.
 
     ``cur`` is the anticommutation still to clear, row j a mask; it starts
     as Gamma and stays alternating (symmetric, zero diagonal).  Within
     column m the lowest member of L_m takes Z and the others take Z/Y to fix
     their mutual commutation; rows outside L_m take X only when that clears
     their anticommutation with all of L_m, which a member of L_m never does.
-    Returns the x masks of the columns, or None when a column's internal
-    constraints are inconsistent.
+    Returns the x masks of the columns, (k, e), and whether each subgroup's
+    columns hold: a column's internal constraints can be inconsistent, and
+    then its x masks mean nothing.
     """
-    cur = list(gamma.rows)
-    xcols: List[int] = []
-    for lmask in h.rows:
-        if not lmask:
-            return None
-        x = cur[(lmask & -lmask).bit_length() - 1] & lmask
+    k, e = h.shape
+    n = len(gamma)
+    batch, units = np.arange(k), _units(n)
+    h_at = _bits(h, n)
+    lowest = h_at.argmax(axis=2)
+    cur = np.repeat(gamma[None], k, axis=0)
+    ok = (h != 0).all(axis=1)
+    xcols = np.zeros_like(h)
+    for m in range(e):
+        lmask, in_l = h[:, m, None], h_at[:, m]
+        x = cur[batch, lowest[:, m], None] & lmask
         # x_a ^ x_b = anti(a, b) for every pair a, b in L_m
-        if any((cur[a] ^ x ^ (lmask if (x >> a) & 1 else 0)) & lmask for a in bits_of(lmask)):
-            return None
-        x |= mask_of(j for j, row in enumerate(cur) if row & lmask == lmask)
+        clash = (cur ^ x ^ np.where(_bits(x[:, 0], n), lmask, 0)) & lmask
+        ok &= ~((clash != 0) & in_l).any(axis=1)
+        x = x | (((cur & lmask) == lmask) * units).sum(axis=1, keepdims=True)
         # anti'(j, k) = anti(j, k) ^ x_j z_k ^ z_j x_k
-        cur = [
-            row ^ (lmask if (x >> j) & 1 else 0) ^ (x if (lmask >> j) & 1 else 0)
-            for j, row in enumerate(cur)
-        ]
-        xcols.append(x)
-    return None if any(cur) else xcols
+        cur = cur ^ np.where(_bits(x[:, 0], n), lmask, 0) ^ np.where(in_l, x, 0)
+        xcols[:, m] = x[:, 0]
+    return xcols, ok & (cur == 0).all(axis=1)
 
 
-def _closed_form_columns(gamma: BinMatrix, h: BinMatrix) -> List[int]:
-    """The x masks of the columns that an F2 solve of X H + (X H)^T = Gamma
-    returns.
+def _closed_form_columns(gamma: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The x masks (k, e) of the columns that an F2 solve of
+    X H + (X H)^T = Gamma returns, for each parity matrix ``h`` (k, e) of a
+    batch in RREF, against the Gamma rows ``gamma``.
 
     With p_m the pivot (lowest set bit) of H row m, column m is
     Gamma[:, p_m] + sum_{k<m} Gamma[p_k, p_m] H[k, :]^T.  Every solution
@@ -236,105 +376,100 @@ def _closed_form_columns(gamma: BinMatrix, h: BinMatrix) -> List[int]:
     X[j, m]; reducing X against the basis of {H^T S} RREF'd from the
     highest variable down zeroes the free variables of the system, so the
     result is the solution with all free variables zero, as ``f2.solve``
-    picks it.
+    picks it.  Variable v is bit ne - 1 - v of a mask here, so the highest
+    variable of a vector is its lowest set bit, v & -v, and each of the
+    e(e + 1)/2 reduction steps is an array pass over the batch.
     """
-    n, e = gamma.cols, h.nrows
-    pivots = [(r & -r).bit_length() - 1 for r in h.rows]
-    cols = []
-    for m, pm in enumerate(pivots):
-        col = gamma.rows[pm]
-        for k in range(m):
-            if gamma.get(pivots[k], pm):
-                col ^= h.rows[k]
-        cols.append(col)
-
-    def flat(columns: Sequence[int]) -> int:
-        return sum(1 << (j * e + m) for m, col in enumerate(columns) for j in bits_of(col))
+    k, e = h.shape
+    n = len(gamma)
+    width = n * e
+    place = np.array([1 << (width - 1 - v) for v in range(width)], dtype=_word(width)).reshape(n, e)
+    h_at = _bits(h, n)
+    pivots = h_at.argmax(axis=2)
+    gamma_at = _bits(gamma, n)
+    cols = gamma[pivots]
+    for m in range(e):
+        for q in range(m):
+            cols[:, m] ^= np.where(gamma_at[pivots[:, q], pivots[:, m]], h[:, q], 0)
 
     # S = E_ab + E_ba puts H row b in column a and H row a in column b
-    basis: List[Tuple[int, int]] = []  # (highest bit, vector), fully reduced
+    basis: List[Tuple[np.ndarray, np.ndarray]] = []  # (lowest bit, vector), fully reduced
     for a, b in itertools.combinations_with_replacement(range(e), 2):
-        v = flat([h.rows[b] if m == a else h.rows[a] if m == b else 0 for m in range(e)])
-        for top, w in basis:
-            if (v >> top) & 1:
-                v ^= w
-        top = v.bit_length() - 1
-        basis = [(t, w ^ v if (w >> top) & 1 else w) for t, w in basis]
-        basis.append((top, v))
-    x = flat(cols)
-    for top, w in basis:
-        if (x >> top) & 1:
-            x ^= w
-    return [mask_of(j for j in range(n) if (x >> (j * e + m)) & 1) for m in range(e)]
+        v = (h_at[:, b] * place[:, a]).sum(axis=1)
+        if a != b:
+            v = v | (h_at[:, a] * place[:, b]).sum(axis=1)
+        for low, w in basis:
+            v = np.where((v & low) != 0, v ^ w, v)
+        low = v & -v
+        basis = [(t, np.where((w & low) != 0, w ^ v, w)) for t, w in basis]
+        basis.append((low, v))
+    x = (_bits(cols, n) * place.T).sum(axis=(1, 2))
+    for low, w in basis:
+        x = np.where((x & low) != 0, x ^ w, x)
+    solved = _bits(x, width)[:, ::-1].reshape(k, n, e)  # [i, j, m] = X[j, m]
+    return (solved.transpose(0, 2, 1) * _units(n)).sum(axis=2).astype(h.dtype)
 
 
-def meets_extension_condition(gamma: BinMatrix, columns: Iterable[Tuple[int, int]]) -> bool:
-    """X H + (X H)^T = Gamma for extension columns given as (x, z) masks: X
-    holds their X/Y positions and H their Z/Y positions."""
-    form = [0] * gamma.cols
-    for x, z in columns:  # the rows of X H, then of (X H)^T
-        for j in bits_of(x):
-            form[j] ^= z
-        for j in bits_of(z):
-            form[j] ^= x
-    return tuple(form) == gamma.rows
-
-
-# The graph and the reduction last found to share Gamma.  Every subgroup of one
-# enumeration shares its reduction; both are frozen, so a pair found equal stays
-# equal, and holding them keeps their identities from being reused.
-_SAME_GAMMA: List[object] = [None, None]
-
-
-def _check_gamma(g: MixedGraph, red: GammaReduction) -> None:
-    """Raise ``ExtensionError`` unless ``red`` reduces g's Gamma, testing
-    each (graph, enumeration) pair once."""
-    if _SAME_GAMMA[0] is g and _SAME_GAMMA[1] is red:
-        return
-    if not g.has_gamma(red.gamma):
-        raise ExtensionError("subgroup does not come from the graph's Gamma")
-    _SAME_GAMMA[:] = g, red
+def meets_extension_condition(gamma: BinMatrix, parents: ParentBatch) -> np.ndarray:
+    """Parent by parent, X H + (X H)^T = Gamma for its extension columns: X
+    holds their X/Y positions and H their Z/Y positions, the environment
+    rows."""
+    n = gamma.cols
+    x, z = parents.xcols, parents.ae[:, n:]
+    x_at, z_at = _bits(x, n), _bits(z, n)
+    form = np.zeros((len(x), n), dtype=x.dtype)
+    for m in range(parents.e):  # the rows of X H, then of (X H)^T
+        form ^= np.where(x_at[:, m], z[:, m, None], 0) ^ np.where(z_at[:, m], x[:, m, None], 0)
+    return (form == np.array(gamma.rows, dtype=x.dtype)).all(axis=1)
 
 
 def extend_for_subgroup(
     g: MixedGraph,
-    m_sub: IsotropicSubspace,
+    subs: Sequence[IsotropicSubspace],
     stabilizer: Sequence[PauliWord],
-) -> ParentExtension:
-    """Parent whose child commutative subgroup equals the requested one.
+) -> ParentBatch:
+    """Parents whose child commutative subgroups equal the requested ones,
+    one per subgroup of the batch ``subs``.
 
-    ``stabilizer`` is ``stabilizer_matrix(g)``, and e and Gamma come from the
-    subgroup's reduction, which must be that of g's Gamma: a caller that
-    extends every subgroup computes the graph-level values once.
+    ``stabilizer`` is ``stabilizer_matrix(g)``, and e and Gamma come from
+    the subgroups' reduction, which must be that of g's Gamma, tested once
+    per reduction and call.
 
     The Z/Y support of extension column m is forced to the m-th row of the
-    subgroup's parity-check matrix H, and the X/I pattern solves
-    X H + (X H)^T = Gamma.  A solution always exists, and
-    ``_closed_form_columns`` writes it down: the homogeneous solutions are
-    {H^T S : S symmetric}, so the reachable forms have dimension
-    ne - e(e+1)/2 = C(n,2) - C(n-e,2), that of all alternating forms
-    vanishing on J x J for J = ker H, and Gamma is one of them.
+    subgroup's parity-check matrix H, the RREF kernel of its lifted basis,
+    and the X/I pattern solves X H + (X H)^T = Gamma.  A solution always
+    exists, and ``_closed_form_columns`` writes it down: the homogeneous
+    solutions are {H^T S : S symmetric}, so the reachable forms have
+    dimension ne - e(e+1)/2 = C(n,2) - C(n-e,2), that of all alternating
+    forms vanishing on J x J for J = ker H, and Gamma is one of them.
 
     The greedy pass runs first because it fixes the reported ``ext_columns``
-    wherever it succeeds.  Its S follows the data: zeroing X at the H pivots
-    at or above (or at or below) each column gives its columns on only 6 (or
-    8) of the 15 ``appendix_a`` subgroups, and the closed form matches it on
-    510 of the 4,979 subgroups where greedy succeeds in a sweep of 42,030
-    (3,463 before the canonical shift), so no one rule replaces it.
+    wherever it succeeds, and the closed form runs on the subgroups it
+    flags.  Its S follows the data: zeroing X at the H pivots at or above
+    (or at or below) each column gives its columns on only 6 (or 8) of the
+    15 ``appendix_a`` subgroups, and the closed form matches it on 510 of
+    the 4,979 subgroups where greedy succeeds in a sweep of 42,030 (3,463
+    before the canonical shift), so no one rule replaces it.
 
-    ``symmetrize`` writes H as the parent's parity matrix, so its J is the
-    subgroup by construction: the CLI's ``indicator-matches-subgroup`` is the
-    one check of that.  Raises ``ExtensionError`` when the subgroup comes
-    from another Gamma, a test run once per graph and enumeration, or has
-    the wrong dimension.
+    ``symmetrize`` writes H as the parents' parity matrices, so each J is
+    its subgroup by construction: ``ParentBatch.has_kernel`` is the one check
+    of that.  Raises ``ExtensionError`` when a subgroup comes from another
+    Gamma or has the wrong dimension.
     """
-    gamma = m_sub.reduction.gamma
-    _check_gamma(g, m_sub.reduction)
-    e = m_sub.reduction.e
-    h = parity_basis(m_sub)
-    if h.nrows != e:
-        raise ExtensionError(
-            f"subgroup parity matrix has {h.nrows} rows, expected e = {e}"
-        )
-    xcols = _greedy_columns(gamma, h) or _closed_form_columns(gamma, h)
-    return symmetrize(stabilizer, zip(xcols, h.rows))
+    for red in {id(s.reduction): s.reduction for s in subs}.values():
+        if not g.has_gamma(red.gamma):
+            raise ExtensionError("subgroup does not come from the graph's Gamma")
+    red = subs[0].reduction
+    n, e = red.n, red.e
+    for s in subs:
+        if len(s.lifted_basis) != n - e:  # an RREF basis has independent rows
+            raise ExtensionError(
+                f"subgroup parity matrix has {n - len(s.lifted_basis)} rows, expected e = {e}"
+            )
+    word = _word(n + e)
+    h = _kernel(np.array([s.lifted_basis for s in subs], dtype=word).reshape(len(subs), n - e), n)
+    gamma = np.array(red.gamma.rows, dtype=word)
+    xcols, greedy = _greedy_columns(gamma, h)
+    if not greedy.all():
+        xcols[~greedy] = _closed_form_columns(gamma, h[~greedy])
+    return symmetrize(stabilizer, np.stack([xcols, h], axis=-1))

@@ -37,7 +37,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .extension import Indicator, ParentExtension, indicator, phases
+from .extension import Indicator, ParentBatch, ParentExtension, indicator, phases
 from .f2 import BinMatrix, mask_of, solve, span_of_basis
 from .pauli import (
     DimensionError,
@@ -129,10 +129,13 @@ class DensityMatrix:
 
     def is_hermitian(self) -> np.ndarray:
         """Child by child: rho[c ^ d, c] = conj rho[c, c ^ d], the layout's
-        entry (d, c ^ d)."""
-        pair = self.offsets[:, None, :, None] ^ np.arange(self.dim)
-        conj = self.num * np.array([[[1]], [[-1]]], dtype=self.num.dtype)
-        return (np.take_along_axis(self.num, pair, 3) == conj).all(axis=(1, 2, 3))
+        entry (d, c ^ d), gathered by one flat take per real and imaginary
+        plane."""
+        k, _, size, dim = self.num.shape
+        starts = np.arange(k * size).reshape(k, size, 1) * dim  # of each row in a flat plane
+        pair = starts + (self.offsets[..., None] ^ np.arange(dim))
+        re, im = self.num[:, 0], self.num[:, 1]
+        return ((re.take(pair) == re) & (im.take(pair) == -im)).all(axis=(1, 2))
 
     def is_pure(self) -> bool:
         """rho^2 = rho for a chunk of one, on the dense matrix."""
@@ -167,7 +170,7 @@ class ChildResult:
     child i's J member j = ``rho.offsets[i, k]``.  A slice is a chunk of its
     children, and iterating gives each child as a chunk of one."""
 
-    parents: Tuple[ParentExtension, ...]
+    parents: Sequence[ParentExtension]
     indicators: Tuple[Indicator, ...]
     rho: DensityMatrix
     b: np.ndarray
@@ -231,7 +234,7 @@ def child_from_pauli_sum(
     by which factor carries Y versus Z, and offsets flip every term that
     contains them.
     """
-    n = parents[0].n
+    n = ParentBatch.of(parents).n
     bases = [ind[1].rows for ind in inds]
     x, z, phase, b = _pauli_terms(parents, duals, bases)
     qubits = np.arange(n)
@@ -241,7 +244,7 @@ def child_from_pauli_sum(
     if ((form ^ form.swapaxes(1, 2)) & 1).any():
         raise AssertionError("J members must commute pairwise")
     rho = DensityMatrix(n, x, np.moveaxis(word_rows(n, z, phase + b), 0, 1), n)
-    return ChildResult(tuple(parents), tuple(inds), rho, b)
+    return ChildResult(parents, tuple(inds), rho, b)
 
 
 def child_from_partial_trace(parents: Sequence[ParentExtension]) -> DensityMatrix:
@@ -254,23 +257,24 @@ def child_from_partial_trace(parents: Sequence[ParentExtension]) -> DensityMatri
     diagonal): p_L and p_E are p on the lab and the environment block, B the
     lab-by-environment block.  In rho(a, b) = 2^{-(n+e)} sum_c i^{p(a, c) -
     p(b, c)} p_E cancels, and sum_c (-1)^{(a ^ b).B.c} = 2^e [B^T (a ^ b) = 0]
-    with B^T = H = ``p.parity_matrix()``.  This holds for every symmetric
+    with B^T = H, the parents' ``parity_rows``.  This holds for every symmetric
     parent, red environment nodes, environment edges and offsets included,
     whatever rank H has.  So D holds the d with H d = 0, and V[d, c] =
     i^{p_L(c ^ d) - p_L(c)}.  The dense cap counts the chunk's k |D| 2^n
     entries.
     """
-    n, k = parents[0].n, len(parents)
+    batch = ParentBatch.of(parents)
+    n, k = batch.n, len(batch)
     cols = np.arange(1 << n)
     lab = (cols[:, None] >> np.arange(n)) & 1  # row: a lab mask, column q: qubit q
-    h = np.array([p.parity_matrix().rows for p in parents], np.int64).reshape(k, -1)
+    h = batch.parity_rows().astype(np.int64)
     h_t = (h[:, None, :] >> np.arange(n)[:, None]) & 1  # [i, q, m]: qubit q in parent i's L_m
     kept = ~((lab @ h_t) & 1).any(axis=-1)  # H d = 0, one product for all d of the chunk
     if (kept.sum(axis=1) != kept[0].sum()).any():
         raise ValueError("the children of a chunk must share |D|")
     d = np.nonzero(kept)[1].reshape(k, -1)  # row by row, so each row ascends
     check_dense(8 * d.size << n, f"child layouts of {k} x {d.shape[1]} x {1 << n} entries")
-    p_lab = phases(parents, lab)
+    p_lab = phases(batch, lab)
     rows = (d[:, :, None] ^ cols) + (np.arange(k) << n)[:, None, None]  # into p_lab.ravel()
     num = i_power(p_lab.ravel()[rows] - p_lab[:, None, :])
     return DensityMatrix(n, d, np.moveaxis(num, 0, 1), n)
@@ -293,7 +297,7 @@ def stabilized_by(rho: DensityMatrix, gens: Sequence[PauliWord]) -> np.ndarray:
 
 
 def children_family_e1(
-    g_duals: Sequence[PauliWord], parents: Sequence[ParentExtension]
+    g_duals: Sequence[PauliWord], parents: ParentBatch
 ) -> Tuple[ChildResult, List[List[int]]]:
     """Children of the e = 1 parents, grouped under lab Z-pattern conjugation.
 
@@ -303,8 +307,8 @@ def children_family_e1(
     reduces to comparing coefficient maps under sign flips, which one F2
     solve per pair decides.
     """
-    inds = [indicator(p) for p in parents]
-    n = parents[0].n
+    inds = indicator(parents)
+    n = parents.n
     size = chunk_len(n, 1)
     children = _joined([child_from_pauli_sum(parents[s:s + size], g_duals, inds[s:s + size])
                         for s in range(0, len(parents), size)])
@@ -327,7 +331,8 @@ def _joined(parts: Sequence[ChildResult]) -> ChildResult:
     first = parts[0].rho
     rho = DensityMatrix(first.n, np.concatenate([c.rho.offsets for c in parts]),
                         np.concatenate([c.rho.num for c in parts]), first.denom_log2)
-    return ChildResult(sum((c.parents for c in parts), ()), sum((c.indicators for c in parts), ()),
+    parents = sum((tuple(c.parents) for c in parts), ())
+    return ChildResult(parents, sum((c.indicators for c in parts), ()),
                        rho, np.concatenate([c.b for c in parts]))
 
 

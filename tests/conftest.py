@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -10,8 +11,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from mgstate.extension import verify_full_commutation
-from mgstate.f2 import combine, mask_of, span_of_basis
+from mgstate.extension import ExtensionError, ParentExtension, verify_full_commutation
+from mgstate.f2 import BinMatrix, bits_of, combine, kernel, mask_of, span_of_basis
 from mgstate.pauli import (
     GaussianMatrix,
     PauliWord,
@@ -181,7 +182,136 @@ def one_partial_trace(p):
     """The partial-trace child of one parent."""
     n = p.n
     lab = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
-    h_t = (np.array(p.parity_matrix().rows, np.int64) >> np.arange(n)[:, None]) & 1
+    h_t = (np.array(one_parity_matrix(p).rows, np.int64) >> np.arange(n)[:, None]) & 1
     d = np.flatnonzero(~((lab @ h_t) & 1).any(axis=1))
     p_lab = one_phases(p, lab)
     return OneChild(n, d, i_power(p_lab[d[:, None] ^ np.arange(1 << n)] - p_lab), n)
+
+
+# ---- the per-parent builders that the batched ones replaced, kept as their oracle ----
+
+
+def one_parity_matrix(p):
+    """H of one parent: the environment rows of ``ae`` on the lab bits."""
+    lab = (1 << p.n) - 1
+    return BinMatrix(tuple(r & lab for r in p.ae.rows[p.n:]), p.n)
+
+
+def one_parity_basis(sub):
+    """Canonical (RREF) parity-check matrix whose kernel is the lifted span."""
+    return kernel(BinMatrix(sub.lifted_basis, sub.reduction.n))
+
+
+def one_greedy_columns(gamma, h):
+    """The greedy column assignment of one parity matrix: the x masks of
+    the columns, or None when a column's internal constraints are
+    inconsistent."""
+    cur = list(gamma.rows)
+    xcols = []
+    for lmask in h.rows:
+        if not lmask:
+            return None
+        x = cur[(lmask & -lmask).bit_length() - 1] & lmask
+        # x_a ^ x_b = anti(a, b) for every pair a, b in L_m
+        if any((cur[a] ^ x ^ (lmask if (x >> a) & 1 else 0)) & lmask for a in bits_of(lmask)):
+            return None
+        x |= mask_of(j for j, row in enumerate(cur) if row & lmask == lmask)
+        # anti'(j, k) = anti(j, k) ^ x_j z_k ^ z_j x_k
+        cur = [
+            row ^ (lmask if (x >> j) & 1 else 0) ^ (x if (lmask >> j) & 1 else 0)
+            for j, row in enumerate(cur)
+        ]
+        xcols.append(x)
+    return None if any(cur) else xcols
+
+
+def one_closed_form_columns(gamma, h):
+    """The x masks of the columns that an F2 solve of X H + (X H)^T = Gamma
+    returns for one parity matrix: the particular solution reduced against
+    the basis of {H^T S} RREF'd from the highest variable j*e + m down."""
+    n, e = gamma.cols, h.nrows
+    pivots = [(r & -r).bit_length() - 1 for r in h.rows]
+    cols = []
+    for m, pm in enumerate(pivots):
+        col = gamma.rows[pm]
+        for k in range(m):
+            if gamma.get(pivots[k], pm):
+                col ^= h.rows[k]
+        cols.append(col)
+
+    def flat(columns):
+        return sum(1 << (j * e + m) for m, col in enumerate(columns) for j in bits_of(col))
+
+    basis = []  # (highest bit, vector), fully reduced
+    for a, b in itertools.combinations_with_replacement(range(e), 2):
+        v = flat([h.rows[b] if m == a else h.rows[a] if m == b else 0 for m in range(e)])
+        for top, w in basis:
+            if (v >> top) & 1:
+                v ^= w
+        top = v.bit_length() - 1
+        basis = [(t, w ^ v if (w >> top) & 1 else w) for t, w in basis]
+        basis.append((top, v))
+    x = flat(cols)
+    for top, w in basis:
+        if (x >> top) & 1:
+            x ^= w
+    return [mask_of(j for j in range(n) if (x >> (j * e + m)) & 1) for m in range(e)]
+
+
+def one_symmetrize(stabilizer, columns):
+    """The graph form of the lab rows extended by one set of (x, z) columns."""
+    columns = tuple(columns)
+    n = len(stabilizer)
+    e = len(columns)
+    lab_rows = []
+    lab_off = set()
+    for j, base in enumerate(stabilizer):
+        if base.x != 1 << j:
+            raise ExtensionError(f"lab row {j} does not have X/Y exactly at position {j}")
+        z, phase = base.z, base.phase
+        for m, (xm, zm) in enumerate(columns):
+            xb, zb = (xm >> j) & 1, (zm >> j) & 1
+            if xb:
+                z ^= zm
+            z |= zb << (n + m)
+            phase += 3 * (xb & zb)
+        delta = (phase - ((z >> j) & 1)) % 4
+        assert delta in (0, 2), "graph-form rows must be +-Hermitian"
+        if delta == 2:
+            lab_off.add(j)
+        lab_rows.append(z)
+    ae = BinMatrix(tuple(lab_rows) + tuple(z for _, z in columns), n + e)
+    return ParentExtension(n, e, ae, frozenset(lab_off), ext_assign=columns)
+
+
+def one_extend_for_subgroup(g, sub, stabilizer):
+    """The parent of one subgroup: greedy columns, else the closed form."""
+    if not g.has_gamma(sub.reduction.gamma):
+        raise ExtensionError("subgroup does not come from the graph's Gamma")
+    e = sub.reduction.e
+    h = one_parity_basis(sub)
+    if h.nrows != e:
+        raise ExtensionError(f"subgroup parity matrix has {h.nrows} rows, expected e = {e}")
+    gamma = sub.reduction.gamma
+    xcols = one_greedy_columns(gamma, h) or one_closed_form_columns(gamma, h)
+    return one_symmetrize(stabilizer, zip(xcols, h.rows))
+
+
+def one_meets_extension_condition(gamma, columns):
+    """X H + (X H)^T = Gamma for one parent's (x, z) columns."""
+    form = [0] * gamma.cols
+    for x, z in columns:  # the rows of X H, then of (X H)^T
+        for j in bits_of(x):
+            form[j] ^= z
+        for j in bits_of(z):
+            form[j] ^= x
+    return tuple(form) == gamma.rows
+
+
+def one_indicator(p):
+    """(L sets, G, H) of one parent: G the RREF kernel of its H."""
+    h = one_parity_matrix(p)
+    gmat = kernel(h)
+    if gmat.nrows != p.n - p.e:
+        raise ExtensionError("parity matrix is rank deficient; extension not minimal")
+    return [tuple(bits_of(r)) for r in h.rows], gmat, h

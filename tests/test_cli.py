@@ -349,12 +349,13 @@ def test_extension_commutes_by_symmetry(monkeypatch):
 
 
 def test_extension_found_rejects_flipped_letter(monkeypatch):
-    # one X bit flipped at node 0 of the first extension column: the
-    # reported columns no longer satisfy X H + (X H)^T = Gamma
-    def flipped(g, sub, rows):
-        p = extend_for_subgroup(g, sub, rows)
-        x, z = p.ext_assign[0]
-        return dataclasses.replace(p, ext_assign=((x ^ 1, z),) + p.ext_assign[1:])
+    # one X bit flipped at node 0 of each parent's first extension column:
+    # the reported columns no longer satisfy X H + (X H)^T = Gamma
+    def flipped(g, subs, rows):
+        parents = extend_for_subgroup(g, subs, rows)
+        xcols = parents.xcols.copy()
+        xcols[:, 0] ^= 1
+        return dataclasses.replace(parents, xcols=xcols)
 
     monkeypatch.setattr(mgstate.cli, "extend_for_subgroup", flipped)
     for argv in BATTERY_COMMANDS:
@@ -389,15 +390,16 @@ def test_dense_matrix_built_only_to_render(monkeypatch, fixture):
 
 
 def test_extension_commutes_rejects_asymmetric_adjacency(monkeypatch):
-    # one bit of the first parent's adjacency mirrored away: its columns still
+    # one bit of each parent's adjacency mirrored away: its columns still
     # meet the extension condition, but its graph-form rows X_j Z^{A_j} no
     # longer commute, and nothing before the check rejects the parent
-    def asymmetric(g, sub, rows):
-        p = extend_for_subgroup(g, sub, rows)
-        j, k = next((j, k) for j, r in enumerate(p.ae.rows) for k in bits_of(r) if k != j)
-        ae = dataclasses.replace(p.ae, rows=tuple(
-            r ^ (1 << k) if i == j else r for i, r in enumerate(p.ae.rows)))
-        return dataclasses.replace(p, ae=ae)
+    def asymmetric(g, subs, rows):
+        parents = extend_for_subgroup(g, subs, rows)
+        ae = parents.ae.copy()
+        for i, p in enumerate(parents):
+            j, k = next((j, k) for j, r in enumerate(p.ae.rows) for k in bits_of(r) if k != j)
+            ae[i, j] ^= 1 << k
+        return dataclasses.replace(parents, ae=ae)
 
     monkeypatch.setattr(mgstate.cli, "extend_for_subgroup", asymmetric)
     for argv in BATTERY_COMMANDS:
@@ -409,9 +411,10 @@ def test_extension_commutes_rejects_asymmetric_e1_parent(monkeypatch):
     # the e = 1 family's parents pass the same check, without adding to the
     # report's check count
     def asymmetric(g):
-        p = extend_e1(g)[0]
-        ae = dataclasses.replace(p.ae, rows=(p.ae.rows[0] ^ 2,) + p.ae.rows[1:])
-        return [dataclasses.replace(p, ae=ae)]
+        parents = extend_e1(g)[:1]
+        ae = parents.ae.copy()
+        ae[0, 0] ^= 2
+        return dataclasses.replace(parents, ae=ae)
 
     monkeypatch.setattr(mgstate.cli, "extend_e1", asymmetric)
     for argv in (["verify"], ["children"]):
@@ -421,9 +424,9 @@ def test_extension_commutes_rejects_asymmetric_e1_parent(monkeypatch):
 
 @pytest.mark.parametrize("argv", BATTERY_COMMANDS, ids=lambda a: a[0])
 def test_parent_eliminations_on_clique6(monkeypatch, argv):
-    # per parent: 4 RREFs (2 for its H and 2 for its indicator, each a
-    # kernel; the child lists J from G's RREF) and 1 symmetry test, the
-    # extension-commutes check's;
+    # the parents take no F2 elimination of their own and no symmetry test:
+    # H, the indicators and the extension-commutes check are array passes
+    # over each batch of parents;
     # reducing Gamma and enumerating take 177 RREFs and 2 symmetry tests:
     # one RREF per subgroup, since t = 0 makes each reduced basis its own lift
     calls = {"rref": 0, "is_symmetric": 0}
@@ -444,31 +447,32 @@ def test_parent_eliminations_on_clique6(monkeypatch, argv):
     monkeypatch.setattr(mgstate.f2.BinMatrix, "is_symmetric", is_symmetric)
     code, _, _ = run_cli(*argv, str(FIXTURES / "clique6.graph"))
     assert code == 0
-    assert calls == {"rref": 135 * 4 + 177, "is_symmetric": 135 + 2}
+    assert calls == {"rref": 177, "is_symmetric": 2}
 
 
 def test_indicator_computed_once_per_parent(monkeypatch):
-    # the child reuses the indicator that the J = subgroup check read
+    # each parent's indicator is computed once, in one call per batch of
+    # parents
     calls = []
     original = mgstate.extension.indicator
 
-    def counted(p):
-        calls.append(p.n)
-        return original(p)
+    def counted(parents):
+        calls.append(len(parents))
+        return original(parents)
 
     for module in (mgstate.extension, mgstate.states, mgstate.cli):
         monkeypatch.setattr(module, "indicator", counted)
     runs = [
-        (["verify", "clique6.graph"], 135),
-        (["children", "--all", "--json", "clique6.graph"], 135),
-        (["children", "triangle.graph"], 6),  # the e = 1 family
-        (["verify", "triangle.graph"], 3 + 6),  # one parent per subgroup, then the family
+        (["verify", "clique6.graph"], [135]),
+        (["children", "--all", "--json", "clique6.graph"], [135]),
+        (["children", "triangle.graph"], [6]),  # the e = 1 family
+        (["verify", "triangle.graph"], [3, 6]),  # one parent per subgroup, then the family
     ]
     for argv, parents in runs:
         calls.clear()
         code, _, _ = run_cli(*argv[:-1], str(FIXTURES / argv[-1]))
         assert code == 0
-        assert len(calls) == parents, argv
+        assert calls == parents, argv
 
 
 def test_family_reads_mixed_rank_off_the_skeleton(monkeypatch):
@@ -495,12 +499,12 @@ def test_indicator_check_rejects_parent_of_another_subgroup(monkeypatch):
     g = mgstate.graphs.parse_graph((FIXTURES / "fournode.graph").read_text())
     red = mgstate.subgroups.reduce_gamma(g.gamma())
     subs = mgstate.subgroups.enumerate_max_isotropic(red)
-    original = mgstate.extension.parity_basis
 
-    def swapped(m):
-        return original(subs[1] if m.lifted_basis == subs[0].lifted_basis else m)
+    def swapped(g, batch, rows):
+        return extend_for_subgroup(
+            g, [subs[1] if m.lifted_basis == subs[0].lifted_basis else m for m in batch], rows)
 
-    monkeypatch.setattr(mgstate.extension, "parity_basis", swapped)
+    monkeypatch.setattr(mgstate.cli, "extend_for_subgroup", swapped)
     for argv in BATTERY_COMMANDS:
         code, out, _ = run_cli(*argv, str(FIXTURES / "fournode.graph"))
         assert (code, out) == (1, "FAIL indicator-matches-subgroup: subgroup 0\n"), argv
@@ -579,10 +583,12 @@ def test_children_invariant_failure_mid_stream(monkeypatch):
 
 
 def test_children_extension_error_mid_stream(monkeypatch):
-    # only subgroup 3's symmetrize raises: exit 4 with its message, and
-    # stdout holds children 0-2 with their last line ended
+    # in batches of one parent, only subgroup 3's symmetrize raises: exit 4
+    # with its message, and stdout holds children 0-2 with their last line
+    # ended
     argv = ["children", "--all", "--json", str(FIXTURES / "fournode.graph")]
     _, full, _ = run_cli(*argv)
+    monkeypatch.setattr(mgstate.cli, "PARENT_BATCH", 1)
     original = mgstate.extension.symmetrize
     calls = []
 
@@ -602,19 +608,23 @@ def test_children_extension_error_mid_stream(monkeypatch):
 
 
 def test_children_written_entry_by_entry(monkeypatch):
-    # child k is on stdout before the parent of child k + 1 is built
-    stdout = io.StringIO()
+    # child k is on stdout before the batch of parents after it is built:
+    # in batches of one, before the parent of child k + 1
     written = []
 
-    def recorded(g, sub, rows):
+    def recorded(g, subs, rows):
         written.append(stdout.getvalue().count('"subgroup_index":'))
-        return extend_for_subgroup(g, sub, rows)
+        return extend_for_subgroup(g, subs, rows)
 
     monkeypatch.setattr(mgstate.cli, "extend_for_subgroup", recorded)
-    with contextlib.redirect_stdout(stdout):
-        code = main(["children", "--all", "--json", str(FIXTURES / "fournode.graph")])
-    assert code == 0
-    assert written == list(range(15))
+    for batch in (1, 4, mgstate.extension.PARENT_BATCH):
+        monkeypatch.setattr(mgstate.cli, "PARENT_BATCH", batch)
+        stdout = io.StringIO()
+        written.clear()
+        with contextlib.redirect_stdout(stdout):
+            code = main(["children", "--all", "--json", str(FIXTURES / "fournode.graph")])
+        assert code == 0
+        assert written == list(range(0, 15, batch)), batch
 
 
 def test_subgroups_written_entry_by_entry(monkeypatch):
@@ -1309,7 +1319,7 @@ def _subgroup_parent(fixture, idx):
     g = mgstate.graphs.parse_graph((FIXTURES / f"{fixture}.graph").read_text())
     red = mgstate.subgroups.reduce_gamma(g.gamma())
     sub = mgstate.subgroups.enumerate_max_isotropic(red)[idx]
-    return extend_for_subgroup(g, sub, mgstate.graphs.stabilizer_matrix(g))
+    return extend_for_subgroup(g, [sub], mgstate.graphs.stabilizer_matrix(g))[0]
 
 
 def _route_fail_line(fixture, idx):
@@ -1367,14 +1377,16 @@ def test_first_failure_in_subgroup_order(monkeypatch):
     original_extend = mgstate.extension.extend_for_subgroup
     extended = []
 
-    def flipped_sixth(g, sub, rows):  # one X bit outside the column's Z/Y support
-        p = original_extend(g, sub, rows)
-        extended.append(p)
-        if len(extended) != 6:
-            return p
-        x, z = p.ext_assign[0]
-        off_support = ~z & (z + 1)
-        return dataclasses.replace(p, ext_assign=((x ^ off_support, z),) + p.ext_assign[1:])
+    def flipped_sixth(g, subs, rows):  # one X bit outside the column's Z/Y support
+        parents = original_extend(g, subs, rows)
+        i = 5 - len(extended)
+        extended.extend(subs)
+        if not 0 <= i < len(parents):
+            return parents
+        xcols = parents.xcols.copy()
+        z = int(parents.ae[i, parents.n])
+        xcols[i, 0] ^= ~z & (z + 1)
+        return dataclasses.replace(parents, xcols=xcols)
 
     monkeypatch.setattr(mgstate.cli, "extend_for_subgroup", flipped_sixth)
     code, out, _ = run_cli("verify", str(FIXTURES / "fournode.graph"))
@@ -1390,8 +1402,9 @@ def test_first_failure_in_subgroup_order(monkeypatch):
 
 
 def test_child_fault_before_extension_error(monkeypatch):
-    # symmetrize raising at subgroup 5 is exit 4, but a failing child at
-    # subgroup 3 comes first
+    # in batches of one parent, symmetrize raising at subgroup 5 is exit 4,
+    # but a failing child at subgroup 3 comes first
+    monkeypatch.setattr(mgstate.cli, "PARENT_BATCH", 1)
     original = mgstate.extension.symmetrize
     calls = []
 
@@ -1408,6 +1421,81 @@ def test_child_fault_before_extension_error(monkeypatch):
     _mutate_child(monkeypatch, 3, _drop_generator)
     code, out, err = run_cli("verify", str(FIXTURES / "fournode.graph"))
     assert (code, out, err) == (1, _route_fail_line("fournode", 3), "")
+
+
+def _flip_parent(monkeypatch, target):
+    """Parents built with one X bit outside the first column's Z/Y support
+    at subgroup ``target``, counting every subgroup built from 0."""
+    original = mgstate.extension.extend_for_subgroup
+    seen = []
+
+    def flipped(g, subs, rows):
+        parents = original(g, subs, rows)
+        i = target - len(seen)
+        seen.extend(subs)
+        if not 0 <= i < len(parents):
+            return parents
+        xcols = parents.xcols.copy()
+        z = int(parents.ae[i, parents.n])
+        xcols[i, 0] ^= ~z & (z + 1)
+        return dataclasses.replace(parents, xcols=xcols)
+
+    monkeypatch.setattr(mgstate.cli, "extend_for_subgroup", flipped)
+
+
+@pytest.mark.parametrize("batch", [1, 3, 10**9], ids=["one", "three", "all"])
+def test_failure_order_across_parent_batches(monkeypatch, batch):
+    # a child fault at subgroup 3 and a parent fault at subgroup 5, in
+    # batches of 1, 3 and all 15 parents: verify and children --all --json
+    # name the child fault, and children writes children 0-2 first; with
+    # the parent fault alone, children 0-4 come before its FAIL line
+    graph = str(FIXTURES / "fournode.graph")
+    _, full, _ = run_cli("children", "--all", "--json", graph)
+    monkeypatch.setattr(mgstate.cli, "PARENT_BATCH", batch)
+    for child_fault, fail, written in ((True, _route_fail_line("fournode", 3), 3),
+                                       (False, "FAIL extension-found: subgroup 5\n", 5)):
+        for argv in BATTERY_COMMANDS:
+            _flip_parent(monkeypatch, 5)
+            if child_fault:
+                _mutate_child(monkeypatch, 3, _flip_sign)
+            code, out, err = run_cli(*argv, graph)
+            lines = out.splitlines(keepends=True)
+            assert (code, err, lines[-1]) == (1, "", fail), argv
+            head = "".join(lines[:-1])[:-1]  # the partial report, its last line ended
+            assert full.startswith(head) and head.count('"subgroup_index":') == (
+                written if argv[0] == "children" else 0), argv
+            monkeypatch.undo()
+            monkeypatch.setattr(mgstate.cli, "PARENT_BATCH", batch)
+
+
+def test_parent_batches_give_the_same_reports(monkeypatch):
+    # every report of verify and children is the same in batches of 1, 3
+    # and all parents: a batch changes how the parents are built, not what
+    runs = [["verify", "--json", str(p)] for p in JSON_FIXTURES]
+    for path in GRAPH_FIXTURES:
+        for argv in (["verify"], ["children", "--all", "--json"], ["children", "--subgroup", "2"]):
+            runs.append(argv + [str(path)])
+    want = [run_cli(*argv) for argv in runs]
+    assert all(code == 0 for code, _, _ in want)
+    for batch in (1, 3, 10**9):
+        monkeypatch.setattr(mgstate.cli, "PARENT_BATCH", batch)
+        assert [run_cli(*argv) for argv in runs] == want, batch
+
+
+def test_children_builds_two_density_matrices_per_child(monkeypatch):
+    # each streamed child is a chunk of one: route 1 and route 2 build one
+    # DensityMatrix each, and the checks read them without slicing
+    calls = []
+    original = DensityMatrix.__post_init__
+
+    def counted(self):
+        calls.append(len(self))
+        original(self)
+
+    monkeypatch.setattr(DensityMatrix, "__post_init__", counted)
+    code, _, _ = run_cli("children", "--all", "--json", str(FIXTURES / "clique6.graph"))
+    assert code == 0
+    assert calls == [1] * (2 * 135)
 
 
 def test_verify_checks_gamma_once(monkeypatch):

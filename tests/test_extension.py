@@ -1,11 +1,21 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mgstate.extension
+from conftest import (
+    one_closed_form_columns,
+    one_extend_for_subgroup,
+    one_indicator,
+    one_meets_extension_condition,
+    one_parity_basis,
+    one_symmetrize,
+)
 from mgstate.extension import (
     ExtensionError,
     ParentExtension,
@@ -15,7 +25,6 @@ from mgstate.extension import (
     extend_for_subgroup,
     indicator,
     meets_extension_condition,
-    parity_basis,
     symmetrize,
     verify_full_commutation,
 )
@@ -43,6 +52,7 @@ from paper_data import (
     TRIANGLE,
 )
 from test_graphs import random_mixed_graph
+from test_states import _term_graphs
 
 FIXTURES = Path(__file__).parent.parent / "src" / "mgstate" / "fixtures"
 
@@ -140,10 +150,9 @@ def test_extend_e1_rows_commute_random(rng):
         made += 1
         parents = extend_e1(g)
         assert 1 <= len(parents) <= 6
-        for p in parents:
+        for p, (l_sets, gmat, h) in zip(parents, indicator(parents)):
             assert verify_full_commutation(p.rows())
             assert p.ae.is_symmetric()
-            l_sets, gmat, h = indicator(p)
             assert h.nrows == 1
 
 
@@ -157,8 +166,8 @@ def test_extend_e1_children_cover_all_maximal_subgroups(rng):
         subs = enumerate_max_isotropic(reduce_gamma(g.gamma()))
         spans = {tuple(sorted(s.span_lifted())) for s in subs}
         hit = set()
-        for p in extend_e1(g):
-            hit.add(tuple(span(indicator(p)[1].rows, p.n)))
+        for _, gmat, _ in indicator(extend_e1(g)):
+            hit.add(tuple(span(gmat.rows, g.n)))
         assert hit == spans  # all 3 maximal subgroups appear as children
         assert len(spans) == 3
 
@@ -234,9 +243,9 @@ def assert_symmetrize_matches_row_products(stabilizer, columns):
     try:
         want = _graph_form_by_row_products(_extended_rows(stabilizer, columns), n, e)
     except ExtensionError:  # the rows do not commute: the adjacency comes out asymmetric
-        assert not symmetrize(stabilizer, columns).ae.is_symmetric()
+        assert symmetrize(stabilizer, [columns]).is_symmetric().tolist() == [False]
         return
-    p = symmetrize(stabilizer, columns)
+    p = symmetrize(stabilizer, [columns])[0]
     assert (p.ae, p.lab_offsets, p.env_offsets) == want
     assert p.ext_assign == tuple(columns)
 
@@ -245,10 +254,8 @@ def assert_parents_match_row_products(g):
     """Every production call: each subgroup's columns and, for e = 1, each
     ``extend_e1`` column."""
     stabilizer = stabilizer_matrix(g)
-    parents = [
-        extend_for_subgroup(g, sub, stabilizer)
-        for sub in enumerate_max_isotropic(reduce_gamma(g.gamma()))
-    ]
+    subs = enumerate_max_isotropic(reduce_gamma(g.gamma()))
+    parents = list(extend_for_subgroup(g, subs, stabilizer))
     if mixed_rank(g)[0] == 1:
         parents += extend_e1(g)
     for p in parents:
@@ -273,20 +280,20 @@ def test_symmetrize_matches_row_products_random(rng):
 
 def test_symmetrize_sec2_appended_matrix():
     # the worked A' = (A | (Z X I)^T ; Z I I X) reduces to the displayed form
-    p = symmetrize(stabilizer_matrix(parse_graph(PATH_MIXED)), mask_columns(["ZXI"]))
+    p = symmetrize(stabilizer_matrix(parse_graph(PATH_MIXED)), [mask_columns(["ZXI"])])[0]
     assert graph_form_letters(p) == SEC2_AE_ROWS
     assert p.lab_offsets == frozenset() and p.env_offsets == frozenset()
 
 
 def test_symmetrize_alt_extension():
-    p = symmetrize(stabilizer_matrix(parse_graph(PATH_MIXED)), mask_columns(["XZI"]))
+    p = symmetrize(stabilizer_matrix(parse_graph(PATH_MIXED)), [mask_columns(["XZI"])])[0]
     assert graph_form_letters(p) == SEC2_AE_ROWS_ALT
 
 
 def test_symmetrize_identity_on_graph_form():
     g = parse_graph("nodes 3\nedge 0 -- 1\nedge 1 -- 2\n")
     rows = stabilizer_matrix(g)
-    p = symmetrize(rows, ())
+    p = symmetrize(rows, [()])[0]
     assert [r.letters() for r in p.rows()] == ["XZI", "ZXZ", "IZX"]
     assert p.lab_offsets == frozenset()
 
@@ -295,7 +302,7 @@ def test_symmetrize_rejects_noncommuting():
     # the triangle's lab rows do not commute, so the graph form symmetrize
     # writes is asymmetric: the CLI's extension-commutes check rejects it
     g = parse_graph(TRIANGLE)
-    assert not symmetrize(stabilizer_matrix(g), ()).ae.is_symmetric()
+    assert symmetrize(stabilizer_matrix(g), [()]).is_symmetric().tolist() == [False]
 
 
 def test_symmetrize_preserves_group(rng):
@@ -322,44 +329,42 @@ def test_symmetrize_preserves_group(rng):
 
 def test_indicator_triangle():
     g = parse_graph(TRIANGLE)
-    p = extend_e1(g)[0]  # (X, Z, Y)
-    l_sets, gmat, h = indicator(p)
+    l_sets, gmat, h = indicator(extend_e1(g)[:1])[0]  # (X, Z, Y)
     assert l_sets == [(1, 2)]
     assert h.rows == (mask_of([1, 2]),)
-    assert span(indicator(p)[1].rows, p.n) == sorted([0b000, 0b001, 0b110, 0b111])
+    assert span(gmat.rows, 3) == sorted([0b000, 0b001, 0b110, 0b111])
     # members as bitstrings j0j1j2: 000, 100, 011, 111
-    members = {format(v, "03b")[::-1] for v in span(indicator(p)[1].rows, p.n)}
+    members = {format(v, "03b")[::-1] for v in span(gmat.rows, 3)}
     assert members == {"000", "100", "011", "111"}
 
 
 def test_indicator_e0_full_group():
     g = parse_graph("nodes 3\nedge 0 -- 1\n")
-    p = symmetrize(stabilizer_matrix(g), ())
-    l_sets, gmat, h = indicator(p)
+    l_sets, gmat, h = indicator(symmetrize(stabilizer_matrix(g), [()]))[0]
     assert l_sets == [] and h.nrows == 0
-    assert span(indicator(p)[1].rows, p.n) == list(range(8))
+    assert span(gmat.rows, 3) == list(range(8))
 
 
 def test_fivenode_worked_extension():
     g = parse_graph(FIVENODE)
     sub = subgroup_for_generators(g, FIVENODE_SUBGROUP_GENS)
-    h = parity_basis(sub)
+    parents = extend_for_subgroup(g, [sub], stabilizer_matrix(g))
+    p = parents[0]
+    h = BinMatrix(tuple(parents.parity_rows()[0].tolist()), g.n)
     assert h.row_strings() == ["01001", "00101"]  # conditions {1,4}, {2,4}
-    p = extend_for_subgroup(g, sub, stabilizer_matrix(g))
-    assert p is not None
     assert p.ext_assign == mask_columns(FIVENODE_EXT_COLUMNS)
     assert verify_full_commutation(p.rows())
-    assert set(span(indicator(p)[1].rows, p.n)) == set(sub.span_lifted())
+    assert set(span(indicator(parents)[0][1].rows, p.n)) == set(sub.span_lifted())
 
 
 def test_clique6_worked_extension():
     g = parse_graph(CLIQUE6)
     sub = subgroup_for_generators(g, CLIQUE6_SUBGROUP_GENS)
-    p = extend_for_subgroup(g, sub, stabilizer_matrix(g))
-    assert p is not None
+    parents = extend_for_subgroup(g, [sub], stabilizer_matrix(g))
+    p = parents[0]
     assert p.ext_assign == mask_columns(CLIQUE6_EXT_COLUMNS)
     assert verify_full_commutation(p.rows())
-    assert set(span(indicator(p)[1].rows, p.n)) == set(sub.span_lifted())
+    assert set(span(indicator(parents)[0][1].rows, p.n)) == set(sub.span_lifted())
 
 
 def test_displayed_extensions_commute():
@@ -379,32 +384,27 @@ def test_extend_for_subgroup_rejects_foreign_subgroup():
     assert mixed_rank(other)[0] == mixed_rank(g)[0] == 2
     sub = enumerate_max_isotropic(reduce_gamma(other.gamma()))[0]
     with pytest.raises(ExtensionError):
-        extend_for_subgroup(g, sub, stabilizer_matrix(g))
+        extend_for_subgroup(g, [sub], stabilizer_matrix(g))
 
 
 def test_extend_for_subgroup_e0():
     g = parse_graph("nodes 2\nedge 0 -- 1\n")
     sub = enumerate_max_isotropic(reduce_gamma(g.gamma()))[0]
-    p = extend_for_subgroup(g, sub, stabilizer_matrix(g))
-    assert p is not None and p.e == 0
+    p = extend_for_subgroup(g, [sub], stabilizer_matrix(g))[0]
+    assert p.e == 0
     assert [r.letters() for r in p.rows()] == ["XZ", "ZX"]
 
 
 def test_extend_for_subgroup_all_subgroups_random(rng):
-    failures = 0
     for _ in range(40):
         g = random_mixed_graph(rng, rng.randrange(2, 6))
         subs = enumerate_max_isotropic(reduce_gamma(g.gamma()))
-        for sub in subs:
-            p = extend_for_subgroup(g, sub, stabilizer_matrix(g))
-            if p is None:
-                failures += 1
-                continue
+        parents = extend_for_subgroup(g, subs, stabilizer_matrix(g))
+        assert len(parents) == len(subs)
+        for sub, p, (_, gmat, h) in zip(subs, parents, indicator(parents)):
             assert verify_full_commutation(p.rows())
-            assert set(span(indicator(p)[1].rows, p.n)) == set(sub.span_lifted())
-            _, _, h = indicator(p)
+            assert set(span(gmat.rows, p.n)) == set(sub.span_lifted())
             assert h.nrows == p.e
-    assert failures == 0
 
 
 def test_extend_minimum_e_only(rng):
@@ -414,8 +414,7 @@ def test_extend_minimum_e_only(rng):
         e, _ = mixed_rank(g)
         subs = enumerate_max_isotropic(reduce_gamma(g.gamma()))
         made += 1
-        p = extend_for_subgroup(g, subs[0], stabilizer_matrix(g))
-        assert p.e == e
+        assert extend_for_subgroup(g, subs[:1], stabilizer_matrix(g)).e == e
 
 
 def _greedy_columns_per_qubit(gamma, h):
@@ -460,11 +459,15 @@ def _greedy_columns_per_qubit(gamma, h):
 
 
 def assert_greedy_matches_per_qubit(g, outcomes):
+    # the batched greedy pass on every subgroup's H at once, each one
+    # compared with the reference on its own
     gamma = g.gamma()
-    for sub in enumerate_max_isotropic(reduce_gamma(gamma)):
-        h = parity_basis(sub)
-        want = _greedy_columns_per_qubit(gamma, h)
-        assert _greedy_columns(gamma, h) == want
+    subs = enumerate_max_isotropic(reduce_gamma(gamma))
+    h = extend_for_subgroup(g, subs, stabilizer_matrix(g)).parity_rows()
+    xcols, ok = _greedy_columns(np.array(gamma.rows, dtype=h.dtype), h)
+    for i, h_rows in enumerate(h.tolist()):
+        want = _greedy_columns_per_qubit(gamma, BinMatrix(tuple(h_rows), g.n))
+        assert (xcols[i].tolist() if ok[i] else None) == want
         outcomes.add(want is None)
 
 
@@ -510,9 +513,12 @@ def _solve_columns(gamma, h):
 
 def assert_closed_form_matches_solve(g):
     gamma = g.gamma()
-    for sub in enumerate_max_isotropic(reduce_gamma(gamma)):
-        h = parity_basis(sub)
-        xcols = _closed_form_columns(gamma, h)
+    subs = enumerate_max_isotropic(reduce_gamma(gamma))
+    h_rows = extend_for_subgroup(g, subs, stabilizer_matrix(g)).parity_rows()
+    solved = _closed_form_columns(np.array(gamma.rows, dtype=h_rows.dtype), h_rows).tolist()
+    for sub, row, xcols in zip(subs, h_rows.tolist(), solved):
+        h = BinMatrix(tuple(row), g.n)
+        assert h == one_parity_basis(sub)
         assert xcols == _solve_columns(gamma, h)
         x = BinMatrix.from_lists([[(col >> j) & 1 for col in xcols] for j in range(g.n)], h.nrows)
         xh = x.matmul(h)
@@ -530,11 +536,12 @@ def test_closed_form_matches_solve_random(rng):
 
 
 def test_extend_for_subgroup_n128(monkeypatch):
-    # greedy falls back to the closed form on 6 of the 15 subgroups
+    # greedy falls back to the closed form on 6 of the 15 subgroups, in one
+    # call for the batch; the masks are Python ints past 62 bits
     fallbacks = []
 
     def counted(gamma, h):
-        fallbacks.append(h)
+        fallbacks.append(len(h))
         return _closed_form_columns(gamma, h)
 
     monkeypatch.setattr(mgstate.extension, "_closed_form_columns", counted)
@@ -542,19 +549,131 @@ def test_extend_for_subgroup_n128(monkeypatch):
     rows = stabilizer_matrix(g)
     subs = enumerate_max_isotropic(reduce_gamma(g.gamma()))
     assert mixed_rank(g)[0] == 2 and len(subs) == chi(2) == 15
-    for sub in subs:
-        p = extend_for_subgroup(g, sub, rows)
-        assert indicator(p)[1].rows == sub.lifted_basis
-        assert meets_extension_condition(g.gamma(), p.ext_assign)
-    assert len(fallbacks) == 6
+    parents = extend_for_subgroup(g, subs, rows)
+    assert parents.ae.dtype == object
+    assert [ind[1].rows for ind in indicator(parents)] == [sub.lifted_basis for sub in subs]
+    assert meets_extension_condition(g.gamma(), parents).all()
+    assert fallbacks == [6]
 
 
 def test_extension_condition_worked_columns():
     for text, displayed in ((FIVENODE, FIVENODE_EXT_COLUMNS), (CLIQUE6, CLIQUE6_EXT_COLUMNS)):
-        gamma = parse_graph(text).gamma()
+        g = parse_graph(text)
         columns = mask_columns(displayed)
-        assert meets_extension_condition(gamma, columns)
         # I instead of the displayed X at node 0 of column 0
         assert displayed[0][0] == "X"
         flipped = ((columns[0][0] ^ 1, columns[0][1]),) + columns[1:]
-        assert not meets_extension_condition(gamma, flipped)
+        parents = symmetrize(stabilizer_matrix(g), [columns, flipped])
+        assert meets_extension_condition(g.gamma(), parents).tolist() == [True, False]
+
+
+def _oracle_verdicts(p, sub):
+    """The per-parent checks: the extension condition on ``ext_assign``,
+    symmetry of ``ae`` and the RREF kernel of H against the lifted basis;
+    a rank-deficient H has no kernel of the subgroup's size."""
+    try:
+        matches = one_indicator(p)[1].rows == sub.lifted_basis
+    except ExtensionError:
+        matches = False
+    return [one_meets_extension_condition(sub.reduction.gamma, p.ext_assign),
+            p.ae.is_symmetric(), matches]
+
+
+def _batch_verdicts(parents, subs):
+    return np.array([
+        meets_extension_condition(subs[0].reduction.gamma, parents),
+        parents.is_symmetric(),
+        parents.has_kernel([s.lifted_basis for s in subs]),
+    ]).T.tolist()
+
+
+def assert_batch_matches_oracle(g, oracle=None):
+    """Every subgroup of g, as one batch: each parent (adjacency, offsets
+    and columns), its three verdicts and its indicator equal those of the
+    per-parent oracle, ``oracle(g, sub, rows)``."""
+    rows = stabilizer_matrix(g)
+    subs = enumerate_max_isotropic(reduce_gamma(g.gamma()))
+    parents = extend_for_subgroup(g, subs, rows)
+    want = [(oracle or one_extend_for_subgroup)(g, sub, rows) for sub in subs]
+    assert list(parents) == want
+    assert _batch_verdicts(parents, subs) == list(map(_oracle_verdicts, want, subs))
+    assert indicator(parents) == [one_indicator(p) for p in want]
+    return parents
+
+
+def _directed_clique(n):
+    return MixedGraph.build(n, [(j, k, "->") for j, k in itertools.combinations(range(n), 2)])
+
+
+def _sparse_path(n):
+    """A path with three directed edges: e = 3, so at n = 32 the adjacency
+    masks fit int64 and the closed form's n e flat variables do not, and
+    at n = 60 neither does."""
+    return parse_graph(f"nodes {n}\n" + "".join(f"edge {j} -- {j + 1}\n" for j in range(n - 1))
+                       + f"edge 0 -> 5\nedge 9 -> {n - 3}\nedge 12 -> {n - 1}\n")
+
+
+def test_batched_parents_match_oracle():
+    # the fixtures, the directed cliques on 2-9 nodes, the 40 seeded graphs
+    # with t > 0 among them, both sides of the 62-bit mask width, and the
+    # n = 128 graph
+    graphs = _term_graphs() + [_directed_clique(n) for n in (8, 9)]
+    graphs += [_sparse_path(32), _sparse_path(60), parse_graph(SPARSE128)]
+    assert any(reduce_gamma(g.gamma()).t > 0 for g in graphs)
+    dtypes = [assert_batch_matches_oracle(g).ae.dtype for g in graphs[-3:]]
+    assert dtypes == [np.int64, object, object]
+    for g in graphs[:-3]:
+        assert_batch_matches_oracle(g)
+
+
+def test_batched_parents_match_oracle_with_flipped_greedy_flags(monkeypatch):
+    # every greedy flag inverted: the subgroups greedy solves take the
+    # closed form, and the others keep greedy's columns that fail; each
+    # parent and verdict is still the oracle's for the same columns
+    original = mgstate.extension._greedy_columns
+    greedy = {}
+
+    def flipped(gamma, h):
+        xcols, ok = original(gamma, h)
+        greedy.update(zip(map(tuple, h.tolist()), zip(xcols.tolist(), ok.tolist())))
+        return xcols, ~ok
+
+    def oracle(g, sub, rows):
+        h = one_parity_basis(sub)
+        xcols, ok = greedy[h.rows]
+        if ok:
+            xcols = one_closed_form_columns(sub.reduction.gamma, h)
+        return one_symmetrize(rows, zip(xcols, h.rows))
+
+    monkeypatch.setattr(mgstate.extension, "_greedy_columns", flipped)
+    outcomes, found = set(), set()
+    for g in _term_graphs():
+        greedy.clear()
+        parents = assert_batch_matches_oracle(g, oracle)
+        outcomes.update(ok for _, ok in greedy.values())
+        found.update(meets_extension_condition(g.gamma(), parents).tolist())
+    assert outcomes == found == {True, False}
+
+
+def test_batched_verdicts_match_oracle_on_corrupted_parity_rows():
+    # one bit of one environment row flipped, parent by parent: the three
+    # verdicts of the corrupted batch equal the oracle's on the same parent
+    for g in _term_graphs():
+        rows = stabilizer_matrix(g)
+        subs = enumerate_max_isotropic(reduce_gamma(g.gamma()))
+        parents = extend_for_subgroup(g, subs, rows)
+        if not parents.e:
+            continue
+        ae = parents.ae.copy()
+        want = []
+        for i, (sub, p) in enumerate(zip(subs, parents)):
+            m, j = i % p.e, (i // p.e) % p.n
+            ae[i, p.n + m] ^= 1 << j
+            env = list(p.ae.rows[p.n:])
+            env[m] ^= 1 << j
+            corrupted = dataclasses.replace(
+                p, ae=BinMatrix(p.ae.rows[:p.n] + tuple(env), p.total),
+                ext_assign=tuple(zip((x for x, _ in p.ext_assign), env)))
+            want.append(_oracle_verdicts(corrupted, sub))
+        assert _batch_verdicts(dataclasses.replace(parents, ae=ae), subs) == want
+        assert [w[2] for w in want].count(False) > 0

@@ -18,6 +18,7 @@ from conftest import (
     divided_by_pow2,
     kron_letters,
     layout_of,
+    one_indicator,
     one_partial_trace,
     one_pauli_sum,
     pauli_sum,
@@ -29,7 +30,6 @@ from mgstate.extension import (
     ParentExtension,
     extend_e1,
     extend_for_subgroup,
-    indicator,
     phases,
     symmetrize,
 )
@@ -212,12 +212,12 @@ def test_sign_coefficients_worked_parents():
     parents = extend_e1(g)
     # column (X, Z, Y): rho = (s000 + s100 + i s011 + i s111)/8
     p_xzy = parents[0]
-    coeffs = child_from_pauli_sum([p_xzy], duals, [indicator(p_xzy)]).terms(0)
+    coeffs = child_from_pauli_sum([p_xzy], duals, [one_indicator(p_xzy)]).terms(0)
     keyed = {format(k, "03b")[::-1]: v for k, v in coeffs.items()}
     assert keyed == {"000": 0, "100": 0, "011": 1, "111": 1}
     # column (X, Y, Z): rho = (s000 + s100 - i s011 - i s111)/8
     p_xyz = parents[1]
-    coeffs = child_from_pauli_sum([p_xyz], duals, [indicator(p_xyz)]).terms(0)
+    coeffs = child_from_pauli_sum([p_xyz], duals, [one_indicator(p_xyz)]).terms(0)
     keyed = {format(k, "03b")[::-1]: v for k, v in coeffs.items()}
     assert keyed == {"000": 0, "100": 0, "011": 3, "111": 3}
 
@@ -226,9 +226,9 @@ def test_sign_coefficients_binary_flip_rule():
     g = parse_graph(TRIANGLE)
     duals = triangle_duals()
     p = extend_e1(g)[0]
-    base = child_from_pauli_sum([p], duals, [indicator(p)]).terms(0)
+    base = child_from_pauli_sum([p], duals, [one_indicator(p)]).terms(0)
     p_flipped = dataclasses.replace(p, lab_offsets=p.lab_offsets ^ {0})
-    flipped = child_from_pauli_sum([p_flipped], duals, [indicator(p_flipped)]).terms(0)
+    flipped = child_from_pauli_sum([p_flipped], duals, [one_indicator(p_flipped)]).terms(0)
     for j, v in base.items():
         expect = (v + 2) % 4 if (j & 1) else v  # terms containing row 0
         assert flipped[j] == expect
@@ -243,7 +243,7 @@ def test_terms_are_hermitian(rng):
         made += 1
         duals = dual_stabilizer(g)
         for p in extend_e1(g):
-            coeffs = child_from_pauli_sum([p], duals, [indicator(p)]).terms(0)
+            coeffs = child_from_pauli_sum([p], duals, [one_indicator(p)]).terms(0)
             for j, k in coeffs.items():
                 word = ordered_product(duals, bits_of(j))
                 scaled = PauliWord(word.n, word.x, word.z, word.phase + k)
@@ -262,11 +262,11 @@ def test_child_equals_partial_trace_all_paper_graphs():
         if e == 1:
             parents += extend_e1(g)
         for sub in subs:
-            p = extend_for_subgroup(g, sub, stabilizer_matrix(g))
+            p = extend_for_subgroup(g, [sub], stabilizer_matrix(g))[0]
             assert p is not None
             parents.append(p)
         for p in parents:
-            child = child_from_pauli_sum([p], duals, [indicator(p)])
+            child = child_from_pauli_sum([p], duals, [one_indicator(p)])
             assert child.rho == child_from_partial_trace([p])
 
 
@@ -280,8 +280,8 @@ def test_child_trace_hermitian_mixed(rng):
         made += 1
         duals = dual_stabilizer(g)
         sub = enumerate_max_isotropic(reduce_gamma(g.gamma()))[0]
-        p = extend_for_subgroup(g, sub, stabilizer_matrix(g))
-        child = child_from_pauli_sum([p], duals, [indicator(p)])
+        p = extend_for_subgroup(g, [sub], stabilizer_matrix(g))[0]
+        child = child_from_pauli_sum([p], duals, [one_indicator(p)])
         assert child.rho.trace_is_one()
         assert child.rho.is_hermitian()
         assert not child.rho.is_pure()  # e >= 1 means properly mixed
@@ -299,13 +299,13 @@ def test_child_subgroup_is_maximal(rng):
         subs = enumerate_max_isotropic(reduce_gamma(g.gamma()))
         spans = {tuple(sorted(s.span_lifted())) for s in subs}
         for p in extend_e1(g):
-            assert tuple(span(indicator(p)[1].rows, p.n)) in spans
+            assert tuple(span(one_indicator(p)[1].rows, p.n)) in spans
 
 
 def test_e0_child_is_pure_projector():
     g = parse_graph("nodes 3\nedge 0 -- 1\nedge 1 -- 2\n")
-    p = symmetrize(stabilizer_matrix(g), ())
-    child = child_from_pauli_sum([p], dual_stabilizer(g), [indicator(p)])
+    p = symmetrize(stabilizer_matrix(g), [()])[0]
+    child = child_from_pauli_sum([p], dual_stabilizer(g), [one_indicator(p)])
     assert len(child.terms(0)) == 8  # sum over the whole stabilizer group
     assert child.rho == child_from_partial_trace([p])
     assert child.rho.is_pure()
@@ -315,7 +315,7 @@ def test_rho0_is_a_pauli_sum_child():
     # rho0's stated parent, fed through the Pauli-sum route
     p = parent_from_paper(*RHO0_PARENT, 3, 1)
     duals = triangle_duals()
-    child = child_from_pauli_sum([p], duals, [indicator(p)])
+    child = child_from_pauli_sum([p], duals, [one_indicator(p)])
     assert np.array_equal(rho_to_complex(child.rho), paper_matrix(RHO0_NUM, 8))
     # and it matches the partial trace of the same parent
     assert child.rho == child_from_partial_trace([p])
@@ -445,7 +445,7 @@ def test_z_pattern_solve_matches_search(rng):
             graphs.append(g)
     for g in graphs:
         duals = dual_stabilizer(g)
-        children = [child_from_pauli_sum([p], duals, [indicator(p)]) for p in extend_e1(g)]
+        children = [child_from_pauli_sum([p], duals, [one_indicator(p)]) for p in extend_e1(g)]
         assert_z_patterns_match_search([c.terms(0) for c in children], g.n)
     # an odd difference (b_1 - a_1 = 3) and a J where a sign flip is forced
     # on 0b11 but not on either of its factors
@@ -474,7 +474,7 @@ def test_sign_table_row_for_row():
             rho = child_from_partial_trace([p])
             assert np.array_equal(rho_to_complex(rho), expect), (a, b, binary)
             # and through the Pauli-sum route
-            child = child_from_pauli_sum([p], duals, [indicator(p)])
+            child = child_from_pauli_sum([p], duals, [one_indicator(p)])
             assert child.rho == rho
 
 
@@ -488,10 +488,10 @@ def test_linear_term_rule_via_z_conjugation(rng):
         made += 1
         duals = dual_stabilizer(g)
         for p in extend_e1(g)[:2]:
-            base = child_from_pauli_sum([p], duals, [indicator(p)]).rho
+            base = child_from_pauli_sum([p], duals, [one_indicator(p)]).rho
             for k in range(g.n):
                 flipped = dataclasses.replace(p, lab_offsets=p.lab_offsets ^ {k})
-                flipped = child_from_pauli_sum([flipped], duals, [indicator(flipped)]).rho
+                flipped = child_from_pauli_sum([flipped], duals, [one_indicator(flipped)]).rho
                 zk = PauliWord(g.n, 0, 1 << k, 0)
                 assert flipped == conjugated(base, zk)
 
@@ -502,12 +502,12 @@ def test_linear_term_rule_via_z_conjugation(rng):
 def test_clique6_displayed_parent_graph_form():
     # the displayed intermediate extension of the clique symmetrizes to the
     # displayed graph form, binary offsets {1, 3, 4, 5} included
-    from mgstate.extension import indicator, symmetrize
+    from mgstate.extension import symmetrize
     from paper_data import CLIQUE6_SEC5_INTERMEDIATE_COLUMNS
     from test_extension import mask_columns
 
     g = parse_graph(CLIQUE6)
-    p = symmetrize(stabilizer_matrix(g), mask_columns(CLIQUE6_SEC5_INTERMEDIATE_COLUMNS))
+    p = symmetrize(stabilizer_matrix(g), [mask_columns(CLIQUE6_SEC5_INTERMEDIATE_COLUMNS)])[0]
     assert [r.letters() for r in p.rows()] == CLIQUE6_PARENT_AE_ROWS
     assert sorted(p.lab_offsets) == CLIQUE6_PARENT_BINARY
     assert p.env_offsets == frozenset()
@@ -515,13 +515,13 @@ def test_clique6_displayed_parent_graph_form():
         CLIQUE6_PARENT_QUAD, CLIQUE6_PARENT_Z4, CLIQUE6_PARENT_BINARY, 6, 3
     )
     assert built.ae == p.ae and built.lab_offsets == p.lab_offsets
-    l_sets, gmat, h = indicator(p)
+    l_sets, gmat, h = one_indicator(p)
     assert [tuple(L) for L in l_sets] == [tuple(t) for t in CLIQUE6_L_SETS]
     assert h.row_strings() == CLIQUE6_H_ROWS
     assert gmat.row_strings() == CLIQUE6_G_ROWS
     # its child agrees across both routes and is stabilized by the clique
     duals = dual_stabilizer(g)
-    child = child_from_pauli_sum([p], duals, [indicator(p)])
+    child = child_from_pauli_sum([p], duals, [one_indicator(p)])
     assert child.rho == child_from_partial_trace([p])
     assert stabilized_by(child.rho, stabilizer_matrix(g))
 
@@ -543,8 +543,8 @@ def test_clique6_displayed_eight_term_child():
         for s in enumerate_max_isotropic(reduce_gamma(g.gamma()))
         if set(s.span_lifted()) == target
     )
-    p = extend_for_subgroup(g, sub, stabilizer_matrix(g))
-    child = child_from_pauli_sum([p], duals, [indicator(p)])
+    p = extend_for_subgroup(g, [sub], stabilizer_matrix(g))[0]
+    child = child_from_pauli_sum([p], duals, [one_indicator(p)])
     expect = np.zeros((64, 64), dtype=complex)
     for sign, letters in CLIQUE6_CHILD_TERMS:
         expect = expect + sign * kron_letters(letters)
@@ -559,8 +559,8 @@ def test_clique6_worked_subgroup_child_matches_trace():
     subs = enumerate_max_isotropic(reduce_gamma(g.gamma()))
     target = set(span(list(FIVENODE_SUBGROUP_GENS), 5))
     sub = next(s for s in subs if set(s.span_lifted()) == target)
-    p = extend_for_subgroup(g, sub, stabilizer_matrix(g))
-    child = child_from_pauli_sum([p], duals, [indicator(p)])
+    p = extend_for_subgroup(g, [sub], stabilizer_matrix(g))[0]
+    child = child_from_pauli_sum([p], duals, [one_indicator(p)])
     assert child.rho == child_from_partial_trace([p])
     assert set(child.terms(0)) == target
 
@@ -618,7 +618,7 @@ def _every_parent(g):
     rows = stabilizer_matrix(g)
     e, _ = mixed_rank(g)
     subs = enumerate_max_isotropic(reduce_gamma(g.gamma()))
-    parents = [extend_for_subgroup(g, s, rows) for s in subs]
+    parents = list(extend_for_subgroup(g, subs, rows))
     if e == 1:
         parents += extend_e1(g)
     return e, parents
@@ -627,7 +627,7 @@ def _every_parent(g):
 def _every_child(g):
     duals = dual_stabilizer(g)
     e, parents = _every_parent(g)
-    return e, [child_from_pauli_sum([p], duals, [indicator(p)]) for p in parents]
+    return e, [child_from_pauli_sum([p], duals, [one_indicator(p)]) for p in parents]
 
 
 def _purity_graphs():
@@ -657,8 +657,8 @@ def test_purity_examples():
         assert not mixed.is_pure()  # the old check passes it for any e >= 1 ...
         assert mixed.purity() == [Fraction(1, 1 << n)]  # ... purity tells it apart
     g = parse_graph("nodes 3\nedge 0 -- 1\nedge 1 -- 2\n")
-    p = symmetrize(stabilizer_matrix(g), ())
-    assert child_from_pauli_sum([p], dual_stabilizer(g), [indicator(p)]).rho.purity() == [1]
+    p = symmetrize(stabilizer_matrix(g), [()])[0]
+    assert child_from_pauli_sum([p], dual_stabilizer(g), [one_indicator(p)]).rho.purity() == [1]
 
 
 def test_purity_exact_beyond_int64():
@@ -729,8 +729,8 @@ def test_child_from_pauli_sum_no_product_per_member(monkeypatch):
         e, _ = mixed_rank(g)
         duals = dual_stabilizer(g)
         for sub in enumerate_max_isotropic(reduce_gamma(g.gamma())):
-            p = extend_for_subgroup(g, sub, stabilizer_matrix(g))
-            ind = indicator(p)
+            p = extend_for_subgroup(g, [sub], stabilizer_matrix(g))[0]
+            ind = one_indicator(p)
             for name in calls:
                 calls[name] = 0
             monkeypatch.setattr(PauliWord, "__init__", counting("PauliWord"))
@@ -757,7 +757,7 @@ def test_pauli_terms_match_ordered_products():
     for g in _term_graphs():
         duals = dual_stabilizer(g)
         for p in _every_parent(g)[1]:
-            gmat, parent_phase = indicator(p)[1], phase_oracle(p)
+            gmat, parent_phase = one_indicator(p)[1], phase_oracle(p)
             x, z, phase, b = (a[0] for a in mgstate.states._pauli_terms([p], duals, [gmat.rows]))
             members = x.tolist()
             assert members == span(gmat.rows, g.n)  # ascending
@@ -766,7 +766,8 @@ def test_pauli_terms_match_ordered_products():
                 want_b = (-parent_phase(j) - word.phase - 2 * parity(word.x & word.z)) % 4
                 want = (word.x, word.z, word.phase, want_b)
                 assert (x[k], z[k], phase[k], b[k]) == want, (g, p, j)
-            assert child_from_pauli_sum([p], duals, [indicator(p)]).terms(0) == dict(zip(members, b))
+            child = child_from_pauli_sum([p], duals, [one_indicator(p)])
+            assert child.terms(0) == dict(zip(members, b))
             members_seen += len(members)
     assert members_seen > 5000
 
@@ -778,7 +779,7 @@ def test_offsets_are_j_as_the_report_masks():
     for g in _term_graphs():
         duals = dual_stabilizer(g)
         for p in _every_parent(g)[1]:
-            ind = indicator(p)
+            ind = one_indicator(p)
             members = span_of_basis(ind[1].rows)
             child = child_from_pauli_sum([p], duals, [ind])
             assert child.rho.offsets.tolist() == [members], (g, p)
@@ -794,8 +795,8 @@ def test_child_from_pauli_sum_rejects_anticommuting_generators():
     p = extend_e1(parse_graph(TRIANGLE))[0]
     other = dual_stabilizer(parse_graph("nodes 3\nedge 0 -> 1\n"))
     with pytest.raises(AssertionError, match="J members must commute pairwise"):
-        child_from_pauli_sum([p], other, [indicator(p)])
-    child_from_pauli_sum([p], dual_stabilizer(parse_graph(TRIANGLE)), [indicator(p)])
+        child_from_pauli_sum([p], other, [one_indicator(p)])
+    child_from_pauli_sum([p], dual_stabilizer(parse_graph(TRIANGLE)), [one_indicator(p)])
 
 
 # ---- the partial-trace route against term-by-term and einsum oracles ----
@@ -891,7 +892,7 @@ def _n_plus_e_12_parents():
     g = parse_graph("nodes 8\n" + edges)
     sub = enumerate_max_isotropic(reduce_gamma(g.gamma()))[0]
     empty = ParentExtension(2, 10, BinMatrix((0,) * 12, 12), frozenset({1}))
-    return [extend_for_subgroup(g, sub, stabilizer_matrix(g)), empty]
+    return [extend_for_subgroup(g, [sub], stabilizer_matrix(g))[0], empty]
 
 
 def test_partial_trace_matches_einsum_oracle():
@@ -1003,10 +1004,10 @@ def test_layout_renders_both_oracles():
     for g, first in graphs:
         duals, rows = dual_stabilizer(g), stabilizer_matrix(g)
         subs = enumerate_max_isotropic(reduce_gamma(g.gamma()))[:first]
-        parents = [extend_for_subgroup(g, s, rows) for s in subs]
+        parents = list(extend_for_subgroup(g, subs, rows))
         parents += extend_e1(g) if mixed_rank(g)[0] == 1 and first is None else []
         for p in parents:
-            child = child_from_pauli_sum([p], duals, [indicator(p)])
+            child = child_from_pauli_sum([p], duals, [one_indicator(p)])
             terms = [(ordered_product(duals, bits_of(j)), k) for j, k in child.terms(0).items()]
             oracle = divided_by_pow2(pauli_sum(g.n, terms), g.n)
             assert child.rho.mat == oracle and child_from_partial_trace([p]).mat == oracle
@@ -1029,7 +1030,8 @@ def test_layout_checks_match_dense_oracles():
     w = PauliWord.from_letters
     g = parse_graph(TRIANGLE)
     rows = stabilizer_matrix(g)
-    child = child_from_pauli_sum(extend_e1(g)[:1], dual_stabilizer(g), [indicator(extend_e1(g)[0])])
+    parents = extend_e1(g)[:1]
+    child = child_from_pauli_sum(parents, dual_stabilizer(g), [one_indicator(parents[0])])
     words = [w("".join(letters)) for letters in itertools.product("IXYZ", repeat=3)]
     mover = next(v for v in words if not stabilized_by(child.rho, [v]))
     moved = conjugated(child.rho, mover)
@@ -1095,7 +1097,7 @@ def test_layout_keeps_int8_numerators_only_without_their_minimum():
     # holding -128 is widened, and its sign and conjugation checks stay exact
     g = parse_graph(TRIANGLE)
     p = extend_e1(g)[0]
-    child = child_from_pauli_sum([p], dual_stabilizer(g), [indicator(p)])
+    child = child_from_pauli_sum([p], dual_stabilizer(g), [one_indicator(p)])
     assert child.rho.num.dtype == child_from_partial_trace([p]).num.dtype == np.int8
     w = PauliWord.from_letters
     real = DensityMatrix(1, np.array([[1]]), np.array([[[[-128, -128]], [[0, 0]]]], np.int8), 0)
@@ -1138,7 +1140,7 @@ def test_chunks_match_the_per_child_oracle(monkeypatch):
     for g in _term_graphs():
         duals, rows = dual_stabilizer(g), stabilizer_matrix(g)
         e, parents = _every_parent(g)
-        inds = [indicator(p) for p in parents]
+        inds = [one_indicator(p) for p in parents]
         words = [random_word(rng, g.n)]
         whole = child_from_pauli_sum(parents, duals, inds)
         oracle = []
@@ -1178,9 +1180,9 @@ def test_chunk_children_must_share_d():
     # e = 0 parent on the same lab qubits do not share one
     g = parse_graph(TRIANGLE)
     p1 = extend_e1(g)[0]
-    p0 = symmetrize(stabilizer_matrix(g), ())
+    p0 = symmetrize(stabilizer_matrix(g), [()])[0]
     with pytest.raises(ValueError, match="share"):
-        child_from_pauli_sum([p1, p0], dual_stabilizer(g), [indicator(p1), indicator(p0)])
+        child_from_pauli_sum([p1, p0], dual_stabilizer(g), [one_indicator(p1), one_indicator(p0)])
     hand = [ParentExtension(2, 1, BinMatrix((4, 0, 1), 3)), ParentExtension(2, 1, BinMatrix((0, 0, 0), 3))]
     with pytest.raises(ValueError, match="share"):
         child_from_partial_trace(hand)
