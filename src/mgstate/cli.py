@@ -22,18 +22,19 @@ subgroup (see ``mgstate.extension``) and gives each of the three parent
 checks as one verdict per subgroup, which ``check`` then reads subgroup by
 subgroup.  The children draw from the batch: ``verify`` builds and checks
 them a chunk at a time.  A chunk of k children shares n and |D| = 2^(n-e)
-and holds offsets (k, |D|) and numerators (k, 2, |D|, 2^n);
-``states.chunk_len`` sizes it to the module constant
-``states.CHUNK_ENTRIES`` = 2^14 layout entries, 8 children at (n, e) = (7,
-3) and 32 at (6, 3).  Each route and each check is one array pass over a
-chunk; ``children`` passes a chunk of one per streamed entry.  The first
-failure is still reported in (subgroup, check) order: a parent's failed
-verdict is raised in its subgroup's place, after the children of the
-subgroups before it are checked (and, for ``children``, written), and only
-those parents get children.  An ``ExtensionError`` from building a batch,
-whose causes (a foreign Gamma, a subgroup of the wrong dimension, a lab row
-not in graph form) hold for a whole batch, counts as a failure of its first
-subgroup: every batch before it is checked by then.
+and holds each child as a signed member list, members, z masks and phases
+(k, |D|) each (see ``mgstate.states``); ``states.chunk_len`` sizes it to
+the module constant ``states.CHUNK_ENTRIES`` = 2^14 words, 3 |D| per child
+plus route 2's 2^n syndromes, 93 children at (n, e) = (7, 3) and 186 at (6,
+3).  Each route and each check is one array pass over a chunk; ``children``
+passes a chunk of one per streamed entry.  The first failure is still
+reported in (subgroup, check) order: a parent's failed verdict is raised in
+its subgroup's place, after the children of the subgroups before it are
+checked (and, for ``children``, written), and only those parents get
+children.  An ``ExtensionError`` from building a batch, whose causes (a
+foreign Gamma, a subgroup of the wrong dimension, a lab row not in graph
+form) hold for a whole batch, counts as a failure of its first subgroup:
+every batch before it is checked by then.
 
 ``subgroups`` and ``children`` stream their entries, so on a non-zero exit
 stdout is not a complete report: the entries written so far, their last line
@@ -144,10 +145,13 @@ Check = Callable[[str, bool, str], None]
 def _check_children(children: ChildResult, rows: Sequence[PauliWord], check: Check = _require) -> None:
     """The children's cross-checks: each Pauli sum equals the partial trace
     of its parent, the mixed graph's stabilizer rows fix it, and it is a
-    density matrix of purity 2^-e.  Each check is one array pass over a
-    chunk of ``chunk_len`` children, and ``check`` then reads the verdicts
-    in (child, check) order, so the first failure named is the one that
-    checking one child at a time meets first."""
+    density matrix of purity 2^-e.  Each is an identity on the children's
+    signed member lists (D, z, kappa), one array pass over a chunk of
+    ``chunk_len`` children: equal (D, z, kappa) on both routes, z_w.d +
+    x_w.z_d = 0 for every row w and member d, D[0] = z_0 = kappa_0 = 0,
+    kappa_d = d.z_d mod 2, and |D| = 2^(n-e).  ``check`` then reads the
+    verdicts in (child, check) order, so the first failure named is the one
+    that checking one child at a time meets first."""
     n, e = children.rho.n, children.parents[0].e
     size = chunk_len(n, e)
     for start in range(0, len(children), size):
@@ -168,9 +172,10 @@ def _check_children(children: ChildResult, rows: Sequence[PauliWord], check: Che
             purity, want = rho.purity(), Fraction(1, 1 << e)
             mixed = [value == want for value in purity]
             verdicts.append(("child-mixed", mixed, lambda i: f"purity {purity[i]} != {want}"))
+        read = [(name, np.asarray(ok).tolist(), reproducer) for name, ok, reproducer in verdicts]
         for i in range(len(chunk)):
-            for name, ok, reproducer in verdicts:
-                check(name, bool(ok[i]), "" if ok[i] else reproducer(i))
+            for name, ok, reproducer in read:
+                check(name, ok[i], "" if ok[i] else reproducer(i))
 
 
 def _subgroups(red: GammaReduction, bound: int, check: Check = _require) -> List[IsotropicSubspace]:
@@ -722,12 +727,12 @@ def _verify_graph(g: MixedGraph, expect: Optional[Dict], bound: int) -> List[str
     signfree = _signfree_data(gamma, duals, check)
 
     # a work guard in bytes: parent checks need no child; past the cap on all
-    # the child layouts this run builds, the children go unchecked, not refused
-    dense = _children_fit(g.n, e)
+    # the member lists this run builds, the children go unchecked, not refused
+    fit = _children_fit(g.n, e)
     size = chunk_len(g.n, e)
     for first in range(0, len(subs), PARENT_BATCH):
         batch, verdicts, passed = _parents(g, subs[first:first + PARENT_BATCH], rows)
-        inds = indicator(batch[:passed]) if dense else []
+        inds = indicator(batch[:passed]) if fit else []
         for start in range(0, len(batch), size):
             stop, failed = min(start + size, len(batch)), None
             for i in range(start, stop):
@@ -736,12 +741,12 @@ def _verify_graph(g: MixedGraph, expect: Optional[Dict], bound: int) -> List[str
                 except InvariantViolation as err:  # raised once the children before it pass
                     stop, failed = i, err
                     break
-            if dense and stop > start:
+            if fit and stop > start:
                 children = child_from_pauli_sum(batch[start:stop], duals, inds[start:stop])
                 _check_children(children, rows, check)
             if failed is not None:
                 raise failed
-    family = _family(g, duals, check) if dense and e == 1 else None
+    family = _family(g, duals, check) if fit and e == 1 else None
     if family:
         _check_children(family[0], rows, check)
 
@@ -800,9 +805,10 @@ def _verify_graph(g: MixedGraph, expect: Optional[Dict], bound: int) -> List[str
 
 def _is_stored_rho(rho: DensityMatrix, stored: Dict) -> bool:
     """Whether ``stored``, a fixture's ``rho_json`` entry, is the JSON report
-    of ``rho``, a chunk of one, without rendering it: the same n, dim and
-    denominator, ``entries[a, b]`` = (re, im) at each (c ^ d, c) of the
-    layout, read at the masks' state indices, and zero everywhere else.
+    of ``rho``, a chunk of one, without rendering it dense: the same n, dim
+    and denominator, ``entries[a, b]`` = (re, im) at each (c ^ d, c) of the
+    rows V that ``rho.num`` writes from the member list, read at the masks'
+    state indices, and zero everywhere else.
     Malformed entries compare unequal."""
     if stored.keys() != {"n", "dim", "denom_log2", "entries"}:
         return False
@@ -821,12 +827,13 @@ def _is_stored_rho(rho: DensityMatrix, stored: Dict) -> bool:
 
 
 def _children_fit(n: int, e: int) -> bool:
-    """Whether the total bytes of the child layouts one ``verify`` run builds,
-    chi(e) plus the e = 1 family's 6, fit the cap.  It is a work guard
-    counted in bytes, not a bound on memory: ``verify`` holds one chunk of
-    ``chunk_len`` children at a time, or the family's six."""
+    """Whether the total bytes of the member lists one ``verify`` run builds,
+    3 words for each of the 2^(n-e) members of chi(e) children plus the e =
+    1 family's 6, fit the cap.  It is a work guard counted in bytes, not a
+    bound on memory: ``verify`` holds one chunk of ``chunk_len`` children at
+    a time, or the family's six."""
     try:
-        check_dense((chi(e) + 6 * (e == 1)) * (8 << 2 * n - e), "verify's children")
+        check_dense((chi(e) + 6 * (e == 1)) * (24 << n - e), "verify's children")
     except BoundExceeded:
         return False
     return True
@@ -850,6 +857,7 @@ def cmd_verify(args) -> int:
 # -------------------------------------------------------------------- main
 
 
+@cache  # one parser per process: each ``main`` call only parses
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mgstate",

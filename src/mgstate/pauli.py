@@ -235,28 +235,6 @@ class GaussianMatrix:
         dense[:, index[offsets][:, None] ^ index, index] = num
         return cls(dense[0], dense[1], denom_log2)
 
-    def normalized(self) -> "GaussianMatrix":
-        """Equivalent matrix with the smallest possible denominator.  The OR
-        of all entries has the fewest trailing zeros of any entry (two's
-        complement keeps a negative entry's), so one pass finds the shift."""
-        d, bits = self.denom_log2, int(np.bitwise_or.reduce(self.re | self.im, axis=None))
-        s = min(d, (bits & -bits).bit_length() - 1) if bits else d
-        return GaussianMatrix(self.re >> s, self.im >> s, d - s) if s else self
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GaussianMatrix):
-            return NotImplemented
-        a, b = self.normalized(), other.normalized()
-        same = a.denom_log2 == b.denom_log2
-        return same and np.array_equal(a.re, b.re) and np.array_equal(a.im, b.im)
-
-    def matmul(self, other: "GaussianMatrix") -> "GaussianMatrix":
-        if self.dim != other.dim:
-            raise DimensionError("matrix dimensions differ")
-        re = self.re @ other.re - self.im @ other.im
-        im = self.re @ other.im + self.im @ other.re
-        return GaussianMatrix(re, im, self.denom_log2 + other.denom_log2)
-
     def to_json_dict(self) -> Dict:
         """The fields of a JSON report; ``entries[a, b]`` is ``(re, im)``, an
         int array that ``cli`` writes as the nested lists ``tolist`` gives."""

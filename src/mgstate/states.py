@@ -7,24 +7,36 @@ twice over, by the dual-group Pauli sum with sign coefficients and by the
 partial trace of the environment, which for a graph state is the closed form
 rho(a, b) = 2^{-n} i^{p_L(a) - p_L(b)} [H a = H b] over lab basis states a, b,
 p_L the lab phase and H the parity matrix (Hein, Eisert & Briegel,
-quant-ph/0307130); the two must agree entry for entry.  All arithmetic is
-exact: Gaussian integers over a power-of-two denominator.
+quant-ph/0307130); the two must agree.  All arithmetic is exact.
 
-A child is stored in the XOR-offset layout over qubit masks, as J is: D,
-the sorted offsets d = a ^ b where rho[a, b] can be nonzero, and V[d, c] =
-rho[c ^ d, c].  Both routes give D = J, so a child holds 2^(2n-e) entries,
-and each check is an exact identity on D and V: w = i^k X^x Z^z conjugates
-V[d, c] to (-1)^{z.d} V[d, c ^ x], keeping D; the Hermitian partner of (d,
-c) is (d, c ^ d).
+A child is a signed member list: rho = 2^{-n} sum_{d in D} s_d, the form of
+Fattal, Cubitt, Yamamoto, Bravyi & Chuang (quant-ph/0406168), with s_d =
+i^{kappa_d} X^d Z^{z_d}, D the ascending members, z_d a qubit mask and
+kappa_d mod 4.  Both routes give D = J.  s_d is rho's XOR-offset row d over
+qubit masks: rho[c ^ d, c] = 2^{-n} V[d, c] with V[d, c] = i^{kappa_d}
+(-1)^{z_d.c}, zero off D.  So a child holds 3 |D| = 3 2^(n-e) words, and
+each check is an exact identity on (D, z, kappa), O(|D| n) per child, that
+holds iff the same check holds on V:
+
+- the routes agree iff they give equal (D, z, kappa);
+- w = i^k X^x Z^z sends V[d, c] to (-1)^{z.d} V[d, c ^ x] = (-1)^{z.d +
+  x.z_d} V[d, c], so w rho w^dag = rho iff z.d + x.z_d = 0 for every d;
+- the Hermitian partner of (d, c) is (d, c ^ d), so rho is Hermitian iff
+  kappa_d = d.z_d mod 2;
+- tr rho = 2^{-n} sum_c V[0, c] = i^{kappa_0} [z_0 = 0] when D[0] = 0, so
+  the trace is one iff D[0] = 0, z_0 = 0 and kappa_0 = 0;
+- every entry on D has modulus 2^{-n}, so tr rho rho^dag = |D| / 2^n, and
+  the purity is 2^{-e} iff |D| = 2^(n-e).
 
 Children are built and checked a chunk at a time.  A chunk holds k children
-that share n and |D| = 2^(n-e): offsets (k, |D|) and numerators (k, 2, |D|,
-2^n).  Each route and each check is one array pass over a chunk and gives
-one array, or one verdict, per child.  ``chunk_len`` sizes a chunk to
-``CHUNK_ENTRIES`` layout entries, at least one child, so that what is
-resident stays bounded whatever chi(e) is; a single child is a chunk of
-one.  Only a report renders rho dense, one child at a time, and only it
-puts qubit 0 first.
+that share n and |D|: members, z masks and phases, each (k, |D|).  Each
+route and each check is one array pass over a chunk and gives one array, or
+one verdict, per child.  ``chunk_len`` sizes a chunk to ``CHUNK_ENTRIES``
+words of what it holds, at least one child, so that what is resident stays
+bounded whatever chi(e) is; a single child is a chunk of one.  V exists only
+when a report renders rho, one child at a time, or a fixture's stored rho is
+read: ``word_rows`` writes it from the member list, and only a dense
+rendering puts qubit 0 first.
 """
 
 from __future__ import annotations
@@ -46,55 +58,67 @@ from .pauli import (
     RationalMatrix,
     _parity_array,
     check_dense,
-    i_power,
     word_rows,
 )
 
-CHUNK_ENTRIES = 1 << 14  # layout entries per chunk: 8 children at (n, e) = (7, 3), 32 at (6, 3)
+CHUNK_ENTRIES = 1 << 14  # words per chunk: 93 children at (n, e) = (7, 3), 186 at (6, 3)
 
 
 def chunk_len(n: int, e: int) -> int:
-    """Children per chunk: as many layouts of 2^(2n - e) entries as
-    ``CHUNK_ENTRIES`` holds, and at least one."""
-    return max(1, CHUNK_ENTRIES >> (2 * n - e))
+    """Children per chunk: as many as ``CHUNK_ENTRIES`` words hold, each
+    child its 3 2^(n - e) member words and route 2's scan of 2^n lab
+    syndromes, and at least one."""
+    return max(1, CHUNK_ENTRIES // ((3 << n - e) + (1 << n)))
 
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """A chunk of k exact density matrices on n lab qubits in the XOR-offset
-    layout over qubit masks: child i has rho_i[c ^ offsets[i, k], c] =
-    (num[i, 0] + i num[i, 1])[k, c] / 2^denom_log2, zero off its ascending
-    row ``offsets[i]``.  Both routes write unit numerators over 2^n, lowest
-    terms as built, so equality compares the fields exactly.  Each check
-    gives one verdict per child, and a slice is a chunk of its children."""
+    """A chunk of k exact density matrices on n lab qubits as signed member
+    lists: child i is 2^{-n} times the sum over r of i^{kappa[i, r]} X^d
+    Z^{z[i, r]}, d = offsets[i, r] its ascending members, so its XOR-offset
+    row d is rho_i[c ^ d, c] = 2^{-n} i^{kappa[i, r]} (-1)^{z[i, r].c}.
+    Each check gives one verdict per child, and a slice is a chunk of its
+    children."""
 
     n: int
     offsets: np.ndarray
-    num: np.ndarray
-    denom_log2: int
+    z: np.ndarray
+    kappa: np.ndarray
 
     def __post_init__(self) -> None:
-        offsets, num = np.asarray(self.offsets, np.int64), np.asarray(self.num)
-        # int8 holds the routes' unit numerators; without -128 it negates exactly
-        if num.dtype != np.int8 or num.min(initial=0) == -128:
-            num = num.astype(np.int64)
-        if offsets.ndim != 2 or num.shape != (len(offsets), 2, offsets.shape[1], self.dim):
-            raise ValueError("one row of 2^n numerator pairs per offset required")
-        outside = offsets.size > 0 and (offsets[:, 0].min() < 0 or offsets[:, -1].max() >= self.dim)
+        offsets, z = np.asarray(self.offsets, np.int64), np.asarray(self.z, np.int64)
+        kappa = np.asarray(self.kappa, np.int64) & 3
+        if offsets.ndim != 2 or z.shape != offsets.shape or kappa.shape != offsets.shape:
+            raise ValueError("one z mask and one phase per member of each child required")
+        outside = offsets.size > 0 and (min(offsets[:, 0].min(), z.min()) < 0
+                                        or max(offsets[:, -1].max(), z.max()) >= self.dim)
         if outside or (offsets[:, 1:] <= offsets[:, :-1]).any():
-            raise ValueError("offsets must be distinct, ascending and below 2^n")
+            raise ValueError("members must be distinct, ascending and below 2^n, z masks below 2^n")
         object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "kappa", kappa)
 
     @property
     def dim(self) -> int:
         return 1 << self.n
 
+    @property
+    def denom_log2(self) -> int:
+        return self.n
+
     def __len__(self) -> int:
         return len(self.offsets)
 
     def __getitem__(self, part: slice) -> DensityMatrix:
-        return DensityMatrix(self.n, self.offsets[part], self.num[part], self.denom_log2)
+        return DensityMatrix(self.n, self.offsets[part], self.z[part], self.kappa[part])
+
+    @cached_property
+    def num(self) -> np.ndarray:
+        """The numerators of V over 2^n, (k, 2, |D|, 2^n), real part first,
+        written by ``word_rows`` on first use: only a rendering reads them."""
+        k, size = self.offsets.shape
+        check_dense(8 * k * size << self.n, f"child layouts of {k} x {size} x {self.dim} entries")
+        return np.moveaxis(word_rows(self.n, self.z, self.kappa), 0, 1)
 
     @cached_property
     def mat(self) -> GaussianMatrix:
@@ -102,49 +126,36 @@ class DensityMatrix:
         report renders it."""
         if len(self) != 1:
             raise ValueError("only a chunk of one child renders dense")
-        return GaussianMatrix.from_offsets(self.offsets[0], self.num[0], self.denom_log2)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DensityMatrix):
-            return NotImplemented
-        return (self.n, self.denom_log2) == (other.n, other.denom_log2) and np.array_equal(
-            self.offsets, other.offsets) and np.array_equal(self.num, other.num)
+        return GaussianMatrix.from_offsets(self.offsets[0], self.num[0], self.n)
 
     def agrees_with(self, other: DensityMatrix) -> np.ndarray:
         """Child by child, equality with the child at the same place in
-        ``other``: the same n, denominator, D and V."""
-        shape = (self.n, self.denom_log2, self.offsets.shape)
-        if shape != (other.n, other.denom_log2, other.offsets.shape):
+        ``other``: the same n and (D, z, kappa)."""
+        if (self.n, self.offsets.shape) != (other.n, other.offsets.shape):
             return np.zeros(len(self), dtype=bool)
-        same_d = (self.offsets == other.offsets).all(axis=1)
-        return same_d & (self.num == other.num).all(axis=(1, 2, 3))
+        same = (self.offsets == other.offsets) & (self.z == other.z) & (self.kappa == other.kappa)
+        return same.all(axis=1)
 
     def trace_is_one(self) -> np.ndarray:
-        """Child by child: the diagonal is the offset-0 row."""
+        """Child by child: D[0] = 0, z_0 = 0 and kappa_0 = 0."""
         if not self.offsets.shape[1]:
             return np.zeros(len(self), dtype=bool)
-        trace = self.num[:, :, 0].sum(axis=-1)
-        has_diagonal = self.offsets[:, 0] == 0
-        return has_diagonal & (trace[:, 0] == 1 << self.denom_log2) & (trace[:, 1] == 0)
+        return (self.offsets[:, 0] == 0) & (self.z[:, 0] == 0) & (self.kappa[:, 0] == 0)
 
     def is_hermitian(self) -> np.ndarray:
-        """Child by child: rho[c ^ d, c] = conj rho[c, c ^ d], the layout's
-        entry (d, c ^ d), gathered by one flat take per real and imaginary
-        plane."""
-        k, _, size, dim = self.num.shape
-        starts = np.arange(k * size).reshape(k, size, 1) * dim  # of each row in a flat plane
-        pair = starts + (self.offsets[..., None] ^ np.arange(dim))
-        re, im = self.num[:, 0], self.num[:, 1]
-        return ((re.take(pair) == re) & (im.take(pair) == -im)).all(axis=(1, 2))
+        """Child by child: kappa_d = d.z_d mod 2 for every member d."""
+        odd = (self.kappa ^ _parity_array(self.offsets & self.z)) & 1
+        return ~odd.any(axis=1)
 
-    def is_pure(self) -> bool:
-        """rho^2 = rho for a chunk of one, on the dense matrix."""
-        return self.mat.matmul(self.mat) == self.mat
+    def is_pure(self) -> np.ndarray:
+        """Child by child, rho^2 = rho: for the signed group S = {s_d} of a
+        child, rho^2 = 2^{-2n} |S| sum_S s = |D| 2^{-n} rho, so iff |D| = 2^n."""
+        return np.full(len(self), self.offsets.shape[1] == self.dim)
 
     def purity(self) -> List[Fraction]:
         """Child by child, the exact tr(rho rho^dag) = sum_ab |rho_ab|^2,
-        which is tr rho^2 for a Hermitian rho: the squares summed over the
-        layout, the only entries that can be nonzero.
+        which is tr rho^2 for a Hermitian rho: |D| 2^n entries of modulus
+        2^{-n}, so |D| / 2^n.
 
         A child with e environment qubits is 2^{-n} times the sum of an
         abelian signed group S of order 2^{n-e} without -I, so rho^2 =
@@ -152,12 +163,7 @@ class DensityMatrix:
         than ``not is_pure()``: purity 2^{-e} < 1 rules out rho^2 = rho, while
         I/2^n is not pure either yet has purity 2^{-n}.
         """
-        num = self.num.astype(np.int64)
-        top = max(abs(int(num.max())), abs(int(num.min()))) if num.size else 0
-        if num[:1].size * top * top >= 1 << 63:  # int64 could overflow: use Python ints
-            num = num.astype(object)
-        denom = 1 << (2 * self.denom_log2)
-        return [Fraction(int(total), denom) for total in (num * num).sum(axis=(1, 2, 3))]
+        return [Fraction(self.offsets.shape[1], self.dim)] * len(self)
 
     def to_json_dict(self) -> Dict:
         return {"n": self.n, **self.mat.to_json_dict()}
@@ -228,11 +234,11 @@ def child_from_pauli_sum(
     J is closed by construction, and the x/z parts of s_j are linear in j, so
     the s_j commute pairwise iff the n - e generator words do, phases aside:
     one symplectic product of their bit rows for the whole chunk.  Since
-    x(s_j) = j, each term is the layout's row at offset j.  The terms keep
-    the i-exponent of each b_j, which follows the paper's sign rule:
-    weight-1 members get +1, anticommuting pairs get +-i with the sign set
-    by which factor carries Y versus Z, and offsets flip every term that
-    contains them.
+    x(s_j) = j, member j is b_j s_j: z_j = z(s_j) and kappa_j = phase(s_j) +
+    the exponent of b_j.  The terms keep the i-exponent of each b_j, which
+    follows the paper's sign rule: weight-1 members get +1, anticommuting
+    pairs get +-i with the sign set by which factor carries Y versus Z, and
+    offsets flip every term that contains them.
     """
     n = ParentBatch.of(parents).n
     bases = [ind[1].rows for ind in inds]
@@ -243,14 +249,13 @@ def child_from_pauli_sum(
     form = gens @ ((gens @ dual_z) & 1).swapaxes(1, 2)  # x(g) . z(g') over generator pairs
     if ((form ^ form.swapaxes(1, 2)) & 1).any():
         raise AssertionError("J members must commute pairwise")
-    rho = DensityMatrix(n, x, np.moveaxis(word_rows(n, z, phase + b), 0, 1), n)
-    return ChildResult(parents, tuple(inds), rho, b)
+    return ChildResult(parents, tuple(inds), DensityMatrix(n, x, z, phase + b), b)
 
 
 def child_from_partial_trace(parents: Sequence[ParentExtension]) -> DensityMatrix:
     """rho(a, b) = 2^{-n} i^{p_L(a) - p_L(b)} [H a = H b] for each parent of
-    a chunk, the exact partial trace of the environment, with no 2^{n+e}
-    amplitude built.
+    a chunk, the exact partial trace of the environment, as a member list,
+    with no 2^{n+e} amplitude and no row of rho built.
 
     With x = (a, c), a the lab and c the environment bits, p(a, c) = p_L(a) +
     p_E(c) + 2 a.B.c mod 4 (A is symmetric and x_j^2 = x_j puts 2 o.x on its
@@ -260,40 +265,43 @@ def child_from_partial_trace(parents: Sequence[ParentExtension]) -> DensityMatri
     with B^T = H, the parents' ``parity_rows``.  This holds for every symmetric
     parent, red environment nodes, environment edges and offsets included,
     whatever rank H has.  So D holds the d with H d = 0, and V[d, c] =
-    i^{p_L(c ^ d) - p_L(c)}.  The dense cap counts the chunk's k |D| 2^n
-    entries.
+    i^{p_L(c ^ d) - p_L(c)} = i^{p_L(d)} (-1)^{c.A_L d}, since p_L(c ^ d) =
+    p_L(c) + p_L(d) + 2 c.A_L d mod 4 for the lab block A_L of A, its
+    diagonal included: z_d = A_L d and kappa_d = p_L(d), read at D only.  D
+    comes from one scan of the 2^n syndromes H c per parent, one doubling
+    per qubit, and the dense cap counts the chunk's k 2^n syndromes.
     """
     batch = ParentBatch.of(parents)
     n, k = batch.n, len(batch)
-    cols = np.arange(1 << n)
-    lab = (cols[:, None] >> np.arange(n)) & 1  # row: a lab mask, column q: qubit q
+    check_dense(8 * k << n, f"a scan of {k} x {1 << n} lab syndromes")
+    qubits = np.arange(n)
     h = batch.parity_rows().astype(np.int64)
-    h_t = (h[:, None, :] >> np.arange(n)[:, None]) & 1  # [i, q, m]: qubit q in parent i's L_m
-    kept = ~((lab @ h_t) & 1).any(axis=-1)  # H d = 0, one product for all d of the chunk
+    # [i, q]: bit m set when qubit q is in parent i's L_m, the syndrome of mask 1 << q
+    holds = ((h[:, None, :] >> qubits[:, None]) & 1) @ (1 << np.arange(batch.e))
+    syndromes = np.zeros((k, 1), dtype=np.int64)
+    for q in range(n):  # the masks with qubit q follow those without it
+        syndromes = np.concatenate((syndromes, syndromes ^ holds[:, q, None]), axis=1)
+    kept = syndromes == 0
     if (kept.sum(axis=1) != kept[0].sum()).any():
         raise ValueError("the children of a chunk must share |D|")
     d = np.nonzero(kept)[1].reshape(k, -1)  # row by row, so each row ascends
-    check_dense(8 * d.size << n, f"child layouts of {k} x {d.shape[1]} x {1 << n} entries")
-    p_lab = phases(batch, lab)
-    rows = (d[:, :, None] ^ cols) + (np.arange(k) << n)[:, None, None]  # into p_lab.ravel()
-    num = i_power(p_lab.ravel()[rows] - p_lab[:, None, :])
-    return DensityMatrix(n, d, np.moveaxis(num, 0, 1), n)
+    bits = (d[..., None] >> qubits) & 1
+    lab = ((batch.ae[:, :n] & (1 << n) - 1).astype(np.int64)[..., None] >> qubits) & 1
+    return DensityMatrix(n, d, ((bits @ lab) & 1) @ (1 << qubits), phases(batch, bits))
 
 
 def stabilized_by(rho: DensityMatrix, gens: Sequence[PauliWord]) -> np.ndarray:
-    """Child by child, w rho w^dag = rho for every w in ``gens``, on the
-    layout: w = i^k X^x Z^z sends |c> to i^k (-1)^{z.c} |c ^ x>, so V'[d, c]
-    = (-1)^{z.d} V[d, c ^ x], one parity over the chunk's D and one take
-    along its last axis per generator."""
-    ok = np.ones(len(rho), dtype=bool)
-    cols = np.arange(rho.dim)
+    """Child by child, w rho w^dag = rho for every w in ``gens``: w = i^k
+    X^x Z^z sends member d's row to (-1)^{z.d + x.z_d} times itself, so
+    this holds iff z.d + x.z_d = 0 for every member and every w, one
+    symplectic product over the chunk."""
     for w in gens:
         if w.n != rho.n:
             raise DimensionError(f"qubit counts differ: {w.n} != {rho.n}")
-        sign = (1 - 2 * _parity_array(rho.offsets & w.z)).astype(rho.num.dtype)
-        moved = rho.num.take(cols ^ w.x, axis=3) * sign[:, None, :, None]
-        ok &= (moved == rho.num).all(axis=(1, 2, 3))
-    return ok
+    x = np.array([w.x for w in gens], dtype=np.int64)
+    z = np.array([w.z for w in gens], dtype=np.int64)
+    moved = _parity_array((rho.offsets[..., None] & z) ^ (rho.z[..., None] & x))
+    return ~moved.any(axis=(1, 2))
 
 
 def children_family_e1(
@@ -328,9 +336,8 @@ def _joined(parts: Sequence[ChildResult]) -> ChildResult:
     """The children of ``parts``, in order, as one chunk."""
     if len(parts) == 1:
         return parts[0]
-    first = parts[0].rho
-    rho = DensityMatrix(first.n, np.concatenate([c.rho.offsets for c in parts]),
-                        np.concatenate([c.rho.num for c in parts]), first.denom_log2)
+    rho = DensityMatrix(parts[0].rho.n, *(np.concatenate([getattr(c.rho, field) for c in parts])
+                                          for field in ("offsets", "z", "kappa")))
     parents = sum((tuple(c.parents) for c in parts), ())
     return ChildResult(parents, sum((c.indicators for c in parts), ()),
                        rho, np.concatenate([c.b for c in parts]))

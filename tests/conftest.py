@@ -11,9 +11,17 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from mgstate.extension import ExtensionError, ParentExtension, verify_full_commutation
+import mgstate.cli
+from mgstate.extension import (
+    ExtensionError,
+    ParentBatch,
+    ParentExtension,
+    phases,
+    verify_full_commutation,
+)
 from mgstate.f2 import BinMatrix, bits_of, combine, kernel, mask_of, span_of_basis
 from mgstate.pauli import (
+    DimensionError,
     GaussianMatrix,
     PauliWord,
     _parity_array,
@@ -23,7 +31,7 @@ from mgstate.pauli import (
     state_index,
     word_rows,
 )
-from mgstate.states import DensityMatrix
+from mgstate.states import DensityMatrix, chunk_len
 
 K_I = np.eye(2, dtype=complex)
 K_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -49,8 +57,40 @@ def gm_to_complex(m: GaussianMatrix) -> np.ndarray:
     return (m.re + 1j * m.im) / 2**m.denom_log2
 
 
-def rho_to_complex(rho: DensityMatrix) -> np.ndarray:
+def rho_to_complex(rho) -> np.ndarray:
     return gm_to_complex(rho.mat)
+
+
+# ---- exact value semantics of dense renderings, which only the tests compare ----
+
+
+def normalized(m: GaussianMatrix) -> GaussianMatrix:
+    """m with the smallest possible denominator.  The OR of all entries has
+    the fewest trailing zeros of any entry (two's complement keeps a
+    negative entry's), so one pass finds the shift."""
+    d, bits = m.denom_log2, int(np.bitwise_or.reduce(m.re | m.im, axis=None))
+    s = min(d, (bits & -bits).bit_length() - 1) if bits else d
+    return GaussianMatrix(m.re >> s, m.im >> s, d - s) if s else m
+
+
+def same_matrix(a: GaussianMatrix, b: GaussianMatrix) -> bool:
+    """Equal exact values, whatever the denominators."""
+    a, b = normalized(a), normalized(b)
+    same = a.denom_log2 == b.denom_log2
+    return same and np.array_equal(a.re, b.re) and np.array_equal(a.im, b.im)
+
+
+def matmul(a: GaussianMatrix, b: GaussianMatrix) -> GaussianMatrix:
+    """The exact product a b."""
+    assert a.dim == b.dim, "matrix dimensions differ"
+    re = a.re @ b.re - a.im @ b.im
+    im = a.re @ b.im + a.im @ b.re
+    return GaussianMatrix(re, im, a.denom_log2 + b.denom_log2)
+
+
+def same_children(a: DensityMatrix, b: DensityMatrix) -> bool:
+    """Equality of whole chunks of member lists: the same n, D, z and kappa."""
+    return (a.n, a.offsets.shape) == (b.n, b.offsets.shape) and bool(a.agrees_with(b).all())
 
 
 def pauli_sum(n: int, terms) -> GaussianMatrix:
@@ -77,7 +117,7 @@ def divided_by_pow2(m: GaussianMatrix, extra: int) -> GaussianMatrix:
     return GaussianMatrix(m.re, m.im, m.denom_log2 + extra)
 
 
-def layout_of(m: GaussianMatrix) -> DensityMatrix:
+def layout_of(m: GaussianMatrix) -> Layout:
     """m in the XOR-offset layout, a chunk of one, on the offsets where it
     has a nonzero entry: V[d, c] = m[index[c ^ d], index[c]] over qubit
     masks d and c."""
@@ -87,7 +127,24 @@ def layout_of(m: GaussianMatrix) -> DensityMatrix:
     rows = cols[:, None] ^ cols  # rows[d, c] = c ^ d
     num = np.stack((m.re[index[rows], index], m.im[index[rows], index]))
     keep = np.flatnonzero(num.any(axis=(0, 2)))
-    return DensityMatrix(dim.bit_length() - 1, keep[None], num[None, :, keep], m.denom_log2)
+    return Layout(dim.bit_length() - 1, keep[None], num[None, :, keep], m.denom_log2)
+
+
+def members_of(m: GaussianMatrix) -> DensityMatrix:
+    """m as a member list, a chunk of one: each nonzero XOR-offset row d
+    read as i^kappa_d (-1)^{z_d.c} / 2^n, kappa_d from column 0 and bit q of
+    z_d from column 1 << q.  A matrix not of that form raises ValueError."""
+    layout = layout_of(m)
+    n, shift = layout.n, m.denom_log2 - layout.n
+    if shift < 0:
+        raise ValueError("entries of modulus 2^-n need a denominator of at least 2^n")
+    rows = layout.num[0, 0].astype(np.int64) + 1j * layout.num[0, 1]
+    kappa = np.rint(np.angle(rows[:, 0]) / (np.pi / 2)).astype(np.int64)
+    z = (rows[:, 1 << np.arange(n)] != rows[:, :1]) @ (1 << np.arange(n))
+    members = DensityMatrix(n, layout.offsets, z[None], kappa[None])
+    if not np.array_equal(members.num[0].astype(np.int64) << shift, layout.num[0]):
+        raise ValueError("a row is not a signed character of modulus 2^-n")
+    return members
 
 
 def conjugate_dense(m: GaussianMatrix, w: PauliWord) -> GaussianMatrix:
@@ -103,7 +160,7 @@ def conjugate_dense(m: GaussianMatrix, w: PauliWord) -> GaussianMatrix:
 
 
 def conjugated(rho: DensityMatrix, w: PauliWord) -> DensityMatrix:
-    return layout_of(conjugate_dense(rho.mat, w))
+    return members_of(conjugate_dense(rho.mat, w))
 
 
 def random_word(rng, n: int) -> PauliWord:
@@ -115,6 +172,161 @@ def rng():
     import random
 
     return random.Random(20240811)
+
+
+# ---- the layout routes and checks that the member lists replaced, kept as their oracle ----
+
+
+@dataclass(frozen=True, eq=False)
+class Layout:
+    """A chunk of k children in the XOR-offset layout: child i has
+    rho_i[c ^ offsets[i, k], c] = (num[i, 0] + i num[i, 1])[k, c] /
+    2^denom_log2, zero off its ascending row ``offsets[i]``.  Each check
+    gives one verdict per child, and a slice is a chunk of its children."""
+
+    n: int
+    offsets: np.ndarray
+    num: np.ndarray
+    denom_log2: int
+
+    def __post_init__(self) -> None:
+        offsets, num = np.asarray(self.offsets, np.int64), np.asarray(self.num)
+        # int8 holds the routes' unit numerators; without -128 it negates exactly
+        if num.dtype != np.int8 or num.min(initial=0) == -128:
+            num = num.astype(np.int64)
+        if offsets.ndim != 2 or num.shape != (len(offsets), 2, offsets.shape[1], self.dim):
+            raise ValueError("one row of 2^n numerator pairs per offset required")
+        outside = offsets.size > 0 and (offsets[:, 0].min() < 0 or offsets[:, -1].max() >= self.dim)
+        if outside or (offsets[:, 1:] <= offsets[:, :-1]).any():
+            raise ValueError("offsets must be distinct, ascending and below 2^n")
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "num", num)
+
+    @classmethod
+    def of(cls, rho: DensityMatrix) -> Layout:
+        """A chunk of member lists as the layout ``word_rows`` renders."""
+        return cls(rho.n, rho.offsets, rho.num, rho.n)
+
+    @property
+    def dim(self) -> int:
+        return 1 << self.n
+
+    def __len__(self) -> int:
+        return len(self.offsets)
+
+    def __getitem__(self, part: slice) -> Layout:
+        return Layout(self.n, self.offsets[part], self.num[part], self.denom_log2)
+
+    @property
+    def mat(self) -> GaussianMatrix:
+        assert len(self) == 1, "only a chunk of one child renders dense"
+        return GaussianMatrix.from_offsets(self.offsets[0], self.num[0], self.denom_log2)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Layout):
+            return NotImplemented
+        return (self.n, self.denom_log2) == (other.n, other.denom_log2) and np.array_equal(
+            self.offsets, other.offsets) and np.array_equal(self.num, other.num)
+
+    def agrees_with(self, other: Layout) -> np.ndarray:
+        shape = (self.n, self.denom_log2, self.offsets.shape)
+        if shape != (other.n, other.denom_log2, other.offsets.shape):
+            return np.zeros(len(self), dtype=bool)
+        same_d = (self.offsets == other.offsets).all(axis=1)
+        return same_d & (self.num == other.num).all(axis=(1, 2, 3))
+
+    def trace_is_one(self) -> np.ndarray:
+        """Child by child: the diagonal is the offset-0 row."""
+        if not self.offsets.shape[1]:
+            return np.zeros(len(self), dtype=bool)
+        trace = self.num[:, :, 0].sum(axis=-1)
+        has_diagonal = self.offsets[:, 0] == 0
+        return has_diagonal & (trace[:, 0] == 1 << self.denom_log2) & (trace[:, 1] == 0)
+
+    def is_hermitian(self) -> np.ndarray:
+        """Child by child: rho[c ^ d, c] = conj rho[c, c ^ d], the layout's
+        entry (d, c ^ d)."""
+        k, _, size, dim = self.num.shape
+        starts = np.arange(k * size).reshape(k, size, 1) * dim  # of each row in a flat plane
+        pair = starts + (self.offsets[..., None] ^ np.arange(dim))
+        re, im = self.num[:, 0], self.num[:, 1]
+        return ((re.take(pair) == re) & (im.take(pair) == -im)).all(axis=(1, 2))
+
+    def is_pure(self) -> bool:
+        """rho^2 = rho for a chunk of one, on the dense matrix."""
+        return same_matrix(matmul(self.mat, self.mat), self.mat)
+
+    def purity(self) -> list:
+        """Child by child, the exact sum of the squares over the layout."""
+        num = self.num.astype(np.int64)
+        top = max(abs(int(num.max())), abs(int(num.min()))) if num.size else 0
+        if num[:1].size * top * top >= 1 << 63:  # int64 could overflow: use Python ints
+            num = num.astype(object)
+        denom = 1 << (2 * self.denom_log2)
+        return [Fraction(int(total), denom) for total in (num * num).sum(axis=(1, 2, 3))]
+
+
+def layout_stabilized_by(rho: Layout, gens) -> np.ndarray:
+    """Child by child, w rho w^dag = rho for every w in ``gens``, on the
+    layout: V'[d, c] = (-1)^{z.d} V[d, c ^ x], one take per generator."""
+    ok = np.ones(len(rho), dtype=bool)
+    cols = np.arange(rho.dim)
+    for w in gens:
+        if w.n != rho.n:
+            raise DimensionError(f"qubit counts differ: {w.n} != {rho.n}")
+        sign = (1 - 2 * _parity_array(rho.offsets & w.z)).astype(rho.num.dtype)
+        moved = rho.num.take(cols ^ w.x, axis=3) * sign[:, None, :, None]
+        ok &= (moved == rho.num).all(axis=(1, 2, 3))
+    return ok
+
+
+def layout_partial_trace(parents) -> Layout:
+    """V[d, c] = i^{p_L(c ^ d) - p_L(c)} on the d with H d = 0, for each
+    parent of a chunk: the partial-trace route on whole rows."""
+    batch = ParentBatch.of(parents)
+    n, k = batch.n, len(batch)
+    cols = np.arange(1 << n)
+    lab = (cols[:, None] >> np.arange(n)) & 1  # row: a lab mask, column q: qubit q
+    h = batch.parity_rows().astype(np.int64)
+    h_t = (h[:, None, :] >> np.arange(n)[:, None]) & 1  # [i, q, m]: qubit q in parent i's L_m
+    kept = ~((lab @ h_t) & 1).any(axis=-1)
+    assert (kept.sum(axis=1) == kept[0].sum()).all(), "the children of a chunk must share |D|"
+    d = np.nonzero(kept)[1].reshape(k, -1)
+    check_dense(8 * d.size << n, f"child layouts of {k} x {d.shape[1]} x {1 << n} entries")
+    p_lab = phases(batch, lab)
+    rows = (d[:, :, None] ^ cols) + (np.arange(k) << n)[:, None, None]  # into p_lab.ravel()
+    num = i_power(p_lab.ravel()[rows] - p_lab[:, None, :])
+    return Layout(n, d, np.moveaxis(num, 0, 1), n)
+
+
+def layout_check_children(children, rows, check=mgstate.cli._require) -> None:
+    """``cli._check_children`` on the routes' rendered layouts, with the
+    layout checks: the oracle of the member-list identities.  Route 2 is
+    whatever ``cli.child_from_partial_trace`` is, rendered."""
+    n, e = children.rho.n, children.parents[0].e
+    size = chunk_len(n, e)
+    for start in range(0, len(children), size):
+        chunk = children[start:start + size]
+        rho, parents = Layout.of(chunk.rho), chunk.parents
+        traced = Layout.of(mgstate.cli.child_from_partial_trace(parents))
+
+        def where(i):
+            p = parents[i]
+            return f"parent {p.ae.row_strings()} offsets {sorted(p.lab_offsets)}"
+
+        verdicts = [
+            ("pauli-sum-vs-partial-trace", rho.agrees_with(traced), where),
+            ("child-stabilized", layout_stabilized_by(rho, rows), where),
+            ("child-trace-one", rho.trace_is_one(), lambda i: "trace != 1"),
+            ("child-hermitian", rho.is_hermitian(), lambda i: "rho not Hermitian"),
+        ]
+        if e >= 1:
+            purity, want = rho.purity(), Fraction(1, 1 << e)
+            verdicts.append(("child-mixed", [v == want for v in purity],
+                             lambda i: f"purity {purity[i]} != {want}"))
+        for i in range(len(chunk)):
+            for name, ok, reproducer in verdicts:
+                check(name, bool(ok[i]), "" if ok[i] else reproducer(i))
 
 
 # ---- the per-child routes and checks that the chunked ones replaced, kept as their oracle ----

@@ -23,13 +23,13 @@ import mgstate.f2
 import mgstate.graphs
 import mgstate.states
 import mgstate.subgroups
-from conftest import layout_of
+from conftest import layout_check_children
 from mgstate.cli import _emit, main
 from mgstate.extension import extend_e1, extend_for_subgroup
 from mgstate.f2 import bits_of, bitstring, mask_of
 from mgstate.pauli import GaussianMatrix, PauliWord, ordered_product
 from mgstate.states import ChildResult, DensityMatrix, child_from_partial_trace
-from mgstate.subgroups import IsotropicSubspace
+from mgstate.subgroups import IsotropicSubspace, chi
 from paper_data import RHO0_NUM, RHO1_NUM, RHO2_NUM, TRIANGLE
 from test_extension import SPARSE128
 
@@ -114,21 +114,23 @@ def test_children_subgroup_of_clique9_renders_within_cap(tmp_path):
     assert out.endswith("oracle verified: True\n")
 
 
-def test_verify_checks_children_whose_layouts_fit_the_cap(monkeypatch):
-    # (n, e): whether the bytes of every layout verify builds, (chi(e) + 6 [e =
-    # 1]) 8 2^(2n - e), fit the 384 MiB cap
+def test_verify_checks_children_whose_member_lists_fit_the_cap(monkeypatch):
+    # (n, e): whether the bytes of every member list verify builds, (chi(e) +
+    # 6 [e = 1]) 24 2^(n - e), fit the 384 MiB cap
     table = {
-        (12, 0): True,  # 128 MiB
-        (11, 2): True,  # 120 MiB
-        (10, 3): True,  # 135 MiB
-        (9, 4): True,  # 287 MiB
-        (12, 1): False,  # 576 MiB
-        (12, 2): False,  # 480 MiB
-        (10, 5): False,  # 18.5 GiB
+        (12, 0): True,  # 96 KiB
+        (12, 1): True,  # 432 KiB
+        (10, 5): True,  # 55 MiB: the 10-node directed clique's 75,735 children
+        (12, 5): True,  # 222 MiB
+        (13, 5): False,  # 444 MiB
+        (12, 6): False,  # 7.0 GiB
+        (24, 1): False,  # 1.7 GiB
     }
     assert {ne: mgstate.cli._children_fit(*ne) for ne in table} == table
-    # every (n, e) that the old qubit bound n + e <= 12 admitted still fits
-    old = [(n, e) for n in range(1, 13) for e in range(n // 2 + 1) if n + e <= 12]
+    # every (n, e) that the layout rule admitted, and the old qubit bound n + e
+    # <= 12 before it, still fits
+    old = [(n, e) for n in range(1, 13) for e in range(n // 2 + 1)
+           if n + e <= 12 or (chi(e) + 6 * (e == 1)) * (8 << 2 * n - e) <= 3 << 27]
     assert all(mgstate.cli._children_fit(n, e) for n, e in old)
     # verify follows the rule: told the triangle's children do not fit, it builds none
     monkeypatch.setattr(mgstate.cli, "_children_fit", lambda n, e: False)
@@ -227,10 +229,9 @@ BATTERY_COMMANDS = [["verify"], ["children", "--all", "--json"]]
 def test_child_mixed_rejects_maximally_mixed_child(monkeypatch):
     # I/2^n agrees on both routes, is fixed by every stabilizer row, has
     # trace one and is not pure, but its purity is 2^-n, not 2^-e
-    def maximally_mixed(parents):  # one I/2^n per parent of the chunk
-        n, k = parents[0].n, len(parents)
-        ident = layout_of(GaussianMatrix(np.eye(1 << n, dtype=np.int64), np.zeros((1 << n,) * 2), n))
-        return DensityMatrix(n, ident.offsets.repeat(k, 0), ident.num.repeat(k, 0), n)
+    def maximally_mixed(parents):  # one I/2^n per parent of the chunk: D = {0}
+        zeros = np.zeros((len(parents), 1), dtype=np.int64)
+        return DensityMatrix(parents[0].n, zeros, zeros, zeros)
 
     def pauli_sum_route(parents, duals, inds):
         rho = maximally_mixed(parents)
@@ -315,11 +316,16 @@ def test_analyze_eliminates_gamma_once(fixture, monkeypatch):
     assert len(calls) == 3
 
 
-def test_verify_checks_parents_beyond_dense_bound(tmp_path):
-    # n = 12, e = 1: the 3 + 6 child layouts take 9 * 8 * 2^23 bytes = 576 MiB,
-    # past the dense cap, so no child is built, but each of the chi(1) = 3
-    # parents is still built and checked
+def test_verify_checks_parents_beyond_dense_bound(tmp_path, monkeypatch):
+    # n = 12, e = 1: the 3 + 6 member lists take 9 * 24 * 2^11 bytes = 432
+    # KiB, so every child is checked (their layouts, 576 MiB, were past the
+    # dense cap); under a cap of 256 KiB no child is built, but each of the
+    # chi(1) = 3 parents is still built and checked
     path = write_graph(tmp_path, "nodes 12\nedge 0 -> 1\nedge 2 -- 3\nedge 4 -- 5\n")
+    code, out, _ = run_cli("verify", path)
+    assert code == 0
+    assert out.startswith("ok (65 checks)\n")
+    monkeypatch.setattr(mgstate.pauli, "DENSE_BYTES", 1 << 18)
     code, out, _ = run_cli("verify", path)
     assert code == 0
     assert out.startswith("ok (18 checks)\n")
@@ -557,9 +563,9 @@ def test_extension_error_exit_4(monkeypatch, argv):
     assert "Traceback" not in out + err
 
 
-def _doubled_trace(parents):
+def _negated_trace(parents):
     rho = child_from_partial_trace(parents)
-    return dataclasses.replace(rho, num=2 * rho.num)
+    return dataclasses.replace(rho, kappa=rho.kappa + 2)
 
 
 def test_children_invariant_failure_mid_stream(monkeypatch):
@@ -571,7 +577,7 @@ def test_children_invariant_failure_mid_stream(monkeypatch):
 
     def wrong_fourth(parents):  # children checks one child per chunk
         traced.extend(parents)
-        return _doubled_trace(parents) if len(traced) == 4 else child_from_partial_trace(parents)
+        return _negated_trace(parents) if len(traced) == 4 else child_from_partial_trace(parents)
 
     monkeypatch.setattr(mgstate.cli, "child_from_partial_trace", wrong_fourth)
     code, out, err = run_cli(*argv)
@@ -804,7 +810,7 @@ def test_subgroups_enumeration_bound_exit_3_at_once(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command", ["children", "verify"])
 def test_child_check_reproducer_names_parent(monkeypatch, command):
-    monkeypatch.setattr(mgstate.cli, "child_from_partial_trace", _doubled_trace)
+    monkeypatch.setattr(mgstate.cli, "child_from_partial_trace", _negated_trace)
     code, out, _ = run_cli(command, str(FIXTURES / "triangle.graph"))
     assert code == 1
     assert out.startswith("FAIL pauli-sum-vs-partial-trace: parent [")
@@ -1277,7 +1283,7 @@ def test_full_device_exit_5(tmp_path, argv):
 
 def _chunk_entries(n, e, children):
     """A ``CHUNK_ENTRIES`` that puts ``children`` children of (n, e) in a chunk, or all of them."""
-    return 1 << 62 if children == "all" else children << (2 * n - e)
+    return 1 << 62 if children == "all" else children * ((3 << n - e) + (1 << n))
 
 
 @pytest.mark.parametrize("children", [1, 3, "all"])
@@ -1299,9 +1305,10 @@ def test_verify_clique6_counts_repeated_checks():
     assert out.splitlines()[0] == "ok (1221 checks)"
 
 
-def test_verify_chunks_clique6_in_eights_and_thirty_twos(monkeypatch):
-    # chunks of about 2^14 layout entries: 32 children of (6, 3), so
-    # clique6's 135 children come in 5 chunks, the last of 7
+def test_verify_chunks_by_member_words(monkeypatch):
+    # chunks of about 2^14 words, 3 |D| + 2^n per child: 186 children of (6,
+    # 3), so clique6's 135 children come in one chunk, while a chunk holds
+    # 93 children of (7, 3) and one of (12, 0)
     sizes = []
     original = mgstate.states.child_from_partial_trace
 
@@ -1311,8 +1318,9 @@ def test_verify_chunks_clique6_in_eights_and_thirty_twos(monkeypatch):
 
     monkeypatch.setattr(mgstate.cli, "child_from_partial_trace", traced)
     assert run_cli("verify", str(FIXTURES / "clique6.graph"))[0] == 0
-    assert sizes == [32, 32, 32, 32, 7]
-    assert mgstate.states.chunk_len(7, 3) == 8 and mgstate.states.chunk_len(12, 0) == 1
+    assert sizes == [135]
+    assert mgstate.states.chunk_len(6, 3) == 186 and mgstate.states.chunk_len(7, 3) == 93
+    assert mgstate.states.chunk_len(10, 5) == 14 and mgstate.states.chunk_len(12, 0) == 1
 
 
 def _subgroup_parent(fixture, idx):
@@ -1329,8 +1337,9 @@ def _route_fail_line(fixture, idx):
 
 
 def _mutate_child(monkeypatch, target, mutate):
-    """Route 1 with ``mutate(rho, i)`` applied to the chunk's child i when
-    it is the ``target``-th child built, counting from 0."""
+    """Route 1 with ``mutate(children, z, kappa, i)`` applied to copies of
+    the chunk's z masks and phases at its child i when it is the
+    ``target``-th child built, counting from 0."""
     original = mgstate.states.child_from_pauli_sum
     seen = []
 
@@ -1339,23 +1348,25 @@ def _mutate_child(monkeypatch, target, mutate):
         i = target - len(seen)
         seen.extend(parents)
         if 0 <= i < len(parents):
-            num = children.rho.num.astype(np.int64)
-            mutate(children, num, i)
-            rho = dataclasses.replace(children.rho, num=num)
+            z, kappa = children.rho.z.copy(), children.rho.kappa.copy()
+            mutate(children, z, kappa, i)
+            rho = dataclasses.replace(children.rho, z=z, kappa=kappa)
             children = dataclasses.replace(children, rho=rho)
         return children
 
     monkeypatch.setattr(mgstate.cli, "child_from_pauli_sum", mutated)
 
 
-def _flip_sign(children, num, i):
-    num[i] = -num[i]
+def _flip_sign(children, z, kappa, i):
+    kappa[i] += 2
 
 
-def _drop_generator(children, num, i):
-    # the sum over J's span without its last generator: zero elsewhere
-    kept = mgstate.f2.span_of_basis(children.indicators[i][1].rows[:-1])
-    num[i][:, ~np.isin(children.rho.offsets[i], kept)] = 0
+def _drop_generator(children, z, kappa, i):
+    # the sum over J with the last generator's Z part dropped: each member
+    # outside the span of the other generators loses that Z mask
+    *others, last = children.indicators[i][1].rows
+    members = children.rho.offsets[i]
+    z[i, ~np.isin(members, mgstate.f2.span_of_basis(others))] ^= z[i, members == last]
 
 
 @pytest.mark.parametrize("mutate", [_flip_sign, _drop_generator], ids=["sign", "generator"])
@@ -1441,6 +1452,97 @@ def _flip_parent(monkeypatch, target):
         return dataclasses.replace(parents, xcols=xcols)
 
     monkeypatch.setattr(mgstate.cli, "extend_for_subgroup", flipped)
+
+
+def _corrupted(rho, i, edit):
+    """The chunk of member lists ``rho`` with child i edited: its last
+    member's phase off by 1 ("kappa"), member 0's phase off by 2 ("sign"),
+    its last member's z bit 0 flipped ("z"), or, in a chunk of one, its last
+    member dropped ("member")."""
+    d, z, kappa = rho.offsets, rho.z.copy(), rho.kappa.copy()
+    if edit == "member":
+        assert len(rho) == 1
+        d, z, kappa = d[:, :-1], z[:, :-1], kappa[:, :-1]
+    else:
+        kappa[i, -1] += edit == "kappa"
+        kappa[i, 0] += 2 * (edit == "sign")
+        z[i, -1] ^= edit == "z"
+    return DensityMatrix(rho.n, d, z, kappa)
+
+
+def _corrupt_routes(monkeypatch, target, edit, routes):
+    """Route 1, and route 2 too when ``routes`` is "both", with child
+    ``target`` edited by ``_corrupted``, counting children from 0."""
+    for name in ("child_from_pauli_sum", "child_from_partial_trace")[:1 + (routes == "both")]:
+        original, seen = getattr(mgstate.states, name), []
+
+        def corrupted(parents, *rest, _original=original, _seen=seen):
+            out, i = _original(parents, *rest), target - len(_seen)
+            _seen.extend(parents)
+            if not 0 <= i < len(parents):
+                return out
+            if isinstance(out, ChildResult):
+                return dataclasses.replace(out, rho=_corrupted(out.rho, i, edit))
+            return _corrupted(out, i, edit)
+
+        monkeypatch.setattr(mgstate.cli, name, corrupted)
+
+
+@pytest.mark.parametrize("edit,routes,name", [
+    ("kappa", "one", "pauli-sum-vs-partial-trace"),
+    ("z", "one", "pauli-sum-vs-partial-trace"),
+    ("member", "one", "pauli-sum-vs-partial-trace"),
+    ("kappa", "both", "child-hermitian"),
+    ("sign", "both", "child-trace-one"),
+    ("z", "both", "child-stabilized"),
+    ("member", "both", "child-mixed"),
+])
+def test_corrupted_member_list_fails_as_the_layout_oracle(monkeypatch, edit, routes, name):
+    # one child of fournode edited on route 1 alone or on both routes: the
+    # identities on the member lists and the layout checks on their
+    # renderings give the same report and the same first FAIL line, from
+    # verify and from children --all --json; a dropped member needs a chunk
+    # of one, as children streams them
+    graph = str(FIXTURES / "fournode.graph")
+    for argv in BATTERY_COMMANDS:
+        runs = []
+        for check_children in (mgstate.cli._check_children, layout_check_children):
+            monkeypatch.setattr(mgstate.cli, "_check_children", check_children)
+            if edit == "member":
+                monkeypatch.setattr(mgstate.states, "CHUNK_ENTRIES", 1)
+            _corrupt_routes(monkeypatch, 6, edit, routes)
+            runs.append(run_cli(*argv, graph))
+            monkeypatch.undo()
+        assert runs[0] == runs[1], argv
+        code, out, err = runs[0]
+        assert (code, err) == (1, "") and out.splitlines()[-1].startswith(f"FAIL {name}: "), argv
+        if argv[0] == "children":
+            assert out.count('"subgroup_index":') == 6
+
+
+def test_sign_flip_on_both_routes_passes_as_in_the_layout_oracle(monkeypatch):
+    # a sign flip of a non-identity member on both routes keeps every check
+    # on either form: the routes share their sign source (extension.phases)
+    graph = str(FIXTURES / "fournode.graph")
+    runs = []
+    for check_children in (mgstate.cli._check_children, layout_check_children):
+        monkeypatch.setattr(mgstate.cli, "_check_children", check_children)
+        for name in ("child_from_pauli_sum", "child_from_partial_trace"):
+            original = getattr(mgstate.states, name)
+
+            def flipped(parents, *rest, _original=original):
+                out = _original(parents, *rest)
+                rho = out.rho if isinstance(out, ChildResult) else out
+                kappa = rho.kappa.copy()
+                kappa[:, -1] += 2
+                rho = dataclasses.replace(rho, kappa=kappa)
+                return dataclasses.replace(out, rho=rho) if isinstance(out, ChildResult) else rho
+
+            monkeypatch.setattr(mgstate.cli, name, flipped)
+        runs.append(run_cli("verify", graph))
+        monkeypatch.undo()
+    assert runs[0] == runs[1] == run_cli("verify", graph)
+    assert runs[0][0] == 0
 
 
 @pytest.mark.parametrize("batch", [1, 3, 10**9], ids=["one", "three", "all"])

@@ -10,8 +10,12 @@ from conftest import (
     gm_to_complex,
     kron_letters,
     layout_of,
+    matmul,
+    members_of,
+    normalized,
     pauli_sum,
     random_word,
+    same_matrix,
     word_to_complex,
 )
 from mgstate.pauli import (
@@ -292,20 +296,22 @@ def test_pauli_sum_matches_term_by_term_accumulation(rng):
 
 def test_pauli_sum_empty_and_bound():
     zeros = np.zeros((4, 4), np.int64)
-    assert pauli_sum(2, []) == GaussianMatrix(zeros, zeros, 0)
+    assert same_matrix(pauli_sum(2, []), GaussianMatrix(zeros, zeros, 0))
     with pytest.raises(BoundExceeded, match="1073741824 bytes"):
         pauli_sum(13, [(PauliWord.identity(13), 0)])
     i_times_identity = GaussianMatrix(np.zeros((8, 8), np.int64), np.eye(8, dtype=np.int64), 0)
-    assert pauli_sum(3, [(PauliWord.identity(3), 1)]) == i_times_identity
+    assert same_matrix(pauli_sum(3, [(PauliWord.identity(3), 1)]), i_times_identity)
 
 
 def test_gaussian_matrix_arithmetic():
     a = GaussianMatrix(np.array([[2, 0], [0, 2]]), np.zeros((2, 2), int), 1)
     b = GaussianMatrix(np.eye(2, dtype=int), np.zeros((2, 2), int), 0)
-    assert a == b
-    assert a.matmul(b) == b
+    assert same_matrix(a, b)
+    assert same_matrix(matmul(a, b), b)
     assert layout_of(a).trace_is_one().tolist() == [False]
     assert layout_of(divided_by_pow2(b, 1)).trace_is_one().tolist() == [True]
+    # I/2 as a member list: D = {0}, z_0 = 0 and kappa_0 = 0
+    assert members_of(divided_by_pow2(b, 1)).trace_is_one().tolist() == [True]
     # unequal, not square, and empty: every matrix of the package is 2^n x 2^n
     for re_shape, im_shape in (((2, 2), (4, 4)), ((2, 3), (2, 3)), ((0, 0), (0, 0))):
         with pytest.raises(ValueError):
@@ -317,7 +323,7 @@ def test_gaussian_matrix_json_round_trip():
     d = m.to_json_dict()
     entries = np.array(d["entries"])
     assert d["dim"] == 4 and entries.shape == (4, 4, 2)
-    assert m == GaussianMatrix(entries[..., 0], entries[..., 1], d["denom_log2"])
+    assert same_matrix(m, GaussianMatrix(entries[..., 0], entries[..., 1], d["denom_log2"]))
 
 
 def test_gaussian_text_grid():
@@ -421,7 +427,7 @@ def test_normalized_matches_halving_loop(rng):
     shifted = 0
     for m in cases:
         re, im, d = _halving_normalized(m)
-        got = m.normalized()
+        got = normalized(m)
         assert got.denom_log2 == d and np.array_equal(got.re, re) and np.array_equal(got.im, im)
         assert got.re.dtype == np.int64 and got.im.dtype == np.int64
         if d == m.denom_log2:

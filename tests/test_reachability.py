@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 import mgstate
-from mgstate.cli import main
+from mgstate.cli import build_parser, main
 
 SRC = Path(mgstate.__file__).resolve().parent
 FIXTURES = SRC / "fixtures"
@@ -48,13 +48,6 @@ KEPT_UNREACHED = {
     "f2.BinMatrix.identity",
     "f2.BinMatrix.matmul",
     "pauli.dense_conjugation",
-    # exact value semantics of a dense rendering: the tests compare
-    # renderings with their dense oracles, and no command compares them
-    "pauli.GaussianMatrix.__eq__",
-    "pauli.GaussianMatrix.normalized",
-    # equality of whole chunks of children: the tests compare the routes'
-    # chunks, and ``verify`` compares them child by child (``agrees_with``)
-    "states.DensityMatrix.__eq__",
     # package API and the per-parent oracle's kernel in the tests: the
     # parents take their kernels in batches (``extension._kernel``)
     "f2.kernel",
@@ -62,7 +55,6 @@ KEPT_UNREACHED = {
     # children test their generators' commutation in one array product
     "extension.verify_full_commutation",
     "pauli.PauliWord.to_dense",
-    "pauli.GaussianMatrix.matmul",
     "states.DensityMatrix.is_pure",
     # the F4 form whose addition matches row products; the report writes
     # its text, ``f4_row_strings``, from the stabilizer words directly
@@ -114,6 +106,7 @@ def test_every_function_is_reached_or_kept(tmp_path):
             reached.add(frame.f_code)
 
     codes = []
+    build_parser.cache_clear()  # built once per process: this run builds it afresh
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:

@@ -12,18 +12,25 @@ import pytest
 
 import mgstate.states
 from conftest import (
+    Layout,
     OneChild,
     conjugate_dense,
     conjugated,
     divided_by_pow2,
     kron_letters,
     layout_of,
+    layout_partial_trace,
+    layout_stabilized_by,
+    matmul,
+    members_of,
     one_indicator,
     one_partial_trace,
     one_pauli_sum,
     pauli_sum,
     random_word,
     rho_to_complex,
+    same_children,
+    same_matrix,
     word_to_complex,
 )
 from mgstate.extension import (
@@ -131,10 +138,19 @@ def test_state_trivial_plus():
 
 
 def test_state_bound():
-    # no lab-environment edge: D is all 2^13 offsets, a layout of 8 4^13 bytes
+    # no lab-environment edge: D is all 2^13 offsets, 3 words each as a
+    # member list, while its layout takes 8 4^13 bytes and a dense rendering
+    # 16 4^13: both are past the cap
     p = parent_from_paper([], [], [], 13, 1)
+    rho = child_from_partial_trace([p])
+    assert rho.offsets.tolist() == [list(range(1 << 13))]
     with pytest.raises(BoundExceeded, match="8192 x 8192 entries takes 536870912 bytes"):
-        child_from_partial_trace([p])
+        rho.num
+    with pytest.raises(BoundExceeded):
+        rho.mat
+    # the route's own scan of the 2^n syndromes H c is capped too: 8 2^26 bytes
+    with pytest.raises(BoundExceeded, match="1 x 67108864 lab syndromes takes 536870912 bytes"):
+        child_from_partial_trace([parent_from_paper([], [], [], 26, 1)])
 
 
 def test_stabilizes_plus_state():
@@ -267,7 +283,7 @@ def test_child_equals_partial_trace_all_paper_graphs():
             parents.append(p)
         for p in parents:
             child = child_from_pauli_sum([p], duals, [one_indicator(p)])
-            assert child.rho == child_from_partial_trace([p])
+            assert same_children(child.rho, child_from_partial_trace([p]))
 
 
 def test_child_trace_hermitian_mixed(rng):
@@ -307,7 +323,7 @@ def test_e0_child_is_pure_projector():
     p = symmetrize(stabilizer_matrix(g), [()])[0]
     child = child_from_pauli_sum([p], dual_stabilizer(g), [one_indicator(p)])
     assert len(child.terms(0)) == 8  # sum over the whole stabilizer group
-    assert child.rho == child_from_partial_trace([p])
+    assert same_children(child.rho, child_from_partial_trace([p]))
     assert child.rho.is_pure()
 
 
@@ -318,7 +334,7 @@ def test_rho0_is_a_pauli_sum_child():
     child = child_from_pauli_sum([p], duals, [one_indicator(p)])
     assert np.array_equal(rho_to_complex(child.rho), paper_matrix(RHO0_NUM, 8))
     # and it matches the partial trace of the same parent
-    assert child.rho == child_from_partial_trace([p])
+    assert same_children(child.rho, child_from_partial_trace([p]))
 
 
 def test_disjoint_support_of_dual_products(rng):
@@ -475,7 +491,7 @@ def test_sign_table_row_for_row():
             assert np.array_equal(rho_to_complex(rho), expect), (a, b, binary)
             # and through the Pauli-sum route
             child = child_from_pauli_sum([p], duals, [one_indicator(p)])
-            assert child.rho == rho
+            assert same_children(child.rho, rho)
 
 
 def test_linear_term_rule_via_z_conjugation(rng):
@@ -493,7 +509,7 @@ def test_linear_term_rule_via_z_conjugation(rng):
                 flipped = dataclasses.replace(p, lab_offsets=p.lab_offsets ^ {k})
                 flipped = child_from_pauli_sum([flipped], duals, [one_indicator(flipped)]).rho
                 zk = PauliWord(g.n, 0, 1 << k, 0)
-                assert flipped == conjugated(base, zk)
+                assert same_children(flipped, conjugated(base, zk))
 
 
 # ---- six-clique worked child ----
@@ -522,7 +538,7 @@ def test_clique6_displayed_parent_graph_form():
     # its child agrees across both routes and is stabilized by the clique
     duals = dual_stabilizer(g)
     child = child_from_pauli_sum([p], duals, [one_indicator(p)])
-    assert child.rho == child_from_partial_trace([p])
+    assert same_children(child.rho, child_from_partial_trace([p]))
     assert stabilized_by(child.rho, stabilizer_matrix(g))
 
 
@@ -549,7 +565,7 @@ def test_clique6_displayed_eight_term_child():
     for sign, letters in CLIQUE6_CHILD_TERMS:
         expect = expect + sign * kron_letters(letters)
     assert np.array_equal(rho_to_complex(child.rho), expect / 64)
-    assert child.rho == child_from_partial_trace([p])
+    assert same_children(child.rho, child_from_partial_trace([p]))
     assert stabilized_by(child.rho, stabilizer_matrix(g))
 
 
@@ -561,7 +577,7 @@ def test_clique6_worked_subgroup_child_matches_trace():
     sub = next(s for s in subs if set(s.span_lifted()) == target)
     p = extend_for_subgroup(g, [sub], stabilizer_matrix(g))[0]
     child = child_from_pauli_sum([p], duals, [one_indicator(p)])
-    assert child.rho == child_from_partial_trace([p])
+    assert same_children(child.rho, child_from_partial_trace([p]))
     assert set(child.terms(0)) == target
 
 
@@ -604,7 +620,7 @@ def test_convex_combine_validation():
 
 def test_maximally_mixed_stabilized_by_anything():
     ident = divided_by_pow2(PauliWord.identity(2).to_dense(), 2)
-    rho = layout_of(ident)
+    rho = members_of(ident)
     assert stabilized_by(rho, [PauliWord.from_letters("XY"), PauliWord.from_letters("ZI")])
 
 
@@ -646,14 +662,14 @@ def test_child_purity_is_two_to_minus_e():
             rho = child.rho
             assert rho.purity() == [Fraction(1, 1 << e)]
             # the full identity through the O(8^n) product
-            assert rho.mat.matmul(rho.mat) == divided_by_pow2(rho.mat, e)
+            assert same_matrix(matmul(rho.mat, rho.mat), divided_by_pow2(rho.mat, e))
     assert seen_e >= {0, 1, 2, 3}
 
 
 def test_purity_examples():
     for n in range(1, 5):
         ident = np.eye(1 << n, dtype=np.int64)
-        mixed = layout_of(GaussianMatrix(ident, 0 * ident, n))
+        mixed = members_of(GaussianMatrix(ident, 0 * ident, n))
         assert not mixed.is_pure()  # the old check passes it for any e >= 1 ...
         assert mixed.purity() == [Fraction(1, 1 << n)]  # ... purity tells it apart
     g = parse_graph("nodes 3\nedge 0 -- 1\nedge 1 -- 2\n")
@@ -919,7 +935,7 @@ def test_partial_trace_memory_does_not_grow_with_environment():
 
 
 def dense_stabilized_by(rho, gens):
-    return all(conjugate_dense(rho.mat, w) == rho.mat for w in gens)
+    return all(same_matrix(conjugate_dense(rho.mat, w), rho.mat) for w in gens)
 
 
 def complex_stabilized_by(rho, gens):
@@ -954,16 +970,44 @@ def _dm(n, terms, denom_log2):
     return layout_of(divided_by_pow2(pauli_sum(n, terms), denom_log2))
 
 
+def _members(*words):
+    """2^-n times the sum of ``words``, whose x parts differ, as a member list."""
+    words = sorted(words, key=lambda w: w.x)
+    return DensityMatrix(words[0].n, [[w.x for w in words]], [[w.z for w in words]],
+                         [[w.phase for w in words]])
+
+
 def test_stabilized_by_hand_made_cases():
     w = PauliWord.from_letters
+    # member lists, checked by the identity z.d + x.z_d = 0 and by the oracles
+    xx = _members(w("II"), w("XX"))
+    plus_x = _members(w("I"), w("X"))
+    plus_y = _members(w("I"), w("Y"))
+    zero = members_of(GaussianMatrix(np.zeros((4, 4)), np.zeros((4, 4)), 3))  # no member
+    assert zero.offsets.shape == (1, 0)
+    members = [
+        (xx, [w("ZZ")], True),
+        (xx, [w("XI"), w("ZZ"), w("YY")], True),
+        (xx, [w("ZI")], False),  # anticommutes with the XX term
+        (xx, [w("ZZ"), w("IY")], False),  # only the second fails
+        (plus_x, [w("Z")], False),  # every entry matches up to sign: real part
+        (plus_y, [w("Z")], False),  # ... and imaginary part
+        (plus_y, [w("Y")], True),
+        (plus_x, [], True),  # no generators
+        (zero, [w("XY"), w("ZI")], True),  # no nonzero entries
+        (zero, [], True),
+    ]
+    for rho, gens, want in members:
+        assert stabilized_by(rho, gens).tolist() == [want], (rho.z, gens)
+        assert layout_stabilized_by(Layout.of(rho), gens).tolist() == [want]
+        assert dense_stabilized_by(rho, gens) is want
+        assert complex_stabilized_by(rho, gens) is want
+    # layouts that no member list is: the oracle alone checks them
     zz = _dm(2, [(w("II"), 0), (w("ZZ"), 0)], 2)
-    plus_x = _dm(1, [(w("I"), 0), (w("X"), 0)], 1)
-    plus_y = _dm(1, [(w("I"), 0), (w("Y"), 0)], 1)
     # diag(1, 1, 1, 0): (a, a) -> (a ^ x, a ^ x) leaves the nonzero pattern
     open_pattern = layout_of(GaussianMatrix(np.diag([1, 1, 1, 0]), np.zeros((4, 4)), 0))
-    zero = layout_of(GaussianMatrix(np.zeros((4, 4)), np.zeros((4, 4)), 3))
     skew = layout_of(GaussianMatrix([[1, 2], [-3, 0]], [[0, 1], [5, 2]], 1))
-    cases = [
+    layouts = [
         (zz, [w("XX")], True),
         (zz, [w("ZI"), w("XX"), w("YY")], True),
         (zz, [w("XI")], False),  # anticommutes with the ZZ term
@@ -971,19 +1015,18 @@ def test_stabilized_by_hand_made_cases():
         (open_pattern, [w("IX")], False),
         (open_pattern, [w("XX")], False),
         (open_pattern, [w("ZZ"), w("IZ")], True),
-        (plus_x, [w("Z")], False),  # every entry matches up to sign: real part
-        (plus_y, [w("Z")], False),  # ... and imaginary part
-        (plus_y, [w("Y")], True),
         (skew, [], True),  # no generators
-        (zero, [w("XY"), w("ZI")], True),  # no nonzero entries
-        (zero, [], True),
     ]
-    for rho, gens, want in cases:
-        assert stabilized_by(rho, gens).tolist() == [want], (rho.mat.re, gens)
+    for rho, gens, want in layouts:
+        with pytest.raises(ValueError):
+            members_of(rho.mat)
+        assert layout_stabilized_by(rho, gens).tolist() == [want], (rho.mat.re, gens)
         assert dense_stabilized_by(rho, gens) is want
         assert complex_stabilized_by(rho, gens) is want
     with pytest.raises(DimensionError):
-        stabilized_by(zz, [w("X")])
+        stabilized_by(xx, [w("X")])
+    with pytest.raises(DimensionError):
+        layout_stabilized_by(zz, [w("X")])
     with pytest.raises(DimensionError):
         dense_stabilized_by(zz, [w("X")])
 
@@ -1010,20 +1053,37 @@ def test_layout_renders_both_oracles():
             child = child_from_pauli_sum([p], duals, [one_indicator(p)])
             terms = [(ordered_product(duals, bits_of(j)), k) for j, k in child.terms(0).items()]
             oracle = divided_by_pow2(pauli_sum(g.n, terms), g.n)
-            assert child.rho.mat == oracle and child_from_partial_trace([p]).mat == oracle
-            assert layout_of(oracle) == child.rho
+            assert same_matrix(child.rho.mat, oracle)
+            assert same_matrix(child_from_partial_trace([p]).mat, oracle)
+            assert same_children(members_of(oracle), child.rho)
+            assert layout_of(oracle) == Layout.of(child.rho)
             if first:
                 assert np.array_equal(rho_to_complex(child.rho), traced_oracle(p)), p
                 traced += 1
     for p in hand_built_parents(random.Random(9310), 60):
         rho = child_from_partial_trace([p])
-        assert layout_of(rho.mat) == rho
+        assert same_children(members_of(rho.mat), rho)
+        assert layout_partial_trace([p]) == Layout.of(rho)
     assert traced > 40
 
 
 def _dense_purity(m):
     return Fraction(int((m.re.astype(object) ** 2).sum() + (m.im.astype(object) ** 2).sum()),
                     1 << (2 * m.denom_log2))
+
+
+def _member_cases(rho):
+    """Edits of a member list, a chunk of one, that fail the checks: one
+    phase off by 1, member 0's phase off by 2, one z bit flipped, and the
+    last member dropped."""
+    d, z, kappa = rho.offsets, rho.z.copy(), rho.kappa.copy()
+    odd, sign, flipped = kappa.copy(), kappa.copy(), z.copy()
+    odd[0, -1] += 1
+    sign[0, 0] += 2
+    flipped[0, -1] ^= 1
+    return [DensityMatrix(rho.n, d, z, odd), DensityMatrix(rho.n, d, z, sign),
+            DensityMatrix(rho.n, d, flipped, kappa),
+            DensityMatrix(rho.n, d[:, :-1], z[:, :-1], kappa[:, :-1])]
 
 
 def test_layout_checks_match_dense_oracles():
@@ -1035,78 +1095,128 @@ def test_layout_checks_match_dense_oracles():
     words = [w("".join(letters)) for letters in itertools.product("IXYZ", repeat=3)]
     mover = next(v for v in words if not stabilized_by(child.rho, [v]))
     moved = conjugated(child.rho, mover)
-    cases = [
-        child.rho,
-        dataclasses.replace(child.rho, num=2 * child.rho.num),  # doubled
-        moved,  # a child conjugated by a word that does not fix it
+    no_diagonal = members_of(GaussianMatrix([[0, 1], [1, 0]], np.zeros((2, 2)), 1))
+    layouts = [
+        Layout.of(child.rho),
+        Layout(3, child.rho.offsets, 2 * child.rho.num, 3),  # doubled
+        Layout.of(moved),  # a child conjugated by a word that does not fix it
         layout_of(GaussianMatrix(np.diag([1, 1, 1, 0]), np.zeros((4, 4)), 0)),  # open_pattern
         layout_of(GaussianMatrix(np.zeros((4, 4)), np.zeros((4, 4)), 3)),  # zero
         layout_of(GaussianMatrix([[1, 2], [-3, 0]], [[0, 1], [5, 2]], 1)),  # skew
-        layout_of(GaussianMatrix([[0, 1], [1, 0]], np.zeros((2, 2)), 1)),  # no diagonal row
+        Layout.of(no_diagonal),  # no diagonal row
     ]
-    for rho in cases:
+    for rho in layouts:
         dense = rho_to_complex(rho)
         assert rho.trace_is_one().tolist() == [np.trace(dense) == 1]
         assert rho.is_hermitian().tolist() == [np.array_equal(dense, dense.conj().T)]
         assert rho.purity() == [_dense_purity(rho.mat)]
         same_n = rho.n == g.n
         for gens in [rows, [mover], words] if same_n else [[w("X" * rho.n), w("Z" * rho.n)]]:
-            assert stabilized_by(rho, gens).tolist() == [dense_stabilized_by(rho, gens)]
-        for other in cases:
-            assert (rho == other) == (rho.n == other.n and rho.mat == other.mat)
-    traces = np.concatenate([rho.trace_is_one() for rho in cases]).tolist()
+            assert layout_stabilized_by(rho, gens).tolist() == [dense_stabilized_by(rho, gens)]
+        for other in layouts:
+            assert (rho == other) == (rho.n == other.n and same_matrix(rho.mat, other.mat))
+    traces = np.concatenate([rho.trace_is_one() for rho in layouts]).tolist()
     assert traces == [True, False, True, False, False, False, False]
-    hermitian = np.concatenate([rho.is_hermitian() for rho in cases]).tolist()
+    hermitian = np.concatenate([rho.is_hermitian() for rho in layouts]).tolist()
     assert hermitian == [True, True, True, True, True, False, True]
-    assert not dense_stabilized_by(child.rho, [mover]) and moved != child.rho
+    assert not dense_stabilized_by(child.rho, [mover]) and not same_children(moved, child.rho)
+    # each identity on a member list gives the verdict of its check on the
+    # rendered layout, on children and on edits that fail them
+    members = [child.rho, moved, no_diagonal] + _member_cases(child.rho) + _member_cases(moved)
+    failed = set()
+    for rho in members:
+        layout = Layout.of(rho)
+        got = [rho.trace_is_one().tolist(), rho.is_hermitian().tolist(), rho.purity()]
+        assert got == [layout.trace_is_one().tolist(), layout.is_hermitian().tolist(),
+                       layout.purity()]
+        same_n = rho.n == g.n
+        for gens in [rows, [mover], words] if same_n else [[w("X" * rho.n), w("Z" * rho.n)]]:
+            assert stabilized_by(rho, gens).tolist() == layout_stabilized_by(layout, gens).tolist()
+        for other in members:
+            assert rho.agrees_with(other).tolist() == layout.agrees_with(Layout.of(other)).tolist()
+        failed |= {name for name, ok in zip(("trace", "hermitian"), got[:2]) if not ok[0]}
+        failed |= {"stabilized"} if same_n and not stabilized_by(rho, rows)[0] else set()
+    assert failed == {"trace", "hermitian", "stabilized"}
 
 
 def test_layout_rejects_duplicate_or_missing_offset():
     rho = child_from_partial_trace(extend_e1(parse_graph(TRIANGLE))[:1])
-    d, num = rho.offsets[0], rho.num[0]
+    d, z, kappa = rho.offsets[0], rho.z[0], rho.kappa[0]
 
-    def layout(offsets, numerators):  # a chunk of one
-        return DensityMatrix(3, offsets[None], numerators[None], 3)
+    def members(offsets, zs=z, ks=kappa):  # a chunk of one
+        return DensityMatrix(3, offsets[None], zs[None], ks[None])
 
     assert list(d) == sorted(set(d.tolist())) and len(d) == 4
-    with pytest.raises(ValueError, match="distinct"):  # a duplicate offset
-        layout(np.array([d[0], d[1], d[1], d[3]]), num)
+    with pytest.raises(ValueError, match="distinct"):  # a duplicate member
+        members(np.array([d[0], d[1], d[1], d[3]]))
     with pytest.raises(ValueError, match="distinct"):  # out of order
-        layout(d[::-1].copy(), num)
+        members(d[::-1].copy())
     with pytest.raises(ValueError, match="distinct"):  # past 2^n
-        layout(np.array([0, 1, 2, 8]), num)
-    with pytest.raises(ValueError, match="one row"):  # a row with no offset
-        layout(d[:3], num)
-    with pytest.raises(ValueError, match="one row"):
-        layout(d, num[:, :, :4])
-    with pytest.raises(ValueError, match="one row"):  # the imaginary part missing
-        layout(d, num[:1])
-    with pytest.raises(ValueError, match="one row"):  # one child's arrays, not a chunk's
-        DensityMatrix(3, d, num, 3)
-    # a layout missing one offset of the child's support differs from it,
-    # and so does one that holds an extra zero row
-    assert layout(d[:3], num[:, :3]) != rho
-    extra = np.setdiff1d(np.arange(8), d)[:1]
-    padded = layout(np.sort(np.concatenate((d, extra))),
-                    np.insert(num, np.searchsorted(d, extra[0]), 0, axis=1))
-    assert padded.mat == rho.mat and padded != rho
+        members(np.array([0, 1, 2, 8]))
+    with pytest.raises(ValueError, match="z masks below"):  # a z mask past 2^n
+        members(d, z | 8)
+    with pytest.raises(ValueError, match="one z mask"):  # a member with no z mask
+        members(d[:3])
+    with pytest.raises(ValueError, match="one z mask"):
+        members(d, z[:3])
+    with pytest.raises(ValueError, match="one z mask"):  # a member with no phase
+        members(d, ks=kappa[:3])
+    with pytest.raises(ValueError, match="one z mask"):  # one child's arrays, not a chunk's
+        DensityMatrix(3, d, z, kappa)
+    # phases are read mod 4; a list missing one member of the child's
+    # support differs from it, and so does one with a member's phase moved
+    assert same_children(members(d, z, kappa + 4), rho)
+    assert not same_children(members(d[:3], z[:3], kappa[:3]), rho)
+    assert not same_children(members(d, z, kappa + (d == d[-1])), rho)
 
 
 def test_layout_keeps_int8_numerators_only_without_their_minimum():
-    # the routes write int8 units; -(-128) wraps to -128 in int8, so a layout
-    # holding -128 is widened, and its sign and conjugation checks stay exact
+    # the routes' rendered rows are int8 units; -(-128) wraps to -128 in
+    # int8, so the layout oracle widens a layout holding -128, and its sign
+    # and conjugation checks stay exact
     g = parse_graph(TRIANGLE)
     p = extend_e1(g)[0]
     child = child_from_pauli_sum([p], dual_stabilizer(g), [one_indicator(p)])
     assert child.rho.num.dtype == child_from_partial_trace([p]).num.dtype == np.int8
     w = PauliWord.from_letters
-    real = DensityMatrix(1, np.array([[1]]), np.array([[[[-128, -128]], [[0, 0]]]], np.int8), 0)
-    imaginary = DensityMatrix(1, np.array([[1]]), np.array([[[[0, 0]], [[-128, -128]]]], np.int8), 0)
+    real = Layout(1, np.array([[1]]), np.array([[[[-128, -128]], [[0, 0]]]], np.int8), 0)
+    imaginary = Layout(1, np.array([[1]]), np.array([[[[0, 0]], [[-128, -128]]]], np.int8), 0)
     assert real.num.dtype == imaginary.num.dtype == np.int64
-    assert not stabilized_by(real, [w("Z")]) and not dense_stabilized_by(real, [w("Z")])
+    assert not layout_stabilized_by(real, [w("Z")]) and not dense_stabilized_by(real, [w("Z")])
     assert real.is_hermitian() and not imaginary.is_hermitian()
     dense = rho_to_complex(imaginary)
     assert not np.array_equal(dense, dense.conj().T)
+
+
+# ---- the member lists against the layout oracle ----
+
+
+def test_member_lists_render_the_layout_oracle():
+    # each row of a child's layout is a signed character, V[d, c] =
+    # i^kappa_d (-1)^{z_d.c}: route 2's member list (d with H d = 0, A_L d
+    # with its diagonal, p_L(d)) and route 1's, rendered by word_rows, equal
+    # the partial trace on whole rows, on every child of the e >= 1
+    # fixtures and on 300 seeded children of the 9-node directed clique
+    cases = []
+    for path in sorted(FIXTURES.glob("*.graph")):
+        g = parse_graph(path.read_text())
+        e, parents = _every_parent(g)
+        if e >= 1:
+            cases.append((g, parents))
+    edges = "".join(f"edge {j} -> {k}\n" for j, k in itertools.combinations(range(9), 2))
+    clique9 = parse_graph("nodes 9\n" + edges)
+    subs = enumerate_max_isotropic(reduce_gamma(clique9.gamma()))
+    picked = [subs[i] for i in sorted(random.Random(2609).sample(range(len(subs)), 300))]
+    cases.append((clique9, list(extend_for_subgroup(clique9, picked, stabilizer_matrix(clique9)))))
+    children = 0
+    for g, parents in cases:
+        want = layout_partial_trace(parents)
+        traced = child_from_partial_trace(parents)
+        inds = [one_indicator(p) for p in parents]
+        built = child_from_pauli_sum(parents, dual_stabilizer(g), inds)
+        assert Layout.of(traced) == want and Layout.of(built.rho) == want, g
+        children += len(parents)
+    assert children == 180 + 2 * 9 + 300  # e >= 2, the two e = 1 fixtures, the clique
 
 
 # ---- chunks against the per-child oracle ----
@@ -1114,14 +1224,15 @@ def test_layout_keeps_int8_numerators_only_without_their_minimum():
 
 def _perturbed(rho, start):
     """The chunk with the child at place start + i changed by that place mod
-    4: kept, doubled, its imaginary part negated, or one entry negated, so
-    that the checks meet children that fail them."""
-    num = rho.num.astype(np.int64)
+    4: kept, negated, its last member's phase off by 1, or its last
+    member's z bit 0 flipped, so that the checks meet children that fail
+    them."""
+    z, kappa = rho.z.copy(), rho.kappa.copy()
     kind = (start + np.arange(len(rho))) % 4
-    num[kind == 1] *= 2
-    num[kind == 2, 1] *= -1
-    num[kind == 3, 0, -1, 0] *= -1
-    return DensityMatrix(rho.n, rho.offsets, num, rho.denom_log2)
+    kappa[kind == 1] += 2
+    kappa[kind == 2, -1] += 1
+    z[kind == 3, -1] ^= 1
+    return DensityMatrix(rho.n, rho.offsets, z, kappa)
 
 
 def _one_verdicts(one, traced, rows, words):
@@ -1133,8 +1244,9 @@ def _one_verdicts(one, traced, rows, words):
 def test_chunks_match_the_per_child_oracle(monkeypatch):
     # every parent of the fixtures, the directed cliques on 2-7 nodes and
     # 40 seeded graphs, chunked as verify chunks them with 1, 3 or all
-    # children per chunk: layouts, D, terms and every check's verdict equal
-    # the per-child routes and checks, on the children and on perturbed ones
+    # children per chunk: rendered layouts, D, terms and every check's
+    # verdict equal the per-child layout routes and checks, on the children
+    # and on perturbed ones
     rng = random.Random(2323)
     verdicts = {True: 0, False: 0}
     for g in _term_graphs():
@@ -1153,7 +1265,8 @@ def test_chunks_match_the_per_child_oracle(monkeypatch):
             for verdict in want[0][:3] + want[1][:3]:
                 verdicts[verdict] += 1
         for children in (1, 3, len(parents)):
-            monkeypatch.setattr(mgstate.states, "CHUNK_ENTRIES", children << (2 * g.n - e))
+            words_per_child = (3 << g.n - e) + (1 << g.n)
+            monkeypatch.setattr(mgstate.states, "CHUNK_ENTRIES", children * words_per_child)
             assert mgstate.states.chunk_len(g.n, e) == children
             for start in range(0, len(parents), children):
                 built = child_from_pauli_sum(parents[start:start + children], duals,
