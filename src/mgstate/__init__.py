@@ -43,6 +43,7 @@ from .pauli import (
 from .subgroups import (
     GammaReduction,
     IsotropicSubspace,
+    SubgroupBatch,
     chi,
     commutes_via_gamma,
     enumerate_max_isotropic,

@@ -39,7 +39,10 @@ every batch before it is checked by then.
 ``subgroups`` and ``children`` stream their entries, so on a non-zero exit
 stdout is not a complete report: the entries written so far, their last line
 ended, then exit 1's ``FAIL <name>: <reproducer>`` line.  Bound and input
-errors come before the first byte.
+errors come before the first byte.  ``children`` writes one child at a time;
+``subgroups`` writes a batch of ``LISTING_BATCH`` = 64 entries at a time,
+built together from one enumeration that holds every subgroup as a row of
+masks (see ``mgstate.subgroups``), their members listed by one batched span.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property, partial
+from functools import cache, partial
 from itertools import chain, starmap
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -71,7 +74,7 @@ from .extension import (
     indicator,
     meets_extension_condition,
 )
-from .f2 import BinMatrix, bits_of, bitstring
+from .f2 import BinMatrix, bits_of, bitstring, span_batch
 from .graphs import (
     GraphParseError,
     MixedGraph,
@@ -109,7 +112,7 @@ from .states import (
 from .subgroups import (
     DEFAULT_ENUM_BOUND,
     GammaReduction,
-    IsotropicSubspace,
+    SubgroupBatch,
     chi,
     enumerate_max_isotropic,
     reduce_gamma,
@@ -178,13 +181,14 @@ def _check_children(children: ChildResult, rows: Sequence[PauliWord], check: Che
                 check(name, ok[i], "" if ok[i] else reproducer(i))
 
 
-def _subgroups(red: GammaReduction, bound: int, check: Check = _require) -> List[IsotropicSubspace]:
-    """The chi(e) maximal commutative subgroups, each of 2^(n-e) members."""
+def _subgroups(red: GammaReduction, bound: int, check: Check = _require) -> SubgroupBatch:
+    """The chi(e) maximal commutative subgroups, each of 2^(n-e) members:
+    the count, then one size verdict per subgroup, read in subgroup order."""
     subs, e = enumerate_max_isotropic(red, bound=bound), red.e
     check("subgroup-count-chi", len(subs) == chi(e), f"{len(subs)} != chi({e})")
-    for s in subs:
-        size = 1 << len(s.lifted_basis)  # an RREF basis has independent rows
-        check("subgroup-size", size == 1 << (red.n - e), f"size {size} != 2^(n-e)")
+    dims = subs.dims()  # an RREF basis has independent rows
+    for i, ok in enumerate((dims == red.n - e).tolist()):
+        check("subgroup-size", ok, "" if ok else f"size {1 << int(dims[i])} != 2^(n-e)")
     return subs
 
 
@@ -192,7 +196,7 @@ Verdicts = List[Tuple[str, np.ndarray]]
 
 
 def _parents(
-    g: MixedGraph, subs: Sequence[IsotropicSubspace], rows: Sequence[PauliWord]
+    g: MixedGraph, subs: SubgroupBatch, rows: Sequence[PauliWord]
 ) -> Tuple[ParentBatch, Verdicts, int]:
     """The parents of a batch of subgroups, their checks, one verdict per
     subgroup (the extension condition, commutation and J = subgroup), and
@@ -200,10 +204,10 @@ def _parents(
     have children."""
     batch = extend_for_subgroup(g, subs, rows)
     verdicts = [
-        ("extension-found", meets_extension_condition(subs[0].reduction.gamma, batch)),
+        ("extension-found", meets_extension_condition(subs.reduction.gamma, batch)),
         # graph-form rows X_i Z^{A_i} commute iff A is symmetric
         ("extension-commutes", batch.is_symmetric()),
-        ("indicator-matches-subgroup", batch.has_kernel([s.lifted_basis for s in subs])),
+        ("indicator-matches-subgroup", batch.has_kernel(subs.lifted)),
     ]
     passed = np.logical_and.reduce([ok for _, ok in verdicts])
     return batch, verdicts, len(subs) if passed.all() else int(passed.argmin())
@@ -285,18 +289,15 @@ def _read_graph(path: str) -> tuple[MixedGraph, str, Optional[Dict]]:
 
 
 @dataclass(frozen=True)
-class _Encoded:
-    """A report value and the text that ``_json_chunks`` writes for it, as
-    one chunk at the value's fixed nesting level.  ``encode(value)`` builds
-    that text on first use, so a text report, which reads ``value`` only,
-    never builds it; later reads of ``text`` are a plain attribute lookup."""
+class _Run:
+    """Consecutive entries of a streamed list, built together: ``values()``
+    gives their report values, which a text report reads, and ``texts()``
+    the text that ``_json_chunks`` writes for each, one chunk apiece at the
+    entries' fixed nesting level.  Neither is built before it is asked for,
+    so a text report never builds JSON."""
 
-    value: object
-    encode: Callable[[object], str]
-
-    @cached_property
-    def text(self) -> str:
-        return self.encode(self.value)
+    values: Callable[[], List[Dict]]
+    texts: Callable[[], List[str]]
 
 
 def _json_scalar(o) -> str:
@@ -306,8 +307,6 @@ def _json_scalar(o) -> str:
         return json.dumps(o)
     if isinstance(o, int):
         return int.__repr__(o)
-    if isinstance(o, _Encoded):  # tested last: no other value pays for it
-        return o.text
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
@@ -327,11 +326,12 @@ def _json_chunks(o, level: int, out: List[str], prefix: str = "") -> None:
     per entry, and no chunk so large that the allocator returns its memory
     and faults fresh pages in for the next report; the chunks go to
     ``writelines`` unjoined for the same reason.
-    An ``_Encoded`` value is its text, one chunk: a ``subgroups`` entry,
-    whole, with its listed elements in it.  So is a list of only str and int.
-    An iterator is a list whose entries are written to stdout, with all
-    text before them, as soon as each is encoded; ``out`` then keeps one
-    empty chunk, the mark of a report already begun."""
+    A list of only str and int is one chunk.  An iterator is a list whose
+    entries are written to stdout, with all text before them, as soon as
+    each is encoded; an item that is a ``_Run`` is a run of entries, one
+    chunk each, unjoined, written by one ``writelines``: ``subgroups``
+    entries, each whole, with its listed elements in it.  ``out`` then
+    keeps one empty chunk, the mark of a report already begun."""
     inner = "\n" + "  " * (level + 1)
     close = "\n" + "  " * level
     if isinstance(o, dict):
@@ -366,7 +366,11 @@ def _json_chunks(o, level: int, out: List[str], prefix: str = "") -> None:
         streamed = isinstance(o, Iterator)
         sep = prefix + "["
         for value in o:
-            _json_chunks(value, level + 1, out, sep + inner)
+            if isinstance(value, _Run):
+                first, *rest = value.texts()
+                out += [sep + inner + first] + [f",{inner}{text}" for text in rest]
+            else:
+                _json_chunks(value, level + 1, out, sep + inner)
             sep = ","
             if streamed:
                 sys.stdout.writelines(out)
@@ -442,6 +446,7 @@ def cmd_analyze(args) -> int:
 # --------------------------------------------------------------- subgroups
 
 
+LISTING_BATCH = 64  # subgroups per run of ``subgroups`` entries
 _ENTRY_LEVEL = 3  # report > result > subgroups > entry
 _ELEMENT_LEVEL = 5  # entry > elements > element
 
@@ -453,71 +458,83 @@ def _element_text(element: Dict) -> str:
     return "".join(out)
 
 
-def _entry_text(s: Dict) -> str:
+_ENTRY_FORMAT = (
+    "{%(inner)s\"b_reduced\": %%s,%(inner)s\"elements\": %%s,%(inner)s\"index\": %%d,"
+    "%(inner)s\"lifted_generators\": %%s,%(inner)s\"size\": %%d\n%(close)s}"
+) % {"inner": "\n" + "  " * (_ENTRY_LEVEL + 1), "close": "  " * _ENTRY_LEVEL}
+
+
+def _entry_text(
+    b_reduced: List[str], elements: Optional[List[str]], index: int, lifted: List[str], size: int
+) -> str:
     """The text that ``_json_chunks`` would write for a ``subgroups`` entry,
     in one pass over its fixed shape: five keys in sorted order, and
-    ``elements`` the join of its members' cached texts."""
+    ``elements`` the join of its members' texts."""
     level = _ENTRY_LEVEL + 1
-    inner = "\n" + "  " * level
-    elements = s["elements"]
-    return "".join((
-        "{", inner, '"b_reduced": ',
-        _list_text(map(encode_basestring_ascii, s["b_reduced"]), level),
-        ",", inner, '"elements": ',
-        "null" if elements is None else _list_text([el.text for el in elements], level),
-        ",", inner, '"index": ', int.__repr__(s["index"]),
-        ",", inner, '"lifted_generators": ',
-        _list_text(map(encode_basestring_ascii, s["lifted_generators"]), level),
-        ",", inner, '"size": ', int.__repr__(s["size"]),
-        "\n", "  " * _ENTRY_LEVEL, "}",
-    ))
+    return _ENTRY_FORMAT % (
+        _list_text(map(encode_basestring_ascii, b_reduced), level),
+        "null" if elements is None else _list_text(elements, level),
+        index,
+        _list_text(map(encode_basestring_ascii, lifted), level),
+        size,
+    )
 
 
 def _subgroup_listing(g: MixedGraph, bound: int) -> Dict:
-    """The ``subgroups`` result.  Each entry is a pure function of its
-    subgroup: an ``_Encoded`` of its fields, whose text ``_entry_text``
-    builds as ``_json_chunks`` reaches it, so entry k is written before
-    entry k + 1 is built.  A subgroup of at most 64 members lists them, so
-    n - e <= 6; each member is a pure function of its index set v, so
-    ``listed`` builds it once per command, keyed by v, and every subgroup
-    holding v reuses it and its text: at most 2^n <= 2^12 entries."""
+    """The ``subgroups`` result.  Its entries come ``LISTING_BATCH``
+    subgroups at a time, each batch a ``_Run`` built as ``_json_chunks``
+    reaches it, and written before the next is built.  A subgroup of at
+    most 64 members lists them, so n - e <= 6: the members of a run come
+    from one ``span_batch`` of its lifted rows, ascending.  Each member is a
+    pure function of its index set v, so ``listed`` builds it once per
+    command, keyed by v, or ``encoded`` its text, and every subgroup holding
+    v reuses it: at most 2^n <= 2^12 entries."""
     red = reduce_gamma(g.gamma())
     e, t = red.e, red.t
     subs = _subgroups(red, bound)
+    size = 1 << (g.n - e)  # every subgroup's, checked
     duals = dual_stabilizer(g)
-    listed: Dict[int, _Encoded] = {}
+    listed = np.full(1 << g.n if size <= 64 else 0, None, dtype=object)
+    encoded = listed.copy()
     # generator rows recur across subgroups: each row's text is made once
     reduced_bits = cache(partial(bitstring, n=red.n - red.t))
     lifted_bits = cache(partial(bitstring, n=g.n))
 
-    def element(v: int) -> _Encoded:
-        word = str(ordered_product(duals, bits_of(v)))
-        return _Encoded({"index_set": bitstring(v, g.n), "word": word}, _element_text)
+    def element(v: int) -> Dict:
+        return {"index_set": bitstring(v, g.n), "word": str(ordered_product(duals, bits_of(v)))}
 
-    def entry(idx: int, s: IsotropicSubspace) -> _Encoded:
-        size = 1 << len(s.lifted_basis)  # an RREF basis has independent rows
-        elements = None
-        if size <= 64:
-            members = s.span_lifted()
-            for v in members:
-                if v not in listed:
-                    listed[v] = element(v)
-            elements = list(map(listed.__getitem__, members))
-        fields = {
-            "index": idx,
-            "b_reduced": list(map(reduced_bits, s.basis)),
-            "lifted_generators": list(map(lifted_bits, s.lifted_basis)),
-            "size": size,
-            "elements": elements,
-        }
-        return _Encoded(fields, _entry_text)
+    def run(start: int) -> _Run:
+        part = subs[start:start + LISTING_BATCH]
+        members = span_batch(part.lifted) if size <= 64 else None
+        rows = [(start + i, list(map(reduced_bits, basis)), list(map(lifted_bits, lifted)))
+                for i, (basis, lifted) in enumerate(zip(part.basis.tolist(), part.lifted.tolist()))]
+
+        def elements(table: np.ndarray, build: Callable) -> List[Optional[List]]:
+            """Each entry's members read from ``table``, each built on first use."""
+            if members is None:
+                return [None] * len(rows)
+            fresh = sorted(set(members[np.equal(table[members], None)].tolist()))
+            table[fresh] = [build(v) for v in fresh]
+            return table[members].tolist()
+
+        def values() -> List[Dict]:
+            return [{"index": idx, "b_reduced": b, "lifted_generators": lifted, "size": size,
+                     "elements": els}
+                    for (idx, b, lifted), els in zip(rows, elements(listed, element))]
+
+        def texts() -> List[str]:
+            return [_entry_text(b, els, idx, lifted, size) for (idx, b, lifted), els
+                    in zip(rows, elements(encoded, lambda v: _element_text(element(v))))]
+
+        return _Run(values, texts)
 
     return {
         "e": e,
         "t": t,
         "chi": chi(e),
         "count": len(subs),
-        "subgroups": starmap(entry, enumerate(subs)),  # built as the report is written
+        # runs of entries, built as the report is written
+        "subgroups": map(run, range(0, len(subs), LISTING_BATCH)),
     }
 
 
@@ -526,22 +543,22 @@ def cmd_subgroups(args) -> int:
     data = _subgroup_listing(g, args.bound)
     report = {"command": "subgroups", "input_sha256": digest, "result": data}
 
-    def entry_lines(entry: _Encoded) -> List[str]:
-        s = entry.value
+    def entry_lines(s: Dict) -> List[str]:
         lines = [
             f"[{s['index']}] B = {', '.join(s['b_reduced']) or '(empty)'}"
             f" ; lifted = {', '.join(s['lifted_generators']) or '(empty)'}"
             f" ; size = {s['size']}"
         ]
         if s["elements"] is not None:
-            lines.append("     elements: " + "  ".join(el.value["word"] for el in s["elements"]))
+            lines.append("     elements: " + "  ".join(el["word"] for el in s["elements"]))
         return lines
 
     header = [
         f"e = {data['e']}, t = {data['t']}",
         f"maximal commutative subgroups: {data['count']} (chi = {data['chi']})",
     ]
-    lines = chain(header, chain.from_iterable(map(entry_lines, data["subgroups"])))
+    entries = chain.from_iterable(run.values() for run in data["subgroups"])
+    lines = chain(header, chain.from_iterable(map(entry_lines, entries)))
     _emit(report, lines, args.json)
     return EXIT_OK
 
@@ -583,18 +600,19 @@ def _parent_payload(rows: Sequence[PauliWord], child: ChildResult) -> Dict:
 
 
 def _payloads(
-    g: MixedGraph, chosen: Sequence[Tuple[int, IsotropicSubspace]], rows: Sequence[PauliWord],
-    duals: Sequence[PauliWord],
+    g: MixedGraph, subs: SubgroupBatch, rows: Sequence[PauliWord], duals: Sequence[PauliWord],
+    first: int = 0,
 ) -> Iterator[Dict]:
-    """The report of each chosen subgroup's child, a chunk of one, built as
-    it is written.  The parents come ``PARENT_BATCH`` at a time, with the
+    """The report of each subgroup's child, a chunk of one, built as it is
+    written; ``subs`` are subgroups ``first``, ``first`` + 1, ... of the
+    enumeration.  The parents come ``PARENT_BATCH`` at a time, with the
     indicators of those before the batch's first failed parent; that parent
     fails its check once the children before it are written."""
-    for start in range(0, len(chosen), PARENT_BATCH):
-        part = chosen[start:start + PARENT_BATCH]
-        batch, verdicts, passed = _parents(g, [sub for _, sub in part], rows)
+    for start in range(0, len(subs), PARENT_BATCH):
+        batch, verdicts, passed = _parents(g, subs[start:start + PARENT_BATCH], rows)
         inds = indicator(batch[:passed])
-        for i, (idx, _) in enumerate(part):
+        for i in range(len(batch)):
+            idx = first + start + i
             _check_parent(verdicts, i, idx)
             child = child_from_pauli_sum(batch[i:i + 1], duals, inds[i:i + 1])
             yield {**_parent_payload(rows, child), "subgroup_index": idx}
@@ -614,16 +632,16 @@ def cmd_children(args) -> int:
         result["mode"] = "family"
         result["classes"] = classes
     else:
-        subs = _subgroups(red, args.bound)
-        chosen: Iterable = enumerate(subs)
+        subs, first = _subgroups(red, args.bound), 0
         if args.subgroup is not None:
             if not 0 <= args.subgroup < len(subs):
                 raise GraphParseError(
                     None, f"subgroup index {args.subgroup} out of range (0..{len(subs) - 1})"
                 )
-            chosen = [(args.subgroup, subs[args.subgroup])]
+            first = args.subgroup
+            subs = subs[first:first + 1]
         result["mode"] = "subgroups"
-        reports = _payloads(g, list(chosen), rows, duals)
+        reports = _payloads(g, subs, rows, duals, first)
     result["children"] = reports  # an iterator builds each child as the report is written
     report = {"command": "children", "input_sha256": digest, "result": result}
 

@@ -47,14 +47,23 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .f2 import BinMatrix, bits_of, mask_of
+from .f2 import (
+    BinMatrix,
+    bit_table,
+    bits_of,
+    kernel_batch,
+    mask_dtype,
+    mask_of,
+    rref_batch,
+    unit_masks,
+)
 from .graphs import MixedGraph, complete_multipartite_parts, stabilizer_matrix
 from .pauli import PauliWord
-from .subgroups import IsotropicSubspace
+from .subgroups import IsotropicSubspace, SubgroupBatch
 
 PARENT_BATCH = 1 << 12  # subgroups per batch of parents: 19 batches for chi(5) = 75,735
 
@@ -108,68 +117,6 @@ class ParentExtension:
         return [self.row(j) for j in range(self.total)]
 
 
-def _word(width: int):
-    """The dtype of an array of masks over ``width`` bits: int64 up to 62
-    bits, Python ints past that."""
-    return np.int64 if width <= 62 else object
-
-
-def _units(width: int) -> np.ndarray:
-    """The masks 1 << j for j < ``width``."""
-    return np.array([1 << j for j in range(width)], dtype=_word(width))
-
-
-def _bits(masks: np.ndarray, width: int) -> np.ndarray:
-    """The bit table of an array of masks: (..., width) bools, entry j bit
-    j.  Python ints are unpacked from their bytes, not shifted bit by bit."""
-    if masks.dtype != object:
-        return ((masks[..., None] >> np.arange(width)) & 1).astype(bool)
-    size, low = (width + 7) // 8, (1 << width) - 1
-    raw = b"".join((m & low).to_bytes(size, "little") for m in masks.ravel().tolist())
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-    return bits.reshape(*masks.shape, 8 * size)[..., :width].astype(bool)
-
-
-def _rref(rows: np.ndarray, width: int) -> Tuple[np.ndarray, np.ndarray]:
-    """``f2.rref`` of each row of masks of a batch, ``rows`` (k, r): the
-    reduced rows by ascending pivot (lowest set bit), then zero rows, and
-    the rank of each.  One sweep over the columns, each an array pass: the
-    first row not yet a pivot row that holds the column becomes one, clears
-    the column from every other row and moves up to its place."""
-    rows = rows.copy()
-    k, r = rows.shape
-    rank = np.zeros(k, dtype=np.int64)
-    batch, slot = np.arange(k), np.arange(r)
-    # a sum of rows holds only bits that some row holds: no other column can take a pivot
-    held = np.bitwise_or.reduce(rows.reshape(-1, 1), axis=0, initial=0)
-    for c in np.flatnonzero(_bits(held, width)[0]).tolist():
-        if (rank == r).all():  # no row left to take a pivot
-            break
-        holds = ((rows >> c) & 1).astype(bool)
-        free = holds & (slot >= rank[:, None])
-        found = free.any(axis=1)
-        first = free.argmax(axis=1)
-        pivot = rows[batch, first]
-        rows ^= np.where(holds & (slot != first[:, None]) & found[:, None], pivot[:, None], 0)
-        at, to, src = batch[found], rank[found], first[found]
-        rows[at, src] = rows[at, to]
-        rows[at, to] = pivot[found]
-        rank += found
-    return rows, rank
-
-
-def _kernel(reduced: np.ndarray, width: int) -> np.ndarray:
-    """``f2.kernel`` of each row of a batch of full-rank RREF rows,
-    ``reduced`` (k, r): the (k, width - r) RREF bases of their null spaces,
-    each built as ``f2.rref_kernel`` builds it, free column f with the
-    pivots of the rows that hold bit f."""
-    k, r = reduced.shape
-    low = reduced & -reduced
-    free = np.nonzero(~_bits(low.sum(axis=1), width))[1].reshape(k, width - r)
-    held = np.take_along_axis(_bits(reduced, width), free[:, None, :], axis=2)
-    return _rref(_units(width)[free] + (held * low[:, :, None]).sum(axis=1), width)[0]
-
-
 @dataclass(frozen=True, eq=False)
 class ParentBatch:
     """The parents of a batch of subgroups of one graph, row i parent i, as
@@ -194,7 +141,7 @@ class ParentBatch:
         n, e = parents[0].n, parents[0].e
         if any((p.n, p.e) != (n, e) for p in parents):
             raise ValueError("the parents of a batch must share n and e")
-        word, k = _word(n + e), len(parents)
+        word, k = mask_dtype(n + e), len(parents)
         return cls(
             n, e, np.array([p.ae.rows for p in parents], dtype=word).reshape(k, n + e),
             np.array([mask_of(p.lab_offsets | p.env_offsets) for p in parents], dtype=word),
@@ -224,16 +171,17 @@ class ParentBatch:
     def is_symmetric(self) -> np.ndarray:
         """Parent by parent, whether ``ae`` is symmetric, so that its
         graph-form rows X_j Z^{A_j} commute."""
-        a = _bits(self.ae, self.n + self.e)
+        a = bit_table(self.ae, self.n + self.e)
         return (a == a.transpose(0, 2, 1)).all(axis=(1, 2))
 
-    def has_kernel(self, lifted: Sequence[Sequence[int]]) -> np.ndarray:
+    def has_kernel(self, lifted: np.ndarray) -> np.ndarray:
         """Parent by parent, whether J = ker H is the span of its row of
-        ``lifted``, n - e independent masks: H J^T = 0 and rank H = e."""
+        ``lifted`` (k, n - e), n - e independent masks, such as a
+        ``SubgroupBatch``'s: H J^T = 0 and rank H = e."""
         h = self.parity_rows()
-        j = np.array(lifted, dtype=h.dtype).reshape(len(self), -1)
-        product = _bits(h, self.n).astype(np.int64) @ _bits(j, self.n).transpose(0, 2, 1)
-        return ~(product & 1).any(axis=(1, 2)) & (_rref(h, self.n)[1] == self.e)
+        j = np.asarray(lifted, dtype=h.dtype).reshape(len(self), -1)
+        product = bit_table(h, self.n).astype(np.int64) @ bit_table(j, self.n).transpose(0, 2, 1)
+        return ~(product & 1).any(axis=(1, 2)) & (rref_batch(h, self.n)[1] == self.e)
 
 
 def phases(parents: Sequence[ParentExtension], x: np.ndarray) -> np.ndarray:
@@ -244,7 +192,7 @@ def phases(parents: Sequence[ParentExtension], x: np.ndarray) -> np.ndarray:
     twice.  A row of k < n + e columns sets no later qubit."""
     k = x.shape[-1]
     batch = ParentBatch.of(parents)
-    a = _bits(np.concatenate([batch.ae[:, :k], batch.offsets[:, None]], axis=1), k).astype(np.int64)
+    a = bit_table(np.concatenate([batch.ae[:, :k], batch.offsets[:, None]], axis=1), k).astype(np.int64)
     quadratic = (np.matmul(x, a[:, :k]) * x).sum(axis=-1)
     return (quadratic + 2 * np.matmul(x, a[:, k, :, None])[..., 0]) & 3
 
@@ -261,12 +209,12 @@ def indicator(parents: ParentBatch) -> List[Indicator]:
     batched elimination of the H rows and one of their kernels.
     """
     n, h = parents.n, parents.parity_rows()
-    reduced, rank = _rref(h, n)
+    reduced, rank = rref_batch(h, n)
     if (rank != parents.e).any():  # rank(H) = n - dim ker(H)
         raise ExtensionError("parity matrix is rank deficient; extension not minimal")
     return [([tuple(bits_of(r)) for r in h_rows], BinMatrix(tuple(g_rows), n),
              BinMatrix(tuple(h_rows), n))
-            for h_rows, g_rows in zip(h.tolist(), _kernel(reduced, n).tolist())]
+            for h_rows, g_rows in zip(h.tolist(), kernel_batch(reduced, n).tolist())]
 
 
 def symmetrize(stabilizer: Sequence[PauliWord], columns) -> ParentBatch:
@@ -299,10 +247,10 @@ def symmetrize(stabilizer: Sequence[PauliWord], columns) -> ParentBatch:
             raise ExtensionError(f"lab row {j} does not have X/Y exactly at position {j}")
     cols = np.asarray(columns).reshape(len(columns), -1, 2)
     e = cols.shape[1]
-    word = _word(n + e)
+    word = mask_dtype(n + e)
     x, z = cols[..., 0].astype(word), cols[..., 1].astype(word)
-    x_at, z_at = _bits(x, n), _bits(z, n)
-    env = _units(n + e)
+    x_at, z_at = bit_table(x, n), bit_table(z, n)
+    env = unit_masks(n + e)
     lab = np.repeat(np.array([[base.z for base in stabilizer]], dtype=word), len(cols), axis=0)
     for m in range(e):
         lab ^= np.where(x_at[:, m], z[:, m, None], 0)
@@ -346,8 +294,8 @@ def _greedy_columns(gamma: np.ndarray, h: np.ndarray) -> Tuple[np.ndarray, np.nd
     """
     k, e = h.shape
     n = len(gamma)
-    batch, units = np.arange(k), _units(n)
-    h_at = _bits(h, n)
+    batch, units = np.arange(k), unit_masks(n)
+    h_at = bit_table(h, n)
     lowest = h_at.argmax(axis=2)
     cur = np.repeat(gamma[None], k, axis=0)
     ok = (h != 0).all(axis=1)
@@ -356,11 +304,11 @@ def _greedy_columns(gamma: np.ndarray, h: np.ndarray) -> Tuple[np.ndarray, np.nd
         lmask, in_l = h[:, m, None], h_at[:, m]
         x = cur[batch, lowest[:, m], None] & lmask
         # x_a ^ x_b = anti(a, b) for every pair a, b in L_m
-        clash = (cur ^ x ^ np.where(_bits(x[:, 0], n), lmask, 0)) & lmask
+        clash = (cur ^ x ^ np.where(bit_table(x[:, 0], n), lmask, 0)) & lmask
         ok &= ~((clash != 0) & in_l).any(axis=1)
         x = x | (((cur & lmask) == lmask) * units).sum(axis=1, keepdims=True)
         # anti'(j, k) = anti(j, k) ^ x_j z_k ^ z_j x_k
-        cur = cur ^ np.where(_bits(x[:, 0], n), lmask, 0) ^ np.where(in_l, x, 0)
+        cur = cur ^ np.where(bit_table(x[:, 0], n), lmask, 0) ^ np.where(in_l, x, 0)
         xcols[:, m] = x[:, 0]
     return xcols, ok & (cur == 0).all(axis=1)
 
@@ -383,10 +331,10 @@ def _closed_form_columns(gamma: np.ndarray, h: np.ndarray) -> np.ndarray:
     k, e = h.shape
     n = len(gamma)
     width = n * e
-    place = np.array([1 << (width - 1 - v) for v in range(width)], dtype=_word(width)).reshape(n, e)
-    h_at = _bits(h, n)
+    place = np.array([1 << (width - 1 - v) for v in range(width)], dtype=mask_dtype(width)).reshape(n, e)
+    h_at = bit_table(h, n)
     pivots = h_at.argmax(axis=2)
-    gamma_at = _bits(gamma, n)
+    gamma_at = bit_table(gamma, n)
     cols = gamma[pivots]
     for m in range(e):
         for q in range(m):
@@ -403,11 +351,11 @@ def _closed_form_columns(gamma: np.ndarray, h: np.ndarray) -> np.ndarray:
         low = v & -v
         basis = [(t, np.where((w & low) != 0, w ^ v, w)) for t, w in basis]
         basis.append((low, v))
-    x = (_bits(cols, n) * place.T).sum(axis=(1, 2))
+    x = (bit_table(cols, n) * place.T).sum(axis=(1, 2))
     for low, w in basis:
         x = np.where((x & low) != 0, x ^ w, x)
-    solved = _bits(x, width)[:, ::-1].reshape(k, n, e)  # [i, j, m] = X[j, m]
-    return (solved.transpose(0, 2, 1) * _units(n)).sum(axis=2).astype(h.dtype)
+    solved = bit_table(x, width)[:, ::-1].reshape(k, n, e)  # [i, j, m] = X[j, m]
+    return (solved.transpose(0, 2, 1) * unit_masks(n)).sum(axis=2).astype(h.dtype)
 
 
 def meets_extension_condition(gamma: BinMatrix, parents: ParentBatch) -> np.ndarray:
@@ -416,7 +364,7 @@ def meets_extension_condition(gamma: BinMatrix, parents: ParentBatch) -> np.ndar
     rows."""
     n = gamma.cols
     x, z = parents.xcols, parents.ae[:, n:]
-    x_at, z_at = _bits(x, n), _bits(z, n)
+    x_at, z_at = bit_table(x, n), bit_table(z, n)
     form = np.zeros((len(x), n), dtype=x.dtype)
     for m in range(parents.e):  # the rows of X H, then of (X H)^T
         form ^= np.where(x_at[:, m], z[:, m, None], 0) ^ np.where(z_at[:, m], x[:, m, None], 0)
@@ -425,7 +373,7 @@ def meets_extension_condition(gamma: BinMatrix, parents: ParentBatch) -> np.ndar
 
 def extend_for_subgroup(
     g: MixedGraph,
-    subs: Sequence[IsotropicSubspace],
+    subs: Union[SubgroupBatch, Sequence[IsotropicSubspace]],
     stabilizer: Sequence[PauliWord],
 ) -> ParentBatch:
     """Parents whose child commutative subgroups equal the requested ones,
@@ -433,7 +381,8 @@ def extend_for_subgroup(
 
     ``stabilizer`` is ``stabilizer_matrix(g)``, and e and Gamma come from
     the subgroups' reduction, which must be that of g's Gamma, tested once
-    per reduction and call.
+    per call.  H is read off the batch's ``lifted`` rows, with no tuple per
+    subgroup; a sequence of ``IsotropicSubspace`` is made a batch first.
 
     The Z/Y support of extension column m is forced to the m-th row of the
     subgroup's parity-check matrix H, the RREF kernel of its lifted basis,
@@ -456,18 +405,18 @@ def extend_for_subgroup(
     of that.  Raises ``ExtensionError`` when a subgroup comes from another
     Gamma or has the wrong dimension.
     """
-    for red in {id(s.reduction): s.reduction for s in subs}.values():
-        if not g.has_gamma(red.gamma):
-            raise ExtensionError("subgroup does not come from the graph's Gamma")
-    red = subs[0].reduction
+    subs = SubgroupBatch.of(subs)
+    red = subs.reduction
+    if not g.has_gamma(red.gamma):
+        raise ExtensionError("subgroup does not come from the graph's Gamma")
     n, e = red.n, red.e
-    for s in subs:
-        if len(s.lifted_basis) != n - e:  # an RREF basis has independent rows
-            raise ExtensionError(
-                f"subgroup parity matrix has {n - len(s.lifted_basis)} rows, expected e = {e}"
-            )
-    word = _word(n + e)
-    h = _kernel(np.array([s.lifted_basis for s in subs], dtype=word).reshape(len(subs), n - e), n)
+    dims = subs.dims()
+    if (dims != n - e).any():
+        raise ExtensionError(
+            f"subgroup parity matrix has {n - dims[dims != n - e][0]} rows, expected e = {e}"
+        )
+    word = mask_dtype(n + e)
+    h = kernel_batch(subs.lifted[:, :n - e].astype(word), n)
     gamma = np.array(red.gamma.rows, dtype=word)
     xcols, greedy = _greedy_columns(gamma, h)
     if not greedy.all():

@@ -4,12 +4,20 @@ Rows are Python ints; bit ``j`` of a row is column ``j``.  All routines are
 pure and deterministic, so canonical forms (reduced row echelon) can be used
 as dictionary keys for deduplication.  Cost model: ``rref`` makes one XOR for
 each pivot bit that a row meets, plus its back substitution; no column scan.
+
+The batched routines (``rref_batch``, ``kernel_batch``, ``span_batch``)
+take one set of rows per row of an array of masks, (k, r), and treat all k
+at once, each step one array pass.  A mask is an int64 while its width fits
+62 bits, and a Python int in an object array past that (``mask_dtype``), so
+a wide matrix stays exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 
 def popcount(x: int) -> int:
@@ -191,15 +199,7 @@ def in_rowspan(v: int, rows: Sequence[int], cols: int) -> bool:
 def span(rows: Sequence[int], cols: int) -> List[int]:
     """All vectors in the row span, sorted ascending."""
     basis, _ = rref(rows, cols)
-    return span_of_basis(basis)
-
-
-def span_of_basis(basis: Sequence[int]) -> List[int]:
-    """All vectors in the span of independent rows, sorted ascending."""
-    vecs = [0]
-    for b in basis:
-        vecs += [v ^ b for v in vecs]
-    return sorted(vecs)
+    return span_batch(np.array([basis], dtype=mask_dtype(cols)).reshape(1, -1))[0].tolist()
 
 
 def solve(a: BinMatrix, b: int) -> Optional[int]:
@@ -248,3 +248,72 @@ def symplectic_basis(gamma: BinMatrix) -> Tuple[List[Tuple[int, int]], List[int]
         pairs.append((a, b))
     radical, _ = rref(pool, n)
     return pairs, radical
+
+
+def mask_dtype(width: int):
+    """The dtype of an array of masks over ``width`` bits: int64 up to 62
+    bits, Python ints past that."""
+    return np.int64 if width <= 62 else object
+
+
+def unit_masks(width: int) -> np.ndarray:
+    """The masks 1 << j for j < ``width``."""
+    return np.array([1 << j for j in range(width)], dtype=mask_dtype(width))
+
+
+def bit_table(masks: np.ndarray, width: int) -> np.ndarray:
+    """The bit table of an array of masks: (..., width) bools, entry j bit
+    j.  Python ints are unpacked from their bytes, not shifted bit by bit."""
+    if masks.dtype != object:
+        return ((masks[..., None] >> np.arange(width)) & 1).astype(bool)
+    size, low = (width + 7) // 8, (1 << width) - 1
+    raw = b"".join((m & low).to_bytes(size, "little") for m in masks.ravel().tolist())
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+    return bits.reshape(*masks.shape, 8 * size)[..., :width].astype(bool)
+
+
+def rref_batch(rows: np.ndarray, width: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``rref`` of each row of masks of a batch, ``rows`` (k, r): the
+    reduced rows by ascending pivot (lowest set bit), then zero rows, and
+    the rank of each.  One pass per row slot, each an array pass: the
+    slot's lowest set bit becomes its pivot and is cleared from every other
+    row.  An XOR never sets a bit below the pivot of the row it changes,
+    and clears no pivot already taken, so the rows end fully reduced, and
+    one sort by pivot puts them in order.  ``width`` bounds the masks."""
+    rows = rows.copy()
+    for j in range(rows.shape[1]):
+        row = rows[:, j].copy()
+        hit = (rows & (row & -row)[:, None]) != 0
+        np.bitwise_xor(rows, row[:, None], out=rows, where=hit)
+        rows[:, j] = row  # it met its own pivot
+    key = np.negative(rows)
+    key &= rows  # the pivot of each row, and past every pivot for a zero row
+    key[key == 0] = 1 << width
+    order = key.argsort(axis=1, kind="stable")
+    del key
+    rows = rows[np.arange(len(rows))[:, None], order]
+    return rows, (rows != 0).sum(axis=1)
+
+
+def kernel_batch(reduced: np.ndarray, width: int) -> np.ndarray:
+    """``kernel`` of each row of a batch of full-rank RREF rows, ``reduced``
+    (k, r): the (k, width - r) RREF bases of their null spaces, each built
+    as ``rref_kernel`` builds it, free column f with the pivots of the rows
+    that hold bit f."""
+    k, r = reduced.shape
+    low = reduced & -reduced
+    free = np.nonzero(~bit_table(low.sum(axis=1), width))[1].reshape(k, width - r)
+    held = np.take_along_axis(bit_table(reduced, width), free[:, None, :], axis=2)
+    return rref_batch(unit_masks(width)[free] + (held * low[:, :, None]).sum(axis=1), width)[0]
+
+
+def span_batch(basis: np.ndarray) -> np.ndarray:
+    """All members of the span of each row of independent masks, ``basis``
+    (k, r): (k, 2^r), ascending.  One XOR doubling per basis column, then
+    one sort."""
+    k, r = basis.shape
+    out = np.zeros((k, 1 << r), dtype=basis.dtype)
+    for j in range(r):
+        out[:, 1 << j:2 << j] = out[:, :1 << j] ^ basis[:, j, None]
+    out.sort(axis=1, kind="stable")
+    return out

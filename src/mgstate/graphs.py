@@ -103,10 +103,6 @@ class MixedGraph:
             and all((gamma.rows[j] >> k) & (gamma.rows[k] >> j) & 1 for j, k in self.directed)
         )
 
-    def reverse(self) -> "MixedGraph":
-        directed = frozenset((k, j) for j, k in self.directed)
-        return MixedGraph(self.n, self.red, self.undirected, directed)
-
     def canonical_edges(self) -> List[Tuple[int, int, str]]:
         out = [(j, k, UNDIRECTED) for j, k in self.undirected]
         out += [(j, k, DIRECTED) for j, k in self.directed]
@@ -173,11 +169,17 @@ def _parse_node(token: str, n: int, lineno: int) -> int:
 
 def stabilizer_matrix(g: MixedGraph) -> List[PauliWord]:
     """Row j: X (white) or Y (red) at j, Z at each k with A[j][k] = 1."""
-    return [PauliWord(g.n, 1 << j, z, (z >> j) & 1) for j, z in enumerate(g.adjacency().rows)]
+    return _graph_rows(g.adjacency())
 
 
 def dual_stabilizer(g: MixedGraph) -> List[PauliWord]:
-    return stabilizer_matrix(g.reverse())
+    """The stabilizer rows of the arrow-reversed graph, whose adjacency is
+    A^T with the same red diagonal: row j has Z at each k with A[k][j] = 1."""
+    return _graph_rows(g.adjacency().transpose())
+
+
+def _graph_rows(a: BinMatrix) -> List[PauliWord]:
+    return [PauliWord(a.cols, 1 << j, z, (z >> j) & 1) for j, z in enumerate(a.rows)]
 
 
 def mixed_rank(g: MixedGraph) -> Tuple[int, int]:

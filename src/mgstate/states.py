@@ -50,7 +50,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .extension import Indicator, ParentBatch, ParentExtension, indicator, phases
-from .f2 import BinMatrix, mask_of, solve, span_of_basis
+from .f2 import BinMatrix, mask_of, solve, span_batch
 from .pauli import (
     DimensionError,
     GaussianMatrix,
@@ -200,7 +200,8 @@ def _pauli_terms(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """For parent i and the members j of J_i = span(``bases[i]``), ascending,
     at [i, k]: x(s_j) = j and z(s_j), both qubit masks, phase(s_j) and the
-    i-exponent of b_j.
+    i-exponent of b_j.  The members of the whole chunk come from one
+    ``span_batch`` of its (k, n - e) generator rows.
 
     Dual row h is i^{ph_h} X_h Z^{z_h}, so x(s_j) = j and z(s_j) is the XOR
     of the z_h over h in j.  Multiplying the rows lowest h first adds 2 z(s_j
@@ -213,7 +214,7 @@ def _pauli_terms(
     if len(set(map(len, bases))) > 1:
         raise ValueError("the children of a chunk must share |D|")
     qubits = np.arange(parents[0].n)
-    x = np.array([span_of_basis(basis) for basis in bases], dtype=np.int64).reshape(len(bases), -1)
+    x = span_batch(np.asarray(bases, dtype=np.int64).reshape(len(bases), -1))
     bits = (x[..., None] >> qubits) & 1
     zrows = (np.array([w.z for w in duals], dtype=np.int64)[:, None] >> qubits) & 1
     z = (bits @ zrows) & 1
@@ -241,10 +242,10 @@ def child_from_pauli_sum(
     offsets flip every term that contains them.
     """
     n = ParentBatch.of(parents).n
-    bases = [ind[1].rows for ind in inds]
+    bases = np.array([ind[1].rows for ind in inds], dtype=np.int64).reshape(len(inds), -1)
     x, z, phase, b = _pauli_terms(parents, duals, bases)
     qubits = np.arange(n)
-    gens = (np.array(bases, dtype=np.int64).reshape(len(bases), -1)[..., None] >> qubits) & 1
+    gens = (bases[..., None] >> qubits) & 1
     dual_z = (np.array([w.z for w in duals], dtype=np.int64)[:, None] >> qubits) & 1
     form = gens @ ((gens @ dual_z) & 1).swapaxes(1, 2)  # x(g) . z(g') over generator pairs
     if ((form ^ form.swapaxes(1, 2)) & 1).any():

@@ -10,7 +10,12 @@ The Lagrangians are enumerated pair by pair in a symplectic basis of
 gamma_tilde: every Lagrangian of the span of the last k - 1 hyperbolic pairs
 extends in exactly 1 + 2^k ways to one of the last k pairs, so the chi(e)
 subspaces come out once each, with no search over F2^{2e} and no
-deduplication (see ``enumerate_max_isotropic``).
+deduplication.  Level k is one array of every Lagrangian's k rows, and each
+level is a fixed number of array passes over it, whatever its count (see
+``enumerate_max_isotropic``).  The result is a ``SubgroupBatch``: the RREF
+bases in gamma_tilde coordinates and their lifts, one row per subgroup, in
+the order of ``np.lexsort`` on the basis rows, which is that of sorting the
+bases as tuples.
 """
 
 from __future__ import annotations
@@ -20,27 +25,31 @@ from functools import cached_property
 from math import prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .f2 import (
     BinMatrix,
     bits_of,
     combine,
     combine_table,
     in_rowspan,
+    mask_dtype,
     mask_of,
     parity,
     rank,
     rref,
+    rref_batch,
     rref_kernel,
     solve,
-    span,
-    span_of_basis,
     symplectic_basis,
 )
 from .graphs import MixedGraph, mixed_rank
 from .pauli import BoundExceeded
 
-# the whole sorted list is held at once: 2e <= 10 admits chi(5) = 75,735
-# subgroups, where 2e = 12 would need chi(6) = 4,922,775
+# the whole batch is held at once, an array of chi(e) (e + t) words (and
+# chi(e) e more for the reduced bases at t > 0): 2e <= 10 admits chi(5) =
+# 75,735 subgroups, where 2e = 12 gives chi(6) = 4,922,775, whose
+# enumeration peaks at about 1.1 GB
 DEFAULT_ENUM_BOUND = 10
 
 
@@ -67,13 +76,14 @@ class GammaReduction:
         return (self.n - self.t) // 2
 
     @cached_property
-    def _lift_table(self) -> List[int]:
+    def _lift_table(self) -> np.ndarray:
         # 2^(n-t) entries; only the enumeration lifts, within its bound
-        return combine_table([1 << j for j in self.kept])
+        return np.array(combine_table([1 << j for j in self.kept]), dtype=mask_dtype(self.n))
 
-    def lift(self, reduced_vec: int) -> int:
-        """Embed a reduced-space vector, zeros at the removed positions."""
-        return self._lift_table[reduced_vec]
+    def lift(self, reduced: np.ndarray) -> np.ndarray:
+        """Embed reduced-space vectors, an array of them or one, with zeros
+        at the removed positions."""
+        return self._lift_table[reduced]
 
 
 def reduce_gamma(gamma: BinMatrix) -> GammaReduction:
@@ -102,12 +112,50 @@ class IsotropicSubspace:
     basis: Tuple[int, ...]          # e rows over F2^{n-t}, RREF
     lifted_basis: Tuple[int, ...]   # e + t rows over F2^n, RREF
 
-    def span_lifted(self) -> List[int]:
-        """The 2^(e+t) members, sorted; ``lifted_basis`` is already RREF."""
-        return span_of_basis(self.lifted_basis)
-
     def contains(self, v: int) -> bool:
         return in_rowspan(v, self.lifted_basis, self.reduction.n)
+
+
+@dataclass(frozen=True, eq=False)
+class SubgroupBatch:
+    """Isotropic subspaces of one reduction, row i subspace i, as masks:
+    ``basis`` (k, e), the RREF rows over F2^{n-t}, and ``lifted`` (k, e +
+    t), the RREF rows of the lift over F2^n, zero rows last.  Item i is
+    subspace i as an ``IsotropicSubspace``, and a slice is a batch of its
+    subspaces, so iterating gives each subspace."""
+
+    reduction: GammaReduction
+    basis: np.ndarray
+    lifted: np.ndarray
+
+    @classmethod
+    def of(cls, subs: Sequence[IsotropicSubspace]) -> SubgroupBatch:
+        """``subs`` as a batch, itself if it is one.  They must share a
+        reduction and a dimension."""
+        if isinstance(subs, SubgroupBatch):
+            return subs
+        red = subs[0].reduction
+        if any(s.reduction != red for s in subs):
+            raise ValueError("the subgroups of a batch must share a reduction")
+        if len({(len(s.basis), len(s.lifted_basis)) for s in subs}) > 1:
+            raise ValueError("the subgroups of a batch must share a dimension")
+        k = len(subs)
+        return cls(red, np.array([s.basis for s in subs], dtype=mask_dtype(red.n)).reshape(k, -1),
+                   np.array([s.lifted_basis for s in subs], dtype=mask_dtype(red.n)).reshape(k, -1))
+
+    def __len__(self) -> int:
+        return len(self.basis)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return SubgroupBatch(self.reduction, self.basis[i], self.lifted[i])
+        basis, lifted = self.basis[i].tolist(), self.lifted[i].tolist()
+        return IsotropicSubspace(self.reduction, tuple(filter(None, basis)),
+                                 tuple(filter(None, lifted)))
+
+    def dims(self) -> np.ndarray:
+        """The dimension of each lifted subspace: its nonzero RREF rows."""
+        return (self.lifted != 0).sum(axis=1)
 
 
 def chi(e: int) -> int:
@@ -117,9 +165,7 @@ def chi(e: int) -> int:
     return prod((1 << j) + 1 for j in range(1, e + 1))
 
 
-def enumerate_max_isotropic(
-    red: GammaReduction, bound: int = DEFAULT_ENUM_BOUND
-) -> List[IsotropicSubspace]:
+def enumerate_max_isotropic(red: GammaReduction, bound: int = DEFAULT_ENUM_BOUND) -> SubgroupBatch:
     """All maximal totally isotropic subspaces of gamma_tilde, canonical order.
 
     Each subspace is built exactly once, in the hyperbolic pairs
@@ -135,49 +181,97 @@ def enumerate_max_isotropic(
     representatives of the 2^(k-1) cosets of L in W.  So each Lagrangian of
     W yields 1 + 2^k distinct ones, and the count is
     prod_{j=1}^{e} (2^j + 1) = chi(e) by construction, with no search over
-    F2^{2e} and no deduplication.  The representatives are the sums of the
-    unit vectors at the non-pivot columns of L's RREF, in pair coordinates.
-    Results are mapped to gamma_tilde coordinates through one table of all
-    2^(2e) images, reduced to RREF, sorted, and lifted through the kernel of
-    Gamma.
+    F2^{2e} and no deduplication.
+
+    Level k - 1 is an array (c, k - 1) of the c Lagrangians' rows in pair
+    coordinates, each set of rows reduced on a mask Q of k - 1 columns: row
+    l is the one member whose bits in Q are its own pivot bit q_l.  The
+    columns of W outside Q are free, and the sums of their unit vectors
+    are the coset representatives w, listed by one XOR doubling together
+    with the rows each flips, omega(w, u_l) for every l.  The new rows stay
+    reduced with no elimination: span(a) + L adds a to Q; for w = 0 the
+    lead row b + alpha a adds its bit; otherwise, with u* the lowest row
+    that w flips, the rows u* + a, b + w + alpha u* and u_l + omega(w, u_l)
+    u* (l != l*) are reduced on Q - q* + a + b.  Every step is a fixed
+    number of array passes over the level.
+
+    The last level is mapped to gamma_tilde coordinates through one table of
+    all 2^(2e) images, reduced to RREF by one batched elimination, put in
+    canonical order by one ``np.lexsort`` (the order of the bases as sorted
+    tuples), and lifted through the kernel of Gamma by one more.  Returns
+    the batch: ``basis`` (chi(e), e), ``lifted`` (chi(e), e + t).
     """
     m = red.n - red.t
-    if m > bound:
+    limit = min(bound, 62)  # pair coordinates are int64 masks
+    if m > limit:
         raise BoundExceeded(
-            f"enumeration bound exceeded: 2e = {m} > {bound} (chi({m // 2}) = {chi(m // 2)})"
+            f"enumeration bound exceeded: 2e = {m} > {limit} (chi({m // 2}) = {chi(m // 2)})"
         )
     pairs, _ = symplectic_basis(red.gamma_tilde)
     # pair coordinates: bit 2i is a_i, bit 2i + 1 is b_i
     evens = sum(1 << (2 * i) for i in range(len(pairs)))
-
-    def omega(x: int, y: int) -> int:
-        return parity((((x & evens) << 1) | ((x >> 1) & evens)) & y)
-
-    lagrangians: List[List[int]] = [[]]
+    rows = np.zeros((1, 0), dtype=np.int64)
+    held = np.zeros((1, 1), dtype=np.int64)  # each Lagrangian's mask Q
     for i in reversed(range(len(pairs))):
-        a, b = 1 << (2 * i), 1 << (2 * i + 1)
-        grown: List[List[int]] = []
-        for lag in lagrangians:
-            grown.append([a] + lag)
-            _, pivots = rref(lag, m)
-            free = [1 << j for j in range(2 * i + 2, m) if j not in pivots]
-            for w in span(free, m):
-                tail = [u ^ (a if omega(w, u) else 0) for u in lag]
-                grown.append([b ^ w] + tail)
-                grown.append([b ^ a ^ w] + tail)
-        lagrangians = grown
+        rows, held = _grow(rows, held, i, m, evens)
 
     # gamma_tilde coordinates of every pair-coordinate vector
-    image = combine_table([pair[k] for pair in pairs for k in (0, 1)])
-    bases = sorted(tuple(rref([image[x] for x in lag], m)[0]) for lag in lagrangians)
+    image = np.array(combine_table([pair[k] for pair in pairs for k in (0, 1)]), dtype=np.int64)
+    rows = image[rows]  # rebound: at e = 6 a level's rows take 236 MB
+    del held
+    basis = rref_batch(rows, m)[0]
+    del rows
+    if len(pairs):  # np.lexsort takes at least one key; e = 0 has one subgroup
+        basis = basis[np.lexsort(basis.T[::-1])]
     if not red.t:  # kept = range(n): the lift is the identity, and a basis is RREF
-        return [IsotropicSubspace(red, basis, basis) for basis in bases]
-    lift = red.lift
-    out = []
-    for basis in bases:
-        lifted = [lift(b) for b in basis] + list(red.kernel_basis)
-        out.append(IsotropicSubspace(red, basis, tuple(rref(lifted, red.n)[0])))
-    return out
+        return SubgroupBatch(red, basis, basis)
+    kernel = np.array(red.kernel_basis, dtype=mask_dtype(red.n))
+    lifted = np.concatenate([red.lift(basis), np.broadcast_to(kernel, (len(basis), red.t))], axis=1)
+    return SubgroupBatch(red, basis, rref_batch(lifted, red.n)[0])
+
+
+def _grow(
+    rows: np.ndarray, held: np.ndarray, i: int, m: int, evens: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The Lagrangians of pairs i, ..., e - 1 from those of pairs i + 1,
+    ..., e - 1: ``rows`` (c, k) in pair coordinates, each Lagrangian's rows
+    reduced on its mask of ``held`` (c, 1), give (c (1 + 2^(k+1)), k + 1)
+    rows and their masks.  Lagrangian L gives span(a) + L, then one
+    Lagrangian with alpha = 0 for each of its 2^k coset representatives w,
+    then one with alpha = 1 for each."""
+    a, b = 1 << (2 * i), 1 << (2 * i + 1)
+    c, k = rows.shape
+    reps = 1 << k
+    free = ((1 << m) - (b << 1)) & ~held
+    w = np.zeros((c, reps), dtype=np.int64)
+    flips = np.zeros_like(w)  # bit l: omega(w, row l)
+    slots = 1 << np.arange(k)
+    for j in range(k):
+        unit = free & -free
+        free ^= unit
+        partner = ((unit & evens) << 1) | ((unit >> 1) & evens)
+        flip = (((rows & partner) != 0) * slots).sum(axis=1, keepdims=True)
+        w[:, 1 << j:2 << j] = w[:, :1 << j] ^ unit
+        flips[:, 1 << j:2 << j] = flips[:, :1 << j] ^ flip
+    at_star = ((flips & -flips)[..., None] & slots) != 0  # the lowest row that w flips
+    u_star = (rows[:, None, :] * at_star).sum(axis=2)
+    moved = flips != 0
+    grown = np.empty((c, 1 + 2 * reps, k + 1), dtype=np.int64)
+    grown[:, 0, 0], grown[:, 0, 1:] = a, rows
+    grown[:, 1:reps + 1, 0] = b ^ w
+    grown[:, reps + 1:, 0] = b ^ w ^ np.where(moved, u_star, a)
+    tail = grown[:, 1:reps + 1, 1:]
+    tail[...] = rows[:, None, :]
+    np.bitwise_xor(tail, u_star[..., None], out=tail,
+                   where=((flips[..., None] & slots) != 0) & ~at_star)
+    np.bitwise_or(tail, a, out=tail, where=at_star)
+    grown[:, reps + 1:, 1:] = tail
+    turned = held ^ (u_star & held) | a | b
+    masks = np.empty((c, 1 + 2 * reps), dtype=np.int64)
+    masks[:, :1] = held | a
+    masks[:, 1:reps + 1] = np.where(moved, turned, held | b)
+    masks[:, reps + 1:] = np.where(moved, turned, held | a)
+    return grown.reshape(-1, k + 1), masks.reshape(-1, 1)
 
 
 def membership_count(subspaces: Sequence[IsotropicSubspace], element: int) -> int:

@@ -19,7 +19,19 @@ from mgstate.extension import (
     phases,
     verify_full_commutation,
 )
-from mgstate.f2 import BinMatrix, bits_of, combine, kernel, mask_of, span_of_basis
+from mgstate.f2 import (
+    BinMatrix,
+    bits_of,
+    combine,
+    combine_table,
+    kernel,
+    mask_of,
+    parity,
+    rref,
+    span,
+    symplectic_basis,
+)
+from mgstate.graphs import MixedGraph
 from mgstate.pauli import (
     DimensionError,
     GaussianMatrix,
@@ -32,6 +44,7 @@ from mgstate.pauli import (
     word_rows,
 )
 from mgstate.states import DensityMatrix, chunk_len
+from mgstate.subgroups import IsotropicSubspace
 
 K_I = np.eye(2, dtype=complex)
 K_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -527,3 +540,92 @@ def one_indicator(p):
     if gmat.nrows != p.n - p.e:
         raise ExtensionError("parity matrix is rank deficient; extension not minimal")
     return [tuple(bits_of(r)) for r in h.rows], gmat, h
+
+
+# ---- the list-based helpers that array passes replaced, kept as their oracle ----
+
+
+def span_of_basis(basis):
+    """All vectors in the span of independent rows, sorted ascending."""
+    vecs = [0]
+    for b in basis:
+        vecs += [v ^ b for v in vecs]
+    return sorted(vecs)
+
+
+def reversed_graph(g):
+    """g with every directed edge turned around."""
+    return MixedGraph(g.n, g.red, g.undirected, frozenset((k, j) for j, k in g.directed))
+
+
+def lift_by_bits(red, x):
+    """The lift as a bit loop: bit j of the reduced vector x goes to kept[j]."""
+    v = 0
+    for new_j, j in enumerate(red.kept):
+        if (x >> new_j) & 1:
+            v |= 1 << j
+    return v
+
+
+def lifted_subspaces(red, bases):
+    """Each sorted RREF basis with its lift through the kernel of Gamma."""
+    out = []
+    for basis in sorted(bases):
+        lifted = [lift_by_bits(red, b) for b in basis] + list(red.kernel_basis)
+        out.append(IsotropicSubspace(red, basis, tuple(rref(lifted, red.n)[0])))
+    return out
+
+
+def enumerate_level_by_level(red):
+    """Reference enumerator: grow isotropic subspaces one vector at a time.
+
+    Every level scans all 2^{2e} vectors against every partial basis and
+    deduplicates by RREF, so it is exponential in 2e; used for e <= 3.
+    """
+    m = red.n - red.t
+    gt = red.gamma_tilde
+    gt_images = [gt.mul_vec(v) for v in range(1 << m)]
+    level = {()}
+    for _ in range(red.e):
+        nxt = set()
+        for basis in level:
+            spset = set(span(list(basis), m))
+            for v in range(1, 1 << m):
+                if v in spset or any(parity(gt_images[v] & u) for u in basis):
+                    continue
+                reduced, _ = rref(list(basis) + [v], m)
+                nxt.add(tuple(reduced))
+        level = nxt
+    return lifted_subspaces(red, level)
+
+
+def enumerate_pair_by_pair(red):
+    """Reference enumerator: the pair-by-pair recursion over Python lists,
+    one RREF per Lagrangian and level, then one per subspace, and a sort of
+    tuples.  Each Lagrangian L of the span W of the pairs used so far gives
+    span(a) + L and, for each alpha and each coset representative w of L in
+    W (sums of unit vectors at the non-pivot columns of L's RREF),
+    span(b + alpha a + w) + {u + omega(w, u) a : u in L}."""
+    m = red.n - red.t
+    pairs, _ = symplectic_basis(red.gamma_tilde)
+    # pair coordinates: bit 2i is a_i, bit 2i + 1 is b_i
+    evens = sum(1 << (2 * i) for i in range(len(pairs)))
+
+    def omega(x, y):
+        return parity((((x & evens) << 1) | ((x >> 1) & evens)) & y)
+
+    lagrangians = [[]]
+    for i in reversed(range(len(pairs))):
+        a, b = 1 << (2 * i), 1 << (2 * i + 1)
+        grown = []
+        for lag in lagrangians:
+            grown.append([a] + lag)
+            _, pivots = rref(lag, m)
+            free = [1 << j for j in range(2 * i + 2, m) if j not in pivots]
+            for w in span_of_basis(free):
+                tail = [u ^ (a if omega(w, u) else 0) for u in lag]
+                grown.append([b ^ w] + tail)
+                grown.append([b ^ a ^ w] + tail)
+        lagrangians = grown
+    image = combine_table([pair[k] for pair in pairs for k in (0, 1)])
+    return lifted_subspaces(red, [tuple(rref([image[x] for x in lag], m)[0]) for lag in lagrangians])

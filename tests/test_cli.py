@@ -23,13 +23,13 @@ import mgstate.f2
 import mgstate.graphs
 import mgstate.states
 import mgstate.subgroups
-from conftest import layout_check_children
+from conftest import layout_check_children, span_of_basis
 from mgstate.cli import _emit, main
 from mgstate.extension import extend_e1, extend_for_subgroup
 from mgstate.f2 import bits_of, bitstring, mask_of
 from mgstate.pauli import GaussianMatrix, PauliWord, ordered_product
 from mgstate.states import ChildResult, DensityMatrix, child_from_partial_trace
-from mgstate.subgroups import IsotropicSubspace, chi
+from mgstate.subgroups import chi
 from paper_data import RHO0_NUM, RHO1_NUM, RHO2_NUM, TRIANGLE
 from test_extension import SPARSE128
 
@@ -259,8 +259,9 @@ def test_graph_values_computed_once_per_graph(monkeypatch):
                 monkeypatch.setattr(module, name, counted)
     code, _, _ = run_cli("verify", str(FIXTURES / "clique6.graph"))
     assert code == 0
-    # e and t come from the one Gamma reduction; stabilizer: rows and dual rows
-    assert calls == {"mixed_rank": 0, "stabilizer_matrix": 2}
+    # e and t come from the one Gamma reduction; the stabilizer rows are
+    # built once, and the dual rows are read off A^T
+    assert calls == {"mixed_rank": 0, "stabilizer_matrix": 1}
 
 
 def test_verify_builds_gamma_once(monkeypatch):
@@ -280,21 +281,22 @@ def test_verify_builds_gamma_once(monkeypatch):
 
 
 def test_span_listed_once_per_child(monkeypatch):
-    # one listing of J per child (135) and the enumerator's coset
-    # representatives (1 + 3 + 15); no check re-lists J or a subgroup
+    # one listing of J per child (135), all in one batched span since the
+    # 135 children are one chunk; the enumerator lists its coset
+    # representatives itself, and no check re-lists J or a subgroup
     calls = []
-    original = mgstate.f2.span_of_basis
+    original = mgstate.f2.span_batch
 
     def counted(basis):
-        calls.append(basis)
+        calls.append(len(basis))
         return original(basis)
 
     for module in (mgstate.f2, mgstate.subgroups, mgstate.extension, mgstate.states, mgstate.cli):
-        if hasattr(module, "span_of_basis"):
-            monkeypatch.setattr(module, "span_of_basis", counted)
+        if hasattr(module, "span_batch"):
+            monkeypatch.setattr(module, "span_batch", counted)
     code, _, _ = run_cli("verify", str(FIXTURES / "clique6.graph"))
     assert code == 0
-    assert len(calls) == 154
+    assert calls == [135]
 
 
 @pytest.mark.parametrize("fixture", GRAPH_FIXTURES, ids=lambda p: p.stem)
@@ -433,8 +435,9 @@ def test_parent_eliminations_on_clique6(monkeypatch, argv):
     # the parents take no F2 elimination of their own and no symmetry test:
     # H, the indicators and the extension-commutes check are array passes
     # over each batch of parents;
-    # reducing Gamma and enumerating take 177 RREFs and 2 symmetry tests:
-    # one RREF per subgroup, since t = 0 makes each reduced basis its own lift
+    # reducing Gamma and the symplectic basis take 4 RREFs and 2 symmetry
+    # tests; the enumerator reduces all its subgroups in one batched
+    # elimination, and t = 0 makes each reduced basis its own lift
     calls = {"rref": 0, "is_symmetric": 0}
     original_rref = mgstate.f2.rref
     original_symmetric = mgstate.f2.BinMatrix.is_symmetric
@@ -453,7 +456,7 @@ def test_parent_eliminations_on_clique6(monkeypatch, argv):
     monkeypatch.setattr(mgstate.f2.BinMatrix, "is_symmetric", is_symmetric)
     code, _, _ = run_cli(*argv, str(FIXTURES / "clique6.graph"))
     assert code == 0
-    assert calls == {"rref": 177, "is_symmetric": 2}
+    assert calls == {"rref": 4, "is_symmetric": 2}
 
 
 def test_indicator_computed_once_per_parent(monkeypatch):
@@ -525,14 +528,14 @@ def test_subgroups_count_check_name(monkeypatch):
 
 def test_subgroups_n128_size_without_listing(tmp_path, monkeypatch):
     # each subgroup has 2^126 members, so listing one must never start
-    original = IsotropicSubspace.span_lifted
+    original = mgstate.cli.span_batch
 
-    def guarded(self):
-        if len(self.lifted_basis) > 6:
-            raise AssertionError(f"listing 2^{len(self.lifted_basis)} members")
-        return original(self)
+    def guarded(basis):
+        if basis.shape[1] > 6:
+            raise AssertionError(f"listing 2^{basis.shape[1]} members")
+        return original(basis)
 
-    monkeypatch.setattr(IsotropicSubspace, "span_lifted", guarded)
+    monkeypatch.setattr(mgstate.cli, "span_batch", guarded)
     code, out, _ = run_cli("subgroups", "--json", write_graph(tmp_path, SPARSE128))
     assert code == 0
     listing = json.loads(out)["result"]["subgroups"]
@@ -634,22 +637,26 @@ def test_children_written_entry_by_entry(monkeypatch):
 
 
 def test_subgroups_written_entry_by_entry(monkeypatch):
-    # subgroup k is on stdout before the members of subgroup k + 1 are listed
-    stdout = io.StringIO()
+    # a batch of subgroups is on stdout before the members of the next
+    # batch are listed; appendix_a has 15 subgroups
     written = []
-    original = IsotropicSubspace.span_lifted
+    original = mgstate.cli.span_batch
 
-    def recorded(self):
+    def recorded(basis):
         written.append(stdout.getvalue().count('"index":'))
-        return original(self)
+        return original(basis)
 
-    monkeypatch.setattr(IsotropicSubspace, "span_lifted", recorded)
-    with contextlib.redirect_stdout(stdout):
-        code = main(["subgroups", "--json", str(FIXTURES / "appendix_a.graph")])
-    assert code == 0
-    listing = json.loads(stdout.getvalue())["result"]["subgroups"]
-    assert written == [s["index"] for s in listing]
-    assert len(listing) > 1
+    monkeypatch.setattr(mgstate.cli, "span_batch", recorded)
+    for batch in (1, 4, mgstate.cli.LISTING_BATCH):
+        monkeypatch.setattr(mgstate.cli, "LISTING_BATCH", batch)
+        stdout = io.StringIO()
+        written.clear()
+        with contextlib.redirect_stdout(stdout):
+            code = main(["subgroups", "--json", str(FIXTURES / "appendix_a.graph")])
+        assert code == 0
+        listing = json.loads(stdout.getvalue())["result"]["subgroups"]
+        assert len(listing) == 15
+        assert written == list(range(0, 15, batch)), batch
 
 
 def test_subgroups_one_product_per_listed_index_set(monkeypatch, tmp_path):
@@ -806,6 +813,15 @@ def test_subgroups_enumeration_bound_exit_3_at_once(tmp_path, monkeypatch):
     assert code == 3
     assert out == ""
     assert "2e = 12 > 10" in err and "chi(6) = 4922775" in err
+
+
+def test_subgroups_past_int64_pair_coordinates_exit_3(tmp_path):
+    # 32 disjoint arrows give e = 32: 2e = 64 pair-coordinate bits fit no
+    # int64 mask, whatever --bound allows
+    text = "nodes 64\n" + "".join(f"edge {2 * j} -> {2 * j + 1}\n" for j in range(32))
+    code, out, err = run_cli("subgroups", "--bound", "100", write_graph(tmp_path, text))
+    assert (code, out) == (3, "")
+    assert err.startswith("bound exceeded: enumeration bound exceeded: 2e = 64 > 62 (chi(32) = ")
 
 
 @pytest.mark.parametrize("command", ["children", "verify"])
@@ -1366,7 +1382,7 @@ def _drop_generator(children, z, kappa, i):
     # outside the span of the other generators loses that Z mask
     *others, last = children.indicators[i][1].rows
     members = children.rho.offsets[i]
-    z[i, ~np.isin(members, mgstate.f2.span_of_basis(others))] ^= z[i, members == last]
+    z[i, ~np.isin(members, span_of_basis(others))] ^= z[i, members == last]
 
 
 @pytest.mark.parametrize("mutate", [_flip_sign, _drop_generator], ids=["sign", "generator"])

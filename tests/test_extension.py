@@ -15,6 +15,7 @@ from conftest import (
     one_meets_extension_condition,
     one_parity_basis,
     one_symmetrize,
+    span_of_basis,
 )
 from mgstate.extension import (
     ExtensionError,
@@ -69,7 +70,7 @@ def subgroup_for_generators(g, gens):
     subs = enumerate_max_isotropic(reduce_gamma(g.gamma()))
     target_span = set(span(list(gens), g.n))
     for s in subs:
-        if set(s.span_lifted()) == target_span:
+        if set(span_of_basis(s.lifted_basis)) == target_span:
             return s
     raise AssertionError("generators do not span an enumerated maximal subgroup")
 
@@ -164,7 +165,7 @@ def test_extend_e1_children_cover_all_maximal_subgroups(rng):
             continue
         made += 1
         subs = enumerate_max_isotropic(reduce_gamma(g.gamma()))
-        spans = {tuple(sorted(s.span_lifted())) for s in subs}
+        spans = {tuple(sorted(span_of_basis(s.lifted_basis))) for s in subs}
         hit = set()
         for _, gmat, _ in indicator(extend_e1(g)):
             hit.add(tuple(span(gmat.rows, g.n)))
@@ -354,7 +355,7 @@ def test_fivenode_worked_extension():
     assert h.row_strings() == ["01001", "00101"]  # conditions {1,4}, {2,4}
     assert p.ext_assign == mask_columns(FIVENODE_EXT_COLUMNS)
     assert verify_full_commutation(p.rows())
-    assert set(span(indicator(parents)[0][1].rows, p.n)) == set(sub.span_lifted())
+    assert set(span(indicator(parents)[0][1].rows, p.n)) == set(span_of_basis(sub.lifted_basis))
 
 
 def test_clique6_worked_extension():
@@ -364,7 +365,7 @@ def test_clique6_worked_extension():
     p = parents[0]
     assert p.ext_assign == mask_columns(CLIQUE6_EXT_COLUMNS)
     assert verify_full_commutation(p.rows())
-    assert set(span(indicator(parents)[0][1].rows, p.n)) == set(sub.span_lifted())
+    assert set(span(indicator(parents)[0][1].rows, p.n)) == set(span_of_basis(sub.lifted_basis))
 
 
 def test_displayed_extensions_commute():
@@ -403,7 +404,7 @@ def test_extend_for_subgroup_all_subgroups_random(rng):
         assert len(parents) == len(subs)
         for sub, p, (_, gmat, h) in zip(subs, parents, indicator(parents)):
             assert verify_full_commutation(p.rows())
-            assert set(span(gmat.rows, p.n)) == set(sub.span_lifted())
+            assert set(span(gmat.rows, p.n)) == set(span_of_basis(sub.lifted_basis))
             assert h.nrows == p.e
 
 

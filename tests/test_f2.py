@@ -2,22 +2,28 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import span_of_basis
 from mgstate.f2 import (
     BinMatrix,
     bits_of,
     bitstring,
     in_rowspan,
     kernel,
+    kernel_batch,
+    mask_dtype,
     mask_of,
     parity,
     rank,
     rref,
+    rref_batch,
     solve,
     span,
+    span_batch,
     symplectic_basis,
 )
 
@@ -245,3 +251,33 @@ def test_bits_of_and_transpose_match_per_bit_reference(rng, width):
 def test_binmatrix_validation():
     with pytest.raises(ValueError):
         BinMatrix((4,), 2)
+
+
+@pytest.mark.parametrize("width", [0, 1, 5, 12, 62, 63, 130])
+def test_batched_rref_kernel_and_span_match_row_by_row(rng, width):
+    # int64 masks up to 62 bits, Python ints in object arrays past that
+    for r in (0, 1, 3, 7):
+        rows = [[rng.randrange(1 << width) if rng.random() < 0.8 else 0 for _ in range(r)]
+                for _ in range(40)]
+        rows.append([rng.randrange(1 << width)] * r)  # dependent rows
+        batch = np.array(rows, dtype=mask_dtype(width)).reshape(len(rows), r)
+        reduced, ranks = rref_batch(batch, width)
+        assert reduced.shape == batch.shape and reduced.dtype == batch.dtype
+        for row, got, got_rank in zip(rows, reduced.tolist(), ranks.tolist()):
+            want = rref(row, width)[0]
+            assert got == want + [0] * (r - len(want)) and got_rank == len(want)
+        full = [rref(row, width)[0] for row in rows]
+        full = [basis for basis in full if len(basis) == min(r, width)]
+        if not full or len(full[0]) > 6:
+            continue
+        bases = np.array(full, dtype=mask_dtype(width)).reshape(len(full), -1)
+        assert span_batch(bases).tolist() == [span_of_basis(basis) for basis in full]
+        kernels = kernel_batch(bases, width).tolist()
+        assert kernels == [list(kernel(BinMatrix(tuple(basis), width)).rows) for basis in full]
+
+
+def test_span_is_the_sorted_span_of_the_rref(rng):
+    for width in (0, 3, 10, 70):
+        for _ in range(20):
+            rows = [rng.randrange(1 << width) for _ in range(rng.randrange(5))]
+            assert span(rows, width) == span_of_basis(rref(rows, width)[0])

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import reversed_graph
 from mgstate.f2 import BinMatrix, rank
 from mgstate.graphs import (
     F4_NAMES,
@@ -158,8 +159,9 @@ def test_dual_fivenode_display():
 def test_reverse_involution(rng):
     for _ in range(100):
         g = random_mixed_graph(rng, rng.randrange(1, 7))
-        assert g.reverse().reverse() == g
-        assert dual_stabilizer(g) == stabilizer_matrix(g.reverse())
+        assert reversed_graph(reversed_graph(g)) == g
+        # the dual rows are the reversed graph's rows, read off A^T
+        assert dual_stabilizer(g) == stabilizer_matrix(reversed_graph(g))
 
 
 def test_dual_rows_commute_with_primal(rng):

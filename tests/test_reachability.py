@@ -49,11 +49,14 @@ KEPT_UNREACHED = {
     "f2.BinMatrix.matmul",
     "pauli.dense_conjugation",
     # package API and the per-parent oracle's kernel in the tests: the
-    # parents take their kernels in batches (``extension._kernel``)
+    # parents take their kernels in batches (``f2.kernel_batch``)
     "f2.kernel",
     # wrapped by the benchmark's span tracer, ``perfbench/spans.py``; the
-    # children test their generators' commutation in one array product
+    # children test their generators' commutation in one array product, and
+    # the enumeration and the member lists take their spans in batches
+    # (``f2.span_batch``)
     "extension.verify_full_commutation",
+    "f2.span",
     "pauli.PauliWord.to_dense",
     "states.DensityMatrix.is_pure",
     # the F4 form whose addition matches row products; the report writes

@@ -28,9 +28,11 @@ from conftest import (
     one_pauli_sum,
     pauli_sum,
     random_word,
+    reversed_graph,
     rho_to_complex,
     same_children,
     same_matrix,
+    span_of_basis,
     word_to_complex,
 )
 from mgstate.extension import (
@@ -40,7 +42,7 @@ from mgstate.extension import (
     phases,
     symmetrize,
 )
-from mgstate.f2 import BinMatrix, bits_of, parity, span, span_of_basis
+from mgstate.f2 import BinMatrix, bits_of, parity, span
 from mgstate.graphs import MixedGraph, dual_stabilizer, mixed_rank, parse_graph, stabilizer_matrix
 from mgstate.pauli import (
     BoundExceeded,
@@ -313,7 +315,7 @@ def test_child_subgroup_is_maximal(rng):
             continue
         made += 1
         subs = enumerate_max_isotropic(reduce_gamma(g.gamma()))
-        spans = {tuple(sorted(s.span_lifted())) for s in subs}
+        spans = {tuple(sorted(span_of_basis(s.lifted_basis))) for s in subs}
         for p in extend_e1(g):
             assert tuple(span(one_indicator(p)[1].rows, p.n)) in spans
 
@@ -551,13 +553,13 @@ def test_clique6_displayed_eight_term_child():
     from mgstate.subgroups import enumerate_max_isotropic, reduce_gamma
     from paper_data import CLIQUE6_SEC5_SUBGROUP_GENS
 
-    g = parse_graph(CLIQUE6).reverse()
+    g = reversed_graph(parse_graph(CLIQUE6))
     duals = dual_stabilizer(g)
     target = set(span(list(CLIQUE6_SEC5_SUBGROUP_GENS), 6))
     sub = next(
         s
         for s in enumerate_max_isotropic(reduce_gamma(g.gamma()))
-        if set(s.span_lifted()) == target
+        if set(span_of_basis(s.lifted_basis)) == target
     )
     p = extend_for_subgroup(g, [sub], stabilizer_matrix(g))[0]
     child = child_from_pauli_sum([p], duals, [one_indicator(p)])
@@ -574,7 +576,7 @@ def test_clique6_worked_subgroup_child_matches_trace():
     duals = dual_stabilizer(g)
     subs = enumerate_max_isotropic(reduce_gamma(g.gamma()))
     target = set(span(list(FIVENODE_SUBGROUP_GENS), 5))
-    sub = next(s for s in subs if set(s.span_lifted()) == target)
+    sub = next(s for s in subs if set(span_of_basis(s.lifted_basis)) == target)
     p = extend_for_subgroup(g, [sub], stabilizer_matrix(g))[0]
     child = child_from_pauli_sum([p], duals, [one_indicator(p)])
     assert same_children(child.rho, child_from_partial_trace([p]))

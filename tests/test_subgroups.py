@@ -7,6 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import (
+    enumerate_level_by_level,
+    enumerate_pair_by_pair,
+    lift_by_bits,
+    span_of_basis,
+)
 from mgstate.f2 import (
     BinMatrix,
     bits_of,
@@ -23,6 +29,7 @@ from mgstate.pauli import ordered_product
 from mgstate.subgroups import (
     GammaReduction,
     IsotropicSubspace,
+    SubgroupBatch,
     apply_row_map,
     chi,
     commutes_via_gamma,
@@ -56,49 +63,12 @@ def directed_clique(n):
     )
 
 
-def lift_by_bits(red, x):
-    """The lift as a bit loop: bit j of the reduced vector x goes to kept[j]."""
-    v = 0
-    for new_j, j in enumerate(red.kept):
-        if (x >> new_j) & 1:
-            v |= 1 << j
-    return v
-
-
 def combine_by_bits(vectors, x):
     """The sum of the vectors picked by the set bits of x, bit by bit."""
     out = 0
     for k, vector in enumerate(vectors):
         if (x >> k) & 1:
             out ^= vector
-    return out
-
-
-def enumerate_level_by_level(red):
-    """Reference enumerator: grow isotropic subspaces one vector at a time.
-
-    Every level scans all 2^{2e} vectors against every partial basis and
-    deduplicates by RREF, so it is exponential in 2e; used here for e <= 3.
-    """
-    m = red.n - red.t
-    gt = red.gamma_tilde
-    gt_images = [gt.mul_vec(v) for v in range(1 << m)]
-    level = {()}
-    for _ in range(red.e):
-        nxt = set()
-        for basis in level:
-            spset = set(span(list(basis), m))
-            for v in range(1, 1 << m):
-                if v in spset or any(parity(gt_images[v] & u) for u in basis):
-                    continue
-                reduced, _ = rref(list(basis) + [v], m)
-                nxt.add(tuple(reduced))
-        level = nxt
-    out = []
-    for basis in sorted(level):
-        lifted = [lift_by_bits(red, b) for b in basis] + list(red.kernel_basis)
-        lifted_r, _ = rref(lifted, red.n)
-        out.append(IsotropicSubspace(red, basis, tuple(lifted_r)))
     return out
 
 
@@ -195,7 +165,7 @@ def test_enumerate_triangle_lifted_generators():
         tuple(sorted(span([bitstr_to_mask(a), bitstr_to_mask(b)], 3)))
         for a, b in TRIANGLE_B_LIFTED
     }
-    got = {tuple(sorted(s.span_lifted())) for s in subs}
+    got = {tuple(sorted(span_of_basis(s.lifted_basis))) for s in subs}
     assert got == expected
 
 
@@ -207,7 +177,7 @@ def test_enumerate_fournode_matches_paper_b_list():
         tuple(sorted(span([bitstr_to_mask(a), bitstr_to_mask(b)], 4)))
         for a, b in FOURNODE_B_MATRICES
     }
-    got = {tuple(sorted(s.span_lifted())) for s in subs}
+    got = {tuple(sorted(span_of_basis(s.lifted_basis))) for s in subs}
     assert got == expected
 
 
@@ -221,7 +191,7 @@ def test_enumerate_e0_single_subgroup():
     g = parse_graph("nodes 3\nedge 0 -- 1\n")
     subs = enumerate_max_isotropic(reduce_gamma(g.gamma()))
     assert len(subs) == 1
-    assert set(subs[0].span_lifted()) == set(range(8))
+    assert set(span_of_basis(subs[0].lifted_basis)) == set(range(8))
 
 
 def test_enumerate_bound():
@@ -248,6 +218,61 @@ def test_enumerate_matches_oracle_on_fixtures(path):
 def test_enumerate_matches_oracle_on_random_graphs(rng):
     for _ in range(40):  # n <= 7, so e <= 3
         assert_matches_oracle(random_mixed_graph(rng, rng.randrange(1, 8)))
+
+
+def assert_matches_pair_by_pair(red):
+    got = enumerate_max_isotropic(red)
+    want = enumerate_pair_by_pair(red)
+    assert [tuple(b) for b in got.basis.tolist()] == [s.basis for s in want]
+    assert [tuple(b) for b in got.lifted.tolist()] == [s.lifted_basis for s in want]
+    assert [got[i] for i in (0, -1)] == [want[i] for i in (0, -1)]
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.graph")), ids=lambda p: p.stem)
+def test_array_enumeration_matches_pair_by_pair_on_fixtures(path):
+    assert_matches_pair_by_pair(reduce_gamma(parse_graph(path.read_text()).gamma()))
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_array_enumeration_matches_pair_by_pair_on_directed_cliques(n):
+    red = reduce_gamma(parse_graph(directed_clique(n)).gamma())
+    assert (red.e, red.t) == (n // 2, n % 2)
+    assert_matches_pair_by_pair(red)
+
+
+def test_array_enumeration_matches_pair_by_pair_with_kernel(rng):
+    # t > 0 lifts through the kernel of Gamma; n = 96 holds its lifted
+    # masks as Python ints
+    reductions = [reduce_gamma(random_mixed_graph(rng, rng.randrange(2, 10)).gamma())
+                  for _ in range(60)]
+    reductions += [reduce_gamma(sparse_graph(seed, 96).gamma()) for seed in range(3)]
+    assert sum(red.t > 0 for red in reductions) >= 40
+    assert {red.e for red in reductions if red.t} >= {1, 2, 3}
+    for red in reductions:
+        assert_matches_pair_by_pair(red)
+
+
+def test_array_enumeration_e0_one_empty_subgroup():
+    # np.lexsort takes at least one key; e = 0 has one subgroup and no basis row
+    red = reduce_gamma(parse_graph("nodes 3\nedge 0 -- 1\n").gamma())
+    assert (red.e, red.t) == (0, 3)
+    subs = enumerate_max_isotropic(red)
+    assert subs.basis.shape == (1, 0) and subs.lifted.shape == (1, 3)
+    assert_matches_pair_by_pair(red)
+
+
+def test_subgroup_batch_items_and_slices():
+    red = reduce_gamma(parse_graph(FOURNODE).gamma())
+    subs = enumerate_max_isotropic(red)
+    items = list(subs)
+    assert len(items) == len(subs) == 15 and all(isinstance(s, IsotropicSubspace) for s in items)
+    part = subs[3:7]
+    assert isinstance(part, SubgroupBatch) and list(part) == items[3:7]
+    assert SubgroupBatch.of(items[3:7]).lifted.tolist() == part.lifted.tolist()
+    assert SubgroupBatch.of(part) is part
+    assert subs.dims().tolist() == [red.n - red.e] * 15
+    with pytest.raises(IndexError):
+        subs[15]
 
 
 def test_enumerate_e5_each_lagrangian_once():
@@ -306,7 +331,7 @@ def test_subspace_sizes_and_isotropy(rng):
         subs = enumerate_max_isotropic(red)
         assert len(subs) == chi(red.e)
         for s in subs:
-            lifted = s.span_lifted()
+            lifted = span_of_basis(s.lifted_basis)
             assert len(lifted) == 1 << (g.n - red.e)
             for u in lifted:
                 for v in lifted:
@@ -348,7 +373,7 @@ def test_membership_formula_suite(rng):
         kernel_span = set(span(list(red.kernel_basis), g.n))
         seen = set()
         for s in subs:
-            seen.update(s.span_lifted())
+            seen.update(span_of_basis(s.lifted_basis))
         for v in seen:
             if v == 0:
                 continue
@@ -540,7 +565,7 @@ def test_isomorphism_maps_subgroups_to_subgroups(rng):
     mapping = subgroup_isomorphism(g, h)
     subs_g = enumerate_max_isotropic(reduce_gamma(g.gamma()))
     subs_h = enumerate_max_isotropic(reduce_gamma(h.gamma()))
-    spans_h = {tuple(sorted(s.span_lifted())) for s in subs_h}
+    spans_h = {tuple(sorted(span_of_basis(s.lifted_basis))) for s in subs_h}
     for s in subs_g:
-        image = sorted({apply_row_map(mapping, v) for v in s.span_lifted()})
+        image = sorted({apply_row_map(mapping, v) for v in span_of_basis(s.lifted_basis)})
         assert tuple(image) in spans_h
