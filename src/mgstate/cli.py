@@ -14,23 +14,22 @@ Each builder runs the checks that vouch for its output, and ``verify`` calls
 every builder, so ``children`` runs ``verify``'s checks on each child it
 prints: its ``oracle_verified: true`` means that they passed.
 
-``verify``, ``children --all`` and ``children --subgroup k`` build the
-parents with one batched builder, ``extension.extend_for_subgroup``, in
-batches of the module constant ``extension.PARENT_BATCH`` = 2^12 subgroups
-(a batch of one for ``--subgroup k``).  A batch holds one row of masks per
-subgroup (see ``mgstate.extension``) and gives each of the three parent
-checks as one verdict per subgroup, which ``check`` then reads subgroup by
-subgroup.  The children draw from the batch: ``verify`` builds and checks
-them a chunk at a time.  A chunk of k children shares n and |D| = 2^(n-e)
-and holds each child as a signed member list, members, z masks and phases
-(k, |D|) each (see ``mgstate.states``); ``states.chunk_len`` sizes it to
-the module constant ``states.CHUNK_ENTRIES`` = 2^14 words, 3 |D| per child
-plus route 2's 2^n syndromes, 93 children at (n, e) = (7, 3) and 186 at (6,
-3).  Each route and each check is one array pass over a chunk; ``children``
-passes a chunk of one per streamed entry.  The first failure is still
-reported in (subgroup, check) order: a parent's failed verdict is raised in
-its subgroup's place, after the children of the subgroups before it are
-checked (and, for ``children``, written), and only those parents get
+``verify``, ``children --all`` and ``children --subgroup k`` share one
+child pipeline, ``_children``.  It builds the parents with one batched
+builder, ``extension.extend_for_subgroup``, in batches of the module
+constant ``extension.PARENT_BATCH`` = 2^12 subgroups (one for ``--subgroup
+k``), each batch one row of masks per subgroup (see ``mgstate.extension``)
+with one verdict per subgroup for each parent check.  The children draw
+from the batch a chunk at a time.  A chunk of k children shares n and |D| =
+2^(n-e) and holds each child as a signed member list, members, z masks and
+phases (k, |D|) each (see ``mgstate.states``); ``states.chunk_len`` sizes
+it to the module constant ``states.CHUNK_ENTRIES`` = 2^14 words, 3 |D| per
+child plus route 2's 2^n syndromes, 93 children at (n, e) = (7, 3) and 186
+at (6, 3).  Each route and each check is one array pass over a chunk, and
+``check`` then reads the verdicts child by child, so the first failure is
+still reported in (subgroup, check) order: a parent's failed verdict is
+raised in its subgroup's place, after the children of the subgroups before
+it are checked (and, for ``children``, written), and only those parents get
 children.  An ``ExtensionError`` from building a batch, whose causes (a
 foreign Gamma, a subgroup of the wrong dimension, a lab row not in graph
 form) hold for a whole batch, counts as a failure of its first subgroup:
@@ -39,10 +38,11 @@ every batch before it is checked by then.
 ``subgroups`` and ``children`` stream their entries, so on a non-zero exit
 stdout is not a complete report: the entries written so far, their last line
 ended, then exit 1's ``FAIL <name>: <reproducer>`` line.  Bound and input
-errors come before the first byte.  ``children`` writes one child at a time;
-``subgroups`` writes a batch of ``LISTING_BATCH`` = 64 entries at a time,
-built together from one enumeration that holds every subgroup as a row of
-masks (see ``mgstate.subgroups``), their members listed by one batched span.
+errors come before the first byte.  ``children`` writes one child at a time,
+rendered from its chunk; ``subgroups`` writes a batch of ``LISTING_BATCH`` =
+64 entries at a time, built together from one enumeration that holds every
+subgroup as a row of masks (see ``mgstate.subgroups``), their members listed
+by one batched span.
 """
 
 from __future__ import annotations
@@ -321,10 +321,11 @@ def _json_chunks(o, level: int, out: List[str], prefix: str = "") -> None:
     """Append the text of ``json.dumps(o, indent=2, sort_keys=True)`` at nesting
     ``level`` to ``out``, led by ``prefix``.  A non-empty int array of two or
     more dimensions is the list that its ``tolist`` gives: each distinct list
-    along its last axis is encoded once (``distinct_entries``), and each 2-D
-    slice is one chunk, one join of those texts looked up by code: no call
-    per entry, and no chunk so large that the allocator returns its memory
-    and faults fresh pages in for the next report; the chunks go to
+    along its last axis is encoded once (``distinct_entries``), one lookup
+    of those texts by code gives every entry's, and each row of last-axis
+    lists is one chunk, one join, led by the text of the lists around it:
+    no call per entry, and no chunk so large that the allocator returns its
+    memory and faults fresh pages in for the next report; the chunks go to
     ``writelines`` unjoined for the same reason.
     A list of only str and int is one chunk.  An iterator is a list whose
     entries are written to stdout, with all text before them, as soon as
@@ -349,17 +350,15 @@ def _json_chunks(o, level: int, out: List[str], prefix: str = "") -> None:
         depth = level + o.ndim - 1  # the nesting level of a last-axis list
         texts = np.array(["\n" + "  " * depth + _list_text(map(_json_scalar, e), depth)
                           for e in entries], dtype=object)
-
-        def nest(sub: np.ndarray, lev: int, lead: str) -> None:  # one chunk per 2-D slice
-            close = "\n" + "  " * lev + "]"
-            if lev + 1 == depth:
-                out.append(lead + "[" + ",".join(texts[sub].tolist()) + close)
-                return
-            for i, part in enumerate(sub):
-                nest(part, lev + 1, (lead + "[" if i == 0 else ",") + "\n" + "  " * (lev + 1))
-            out.append(close)
-
-        nest(codes.reshape(o.shape[:-1]), level, prefix)
+        rows = texts[codes.reshape(-1, o.shape[-2])].tolist()
+        skeleton = "0"  # the text of the lists around the rows, a 0 in each row's place
+        for axis in reversed(range(o.ndim - 2)):
+            skeleton = _list_text([skeleton] * o.shape[axis], level + axis)
+        *leads, tail = skeleton.split("0")
+        leads[0] = prefix + leads[0]
+        close = "\n" + "  " * (depth - 1) + "]"
+        out += [f"{lead}[{','.join(row)}{close}" for lead, row in zip(leads, rows)]
+        out[-1] += tail
     elif isinstance(o, (list, tuple)) and set(map(type, o)) <= {str, int}:
         out.append(prefix + _list_text(map(_json_scalar, o), level))
     elif isinstance(o, (list, tuple, Iterator, np.ndarray)):
@@ -575,10 +574,10 @@ def _phase_text(p: ParentExtension) -> str:
     return " + ".join(terms) or "0"
 
 
-def _parent_payload(rows: Sequence[PauliWord], child: ChildResult) -> Dict:
-    """The report of one child, a chunk of one, once its checks pass."""
-    _check_children(child, rows)
-    p, (l_sets, gmat, h) = child.parents[0], child.indicators[0]
+def _payload(children: ChildResult, i: int) -> Dict:
+    """The report of child i of a chunk whose checks it passed."""
+    p, (l_sets, gmat, h) = children.parents[i], children.indicators[i]
+    mat = children.rho.dense(i)
     return {
         "parent_rows": [r.letters() for r in p.rows()],
         "ext_columns": [
@@ -591,31 +590,50 @@ def _parent_payload(rows: Sequence[PauliWord], child: ChildResult) -> Dict:
         "parity_h": h.row_strings(),
         "generators_g": gmat.row_strings(),
         "coefficients": {
-            bitstring(j, p.n): _coeff_str(k) for j, k in child.terms(0).items()
+            bitstring(j, p.n): _coeff_str(k) for j, k in children.terms(i).items()
         },
-        "rho": child.rho.to_json_dict(),
-        "rho_text": child.rho.mat.to_text_grid(),
+        "rho": {"n": children.rho.n, **mat.to_json_dict()},
+        "rho_text": mat.to_text_grid(),
         "oracle_verified": True,
     }
 
 
-def _payloads(
+def _checked(children: ChildResult, rows: Sequence[PauliWord], check: Check = _require) -> Iterator[int]:
+    """Each child's index once its checks pass: one ``_check_children`` pass
+    over the chunk, whose verdicts ``check`` reads child by child, so a
+    failing child raises after the children before it are yielded."""
+    verdicts: List[Tuple[str, bool, str]] = []
+    _check_children(children, rows, lambda *verdict: verdicts.append(verdict))
+    per = len(verdicts) // len(children)  # every child gets the same checks
+    for i in range(len(children)):
+        for verdict in verdicts[i * per:(i + 1) * per]:
+            check(*verdict)
+        yield i
+
+
+def _children(
     g: MixedGraph, subs: SubgroupBatch, rows: Sequence[PauliWord], duals: Sequence[PauliWord],
-    first: int = 0,
-) -> Iterator[Dict]:
-    """The report of each subgroup's child, a chunk of one, built as it is
-    written; ``subs`` are subgroups ``first``, ``first`` + 1, ... of the
-    enumeration.  The parents come ``PARENT_BATCH`` at a time, with the
-    indicators of those before the batch's first failed parent; that parent
-    fails its check once the children before it are written."""
+    first: int = 0, check: Check = _require, fit: bool = True,
+) -> Iterator[Tuple[ChildResult, int]]:
+    """Each child of subgroups ``first``, ``first`` + 1, ... (``subs``) once
+    its checks pass, as (chunk, i): parents ``PARENT_BATCH`` at a time,
+    children ``chunk_len`` at a time, those of the parents before a batch's
+    first failed one, which raises once they are yielded.  Without ``fit``
+    only the parents are checked."""
+    size = chunk_len(g.n, subs.reduction.e)
     for start in range(0, len(subs), PARENT_BATCH):
         batch, verdicts, passed = _parents(g, subs[start:start + PARENT_BATCH], rows)
-        inds = indicator(batch[:passed])
-        for i in range(len(batch)):
-            idx = first + start + i
-            _check_parent(verdicts, i, idx)
-            child = child_from_pauli_sum(batch[i:i + 1], duals, inds[i:i + 1])
-            yield {**_parent_payload(rows, child), "subgroup_index": idx}
+        inds = indicator(batch[:passed]) if fit else []
+        for lo in range(0, len(batch), size):
+            hi = min(lo + size, len(batch))
+            stop = min(hi, passed)
+            for i in range(lo, stop):
+                _check_parent(verdicts, i, first + start + i, check)
+            if fit and stop > lo:
+                chunk = child_from_pauli_sum(batch[lo:stop], duals, inds[lo:stop])
+                yield from ((chunk, i) for i in _checked(chunk, rows, check))
+            if stop < hi:  # parent ``stop`` fails a check
+                _check_parent(verdicts, stop, first + start + stop, check)
 
 
 def cmd_children(args) -> int:
@@ -628,7 +646,7 @@ def cmd_children(args) -> int:
     result: Dict = {"e": e, "t": t}
     if args.subgroup is None and not args.all and e == 1:
         children, classes = _family(g, duals)
-        reports: Iterable[Dict] = [_parent_payload(rows, c) for c in children]  # chunks of one
+        reports: Iterable[Dict] = [_payload(children, i) for i in _checked(children, rows)]
         result["mode"] = "family"
         result["classes"] = classes
     else:
@@ -641,7 +659,8 @@ def cmd_children(args) -> int:
             first = args.subgroup
             subs = subs[first:first + 1]
         result["mode"] = "subgroups"
-        reports = _payloads(g, subs, rows, duals, first)
+        reports = ({**_payload(chunk, i), "subgroup_index": idx}
+                   for idx, (chunk, i) in enumerate(_children(g, subs, rows, duals, first), first))
     result["children"] = reports  # an iterator builds each child as the report is written
     report = {"command": "children", "input_sha256": digest, "result": result}
 
@@ -747,23 +766,8 @@ def _verify_graph(g: MixedGraph, expect: Optional[Dict], bound: int) -> List[str
     # a work guard in bytes: parent checks need no child; past the cap on all
     # the member lists this run builds, the children go unchecked, not refused
     fit = _children_fit(g.n, e)
-    size = chunk_len(g.n, e)
-    for first in range(0, len(subs), PARENT_BATCH):
-        batch, verdicts, passed = _parents(g, subs[first:first + PARENT_BATCH], rows)
-        inds = indicator(batch[:passed]) if fit else []
-        for start in range(0, len(batch), size):
-            stop, failed = min(start + size, len(batch)), None
-            for i in range(start, stop):
-                try:
-                    _check_parent(verdicts, i, first + i, check)
-                except InvariantViolation as err:  # raised once the children before it pass
-                    stop, failed = i, err
-                    break
-            if fit and stop > start:
-                children = child_from_pauli_sum(batch[start:stop], duals, inds[start:stop])
-                _check_children(children, rows, check)
-            if failed is not None:
-                raise failed
+    for _ in _children(g, subs, rows, duals, check=check, fit=fit):
+        pass
     family = _family(g, duals, check) if fit and e == 1 else None
     if family:
         _check_children(family[0], rows, check)

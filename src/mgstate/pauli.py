@@ -246,16 +246,18 @@ class GaussianMatrix:
 
     def to_text_grid(self) -> str:
         """Aligned grid of exact entries with the denominator up front.  Each
-        distinct entry is formatted and padded once, and each row is one join
-        of those cells, looked up by the entries' codes."""
+        distinct entry is formatted and padded once, as a fixed-width byte
+        cell led by a space; the grid is one lookup of those cells by the
+        entries' codes, a (dim, dim (w + 1)) byte array whose rows' first
+        spaces become the line breaks, and one ``tobytes``."""
         pairs, codes = distinct_entries((self.re.ravel(), self.im.ravel()))
         texts = [_format_gaussian(*pair) for pair in pairs]
         width = max(map(len, texts))
-        cells = np.array([s.rjust(width) for s in texts], dtype=object)
-        body = "\n".join(" ".join(cells[row].tolist()) for row in codes.reshape(self.re.shape))
-        if self.denom_log2:
-            return f"1/{1 << self.denom_log2} *\n{body}"
-        return body
+        cells = np.array([(" " + s.rjust(width)).encode() for s in texts])
+        grid = cells[codes].view(np.uint8).reshape(self.dim, -1)
+        grid[:, 0] = ord("\n")
+        body = grid.tobytes()[1:].decode()
+        return f"1/{1 << self.denom_log2} *\n{body}" if self.denom_log2 else body
 
 
 @dataclass(frozen=True)

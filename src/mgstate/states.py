@@ -34,9 +34,9 @@ route and each check is one array pass over a chunk and gives one array, or
 one verdict, per child.  ``chunk_len`` sizes a chunk to ``CHUNK_ENTRIES``
 words of what it holds, at least one child, so that what is resident stays
 bounded whatever chi(e) is; a single child is a chunk of one.  V exists only
-when a report renders rho, one child at a time, or a fixture's stored rho is
-read: ``word_rows`` writes it from the member list, and only a dense
-rendering puts qubit 0 first.
+when a report renders rho, for a whole chunk at once, or a fixture's stored
+rho is read: ``word_rows`` writes it from the member list, and only a dense
+rendering, one child at a time, puts qubit 0 first.
 """
 
 from __future__ import annotations
@@ -120,13 +120,9 @@ class DensityMatrix:
         check_dense(8 * k * size << self.n, f"child layouts of {k} x {size} x {self.dim} entries")
         return np.moveaxis(word_rows(self.n, self.z, self.kappa), 0, 1)
 
-    @cached_property
-    def mat(self) -> GaussianMatrix:
-        """The dense matrix of a chunk of one, built on first use: only a
-        report renders it."""
-        if len(self) != 1:
-            raise ValueError("only a chunk of one child renders dense")
-        return GaussianMatrix.from_offsets(self.offsets[0], self.num[0], self.n)
+    def dense(self, i: int) -> GaussianMatrix:
+        """Child i's dense matrix, from the chunk's ``num``, for a report to render."""
+        return GaussianMatrix.from_offsets(self.offsets[i], self.num[i], self.n)
 
     def agrees_with(self, other: DensityMatrix) -> np.ndarray:
         """Child by child, equality with the child at the same place in
@@ -164,9 +160,6 @@ class DensityMatrix:
         I/2^n is not pure either yet has purity 2^{-n}.
         """
         return [Fraction(self.offsets.shape[1], self.dim)] * len(self)
-
-    def to_json_dict(self) -> Dict:
-        return {"n": self.n, **self.mat.to_json_dict()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -376,13 +369,14 @@ def convex_combine(
     dim = children[0].dim
     denom = 1
     for w, c in zip(ws, children):
-        denom = lcm(denom, w.denominator * (1 << c.mat.denom_log2))
+        denom = lcm(denom, w.denominator * (1 << c.denom_log2))
     re = np.zeros((dim, dim), dtype=object)
     im = np.zeros((dim, dim), dtype=object)
     for w, c in zip(ws, children):
         if c.dim != dim:
             raise DimensionError("children must share a dimension")
-        scale = w.numerator * denom // (w.denominator * (1 << c.mat.denom_log2))
-        re += c.mat.re.astype(object) * scale
-        im += c.mat.im.astype(object) * scale
+        scale = w.numerator * denom // (w.denominator * (1 << c.denom_log2))
+        mat = c.dense(0)
+        re += mat.re.astype(object) * scale
+        im += mat.im.astype(object) * scale
     return RationalMatrix(re, im, denom)

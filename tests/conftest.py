@@ -71,7 +71,7 @@ def gm_to_complex(m: GaussianMatrix) -> np.ndarray:
 
 
 def rho_to_complex(rho) -> np.ndarray:
-    return gm_to_complex(rho.mat)
+    return gm_to_complex(rho.dense(0))
 
 
 # ---- exact value semantics of dense renderings, which only the tests compare ----
@@ -173,7 +173,7 @@ def conjugate_dense(m: GaussianMatrix, w: PauliWord) -> GaussianMatrix:
 
 
 def conjugated(rho: DensityMatrix, w: PauliWord) -> DensityMatrix:
-    return members_of(conjugate_dense(rho.mat, w))
+    return members_of(conjugate_dense(rho.dense(0), w))
 
 
 def random_word(rng, n: int) -> PauliWord:
@@ -230,10 +230,8 @@ class Layout:
     def __getitem__(self, part: slice) -> Layout:
         return Layout(self.n, self.offsets[part], self.num[part], self.denom_log2)
 
-    @property
-    def mat(self) -> GaussianMatrix:
-        assert len(self) == 1, "only a chunk of one child renders dense"
-        return GaussianMatrix.from_offsets(self.offsets[0], self.num[0], self.denom_log2)
+    def dense(self, i: int) -> GaussianMatrix:
+        return GaussianMatrix.from_offsets(self.offsets[i], self.num[i], self.denom_log2)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Layout):
@@ -267,7 +265,8 @@ class Layout:
 
     def is_pure(self) -> bool:
         """rho^2 = rho for a chunk of one, on the dense matrix."""
-        return same_matrix(matmul(self.mat, self.mat), self.mat)
+        mat = self.dense(0)
+        return same_matrix(matmul(mat, mat), mat)
 
     def purity(self) -> list:
         """Child by child, the exact sum of the squares over the layout."""

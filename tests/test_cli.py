@@ -572,17 +572,12 @@ def _negated_trace(parents):
 
 
 def test_children_invariant_failure_mid_stream(monkeypatch):
-    # only subgroup 3's partial trace is wrong: children 0-2 are already
-    # written, and the FAIL line ends stdout on a line of its own
+    # only subgroup 3's child is wrong, inside fournode's one chunk of 15:
+    # children 0-2 are already written, and the FAIL line ends stdout on a
+    # line of its own
     argv = ["children", "--all", "--json", str(FIXTURES / "fournode.graph")]
     _, full, _ = run_cli(*argv)
-    traced = []
-
-    def wrong_fourth(parents):  # children checks one child per chunk
-        traced.extend(parents)
-        return _negated_trace(parents) if len(traced) == 4 else child_from_partial_trace(parents)
-
-    monkeypatch.setattr(mgstate.cli, "child_from_partial_trace", wrong_fourth)
+    _mutate_child(monkeypatch, 3, _flip_sign)
     code, out, err = run_cli(*argv)
     assert code == 1 and err == ""
     written, fail = out[:-1].rsplit("\n", 1)
@@ -1180,7 +1175,7 @@ def test_emit_int_array_matches_stdlib_encoding_of_its_lists(shape, capsys):
         np.full(shape, np.iinfo(np.int64).min),
     ]
     for a in arrays:
-        value = {"b": [a, {"a": a}], "a": a}
+        value = {"b": [a, {"a": a}], "a": a, "0": a}  # a key with a digit in it
         _emit(value, [], as_json=True)
         assert capsys.readouterr().out == json.dumps(_listed(value), indent=2, sort_keys=True) + "\n"
 
@@ -1313,6 +1308,45 @@ def test_verify_report_independent_of_chunk_size(monkeypatch, fixture, children)
     monkeypatch.setattr(mgstate.states, "CHUNK_ENTRIES", _chunk_entries(g.n, e, children))
     assert run_cli("verify", str(fixture)) == want
     assert run_cli("verify", "--json", str(fixture))[0] == 0
+
+
+@pytest.mark.parametrize("children", [1, 3, "all"])
+@pytest.mark.parametrize("fixture", GRAPH_FIXTURES, ids=lambda p: p.stem)
+def test_children_report_independent_of_chunk_size(monkeypatch, fixture, children):
+    # chunk boundaries anywhere give the same reports, and a fault in
+    # clique6's child 40, inside its chunk, fails after children 0-39 are
+    # written
+    argvs = [["children", "--all", str(fixture)], ["children", "--all", "--json", str(fixture)]]
+    want = [run_cli(*argv) for argv in argvs]
+    g = mgstate.graphs.parse_graph(fixture.read_text())
+    e = mgstate.subgroups.reduce_gamma(g.gamma()).e
+    monkeypatch.setattr(mgstate.states, "CHUNK_ENTRIES", _chunk_entries(g.n, e, children))
+    assert [run_cli(*argv) for argv in argvs] == want
+    if fixture.stem != "clique6":
+        return
+    for argv, (_, full, _) in zip(argvs, want):
+        _mutate_child(monkeypatch, 40, _flip_sign)
+        code, out, err = run_cli(*argv)
+        head, fail = out[:-1].rsplit("\n", 1)
+        assert (code, err, fail + "\n") == (1, "", _route_fail_line("clique6", 40)), argv
+        marker = "subgroup index: " if "--json" not in argv else '"subgroup_index":'
+        assert full.startswith(head) and head.count(marker) == 40, argv
+
+
+CHILDREN_TEXT_SHA256 = {
+    "clique6": "bd492cbff3368cafc3812bf2e4411b84b9f079570fdae7798403b0dd96a7a99c",
+    "appendix_a": "338a0a010c080d71e3524d90c0b85bd4e2ea070bfc1963b3b8fdf9e723bb77eb",
+    "fivenode": "382169ad8321cb9cc1bda9daf5763d7d2e37a9373285e5c091e82f859ad7b719",
+    "fournode": "b5a151f3409ab7f8b15470eda6c70b09062034ae4c9a816b9c00c820a888226c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHILDREN_TEXT_SHA256))
+def test_children_text_report_pinned(name):
+    # the e >= 2 fixtures' text reports, each child's rho as its text grid
+    code, out, _ = run_cli("children", "--all", str(FIXTURES / f"{name}.graph"))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CHILDREN_TEXT_SHA256[name]
 
 
 def test_verify_clique6_counts_repeated_checks():
@@ -1601,8 +1635,9 @@ def test_parent_batches_give_the_same_reports(monkeypatch):
 
 
 def test_children_builds_two_density_matrices_per_child(monkeypatch):
-    # each streamed child is a chunk of one: route 1 and route 2 build one
-    # DensityMatrix each, and the checks read them without slicing
+    # clique6's 135 children are one chunk: route 1 and route 2 build one
+    # DensityMatrix each for the whole chunk, and the checks and the
+    # renderings read them without slicing
     calls = []
     original = DensityMatrix.__post_init__
 
@@ -1613,7 +1648,7 @@ def test_children_builds_two_density_matrices_per_child(monkeypatch):
     monkeypatch.setattr(DensityMatrix, "__post_init__", counted)
     code, _, _ = run_cli("children", "--all", "--json", str(FIXTURES / "clique6.graph"))
     assert code == 0
-    assert calls == [1] * (2 * 135)
+    assert calls == [135, 135]
 
 
 def test_verify_checks_gamma_once(monkeypatch):
