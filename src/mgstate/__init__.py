@@ -55,7 +55,7 @@ from .subgroups import (
 )
 from .extension import (
     ExtensionError,
-    ParentExtension,
+    ParentBatch,
     extend_e1,
     extend_for_subgroup,
     indicator,

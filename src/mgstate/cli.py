@@ -68,7 +68,6 @@ from .extension import (
     PARENT_BATCH,
     ExtensionError,
     ParentBatch,
-    ParentExtension,
     extend_e1,
     extend_for_subgroup,
     indicator,
@@ -155,15 +154,15 @@ def _check_children(children: ChildResult, rows: Sequence[PauliWord], check: Che
     kappa_d = d.z_d mod 2, and |D| = 2^(n-e).  ``check`` then reads the
     verdicts in (child, check) order, so the first failure named is the one
     that checking one child at a time meets first."""
-    n, e = children.rho.n, children.parents[0].e
+    n, e = children.rho.n, children.parents.e
     size = chunk_len(n, e)
     for start in range(0, len(children), size):
         chunk = children[start:start + size] if len(children) > size else children
         rho, parents = chunk.rho, chunk.parents
 
         def where(i: int) -> str:
-            p = parents[i]
-            return f"parent {p.ae.row_strings()} offsets {sorted(p.lab_offsets)}"
+            rows = [bitstring(r, n + e) for r in parents.ae[i].tolist()]
+            return f"parent {rows} offsets {bits_of(int(parents.offsets[i]) & (1 << n) - 1)}"
 
         verdicts: List[Tuple[str, Sequence, Callable[[int], str]]] = [
             ("pauli-sum-vs-partial-trace", rho.agrees_with(child_from_partial_trace(parents)), where),
@@ -565,32 +564,36 @@ def cmd_subgroups(args) -> int:
 # ---------------------------------------------------------------- children
 
 
-def _phase_text(p: ParentExtension) -> str:
-    """p(x) = x A x^T + 2 o.x as text: 2*(edges) + 2*(offsets) + red nodes."""
-    edges = [f"x{j}*x{k}" for j in range(p.total) for k in bits_of(p.ae.rows[j]) if k > j]
+def _phase_text(parents: ParentBatch, i: int) -> str:
+    """Parent i's p(x) = x A x^T + 2 o.x as text: 2*(edges) + 2*(offsets) + red nodes."""
+    rows = parents.ae[i].tolist()
+    edges = [f"x{j}*x{k}" for j, row in enumerate(rows) for k in bits_of(row) if k > j]
     terms = [f"2*({' + '.join(edges)})"] if edges else []
-    terms += [f"2*x{j}" for j in sorted(p.lab_offsets | p.env_offsets)]
-    terms += [f"x{j}" for j in range(p.total) if p.ae.get(j, j)]
+    terms += [f"2*x{j}" for j in bits_of(int(parents.offsets[i]))]
+    terms += [f"x{j}" for j, row in enumerate(rows) if row >> j & 1]
     return " + ".join(terms) or "0"
 
 
 def _payload(children: ChildResult, i: int) -> Dict:
-    """The report of child i of a chunk whose checks it passed."""
-    p, (l_sets, gmat, h) = children.parents[i], children.indicators[i]
+    """The report of child i of a chunk whose checks it passed, read off row
+    i of the chunk's arrays: offsets below n are lab rows, the others
+    environment rows."""
+    parents = children.parents
+    n, rows = parents.n, parents.ae[i].tolist()
+    signed, h = bits_of(int(parents.offsets[i])), parents.parity_rows()[i].tolist()
     mat = children.rho.dense(i)
+    columns = zip(parents.xcols[i].tolist(), rows[n:])
     return {
-        "parent_rows": [r.letters() for r in p.rows()],
-        "ext_columns": [
-            list(PauliWord(p.n, x, z, 0).letters()) for x, z in p.ext_assign or ()
-        ] or None,
-        "lab_offsets": sorted(p.lab_offsets),
-        "env_offsets": sorted(p.env_offsets),
-        "phase_function": _phase_text(p),
-        "l_sets": [list(L) for L in l_sets],
-        "parity_h": h.row_strings(),
-        "generators_g": gmat.row_strings(),
+        "parent_rows": [PauliWord(len(rows), 1 << j, row, 0).letters() for j, row in enumerate(rows)],
+        "ext_columns": [list(PauliWord(n, x, z, 0).letters()) for x, z in columns] or None,
+        "lab_offsets": [j for j in signed if j < n],
+        "env_offsets": [j for j in signed if j >= n],
+        "phase_function": _phase_text(parents, i),
+        "l_sets": [bits_of(row) for row in h],
+        "parity_h": [bitstring(row, n) for row in h],
+        "generators_g": [bitstring(row, n) for row in children.gens[i].tolist()],
         "coefficients": {
-            bitstring(j, p.n): _coeff_str(k) for j, k in children.terms(i).items()
+            bitstring(j, n): _coeff_str(k) for j, k in children.terms(i).items()
         },
         "rho": {"n": children.rho.n, **mat.to_json_dict()},
         "rho_text": mat.to_text_grid(),
@@ -623,14 +626,14 @@ def _children(
     size = chunk_len(g.n, subs.reduction.e)
     for start in range(0, len(subs), PARENT_BATCH):
         batch, verdicts, passed = _parents(g, subs[start:start + PARENT_BATCH], rows)
-        inds = indicator(batch[:passed]) if fit else []
+        gens = indicator(batch[:passed]) if fit else None
         for lo in range(0, len(batch), size):
             hi = min(lo + size, len(batch))
             stop = min(hi, passed)
             for i in range(lo, stop):
                 _check_parent(verdicts, i, first + start + i, check)
             if fit and stop > lo:
-                chunk = child_from_pauli_sum(batch[lo:stop], duals, inds[lo:stop])
+                chunk = child_from_pauli_sum(batch[lo:stop], duals, gens[lo:stop])
                 yield from ((chunk, i) for i in _checked(chunk, rows, check))
             if stop < hi:  # parent ``stop`` fails a check
                 _check_parent(verdicts, stop, first + start + stop, check)

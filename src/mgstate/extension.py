@@ -47,14 +47,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .f2 import (
     BinMatrix,
     bit_table,
-    bits_of,
     kernel_batch,
     mask_dtype,
     mask_of,
@@ -63,7 +62,7 @@ from .f2 import (
 )
 from .graphs import MixedGraph, complete_multipartite_parts, stabilizer_matrix
 from .pauli import PauliWord
-from .subgroups import IsotropicSubspace, SubgroupBatch
+from .subgroups import SubgroupBatch
 
 PARENT_BATCH = 1 << 12  # subgroups per batch of parents: 19 batches for chi(5) = 75,735
 
@@ -78,53 +77,17 @@ def verify_full_commutation(rows: Sequence[PauliWord]) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class ParentExtension:
-    """Graph-form parent stabilizer with sign bookkeeping.
-
-    ``ae`` holds the symmetric adjacency of the parent graph including the
-    diagonal colour bits (1 = red/Y).  ``lab_offsets`` are lab rows whose
-    actual stabilizer carries a -1 sign, i.e. the o of the 2 o.x term of
-    ``phases``; ``env_offsets`` are the same for environment rows
-    (these never change the child).  ``symmetrize`` leaves ``env_offsets``
-    empty, so only a hand-built parent sets it.  ``ext_assign`` records the
-    extension columns the graph form was written from, one (x, z) pair of
-    lab bit masks per column.  Its rows X_j Z^{A_j} commute iff ``ae`` is
-    symmetric, which the CLI's ``extension-commutes`` check tests.
-    """
-
-    n: int
-    e: int
-    ae: BinMatrix
-    lab_offsets: FrozenSet[int] = frozenset()
-    env_offsets: FrozenSet[int] = frozenset()
-    ext_assign: Optional[Tuple[Tuple[int, int], ...]] = None
-
-    def __post_init__(self) -> None:
-        total = self.n + self.e
-        if self.ae.cols != total or self.ae.nrows != total:
-            raise ValueError("adjacency size must be n + e")
-
-    @property
-    def total(self) -> int:
-        return self.n + self.e
-
-    def row(self, j: int) -> PauliWord:
-        sign = 2 if (j in self.lab_offsets or j in self.env_offsets) else 0
-        return PauliWord(self.total, 1 << j, self.ae.rows[j], self.ae.get(j, j) + sign)
-
-    def rows(self) -> List[PauliWord]:
-        return [self.row(j) for j in range(self.total)]
-
-
 @dataclass(frozen=True, eq=False)
 class ParentBatch:
     """The parents of a batch of subgroups of one graph, row i parent i, as
-    masks: ``ae`` (k, n + e), its adjacency rows, lab rows first;
-    ``offsets`` (k,), its rows with a -1 sign, bit j for row j; ``xcols``
-    (k, e), the X/Y masks of its extension columns, whose Z/Y masks are its
-    environment rows.  Item i is parent i as a ``ParentExtension``, and a
-    slice is a batch of its parents, so iterating gives each parent."""
+    masks: ``ae`` (k, n + e), its adjacency rows, lab rows first, the
+    diagonal bit 1 = red; ``offsets`` (k,), its rows with a -1 sign, bit j
+    for row j, the o of ``phases``: bits below n are lab rows, the others
+    environment rows, which never change the child and which ``symmetrize``
+    never sets; ``xcols`` (k, e), the X/Y masks of its extension columns,
+    whose Z/Y masks are its environment rows.  A slice is a batch of its
+    parents.  The batch is the only parent type: there is no item i, so a
+    reader takes row i of each array."""
 
     n: int
     e: int
@@ -132,36 +95,13 @@ class ParentBatch:
     offsets: np.ndarray
     xcols: np.ndarray
 
-    @classmethod
-    def of(cls, parents: Sequence[ParentExtension]) -> ParentBatch:
-        """``parents`` as a batch, itself if it is one.  They must share n
-        and e; a hand-built parent without ``ext_assign`` gets X masks 0."""
-        if isinstance(parents, ParentBatch):
-            return parents
-        n, e = parents[0].n, parents[0].e
-        if any((p.n, p.e) != (n, e) for p in parents):
-            raise ValueError("the parents of a batch must share n and e")
-        word, k = mask_dtype(n + e), len(parents)
-        return cls(
-            n, e, np.array([p.ae.rows for p in parents], dtype=word).reshape(k, n + e),
-            np.array([mask_of(p.lab_offsets | p.env_offsets) for p in parents], dtype=word),
-            np.array([[x for x, _ in p.ext_assign or ((0, 0),) * e] for p in parents],
-                     dtype=word).reshape(k, e),
-        )
-
     def __len__(self) -> int:
         return len(self.ae)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return ParentBatch(self.n, self.e, self.ae[i], self.offsets[i], self.xcols[i])
-        n, rows = self.n, tuple(self.ae[i].tolist())
-        signed = bits_of(int(self.offsets[i]))
-        return ParentExtension(
-            n, self.e, BinMatrix(rows, n + self.e),
-            frozenset(j for j in signed if j < n), frozenset(j for j in signed if j >= n),
-            tuple(zip(self.xcols[i].tolist(), rows[n:])),
-        )
+    def __getitem__(self, part: slice) -> ParentBatch:
+        if not isinstance(part, slice):
+            raise TypeError(f"a parent batch takes slices, not {type(part).__name__}")
+        return ParentBatch(self.n, self.e, self.ae[part], self.offsets[part], self.xcols[part])
 
     def parity_rows(self) -> np.ndarray:
         """H of each parent, (k, e): the environment rows on the lab bits,
@@ -184,37 +124,32 @@ class ParentBatch:
         return ~(product & 1).any(axis=(1, 2)) & (rref_batch(h, self.n)[1] == self.e)
 
 
-def phases(parents: Sequence[ParentExtension], x: np.ndarray) -> np.ndarray:
-    """p(x) = x A x^T + 2 o.x mod 4 of each parent at each row of the 0/1
-    array ``x``, whose column j is qubit j: entry [i, r] is parent i at row
-    r.  ``x`` is one (rows, k) block for all parents or one block per parent,
-    (parents, rows, k).  Each red node in x counts once, each edge inside x
-    twice.  A row of k < n + e columns sets no later qubit."""
+def phases(parents: ParentBatch, x: np.ndarray) -> np.ndarray:
+    """p(x) = x A x^T + 2 o.x mod 4 of each parent of a batch at each row of
+    the 0/1 array ``x``, whose column j is qubit j: entry [i, r] is parent i
+    at row r.  ``x`` is one (rows, k) block for all parents or one block per
+    parent, (parents, rows, k).  Each red node in x counts once, each edge
+    inside x twice.  A row of k < n + e columns sets no later qubit."""
     k = x.shape[-1]
-    batch = ParentBatch.of(parents)
-    a = bit_table(np.concatenate([batch.ae[:, :k], batch.offsets[:, None]], axis=1), k).astype(np.int64)
+    rows = np.concatenate([parents.ae[:, :k], parents.offsets[:, None]], axis=1)
+    a = bit_table(rows, k).astype(np.int64)
     quadratic = (np.matmul(x, a[:, :k]) * x).sum(axis=-1)
     return (quadratic + 2 * np.matmul(x, a[:, k, :, None])[..., 0]) & 3
 
 
-Indicator = Tuple[List[Tuple[int, ...]], BinMatrix, BinMatrix]
+def indicator(parents: ParentBatch) -> np.ndarray:
+    """The generator matrix G of J = ker H for each parent of a batch, (k, n
+    - e): row i holds parent i's n - e RREF rows of G, as masks.
 
-
-def indicator(parents: ParentBatch) -> List[Indicator]:
-    """(L sets, generator matrix G of J, parity matrix H) for each parent of
-    a batch.
-
-    H row m is the characteristic vector of L_m; J = ker(H) has exactly
-    2^{n-e} members for a minimal extension.  Every G comes from one
+    H row m, ``parity_rows()``, is the characteristic vector of L_m; J has
+    exactly 2^{n-e} members for a minimal extension.  Every G comes from one
     batched elimination of the H rows and one of their kernels.
     """
     n, h = parents.n, parents.parity_rows()
     reduced, rank = rref_batch(h, n)
     if (rank != parents.e).any():  # rank(H) = n - dim ker(H)
         raise ExtensionError("parity matrix is rank deficient; extension not minimal")
-    return [([tuple(bits_of(r)) for r in h_rows], BinMatrix(tuple(g_rows), n),
-             BinMatrix(tuple(h_rows), n))
-            for h_rows, g_rows in zip(h.tolist(), kernel_batch(reduced, n).tolist())]
+    return kernel_batch(reduced, n)
 
 
 def symmetrize(stabilizer: Sequence[PauliWord], columns) -> ParentBatch:
@@ -372,9 +307,7 @@ def meets_extension_condition(gamma: BinMatrix, parents: ParentBatch) -> np.ndar
 
 
 def extend_for_subgroup(
-    g: MixedGraph,
-    subs: Union[SubgroupBatch, Sequence[IsotropicSubspace]],
-    stabilizer: Sequence[PauliWord],
+    g: MixedGraph, subs: SubgroupBatch, stabilizer: Sequence[PauliWord]
 ) -> ParentBatch:
     """Parents whose child commutative subgroups equal the requested ones,
     one per subgroup of the batch ``subs``.
@@ -382,7 +315,7 @@ def extend_for_subgroup(
     ``stabilizer`` is ``stabilizer_matrix(g)``, and e and Gamma come from
     the subgroups' reduction, which must be that of g's Gamma, tested once
     per call.  H is read off the batch's ``lifted`` rows, with no tuple per
-    subgroup; a sequence of ``IsotropicSubspace`` is made a batch first.
+    subgroup.
 
     The Z/Y support of extension column m is forced to the m-th row of the
     subgroup's parity-check matrix H, the RREF kernel of its lifted basis,
@@ -405,7 +338,6 @@ def extend_for_subgroup(
     of that.  Raises ``ExtensionError`` when a subgroup comes from another
     Gamma or has the wrong dimension.
     """
-    subs = SubgroupBatch.of(subs)
     red = subs.reduction
     if not g.has_gamma(red.gamma):
         raise ExtensionError("subgroup does not come from the graph's Gamma")

@@ -49,7 +49,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .extension import Indicator, ParentBatch, ParentExtension, indicator, phases
+from .extension import ParentBatch, indicator, phases
 from .f2 import BinMatrix, mask_of, solve, span_batch
 from .pauli import (
     DimensionError,
@@ -164,13 +164,15 @@ class DensityMatrix:
 
 @dataclass(frozen=True, eq=False)
 class ChildResult:
-    """The children of a chunk of parents: the parents, their indicators,
-    the chunk's density matrices and b[i, k], the i-exponent of b_j for
-    child i's J member j = ``rho.offsets[i, k]``.  A slice is a chunk of its
-    children, and iterating gives each child as a chunk of one."""
+    """The children of a chunk of parents: the parents, a batch; ``gens``
+    (k, n - e), row i the RREF generator rows of child i's J, from
+    ``indicator``; the chunk's density matrices; and b[i, k], the
+    i-exponent of b_j for child i's J member j = ``rho.offsets[i, k]``.  A
+    slice is a chunk of its children, and iterating gives each child as a
+    chunk of one."""
 
-    parents: Sequence[ParentExtension]
-    indicators: Tuple[Indicator, ...]
+    parents: ParentBatch
+    gens: np.ndarray
     rho: DensityMatrix
     b: np.ndarray
 
@@ -178,7 +180,7 @@ class ChildResult:
         return len(self.parents)
 
     def __getitem__(self, part: slice) -> ChildResult:
-        return ChildResult(self.parents[part], self.indicators[part], self.rho[part], self.b[part])
+        return ChildResult(self.parents[part], self.gens[part], self.rho[part], self.b[part])
 
     def __iter__(self) -> Iterator[ChildResult]:
         return (self[i:i + 1] for i in range(len(self)))
@@ -189,9 +191,9 @@ class ChildResult:
 
 
 def _pauli_terms(
-    parents: Sequence[ParentExtension], duals: Sequence[PauliWord], bases: Sequence[Sequence[int]]
+    parents: ParentBatch, duals: Sequence[PauliWord], gens: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """For parent i and the members j of J_i = span(``bases[i]``), ascending,
+    """For parent i and the members j of J_i = span(``gens[i]``), ascending,
     at [i, k]: x(s_j) = j and z(s_j), both qubit masks, phase(s_j) and the
     i-exponent of b_j.  The members of the whole chunk come from one
     ``span_batch`` of its (k, n - e) generator rows.
@@ -204,10 +206,8 @@ def _pauli_terms(
     phase at j is p_lab(j).  Row 0 of s_j has its one entry at column x,
     i^(phase + 2 parity(x & z)), and b_j times it is i^{-p_lab(j)}.
     """
-    if len(set(map(len, bases))) > 1:
-        raise ValueError("the children of a chunk must share |D|")
-    qubits = np.arange(parents[0].n)
-    x = span_batch(np.asarray(bases, dtype=np.int64).reshape(len(bases), -1))
+    qubits = np.arange(parents.n)
+    x = span_batch(gens)
     bits = (x[..., None] >> qubits) & 1
     zrows = (np.array([w.z for w in duals], dtype=np.int64)[:, None] >> qubits) & 1
     z = (bits @ zrows) & 1
@@ -218,13 +218,15 @@ def _pauli_terms(
 
 
 def child_from_pauli_sum(
-    parents: Sequence[ParentExtension], duals: Sequence[PauliWord], inds: Sequence[Indicator]
+    parents: ParentBatch, duals: Sequence[PauliWord], gens: np.ndarray
 ) -> ChildResult:
-    """rho = 2^{-n} sum_{j in J} b_j s_j for each parent of a chunk, with
-    commutation asserted.
+    """rho = 2^{-n} sum_{j in J} b_j s_j for each parent of a chunk, a
+    batch, with commutation asserted.
 
-    ``inds`` are the caller's ``indicator(p)``, which the children keep.
-    Each G is in RREF, so J = span(G) is listed with no further elimination.
+    ``gens`` (k, n - e) are the caller's ``indicator(parents)`` rows, which
+    the children keep: row i is parent i's G.  Each G is in RREF, so J =
+    span(G) is listed with no further elimination, and every J of the chunk
+    has the same 2^(n - e) members.
     J is closed by construction, and the x/z parts of s_j are linear in j, so
     the s_j commute pairwise iff the n - e generator words do, phases aside:
     one symplectic product of their bit rows for the whole chunk.  Since
@@ -234,22 +236,21 @@ def child_from_pauli_sum(
     pairs get +-i with the sign set by which factor carries Y versus Z, and
     offsets flip every term that contains them.
     """
-    n = ParentBatch.of(parents).n
-    bases = np.array([ind[1].rows for ind in inds], dtype=np.int64).reshape(len(inds), -1)
-    x, z, phase, b = _pauli_terms(parents, duals, bases)
+    n, gens = parents.n, np.asarray(gens, dtype=np.int64)
+    x, z, phase, b = _pauli_terms(parents, duals, gens)
     qubits = np.arange(n)
-    gens = (bases[..., None] >> qubits) & 1
+    bits = (gens[..., None] >> qubits) & 1
     dual_z = (np.array([w.z for w in duals], dtype=np.int64)[:, None] >> qubits) & 1
-    form = gens @ ((gens @ dual_z) & 1).swapaxes(1, 2)  # x(g) . z(g') over generator pairs
+    form = bits @ ((bits @ dual_z) & 1).swapaxes(1, 2)  # x(g) . z(g') over generator pairs
     if ((form ^ form.swapaxes(1, 2)) & 1).any():
         raise AssertionError("J members must commute pairwise")
-    return ChildResult(parents, tuple(inds), DensityMatrix(n, x, z, phase + b), b)
+    return ChildResult(parents, gens, DensityMatrix(n, x, z, phase + b), b)
 
 
-def child_from_partial_trace(parents: Sequence[ParentExtension]) -> DensityMatrix:
+def child_from_partial_trace(batch: ParentBatch) -> DensityMatrix:
     """rho(a, b) = 2^{-n} i^{p_L(a) - p_L(b)} [H a = H b] for each parent of
-    a chunk, the exact partial trace of the environment, as a member list,
-    with no 2^{n+e} amplitude and no row of rho built.
+    a chunk, a batch, the exact partial trace of the environment, as a
+    member list, with no 2^{n+e} amplitude and no row of rho built.
 
     With x = (a, c), a the lab and c the environment bits, p(a, c) = p_L(a) +
     p_E(c) + 2 a.B.c mod 4 (A is symmetric and x_j^2 = x_j puts 2 o.x on its
@@ -265,7 +266,6 @@ def child_from_partial_trace(parents: Sequence[ParentExtension]) -> DensityMatri
     comes from one scan of the 2^n syndromes H c per parent, one doubling
     per qubit, and the dense cap counts the chunk's k 2^n syndromes.
     """
-    batch = ParentBatch.of(parents)
     n, k = batch.n, len(batch)
     check_dense(8 * k << n, f"a scan of {k} x {1 << n} lab syndromes")
     qubits = np.arange(n)
@@ -309,10 +309,10 @@ def children_family_e1(
     reduces to comparing coefficient maps under sign flips, which one F2
     solve per pair decides.
     """
-    inds = indicator(parents)
+    gens = indicator(parents)
     n = parents.n
     size = chunk_len(n, 1)
-    children = _joined([child_from_pauli_sum(parents[s:s + size], g_duals, inds[s:s + size])
+    children = _joined([child_from_pauli_sum(parents[s:s + size], g_duals, gens[s:s + size])
                         for s in range(0, len(parents), size)])
     terms = [children.terms(i) for i in range(len(children))]
     classes: List[List[int]] = []
@@ -330,11 +330,15 @@ def _joined(parts: Sequence[ChildResult]) -> ChildResult:
     """The children of ``parts``, in order, as one chunk."""
     if len(parts) == 1:
         return parts[0]
-    rho = DensityMatrix(parts[0].rho.n, *(np.concatenate([getattr(c.rho, field) for c in parts])
-                                          for field in ("offsets", "z", "kappa")))
-    parents = sum((tuple(c.parents) for c in parts), ())
-    return ChildResult(parents, sum((c.indicators for c in parts), ()),
-                       rho, np.concatenate([c.b for c in parts]))
+
+    def cat(items, field: str) -> np.ndarray:
+        return np.concatenate([getattr(item, field) for item in items])
+
+    batches, rhos = [c.parents for c in parts], [c.rho for c in parts]
+    parents = ParentBatch(batches[0].n, batches[0].e,
+                          cat(batches, "ae"), cat(batches, "offsets"), cat(batches, "xcols"))
+    rho = DensityMatrix(rhos[0].n, cat(rhos, "offsets"), cat(rhos, "z"), cat(rhos, "kappa"))
+    return ChildResult(parents, cat(parts, "gens"), rho, cat(parts, "b"))
 
 
 def _z_pattern_equivalent(a: Dict[int, int], b: Dict[int, int], n: int) -> Optional[int]:

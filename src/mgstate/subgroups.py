@@ -128,21 +128,6 @@ class SubgroupBatch:
     basis: np.ndarray
     lifted: np.ndarray
 
-    @classmethod
-    def of(cls, subs: Sequence[IsotropicSubspace]) -> SubgroupBatch:
-        """``subs`` as a batch, itself if it is one.  They must share a
-        reduction and a dimension."""
-        if isinstance(subs, SubgroupBatch):
-            return subs
-        red = subs[0].reduction
-        if any(s.reduction != red for s in subs):
-            raise ValueError("the subgroups of a batch must share a reduction")
-        if len({(len(s.basis), len(s.lifted_basis)) for s in subs}) > 1:
-            raise ValueError("the subgroups of a batch must share a dimension")
-        k = len(subs)
-        return cls(red, np.array([s.basis for s in subs], dtype=mask_dtype(red.n)).reshape(k, -1),
-                   np.array([s.lifted_basis for s in subs], dtype=mask_dtype(red.n)).reshape(k, -1))
-
     def __len__(self) -> int:
         return len(self.basis)
 

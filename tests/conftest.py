@@ -5,6 +5,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import FrozenSet, List, Optional, Tuple
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ import mgstate.cli
 from mgstate.extension import (
     ExtensionError,
     ParentBatch,
-    ParentExtension,
     phases,
     verify_full_commutation,
 )
@@ -25,6 +25,7 @@ from mgstate.f2 import (
     combine,
     combine_table,
     kernel,
+    mask_dtype,
     mask_of,
     parity,
     rref,
@@ -43,8 +44,8 @@ from mgstate.pauli import (
     state_index,
     word_rows,
 )
-from mgstate.states import DensityMatrix, chunk_len
-from mgstate.subgroups import IsotropicSubspace
+from mgstate.states import DensityMatrix, child_from_pauli_sum, chunk_len
+from mgstate.subgroups import IsotropicSubspace, SubgroupBatch
 
 K_I = np.eye(2, dtype=complex)
 K_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -295,7 +296,7 @@ def layout_stabilized_by(rho: Layout, gens) -> np.ndarray:
 def layout_partial_trace(parents) -> Layout:
     """V[d, c] = i^{p_L(c ^ d) - p_L(c)} on the d with H d = 0, for each
     parent of a chunk: the partial-trace route on whole rows."""
-    batch = ParentBatch.of(parents)
+    batch = batch_of(parents)
     n, k = batch.n, len(batch)
     cols = np.arange(1 << n)
     lab = (cols[:, None] >> np.arange(n)) & 1  # row: a lab mask, column q: qubit q
@@ -315,7 +316,7 @@ def layout_check_children(children, rows, check=mgstate.cli._require) -> None:
     """``cli._check_children`` on the routes' rendered layouts, with the
     layout checks: the oracle of the member-list identities.  Route 2 is
     whatever ``cli.child_from_partial_trace`` is, rendered."""
-    n, e = children.rho.n, children.parents[0].e
+    n, e = children.rho.n, children.parents.e
     size = chunk_len(n, e)
     for start in range(0, len(children), size):
         chunk = children[start:start + size]
@@ -323,7 +324,7 @@ def layout_check_children(children, rows, check=mgstate.cli._require) -> None:
         traced = Layout.of(mgstate.cli.child_from_partial_trace(parents))
 
         def where(i):
-            p = parents[i]
+            p = parents_of(parents[i:i + 1])[0]
             return f"parent {p.ae.row_strings()} offsets {sorted(p.lab_offsets)}"
 
         verdicts = [
@@ -413,6 +414,105 @@ def one_partial_trace(p):
 
 
 # ---- the per-parent builders that the batched ones replaced, kept as their oracle ----
+
+
+@dataclass(frozen=True)
+class ParentExtension:
+    """One graph-form parent stabilizer with sign bookkeeping, the type of
+    the per-parent oracle; ``ParentBatch`` is the program's only parent.
+
+    ``ae`` holds the symmetric adjacency of the parent graph including the
+    diagonal colour bits (1 = red/Y).  ``lab_offsets`` are lab rows whose
+    actual stabilizer carries a -1 sign, i.e. the o of the 2 o.x term of
+    ``phases``; ``env_offsets`` are the same for environment rows
+    (these never change the child).  ``symmetrize`` leaves ``env_offsets``
+    empty, so only a hand-built parent sets it.  ``ext_assign`` records the
+    extension columns the graph form was written from, one (x, z) pair of
+    lab bit masks per column.  Its rows X_j Z^{A_j} commute iff ``ae`` is
+    symmetric.
+    """
+
+    n: int
+    e: int
+    ae: BinMatrix
+    lab_offsets: FrozenSet[int] = frozenset()
+    env_offsets: FrozenSet[int] = frozenset()
+    ext_assign: Optional[Tuple[Tuple[int, int], ...]] = None
+
+    def __post_init__(self) -> None:
+        total = self.n + self.e
+        if self.ae.cols != total or self.ae.nrows != total:
+            raise ValueError("adjacency size must be n + e")
+
+    @property
+    def total(self) -> int:
+        return self.n + self.e
+
+    def row(self, j: int) -> PauliWord:
+        sign = 2 if (j in self.lab_offsets or j in self.env_offsets) else 0
+        return PauliWord(self.total, 1 << j, self.ae.rows[j], self.ae.get(j, j) + sign)
+
+    def rows(self) -> List[PauliWord]:
+        return [self.row(j) for j in range(self.total)]
+
+
+def batch_of(parents) -> ParentBatch:
+    """``parents`` as a batch, itself if it is one.  They must share n and
+    e; a hand-built parent without ``ext_assign`` gets X masks 0."""
+    if isinstance(parents, ParentBatch):
+        return parents
+    n, e = parents[0].n, parents[0].e
+    if any((p.n, p.e) != (n, e) for p in parents):
+        raise ValueError("the parents of a batch must share n and e")
+    word, k = mask_dtype(n + e), len(parents)
+    return ParentBatch(
+        n, e, np.array([p.ae.rows for p in parents], dtype=word).reshape(k, n + e),
+        np.array([mask_of(p.lab_offsets | p.env_offsets) for p in parents], dtype=word),
+        np.array([[x for x, _ in p.ext_assign or ((0, 0),) * e] for p in parents],
+                 dtype=word).reshape(k, e),
+    )
+
+
+def parents_of(batch: ParentBatch) -> List[ParentExtension]:
+    """Each row of a batch as a ``ParentExtension``: offsets below n are lab
+    rows, the others environment rows."""
+    n, e, out = batch.n, batch.e, []
+    for ae, offsets, xcols in zip(batch.ae.tolist(), batch.offsets.tolist(), batch.xcols.tolist()):
+        signed = bits_of(offsets)
+        out.append(ParentExtension(
+            n, e, BinMatrix(tuple(ae), n + e),
+            frozenset(j for j in signed if j < n), frozenset(j for j in signed if j >= n),
+            tuple(zip(xcols, ae[n:])),
+        ))
+    return out
+
+
+def one_gens(parents) -> np.ndarray:
+    """The oracle's G rows of each parent, (k, n - e): the
+    ``child_from_pauli_sum`` input that ``indicator`` gives."""
+    gens = [one_indicator(p)[1].rows for p in parents]
+    return np.array(gens, dtype=np.int64).reshape(len(parents), -1)
+
+
+def pauli_sum_of(parents, duals):
+    """``child_from_pauli_sum`` of per-parent oracle parents, with the
+    oracle's G rows."""
+    return child_from_pauli_sum(batch_of(parents), duals, one_gens(parents))
+
+
+def subgroup_batch_of(subs) -> SubgroupBatch:
+    """``subs``, ``IsotropicSubspace``s, as a batch, itself if it is one.
+    They must share a reduction and a dimension."""
+    if isinstance(subs, SubgroupBatch):
+        return subs
+    red = subs[0].reduction
+    if any(s.reduction != red for s in subs):
+        raise ValueError("the subgroups of a batch must share a reduction")
+    if len({(len(s.basis), len(s.lifted_basis)) for s in subs}) > 1:
+        raise ValueError("the subgroups of a batch must share a dimension")
+    k, word = len(subs), mask_dtype(red.n)
+    return SubgroupBatch(red, np.array([s.basis for s in subs], dtype=word).reshape(k, -1),
+                         np.array([s.lifted_basis for s in subs], dtype=word).reshape(k, -1))
 
 
 def one_parity_matrix(p):

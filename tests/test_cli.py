@@ -23,7 +23,14 @@ import mgstate.f2
 import mgstate.graphs
 import mgstate.states
 import mgstate.subgroups
-from conftest import layout_check_children, span_of_basis
+from conftest import (
+    batch_of,
+    layout_check_children,
+    parents_of,
+    same_children,
+    span_of_basis,
+    subgroup_batch_of,
+)
 from mgstate.cli import _emit, main
 from mgstate.extension import extend_e1, extend_for_subgroup
 from mgstate.f2 import bits_of, bitstring, mask_of
@@ -231,11 +238,11 @@ def test_child_mixed_rejects_maximally_mixed_child(monkeypatch):
     # trace one and is not pure, but its purity is 2^-n, not 2^-e
     def maximally_mixed(parents):  # one I/2^n per parent of the chunk: D = {0}
         zeros = np.zeros((len(parents), 1), dtype=np.int64)
-        return DensityMatrix(parents[0].n, zeros, zeros, zeros)
+        return DensityMatrix(parents.n, zeros, zeros, zeros)
 
-    def pauli_sum_route(parents, duals, inds):
+    def pauli_sum_route(parents, duals, gens):
         rho = maximally_mixed(parents)
-        return ChildResult(tuple(parents), tuple(inds), rho, np.zeros(rho.offsets.shape, int))
+        return ChildResult(parents, gens, rho, np.zeros(rho.offsets.shape, int))
 
     monkeypatch.setattr(mgstate.cli, "child_from_pauli_sum", pauli_sum_route)
     monkeypatch.setattr(mgstate.cli, "child_from_partial_trace", maximally_mixed)
@@ -404,7 +411,7 @@ def test_extension_commutes_rejects_asymmetric_adjacency(monkeypatch):
     def asymmetric(g, subs, rows):
         parents = extend_for_subgroup(g, subs, rows)
         ae = parents.ae.copy()
-        for i, p in enumerate(parents):
+        for i, p in enumerate(parents_of(parents)):
             j, k = next((j, k) for j, r in enumerate(p.ae.rows) for k in bits_of(r) if k != j)
             ae[i, j] ^= 1 << k
         return dataclasses.replace(parents, ae=ae)
@@ -510,8 +517,8 @@ def test_indicator_check_rejects_parent_of_another_subgroup(monkeypatch):
     subs = mgstate.subgroups.enumerate_max_isotropic(red)
 
     def swapped(g, batch, rows):
-        return extend_for_subgroup(
-            g, [subs[1] if m.lifted_basis == subs[0].lifted_basis else m for m in batch], rows)
+        swapped = [subs[1] if m.lifted_basis == subs[0].lifted_basis else m for m in batch]
+        return extend_for_subgroup(g, subgroup_batch_of(swapped), rows)
 
     monkeypatch.setattr(mgstate.cli, "extend_for_subgroup", swapped)
     for argv in BATTERY_COMMANDS:
@@ -817,6 +824,32 @@ def test_subgroups_past_int64_pair_coordinates_exit_3(tmp_path):
     code, out, err = run_cli("subgroups", "--bound", "100", write_graph(tmp_path, text))
     assert (code, out) == (3, "")
     assert err.startswith("bound exceeded: enumeration bound exceeded: 2e = 64 > 62 (chi(32) = ")
+
+
+def test_payload_splits_lab_and_environment_offsets():
+    # a hand-built parent of one chunk with lab offset 0 and environment
+    # offset 3, which symmetrize never writes: the report reads both off
+    # the batch's offsets row, each under its own key and both in the phase
+    # function, and the environment offset leaves the child as it is
+    g = mgstate.graphs.parse_graph(TRIANGLE)
+    duals, rows = mgstate.graphs.dual_stabilizer(g), mgstate.graphs.stabilizer_matrix(g)
+    (p,) = parents_of(extend_e1(g)[:1])
+    assert (p.lab_offsets, p.env_offsets) == ({2}, set())
+    signed = dataclasses.replace(p, lab_offsets=frozenset({0}), env_offsets=frozenset({3}))
+    unsigned = dataclasses.replace(signed, env_offsets=frozenset())
+    chunks = [mgstate.states.child_from_pauli_sum(batch, duals, mgstate.extension.indicator(batch))
+              for batch in (batch_of([signed]), batch_of([unsigned]))]
+    assert chunks[0].parents.offsets.tolist() == [0b1001]
+    mgstate.cli._check_children(chunks[0], rows)
+    assert same_children(chunks[0].rho, chunks[1].rho)
+    payload, plain = (mgstate.cli._payload(chunk, 0) for chunk in chunks)
+    assert (payload["lab_offsets"], payload["env_offsets"]) == ([0], [3])
+    assert (plain["lab_offsets"], plain["env_offsets"]) == ([0], [])
+    terms = payload["phase_function"].split(" + ")
+    assert "2*x0" in terms and "2*x3" in terms and "2*x2" not in terms
+    assert payload["phase_function"] == plain["phase_function"].replace("2*x0", "2*x0 + 2*x3")
+    same = payload.keys() - {"env_offsets", "phase_function", "rho"}  # rho holds arrays
+    assert {k: payload[k] for k in same} == {k: plain[k] for k in same}
 
 
 @pytest.mark.parametrize("command", ["children", "verify"])
@@ -1376,8 +1409,8 @@ def test_verify_chunks_by_member_words(monkeypatch):
 def _subgroup_parent(fixture, idx):
     g = mgstate.graphs.parse_graph((FIXTURES / f"{fixture}.graph").read_text())
     red = mgstate.subgroups.reduce_gamma(g.gamma())
-    sub = mgstate.subgroups.enumerate_max_isotropic(red)[idx]
-    return extend_for_subgroup(g, [sub], mgstate.graphs.stabilizer_matrix(g))[0]
+    subs = mgstate.subgroups.enumerate_max_isotropic(red)[idx:idx + 1]
+    return parents_of(extend_for_subgroup(g, subs, mgstate.graphs.stabilizer_matrix(g)))[0]
 
 
 def _route_fail_line(fixture, idx):
@@ -1393,10 +1426,10 @@ def _mutate_child(monkeypatch, target, mutate):
     original = mgstate.states.child_from_pauli_sum
     seen = []
 
-    def mutated(parents, duals, inds):
-        children = original(parents, duals, inds)
+    def mutated(parents, duals, gens):
+        children = original(parents, duals, gens)
         i = target - len(seen)
-        seen.extend(parents)
+        seen.extend(range(len(parents)))
         if 0 <= i < len(parents):
             z, kappa = children.rho.z.copy(), children.rho.kappa.copy()
             mutate(children, z, kappa, i)
@@ -1414,7 +1447,7 @@ def _flip_sign(children, z, kappa, i):
 def _drop_generator(children, z, kappa, i):
     # the sum over J with the last generator's Z part dropped: each member
     # outside the span of the other generators loses that Z mask
-    *others, last = children.indicators[i][1].rows
+    *others, last = children.gens[i].tolist()
     members = children.rho.offsets[i]
     z[i, ~np.isin(members, span_of_basis(others))] ^= z[i, members == last]
 
@@ -1528,7 +1561,7 @@ def _corrupt_routes(monkeypatch, target, edit, routes):
 
         def corrupted(parents, *rest, _original=original, _seen=seen):
             out, i = _original(parents, *rest), target - len(_seen)
-            _seen.extend(parents)
+            _seen.extend(range(len(parents)))
             if not 0 <= i < len(parents):
                 return out
             if isinstance(out, ChildResult):

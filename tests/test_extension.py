@@ -9,17 +9,19 @@ import pytest
 
 import mgstate.extension
 from conftest import (
+    ParentExtension,
     one_closed_form_columns,
     one_extend_for_subgroup,
     one_indicator,
     one_meets_extension_condition,
     one_parity_basis,
     one_symmetrize,
+    parents_of,
     span_of_basis,
 )
 from mgstate.extension import (
     ExtensionError,
-    ParentExtension,
+    ParentBatch,
     _closed_form_columns,
     _greedy_columns,
     extend_e1,
@@ -67,11 +69,12 @@ SPARSE128 = (
 
 
 def subgroup_for_generators(g, gens):
+    """The enumerated subgroup that ``gens`` span, as a batch of one."""
     subs = enumerate_max_isotropic(reduce_gamma(g.gamma()))
     target_span = set(span(list(gens), g.n))
-    for s in subs:
+    for i, s in enumerate(subs):
         if set(span_of_basis(s.lifted_basis)) == target_span:
-            return s
+            return subs[i:i + 1]
     raise AssertionError("generators do not span an enumerated maximal subgroup")
 
 
@@ -97,7 +100,7 @@ def test_extend_e1_requires_rank_one():
 
 def test_extend_e1_triangle_six_parents():
     g = parse_graph(TRIANGLE)
-    parents = extend_e1(g)
+    parents = parents_of(extend_e1(g))
     assert len(parents) == 6
     assigns = [p.ext_assign[0] for p in parents]
     assert assigns == list(mask_columns(["XZY", "XYZ", "ZXY", "ZYX", "YXZ", "YZX"]))
@@ -111,7 +114,7 @@ def test_extend_e1_triangle_six_parents():
 def test_extend_e1_triangle_xzy_graph_form():
     # the worked (X, Z, Y) parent: 2(x0x2+x1x2+x1x3+x2x3+x2)+x2
     g = parse_graph(TRIANGLE)
-    p = extend_e1(g)[0]
+    p = parents_of(extend_e1(g))[0]
     assert p.ext_assign == mask_columns(["XZY"])
     edges = {(j, k) for j, k in itertools.combinations(range(p.total), 2) if p.ae.get(j, k)}
     assert edges == {(0, 2), (1, 2), (1, 3), (2, 3)}
@@ -122,7 +125,7 @@ def test_extend_e1_triangle_xzy_graph_form():
 
 def test_extend_e1_sec2_worked_graph_forms():
     g = parse_graph(PATH_MIXED)
-    parents = extend_e1(g)
+    parents = parents_of(extend_e1(g))
     assert len(parents) == 6
     by_assign = {p.ext_assign[0]: p for p in parents}
     # column (Z, X, I) gives the displayed connected graph form
@@ -137,7 +140,7 @@ def test_extend_e1_sec2_worked_graph_forms():
 
 def test_extend_e1_undirected_only_node_gets_identity():
     g = parse_graph(PATH_MIXED)
-    for p in extend_e1(g):
+    for p in parents_of(extend_e1(g)):
         x, z = p.ext_assign[0]
         assert not ((x | z) >> 2) & 1
 
@@ -151,10 +154,11 @@ def test_extend_e1_rows_commute_random(rng):
         made += 1
         parents = extend_e1(g)
         assert 1 <= len(parents) <= 6
-        for p, (l_sets, gmat, h) in zip(parents, indicator(parents)):
+        assert indicator(parents).shape == (len(parents), g.n - 1)
+        for p, h in zip(parents_of(parents), parents.parity_rows().tolist()):
             assert verify_full_commutation(p.rows())
             assert p.ae.is_symmetric()
-            assert h.nrows == 1
+            assert len(h) == 1
 
 
 def test_extend_e1_children_cover_all_maximal_subgroups(rng):
@@ -167,8 +171,8 @@ def test_extend_e1_children_cover_all_maximal_subgroups(rng):
         subs = enumerate_max_isotropic(reduce_gamma(g.gamma()))
         spans = {tuple(sorted(span_of_basis(s.lifted_basis))) for s in subs}
         hit = set()
-        for _, gmat, _ in indicator(extend_e1(g)):
-            hit.add(tuple(span(gmat.rows, g.n)))
+        for gens in indicator(extend_e1(g)).tolist():
+            hit.add(tuple(span(gens, g.n)))
         assert hit == spans  # all 3 maximal subgroups appear as children
         assert len(spans) == 3
 
@@ -246,7 +250,7 @@ def assert_symmetrize_matches_row_products(stabilizer, columns):
     except ExtensionError:  # the rows do not commute: the adjacency comes out asymmetric
         assert symmetrize(stabilizer, [columns]).is_symmetric().tolist() == [False]
         return
-    p = symmetrize(stabilizer, [columns])[0]
+    (p,) = parents_of(symmetrize(stabilizer, [columns]))
     assert (p.ae, p.lab_offsets, p.env_offsets) == want
     assert p.ext_assign == tuple(columns)
 
@@ -256,9 +260,9 @@ def assert_parents_match_row_products(g):
     ``extend_e1`` column."""
     stabilizer = stabilizer_matrix(g)
     subs = enumerate_max_isotropic(reduce_gamma(g.gamma()))
-    parents = list(extend_for_subgroup(g, subs, stabilizer))
+    parents = parents_of(extend_for_subgroup(g, subs, stabilizer))
     if mixed_rank(g)[0] == 1:
-        parents += extend_e1(g)
+        parents += parents_of(extend_e1(g))
     for p in parents:
         assert_symmetrize_matches_row_products(stabilizer, p.ext_assign)
 
@@ -281,20 +285,22 @@ def test_symmetrize_matches_row_products_random(rng):
 
 def test_symmetrize_sec2_appended_matrix():
     # the worked A' = (A | (Z X I)^T ; Z I I X) reduces to the displayed form
-    p = symmetrize(stabilizer_matrix(parse_graph(PATH_MIXED)), [mask_columns(["ZXI"])])[0]
+    rows = stabilizer_matrix(parse_graph(PATH_MIXED))
+    (p,) = parents_of(symmetrize(rows, [mask_columns(["ZXI"])]))
     assert graph_form_letters(p) == SEC2_AE_ROWS
     assert p.lab_offsets == frozenset() and p.env_offsets == frozenset()
 
 
 def test_symmetrize_alt_extension():
-    p = symmetrize(stabilizer_matrix(parse_graph(PATH_MIXED)), [mask_columns(["XZI"])])[0]
+    rows = stabilizer_matrix(parse_graph(PATH_MIXED))
+    (p,) = parents_of(symmetrize(rows, [mask_columns(["XZI"])]))
     assert graph_form_letters(p) == SEC2_AE_ROWS_ALT
 
 
 def test_symmetrize_identity_on_graph_form():
     g = parse_graph("nodes 3\nedge 0 -- 1\nedge 1 -- 2\n")
     rows = stabilizer_matrix(g)
-    p = symmetrize(rows, [()])[0]
+    (p,) = parents_of(symmetrize(rows, [()]))
     assert [r.letters() for r in p.rows()] == ["XZI", "ZXZ", "IZX"]
     assert p.lab_offsets == frozenset()
 
@@ -316,7 +322,7 @@ def test_symmetrize_preserves_group(rng):
         if e != 1:
             continue
         made += 1
-        for p in extend_e1(g):
+        for p in parents_of(extend_e1(g)):
             total = p.total
             base = _extended_rows(stabilizer_matrix(g), [p.ext_assign[0]])
 
@@ -330,42 +336,44 @@ def test_symmetrize_preserves_group(rng):
 
 def test_indicator_triangle():
     g = parse_graph(TRIANGLE)
-    l_sets, gmat, h = indicator(extend_e1(g)[:1])[0]  # (X, Z, Y)
-    assert l_sets == [(1, 2)]
-    assert h.rows == (mask_of([1, 2]),)
-    assert span(gmat.rows, 3) == sorted([0b000, 0b001, 0b110, 0b111])
+    parents = extend_e1(g)[:1]  # (X, Z, Y)
+    (gens,), (h,) = indicator(parents).tolist(), parents.parity_rows().tolist()
+    assert [bits_of(row) for row in h] == [[1, 2]]  # the L sets
+    assert h == [mask_of([1, 2])]
+    assert span(gens, 3) == sorted([0b000, 0b001, 0b110, 0b111])
     # members as bitstrings j0j1j2: 000, 100, 011, 111
-    members = {format(v, "03b")[::-1] for v in span(gmat.rows, 3)}
+    members = {format(v, "03b")[::-1] for v in span(gens, 3)}
     assert members == {"000", "100", "011", "111"}
 
 
 def test_indicator_e0_full_group():
     g = parse_graph("nodes 3\nedge 0 -- 1\n")
-    l_sets, gmat, h = indicator(symmetrize(stabilizer_matrix(g), [()]))[0]
-    assert l_sets == [] and h.nrows == 0
-    assert span(gmat.rows, 3) == list(range(8))
+    parents = symmetrize(stabilizer_matrix(g), [()])
+    (gens,), (h,) = indicator(parents).tolist(), parents.parity_rows().tolist()
+    assert h == []  # no L set, no H row
+    assert span(gens, 3) == list(range(8))
 
 
 def test_fivenode_worked_extension():
     g = parse_graph(FIVENODE)
     sub = subgroup_for_generators(g, FIVENODE_SUBGROUP_GENS)
-    parents = extend_for_subgroup(g, [sub], stabilizer_matrix(g))
-    p = parents[0]
+    parents = extend_for_subgroup(g, sub, stabilizer_matrix(g))
+    (p,) = parents_of(parents)
     h = BinMatrix(tuple(parents.parity_rows()[0].tolist()), g.n)
     assert h.row_strings() == ["01001", "00101"]  # conditions {1,4}, {2,4}
     assert p.ext_assign == mask_columns(FIVENODE_EXT_COLUMNS)
     assert verify_full_commutation(p.rows())
-    assert set(span(indicator(parents)[0][1].rows, p.n)) == set(span_of_basis(sub.lifted_basis))
+    assert set(span(indicator(parents)[0].tolist(), p.n)) == set(span_of_basis(sub[0].lifted_basis))
 
 
 def test_clique6_worked_extension():
     g = parse_graph(CLIQUE6)
     sub = subgroup_for_generators(g, CLIQUE6_SUBGROUP_GENS)
-    parents = extend_for_subgroup(g, [sub], stabilizer_matrix(g))
-    p = parents[0]
+    parents = extend_for_subgroup(g, sub, stabilizer_matrix(g))
+    (p,) = parents_of(parents)
     assert p.ext_assign == mask_columns(CLIQUE6_EXT_COLUMNS)
     assert verify_full_commutation(p.rows())
-    assert set(span(indicator(parents)[0][1].rows, p.n)) == set(span_of_basis(sub.lifted_basis))
+    assert set(span(indicator(parents)[0].tolist(), p.n)) == set(span_of_basis(sub[0].lifted_basis))
 
 
 def test_displayed_extensions_commute():
@@ -383,15 +391,32 @@ def test_extend_for_subgroup_rejects_foreign_subgroup():
     g = parse_graph(FIVENODE)
     other = parse_graph("nodes 5\nedge 0 -> 1\nedge 2 -> 3\n")
     assert mixed_rank(other)[0] == mixed_rank(g)[0] == 2
-    sub = enumerate_max_isotropic(reduce_gamma(other.gamma()))[0]
+    subs = enumerate_max_isotropic(reduce_gamma(other.gamma()))[:1]
     with pytest.raises(ExtensionError):
-        extend_for_subgroup(g, [sub], stabilizer_matrix(g))
+        extend_for_subgroup(g, subs, stabilizer_matrix(g))
+
+
+def test_parent_batch_takes_slices_only():
+    # the batch is the only parent type: a slice is a batch, while an item
+    # would be one of 1-D arrays, so asking for one raises, and so does
+    # iterating, which asks for item 0 first
+    parents = extend_e1(parse_graph(TRIANGLE))
+    part = parents[1:3]
+    assert isinstance(part, ParentBatch) and (part.n, part.e, len(part)) == (3, 1, 2)
+    assert part.ae.tolist() == parents.ae[1:3].tolist()
+    assert part.offsets.tolist() == parents.offsets[1:3].tolist()
+    assert part.xcols.tolist() == parents.xcols[1:3].tolist()
+    for item in (0, -1, np.int64(0)):
+        with pytest.raises(TypeError, match="slices"):
+            parents[item]
+    with pytest.raises(TypeError, match="slices"):
+        list(parents)
 
 
 def test_extend_for_subgroup_e0():
     g = parse_graph("nodes 2\nedge 0 -- 1\n")
-    sub = enumerate_max_isotropic(reduce_gamma(g.gamma()))[0]
-    p = extend_for_subgroup(g, [sub], stabilizer_matrix(g))[0]
+    subs = enumerate_max_isotropic(reduce_gamma(g.gamma()))[:1]
+    (p,) = parents_of(extend_for_subgroup(g, subs, stabilizer_matrix(g)))
     assert p.e == 0
     assert [r.letters() for r in p.rows()] == ["XZ", "ZX"]
 
@@ -402,10 +427,11 @@ def test_extend_for_subgroup_all_subgroups_random(rng):
         subs = enumerate_max_isotropic(reduce_gamma(g.gamma()))
         parents = extend_for_subgroup(g, subs, stabilizer_matrix(g))
         assert len(parents) == len(subs)
-        for sub, p, (_, gmat, h) in zip(subs, parents, indicator(parents)):
+        hs = parents.parity_rows().tolist()
+        for sub, p, gens, h in zip(subs, parents_of(parents), indicator(parents).tolist(), hs):
             assert verify_full_commutation(p.rows())
-            assert set(span(gmat.rows, p.n)) == set(span_of_basis(sub.lifted_basis))
-            assert h.nrows == p.e
+            assert set(span(gens, p.n)) == set(span_of_basis(sub.lifted_basis))
+            assert len(h) == p.e
 
 
 def test_extend_minimum_e_only(rng):
@@ -552,7 +578,7 @@ def test_extend_for_subgroup_n128(monkeypatch):
     assert mixed_rank(g)[0] == 2 and len(subs) == chi(2) == 15
     parents = extend_for_subgroup(g, subs, rows)
     assert parents.ae.dtype == object
-    assert [ind[1].rows for ind in indicator(parents)] == [sub.lifted_basis for sub in subs]
+    assert list(map(tuple, indicator(parents).tolist())) == [sub.lifted_basis for sub in subs]
     assert meets_extension_condition(g.gamma(), parents).all()
     assert fallbacks == [6]
 
@@ -596,9 +622,9 @@ def assert_batch_matches_oracle(g, oracle=None):
     subs = enumerate_max_isotropic(reduce_gamma(g.gamma()))
     parents = extend_for_subgroup(g, subs, rows)
     want = [(oracle or one_extend_for_subgroup)(g, sub, rows) for sub in subs]
-    assert list(parents) == want
+    assert parents_of(parents) == want
     assert _batch_verdicts(parents, subs) == list(map(_oracle_verdicts, want, subs))
-    assert indicator(parents) == [one_indicator(p) for p in want]
+    assert indicator(parents).tolist() == [list(one_indicator(p)[1].rows) for p in want]
     return parents
 
 
@@ -667,7 +693,7 @@ def test_batched_verdicts_match_oracle_on_corrupted_parity_rows():
             continue
         ae = parents.ae.copy()
         want = []
-        for i, (sub, p) in enumerate(zip(subs, parents)):
+        for i, (sub, p) in enumerate(zip(subs, parents_of(parents))):
             m, j = i % p.e, (i // p.e) % p.n
             ae[i, p.n + m] ^= 1 << j
             env = list(p.ae.rows[p.n:])

@@ -14,6 +14,8 @@ import mgstate.states
 from conftest import (
     Layout,
     OneChild,
+    ParentExtension,
+    batch_of,
     conjugate_dense,
     conjugated,
     divided_by_pow2,
@@ -23,22 +25,26 @@ from conftest import (
     layout_stabilized_by,
     matmul,
     members_of,
+    one_gens,
     one_indicator,
     one_partial_trace,
     one_pauli_sum,
+    parents_of,
     pauli_sum,
+    pauli_sum_of,
     random_word,
     reversed_graph,
     rho_to_complex,
     same_children,
     same_matrix,
     span_of_basis,
+    subgroup_batch_of,
     word_to_complex,
 )
 from mgstate.extension import (
-    ParentExtension,
     extend_e1,
     extend_for_subgroup,
+    indicator,
     phases,
     symmetrize,
 )
@@ -136,7 +142,8 @@ def test_state_trivial_plus():
     p = parent_from_paper([], [], [], 1, 0)
     assert oracle_phases(p) == [0, 0]
     # normalised by 2^{-1/2} per amplitude: |+><+|
-    assert np.array_equal(rho_to_complex(child_from_partial_trace([p])), np.full((2, 2), 0.5))
+    rho = child_from_partial_trace(batch_of([p]))
+    assert np.array_equal(rho_to_complex(rho), np.full((2, 2), 0.5))
 
 
 def test_state_bound():
@@ -144,7 +151,7 @@ def test_state_bound():
     # member list, while its layout takes 8 4^13 bytes and a dense rendering
     # 16 4^13: both are past the cap
     p = parent_from_paper([], [], [], 13, 1)
-    rho = child_from_partial_trace([p])
+    rho = child_from_partial_trace(batch_of([p]))
     assert rho.offsets.tolist() == [list(range(1 << 13))]
     with pytest.raises(BoundExceeded, match="8192 x 8192 entries takes 536870912 bytes"):
         rho.num
@@ -152,7 +159,7 @@ def test_state_bound():
         rho.dense(0)
     # the route's own scan of the 2^n syndromes H c is capped too: 8 2^26 bytes
     with pytest.raises(BoundExceeded, match="1 x 67108864 lab syndromes takes 536870912 bytes"):
-        child_from_partial_trace([parent_from_paper([], [], [], 26, 1)])
+        child_from_partial_trace(batch_of([parent_from_paper([], [], [], 26, 1)]))
 
 
 def test_stabilizes_plus_state():
@@ -168,7 +175,7 @@ def test_parent_rows_stabilize_parent_state(rng):
         if mixed_rank(g)[0] != 1:
             continue
         made += 1
-        for p in extend_e1(g):
+        for p in parents_of(extend_e1(g)):
             psi = psi_of(p)
             for row in p.rows():
                 assert fixes(row, psi)
@@ -185,20 +192,20 @@ def test_triangle_parent_stabilized_by_ae_rows():
 
 
 def test_rho0_from_partial_trace():
-    rho = child_from_partial_trace([parent_from_paper(*RHO0_PARENT, 3, 1)])
+    rho = child_from_partial_trace(batch_of([parent_from_paper(*RHO0_PARENT, 3, 1)]))
     assert np.array_equal(rho_to_complex(rho), paper_matrix(RHO0_NUM, 8))
 
 
 def test_rho1_rho2_from_partial_trace():
     for parent, num in ((RHO1_PARENT, RHO1_NUM), (RHO2_PARENT, RHO2_NUM)):
-        rho = child_from_partial_trace([parent_from_paper(*parent, 3, 1)])
+        rho = child_from_partial_trace(batch_of([parent_from_paper(*parent, 3, 1)]))
         assert np.array_equal(rho_to_complex(rho), paper_matrix(num, 8))
 
 
 def test_sec2_traced_display():
     # the displayed matrix is twice the partial trace, indexed with x0 as
     # the least significant bit
-    rho = child_from_partial_trace([parent_from_paper(*SEC2_PARENT, 3, 1)])
+    rho = child_from_partial_trace(batch_of([parent_from_paper(*SEC2_PARENT, 3, 1)]))
     mine = rho_to_complex(rho)
     rev = [int(format(a, "03b")[::-1], 2) for a in range(8)]
     reindexed = mine[np.ix_(rev, rev)]
@@ -208,7 +215,7 @@ def test_sec2_traced_display():
 
 def test_partial_trace_product_state_is_pure():
     # lab state (x0 x1 quadratic) tensored with an unentangled environment
-    rho = child_from_partial_trace([parent_from_paper([(0, 1)], [], [], 2, 1)])
+    rho = child_from_partial_trace(batch_of([parent_from_paper([(0, 1)], [], [], 2, 1)]))
     assert rho.is_pure()
     assert rho.trace_is_one()
 
@@ -227,15 +234,15 @@ def exp_of(c):
 def test_sign_coefficients_worked_parents():
     g = parse_graph(TRIANGLE)
     duals = triangle_duals()
-    parents = extend_e1(g)
+    parents = parents_of(extend_e1(g))
     # column (X, Z, Y): rho = (s000 + s100 + i s011 + i s111)/8
     p_xzy = parents[0]
-    coeffs = child_from_pauli_sum([p_xzy], duals, [one_indicator(p_xzy)]).terms(0)
+    coeffs = pauli_sum_of([p_xzy], duals).terms(0)
     keyed = {format(k, "03b")[::-1]: v for k, v in coeffs.items()}
     assert keyed == {"000": 0, "100": 0, "011": 1, "111": 1}
     # column (X, Y, Z): rho = (s000 + s100 - i s011 - i s111)/8
     p_xyz = parents[1]
-    coeffs = child_from_pauli_sum([p_xyz], duals, [one_indicator(p_xyz)]).terms(0)
+    coeffs = pauli_sum_of([p_xyz], duals).terms(0)
     keyed = {format(k, "03b")[::-1]: v for k, v in coeffs.items()}
     assert keyed == {"000": 0, "100": 0, "011": 3, "111": 3}
 
@@ -243,10 +250,10 @@ def test_sign_coefficients_worked_parents():
 def test_sign_coefficients_binary_flip_rule():
     g = parse_graph(TRIANGLE)
     duals = triangle_duals()
-    p = extend_e1(g)[0]
-    base = child_from_pauli_sum([p], duals, [one_indicator(p)]).terms(0)
+    p = parents_of(extend_e1(g))[0]
+    base = pauli_sum_of([p], duals).terms(0)
     p_flipped = dataclasses.replace(p, lab_offsets=p.lab_offsets ^ {0})
-    flipped = child_from_pauli_sum([p_flipped], duals, [one_indicator(p_flipped)]).terms(0)
+    flipped = pauli_sum_of([p_flipped], duals).terms(0)
     for j, v in base.items():
         expect = (v + 2) % 4 if (j & 1) else v  # terms containing row 0
         assert flipped[j] == expect
@@ -260,8 +267,8 @@ def test_terms_are_hermitian(rng):
             continue
         made += 1
         duals = dual_stabilizer(g)
-        for p in extend_e1(g):
-            coeffs = child_from_pauli_sum([p], duals, [one_indicator(p)]).terms(0)
+        for p in parents_of(extend_e1(g)):
+            coeffs = pauli_sum_of([p], duals).terms(0)
             for j, k in coeffs.items():
                 word = ordered_product(duals, bits_of(j))
                 scaled = PauliWord(word.n, word.x, word.z, word.phase + k)
@@ -278,14 +285,14 @@ def test_child_equals_partial_trace_all_paper_graphs():
         subs = enumerate_max_isotropic(reduce_gamma(g.gamma()))
         parents = []
         if e == 1:
-            parents += extend_e1(g)
-        for sub in subs:
-            p = extend_for_subgroup(g, [sub], stabilizer_matrix(g))[0]
+            parents += parents_of(extend_e1(g))
+        for i in range(len(subs)):
+            (p,) = parents_of(extend_for_subgroup(g, subs[i:i + 1], stabilizer_matrix(g)))
             assert p is not None
             parents.append(p)
         for p in parents:
-            child = child_from_pauli_sum([p], duals, [one_indicator(p)])
-            assert same_children(child.rho, child_from_partial_trace([p]))
+            child = pauli_sum_of([p], duals)
+            assert same_children(child.rho, child_from_partial_trace(batch_of([p])))
 
 
 def test_child_trace_hermitian_mixed(rng):
@@ -297,9 +304,9 @@ def test_child_trace_hermitian_mixed(rng):
             continue
         made += 1
         duals = dual_stabilizer(g)
-        sub = enumerate_max_isotropic(reduce_gamma(g.gamma()))[0]
-        p = extend_for_subgroup(g, [sub], stabilizer_matrix(g))[0]
-        child = child_from_pauli_sum([p], duals, [one_indicator(p)])
+        subs = enumerate_max_isotropic(reduce_gamma(g.gamma()))[:1]
+        (p,) = parents_of(extend_for_subgroup(g, subs, stabilizer_matrix(g)))
+        child = pauli_sum_of([p], duals)
         assert child.rho.trace_is_one()
         assert child.rho.is_hermitian()
         assert not child.rho.is_pure()  # e >= 1 means properly mixed
@@ -316,16 +323,16 @@ def test_child_subgroup_is_maximal(rng):
         made += 1
         subs = enumerate_max_isotropic(reduce_gamma(g.gamma()))
         spans = {tuple(sorted(span_of_basis(s.lifted_basis))) for s in subs}
-        for p in extend_e1(g):
+        for p in parents_of(extend_e1(g)):
             assert tuple(span(one_indicator(p)[1].rows, p.n)) in spans
 
 
 def test_e0_child_is_pure_projector():
     g = parse_graph("nodes 3\nedge 0 -- 1\nedge 1 -- 2\n")
-    p = symmetrize(stabilizer_matrix(g), [()])[0]
-    child = child_from_pauli_sum([p], dual_stabilizer(g), [one_indicator(p)])
+    (p,) = parents_of(symmetrize(stabilizer_matrix(g), [()]))
+    child = pauli_sum_of([p], dual_stabilizer(g))
     assert len(child.terms(0)) == 8  # sum over the whole stabilizer group
-    assert same_children(child.rho, child_from_partial_trace([p]))
+    assert same_children(child.rho, child_from_partial_trace(batch_of([p])))
     assert child.rho.is_pure()
 
 
@@ -333,10 +340,10 @@ def test_rho0_is_a_pauli_sum_child():
     # rho0's stated parent, fed through the Pauli-sum route
     p = parent_from_paper(*RHO0_PARENT, 3, 1)
     duals = triangle_duals()
-    child = child_from_pauli_sum([p], duals, [one_indicator(p)])
+    child = pauli_sum_of([p], duals)
     assert np.array_equal(rho_to_complex(child.rho), paper_matrix(RHO0_NUM, 8))
     # and it matches the partial trace of the same parent
-    assert same_children(child.rho, child_from_partial_trace([p]))
+    assert same_children(child.rho, child_from_partial_trace(batch_of([p])))
 
 
 def test_disjoint_support_of_dual_products(rng):
@@ -463,7 +470,7 @@ def test_z_pattern_solve_matches_search(rng):
             graphs.append(g)
     for g in graphs:
         duals = dual_stabilizer(g)
-        children = [child_from_pauli_sum([p], duals, [one_indicator(p)]) for p in extend_e1(g)]
+        children = [pauli_sum_of([p], duals) for p in parents_of(extend_e1(g))]
         assert_z_patterns_match_search([c.terms(0) for c in children], g.n)
     # an odd difference (b_1 - a_1 = 3) and a J where a sign flip is forced
     # on 0b11 but not on either of its factors
@@ -489,10 +496,10 @@ def test_sign_table_row_for_row():
         expect = child_matrix(a, b)
         for quad, z4, binary in parents:
             p = parent_from_paper(quad, z4, binary, 3, 1)
-            rho = child_from_partial_trace([p])
+            rho = child_from_partial_trace(batch_of([p]))
             assert np.array_equal(rho_to_complex(rho), expect), (a, b, binary)
             # and through the Pauli-sum route
-            child = child_from_pauli_sum([p], duals, [one_indicator(p)])
+            child = pauli_sum_of([p], duals)
             assert same_children(child.rho, rho)
 
 
@@ -505,11 +512,11 @@ def test_linear_term_rule_via_z_conjugation(rng):
             continue
         made += 1
         duals = dual_stabilizer(g)
-        for p in extend_e1(g)[:2]:
-            base = child_from_pauli_sum([p], duals, [one_indicator(p)]).rho
+        for p in parents_of(extend_e1(g))[:2]:
+            base = pauli_sum_of([p], duals).rho
             for k in range(g.n):
                 flipped = dataclasses.replace(p, lab_offsets=p.lab_offsets ^ {k})
-                flipped = child_from_pauli_sum([flipped], duals, [one_indicator(flipped)]).rho
+                flipped = pauli_sum_of([flipped], duals).rho
                 zk = PauliWord(g.n, 0, 1 << k, 0)
                 assert same_children(flipped, conjugated(base, zk))
 
@@ -525,7 +532,8 @@ def test_clique6_displayed_parent_graph_form():
     from test_extension import mask_columns
 
     g = parse_graph(CLIQUE6)
-    p = symmetrize(stabilizer_matrix(g), [mask_columns(CLIQUE6_SEC5_INTERMEDIATE_COLUMNS)])[0]
+    columns = mask_columns(CLIQUE6_SEC5_INTERMEDIATE_COLUMNS)
+    (p,) = parents_of(symmetrize(stabilizer_matrix(g), [columns]))
     assert [r.letters() for r in p.rows()] == CLIQUE6_PARENT_AE_ROWS
     assert sorted(p.lab_offsets) == CLIQUE6_PARENT_BINARY
     assert p.env_offsets == frozenset()
@@ -539,8 +547,8 @@ def test_clique6_displayed_parent_graph_form():
     assert gmat.row_strings() == CLIQUE6_G_ROWS
     # its child agrees across both routes and is stabilized by the clique
     duals = dual_stabilizer(g)
-    child = child_from_pauli_sum([p], duals, [one_indicator(p)])
-    assert same_children(child.rho, child_from_partial_trace([p]))
+    child = pauli_sum_of([p], duals)
+    assert same_children(child.rho, child_from_partial_trace(batch_of([p])))
     assert stabilized_by(child.rho, stabilizer_matrix(g))
 
 
@@ -556,18 +564,15 @@ def test_clique6_displayed_eight_term_child():
     g = reversed_graph(parse_graph(CLIQUE6))
     duals = dual_stabilizer(g)
     target = set(span(list(CLIQUE6_SEC5_SUBGROUP_GENS), 6))
-    sub = next(
-        s
-        for s in enumerate_max_isotropic(reduce_gamma(g.gamma()))
-        if set(span_of_basis(s.lifted_basis)) == target
-    )
-    p = extend_for_subgroup(g, [sub], stabilizer_matrix(g))[0]
-    child = child_from_pauli_sum([p], duals, [one_indicator(p)])
+    subs = enumerate_max_isotropic(reduce_gamma(g.gamma()))
+    i = next(i for i, s in enumerate(subs) if set(span_of_basis(s.lifted_basis)) == target)
+    (p,) = parents_of(extend_for_subgroup(g, subs[i:i + 1], stabilizer_matrix(g)))
+    child = pauli_sum_of([p], duals)
     expect = np.zeros((64, 64), dtype=complex)
     for sign, letters in CLIQUE6_CHILD_TERMS:
         expect = expect + sign * kron_letters(letters)
     assert np.array_equal(rho_to_complex(child.rho), expect / 64)
-    assert same_children(child.rho, child_from_partial_trace([p]))
+    assert same_children(child.rho, child_from_partial_trace(batch_of([p])))
     assert stabilized_by(child.rho, stabilizer_matrix(g))
 
 
@@ -576,10 +581,10 @@ def test_clique6_worked_subgroup_child_matches_trace():
     duals = dual_stabilizer(g)
     subs = enumerate_max_isotropic(reduce_gamma(g.gamma()))
     target = set(span(list(FIVENODE_SUBGROUP_GENS), 5))
-    sub = next(s for s in subs if set(span_of_basis(s.lifted_basis)) == target)
-    p = extend_for_subgroup(g, [sub], stabilizer_matrix(g))[0]
-    child = child_from_pauli_sum([p], duals, [one_indicator(p)])
-    assert same_children(child.rho, child_from_partial_trace([p]))
+    i = next(i for i, s in enumerate(subs) if set(span_of_basis(s.lifted_basis)) == target)
+    (p,) = parents_of(extend_for_subgroup(g, subs[i:i + 1], stabilizer_matrix(g)))
+    child = pauli_sum_of([p], duals)
+    assert same_children(child.rho, child_from_partial_trace(batch_of([p])))
     assert set(child.terms(0)) == target
 
 
@@ -636,16 +641,16 @@ def _every_parent(g):
     rows = stabilizer_matrix(g)
     e, _ = mixed_rank(g)
     subs = enumerate_max_isotropic(reduce_gamma(g.gamma()))
-    parents = list(extend_for_subgroup(g, subs, rows))
+    parents = parents_of(extend_for_subgroup(g, subs, rows))
     if e == 1:
-        parents += extend_e1(g)
+        parents += parents_of(extend_e1(g))
     return e, parents
 
 
 def _every_child(g):
     duals = dual_stabilizer(g)
     e, parents = _every_parent(g)
-    return e, [child_from_pauli_sum([p], duals, [one_indicator(p)]) for p in parents]
+    return e, [pauli_sum_of([p], duals) for p in parents]
 
 
 def _purity_graphs():
@@ -676,8 +681,8 @@ def test_purity_examples():
         assert not mixed.is_pure()  # the old check passes it for any e >= 1 ...
         assert mixed.purity() == [Fraction(1, 1 << n)]  # ... purity tells it apart
     g = parse_graph("nodes 3\nedge 0 -- 1\nedge 1 -- 2\n")
-    p = symmetrize(stabilizer_matrix(g), [()])[0]
-    assert child_from_pauli_sum([p], dual_stabilizer(g), [one_indicator(p)]).rho.purity() == [1]
+    (p,) = parents_of(symmetrize(stabilizer_matrix(g), [()]))
+    assert pauli_sum_of([p], dual_stabilizer(g)).rho.purity() == [1]
 
 
 def test_purity_exact_beyond_int64():
@@ -747,13 +752,14 @@ def test_child_from_pauli_sum_no_product_per_member(monkeypatch):
         g = parse_graph(text)
         e, _ = mixed_rank(g)
         duals = dual_stabilizer(g)
-        for sub in enumerate_max_isotropic(reduce_gamma(g.gamma())):
-            p = extend_for_subgroup(g, [sub], stabilizer_matrix(g))[0]
-            ind = one_indicator(p)
+        subs = enumerate_max_isotropic(reduce_gamma(g.gamma()))
+        for i in range(len(subs)):
+            parents = extend_for_subgroup(g, subs[i:i + 1], stabilizer_matrix(g))
+            gens = indicator(parents)
             for name in calls:
                 calls[name] = 0
             monkeypatch.setattr(PauliWord, "__init__", counting("PauliWord"))
-            child = child_from_pauli_sum([p], duals, [ind])
+            child = child_from_pauli_sum(parents, duals, gens)
             monkeypatch.setattr(PauliWord, "__init__", originals["PauliWord"])
             assert len(child.terms(0)) == 1 << (g.n - e)
             assert calls == {"ordered_product": 0, "mul": 0, "phases": 1, "PauliWord": 0}
@@ -777,7 +783,8 @@ def test_pauli_terms_match_ordered_products():
         duals = dual_stabilizer(g)
         for p in _every_parent(g)[1]:
             gmat, parent_phase = one_indicator(p)[1], phase_oracle(p)
-            x, z, phase, b = (a[0] for a in mgstate.states._pauli_terms([p], duals, [gmat.rows]))
+            terms = mgstate.states._pauli_terms(batch_of([p]), duals, one_gens([p]))
+            x, z, phase, b = (a[0] for a in terms)
             members = x.tolist()
             assert members == span(gmat.rows, g.n)  # ascending
             for k, j in enumerate(members):
@@ -785,7 +792,7 @@ def test_pauli_terms_match_ordered_products():
                 want_b = (-parent_phase(j) - word.phase - 2 * parity(word.x & word.z)) % 4
                 want = (word.x, word.z, word.phase, want_b)
                 assert (x[k], z[k], phase[k], b[k]) == want, (g, p, j)
-            child = child_from_pauli_sum([p], duals, [one_indicator(p)])
+            child = pauli_sum_of([p], duals)
             assert child.terms(0) == dict(zip(members, b))
             members_seen += len(members)
     assert members_seen > 5000
@@ -800,9 +807,9 @@ def test_offsets_are_j_as_the_report_masks():
         for p in _every_parent(g)[1]:
             ind = one_indicator(p)
             members = span_of_basis(ind[1].rows)
-            child = child_from_pauli_sum([p], duals, [ind])
+            child = pauli_sum_of([p], duals)
             assert child.rho.offsets.tolist() == [members], (g, p)
-            assert child_from_partial_trace([p]).offsets.tolist() == [members], (g, p)
+            assert child_from_partial_trace(batch_of([p])).offsets.tolist() == [members], (g, p)
             assert sorted(child.terms(0)) == members, (g, p)
             parents += 1
     assert parents > 500
@@ -811,11 +818,11 @@ def test_offsets_are_j_as_the_report_masks():
 def test_child_from_pauli_sum_rejects_anticommuting_generators():
     # J of a triangle parent is spanned by 100 and 011; over the dual rows of
     # the one-arc graph 0 -> 1 those index XII and ZXX, which anticommute
-    p = extend_e1(parse_graph(TRIANGLE))[0]
+    p = parents_of(extend_e1(parse_graph(TRIANGLE)))[0]
     other = dual_stabilizer(parse_graph("nodes 3\nedge 0 -> 1\n"))
     with pytest.raises(AssertionError, match="J members must commute pairwise"):
-        child_from_pauli_sum([p], other, [one_indicator(p)])
-    child_from_pauli_sum([p], dual_stabilizer(parse_graph(TRIANGLE)), [one_indicator(p)])
+        pauli_sum_of([p], other)
+    pauli_sum_of([p], dual_stabilizer(parse_graph(TRIANGLE)))
 
 
 # ---- the partial-trace route against term-by-term and einsum oracles ----
@@ -896,10 +903,10 @@ def test_phase_matches_term_by_term_oracle():
         evaluate = phase_oracle(p)
         xs = range(1 << p.total)
         bits = (np.array(xs)[:, None] >> np.arange(p.total)) & 1
-        assert phases([p], bits).tolist() == [[evaluate(x) for x in xs]], p
+        assert phases(batch_of([p]), bits).tolist() == [[evaluate(x) for x in xs]], p
         for k in range(p.total):  # rows over the first k qubits: x sets no later one
             want = [[evaluate(x) for x in range(1 << k)]]
-            assert phases([p], bits[: 1 << k, :k]).tolist() == want
+            assert phases(batch_of([p]), bits[: 1 << k, :k]).tolist() == want
 
 
 def _n_plus_e_12_parents():
@@ -909,14 +916,15 @@ def _n_plus_e_12_parents():
     has."""
     edges = "".join(f"edge {j} -> {k}\n" for j, k in itertools.combinations(range(8), 2))
     g = parse_graph("nodes 8\n" + edges)
-    sub = enumerate_max_isotropic(reduce_gamma(g.gamma()))[0]
+    subs = enumerate_max_isotropic(reduce_gamma(g.gamma()))[:1]
     empty = ParentExtension(2, 10, BinMatrix((0,) * 12, 12), frozenset({1}))
-    return [extend_for_subgroup(g, [sub], stabilizer_matrix(g))[0], empty]
+    return parents_of(extend_for_subgroup(g, subs, stabilizer_matrix(g))) + [empty]
 
 
 def test_partial_trace_matches_einsum_oracle():
     for p in _oracle_parents() + _n_plus_e_12_parents():
-        assert np.array_equal(rho_to_complex(child_from_partial_trace([p])), traced_oracle(p)), p
+        rho = child_from_partial_trace(batch_of([p]))
+        assert np.array_equal(rho_to_complex(rho), traced_oracle(p)), p
 
 
 def test_partial_trace_memory_does_not_grow_with_environment():
@@ -926,7 +934,7 @@ def test_partial_trace_memory_does_not_grow_with_environment():
     p = ParentExtension(2, 16, BinMatrix(tuple(rows), 18), frozenset({0}))
     tracemalloc.start()
     try:
-        rho = child_from_partial_trace([p])
+        rho = child_from_partial_trace(batch_of([p]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -963,7 +971,7 @@ def test_stabilized_by_matches_dense_oracle_on_every_child():
             assert stabilized_by(rho, rows) and dense_stabilized_by(rho, rows)
             for w in list(duals) + [random_word(rng, g.n)]:
                 (got,) = stabilized_by(rho, [w]).tolist()
-                assert got == dense_stabilized_by(rho, [w]), (g, child.parents[0], w)
+                assert got == dense_stabilized_by(rho, [w]), (g, child.parents.ae, w)
                 verdicts[got] += 1
             mixed = list(rows) + [duals[0]]
             assert stabilized_by(rho, mixed).tolist() == [dense_stabilized_by(rho, mixed)]
@@ -1051,21 +1059,21 @@ def test_layout_renders_both_oracles():
     for g, first in graphs:
         duals, rows = dual_stabilizer(g), stabilizer_matrix(g)
         subs = enumerate_max_isotropic(reduce_gamma(g.gamma()))[:first]
-        parents = list(extend_for_subgroup(g, subs, rows))
-        parents += extend_e1(g) if mixed_rank(g)[0] == 1 and first is None else []
+        parents = parents_of(extend_for_subgroup(g, subs, rows))
+        parents += parents_of(extend_e1(g)) if mixed_rank(g)[0] == 1 and first is None else []
         for p in parents:
-            child = child_from_pauli_sum([p], duals, [one_indicator(p)])
+            child = pauli_sum_of([p], duals)
             terms = [(ordered_product(duals, bits_of(j)), k) for j, k in child.terms(0).items()]
             oracle = divided_by_pow2(pauli_sum(g.n, terms), g.n)
             assert same_matrix(child.rho.dense(0), oracle)
-            assert same_matrix(child_from_partial_trace([p]).dense(0), oracle)
+            assert same_matrix(child_from_partial_trace(batch_of([p])).dense(0), oracle)
             assert same_children(members_of(oracle), child.rho)
             assert layout_of(oracle) == Layout.of(child.rho)
             if first:
                 assert np.array_equal(rho_to_complex(child.rho), traced_oracle(p)), p
                 traced += 1
     for p in hand_built_parents(random.Random(9310), 60):
-        rho = child_from_partial_trace([p])
+        rho = child_from_partial_trace(batch_of([p]))
         assert same_children(members_of(rho.dense(0)), rho)
         assert layout_partial_trace([p]) == Layout.of(rho)
     assert traced > 40
@@ -1095,7 +1103,7 @@ def test_layout_checks_match_dense_oracles():
     g = parse_graph(TRIANGLE)
     rows = stabilizer_matrix(g)
     parents = extend_e1(g)[:1]
-    child = child_from_pauli_sum(parents, dual_stabilizer(g), [one_indicator(parents[0])])
+    child = child_from_pauli_sum(parents, dual_stabilizer(g), one_gens(parents_of(parents)))
     words = [w("".join(letters)) for letters in itertools.product("IXYZ", repeat=3)]
     mover = next(v for v in words if not stabilized_by(child.rho, [v]))
     moved = conjugated(child.rho, mover)
@@ -1179,9 +1187,9 @@ def test_layout_keeps_int8_numerators_only_without_their_minimum():
     # int8, so the layout oracle widens a layout holding -128, and its sign
     # and conjugation checks stay exact
     g = parse_graph(TRIANGLE)
-    p = extend_e1(g)[0]
-    child = child_from_pauli_sum([p], dual_stabilizer(g), [one_indicator(p)])
-    assert child.rho.num.dtype == child_from_partial_trace([p]).num.dtype == np.int8
+    p = parents_of(extend_e1(g))[0]
+    child = pauli_sum_of([p], dual_stabilizer(g))
+    assert child.rho.num.dtype == child_from_partial_trace(batch_of([p])).num.dtype == np.int8
     w = PauliWord.from_letters
     real = Layout(1, np.array([[1]]), np.array([[[[-128, -128]], [[0, 0]]]], np.int8), 0)
     imaginary = Layout(1, np.array([[1]]), np.array([[[[0, 0]], [[-128, -128]]]], np.int8), 0)
@@ -1211,13 +1219,13 @@ def test_member_lists_render_the_layout_oracle():
     clique9 = parse_graph("nodes 9\n" + edges)
     subs = enumerate_max_isotropic(reduce_gamma(clique9.gamma()))
     picked = [subs[i] for i in sorted(random.Random(2609).sample(range(len(subs)), 300))]
-    cases.append((clique9, list(extend_for_subgroup(clique9, picked, stabilizer_matrix(clique9)))))
+    picked = extend_for_subgroup(clique9, subgroup_batch_of(picked), stabilizer_matrix(clique9))
+    cases.append((clique9, parents_of(picked)))
     children = 0
     for g, parents in cases:
         want = layout_partial_trace(parents)
-        traced = child_from_partial_trace(parents)
-        inds = [one_indicator(p) for p in parents]
-        built = child_from_pauli_sum(parents, dual_stabilizer(g), inds)
+        traced = child_from_partial_trace(batch_of(parents))
+        built = pauli_sum_of(parents, dual_stabilizer(g))
         assert Layout.of(traced) == want and Layout.of(built.rho) == want, g
         children += len(parents)
     assert children == 180 + 2 * 9 + 300  # e >= 2, the two e = 1 fixtures, the clique
@@ -1258,7 +1266,7 @@ def test_chunks_match_the_per_child_oracle(monkeypatch):
         e, parents = _every_parent(g)
         inds = [one_indicator(p) for p in parents]
         words = [random_word(rng, g.n)]
-        whole = child_from_pauli_sum(parents, duals, inds)
+        whole = pauli_sum_of(parents, duals)
         oracle = []
         for p, ind, perturbed in zip(parents, inds, _perturbed(whole.rho, 0).num):
             one, terms = one_pauli_sum(p, duals, ind)
@@ -1273,9 +1281,8 @@ def test_chunks_match_the_per_child_oracle(monkeypatch):
             monkeypatch.setattr(mgstate.states, "CHUNK_ENTRIES", children * words_per_child)
             assert mgstate.states.chunk_len(g.n, e) == children
             for start in range(0, len(parents), children):
-                built = child_from_pauli_sum(parents[start:start + children], duals,
-                                             inds[start:start + children])
-                traced = child_from_partial_trace(parents[start:start + children])
+                built = pauli_sum_of(parents[start:start + children], duals)
+                traced = child_from_partial_trace(batch_of(parents[start:start + children]))
                 got = [list(zip(
                     stabilized_by(rho, rows).tolist(), rho.trace_is_one().tolist(),
                     rho.is_hermitian().tolist(), rho.purity(), rho.agrees_with(traced).tolist(),
@@ -1296,13 +1303,13 @@ def test_chunk_children_must_share_d():
     # a chunk holds children of one |D|: the e = 1 triangle parent and an
     # e = 0 parent on the same lab qubits do not share one
     g = parse_graph(TRIANGLE)
-    p1 = extend_e1(g)[0]
-    p0 = symmetrize(stabilizer_matrix(g), [()])[0]
+    p1 = parents_of(extend_e1(g))[0]
+    (p0,) = parents_of(symmetrize(stabilizer_matrix(g), [()]))
     with pytest.raises(ValueError, match="share"):
-        child_from_pauli_sum([p1, p0], dual_stabilizer(g), [one_indicator(p1), one_indicator(p0)])
+        pauli_sum_of([p1, p0], dual_stabilizer(g))
     hand = [ParentExtension(2, 1, BinMatrix((4, 0, 1), 3)), ParentExtension(2, 1, BinMatrix((0, 0, 0), 3))]
     with pytest.raises(ValueError, match="share"):
-        child_from_partial_trace(hand)
+        child_from_partial_trace(batch_of(hand))
     # a chunk renders child i as the chunk of its parent alone does
     pair = child_from_partial_trace(extend_e1(g)[:2])
     assert same_matrix(pair.dense(1), child_from_partial_trace(extend_e1(g)[1:2]).dense(0))

@@ -12,6 +12,7 @@ from conftest import (
     enumerate_pair_by_pair,
     lift_by_bits,
     span_of_basis,
+    subgroup_batch_of,
 )
 from mgstate.f2 import (
     BinMatrix,
@@ -268,8 +269,8 @@ def test_subgroup_batch_items_and_slices():
     assert len(items) == len(subs) == 15 and all(isinstance(s, IsotropicSubspace) for s in items)
     part = subs[3:7]
     assert isinstance(part, SubgroupBatch) and list(part) == items[3:7]
-    assert SubgroupBatch.of(items[3:7]).lifted.tolist() == part.lifted.tolist()
-    assert SubgroupBatch.of(part) is part
+    assert subgroup_batch_of(items[3:7]).lifted.tolist() == part.lifted.tolist()
+    assert subgroup_batch_of(part) is part
     assert subs.dims().tolist() == [red.n - red.e] * 15
     with pytest.raises(IndexError):
         subs[15]
